@@ -18,6 +18,7 @@
 // are coalesced into one so steady state is a single reused slab.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>

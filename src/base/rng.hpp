@@ -32,9 +32,14 @@ class Rng {
     return d(engine_);
   }
 
+  /// stddev == 0 is the point mass at `mean`. std::normal_distribution
+  /// requires stddev > 0, so that case draws at unit spread (advancing
+  /// the engine exactly as before) and returns `mean`; every
+  /// stddev > 0 stream is unchanged.
   float normal(float mean = 0.0f, float stddev = 1.0f) {
-    std::normal_distribution<float> d(mean, stddev);
-    return d(engine_);
+    std::normal_distribution<float> d(mean, spread(stddev));
+    const float v = d(engine_);
+    return stddev == 0.0f ? mean : v;
   }
 
   /// Uniform integer in [lo, hi] inclusive.
@@ -48,9 +53,13 @@ class Rng {
     return d(engine_);
   }
 
+  /// Same stddev == 0 handling as normal().
   void fill_normal(Tensor& t, float mean, float stddev) {
-    std::normal_distribution<float> d(mean, stddev);
-    for (float& v : t.span()) v = d(engine_);
+    std::normal_distribution<float> d(mean, spread(stddev));
+    for (float& v : t.span()) {
+      v = d(engine_);
+      if (stddev == 0.0f) v = mean;
+    }
   }
 
   void fill_uniform(Tensor& t, float lo, float hi) {
@@ -74,6 +83,8 @@ class Rng {
   std::mt19937_64& engine() { return engine_; }
 
  private:
+  static float spread(float stddev) { return stddev == 0.0f ? 1.0f : stddev; }
+
   std::mt19937_64 engine_;
 };
 

@@ -3,6 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
+#include "base/cpu.hpp"
+
+#if APT_X86
+#include <immintrin.h>
+#endif
+
 namespace apt::nn {
 namespace {
 
@@ -21,22 +27,110 @@ Dims dims_of(const Tensor& x, int64_t channels, const std::string& name) {
   return {x.dim(0), x.dim(1), spatial};
 }
 
-// Per-channel Σx and Σx² of one tensor, accumulated in doubles in sample
-// order (the same order the unsharded forward uses).
+// Channels [c0, c0 + kBlock) of channel_dot_sums. The block's chains
+// are independent, so running them side by side hides the double add's
+// latency without reordering any one channel's sum.
+template <int kBlock>
+void dot_sums_block(const float* u, const float* v, const Dims& d, int64_t c0,
+                    double* sum_u, double* sum_uv) {
+  double su[kBlock] = {}, suv[kBlock] = {};
+  for (int64_t n = 0; n < d.n; ++n) {
+    const int64_t base = (n * d.c + c0) * d.spatial;
+    const float* pu = u + base;
+    const float* pv = v + base;
+    for (int64_t i = 0; i < d.spatial; ++i)
+      for (int b = 0; b < kBlock; ++b) {
+        const float x = pu[b * d.spatial + i];
+        su[b] += x;
+        suv[b] += static_cast<double>(x) * pv[b * d.spatial + i];
+      }
+  }
+  for (int b = 0; b < kBlock; ++b) {
+    sum_u[c0 + b] = su[b];
+    sum_uv[c0 + b] = suv[b];
+  }
+}
+
+#if APT_X86
+// Eight channels of dot_sums_block in two 4-lane double vectors, lane b
+// holding channel c0 + 4h + b: each lane runs its channel's exact scalar
+// chain, and the two vectors per sum keep the add latency hidden. A 4x4
+// transpose turns four channels' runs of four elements into four
+// vectors of one element each.
+__attribute__((target("avx2"))) void dot_sums_block8_avx2(
+    const float* u, const float* v, const Dims& d, int64_t c0, double* sum_u,
+    double* sum_uv) {
+  const int64_t S = d.spatial;
+  __m256d su[2] = {_mm256_setzero_pd(), _mm256_setzero_pd()};
+  __m256d suv[2] = {_mm256_setzero_pd(), _mm256_setzero_pd()};
+  for (int64_t n = 0; n < d.n; ++n) {
+    const float* pu = u + (n * d.c + c0) * S;
+    const float* pv = v + (n * d.c + c0) * S;
+    int64_t i = 0;
+    for (; i + 4 <= S; i += 4)
+      for (int h = 0; h < 2; ++h) {
+        __m128 ru[4], rv[4];
+        for (int b = 0; b < 4; ++b) {
+          ru[b] = _mm_loadu_ps(pu + (4 * h + b) * S + i);
+          rv[b] = _mm_loadu_ps(pv + (4 * h + b) * S + i);
+        }
+        _MM_TRANSPOSE4_PS(ru[0], ru[1], ru[2], ru[3]);
+        _MM_TRANSPOSE4_PS(rv[0], rv[1], rv[2], rv[3]);
+        for (int t = 0; t < 4; ++t) {
+          const __m256d x = _mm256_cvtps_pd(ru[t]);
+          su[h] = _mm256_add_pd(su[h], x);
+          suv[h] = _mm256_add_pd(
+              suv[h], _mm256_mul_pd(x, _mm256_cvtps_pd(rv[t])));
+        }
+      }
+    for (; i < S; ++i)
+      for (int h = 0; h < 2; ++h) {
+        const float* qu = pu + 4 * h * S + i;
+        const float* qv = pv + 4 * h * S + i;
+        const __m256d x = _mm256_cvtps_pd(
+            _mm_setr_ps(qu[0], qu[S], qu[2 * S], qu[3 * S]));
+        const __m256d y = _mm256_cvtps_pd(
+            _mm_setr_ps(qv[0], qv[S], qv[2 * S], qv[3 * S]));
+        su[h] = _mm256_add_pd(su[h], x);
+        suv[h] = _mm256_add_pd(suv[h], _mm256_mul_pd(x, y));
+      }
+  }
+  for (int h = 0; h < 2; ++h) {
+    _mm256_storeu_pd(sum_u + c0 + 4 * h, su[h]);
+    _mm256_storeu_pd(sum_uv + c0 + 4 * h, suv[h]);
+  }
+}
+#endif  // APT_X86
+
+// Per-channel Σu and Σu·v of two same-shaped tensors, accumulated in
+// doubles in sample-then-element order (the order every BatchNorm
+// reduction has always used), eight (AVX2) or four channels at a time.
+void channel_dot_sums(const float* u, const float* v, const Dims& d,
+                      double* sum_u, double* sum_uv) {
+  int64_t c = 0;
+#if APT_X86
+  if (cpu_has_avx2_fma())
+    for (; c + 8 <= d.c; c += 8)
+      dot_sums_block8_avx2(u, v, d, c, sum_u, sum_uv);
+#endif
+  for (; c + 4 <= d.c; c += 4) dot_sums_block<4>(u, v, d, c, sum_u, sum_uv);
+  for (; c < d.c; ++c) dot_sums_block<1>(u, v, d, c, sum_u, sum_uv);
+}
+
+// Per-channel Σx and Σx² of one tensor: out = [Σx per channel, Σx² per
+// channel].
 void channel_sums(const Tensor& x, const Dims& d, std::vector<double>* out) {
   out->assign(static_cast<size_t>(2 * d.c), 0.0);
-  for (int64_t c = 0; c < d.c; ++c) {
-    double sum = 0.0, sq = 0.0;
-    for (int64_t n = 0; n < d.n; ++n) {
-      const float* p = x.data() + (n * d.c + c) * d.spatial;
-      for (int64_t i = 0; i < d.spatial; ++i) {
-        sum += p[i];
-        sq += static_cast<double>(p[i]) * p[i];
-      }
-    }
-    (*out)[static_cast<size_t>(c)] = sum;
-    (*out)[static_cast<size_t>(d.c + c)] = sq;
-  }
+  channel_dot_sums(x.data(), x.data(), d, out->data(), out->data() + d.c);
+}
+
+// Per-channel Σ dY·x̂ and Σ dY (∂γ and ∂β, and the whole-batch terms of
+// the dx formula): out = [Σ dY·x̂ per channel, Σ dY per channel].
+void channel_grad_sums(const Tensor& dy, const Tensor& x_hat, const Dims& d,
+                       std::vector<double>* out) {
+  out->assign(static_cast<size_t>(2 * d.c), 0.0);
+  channel_dot_sums(dy.data(), x_hat.data(), d, out->data() + d.c,
+                   out->data());
 }
 
 }  // namespace
@@ -187,17 +281,11 @@ Tensor BatchNorm::backward(const Tensor& grad_out) {
   Tensor dx(grad_out.shape());
   float* dgamma_out = grad_sink(gamma_).data();
   float* dbeta_out = grad_sink(beta_).data();
+  std::vector<double>& sums = grad_sums_.cur();
+  channel_grad_sums(grad_out, x_hat, d, &sums);
   for (int64_t c = 0; c < channels_; ++c) {
-    double dgamma = 0.0, dbeta = 0.0;
-    for (int64_t n = 0; n < d.n; ++n) {
-      const int64_t base = (n * channels_ + c) * d.spatial;
-      const float* pdy = grad_out.data() + base;
-      const float* ph = x_hat.data() + base;
-      for (int64_t i = 0; i < d.spatial; ++i) {
-        dgamma += static_cast<double>(pdy[i]) * ph[i];
-        dbeta += pdy[i];
-      }
-    }
+    const double dgamma = sums[static_cast<size_t>(c)];
+    const double dbeta = sums[static_cast<size_t>(channels_ + c)];
     dgamma_out[c] += static_cast<float>(dgamma);
     dbeta_out[c] += static_cast<float>(dbeta);
 
@@ -233,22 +321,7 @@ std::vector<Tensor> BatchNorm::backward_sharded(
     const Tensor& x_hat = x_hat_.at(s);
     APT_CHECK(x_hat.defined() && x_hat.numel() == dy.numel())
         << name_ << ": sharded backward before forward(training=true)";
-    std::vector<double>& sums = grad_sums_.at(s);
-    sums.assign(static_cast<size_t>(2 * channels_), 0.0);
-    for (int64_t c = 0; c < channels_; ++c) {
-      double dgamma = 0.0, dbeta = 0.0;
-      for (int64_t n = 0; n < d.n; ++n) {
-        const int64_t base = (n * channels_ + c) * d.spatial;
-        const float* pdy = dy.data() + base;
-        const float* ph = x_hat.data() + base;
-        for (int64_t i = 0; i < d.spatial; ++i) {
-          dgamma += static_cast<double>(pdy[i]) * ph[i];
-          dbeta += pdy[i];
-        }
-      }
-      sums[static_cast<size_t>(c)] = dgamma;
-      sums[static_cast<size_t>(channels_ + c)] = dbeta;
-    }
+    channel_grad_sums(dy, x_hat, d, &grad_sums_.at(s));
   });
 
   // Serial point: shard-ordered reduction. γ/β gradients land directly on

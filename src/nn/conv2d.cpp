@@ -7,11 +7,16 @@
 #include <vector>
 
 #include "base/arena.hpp"
+#include "base/cpu.hpp"
 #include "base/thread_pool.hpp"
 #include "nn/gemm.hpp"
 #include "nn/gemm_kernel.hpp"
 #include "nn/init.hpp"
 #include "nn/plan.hpp"
+
+#if APT_X86
+#include <immintrin.h>
+#endif
 
 namespace apt::nn {
 
@@ -67,7 +72,9 @@ void im2col_impl(const T* x, int64_t C, int64_t H, int64_t W, int64_t n,
 // Inlined small-row copy: feature-map rows are a few dozen bytes, where
 // memcpy's call overhead dominates the gather. Whole words, then one
 // overlapping word for the tail (regions never overlap).
-inline void copy_row_u8(uint8_t* dst, const uint8_t* src, int64_t n) {
+inline void copy_bytes(void* dst_v, const void* src_v, int64_t n) {
+  auto* dst = static_cast<unsigned char*>(dst_v);
+  const auto* src = static_cast<const unsigned char*>(src_v);
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
     uint64_t w;
@@ -83,6 +90,61 @@ inline void copy_row_u8(uint8_t* dst, const uint8_t* src, int64_t n) {
       for (; i < n; ++i) dst[i] = src[i];
     }
   }
+}
+
+// Stages c_count contiguous [H][W] planes into [c_count][H+2p][W+2p]
+// with a `pad` border: the image an implicit conv operand gathers from.
+template <typename T>
+void stage_padded(const T* planes, int64_t c_count, int64_t H, int64_t W,
+                  int64_t padding, T pad, T* out) {
+  const int64_t pw = W + 2 * padding, ph = H + 2 * padding;
+  for (int64_t c = 0; c < c_count; ++c) {
+    T* img = out + c * ph * pw;
+    const T* chan = planes + c * H * W;
+    std::fill(img, img + padding * pw, pad);
+    std::fill(img + (ph - padding) * pw, img + ph * pw, pad);
+    for (int64_t y = 0; y < H; ++y) {
+      T* p = img + (y + padding) * pw;
+      std::fill(p, p + padding, pad);
+      copy_bytes(p + padding, chan + y * W,
+                 W * static_cast<int64_t>(sizeof(T)));
+      std::fill(p + padding + W, p + pw, pad);
+    }
+  }
+}
+
+// The fp32 path's implicit conv operand. f32_stage reserves one group's
+// zero-padded float image in `scope` (null when padding == 0);
+// f32_operand stages sample n's group g of x there and describes it (the
+// input plane itself when padding == 0).
+float* f32_stage(ScratchArena::Scope& scope, const Conv2dOptions& o,
+                 const Shape& in_shape) {
+  if (o.padding == 0) return nullptr;
+  return scope.alloc_floats(static_cast<size_t>(
+      o.in_channels / o.groups * (in_shape[2] + 2 * o.padding) *
+      (in_shape[3] + 2 * o.padding)));
+}
+
+GemmF32ConvB f32_operand(const Conv2dOptions& o, const Tensor& x, int64_t n,
+                         int64_t g, float* stage) {
+  const int64_t H = x.dim(2), W = x.dim(3);
+  const int64_t icg = o.in_channels / o.groups;
+  const float* plane = x.data() + (n * o.in_channels + g * icg) * H * W;
+  GemmF32ConvB cb;
+  cb.kernel = o.kernel;
+  cb.stride = o.stride;
+  cb.oh = (H + 2 * o.padding - o.kernel) / o.stride + 1;
+  cb.ow = (W + 2 * o.padding - o.kernel) / o.stride + 1;
+  cb.padded = plane;
+  cb.ph = H;
+  cb.pw = W;
+  if (o.padding > 0) {
+    stage_padded(plane, icg, H, W, o.padding, 0.0f, stage);
+    cb.padded = stage;
+    cb.ph = H + 2 * o.padding;
+    cb.pw = W + 2 * o.padding;
+  }
+  return cb;
 }
 
 }  // namespace
@@ -107,24 +169,15 @@ void im2col_u8(const uint8_t* x, int64_t C, int64_t H, int64_t W, int64_t n,
   const int64_t ph = H + 2 * padding;
   ScratchArena::Scope scope(ScratchArena::thread_local_arena());
   uint8_t* padded = nullptr;
-  if (padding > 0) {
+  if (padding > 0)
     padded = static_cast<uint8_t*>(
         scope.alloc_bytes(static_cast<size_t>(ph * pw)));
-    std::memset(padded, pad_code, static_cast<size_t>(padding * pw));
-    std::memset(padded + (ph - padding) * pw, pad_code,
-                static_cast<size_t>(padding * pw));
-  }
   int64_t row = 0;
   for (int64_t c = c_begin; c < c_begin + c_count; ++c) {
     const uint8_t* chan = x + (n * C + c) * H * W;
     const uint8_t* img = chan;  // padding == 0: the image IS the staging
     if (padding > 0) {
-      for (int64_t yy = 0; yy < H; ++yy) {
-        uint8_t* p = padded + (yy + padding) * pw;
-        std::memset(p, pad_code, static_cast<size_t>(padding));
-        copy_row_u8(p + padding, chan + yy * W, W);
-        std::memset(p + padding + W, pad_code, static_cast<size_t>(padding));
-      }
+      stage_padded(chan, 1, H, W, padding, pad_code, padded);
       img = padded;
     }
     for (int64_t kh = 0; kh < kernel; ++kh)
@@ -133,7 +186,7 @@ void im2col_u8(const uint8_t* x, int64_t C, int64_t H, int64_t W, int64_t n,
         if (stride == 1) {
           const uint8_t* s = img + kh * pw + kw;
           for (int64_t y = 0; y < oh; ++y, out += ow, s += pw)
-            copy_row_u8(out, s, ow);
+            copy_bytes(out, s, ow);
         } else {
           for (int64_t y = 0; y < oh; ++y, out += ow) {
             const uint8_t* s = img + (y * stride + kh) * pw + kw;
@@ -147,22 +200,9 @@ void im2col_u8(const uint8_t* x, int64_t C, int64_t H, int64_t W, int64_t n,
 void stage_padded_u8(const uint8_t* planes, int64_t c_count, int64_t H,
                      int64_t W, int64_t padding, uint8_t pad_code,
                      uint8_t* out, bool pooled) {
-  const int64_t pw = W + 2 * padding, ph = H + 2 * padding;
-  const int64_t area = ph * pw;
   auto stage_range = [&](int64_t c0, int64_t c1) {
-    for (int64_t c = c0; c < c1; ++c) {
-      uint8_t* img = out + c * area;
-      const uint8_t* chan = planes + c * H * W;
-      std::memset(img, pad_code, static_cast<size_t>(padding * pw));
-      std::memset(img + (ph - padding) * pw, pad_code,
-                  static_cast<size_t>(padding * pw));
-      for (int64_t y = 0; y < H; ++y) {
-        uint8_t* p = img + (y + padding) * pw;
-        std::memset(p, pad_code, static_cast<size_t>(padding));
-        copy_row_u8(p + padding, chan + y * W, W);
-        std::memset(p + padding + W, pad_code, static_cast<size_t>(padding));
-      }
-    }
+    stage_padded(planes + c0 * H * W, c1 - c0, H, W, padding, pad_code,
+                 out + c0 * (H + 2 * padding) * (W + 2 * padding));
   };
   if (pooled) {
     ThreadPool::global().parallel_for(0, c_count, stage_range, /*grain=*/8);
@@ -188,9 +228,9 @@ void im2col_u8_pooled(const uint8_t* x, int64_t C, int64_t H, int64_t W,
       /*grain=*/4);
 }
 
-void col2im(const float* cols, int64_t n, int64_t c_begin, int64_t c_count,
-            int64_t kernel, int64_t stride, int64_t padding, int64_t oh,
-            int64_t ow, Tensor& dx) {
+void col2im_reference(const float* cols, int64_t n, int64_t c_begin,
+                      int64_t c_count, int64_t kernel, int64_t stride,
+                      int64_t padding, int64_t oh, int64_t ow, Tensor& dx) {
   const int64_t C = dx.dim(1), H = dx.dim(2), W = dx.dim(3);
   int64_t row = 0;
   for (int64_t c = c_begin; c < c_begin + c_count; ++c) {
@@ -214,6 +254,98 @@ void col2im(const float* cols, int64_t n, int64_t c_begin, int64_t c_count,
         }
       }
   }
+}
+
+namespace {
+
+#if APT_X86
+// Widest kernel the gather handles (its per-kw lane masks live on the
+// stack); wider kernels take the reference scatter.
+constexpr int64_t kGatherMaxKernel = 16;
+
+// col2im at stride 1 as a gather. Each 8-column chunk of a dx row stays
+// in one register while it adds every tap that lands on it — in the
+// scatter's (kh, kw) order, so each element sees the same fp32 adds in
+// the same order — and is stored once. Which lanes of a chunk tap kw
+// reaches is the same for every row and channel, so it is worked out
+// once per chunk. A tap that reaches only some lanes loads just those
+// (a masked load reads nothing else) and blends the sum in on them
+// alone: the other lanes are never added to, so a -0.0 or NaN already
+// in dx stays exactly as the scatter leaves it. `dx` points at channel
+// c_begin of the sample.
+__attribute__((target("avx2"))) void col2im_gather_avx2(
+    const float* cols, int64_t c_count, int64_t H, int64_t W, int64_t kernel,
+    int64_t padding, int64_t oh, int64_t ow, float* dx) {
+  const int64_t plane = oh * ow;
+  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  enum : uint8_t { kNone, kAll, kSome };
+  for (int64_t ix0 = 0; ix0 < W; ix0 += 8) {
+    const int64_t nv = std::min<int64_t>(8, W - ix0);
+    const __m256i in_row =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(nv)), iota);
+    // Lane l of tap kw reads output column x0 + l, x0 = ix0 + padding -
+    // kw; it is valid for l in [lo, hi).
+    __m256i mask[kGatherMaxKernel];
+    uint8_t reach[kGatherMaxKernel];
+    for (int64_t kw = 0; kw < kernel; ++kw) {
+      const int64_t x0 = ix0 + padding - kw;
+      const int64_t lo = std::max<int64_t>(0, -x0);
+      const int64_t hi = std::min(nv, ow - x0);
+      reach[kw] = lo >= hi ? kNone : lo == 0 && hi == 8 ? kAll : kSome;
+      mask[kw] = _mm256_and_si256(
+          _mm256_cmpgt_epi32(iota, _mm256_set1_epi32(static_cast<int>(lo - 1))),
+          _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(hi)), iota));
+    }
+    for (int64_t c = 0; c < c_count; ++c) {
+      for (int64_t iy = 0; iy < H; ++iy) {
+        float* d = dx + (c * H + iy) * W + ix0;
+        __m256 acc = nv == 8 ? _mm256_loadu_ps(d)
+                             : _mm256_maskload_ps(d, in_row);
+        // Taps whose output row y = iy + padding - kh lies in [0, oh).
+        const int64_t kh_lo = std::max<int64_t>(0, iy + padding - oh + 1);
+        const int64_t kh_hi = std::min(kernel, iy + padding + 1);
+        for (int64_t kh = kh_lo; kh < kh_hi; ++kh) {
+          // Offset of lane 0 of tap (kh, kw = 0); each kw moves one
+          // plane on and one column back. It never precedes `cols`
+          // (x0 >= -kw while the tap starts kw planes in).
+          int64_t off = ((c * kernel + kh) * kernel) * plane +
+                        (iy + padding - kh) * ow + ix0 + padding;
+          for (int64_t kw = 0; kw < kernel; ++kw, off += plane - 1) {
+            if (reach[kw] == kAll) {
+              acc = _mm256_add_ps(acc, _mm256_loadu_ps(cols + off));
+            } else if (reach[kw] == kSome) {
+              const __m256 sum = _mm256_add_ps(
+                  acc, _mm256_maskload_ps(cols + off, mask[kw]));
+              acc = _mm256_blendv_ps(acc, sum, _mm256_castsi256_ps(mask[kw]));
+            }
+          }
+        }
+        if (nv == 8) {
+          _mm256_storeu_ps(d, acc);
+        } else {
+          _mm256_maskstore_ps(d, in_row, acc);
+        }
+      }
+    }
+  }
+}
+#endif  // APT_X86
+
+}  // namespace
+
+void col2im(const float* cols, int64_t n, int64_t c_begin, int64_t c_count,
+            int64_t kernel, int64_t stride, int64_t padding, int64_t oh,
+            int64_t ow, Tensor& dx) {
+#if APT_X86
+  if (stride == 1 && kernel <= kGatherMaxKernel && cpu_has_avx2_fma()) {
+    const int64_t C = dx.dim(1), H = dx.dim(2), W = dx.dim(3);
+    col2im_gather_avx2(cols, c_count, H, W, kernel, padding, oh, ow,
+                       dx.data() + (n * C + c_begin) * H * W);
+    return;
+  }
+#endif
+  col2im_reference(cols, n, c_begin, c_count, kernel, stride, padding, oh, ow,
+                   dx);
 }
 
 Conv2d::Conv2d(std::string name, const Conv2dOptions& opts, Rng& rng)
@@ -316,21 +448,21 @@ Tensor Conv2d::forward_flow(const Tensor& x, const QuantizedActivation* qx,
   const int64_t icg = opts_.in_channels / G, ocg = opts_.out_channels / G;
   const int64_t krows = icg * opts_.kernel * opts_.kernel;
   Tensor y(Shape{N, opts_.out_channels, OH, OW});
-  // One task per sample; each task draws its column scratch from its
-  // thread's arena (reused across tasks, no per-task vector churn) and
-  // the GEMMs inside run single-chunk (work below the pool's grain).
+  // One task per sample; the GEMMs inside run single-chunk (work below
+  // the pool's grain). The patch matrix is never built: each GEMM packs
+  // it straight from the sample's padded image (f32_operand), staged in
+  // the task's arena scope.
   ThreadPool::global().parallel_for(0, N, [&](int64_t n0, int64_t n1) {
     ScratchArena::Scope scope(ScratchArena::thread_local_arena());
-    float* cols = scope.alloc_floats(static_cast<size_t>(krows * OH * OW));
+    float* stage = f32_stage(scope, opts_, in_shape);
     for (int64_t n = n0; n < n1; ++n)
       for (int64_t g = 0; g < G; ++g) {
-        im2col(xin, n, g * icg, icg, opts_.kernel, opts_.stride,
-               opts_.padding, OH, OW, cols);
         // Y_g [ocg, OH*OW] = W_g [ocg, krows] * cols [krows, OH*OW]
         float* yg =
             y.data() + ((n * opts_.out_channels + g * ocg) * OH * OW);
-        gemm(false, false, ocg, OH * OW, krows, 1.0f,
-             weight_.value.data() + g * ocg * krows, cols, 0.0f, yg);
+        gemm_conv(false, ocg, OH * OW, krows, 1.0f,
+                  weight_.value.data() + g * ocg * krows,
+                  f32_operand(opts_, xin, n, g, stage), 0.0f, yg);
       }
   });
 
@@ -592,20 +724,19 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
         0, N, chunks, [&](int64_t chunk, int64_t n0, int64_t n1) {
           float* dw = dw_chunk + chunk * wn;
           ScratchArena::Scope scope(ScratchArena::thread_local_arena());
-          float* cols =
-              scope.alloc_floats(static_cast<size_t>(krows * OH * OW));
+          float* stage = f32_stage(scope, opts_, x.shape());
           float* dcols =
               scope.alloc_floats(static_cast<size_t>(krows * OH * OW));
           for (int64_t n = n0; n < n1; ++n)
             for (int64_t g = 0; g < G; ++g) {
-              im2col(x, n, g * icg, icg, opts_.kernel, opts_.stride,
-                     opts_.padding, OH, OW, cols);
               const float* dyg =
                   grad_out.data() +
                   ((n * opts_.out_channels + g * ocg) * OH * OW);
-              // dW_g [ocg, krows] += dY_g [ocg, OH*OW] * cols^T
-              gemm(false, true, ocg, krows, OH * OW, 1.0f, dyg, cols, 1.0f,
-                   dw + g * ocg * krows);
+              // dW_g [ocg, krows] += dY_g [ocg, OH*OW] * cols^T, colsᵀ
+              // packed straight from the padded image like forward's B.
+              gemm_conv(true, ocg, krows, OH * OW, 1.0f, dyg,
+                        f32_operand(opts_, x, n, g, stage), 1.0f,
+                        dw + g * ocg * krows);
               // dcols [krows, OH*OW] = W_g^T [krows, ocg] * dY_g
               gemm(true, false, krows, OH * OW, ocg, 1.0f,
                    weight_.value.data() + g * ocg * krows, dyg, 0.0f,

@@ -1,9 +1,13 @@
-// 2-D convolution (NCHW) via im2col + GEMM, with group support.
+// 2-D convolution (NCHW) lowered to GEMM, with group support.
 //
 // groups == in_channels == out_channels gives a depthwise convolution
-// (MobileNetV2). Backward recomputes im2col per sample instead of caching
-// column buffers, trading a little compute for training-memory — the
-// resource this paper is about.
+// (MobileNetV2). The patch (im2col) matrix is never materialised: the
+// fp32 forward and weight-gradient GEMMs pack their B operand straight
+// from each sample's zero-padded input image (gemm_conv; the input plane
+// itself when padding == 0), bit-identical to packing im2col. Backward
+// re-stages the image per sample instead of caching column buffers,
+// trading a little compute for training-memory — the resource this
+// paper is about.
 //
 // Like Linear, the forward pass can run on the integer kernel: with the
 // int8 backend selected and <= 8-bit weight codes attached, the input is
@@ -181,7 +185,9 @@ class Conv2d : public Layer {
 };
 
 /// Extracts convolution patches of `x[n]` (group `g`) into `cols`, a
-/// row-major [icg*k*k, oh*ow] matrix. Exposed for tests.
+/// row-major [icg*k*k, oh*ow] matrix: the explicit form of the implicit
+/// operand the fp32 GEMMs pack from. Exposed for tests (the reference
+/// the implicit path is checked against).
 void im2col(const Tensor& x, int64_t n, int64_t c_begin, int64_t c_count,
             int64_t kernel, int64_t stride, int64_t padding, int64_t oh,
             int64_t ow, float* cols);
@@ -214,10 +220,19 @@ void stage_padded_u8(const uint8_t* planes, int64_t c_count, int64_t H,
                      int64_t W, int64_t padding, uint8_t pad_code,
                      uint8_t* out, bool pooled);
 
-/// Scatter-adds a [icg*k*k, oh*ow] column matrix back into dx[n] (group
-/// channel range [c_begin, c_begin+c_count)). Inverse of im2col.
+/// Adds a [icg*k*k, oh*ow] column matrix back into dx[n] (group channel
+/// range [c_begin, c_begin+c_count)): the adjoint of im2col. At stride 1
+/// on AVX2 hosts it gathers, each dx element adding its taps in
+/// register in the scatter's order and storing once; otherwise it runs
+/// col2im_reference. Either way the bits equal col2im_reference.
 void col2im(const float* cols, int64_t n, int64_t c_begin, int64_t c_count,
             int64_t kernel, int64_t stride, int64_t padding, int64_t oh,
             int64_t ow, Tensor& dx);
+
+/// The scalar scatter that defines col2im: each (c, kh, kw) row, in
+/// order, adds into its window of dx. Exposed for tests.
+void col2im_reference(const float* cols, int64_t n, int64_t c_begin,
+                      int64_t c_count, int64_t kernel, int64_t stride,
+                      int64_t padding, int64_t oh, int64_t ow, Tensor& dx);
 
 }  // namespace apt::nn

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "base/arena.hpp"
 #include "base/thread_pool.hpp"
 #include "nn/gemm_kernel.hpp"
 #include "nn/plan.hpp"
@@ -78,17 +79,7 @@ bool gemm_int8_backward_enabled() {
 
 void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float alpha, const float* a, const float* b, float beta, float* c) {
-  if (m <= 0 || n <= 0) return;
-  if (alpha == 0.0f || k <= 0) {
-    // BLAS contract for every backend: A and B are not referenced, so
-    // NaN/Inf there cannot leak into C through 0 * x.
-    if (beta == 0.0f) {
-      std::fill(c, c + m * n, 0.0f);
-    } else if (beta != 1.0f) {
-      for (int64_t i = 0; i < m * n; ++i) c[i] *= beta;
-    }
-    return;
-  }
+  if (gemm_blas_edge(m, n, k, alpha, beta, c)) return;
   const GemmBackend backend = resolved_gemm_backend();
   if (backend == GemmBackend::kIkj) {
     // Legacy perf baseline; never planned.
@@ -103,6 +94,25 @@ void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   // cached plan.
   if (backend == GemmBackend::kPackedScalar) opts.kernel = GemmKernel::kScalar;
   gemm_ex(plan, alpha, a, b, beta, c, opts);
+}
+
+void gemm_conv(bool trans_b, int64_t m, int64_t n, int64_t k, float alpha,
+               const float* a, const GemmF32ConvB& b, float beta,
+               float* c) {
+  if (gemm_blas_edge(m, n, k, alpha, beta, c)) return;
+  const GemmBackend backend = resolved_gemm_backend();
+  if (backend == GemmBackend::kIkj) {
+    // Legacy perf baseline: multiplies the materialised patch matrix.
+    ScratchArena::Scope scope(ScratchArena::thread_local_arena());
+    float* bk = scope.alloc_floats(static_cast<size_t>(k * n));
+    gemm_unpack_conv_b(b, trans_b, k, n, bk);
+    gemm_ikj(false, false, m, n, k, alpha, a, bk, beta, c);
+    return;
+  }
+  GemmOptions opts;
+  if (backend == GemmBackend::kPackedScalar) opts.kernel = GemmKernel::kScalar;
+  gemm_conv_ex(plan_for(PlanKey::f32(m, n, k, false, trans_b)), alpha, a, b,
+               beta, c, opts);
 }
 
 void gemm_ikj(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,

@@ -12,6 +12,9 @@
 
 namespace apt::nn {
 
+template <typename T>
+struct GemmConvB;  // implicit conv operand (gemm_kernel.hpp)
+
 /// Backend selection for `gemm`. kAuto honours the APT_GEMM_BACKEND
 /// environment variable ("packed", "scalar", "ikj", "int8"; read once
 /// per process) and otherwise means kPacked.
@@ -66,6 +69,17 @@ inline constexpr int kGradSrBits = 6;
 /// B propagate normally (no element-level zero shortcuts).
 void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float alpha, const float* a, const float* b, float beta, float* c);
+
+/// `gemm` with B given implicitly as a convolution's patch matrix: C =
+/// alpha * A * op_b(B) + beta * C, where op_b(B) is the virtual im2col
+/// matrix of the padded image `b` describes (its transpose when
+/// trans_b; see GemmConvB in gemm_kernel.hpp). Same backend dispatch
+/// and plan key (PlanKey::f32) as `gemm`, and the same bits as `gemm`
+/// over the materialised matrix; the ikj baseline multiplies that
+/// materialised matrix.
+void gemm_conv(bool trans_b, int64_t m, int64_t n, int64_t k, float alpha,
+               const float* a, const GemmConvB<float>& b, float beta,
+               float* c);
 
 /// Legacy backend: materialised transposes + blocked "ikj" loop. Kept
 /// callable so benches can report the packed backend's speedup against

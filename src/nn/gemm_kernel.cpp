@@ -549,7 +549,8 @@ void pack_explicit(const uint8_t* x, int64_t k_stride, int64_t l_stride,
 
 // Image offsets of taps [t0, t0 + count), walked incrementally (the
 // kernel size is runtime, so divisions would not strength-reduce).
-void conv_tap_offsets(const GemmS8ConvB& cb, int64_t t0, int64_t count,
+template <typename T>
+void conv_tap_offsets(const GemmConvB<T>& cb, int64_t t0, int64_t count,
                       int64_t* out) {
   const int64_t kk = cb.kernel * cb.kernel;
   int64_t c = t0 / kk, kh = (t0 % kk) / cb.kernel, kw = t0 % cb.kernel;
@@ -566,7 +567,8 @@ void conv_tap_offsets(const GemmS8ConvB& cb, int64_t t0, int64_t count,
 }
 
 // Image offsets of output positions [q0, q0 + count).
-void conv_pos_offsets(const GemmS8ConvB& cb, int64_t q0, int64_t count,
+template <typename T>
+void conv_pos_offsets(const GemmConvB<T>& cb, int64_t q0, int64_t count,
                       int64_t* out) {
   int64_t y = q0 / cb.ow, x = q0 % cb.ow;
   for (int64_t i = 0; i < count; ++i) {
@@ -582,8 +584,7 @@ void conv_pos_offsets(const GemmS8ConvB& cb, int64_t q0, int64_t count,
 // w-chunk of off[0, n) is consecutive offsets (one load per chunk);
 // 1 when no width qualifies. Stride-1 rows whose ow is a multiple of w
 // qualify; strided or ragged ones gather.
-[[maybe_unused]] int64_t contiguous_run(const int64_t* off, int64_t n,
-                                        int64_t wmax) {
+int64_t contiguous_run(const int64_t* off, int64_t n, int64_t wmax) {
   int64_t w = wmax;
   for (int64_t i = 0; i < n && w >= 4; ++i)
     while (w >= 4 && off[i] != off[i - i % w] + i % w) w /= 2;
@@ -648,6 +649,72 @@ void pack_conv(const GemmS8ConvB& cb, bool trans_b, int64_t p0, int64_t kc,
     pack_groups_scalar<T, kGroup>(
         [&](int64_t i, int64_t c) { return img[koff[i] + coff[c]]; }, cols,
         kGemmNR, kc, g_begin, dst, sums);
+  }
+}
+
+// The (taps or positions) x (positions or taps) extents of an implicit
+// conv operand must describe the descriptor's geometry.
+template <typename T>
+void check_conv_b(const GemmConvB<T>& cb, bool trans_b, int64_t k,
+                  int64_t n) {
+  const int64_t taps = trans_b ? n : k, positions = trans_b ? k : n;
+  APT_CHECK(positions == cb.oh * cb.ow && cb.kernel > 0 &&
+            taps % (cb.kernel * cb.kernel) == 0)
+      << "gemm: inconsistent implicit conv B descriptor";
+}
+
+// One fp32 strip of the implicit operand: dst[p*NR + c] = img[koff[p] +
+// coff[c]] for c < cols, 0.0f beyond. Full strips whose columns run
+// contiguously in kRun-chunks (the forward operand at stride 1) copy
+// straight from the image.
+template <int kRun>
+void pack_f32_rows(const float* img, const int64_t* koff, int64_t kc,
+                   const int64_t* coff, float* dst) {
+  for (int64_t p = 0; p < kc; ++p, dst += kGemmNR) {
+    const float* src = img + koff[p];
+    for (int64_t q = 0; q < kGemmNR; q += kRun)
+      std::memcpy(dst + q, src + coff[q], kRun * sizeof(float));
+  }
+}
+
+void pack_f32_strip(const float* img, const int64_t* koff, int64_t kc,
+                    const int64_t* coff, int64_t cols, float* dst) {
+  switch (cols == kGemmNR ? contiguous_run(coff, kGemmNR, kGemmNR) : 1) {
+    case 16:
+      return pack_f32_rows<16>(img, koff, kc, coff, dst);
+    case 8:
+      return pack_f32_rows<8>(img, koff, kc, coff, dst);
+    case 4:
+      return pack_f32_rows<4>(img, koff, kc, coff, dst);
+    default:
+      break;
+  }
+  int64_t p_begin = 0;
+#if APT_GEMM_X86
+  // The transposed operand at stride 1: every aligned 4-chunk of k is 4
+  // consecutive floats of each column, so one load per column and a 4x4
+  // transpose yield 4 packed rows.
+  const int64_t kc4 = kc & ~int64_t{3};
+  if (kc4 > 0 && contiguous_run(koff, kc4, 4) == 4) {
+    for (int64_t p = 0; p < kc4; p += 4) {
+      for (int64_t c = 0; c < kGemmNR; c += 4) {
+        __m128 r[4];
+        for (int64_t i = 0; i < 4; ++i)
+          r[i] = c + i < cols ? _mm_loadu_ps(img + coff[c + i] + koff[p])
+                              : _mm_setzero_ps();
+        _MM_TRANSPOSE4_PS(r[0], r[1], r[2], r[3]);
+        for (int64_t t = 0; t < 4; ++t)
+          _mm_storeu_ps(dst + (p + t) * kGemmNR + c, r[t]);
+      }
+    }
+    p_begin = kc4;
+  }
+#endif
+  for (int64_t p = p_begin; p < kc; ++p) {
+    float* out = dst + p * kGemmNR;
+    const float* src = img + koff[p];
+    for (int64_t c = 0; c < cols; ++c) out[c] = src[coff[c]];
+    for (int64_t c = cols; c < kGemmNR; ++c) out[c] = 0.0f;
   }
 }
 
@@ -775,6 +842,56 @@ void store_tile_s8_final(float* c, int64_t ldc, const int32_t* raw,
       ci[j] = static_cast<float>(sab * t);
     }
   }
+}
+
+#if APT_GEMM_X86
+// store_tile_s8_final, 4 doubles per step: the same per-element double
+// sequence (add raw, add row correction, subtract column correction,
+// scale, round to float), so the bits match the scalar store.
+__attribute__((target("avx2"))) void store_tile_s8_final_avx2(
+    float* c, int64_t ldc, const int32_t* raw, int64_t ldraw, int64_t mr,
+    int64_t nr, const int32_t* acc, const double* row_corr,
+    const double* col_corr, double sab) {
+  const int64_t nr4 = nr & ~int64_t{3};
+  const __m256d vsab = _mm256_set1_pd(sab);
+  for (int64_t i = 0; i < mr; ++i) {
+    float* ci = c + i * ldc;
+    const int32_t* ri = raw ? raw + i * ldraw : nullptr;
+    const int32_t* ai = acc + i * kGemmNR;
+    const double rc_s = row_corr[i];
+    const __m256d rc = _mm256_set1_pd(rc_s);
+    int64_t j = 0;
+    for (; j < nr4; j += 4) {
+      __m256d t = _mm256_cvtepi32_pd(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(ai + j)));
+      if (ri) {
+        t = _mm256_add_pd(t, _mm256_cvtepi32_pd(_mm_loadu_si128(
+                                 reinterpret_cast<const __m128i*>(ri + j))));
+      }
+      t = _mm256_sub_pd(_mm256_add_pd(t, rc), _mm256_loadu_pd(col_corr + j));
+      _mm_storeu_ps(ci + j, _mm256_cvtpd_ps(_mm256_mul_pd(vsab, t)));
+    }
+    for (; j < nr; ++j) {  // scalar tail: same op sequence
+      const double t =
+          static_cast<double>(ai[j]) + (ri ? ri[j] : 0) + rc_s - col_corr[j];
+      ci[j] = static_cast<float>(sab * t);
+    }
+  }
+}
+#endif  // APT_GEMM_X86
+
+using FinalStoreFn = void (*)(float*, int64_t, const int32_t*, int64_t,
+                              int64_t, int64_t, const int32_t*,
+                              const double*, const double*, double);
+
+FinalStoreFn resolve_final_store(GemmKernel which) {
+#if APT_GEMM_X86
+  if (which != GemmKernel::kScalar && gemm_cpu_has_avx2_fma())
+    return store_tile_s8_final_avx2;
+#else
+  (void)which;
+#endif
+  return store_tile_s8_final;
 }
 
 // ------------------------------------------------ fused epilogue stores
@@ -972,15 +1089,6 @@ void store_tile(float* c, int64_t ldc, int64_t mr, int64_t nr,
   }
 }
 
-void scale_c(int64_t m, int64_t n, float beta, float* c) {
-  if (beta == 1.0f) return;
-  if (beta == 0.0f) {
-    std::fill(c, c + m * n, 0.0f);
-  } else {
-    for (int64_t i = 0; i < m * n; ++i) c[i] *= beta;
-  }
-}
-
 // Effective blocking from a plan-threaded override: 0 keeps `def`, a
 // request is clamped to [lo, hi].
 int64_t eff_block(int64_t req, int64_t def, int64_t lo, int64_t hi) {
@@ -991,6 +1099,18 @@ int64_t eff_block(int64_t req, int64_t def, int64_t lo, int64_t hi) {
 }  // namespace
 
 bool gemm_cpu_has_avx2_fma() { return cpu_has_avx2_fma(); }
+
+bool gemm_blas_edge(int64_t m, int64_t n, int64_t k, float alpha, float beta,
+                    float* c) {
+  if (m <= 0 || n <= 0) return true;
+  if (alpha != 0.0f && k > 0) return false;
+  if (beta == 0.0f) {
+    std::fill(c, c + m * n, 0.0f);
+  } else if (beta != 1.0f) {
+    for (int64_t i = 0; i < m * n; ++i) c[i] *= beta;
+  }
+  return true;
+}
 
 void gemm_pack_a(bool trans_a, const float* a, int64_t m, int64_t k,
                  int64_t i0, int64_t mc, int64_t p0, int64_t kc, float* dst) {
@@ -1033,9 +1153,11 @@ void gemm_pack_b(bool trans_b, const float* b, int64_t k, int64_t n,
   }
 }
 
-void gemm_strided_direct(bool trans_a, bool trans_b, int64_t m, int64_t n,
-                         int64_t k, float alpha, const float* a,
-                         const float* b, float beta, float* c) {
+namespace {
+
+void direct_scalar(bool trans_a, bool trans_b, int64_t m, int64_t n,
+                   int64_t k, float alpha, const float* a, const float* b,
+                   float beta, float* c) {
   const int64_t a_rs = trans_a ? 1 : k, a_cs = trans_a ? m : 1;
   const int64_t b_rs = trans_b ? 1 : n, b_cs = trans_b ? k : 1;
   for (int64_t i = 0; i < m; ++i)
@@ -1049,14 +1171,145 @@ void gemm_strided_direct(bool trans_a, bool trans_b, int64_t m, int64_t n,
     }
 }
 
-void gemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-                 float alpha, const float* a, const float* b, float beta,
-                 float* c, const GemmOptions& opts) {
-  if (m <= 0 || n <= 0) return;
-  if (alpha == 0.0f || k <= 0) {  // BLAS: A and B are not referenced
-    scale_c(m, n, beta, c);
+#if APT_GEMM_X86
+// The write-back of one 8-column accumulator, as the scalar loop does it.
+__attribute__((target("avx2"))) inline void direct_store_avx2(
+    float* c, __m256 acc, __m256 alpha, __m256 beta, bool overwrite) {
+  const __m256 y = _mm256_mul_ps(alpha, acc);
+  _mm256_storeu_ps(c, overwrite ? y
+                                : _mm256_add_ps(y, _mm256_mul_ps(
+                                                       beta,
+                                                       _mm256_loadu_ps(c))));
+}
+
+// 8 output columns per vector over a row-major k x n B. Every lane runs
+// the scalar loop's exact sequence — a multiply, then an add, p
+// ascending — and this target has no FMA to contract them.
+__attribute__((target("avx2"))) void direct_avx2(bool trans_a, int64_t m,
+                                                 int64_t n, int64_t k,
+                                                 float alpha, const float* a,
+                                                 const float* b, float beta,
+                                                 float* c) {
+  const int64_t a_rs = trans_a ? 1 : k, a_cs = trans_a ? m : 1;
+  const __m256 valpha = _mm256_set1_ps(alpha), vbeta = _mm256_set1_ps(beta);
+  const bool overwrite = beta == 0.0f;
+  for (int64_t i = 0; i < m; ++i) {
+    const float* ai = a + i * a_rs;
+    float* ci = c + i * n;
+    int64_t j = 0;
+    for (; j + 32 <= n; j += 32) {
+      __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
+      __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
+      const float* bp = b + j;
+      for (int64_t p = 0; p < k; ++p, bp += n) {
+        const __m256 av = _mm256_set1_ps(ai[p * a_cs]);
+        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(av, _mm256_loadu_ps(bp)));
+        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(av, _mm256_loadu_ps(bp + 8)));
+        acc2 =
+            _mm256_add_ps(acc2, _mm256_mul_ps(av, _mm256_loadu_ps(bp + 16)));
+        acc3 =
+            _mm256_add_ps(acc3, _mm256_mul_ps(av, _mm256_loadu_ps(bp + 24)));
+      }
+      direct_store_avx2(ci + j, acc0, valpha, vbeta, overwrite);
+      direct_store_avx2(ci + j + 8, acc1, valpha, vbeta, overwrite);
+      direct_store_avx2(ci + j + 16, acc2, valpha, vbeta, overwrite);
+      direct_store_avx2(ci + j + 24, acc3, valpha, vbeta, overwrite);
+    }
+    for (; j + 8 <= n; j += 8) {
+      __m256 acc = _mm256_setzero_ps();
+      const float* bp = b + j;
+      for (int64_t p = 0; p < k; ++p, bp += n)
+        acc = _mm256_add_ps(
+            acc, _mm256_mul_ps(_mm256_set1_ps(ai[p * a_cs]),
+                               _mm256_loadu_ps(bp)));
+      direct_store_avx2(ci + j, acc, valpha, vbeta, overwrite);
+    }
+    for (; j < n; ++j) {  // ragged columns: the scalar loop itself
+      float acc = 0.0f;
+      for (int64_t p = 0; p < k; ++p) acc += ai[p * a_cs] * b[p * n + j];
+      ci[j] = overwrite ? alpha * acc : alpha * acc + beta * ci[j];
+    }
+  }
+}
+#endif  // APT_GEMM_X86
+
+}  // namespace
+
+void gemm_strided_direct(bool trans_a, bool trans_b, int64_t m, int64_t n,
+                         int64_t k, float alpha, const float* a,
+                         const float* b, float beta, float* c,
+                         GemmKernel kernel) {
+#if APT_GEMM_X86
+  if (kernel != GemmKernel::kScalar && gemm_cpu_has_avx2_fma()) {
+    // The vector loop reads B rows; a transposed B (at most a few
+    // thousand floats on this path) is staged row-major first.
+    ScratchArena::Scope scope(ScratchArena::thread_local_arena());
+    const float* bk = b;
+    if (trans_b) {
+      float* t = scope.alloc_floats(static_cast<size_t>(k * n));
+      for (int64_t p = 0; p < k; ++p)
+        for (int64_t j = 0; j < n; ++j) t[p * n + j] = b[j * k + p];
+      bk = t;
+    }
+    direct_avx2(trans_a, m, n, k, alpha, a, bk, beta, c);
     return;
   }
+#else
+  (void)kernel;
+#endif
+  direct_scalar(trans_a, trans_b, m, n, k, alpha, a, b, beta, c);
+}
+
+void gemm_pack_b_conv(const GemmF32ConvB& cb, bool trans_b, int64_t p0,
+                      int64_t kc, int64_t j0, int64_t nc, float* dst) {
+  APT_CHECK(kc <= kGemmKC) << "gemm_pack_b_conv: kc " << kc
+                           << " exceeds kGemmKC";
+  int64_t koff[kGemmKC];
+  int64_t coff[kGemmNR];
+  if (trans_b) {
+    conv_pos_offsets(cb, p0, kc, koff);
+  } else {
+    conv_tap_offsets(cb, p0, kc, koff);
+  }
+  for (int64_t s = 0; s < nc; s += kGemmNR, dst += kGemmNR * kc) {
+    const int64_t cols = std::min(kGemmNR, nc - s);
+    if (trans_b) {
+      conv_tap_offsets(cb, j0 + s, cols, coff);
+    } else {
+      conv_pos_offsets(cb, j0 + s, cols, coff);
+    }
+    pack_f32_strip(cb.padded, koff, kc, coff, cols, dst);
+  }
+}
+
+void gemm_unpack_conv_b(const GemmF32ConvB& cb, bool trans_b, int64_t k,
+                        int64_t n, float* dst) {
+  check_conv_b(cb, trans_b, k, n);
+  ScratchArena::Scope scope(ScratchArena::thread_local_arena());
+  auto* koff = static_cast<int64_t*>(
+      scope.alloc_bytes(static_cast<size_t>(k + n) * sizeof(int64_t)));
+  int64_t* noff = koff + k;
+  if (trans_b) {
+    conv_pos_offsets(cb, 0, k, koff);
+    conv_tap_offsets(cb, 0, n, noff);
+  } else {
+    conv_tap_offsets(cb, 0, k, koff);
+    conv_pos_offsets(cb, 0, n, noff);
+  }
+  for (int64_t p = 0; p < k; ++p)
+    for (int64_t j = 0; j < n; ++j)
+      dst[p * n + j] = cb.padded[koff[p] + noff[j]];
+}
+
+namespace {
+
+// The packed fp32 driver; pack_b(p0, kc, j0, nc, dst) packs one B panel
+// (explicit or implicit operand alike).
+template <typename PackB>
+void gemm_packed_driver(bool trans_a, int64_t m, int64_t n, int64_t k,
+                        float alpha, const float* a, PackB&& pack_b,
+                        float beta, float* c, const GemmOptions& opts) {
+  if (gemm_blas_edge(m, n, k, alpha, beta, c)) return;
   const MicroKernelFn kernel = resolve_kernel(opts.kernel);
   // Runtime blocking (plan-threaded). fp32 callers must leave kc at the
   // default — a different k-panel split changes the float accumulation
@@ -1078,7 +1331,7 @@ void gemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
       ScratchArena::Scope panel_scope(ScratchArena::thread_local_arena());
       float* packb = panel_scope.alloc_floats(
           static_cast<size_t>(n_strips * kGemmNR * kc));
-      gemm_pack_b(trans_b, b, k, n, p0, kc, j0, nc, packb);
+      pack_b(p0, kc, j0, nc, packb);
 
       const int64_t m_blocks = (m + mc_blk - 1) / mc_blk;
       auto run_blocks = [&](int64_t mb_begin, int64_t mb_end) {
@@ -1113,6 +1366,31 @@ void gemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
       }
     }
   }
+}
+
+}  // namespace
+
+void gemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+                 float alpha, const float* a, const float* b, float beta,
+                 float* c, const GemmOptions& opts) {
+  gemm_packed_driver(
+      trans_a, m, n, k, alpha, a,
+      [&](int64_t p0, int64_t kc, int64_t j0, int64_t nc, float* dst) {
+        gemm_pack_b(trans_b, b, k, n, p0, kc, j0, nc, dst);
+      },
+      beta, c, opts);
+}
+
+void gemm_packed_conv(bool trans_b, int64_t m, int64_t n, int64_t k,
+                      float alpha, const float* a, const GemmF32ConvB& b,
+                      float beta, float* c, const GemmOptions& opts) {
+  check_conv_b(b, trans_b, k, n);
+  gemm_packed_driver(
+      false, m, n, k, alpha, a,
+      [&](int64_t p0, int64_t kc, int64_t j0, int64_t nc, float* dst) {
+        gemm_pack_b_conv(b, trans_b, p0, kc, j0, nc, dst);
+      },
+      beta, c, opts);
 }
 
 void gemm_s8_pack_a(bool trans_a, const uint8_t* a, int64_t m, int64_t k,
@@ -1169,17 +1447,13 @@ void gemm_s8_driver(bool trans_a, bool trans_b, int64_t m, int64_t n,
                     const GemmS8Epilogue* epi, float* cf, uint8_t* cu,
                     const GemmOptions& opts) {
   if (m <= 0 || n <= 0) return;
-  if (convb != nullptr) {
-    // B is the virtual im2col matrix [taps, positions], or its transpose.
-    const int64_t taps = trans_b ? n : k, positions = trans_b ? k : n;
-    APT_CHECK(positions == convb->oh * convb->ow && convb->kernel > 0 &&
-              taps % (convb->kernel * convb->kernel) == 0)
-        << "gemm_s8: inconsistent implicit conv B descriptor";
-  }
+  // B is the virtual im2col matrix [taps, positions], or its transpose.
+  if (convb != nullptr) check_conv_b(*convb, trans_b, k, n);
   const double sab = params.scale_a * params.scale_b;
 
   EpiStoreArgs ea;
   const EpiStoreFn epi_store = resolve_epi_store(opts.kernel);
+  const FinalStoreFn final_store = resolve_final_store(opts.kernel);
   if (epi != nullptr) {
     APT_CHECK(epi->observe_lo == nullptr || epi->observe_hi != nullptr)
         << "gemm_s8: observe_lo and observe_hi come as a pair";
@@ -1339,8 +1613,8 @@ void gemm_s8_driver(bool trans_a, bool trans_b, int64_t m, int64_t n,
           const int32_t* raw_tile =
               first_panel ? nullptr : raw + tile_i * n + tile_j;
           if (epi == nullptr) {
-            store_tile_s8_final(cf + tile_i * n + tile_j, n, raw_tile, n,
-                                mr, nr, acc, rc, col_corr + tile_j, sab);
+            final_store(cf + tile_i * n + tile_j, n, raw_tile, n, mr, nr,
+                        acc, rc, col_corr + tile_j, sab);
           } else {
             EpiStoreArgs tile = ea;
             if (epi->channel_is_row) {

@@ -35,6 +35,13 @@ inline constexpr int64_t kGemmNC = 2048;  // n panel width (packed B in L3)
 /// per-panel stack scratch).
 inline constexpr int64_t kGemmMaxMC = 192;
 
+/// Implicit (im2col-free) conv B operand; defined with the integer
+/// entry points below, shared by the fp32 ones.
+template <typename T>
+struct GemmConvB;
+using GemmS8ConvB = GemmConvB<uint8_t>;
+using GemmF32ConvB = GemmConvB<float>;
+
 /// Micro-kernel selection for `gemm_packed`.
 enum class GemmKernel {
   kAuto,    // AVX2+FMA when the CPU supports it, scalar otherwise
@@ -76,12 +83,25 @@ struct GemmOptions {
   bool split_n = false;
 };
 
+/// The BLAS edge cases every fp32 entry point shares: an empty C, or
+/// alpha == 0 / k <= 0, where A and B are not referenced (so NaN/Inf
+/// there cannot leak into C through 0 * x) and C is only scaled by beta
+/// (overwritten unread when beta == 0). Returns true when it handled the
+/// call.
+bool gemm_blas_edge(int64_t m, int64_t n, int64_t k, float alpha, float beta,
+                    float* c);
+
 /// Direct strided fp32 loop for problems too small to amortise packing
 /// (the planner's kF32Direct strategy). Single-threaded, fixed k-order
-/// accumulation per element: trivially deterministic.
+/// accumulation per element: acc += a*b for p ascending (a separate
+/// multiply and add, never an FMA), then alpha*acc (+ beta*c). On AVX2
+/// hosts the loop runs 8 output columns per vector, each lane with
+/// exactly that op sequence, so the bits equal the scalar loop that
+/// kScalar forces. trans_b stages op_b(B) row-major first.
 void gemm_strided_direct(bool trans_a, bool trans_b, int64_t m, int64_t n,
                          int64_t k, float alpha, const float* a,
-                         const float* b, float beta, float* c);
+                         const float* b, float beta, float* c,
+                         GemmKernel kernel = GemmKernel::kAuto);
 
 /// C = alpha * op_a(A) * op_b(B) + beta * C, all row-major.
 /// op_a(A) is m x k, op_b(B) is k x n, C is m x n. Per BLAS convention,
@@ -106,6 +126,29 @@ void gemm_pack_a(bool trans_a, const float* a, int64_t m, int64_t k,
 /// columns. `dst` needs ceil(nc/NR)*NR*kc floats.
 void gemm_pack_b(bool trans_b, const float* b, int64_t k, int64_t n,
                  int64_t p0, int64_t kc, int64_t j0, int64_t nc, float* dst);
+
+// -- implicit conv B operand, fp32 ------------------------------------------
+
+/// gemm_pack_b over the implicit conv operand (GemmF32ConvB below):
+/// op_b(B) is the virtual im2col matrix of `cb`, or its transpose when
+/// trans_b. The packed floats are byte-identical to im2col followed by
+/// gemm_pack_b. Requires kc <= kGemmKC.
+void gemm_pack_b_conv(const GemmF32ConvB& cb, bool trans_b, int64_t p0,
+                      int64_t kc, int64_t j0, int64_t nc, float* dst);
+
+/// Writes op_b(B) of the implicit conv operand row-major into `dst`
+/// (k x n floats): the small materialised form the direct strategy and
+/// the legacy ikj backend multiply.
+void gemm_unpack_conv_b(const GemmF32ConvB& cb, bool trans_b, int64_t k,
+                        int64_t n, float* dst);
+
+/// gemm_packed with B given implicitly (A non-transposed). Packs the same
+/// panels as gemm_packed over the materialised matrix, so the bits are
+/// identical for the same options.
+void gemm_packed_conv(bool trans_b, int64_t m, int64_t n, int64_t k,
+                      float alpha, const float* a,
+                      const GemmF32ConvB& b, float beta, float* c,
+                      const GemmOptions& opts = {});
 
 // -- integer (quantised-code) GEMM ------------------------------------------
 //
@@ -161,7 +204,6 @@ struct GemmS8Params {
 };
 
 struct GemmS8Epilogue;
-struct GemmS8ConvB;
 
 /// The unified integer GEMM driver every specialised entry point above
 /// funnels into (and the execution primitive behind plan.hpp's
@@ -292,11 +334,15 @@ inline void gemm_s8_requant(bool trans_a, bool trans_b, int64_t m, int64_t n,
 // (k = oh*ow positions, n = channels * kernel^2 taps): the conv weight
 // gradient dW = dY · colsᵀ reads its B operand this way, straight from
 // each sample's staged input codes.
-struct GemmS8ConvB {
-  const uint8_t* padded = nullptr;  ///< [channels][ph][pw], pad pre-filled
-  int64_t ph = 0, pw = 0;           ///< staged spatial dims (H+2p, W+2p)
+//
+// The fp32 GEMM takes the same descriptor over a float image whose pad
+// is 0.0f (GemmF32ConvB; gemm_pack_b_conv / gemm_packed_conv above).
+template <typename T>
+struct GemmConvB {
+  const T* padded = nullptr;  ///< [channels][ph][pw], pad pre-filled
+  int64_t ph = 0, pw = 0;     ///< staged spatial dims (H+2p, W+2p)
   int64_t kernel = 0, stride = 1;
-  int64_t oh = 0, ow = 0;           ///< output spatial dims (n = oh*ow)
+  int64_t oh = 0, ow = 0;     ///< output spatial dims (n = oh*ow)
 };
 
 /// \deprecated Use plan_for + gemm_s8_ex (plan.hpp); thin wrapper kept

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/arena.hpp"
 #include "base/check.hpp"
 #include "base/thread_pool.hpp"
 
@@ -692,34 +693,54 @@ GemmBackend resolved_gemm_backend() {
 
 // ----------------------------------------------------------- execution
 
-void gemm_ex(const KernelPlan& plan, float alpha, const float* a,
-             const float* b, float beta, float* c, const GemmOptions& opts) {
-  const PlanKey& key = plan.key;
-  APT_CHECK(key.op == PlanOp::kGemmF32)
-      << "gemm_ex: plan was resolved for an integer op";
-  if (key.m <= 0 || key.n <= 0) return;
-  if (alpha == 0.0f || key.k <= 0) {
-    // BLAS contract: A and B are not referenced, so NaN/Inf there
-    // cannot leak into C through 0 * x.
-    if (beta == 0.0f) {
-      std::fill(c, c + key.m * key.n, 0.0f);
-    } else if (beta != 1.0f) {
-      for (int64_t i = 0; i < key.m * key.n; ++i) c[i] *= beta;
-    }
-    return;
-  }
-  if (plan.strategy == PlanStrategy::kF32Direct) {
-    gemm_strided_direct(key.trans_a, key.trans_b, key.m, key.n, key.k,
-                        alpha, a, b, beta, c);
-    return;
-  }
+namespace {
+
+// A packed fp32 plan's blocking over the caller's options.
+GemmOptions f32_options(const KernelPlan& plan, const GemmOptions& opts) {
   GemmOptions o = opts;
   o.kc = plan.kc;  // always 0 for fp32 plans (accumulation order)
   o.mc = plan.mc;
   o.nc = plan.nc;
   if (!plan.parallel) o.parallel = false;
+  return o;
+}
+
+}  // namespace
+
+void gemm_ex(const KernelPlan& plan, float alpha, const float* a,
+             const float* b, float beta, float* c, const GemmOptions& opts) {
+  const PlanKey& key = plan.key;
+  APT_CHECK(key.op == PlanOp::kGemmF32)
+      << "gemm_ex: plan was resolved for an integer op";
+  if (gemm_blas_edge(key.m, key.n, key.k, alpha, beta, c)) return;
+  if (plan.strategy == PlanStrategy::kF32Direct) {
+    gemm_strided_direct(key.trans_a, key.trans_b, key.m, key.n, key.k,
+                        alpha, a, b, beta, c, opts.kernel);
+    return;
+  }
   gemm_packed(key.trans_a, key.trans_b, key.m, key.n, key.k, alpha, a, b,
-              beta, c, o);
+              beta, c, f32_options(plan, opts));
+}
+
+void gemm_conv_ex(const KernelPlan& plan, float alpha, const float* a,
+                  const GemmF32ConvB& b, float beta, float* c,
+                  const GemmOptions& opts) {
+  const PlanKey& key = plan.key;
+  APT_CHECK(key.op == PlanOp::kGemmF32 && !key.trans_a)
+      << "gemm_conv_ex: needs an fp32 plan with A non-transposed";
+  if (gemm_blas_edge(key.m, key.n, key.k, alpha, beta, c)) return;
+  if (plan.strategy == PlanStrategy::kF32Direct) {
+    // A direct-size operand is a few thousand floats at most: gather it
+    // once and run the strided loop over it (same values, same bits).
+    ScratchArena::Scope scope(ScratchArena::thread_local_arena());
+    float* bk = scope.alloc_floats(static_cast<size_t>(key.k * key.n));
+    gemm_unpack_conv_b(b, key.trans_b, key.k, key.n, bk);
+    gemm_strided_direct(false, false, key.m, key.n, key.k, alpha, a, bk,
+                        beta, c, opts.kernel);
+    return;
+  }
+  gemm_packed_conv(key.trans_b, key.m, key.n, key.k, alpha, a, b, beta, c,
+                   f32_options(plan, opts));
 }
 
 void gemm_s8_ex(const KernelPlan& plan, const GemmS8Args& args,

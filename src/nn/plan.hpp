@@ -209,6 +209,15 @@ void gemm_ex(const KernelPlan& plan, float alpha, const float* a,
              const float* b, float beta, float* c,
              const GemmOptions& opts = {});
 
+/// gemm_ex with B given implicitly as a convolution's patch matrix
+/// (op_b(B) = the virtual im2col matrix of `b`, or its transpose when
+/// plan.key.trans_b; A non-transposed). Packed plans pack the panels
+/// gemm_ex would pack from the materialised matrix and the direct
+/// strategy gathers op_b(B) once, so the bits equal gemm_ex over im2col.
+void gemm_conv_ex(const KernelPlan& plan, float alpha, const float* a,
+                  const GemmF32ConvB& b, float beta, float* c,
+                  const GemmOptions& opts = {});
+
 /// Operand bundle for the unified integer entry point. Exactly one of
 /// `out` / `out_codes` is set; `out_codes` requires an epilogue with a
 /// requant grid. `conv_b` carries the implicit conv operand for

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <random>
 #include <set>
 
 #include "base/arena.hpp"
@@ -218,6 +219,35 @@ TEST(Rng, FillNormalFillsEveryElement) {
   Tensor t(Shape{128});
   rng.fill_normal(t, 5.0f, 0.01f);
   for (float v : t.span()) EXPECT_NEAR(v, 5.0f, 0.2f);
+}
+
+TEST(Rng, ZeroStddevIsThePointMassAndKeepsTheStream) {
+  // std::normal_distribution requires stddev > 0; stddev == 0 must give
+  // `mean` exactly and leave the engine where a unit-spread draw would.
+  Rng zero(11), unit(11);
+  EXPECT_EQ(zero.normal(2.5f, 0.0f), 2.5f);
+  unit.normal(2.5f, 1.0f);
+  EXPECT_EQ(zero.next_u64(), unit.next_u64());
+
+  Tensor t(Shape{7});
+  Tensor u(Shape{7});
+  zero.fill_normal(t, -1.5f, 0.0f);
+  unit.fill_normal(u, -1.5f, 1.0f);
+  for (float v : t.span()) EXPECT_EQ(v, -1.5f);
+  EXPECT_EQ(zero.next_u64(), unit.next_u64());
+}
+
+TEST(Rng, PositiveStddevStreamMatchesTheStandardDistribution) {
+  Rng rng(13);
+  std::mt19937_64 engine(13);
+  for (int i = 0; i < 16; ++i) {
+    std::normal_distribution<float> d(0.5f, 3.0f);  // one per call, as Rng
+    EXPECT_EQ(rng.normal(0.5f, 3.0f), d(engine));
+  }
+  Tensor t(Shape{9});
+  rng.fill_normal(t, -2.0f, 0.25f);
+  std::normal_distribution<float> f(-2.0f, 0.25f);
+  for (float v : t.span()) EXPECT_EQ(v, f(engine));
 }
 
 // ------------------------------------------------------------ ThreadPool

@@ -5,6 +5,7 @@
 // the scratch arena the kernels draw their workspaces from.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -12,6 +13,7 @@
 
 #include "base/arena.hpp"
 #include "base/rng.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/gemm.hpp"
 #include "nn/gemm_kernel.hpp"
 
@@ -276,6 +278,111 @@ TEST(GemmPacking, PackBFoldsTranspose) {
   gemm_pack_b(true, bt.data(), k, n, 0, k, 0, n, p1.data());
   gemm_pack_b(false, b.data(), k, n, 0, k, 0, n, p2.data());
   EXPECT_EQ(0, std::memcmp(p1.data(), p2.data(), p1.size() * sizeof(float)));
+}
+
+// ------------------------------------------------- direct strided path
+
+TEST(GemmStridedDirect, VectorLoopMatchesScalarLoopBitForBit) {
+  // The planner pins problems of <= 16k MACs to this loop. Its AVX2 form
+  // must keep every element's scalar op sequence (multiply, then add, p
+  // ascending; then alpha, beta), so the bits equal the scalar loop for
+  // every transpose, beta and ragged column count.
+  Rng rng(17);
+  const int64_t m = 5;
+  for (bool ta : {false, true})
+    for (bool tb : {false, true})
+      for (float beta : {0.0f, 1.0f, 0.5f})
+        for (int64_t n : {1, 5, 8, 10, 16, 31, 32, 45, 64})
+          for (int64_t k : {1, 7, 64}) {
+            std::vector<float> a(static_cast<size_t>(m * k));
+            std::vector<float> b(static_cast<size_t>(k * n));
+            std::vector<float> c(static_cast<size_t>(m * n));
+            for (auto& v : a) v = rng.uniform(-1, 1);
+            for (auto& v : b) v = rng.uniform(-1, 1);
+            for (auto& v : c) v = rng.uniform(-1, 1);
+            if (beta == 0.0f) c[0] = std::numeric_limits<float>::quiet_NaN();
+            std::vector<float> vec = c, scalar = c;
+            gemm_strided_direct(ta, tb, m, n, k, 0.75f, a.data(), b.data(),
+                                beta, vec.data());
+            gemm_strided_direct(ta, tb, m, n, k, 0.75f, a.data(), b.data(),
+                                beta, scalar.data(), GemmKernel::kScalar);
+            ASSERT_EQ(0, std::memcmp(vec.data(), scalar.data(),
+                                     vec.size() * sizeof(float)))
+                << "ta=" << ta << " tb=" << tb << " beta=" << beta
+                << " n=" << n << " k=" << k;
+          }
+}
+
+// ---------------------------------------------- implicit conv operand
+
+// The zero-padded [c_count][H+2p][W+2p] image of channels [c_begin,
+// c_begin + c_count) of sample n: what Conv2d stages for gemm_conv.
+std::vector<float> padded_image(const Tensor& x, int64_t n, int64_t c_begin,
+                                int64_t c_count, int64_t padding) {
+  const int64_t C = x.dim(1), H = x.dim(2), W = x.dim(3);
+  const int64_t ph = H + 2 * padding, pw = W + 2 * padding;
+  std::vector<float> img(static_cast<size_t>(c_count * ph * pw), 0.0f);
+  for (int64_t c = 0; c < c_count; ++c)
+    for (int64_t y = 0; y < H; ++y)
+      for (int64_t xx = 0; xx < W; ++xx)
+        img[static_cast<size_t>((c * ph + y + padding) * pw + xx + padding)] =
+            x.data()[((n * C + c_begin + c) * H + y) * W + xx];
+  return img;
+}
+
+TEST(GemmConvOperand, PackMatchesIm2colThenPackBBitForBit) {
+  // Both operand orientations (forward B, and the dW GEMM's transposed
+  // B), whole and ragged kc/nc panels, group 1 of 2, with -0.0 and NaN
+  // in the input.
+  Rng rng(23);
+  const int64_t groups = 2, icg = 3, oh = 3;
+  for (int64_t kernel : {1, 3, 5})
+    for (int64_t stride : {1, 2})
+      for (int64_t padding : {0, 1, 2})
+        for (int64_t ow : {4, 7, 8, 16}) {
+          const int64_t W = (ow - 1) * stride + kernel - 2 * padding;
+          const int64_t H = (oh - 1) * stride + kernel - 2 * padding;
+          if (W < 1 || H < 1) continue;
+          Tensor x(Shape{2, groups * icg, H, W});
+          rng.fill_uniform(x, -2.0f, 2.0f);
+          x[3] = -0.0f;
+          x[x.numel() - 2] = std::numeric_limits<float>::quiet_NaN();
+          const int64_t krows = icg * kernel * kernel, npos = oh * ow;
+          std::vector<float> cols(static_cast<size_t>(krows * npos));
+          im2col(x, 1, icg, icg, kernel, stride, padding, oh, ow,
+                 cols.data());
+          const std::vector<float> img = padded_image(x, 1, icg, icg, padding);
+          GemmF32ConvB cb;
+          cb.padded = img.data();
+          cb.ph = H + 2 * padding;
+          cb.pw = W + 2 * padding;
+          cb.kernel = kernel;
+          cb.stride = stride;
+          cb.oh = oh;
+          cb.ow = ow;
+          for (bool tb : {false, true}) {
+            const int64_t k = tb ? npos : krows, n = tb ? krows : npos;
+            for (int64_t kc_blk : {k, int64_t{7}})
+              for (int64_t nc_blk : {n, int64_t{19}})
+                for (int64_t p0 = 0; p0 < k; p0 += kc_blk)
+                  for (int64_t j0 = 0; j0 < n; j0 += nc_blk) {
+                    const int64_t kc = std::min(kc_blk, k - p0);
+                    const int64_t nc = std::min(nc_blk, n - j0);
+                    const size_t len = static_cast<size_t>(
+                        (nc + kGemmNR - 1) / kGemmNR * kGemmNR * kc);
+                    std::vector<float> want(len, -1.0f), got(len, -2.0f);
+                    gemm_pack_b(tb, cols.data(), k, n, p0, kc, j0, nc,
+                                want.data());
+                    gemm_pack_b_conv(cb, tb, p0, kc, j0, nc, got.data());
+                    ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                             len * sizeof(float)))
+                        << "kernel=" << kernel << " stride=" << stride
+                        << " padding=" << padding << " ow=" << ow
+                        << " trans_b=" << tb << " p0=" << p0
+                        << " j0=" << j0;
+                  }
+          }
+        }
 }
 
 // ----------------------------------------------------- backend selector

@@ -20,6 +20,7 @@
 #include "nn/gemm.hpp"
 #include "nn/gemm_kernel.hpp"
 #include "nn/linear.hpp"
+#include "nn/plan.hpp"
 #include "quant/affine.hpp"
 
 namespace apt::nn {
@@ -1018,6 +1019,54 @@ TEST(EpilogueExact, Avx2AndScalarStoresBitIdentical) {
                            f_scalar.size() * sizeof(float)));
   EXPECT_EQ(lo_s, lo_v);
   EXPECT_EQ(hi_s, hi_v);
+}
+
+TEST(GemmS8FinalStore, Avx2MatchesScalarOnGradientGemmShapes) {
+  // The plain dequantising store behind the int8 dcols and dW GEMMs: the
+  // AVX2 twin must write the scalar store's bits, from one k panel and
+  // across several (the int32 raw-plane path). kScalar forces the scalar
+  // store (and the scalar micro-kernel, which is exact either way).
+  struct GradShape {
+    bool dw;  // s8_grad_dw (B transposed) vs conv_s8_grad_cols
+    int64_t m, n, k;
+    int32_t max_a, max_b;
+  };
+  constexpr GradShape kShapes[] = {
+      {false, 72, 256, 8, 255, 63},   {false, 144, 64, 16, 63, 63},
+      {false, 288, 16, 32, 255, 63},  {false, 27, 37, 5, 63, 63},
+      {true, 8, 72, 256, 63, 255},    {true, 16, 144, 64, 63, 255},
+      {true, 32, 288, 1024, 63, 255}, {true, 5, 27, 300, 63, 255}};
+  for (const GradShape& c : kShapes)
+    for (int64_t kc : {int64_t{0}, int64_t{64}}) {
+      KernelPlan plan = plan_for(
+          c.dw ? PlanKey::s8_grad_dw(c.m, c.n, c.k, false, true, c.max_a,
+                                     c.max_b)
+               : PlanKey::conv_s8_grad_cols(c.m, c.n, c.k, 3, 1, 1, c.max_a,
+                                            c.max_b));
+      if (kc > 0) plan.kc = kc;  // force the multi-panel path
+      std::vector<uint8_t> a(static_cast<size_t>(c.m * c.k));
+      std::vector<uint8_t> b(static_cast<size_t>(c.k * c.n));
+      fill_codes(a, 71 + c.m, 0, c.max_a);
+      fill_codes(b, 72 + c.n, 0, c.max_b);
+      GemmS8Args args;
+      args.a = a.data();
+      args.b = b.data();
+      args.params = GemmS8Params{0.013, 0.021, 7, 31};
+      args.params.max_a = c.max_a;
+      args.params.max_b = c.max_b;
+      std::vector<float> scalar(static_cast<size_t>(c.m * c.n));
+      std::vector<float> simd(scalar.size());
+      GemmOptions scalar_opts;
+      scalar_opts.kernel = GemmKernel::kScalar;
+      args.out = scalar.data();
+      gemm_s8_ex(plan, args, scalar_opts);
+      args.out = simd.data();
+      gemm_s8_ex(plan, args);
+      ASSERT_EQ(0, std::memcmp(scalar.data(), simd.data(),
+                               scalar.size() * sizeof(float)))
+          << "dw=" << c.dw << " m=" << c.m << " n=" << c.n << " k=" << c.k
+          << " kc=" << kc;
+    }
 }
 
 TEST(EpilogueExact, NanBiasFlowsIdenticallyThroughBothStores) {

@@ -3,10 +3,12 @@
 // (Gradient correctness is covered exhaustively in nn_gradcheck_test.cpp.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "base/rng.hpp"
@@ -17,6 +19,7 @@
 #include "nn/linear.hpp"
 #include "nn/pool.hpp"
 #include "nn/quant_act.hpp"
+#include "nn/shard.hpp"
 #include "nn/sequential.hpp"
 #include "nn/softmax_xent.hpp"
 
@@ -159,6 +162,62 @@ TEST(Col2im, IsAdjointOfIm2col) {
   EXPECT_NEAR(lhs, rhs, 1e-3);
 }
 
+// x86's default NaN: every NaN an add can produce (inf + -inf, or any
+// add with a NaN operand) carries these bits, so a memcmp cannot depend
+// on which operand an add propagated.
+float default_nan() {
+  const uint32_t bits = 0xFFC00000u;
+  float f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+TEST(Col2im, MatchesReferenceScatterBitForBit) {
+  // col2im (the register-accumulated gather at stride 1 on AVX2 hosts,
+  // the scatter otherwise — stride 2 always) against the scatter that
+  // defines it: NaN/±inf/-0.0 in cols, -0.0-prefilled or random dx, one
+  // group of a two-group channel range.
+  Rng rng(29);
+  for (int64_t kernel : {1, 3, 5})
+    for (int64_t stride : {1, 2})
+      for (int64_t padding : {0, 1, 2})
+        for (int64_t W : {4, 7, 8, 16, 19}) {
+          const int64_t H = W > 4 ? W - 3 : W;
+          const int64_t oh = (H + 2 * padding - kernel) / stride + 1;
+          const int64_t ow = (W + 2 * padding - kernel) / stride + 1;
+          if (H + 2 * padding < kernel || W + 2 * padding < kernel) continue;
+          const int64_t icg = 3;
+          std::vector<float> cols(
+              static_cast<size_t>(icg * kernel * kernel * oh * ow));
+          for (size_t i = 0; i < cols.size(); ++i) {
+            cols[i] = rng.uniform(-1.0f, 1.0f);
+            if (i % 13 == 5) cols[i] = -0.0f;
+            if (i % 29 == 7) cols[i] = std::numeric_limits<float>::infinity();
+            if (i % 31 == 3) cols[i] = -std::numeric_limits<float>::infinity();
+            if (i % 37 == 11) cols[i] = default_nan();
+          }
+          for (bool negative_zero : {true, false}) {
+            Tensor got(Shape{2, 2 * icg, H, W});
+            if (negative_zero) {
+              got.fill(-0.0f);
+            } else {
+              rng.fill_uniform(got, -1.0f, 1.0f);
+            }
+            Tensor want = got.clone();
+            col2im(cols.data(), 1, icg, icg, kernel, stride, padding, oh, ow,
+                   got);
+            col2im_reference(cols.data(), 1, icg, icg, kernel, stride,
+                             padding, oh, ow, want);
+            ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                                     static_cast<size_t>(got.numel()) *
+                                         sizeof(float)))
+                << "kernel=" << kernel << " stride=" << stride
+                << " padding=" << padding << " W=" << W
+                << " -0.0 prefill=" << negative_zero;
+          }
+        }
+}
+
 // ------------------------------------------------------------------ Conv
 
 TEST(Conv2d, OutputShape) {
@@ -242,6 +301,98 @@ TEST(Conv2d, BackwardBeforeForwardRejected) {
   Tensor g(Shape{1, 1, 4, 4});
   EXPECT_THROW(conv.backward(g), CheckError);
 }
+
+// The fp32 Conv2d, whose GEMMs pack the patch matrix straight from the
+// padded input, against a pipeline built from the explicit im2col +
+// gemm and the reference col2im scatter: forward, dX and dW bit for bit
+// on every fp32 backend, for direct-size (1x1) and packed GEMMs.
+struct ConvRefCase {
+  int64_t cin, cout, kernel, stride, padding, groups, h, w;
+  bool bias;
+};
+
+constexpr ConvRefCase kConvRefCases[] = {
+    {3, 8, 3, 1, 1, 1, 16, 16, false},  {8, 16, 3, 2, 1, 1, 16, 16, false},
+    {8, 16, 1, 2, 0, 1, 16, 16, false}, {4, 4, 5, 1, 2, 2, 7, 9, true},
+    {6, 6, 3, 1, 1, 6, 8, 8, false},    {16, 32, 3, 2, 1, 1, 8, 8, true},
+    {8, 8, 1, 1, 0, 1, 8, 8, false}};
+
+class Conv2dVsExplicit : public ::testing::TestWithParam<ConvRefCase> {};
+
+TEST_P(Conv2dVsExplicit, ForwardAndGradientsBitForBit) {
+  const ConvRefCase c = GetParam();
+  const GemmBackend prev = gemm_backend();
+  for (GemmBackend backend :
+       {GemmBackend::kPacked, GemmBackend::kPackedScalar, GemmBackend::kIkj}) {
+    set_gemm_backend(backend);
+    Rng rng(31);
+    Conv2dOptions o;
+    o.in_channels = c.cin;
+    o.out_channels = c.cout;
+    o.kernel = c.kernel;
+    o.stride = c.stride;
+    o.padding = c.padding;
+    o.groups = c.groups;
+    o.bias = c.bias;
+    Conv2d conv("conv", o, rng);
+    if (c.bias) rng.fill_uniform(conv.bias().value, -0.5f, 0.5f);
+    const int64_t N = 3;  // <= 16: backward runs one dW chunk per sample
+    Tensor x(Shape{N, c.cin, c.h, c.w});
+    rng.fill_uniform(x, -1.0f, 1.0f);
+    const Tensor y = conv.forward(x, /*training=*/true);
+    Tensor dy(y.shape());
+    rng.fill_uniform(dy, -1.0f, 1.0f);
+    const Tensor dx = conv.backward(dy);
+
+    const int64_t OH = y.dim(2), OW = y.dim(3), plane = OH * OW;
+    const int64_t icg = c.cin / c.groups, ocg = c.cout / c.groups;
+    const int64_t krows = icg * c.kernel * c.kernel;
+    const int64_t wn = conv.weight().numel();
+    const float* w = conv.weight().value.data();
+    Tensor y_ref(y.shape()), dx_ref(x.shape());
+    std::vector<float> dw_ref(static_cast<size_t>(wn), 0.0f);
+    std::vector<float> cols(static_cast<size_t>(krows * plane));
+    std::vector<float> dcols(cols.size());
+    std::vector<float> dw_n(dw_ref.size());
+    for (int64_t n = 0; n < N; ++n) {
+      std::fill(dw_n.begin(), dw_n.end(), 0.0f);
+      for (int64_t g = 0; g < c.groups; ++g) {
+        im2col(x, n, g * icg, icg, c.kernel, c.stride, c.padding, OH, OW,
+               cols.data());
+        const int64_t off = (n * c.cout + g * ocg) * plane;
+        gemm(false, false, ocg, plane, krows, 1.0f, w + g * ocg * krows,
+             cols.data(), 0.0f, y_ref.data() + off);
+        gemm(false, true, ocg, krows, plane, 1.0f, dy.data() + off,
+             cols.data(), 1.0f, dw_n.data() + g * ocg * krows);
+        gemm(true, false, krows, plane, ocg, 1.0f, w + g * ocg * krows,
+             dy.data() + off, 0.0f, dcols.data());
+        col2im_reference(dcols.data(), n, g * icg, icg, c.kernel, c.stride,
+                         c.padding, OH, OW, dx_ref);
+      }
+      for (int64_t i = 0; i < wn; ++i)
+        dw_ref[static_cast<size_t>(i)] += dw_n[static_cast<size_t>(i)];
+    }
+    if (c.bias)
+      for (int64_t pc = 0; pc < N * c.cout; ++pc)
+        for (int64_t i = 0; i < plane; ++i)
+          y_ref.data()[pc * plane + i] += conv.bias().value[pc % c.cout];
+
+    const auto same = [](const float* a, const float* b, int64_t count) {
+      return std::memcmp(a, b, static_cast<size_t>(count) * sizeof(float)) ==
+             0;
+    };
+    const int which = static_cast<int>(backend);
+    EXPECT_TRUE(same(y.data(), y_ref.data(), y.numel())) << "backend " << which;
+    EXPECT_TRUE(same(dx.data(), dx_ref.data(), dx.numel()))
+        << "backend " << which;
+    EXPECT_TRUE(same(conv.weight().grad.data(), dw_ref.data(), wn))
+        << "backend " << which;
+  }
+  set_gemm_backend(prev);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, Conv2dVsExplicit,
+                         ::testing::ValuesIn(kConvRefCases));
 
 // ---------------------------------------------------------------- Linear
 
@@ -380,6 +531,163 @@ TEST(BatchNorm, RejectsWrongChannelCount) {
   BatchNorm bn("bn", 2);
   Tensor x(Shape{4, 3});
   EXPECT_THROW(bn.forward(x, true), CheckError);
+}
+
+// Per-channel reference of BatchNorm's training forward + backward: the
+// layer's formulas, with every channel's Σx, Σx², Σdy and Σdy·x̂ reduced
+// on its own in (sample, element) order — the order the four-channel
+// block reductions must keep.
+struct BnReference {
+  Tensor y, dx;
+  std::vector<float> dgamma, dbeta, running_mean, running_var;
+};
+
+BnReference bn_reference(const Tensor& x, const Tensor& dy, BatchNorm& bn) {
+  const int64_t N = x.dim(0), C = x.dim(1);
+  const int64_t S = x.numel() / (N * C), m = N * S;
+  const double momentum = 0.9;  // the layer's default
+  BnReference r{Tensor(x.shape()), Tensor(x.shape()), {}, {}, {}, {}};
+  Tensor x_hat(x.shape());
+  for (int64_t c = 0; c < C; ++c) {
+    double sum = 0.0, sq = 0.0;
+    for (int64_t n = 0; n < N; ++n)
+      for (int64_t i = 0; i < S; ++i) {
+        const float v = x.data()[(n * C + c) * S + i];
+        sum += v;
+        sq += static_cast<double>(v) * v;
+      }
+    const double mu = sum / m;
+    const double var = std::max(0.0, sq / m - mu * mu);
+    const auto muf = static_cast<float>(mu);
+    const auto is = static_cast<float>(1.0 / std::sqrt(var + bn.eps()));
+    r.running_mean.push_back(static_cast<float>(
+        momentum * bn.running_mean()[c] + (1.0 - momentum) * mu));
+    r.running_var.push_back(static_cast<float>(
+        momentum * bn.running_var()[c] + (1.0 - momentum) * var));
+    const float g = bn.gamma().value[c], b = bn.beta().value[c];
+    double dgamma = 0.0, dbeta = 0.0;
+    for (int64_t n = 0; n < N; ++n)
+      for (int64_t i = 0; i < S; ++i) {
+        const int64_t e = (n * C + c) * S + i;
+        x_hat.data()[e] = (x.data()[e] - muf) * is;
+        r.y.data()[e] = g * x_hat.data()[e] + b;
+        dgamma += static_cast<double>(dy.data()[e]) * x_hat.data()[e];
+        dbeta += dy.data()[e];
+      }
+    r.dgamma.push_back(static_cast<float>(dgamma));
+    r.dbeta.push_back(static_cast<float>(dbeta));
+    const float scale = g * is / static_cast<float>(m);
+    for (int64_t n = 0; n < N; ++n)
+      for (int64_t i = 0; i < S; ++i) {
+        const int64_t e = (n * C + c) * S + i;
+        r.dx.data()[e] =
+            scale * (static_cast<float>(m) * dy.data()[e] -
+                     static_cast<float>(dbeta) -
+                     x_hat.data()[e] * static_cast<float>(dgamma));
+      }
+  }
+  return r;
+}
+
+bool same_bits(const float* a, const float* b, int64_t count) {
+  return std::memcmp(a, b, static_cast<size_t>(count) * sizeof(float)) == 0;
+}
+
+constexpr int64_t kBnChannels[] = {1, 3, 4, 5, 8, 13};
+
+TEST(BatchNorm, BlockReductionsMatchPerChannelReference) {
+  for (int64_t C : kBnChannels) {
+    Rng rng(37);
+    BatchNorm bn("bn", C);
+    rng.fill_uniform(bn.gamma().value, 0.5f, 1.5f);
+    rng.fill_uniform(bn.beta().value, -0.5f, 0.5f);
+    Tensor x(Shape{5, C, 3, 7});
+    rng.fill_normal(x, 0.7f, 1.3f);
+    // A +2^40 / -2^40 pair in every (sample, channel) row: the double
+    // sums then round differently under any other add order, and the
+    // difference survives into the float outputs.
+    for (int64_t row = 0; row < 5 * C; ++row) {
+      x.data()[row * 21 + 2] = 0x1p40f;
+      x.data()[row * 21 + 13] = -0x1p40f;
+    }
+    Tensor dy(x.shape());
+    rng.fill_normal(dy, 0.0f, 1.0f);
+    const BnReference want = bn_reference(x, dy, bn);
+    const Tensor y = bn.forward(x, /*training=*/true);
+    const Tensor dx = bn.backward(dy);
+    EXPECT_TRUE(same_bits(y.data(), want.y.data(), y.numel())) << C;
+    EXPECT_TRUE(same_bits(dx.data(), want.dx.data(), dx.numel())) << C;
+    EXPECT_TRUE(same_bits(bn.gamma().grad.data(), want.dgamma.data(), C)) << C;
+    EXPECT_TRUE(same_bits(bn.beta().grad.data(), want.dbeta.data(), C)) << C;
+    EXPECT_TRUE(
+        same_bits(bn.running_mean().data(), want.running_mean.data(), C))
+        << C;
+    EXPECT_TRUE(same_bits(bn.running_var().data(), want.running_var.data(), C))
+        << C;
+  }
+}
+
+TEST(BatchNorm, ShardedMatchesUnshardedOnExactSums) {
+  // Dyadic inputs whose per-channel mean is exact and whose deviations
+  // are ±1/4, ±1/2: every Σ is exact in double, so the shard-ordered
+  // merge and the single pass must agree to the bit, and any channel
+  // mix-up in the block reductions shows.
+  for (int64_t C : kBnChannels) {
+    const int64_t N = 8, S = 4;
+    const float dev[4] = {-0.5f, -0.25f, 0.25f, 0.5f};
+    Tensor x(Shape{N, C, 2, 2});
+    Tensor dy(x.shape());
+    for (int64_t n = 0; n < N; ++n)
+      for (int64_t c = 0; c < C; ++c)
+        for (int64_t i = 0; i < S; ++i) {
+          const int64_t e = (n * C + c) * S + i;
+          x.data()[e] = 0.5f * static_cast<float>(c) + dev[(n * S + i) % 4];
+          dy.data()[e] = 0.25f * static_cast<float>((e * 7 + c) % 9 - 4);
+        }
+    auto make = [C] {
+      auto bn = std::make_unique<BatchNorm>("bn", C);
+      for (int64_t c = 0; c < C; ++c) {
+        bn->gamma().value[c] = 1.0f + 0.125f * static_cast<float>(c);
+        bn->beta().value[c] = -0.25f * static_cast<float>(c);
+      }
+      return bn;
+    };
+    auto whole = make();
+    const Tensor y = whole->forward(x, /*training=*/true);
+    const Tensor dx = whole->backward(dy);
+
+    auto sharded = make();
+    const int64_t half = N / 2 * C * S;
+    std::vector<Tensor> xs{Tensor(Shape{N / 2, C, 2, 2}),
+                           Tensor(Shape{N / 2, C, 2, 2})};
+    std::vector<Tensor> dys{Tensor(xs[0].shape()), Tensor(xs[0].shape())};
+    for (size_t s = 0; s < 2; ++s) {
+      std::memcpy(xs[s].data(), x.data() + s * half, half * sizeof(float));
+      std::memcpy(dys[s].data(), dy.data() + s * half, half * sizeof(float));
+    }
+    std::vector<Tensor> ys, dxs;
+    {
+      ShardSession session(2, /*worker_cap=*/2);
+      ys = sharded->forward_sharded(xs, /*training=*/true);
+      dxs = sharded->backward_sharded(dys);
+    }
+    for (size_t s = 0; s < 2; ++s) {
+      EXPECT_TRUE(same_bits(ys[s].data(), y.data() + s * half, half)) << C;
+      EXPECT_TRUE(same_bits(dxs[s].data(), dx.data() + s * half, half)) << C;
+    }
+    EXPECT_TRUE(same_bits(sharded->gamma().grad.data(),
+                          whole->gamma().grad.data(), C))
+        << C;
+    EXPECT_TRUE(same_bits(sharded->beta().grad.data(),
+                          whole->beta().grad.data(), C))
+        << C;
+    EXPECT_TRUE(same_bits(sharded->running_mean().data(),
+                          whole->running_mean().data(), C))
+        << C;
+    EXPECT_TRUE(same_bits(sharded->running_var().data(),
+                          whole->running_var().data(), C))
+        << C;
+  }
 }
 
 // ----------------------------------------------------------- activations
