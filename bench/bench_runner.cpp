@@ -71,10 +71,11 @@ struct Config {
   std::string out = "BENCH_kernels.json";
   std::string check;  // reference JSON; empty = no gate
   double tolerance = 2.0;
-  // Floor on the derived packed-vs-ikj speedups. Unlike the absolute
-  // ns comparison this is measured on one machine against itself, so
-  // it holds on any runner speed; it catches "the packed backend
-  // stopped being fast" even when wall-times drift.
+  // Floor on the derived `*_speedup_*` keys (packed vs the forced-scalar
+  // micro-kernel, int8 vs packed). Unlike the absolute ns comparison
+  // this is measured on one machine against itself, so it holds on any
+  // runner speed; it catches "the packed backend stopped being fast"
+  // even when wall-times drift.
   double min_speedup = 1.2;
   // Floor on the data-parallel train step's speedup over the serial
   // reference path (same shards, same numerics, one thread). Also
@@ -170,17 +171,21 @@ std::pair<double, double> time_pair_ns(const std::function<void()>& fa,
   return {best_a, best_b};
 }
 
-// Scoped GEMM backend override (restores the previous selection).
+// Scoped GEMM backend override (restores the previous plan options).
 class BackendGuard {
  public:
   explicit BackendGuard(apt::nn::GemmBackend b)
-      : prev_(apt::nn::gemm_backend()) {
-    apt::nn::set_gemm_backend(b);
+      : prev_(apt::nn::plan_options()) {
+    apt::nn::PlanOptions opts = prev_;
+    opts.backend = b;
+    apt::nn::set_plan_options(opts);
   }
-  ~BackendGuard() { apt::nn::set_gemm_backend(prev_); }
+  ~BackendGuard() { apt::nn::set_plan_options(prev_); }
+  BackendGuard(const BackendGuard&) = delete;
+  BackendGuard& operator=(const BackendGuard&) = delete;
 
  private:
-  apt::nn::GemmBackend prev_;
+  apt::nn::PlanOptions prev_;
 };
 
 struct Workload {
@@ -264,14 +269,13 @@ std::vector<Workload> build_workloads(const Config& cfg) {
     };
   };
 
-  // The acceptance workload: 256^3, packed vs the legacy ikj backend.
+  // The acceptance workload: 256^3, packed vs the forced-scalar
+  // micro-kernel (the no-SIMD baseline).
   ws.push_back({"gemm_f32_256_packed", 2 * 256 * 256 * 256,
                 gemm_workload(256, 256, 256, false, GemmBackend::kPacked)});
   ws.push_back(
       {"gemm_f32_256_packed_scalar", 2 * 256 * 256 * 256,
        gemm_workload(256, 256, 256, false, GemmBackend::kPackedScalar)});
-  ws.push_back({"gemm_f32_256_ikj", 2 * 256 * 256 * 256,
-                gemm_workload(256, 256, 256, false, GemmBackend::kIkj)});
   // Linear-layer shape: y = x * W^T exercises trans_b packing.
   ws.push_back({"gemm_f32_128x512x256_nt", 2 * 128 * 512 * 256,
                 gemm_workload(128, 512, 256, true, GemmBackend::kPacked)});
@@ -295,8 +299,9 @@ std::vector<Workload> build_workloads(const Config& cfg) {
                   apt::nn::GemmS8Params qp{0.01, 0.02, 128, 31};
                   qp.max_b = 63;
                   return std::function<void()>([=] {
-                    apt::nn::gemm_s8(false, false, m, n, k, a->data(),
-                                     b->data(), qp, c->data());
+                    apt::nn::gemm_s8_exec(false, false, m, n, k, a->data(),
+                                          b->data(), nullptr, qp, nullptr,
+                                          c->data(), nullptr);
                   });
                 }});
   // Skinny integer GEMM (one MC block tall): the shape whose
@@ -357,8 +362,6 @@ std::vector<Workload> build_workloads(const Config& cfg) {
   ws.push_back(
       {"conv3x3_c64_fwd_packed", 2 * conv_macs,
        conv_workload(/*backward=*/false, GemmBackend::kPacked)});
-  ws.push_back({"conv3x3_c64_fwd_ikj", 2 * conv_macs,
-                conv_workload(/*backward=*/false, GemmBackend::kIkj)});
   // Quantised forward: 8-bit weight codes + activation quantiser through
   // gemm_s8 (the training-mode call also feeds the range tracker).
   ws.push_back({"conv3x3_c64_fwd_s8", 2 * conv_macs, [conv_batch]() {
@@ -411,8 +414,6 @@ std::vector<Workload> build_workloads(const Config& cfg) {
   ws.push_back(
       {"conv3x3_c64_fwdbwd_packed", 6 * conv_macs,
        conv_workload(/*backward=*/true, GemmBackend::kPacked)});
-  ws.push_back({"conv3x3_c64_fwdbwd_ikj", 6 * conv_macs,
-                conv_workload(/*backward=*/true, GemmBackend::kIkj)});
   // Quantised fwd+bwd: two warm-up passes initialise the activation AND
   // gradient range trackers (the gradient grid lags one step), so the
   // timed region runs the stochastically-rounded dY quantiser and both
@@ -835,6 +836,11 @@ int run_gate(const Config& cfg, const std::vector<BenchResult>& results,
     }
     // Latency percentiles are wall-clock, runner-dependent: record only.
     if (key.find("_us") != std::string::npos) continue;
+    // Without AVX2+FMA both sides run the scalar micro-kernel: record
+    // only.
+    if (key == "gemm256_speedup_vs_scalar" &&
+        !apt::nn::gemm_cpu_has_avx2_fma())
+      continue;
     // Int8-vs-packed conv ratios carry their own floors (they are
     // thinner than the pure-GEMM speedups: quantise/gather overhead).
     double floor = 0.0;
@@ -1195,18 +1201,12 @@ int main(int argc, char** argv) {
 
   std::map<std::string, double> derived;
   const double gemm_packed = find_ns(results, "gemm_f32_256_packed");
-  const double gemm_ikj = find_ns(results, "gemm_f32_256_ikj");
-  if (gemm_packed > 0 && gemm_ikj > 0)
-    derived["gemm256_speedup_vs_ikj"] = gemm_ikj / gemm_packed;
+  const double gemm_scalar = find_ns(results, "gemm_f32_256_packed_scalar");
+  if (gemm_packed > 0 && gemm_scalar > 0)
+    derived["gemm256_speedup_vs_scalar"] = gemm_scalar / gemm_packed;
   const double conv_packed = find_ns(results, "conv3x3_c64_fwd_packed");
-  const double conv_ikj = find_ns(results, "conv3x3_c64_fwd_ikj");
-  if (conv_packed > 0 && conv_ikj > 0)
-    derived["conv3x3_c64_fwd_speedup_vs_ikj"] = conv_ikj / conv_packed;
   const double bwd_packed = find_ns(results, "conv3x3_c64_fwdbwd_packed");
-  const double bwd_ikj = find_ns(results, "conv3x3_c64_fwdbwd_ikj");
-  if (bwd_packed > 0 && bwd_ikj > 0)
-    derived["conv3x3_c64_fwdbwd_speedup_vs_ikj"] = bwd_ikj / bwd_packed;
-  // Integer vs fp32-packed: like the vs-ikj ratios these are measured on
+  // Integer vs fp32-packed: like the vs-scalar ratio these are measured on
   // one machine against itself, so the gate's min-speedup floor holds on
   // any runner speed. The conv number is recorded as a "ratio", not a
   // "speedup": the quantised conv forward carries non-GEMM work

@@ -71,7 +71,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  io::save_checkpoint(*parallel, path);
+  if (const Status st = io::try_save_checkpoint(*parallel, path); !st.ok()) {
+    std::fprintf(stderr, "checkpoint save failed: %s\n",
+                 st.to_string().c_str());
+    return 1;
+  }
   std::printf("wrote %s\n", path);
   if (mismatched == 0) {
     std::printf("determinism probe PASSED: 1-worker and 4-worker runs are "

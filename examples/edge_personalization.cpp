@@ -10,6 +10,7 @@
 //   $ ./examples/edge_personalization
 #include <cstdio>
 
+#include "base/check.hpp"
 #include "core/controller.hpp"
 #include "data/loader.hpp"
 #include "data/synth_images.hpp"
@@ -65,7 +66,12 @@ int main() {
     std::printf("[pretrain] fp32 accuracy on base distribution: %.4f\n",
                 h.best_test_accuracy());
   }
-  io::save_checkpoint(*pretrained, ckpt);
+  if (const Status st = io::try_save_checkpoint(*pretrained, ckpt);
+      !st.ok()) {
+    std::fprintf(stderr, "checkpoint save failed: %s\n",
+                 st.to_string().c_str());
+    return 1;
+  }
 
   // ---- 2. The device's world drifted ------------------------------------
   data::SynthImageDataset drifted(drifted_config(), 512, 384);
@@ -80,7 +86,9 @@ int main() {
   auto fine_tune = [&](bool use_apt) {
     Rng r2(2);
     auto model = models::make_resnet({.n = 1, .base_width = 8}, r2);
-    io::load_checkpoint(*model, ckpt);
+    // The checkpoint was written above, so a failed load is a bug.
+    const Status st = io::try_load_checkpoint(*model, ckpt);
+    APT_CHECK(st.ok()) << st.to_string();
     data::DataLoader loader(drifted.train().images, drifted.train().labels,
                             64, true, 7, data::AugmentConfig{});
     train::Trainer trainer(*model, loader, drifted.test().images,

@@ -48,6 +48,13 @@ std::unique_ptr<nn::Sequential> make_quantised_resnet(uint64_t seed) {
   return net;
 }
 
+/// Prints a failed step's typed status; true when `st` is OK.
+bool report(const Status& st, const char* step) {
+  if (!st.ok())
+    std::fprintf(stderr, "%s failed: %s\n", step, st.to_string().c_str());
+  return st.ok();
+}
+
 }  // namespace
 
 int main() {
@@ -62,21 +69,28 @@ int main() {
     trained->forward(batch, /*training=*/true);  // warms range trackers
   }
   const std::string ckpt = "serve_demo.ckpt";
-  io::save_checkpoint(*trained, ckpt);
+  if (!report(io::try_save_checkpoint(*trained, ckpt), "checkpoint save"))
+    return 1;
   std::printf("checkpointed trained model -> %s\n", ckpt.c_str());
 
   // --- freeze: the src/train -> src/serve boundary --------------------
   auto fresh = make_quantised_resnet(/*seed=*/99);  // weights overwritten
-  const serve::CompiledModel compiled =
-      serve::freeze_from_checkpoint(*fresh, ckpt, calibration);
+  serve::CompiledModel compiled;
+  if (!report(serve::freeze_from_checkpoint(*fresh, ckpt, calibration,
+                                            &compiled),
+              "freeze"))
+    return 1;
   const std::string artifact = "serve_demo.aptm";
-  compiled.save(artifact);
+  if (!report(compiled.try_save(artifact), "artifact save")) return 1;
   std::printf("frozen artifact -> %s (%zu ops, max batch %lld)\n",
               artifact.c_str(), compiled.ops().size(),
               static_cast<long long>(compiled.max_batch()));
 
   // --- serving side: load the artifact, stand up the server -----------
-  const serve::CompiledModel model = serve::CompiledModel::load(artifact);
+  serve::CompiledModel model;
+  if (!report(serve::CompiledModel::try_load(artifact, &model),
+              "artifact load"))
+    return 1;
   serve::Server server(model, {.workers = 2});
 
   // Solo-run references for a pool of samples.

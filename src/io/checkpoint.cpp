@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "base/check.hpp"
 #include "io/artifact.hpp"
 #include "nn/batchnorm.hpp"
 
@@ -136,16 +135,6 @@ Status try_load_checkpoint(nn::Layer& model, const std::string& path) {
     if (!verify.ok()) return verify;
   }
   return Status::Ok();
-}
-
-void save_checkpoint(nn::Layer& model, const std::string& path) {
-  const Status st = try_save_checkpoint(model, path);
-  APT_CHECK(st.ok()) << st.to_string();
-}
-
-void load_checkpoint(nn::Layer& model, const std::string& path) {
-  const Status st = try_load_checkpoint(model, path);
-  APT_CHECK(st.ok()) << st.to_string();
 }
 
 }  // namespace apt::io

@@ -12,9 +12,7 @@
 // final path never holds a torn checkpoint) and loads validate the
 // container, every checksum, and every record against the model before
 // touching a single parameter — a failed load leaves the model exactly
-// as it was. The try_* forms return a typed apt::Status (DESIGN.md §16
-// taxonomy); the classic forms are thin wrappers that throw CheckError,
-// preserving the original API.
+// as it was. Both return a typed apt::Status (DESIGN.md §16 taxonomy).
 #pragma once
 
 #include <string>
@@ -34,11 +32,5 @@ Status try_save_checkpoint(nn::Layer& model, const std::string& path);
 /// representations attached to parameters are refit (value changed
 /// under them).
 Status try_load_checkpoint(nn::Layer& model, const std::string& path);
-
-/// Wrapper: throws CheckError when try_save_checkpoint fails.
-void save_checkpoint(nn::Layer& model, const std::string& path);
-
-/// Wrapper: throws CheckError when try_load_checkpoint fails.
-void load_checkpoint(nn::Layer& model, const std::string& path);
 
 }  // namespace apt::io

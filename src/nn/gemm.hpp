@@ -1,10 +1,9 @@
 // Single-precision matrix multiply used by Linear and Conv2d.
 //
 // C[M,N] (+)= op_a(A) * op_b(B), where op transposes when the flag is set.
-// `gemm` dispatches between backends at runtime: the packed
-// register-blocked backend in gemm_kernel.hpp (default; AVX2+FMA
-// micro-kernel when the CPU has it, portable scalar otherwise), and the
-// legacy blocked-ikj backend kept as a perf baseline for benches. Tiny
+// `gemm` runs the packed register-blocked backend in gemm_kernel.hpp
+// (AVX2+FMA micro-kernel when the CPU has it, portable scalar otherwise;
+// PlanOptions::backend in plan.hpp can force the scalar one). Tiny
 // problems take a direct strided loop to skip packing overhead.
 #pragma once
 
@@ -15,14 +14,11 @@ namespace apt::nn {
 template <typename T>
 struct GemmConvB;  // implicit conv operand (gemm_kernel.hpp)
 
-/// Backend selection for `gemm`. kAuto honours the APT_GEMM_BACKEND
-/// environment variable ("packed", "scalar", "ikj", "int8"; read once
-/// per process) and otherwise means kPacked.
+/// Backend selection for `gemm`, set through PlanOptions::backend
+/// (plan.hpp).
 enum class GemmBackend {
-  kAuto,
   kPacked,        // packed backend, micro-kernel chosen via CPUID
   kPackedScalar,  // packed backend, portable micro-kernel forced
-  kIkj,           // legacy single-level ikj kernel (perf baseline)
   /// Packed fp32 for plain float GEMMs, PLUS: layers whose weights live
   /// in 8-bit-or-narrower QuantizedTensor codes run their forward pass
   /// through the integer gemm_s8 kernel on quantised activations, and
@@ -30,14 +26,6 @@ enum class GemmBackend {
   /// once the gradient range tracker has initialised (DESIGN.md §14).
   kInt8,
 };
-
-/// \deprecated Configure the planner via set_plan_options (plan.hpp)
-/// instead; these survive as thin shims over PlanOptions::backend for
-/// source compatibility (benches and tests), and new library code must
-/// not call them (apt_lint `deprec` rule).
-void set_gemm_backend(GemmBackend backend);
-/// \deprecated Shim over plan_options().backend; see set_gemm_backend.
-GemmBackend gemm_backend();
 
 /// True when the resolved backend asks layers to attempt the integer
 /// (quantised-code) forward path. Layers still fall back to fp32 per
@@ -75,18 +63,10 @@ void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 /// matrix of the padded image `b` describes (its transpose when
 /// trans_b; see GemmConvB in gemm_kernel.hpp). Same backend dispatch
 /// and plan key (PlanKey::f32) as `gemm`, and the same bits as `gemm`
-/// over the materialised matrix; the ikj baseline multiplies that
-/// materialised matrix.
+/// over the materialised matrix.
 void gemm_conv(bool trans_b, int64_t m, int64_t n, int64_t k, float alpha,
                const float* a, const GemmConvB<float>& b, float beta,
                float* c);
-
-/// Legacy backend: materialised transposes + blocked "ikj" loop. Kept
-/// callable so benches can report the packed backend's speedup against
-/// it; not used by layers unless selected via set_gemm_backend.
-void gemm_ikj(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-              float alpha, const float* a, const float* b, float beta,
-              float* c);
 
 /// Reference implementation (triple loop, double accumulator) for tests.
 void gemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,

@@ -1464,7 +1464,7 @@ void gemm_s8_driver(bool trans_a, bool trans_b, int64_t m, int64_t n,
     if (ea.requant) {
       APT_CHECK(epi->out_scale > 0.0 && epi->out_zero >= 0 &&
                 epi->out_max >= epi->out_zero && epi->out_max <= 255)
-          << "gemm_s8_requant: bad output grid";
+          << "gemm_s8: bad requant output grid";
       ea.inv_out = 1.0 / epi->out_scale;
       ea.zout = static_cast<double>(epi->out_zero);
       ea.qmax = static_cast<double>(epi->out_max);

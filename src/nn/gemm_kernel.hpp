@@ -36,7 +36,7 @@ inline constexpr int64_t kGemmNC = 2048;  // n panel width (packed B in L3)
 inline constexpr int64_t kGemmMaxMC = 192;
 
 /// Implicit (im2col-free) conv B operand; defined with the integer
-/// entry points below, shared by the fp32 ones.
+/// GEMM below, shared by the fp32 one.
 template <typename T>
 struct GemmConvB;
 using GemmS8ConvB = GemmConvB<uint8_t>;
@@ -137,8 +137,8 @@ void gemm_pack_b_conv(const GemmF32ConvB& cb, bool trans_b, int64_t p0,
                       int64_t kc, int64_t j0, int64_t nc, float* dst);
 
 /// Writes op_b(B) of the implicit conv operand row-major into `dst`
-/// (k x n floats): the small materialised form the direct strategy and
-/// the legacy ikj backend multiply.
+/// (k x n floats): the small materialised form the direct strategy
+/// multiplies.
 void gemm_unpack_conv_b(const GemmF32ConvB& cb, bool trans_b, int64_t k,
                         int64_t n, float* dst);
 
@@ -152,9 +152,9 @@ void gemm_packed_conv(bool trans_b, int64_t m, int64_t n, int64_t k,
 
 // -- integer (quantised-code) GEMM ------------------------------------------
 //
-// gemm_s8 multiplies two planes of *unsigned* affine codes (the storage
-// format of QuantizedTensor for bits <= 8 and of the 8-bit activation
-// quantiser) and produces a dequantised fp32 result:
+// The integer GEMM multiplies two planes of *unsigned* affine codes (the
+// storage format of QuantizedTensor for bits <= 8 and of the 8-bit
+// activation quantiser) and produces a dequantised fp32 result:
 //
 //   C[i,j] = Sa*Sb * sum_p (op_a(A)[i,p] - Za) * (op_b(B)[p,j] - Zb)
 //
@@ -205,37 +205,22 @@ struct GemmS8Params {
 
 struct GemmS8Epilogue;
 
-/// The unified integer GEMM driver every specialised entry point above
-/// funnels into (and the execution primitive behind plan.hpp's
-/// gemm_s8_ex). Exactly one of `cf` (fp32 output) / `cu` (requantised
-/// codes; requires `epi`) is non-null. `conv_b` describes B implicitly
-/// for the conv layout (its transpose when trans_b); when null, `b` is a
-/// plain code plane. `epi`
-/// null means the raw dequantised product (classic gemm_s8).
-/// Requires k <= kGemmS8MaxK.
+/// The unified integer GEMM driver (the execution primitive behind
+/// plan.hpp's gemm_s8_ex). Exactly one of `cf` (fp32 output) / `cu`
+/// (requantised codes; requires `epi`) is non-null. `conv_b` describes B
+/// implicitly for the conv layout (its transpose when trans_b); when
+/// null, `b` is a plain code plane. `epi` null means the raw dequantised
+/// product: C (fp32, m x n row-major, overwritten) =
+/// Sa*Sb * (op_a(A)-Za)(op_b(B)-Zb). Requires k <= kGemmS8MaxK.
 void gemm_s8_exec(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                   const uint8_t* a, const uint8_t* b,
                   const GemmS8ConvB* conv_b, const GemmS8Params& params,
                   const GemmS8Epilogue* epi, float* cf, uint8_t* cu,
                   const GemmOptions& opts = {});
 
-/// \deprecated Resolve a plan and call gemm_s8_ex (plan.hpp) instead;
-/// new library code must not call this (apt_lint `deprec` rule). Kept as
-/// a thin source-compatibility wrapper over gemm_s8_exec.
-///
-/// C (fp32, m x n row-major, overwritten) = Sa*Sb * (op_a(A)-Za)(op_b(B)-Zb)
-/// with A, B unsigned 8-bit code planes. Requires k <= kGemmS8MaxK.
-inline void gemm_s8(bool trans_a, bool trans_b, int64_t m, int64_t n,
-                    int64_t k, const uint8_t* a, const uint8_t* b,
-                    const GemmS8Params& params, float* c,
-                    const GemmOptions& opts = {}) {
-  gemm_s8_exec(trans_a, trans_b, m, n, k, a, b, nullptr, params, nullptr, c,
-               nullptr, opts);
-}
-
 // -- fused epilogues --------------------------------------------------------
 //
-// Both fused entry points apply, per output element inside the final
+// A non-null epilogue applies, per output element inside the final
 // k-panel's tile store (so the int32 accumulator plane never takes an
 // extra sweep):
 //
@@ -250,9 +235,9 @@ inline void gemm_s8(bool trans_a, bool trans_b, int64_t m, int64_t n,
 // the scalar and AVX2 stores for any thread count, and tests pin it
 // against an int64/double reference.
 //
-// gemm_s8_fused writes float(y) — a dequantised fp32 plane with the
-// bias/ReLU already folded in. gemm_s8_requant instead emits unsigned
-// output CODES on a caller-chosen affine grid:
+// With fp32 output it writes float(y) — a dequantised fp32 plane with
+// the bias/ReLU already folded in. With code output it instead emits
+// unsigned output CODES on a caller-chosen affine grid:
 //
 //   q = y / S_out + Z_out,  rounded half-up on doubles
 //   q < 0 saturates to 0, q > out_max saturates to out_max
@@ -274,7 +259,7 @@ struct GemmS8Epilogue {
   bool channel_is_row = true;
   bool relu = false;
   float relu_cap = std::numeric_limits<float>::infinity();
-  /// Requantisation grid for gemm_s8_requant: S_out, Z_out and the
+  /// Requantisation grid for code output: S_out, Z_out and the
   /// largest valid code (2^bits - 1 of the output grid).
   double out_scale = 1.0;
   int32_t out_zero = 0;
@@ -284,40 +269,14 @@ struct GemmS8Epilogue {
   float* observe_hi = nullptr;
 };
 
-/// \deprecated Use plan_for + gemm_s8_ex (plan.hpp); thin wrapper kept
-/// for source compatibility.
-///
-/// C (fp32) = epilogue(exact code-sum GEMM); see GemmS8Epilogue.
-inline void gemm_s8_fused(bool trans_a, bool trans_b, int64_t m, int64_t n,
-                          int64_t k, const uint8_t* a, const uint8_t* b,
-                          const GemmS8Params& params,
-                          const GemmS8Epilogue& epi, float* c,
-                          const GemmOptions& opts = {}) {
-  gemm_s8_exec(trans_a, trans_b, m, n, k, a, b, nullptr, params, &epi, c,
-               nullptr, opts);
-}
-
-/// \deprecated Use plan_for + gemm_s8_ex (plan.hpp); thin wrapper kept
-/// for source compatibility.
-///
-/// C (u8 codes on the epilogue's output grid) = requantised epilogue.
-inline void gemm_s8_requant(bool trans_a, bool trans_b, int64_t m, int64_t n,
-                            int64_t k, const uint8_t* a, const uint8_t* b,
-                            const GemmS8Params& params,
-                            const GemmS8Epilogue& epi, uint8_t* c,
-                            const GemmOptions& opts = {}) {
-  gemm_s8_exec(trans_a, trans_b, m, n, k, a, b, nullptr, params, &epi,
-               nullptr, c, opts);
-}
-
 // -- implicit (im2col-free) conv B operand ----------------------------------
 //
 // For the conv forward, the B operand is the im2col patch matrix
 // B[p, j] with p = (c, kh, kw) and j = (y, xo) — every element of which
 // is just a byte of the (padding-staged) input image. Materialising it
-// costs a k*oh*ow write plus an immediate re-read by the packing; the
-// conv entry points below instead hand the driver this descriptor and
-// the packing gathers B's strips STRAIGHT from the staged image:
+// costs a k*oh*ow write plus an immediate re-read by the packing; conv
+// callers instead hand the driver this descriptor and the packing
+// gathers B's strips STRAIGHT from the staged image:
 //
 //   B[(c*kernel + kh)*kernel + kw, y*ow + xo]
 //     = padded[c][y*stride + kh][xo*stride + kw]
@@ -344,33 +303,6 @@ struct GemmConvB {
   int64_t kernel = 0, stride = 1;
   int64_t oh = 0, ow = 0;     ///< output spatial dims (n = oh*ow)
 };
-
-/// \deprecated Use plan_for + gemm_s8_ex (plan.hpp); thin wrapper kept
-/// for source compatibility.
-///
-/// gemm_s8_fused with B described implicitly (A = weights, row-major;
-/// k = channels * kernel^2, n = oh * ow).
-inline void gemm_s8_fused_conv(int64_t m, int64_t n, int64_t k,
-                               const uint8_t* a, const GemmS8ConvB& b,
-                               const GemmS8Params& params,
-                               const GemmS8Epilogue& epi, float* c,
-                               const GemmOptions& opts = {}) {
-  gemm_s8_exec(false, false, m, n, k, a, nullptr, &b, params, &epi, c,
-               nullptr, opts);
-}
-
-/// \deprecated Use plan_for + gemm_s8_ex (plan.hpp); thin wrapper kept
-/// for source compatibility.
-///
-/// gemm_s8_requant with an implicit conv B operand.
-inline void gemm_s8_requant_conv(int64_t m, int64_t n, int64_t k,
-                                 const uint8_t* a, const GemmS8ConvB& b,
-                                 const GemmS8Params& params,
-                                 const GemmS8Epilogue& epi, uint8_t* c,
-                                 const GemmOptions& opts = {}) {
-  gemm_s8_exec(false, false, m, n, k, a, nullptr, &b, params, &epi, nullptr,
-               c, opts);
-}
 
 // -- s8 packing primitives, exposed for tests -------------------------------
 //

@@ -2,10 +2,10 @@
 //
 // Forward has two paths. The fp32 reference path multiplies the
 // dequantised weight view. When the int8 backend is selected
-// (`set_gemm_backend(GemmBackend::kInt8)` / APT_GEMM_BACKEND=int8) and
-// the weight's representation stores <= 8-bit codes, the forward instead
-// quantises activations onto an EMA-tracked 8-bit grid and runs the
-// integer gemm_s8 kernel directly on the code planes.
+// (PlanOptions::backend = GemmBackend::kInt8, plan.hpp) and the weight's
+// representation stores <= 8-bit codes, the forward instead quantises
+// activations onto an EMA-tracked 8-bit grid and runs the integer GEMM
+// (gemm_s8_ex) directly on the code planes.
 //
 // Backward mirrors that split (DESIGN.md §14): with the int8 backend,
 // <= 8-bit weight codes, an initialised gradient range tracker, and the

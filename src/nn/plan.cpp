@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -26,28 +25,9 @@ namespace {
 
 // ------------------------------------------------------------- options
 
-std::atomic<GemmBackend> g_backend{GemmBackend::kAuto};
+std::atomic<GemmBackend> g_backend{GemmBackend::kPacked};
 std::mutex g_options_mu;
 std::string g_cache_file;  // guarded by g_options_mu
-
-GemmBackend backend_from_env() {
-  // getenv is mt-unsafe only against concurrent setenv; this is read once
-  // to seed the resolved backend, at a serial point before kernels
-  // dispatch.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* env = std::getenv("APT_GEMM_BACKEND");
-  if (env != nullptr) {
-    if (std::strcmp(env, "scalar") == 0) return GemmBackend::kPackedScalar;
-    if (std::strcmp(env, "ikj") == 0) return GemmBackend::kIkj;
-    if (std::strcmp(env, "int8") == 0) return GemmBackend::kInt8;
-    if (std::strcmp(env, "packed") != 0)
-      std::fprintf(stderr,
-                   "apt: unknown APT_GEMM_BACKEND \"%s\" "
-                   "(expected packed|scalar|ikj|int8), using packed\n",
-                   env);
-  }
-  return GemmBackend::kPacked;
-}
 
 // ---------------------------------------------------------- cost model
 //
@@ -685,10 +665,7 @@ PlanOptions plan_options() {
 }
 
 GemmBackend resolved_gemm_backend() {
-  const GemmBackend b = g_backend.load(std::memory_order_relaxed);
-  if (b != GemmBackend::kAuto) return b;
-  static const GemmBackend from_env = backend_from_env();
-  return from_env;
+  return g_backend.load(std::memory_order_relaxed);
 }
 
 // ----------------------------------------------------------- execution

@@ -12,13 +12,6 @@
 //   const KernelPlan& plan = plan_for(PlanKey::s8(m, n, k, ...));
 //   gemm_s8_ex(plan, args);            // or gemm_ex(plan, ...) for fp32
 //
-// This API replaces the ad-hoc entry-point family (`gemm_s8`,
-// `gemm_s8_fused`, `gemm_s8_requant`, `*_conv`) and the
-// `set_gemm_backend` / APT_GEMM_BACKEND process global; both survive as
-// deprecated shims (see gemm_kernel.hpp / gemm.hpp) but library code
-// must go through the planner (enforced by tools/apt_lint.py's `deprec`
-// rule).
-//
 // Invariants the planner preserves:
 //  * Bit-identity: every candidate plan for a key produces bit-identical
 //    output. Integer kernels are exact for any {kc, mc, nc, split}
@@ -179,14 +172,11 @@ bool plan_cache_save(const std::string& path);
 /// the number of plans adopted, or -1 when the file cannot be read.
 int plan_cache_load(const std::string& path);
 
-// -- options (replaces the set_gemm_backend global) -------------------------
+// -- options ----------------------------------------------------------------
 
-/// Process-wide planner configuration. Replaces `set_gemm_backend` /
-/// `gemm_backend`; the APT_GEMM_BACKEND environment variable survives
-/// as a shim that seeds `backend` when it is kAuto (one read, at the
-/// first resolution). APT_PLAN_CACHE likewise seeds `cache_file`.
+/// Process-wide planner configuration.
 struct PlanOptions {
-  GemmBackend backend = GemmBackend::kAuto;
+  GemmBackend backend = GemmBackend::kPacked;
   /// JSON plan cache loaded lazily at the first plan_for. Empty defers
   /// to the APT_PLAN_CACHE environment variable (if set).
   std::string cache_file;
@@ -195,8 +185,8 @@ struct PlanOptions {
 void set_plan_options(const PlanOptions& opts);
 PlanOptions plan_options();
 
-/// The backend `gemm` dispatches on: PlanOptions::backend, with kAuto
-/// resolved through the APT_GEMM_BACKEND shim (default kPacked).
+/// PlanOptions::backend, the backend `gemm` dispatches on. A lock-free
+/// load (plan_options() takes a mutex), so it is cheap on every call.
 GemmBackend resolved_gemm_backend();
 
 // -- plan-keyed execution ---------------------------------------------------
@@ -233,9 +223,10 @@ struct GemmS8Args {
   uint8_t* out_codes = nullptr;
 };
 
-/// Unified integer GEMM: subsumes gemm_s8 / gemm_s8_fused /
-/// gemm_s8_requant and their `_conv` variants behind one plan-keyed
-/// signature. Dimensions and transpose flags come from plan.key.
+/// Unified integer GEMM: the raw dequantised product, the fused fp32
+/// epilogue and the requantising epilogue, over a plain or implicit conv
+/// B operand, behind one plan-keyed signature. Dimensions and transpose
+/// flags come from plan.key.
 void gemm_s8_ex(const KernelPlan& plan, const GemmS8Args& args,
                 const GemmOptions& opts = {});
 

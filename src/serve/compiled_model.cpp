@@ -1003,25 +1003,14 @@ Status CompiledModel::try_load(const std::string& path, CompiledModel* out) {
   return Status::Ok();
 }
 
-void CompiledModel::save(const std::string& path) const {
-  const Status st = try_save(path);
-  APT_CHECK(st.ok()) << st.to_string();
-}
-
-CompiledModel CompiledModel::load(const std::string& path) {
-  CompiledModel cm;
-  const Status st = try_load(path, &cm);
-  APT_CHECK(st.ok()) << st.to_string();
-  return cm;
-}
-
-CompiledModel freeze_from_checkpoint(nn::Layer& model,
-                                     const std::string& checkpoint_path,
-                                     const std::vector<Tensor>& calibration,
-                                     const CompileOptions& opts) {
+Status freeze_from_checkpoint(nn::Layer& model,
+                              const std::string& checkpoint_path,
+                              const std::vector<Tensor>& calibration,
+                              CompiledModel* out, const CompileOptions& opts) {
   APT_CHECK(!calibration.empty())
       << "freeze_from_checkpoint needs calibration batches";
-  io::load_checkpoint(model, checkpoint_path);
+  const Status st = io::try_load_checkpoint(model, checkpoint_path);
+  if (!st.ok()) return st;
 
   // Calibration forwards run in training mode (that is where the range
   // trackers observe), which would also advance BatchNorm's running
@@ -1052,7 +1041,8 @@ CompiledModel freeze_from_checkpoint(nn::Layer& model,
   const auto& dims = calibration.front().shape().dims();
   Shape sample_shape(
       std::vector<int64_t>(dims.begin() + 1, dims.end()));
-  return CompiledModel::compile(model, sample_shape, opts);
+  *out = CompiledModel::compile(model, sample_shape, opts);
+  return Status::Ok();
 }
 
 }  // namespace apt::serve

@@ -30,14 +30,13 @@
 // epilogue is per-element double arithmetic, and every other op is an
 // elementwise/per-sample loop (DESIGN.md §15 gives the argument).
 //
-// The artifact serialises with `save`/`load` (schema
+// The artifact serialises with `try_save`/`try_load` (schema
 // apt-compiled-model/2: the checksummed io/artifact.hpp container,
 // little-endian, byte-stable round trip, crash-safe atomic save). Loads
 // validate the container, every section checksum, and the program's
 // semantic invariants (register indices, geometry, operand sizes)
 // before returning, so `run` never executes an inconsistent program;
-// the try_* forms report failures as a typed apt::Status (DESIGN.md
-// §16) and the classic forms throw CheckError.
+// both report failures as a typed apt::Status (DESIGN.md §16).
 #pragma once
 
 #include <cstdint>
@@ -170,10 +169,6 @@ class CompiledModel {
   /// the DESIGN.md §16 taxonomy.
   static Status try_load(const std::string& path, CompiledModel* out);
 
-  /// Wrappers over try_save / try_load that throw CheckError.
-  void save(const std::string& path) const;
-  static CompiledModel load(const std::string& path);
-
  private:
   friend class InferenceContext;
 
@@ -190,11 +185,15 @@ class CompiledModel {
 /// from a checkpoint, warms its activation-range trackers with
 /// training-mode calibration forwards (BatchNorm running statistics are
 /// snapshotted and restored around them, so the checkpoint's stats are
-/// what the freeze folds), then compiles. The model must already carry
-/// its quantised weight representations (the training-time setup).
-CompiledModel freeze_from_checkpoint(nn::Layer& model,
-                                     const std::string& checkpoint_path,
-                                     const std::vector<Tensor>& calibration,
-                                     const CompileOptions& opts = {});
+/// what the freeze folds), then compiles into `*out`. The model must
+/// already carry its quantised weight representations (the training-time
+/// setup). A checkpoint that fails to load returns its typed Status
+/// (io::try_load_checkpoint's taxonomy) with `model` and `*out`
+/// untouched.
+Status freeze_from_checkpoint(nn::Layer& model,
+                              const std::string& checkpoint_path,
+                              const std::vector<Tensor>& calibration,
+                              CompiledModel* out,
+                              const CompileOptions& opts = {});
 
 }  // namespace apt::serve

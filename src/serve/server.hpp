@@ -100,7 +100,9 @@ class Server {
 
   /// Synchronous single-sample inference: blocks until `out` holds the
   /// model.out_elems() response floats. Returns false (without touching
-  /// `out`) when the server is draining or shut down. Thread-safe.
+  /// `out`) when the request is not admitted: the server is draining or
+  /// shut down (kUnavailable), or the queue is at max_queue and the
+  /// request is shed (kOverloaded). Thread-safe.
   bool infer(const float* in, float* out);
 
   /// Typed-status form: kUnavailable (draining/stopped, request never

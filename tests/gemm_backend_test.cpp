@@ -11,11 +11,13 @@
 #include <limits>
 #include <vector>
 
+#include "backend_guard.hpp"
 #include "base/arena.hpp"
 #include "base/rng.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/gemm.hpp"
 #include "nn/gemm_kernel.hpp"
+#include "nn/plan.hpp"
 
 namespace apt::nn {
 namespace {
@@ -141,15 +143,6 @@ TEST(PackedGemm, NanInBPropagatesThroughZeroA) {
   EXPECT_FLOAT_EQ(c[0], 0.0f);  // columns away from the NaN stay clean
 }
 
-TEST(PackedGemm, LegacyIkjAlsoPropagatesNan) {
-  const int64_t n = 8;
-  std::vector<float> a(n, 0.0f), b(n * n, 1.0f), c(n * n, 0.0f);
-  b[3] = std::numeric_limits<float>::quiet_NaN();  // B[0,3]
-  gemm_ikj(false, false, 1, n, n, 1.0f, a.data(), b.data(), 0.0f, c.data());
-  EXPECT_TRUE(std::isnan(c[3]));
-  EXPECT_FLOAT_EQ(c[0], 0.0f);
-}
-
 TEST(PackedGemm, InfInAPropagates) {
   const int64_t n = 40;  // large enough for the packed path via gemm()
   std::vector<float> a(n * n, 1.0f), b(n * n, 0.5f), c(n * n, 0.0f);
@@ -180,21 +173,18 @@ TEST(PackedGemm, AlphaZeroSkipsProductPerBlas) {
 
 TEST(PackedGemm, AlphaZeroHonouredOnEveryBackend) {
   // gemm() enforces the alpha == 0 contract before backend dispatch, so
-  // even the legacy ikj backend (whose kernel has no early-out) must
-  // not read the NaN operands.
+  // no backend may read the NaN operands.
   const int64_t m = 5, n = 6, k = 4;
   std::vector<float> a(m * k, std::numeric_limits<float>::quiet_NaN());
   std::vector<float> b(k * n, std::numeric_limits<float>::quiet_NaN());
-  const GemmBackend prev = gemm_backend();
-  for (GemmBackend backend : {GemmBackend::kPacked, GemmBackend::kPackedScalar,
-                              GemmBackend::kIkj}) {
-    set_gemm_backend(backend);
+  for (GemmBackend backend :
+       {GemmBackend::kPacked, GemmBackend::kPackedScalar}) {
+    BackendGuard guard(backend);
     std::vector<float> c(m * n, 2.0f);
     gemm(false, false, m, n, k, 0.0f, a.data(), b.data(), 0.5f, c.data());
     for (float v : c)
       ASSERT_FLOAT_EQ(v, 1.0f) << "backend=" << static_cast<int>(backend);
   }
-  set_gemm_backend(prev);
 }
 
 // --------------------------------------------------------- determinism
@@ -388,21 +378,31 @@ TEST(GemmConvOperand, PackMatchesIm2colThenPackBBitForBit) {
 // ----------------------------------------------------- backend selector
 
 TEST(GemmBackendSelector, RoundTripsAndDispatches) {
-  const GemmBackend prev = gemm_backend();
-  set_gemm_backend(GemmBackend::kIkj);
-  EXPECT_EQ(gemm_backend(), GemmBackend::kIkj);
-
-  const int64_t m = 31, n = 17, k = 23;
-  std::vector<float> a(static_cast<size_t>(m * k), 0.5f),
-      b(static_cast<size_t>(k * n), 2.0f), via_ikj(static_cast<size_t>(m * n)),
-      via_packed(static_cast<size_t>(m * n));
-  gemm(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, via_ikj.data());
-  set_gemm_backend(GemmBackend::kPacked);
-  gemm(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f,
-       via_packed.data());
-  set_gemm_backend(prev);
-  for (size_t i = 0; i < via_ikj.size(); ++i)
-    ASSERT_NEAR(via_ikj[i], via_packed[i], 1e-3f);
+  // Large enough for the packed strategy, so each backend's bits are its
+  // micro-kernel's: gemm() must match gemm_packed with that kernel.
+  const int64_t m = 31, n = 37, k = 23;
+  Rng rng(5);
+  std::vector<float> a(static_cast<size_t>(m * k)),
+      b(static_cast<size_t>(k * n));
+  for (auto& v : a) v = rng.uniform(-1, 1);
+  for (auto& v : b) v = rng.uniform(-1, 1);
+  for (GemmBackend backend :
+       {GemmBackend::kPackedScalar, GemmBackend::kPacked}) {
+    BackendGuard guard(backend);
+    EXPECT_EQ(plan_options().backend, backend);
+    EXPECT_EQ(resolved_gemm_backend(), backend);
+    std::vector<float> got(static_cast<size_t>(m * n)), want(got.size());
+    gemm(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, got.data());
+    GemmOptions opts;
+    if (backend == GemmBackend::kPackedScalar)
+      opts.kernel = GemmKernel::kScalar;
+    gemm_packed(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f,
+                want.data(), opts);
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                             got.size() * sizeof(float)))
+        << "backend=" << static_cast<int>(backend);
+  }
+  EXPECT_EQ(resolved_gemm_backend(), GemmBackend::kPacked);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "backend_guard.hpp"
 #include "base/rng.hpp"
 #include "core/grid_representation.hpp"
 #include "nn/conv2d.hpp"
@@ -73,7 +74,8 @@ TEST_P(S8VsReference, AutoKernelExact) {
   const GemmS8Params qp{0.02, 0.005, c.za, c.zb, c.max_a, c.max_b};
   std::vector<float> out(static_cast<size_t>(c.m * c.n), -1.0f),
       ref(static_cast<size_t>(c.m * c.n), -2.0f);
-  gemm_s8(c.ta, c.tb, c.m, c.n, c.k, a.data(), b.data(), qp, out.data());
+  gemm_s8_exec(c.ta, c.tb, c.m, c.n, c.k, a.data(), b.data(), nullptr, qp,
+               nullptr, out.data(), nullptr);
   gemm_s8_reference(c.ta, c.tb, c.m, c.n, c.k, a.data(), b.data(), qp,
                     ref.data());
   // Integer accumulation: not merely close — identical bits.
@@ -92,8 +94,8 @@ TEST_P(S8VsReference, ScalarKernelExact) {
   opts.kernel = GemmKernel::kScalar;
   std::vector<float> out(static_cast<size_t>(c.m * c.n)),
       ref(static_cast<size_t>(c.m * c.n));
-  gemm_s8(c.ta, c.tb, c.m, c.n, c.k, a.data(), b.data(), qp, out.data(),
-          opts);
+  gemm_s8_exec(c.ta, c.tb, c.m, c.n, c.k, a.data(), b.data(), nullptr, qp,
+               nullptr, out.data(), nullptr, opts);
   gemm_s8_reference(c.ta, c.tb, c.m, c.n, c.k, a.data(), b.data(), qp,
                     ref.data());
   ASSERT_EQ(0,
@@ -159,7 +161,8 @@ TEST(GemmS8, WorstCaseCodesDoNotSaturate) {
       b(static_cast<size_t>(k * n), 255);
   const GemmS8Params qp{1.0, 1.0, 0, 0};
   std::vector<float> out(static_cast<size_t>(m * n));
-  gemm_s8(false, false, m, n, k, a.data(), b.data(), qp, out.data());
+  gemm_s8_exec(false, false, m, n, k, a.data(), b.data(), nullptr, qp, nullptr,
+               out.data(), nullptr);
   const float expect =
       static_cast<float>(static_cast<double>(k) * 255.0 * 255.0);
   for (float v : out) ASSERT_EQ(v, expect);
@@ -173,7 +176,8 @@ TEST(GemmS8, WorstCaseNegativeSumsDoNotSaturate) {
       b(static_cast<size_t>(k * n), 255);
   const GemmS8Params qp{1.0, 1.0, 255, 0};
   std::vector<float> out(static_cast<size_t>(m * n));
-  gemm_s8(false, false, m, n, k, a.data(), b.data(), qp, out.data());
+  gemm_s8_exec(false, false, m, n, k, a.data(), b.data(), nullptr, qp, nullptr,
+               out.data(), nullptr);
   const float expect =
       static_cast<float>(-static_cast<double>(k) * 255.0 * 255.0);
   for (float v : out) ASSERT_EQ(v, expect);
@@ -189,7 +193,8 @@ TEST(GemmS8, QuadPathWorstCasePairProductsStayExact) {
   GemmS8Params qp{1.0, 1.0, 0, 0};
   qp.max_b = 64;
   std::vector<float> out(static_cast<size_t>(m * n));
-  gemm_s8(false, false, m, n, k, a.data(), b.data(), qp, out.data());
+  gemm_s8_exec(false, false, m, n, k, a.data(), b.data(), nullptr, qp, nullptr,
+               out.data(), nullptr);
   const float expect =
       static_cast<float>(static_cast<double>(k) * 255.0 * 64.0);
   for (float v : out) ASSERT_EQ(v, expect);
@@ -209,8 +214,10 @@ TEST(GemmS8, QuadAndPairStrategiesBitIdentical) {
   const GemmS8Params pair{0.04, 0.3, 200, 17};  // max_b left at 255
   std::vector<float> via_quad(static_cast<size_t>(m * n)),
       via_pair(static_cast<size_t>(m * n));
-  gemm_s8(false, false, m, n, k, a.data(), b.data(), quad, via_quad.data());
-  gemm_s8(false, false, m, n, k, a.data(), b.data(), pair, via_pair.data());
+  gemm_s8_exec(false, false, m, n, k, a.data(), b.data(), nullptr, quad,
+               nullptr, via_quad.data(), nullptr);
+  gemm_s8_exec(false, false, m, n, k, a.data(), b.data(), nullptr, pair,
+               nullptr, via_pair.data(), nullptr);
   EXPECT_EQ(0, std::memcmp(via_quad.data(), via_pair.data(),
                            via_quad.size() * sizeof(float)));
 }
@@ -218,14 +225,16 @@ TEST(GemmS8, QuadAndPairStrategiesBitIdentical) {
 TEST(GemmS8, KBeyondExactBoundRejected) {
   std::vector<uint8_t> a(4), b(4);
   std::vector<float> c(1);
-  EXPECT_THROW(gemm_s8(false, false, 1, 1, kGemmS8MaxK + 1, a.data(),
-                       b.data(), GemmS8Params{}, c.data()),
+  EXPECT_THROW(gemm_s8_exec(false, false, 1, 1, kGemmS8MaxK + 1, a.data(),
+                            b.data(), nullptr, GemmS8Params{}, nullptr,
+                            c.data(), nullptr),
                CheckError);
 }
 
 TEST(GemmS8, EmptyReductionYieldsZero) {
   std::vector<float> c(6, 42.0f);
-  gemm_s8(false, false, 2, 3, 0, nullptr, nullptr, GemmS8Params{}, c.data());
+  gemm_s8_exec(false, false, 2, 3, 0, nullptr, nullptr, nullptr, GemmS8Params{},
+               nullptr, c.data(), nullptr);
   for (float v : c) EXPECT_EQ(v, 0.0f);
 }
 
@@ -247,7 +256,8 @@ TEST(GemmS8, MatchesFakeQuantReferenceClosely) {
     bf[i] = static_cast<float>(qp.scale_b * (b[i] - qp.zero_b));
   std::vector<float> out(static_cast<size_t>(m * n)),
       ref(static_cast<size_t>(m * n), 0.0f);
-  gemm_s8(false, false, m, n, k, a.data(), b.data(), qp, out.data());
+  gemm_s8_exec(false, false, m, n, k, a.data(), b.data(), nullptr, qp, nullptr,
+               out.data(), nullptr);
   gemm_naive(false, false, m, n, k, 1.0f, af.data(), bf.data(), 0.0f,
              ref.data());
   for (size_t i = 0; i < out.size(); ++i)
@@ -267,12 +277,12 @@ TEST(GemmS8, BitIdenticalAcrossThreadCounts) {
       parallel(static_cast<size_t>(m * n));
   GemmOptions opt_serial;
   opt_serial.parallel = false;
-  gemm_s8(false, false, m, n, k, a.data(), b.data(), qp, serial.data(),
-          opt_serial);
+  gemm_s8_exec(false, false, m, n, k, a.data(), b.data(), nullptr, qp, nullptr,
+               serial.data(), nullptr, opt_serial);
   GemmOptions opt_parallel;
   opt_parallel.parallel = true;
-  gemm_s8(false, false, m, n, k, a.data(), b.data(), qp, parallel.data(),
-          opt_parallel);
+  gemm_s8_exec(false, false, m, n, k, a.data(), b.data(), nullptr, qp, nullptr,
+               parallel.data(), nullptr, opt_parallel);
   EXPECT_EQ(0, std::memcmp(serial.data(), parallel.data(),
                            serial.size() * sizeof(float)));
 }
@@ -288,11 +298,12 @@ TEST(GemmS8, ScalarAndAutoKernelsBitIdentical) {
   const GemmS8Params qp{0.3, 0.7, 5, 250};
   std::vector<float> via_auto(static_cast<size_t>(m * n)),
       via_scalar(static_cast<size_t>(m * n));
-  gemm_s8(false, true, m, n, k, a.data(), b.data(), qp, via_auto.data());
+  gemm_s8_exec(false, true, m, n, k, a.data(), b.data(), nullptr, qp, nullptr,
+               via_auto.data(), nullptr);
   GemmOptions opts;
   opts.kernel = GemmKernel::kScalar;
-  gemm_s8(false, true, m, n, k, a.data(), b.data(), qp, via_scalar.data(),
-          opts);
+  gemm_s8_exec(false, true, m, n, k, a.data(), b.data(), nullptr, qp, nullptr,
+               via_scalar.data(), nullptr, opts);
   EXPECT_EQ(0, std::memcmp(via_auto.data(), via_scalar.data(),
                            via_auto.size() * sizeof(float)));
 }
@@ -611,18 +622,6 @@ TEST(QuantizeCodesU8, SpecialValuesSaturate) {
 
 // ---------------------------------------------------- layer-level wiring
 
-// Scoped backend override (mirrors bench_runner's BackendGuard).
-class BackendGuard {
- public:
-  explicit BackendGuard(GemmBackend b) : prev_(gemm_backend()) {
-    set_gemm_backend(b);
-  }
-  ~BackendGuard() { set_gemm_backend(prev_); }
-
- private:
-  GemmBackend prev_;
-};
-
 void attach_weight_grid(Parameter& p, int bits) {
   core::GridOptions go;
   go.bits = bits;
@@ -874,14 +873,14 @@ TEST_P(EpilogueExact, FusedAndRequantMatchReference) {
       std::vector<uint8_t> got_u(want_f.size(), 77);
       float lo = 0, hi = 0;
       GemmS8Epilogue epi = to_epilogue(er, &lo, &hi);
-      gemm_s8_fused(tc.ta, tc.tb, tc.m, tc.n, tc.k, a.data(), b.data(), qp,
-                    epi, got_f.data());
+      gemm_s8_exec(tc.ta, tc.tb, tc.m, tc.n, tc.k, a.data(), b.data(), nullptr,
+                   qp, &epi, got_f.data(), nullptr);
       for (size_t i = 0; i < want_f.size(); ++i)
         ASSERT_EQ(want_f[i], got_f[i]) << "fused i=" << i;
       EXPECT_EQ(want_lo, lo);
       EXPECT_EQ(want_hi, hi);
-      gemm_s8_requant(tc.ta, tc.tb, tc.m, tc.n, tc.k, a.data(), b.data(), qp,
-                      epi, got_u.data());
+      gemm_s8_exec(tc.ta, tc.tb, tc.m, tc.n, tc.k, a.data(), b.data(), nullptr,
+                   qp, &epi, nullptr, got_u.data());
       for (size_t i = 0; i < want_u.size(); ++i)
         ASSERT_EQ(want_u[i], got_u[i]) << "requant i=" << i;
     }
@@ -923,7 +922,7 @@ TEST(EpilogueExact, ReluClampEdges) {
   EXPECT_EQ(want[2], 4.0f);  // clamped to the cap
   float got[3], lo, hi;
   GemmS8Epilogue epi = to_epilogue(er, &lo, &hi);
-  gemm_s8_fused(false, false, 3, 1, 1, a, b, qp, epi, got);
+  gemm_s8_exec(false, false, 3, 1, 1, a, b, nullptr, qp, &epi, got, nullptr);
   for (int i = 0; i < 3; ++i) EXPECT_EQ(want[i], got[i]);
   EXPECT_EQ(0.0f, lo);
   EXPECT_EQ(4.0f, hi);
@@ -947,10 +946,10 @@ TEST(EpilogueExact, PerChannelScaleExtremes) {
   std::vector<float> got(want.size());
   std::vector<uint8_t> got_u(want.size());
   GemmS8Epilogue epi = to_epilogue(er, nullptr, nullptr);
-  gemm_s8_fused(false, false, 4, 5, 16, a.data(), b.data(), qp, epi,
-                got.data());
-  gemm_s8_requant(false, false, 4, 5, 16, a.data(), b.data(), qp, epi,
-                  got_u.data());
+  gemm_s8_exec(false, false, 4, 5, 16, a.data(), b.data(), nullptr, qp, &epi,
+               got.data(), nullptr);
+  gemm_s8_exec(false, false, 4, 5, 16, a.data(), b.data(), nullptr, qp, &epi,
+               nullptr, got_u.data());
   for (size_t i = 0; i < want.size(); ++i) {
     ASSERT_EQ(want[i], got[i]) << i;
     ASSERT_EQ(want_u[i], got_u[i]) << i;
@@ -974,8 +973,8 @@ TEST(EpilogueExact, RequantSaturatesToOutputGrid) {
   epilogue_reference(false, false, 2, 3, 8, a.data(), b.data(), qp, er,
                      nullptr, want_u.data(), nullptr, nullptr);
   GemmS8Epilogue epi = to_epilogue(er, nullptr, nullptr);
-  gemm_s8_requant(false, false, 2, 3, 8, a.data(), b.data(), qp, epi,
-                  got_u.data());
+  gemm_s8_exec(false, false, 2, 3, 8, a.data(), b.data(), nullptr, qp, &epi,
+               nullptr, got_u.data());
   for (size_t i = 0; i < want_u.size(); ++i) {
     ASSERT_EQ(want_u[i], got_u[i]) << i;
     ASSERT_LE(got_u[i], 63);
@@ -1004,16 +1003,16 @@ TEST(EpilogueExact, Avx2AndScalarStoresBitIdentical) {
   GemmS8Epilogue epi = to_epilogue(er, &lo_s, &hi_s);
   GemmOptions scalar_opts;
   scalar_opts.kernel = GemmKernel::kScalar;
-  gemm_s8_requant(false, false, 23, 37, 300, a.data(), b.data(), qp, epi,
-                  u_scalar.data(), scalar_opts);
-  gemm_s8_fused(false, false, 23, 37, 300, a.data(), b.data(), qp, epi,
-                f_scalar.data(), scalar_opts);
+  gemm_s8_exec(false, false, 23, 37, 300, a.data(), b.data(), nullptr, qp, &epi,
+               nullptr, u_scalar.data(), scalar_opts);
+  gemm_s8_exec(false, false, 23, 37, 300, a.data(), b.data(), nullptr, qp, &epi,
+               f_scalar.data(), nullptr, scalar_opts);
   epi.observe_lo = &lo_v;
   epi.observe_hi = &hi_v;
-  gemm_s8_requant(false, false, 23, 37, 300, a.data(), b.data(), qp, epi,
-                  u_avx.data());
-  gemm_s8_fused(false, false, 23, 37, 300, a.data(), b.data(), qp, epi,
-                f_avx.data());
+  gemm_s8_exec(false, false, 23, 37, 300, a.data(), b.data(), nullptr, qp, &epi,
+               nullptr, u_avx.data());
+  gemm_s8_exec(false, false, 23, 37, 300, a.data(), b.data(), nullptr, qp, &epi,
+               f_avx.data(), nullptr);
   EXPECT_EQ(0, std::memcmp(u_scalar.data(), u_avx.data(), u_scalar.size()));
   EXPECT_EQ(0, std::memcmp(f_scalar.data(), f_avx.data(),
                            f_scalar.size() * sizeof(float)));
@@ -1090,16 +1089,16 @@ TEST(EpilogueExact, NanBiasFlowsIdenticallyThroughBothStores) {
   GemmS8Epilogue epi = to_epilogue(er, &lo_s, &hi_s);
   GemmOptions scalar_opts;
   scalar_opts.kernel = GemmKernel::kScalar;
-  gemm_s8_fused(false, false, 3, 37, 20, a.data(), b.data(), qp, epi,
-                f_scalar.data(), scalar_opts);
-  gemm_s8_requant(false, false, 3, 37, 20, a.data(), b.data(), qp, epi,
-                  u_scalar.data(), scalar_opts);
+  gemm_s8_exec(false, false, 3, 37, 20, a.data(), b.data(), nullptr, qp, &epi,
+               f_scalar.data(), nullptr, scalar_opts);
+  gemm_s8_exec(false, false, 3, 37, 20, a.data(), b.data(), nullptr, qp, &epi,
+               nullptr, u_scalar.data(), scalar_opts);
   epi.observe_lo = &lo_a;
   epi.observe_hi = &hi_a;
-  gemm_s8_fused(false, false, 3, 37, 20, a.data(), b.data(), qp, epi,
-                f_auto.data());
-  gemm_s8_requant(false, false, 3, 37, 20, a.data(), b.data(), qp, epi,
-                  u_auto.data());
+  gemm_s8_exec(false, false, 3, 37, 20, a.data(), b.data(), nullptr, qp, &epi,
+               f_auto.data(), nullptr);
+  gemm_s8_exec(false, false, 3, 37, 20, a.data(), b.data(), nullptr, qp, &epi,
+               nullptr, u_auto.data());
   EXPECT_EQ(0, std::memcmp(f_scalar.data(), f_auto.data(),
                            f_scalar.size() * sizeof(float)));
   EXPECT_EQ(0, std::memcmp(u_scalar.data(), u_auto.data(), u_scalar.size()));
@@ -1126,14 +1125,14 @@ TEST(EpilogueExact, ParallelAndSerialBitIdentical) {
   std::vector<uint8_t> u_par(300 * 48), u_ser(300 * 48);
   float lo_p, hi_p, lo_s, hi_s;
   GemmS8Epilogue epi = to_epilogue(er, &lo_p, &hi_p);
-  gemm_s8_requant(false, false, 300, 48, 64, a.data(), b.data(), qp, epi,
-                  u_par.data());
+  gemm_s8_exec(false, false, 300, 48, 64, a.data(), b.data(), nullptr, qp, &epi,
+               nullptr, u_par.data());
   GemmOptions serial;
   serial.parallel = false;
   epi.observe_lo = &lo_s;
   epi.observe_hi = &hi_s;
-  gemm_s8_requant(false, false, 300, 48, 64, a.data(), b.data(), qp, epi,
-                  u_ser.data(), serial);
+  gemm_s8_exec(false, false, 300, 48, 64, a.data(), b.data(), nullptr, qp, &epi,
+               nullptr, u_ser.data(), serial);
   EXPECT_EQ(0, std::memcmp(u_par.data(), u_ser.data(), u_par.size()));
   EXPECT_EQ(lo_p, lo_s);
   EXPECT_EQ(hi_p, hi_s);
@@ -1145,7 +1144,7 @@ TEST(GemmS8ConvBOperand, MatchesExplicitIm2colBitForBit) {
   // Across kernel/stride/padding shapes — including ow not a multiple
   // of the register width (generic gather) and the staged-vs-direct
   // padding split — the implicit operand must reproduce the explicit
-  // im2col + gemm_s8_fused pipeline exactly.
+  // im2col + fused-epilogue GEMM pipeline exactly.
   struct ConvCase {
     int64_t C, H, W, OC, kernel, stride, padding;
   };
@@ -1178,8 +1177,8 @@ TEST(GemmS8ConvBOperand, MatchesExplicitIm2colBitForBit) {
     std::vector<float> want(static_cast<size_t>(cc.OC * oh * ow));
     float want_lo, want_hi;
     GemmS8Epilogue epi = to_epilogue(er, &want_lo, &want_hi);
-    gemm_s8_fused(false, false, cc.OC, oh * ow, krows, w.data(), cols.data(),
-                  qp, epi, want.data());
+    gemm_s8_exec(false, false, cc.OC, oh * ow, krows, w.data(), cols.data(),
+                 nullptr, qp, &epi, want.data(), nullptr);
 
     // Implicit operand from the staged image.
     GemmS8ConvB cb;
@@ -1204,8 +1203,8 @@ TEST(GemmS8ConvBOperand, MatchesExplicitIm2colBitForBit) {
     float lo, hi;
     epi.observe_lo = &lo;
     epi.observe_hi = &hi;
-    gemm_s8_fused_conv(cc.OC, oh * ow, krows, w.data(), cb, qp, epi,
-                       got.data());
+    gemm_s8_exec(false, false, cc.OC, oh * ow, krows, w.data(), nullptr, &cb,
+                 qp, &epi, got.data(), nullptr);
     for (size_t i = 0; i < want.size(); ++i)
       ASSERT_EQ(want[i], got[i])
           << "k=" << cc.kernel << " s=" << cc.stride << " p=" << cc.padding
@@ -1215,10 +1214,10 @@ TEST(GemmS8ConvBOperand, MatchesExplicitIm2colBitForBit) {
 
     // Requant flavour on the fast-path shape too.
     std::vector<uint8_t> want_u(want.size()), got_u(want.size());
-    gemm_s8_requant(false, false, cc.OC, oh * ow, krows, w.data(),
-                    cols.data(), qp, epi, want_u.data());
-    gemm_s8_requant_conv(cc.OC, oh * ow, krows, w.data(), cb, qp, epi,
-                         got_u.data());
+    gemm_s8_exec(false, false, cc.OC, oh * ow, krows, w.data(), cols.data(),
+                 nullptr, qp, &epi, nullptr, want_u.data());
+    gemm_s8_exec(false, false, cc.OC, oh * ow, krows, w.data(), nullptr, &cb,
+                 qp, &epi, nullptr, got_u.data());
     EXPECT_EQ(0, std::memcmp(want_u.data(), got_u.data(), want_u.size()));
   }
 }
@@ -1238,8 +1237,8 @@ TEST(GemmS8ConvBOperand, PairStrategyAlsoMatches) {
   im2col_u8(codes.data(), C, H, W, 0, 0, C, kernel, 1, 1, oh, ow, pad_code,
             cols.data());
   std::vector<float> want(static_cast<size_t>(OC * oh * ow));
-  gemm_s8(false, false, OC, oh * ow, krows, w.data(), cols.data(), qp,
-          want.data());
+  gemm_s8_exec(false, false, OC, oh * ow, krows, w.data(), cols.data(), nullptr,
+               qp, nullptr, want.data(), nullptr);
   GemmS8ConvB cb;
   cb.kernel = kernel;
   cb.stride = 1;
@@ -1252,7 +1251,8 @@ TEST(GemmS8ConvBOperand, PairStrategyAlsoMatches) {
   cb.padded = stage.data();
   std::vector<float> got(want.size());
   GemmS8Epilogue epi;  // plain dequantising epilogue (no bias/relu)
-  gemm_s8_fused_conv(OC, oh * ow, krows, w.data(), cb, qp, epi, got.data());
+  gemm_s8_exec(false, false, OC, oh * ow, krows, w.data(), nullptr, &cb, qp,
+               &epi, got.data(), nullptr);
   for (size_t i = 0; i < want.size(); ++i) ASSERT_EQ(want[i], got[i]) << i;
 }
 

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "base/check.hpp"
 #include "base/rng.hpp"
 #include "core/grid_representation.hpp"
 #include "io/atomic_file.hpp"
@@ -205,10 +204,13 @@ TEST(CompiledModelCorruption, SpecificHeaderFieldsGetSpecificCodes) {
   std::filesystem::remove(path);
 }
 
-TEST(CompiledModelCorruption, WrapperThrowsCheckErrorOnCorruptInput) {
+TEST(CompiledModelCorruption, GarbageFileReturnsCorrupt) {
   const std::string path = temp_path("apt_corrupt_garbage.aptm");
   std::ofstream(path) << "not an artifact";
-  EXPECT_THROW(serve::CompiledModel::load(path), CheckError);
+  serve::CompiledModel loaded;
+  EXPECT_EQ(serve::CompiledModel::try_load(path, &loaded).code(),
+            StatusCode::kCorrupt);
+  EXPECT_TRUE(loaded.ops().empty());
   std::filesystem::remove(path);
 }
 

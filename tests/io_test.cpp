@@ -62,11 +62,11 @@ TEST(Checkpoint, RoundTripsParametersAndRunningStats) {
   net->forward(x, true);
 
   const std::string path = temp_path("apt_ckpt_test.bin");
-  save_checkpoint(*net, path);
+  ASSERT_TRUE(try_save_checkpoint(*net, path).ok());
 
   Rng rng2(999);  // different init
   auto restored = models::make_mlp(4, {8}, 3, rng2);
-  load_checkpoint(*restored, path);
+  ASSERT_TRUE(try_load_checkpoint(*restored, path).ok());
 
   // Outputs must now agree exactly in eval mode.
   Tensor probe(Shape{5, 4});
@@ -81,16 +81,18 @@ TEST(Checkpoint, ShapeMismatchRejected) {
   Rng rng(1);
   auto net = models::make_mlp(4, {8}, 3, rng);
   const std::string path = temp_path("apt_ckpt_mismatch.bin");
-  save_checkpoint(*net, path);
+  ASSERT_TRUE(try_save_checkpoint(*net, path).ok());
   auto other = models::make_mlp(4, {16}, 3, rng);
-  EXPECT_THROW(load_checkpoint(*other, path), CheckError);
+  EXPECT_EQ(try_load_checkpoint(*other, path).code(),
+            StatusCode::kInvalidArgument);
   std::filesystem::remove(path);
 }
 
 TEST(Checkpoint, MissingFileRejected) {
   Rng rng(1);
   auto net = models::make_mlp(2, {4}, 2, rng);
-  EXPECT_THROW(load_checkpoint(*net, "/nonexistent/apt.bin"), CheckError);
+  EXPECT_EQ(try_load_checkpoint(*net, "/nonexistent/apt.bin").code(),
+            StatusCode::kIoError);
 }
 
 TEST(Checkpoint, GarbageFileRejected) {
@@ -98,7 +100,7 @@ TEST(Checkpoint, GarbageFileRejected) {
   std::ofstream(path) << "not a checkpoint";
   Rng rng(1);
   auto net = models::make_mlp(2, {4}, 2, rng);
-  EXPECT_THROW(load_checkpoint(*net, path), CheckError);
+  EXPECT_EQ(try_load_checkpoint(*net, path).code(), StatusCode::kCorrupt);
   std::filesystem::remove(path);
 }
 
@@ -106,14 +108,14 @@ TEST(Checkpoint, LoadingIntoQuantisedModelRefitsGrids) {
   Rng rng(1);
   auto net = models::make_mlp(4, {8}, 3, rng);
   const std::string path = temp_path("apt_ckpt_quant.bin");
-  save_checkpoint(*net, path);
+  ASSERT_TRUE(try_save_checkpoint(*net, path).ok());
 
   Rng rng2(2);
   auto restored = models::make_mlp(4, {8}, 3, rng2);
   core::GridOptions go;
   go.bits = 8;
   core::attach_grid(*restored, go);
-  load_checkpoint(*restored, path);
+  ASSERT_TRUE(try_load_checkpoint(*restored, path).ok());
 
   // Values must be close to the checkpoint (within grid resolution) and
   // exactly on each parameter's grid.

@@ -11,6 +11,7 @@
 #include <limits>
 #include <vector>
 
+#include "backend_guard.hpp"
 #include "base/arena.hpp"
 #include "base/rng.hpp"
 #include "base/thread_pool.hpp"
@@ -27,18 +28,6 @@
 
 namespace apt::nn {
 namespace {
-
-// Scoped backend override (mirrors bench_runner's BackendGuard).
-class BackendGuard {
- public:
-  explicit BackendGuard(GemmBackend b) : prev_(gemm_backend()) {
-    set_gemm_backend(b);
-  }
-  ~BackendGuard() { set_gemm_backend(prev_); }
-
- private:
-  GemmBackend prev_;
-};
 
 // Scoped force-serial override for the global pool.
 class SerialGuard {

@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "backend_guard.hpp"
 #include "base/rng.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
@@ -321,10 +322,9 @@ class Conv2dVsExplicit : public ::testing::TestWithParam<ConvRefCase> {};
 
 TEST_P(Conv2dVsExplicit, ForwardAndGradientsBitForBit) {
   const ConvRefCase c = GetParam();
-  const GemmBackend prev = gemm_backend();
   for (GemmBackend backend :
-       {GemmBackend::kPacked, GemmBackend::kPackedScalar, GemmBackend::kIkj}) {
-    set_gemm_backend(backend);
+       {GemmBackend::kPacked, GemmBackend::kPackedScalar}) {
+    BackendGuard guard(backend);
     Rng rng(31);
     Conv2dOptions o;
     o.in_channels = c.cin;
@@ -388,7 +388,6 @@ TEST_P(Conv2dVsExplicit, ForwardAndGradientsBitForBit) {
     EXPECT_TRUE(same(conv.weight().grad.data(), dw_ref.data(), wn))
         << "backend " << which;
   }
-  set_gemm_backend(prev);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, Conv2dVsExplicit,

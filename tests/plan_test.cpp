@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "backend_guard.hpp"
 #include "base/arena.hpp"
 #include "base/rng.hpp"
 #include "base/thread_pool.hpp"
@@ -30,21 +31,6 @@
 
 namespace apt::nn {
 namespace {
-
-// Scoped planner configuration (the non-deprecated replacement for the
-// BackendGuard other suites use over set_gemm_backend).
-class PlanOptionsGuard {
- public:
-  explicit PlanOptionsGuard(GemmBackend b) : prev_(plan_options()) {
-    PlanOptions opts = prev_;
-    opts.backend = b;
-    set_plan_options(opts);
-  }
-  ~PlanOptionsGuard() { set_plan_options(prev_); }
-
- private:
-  PlanOptions prev_;
-};
 
 class SerialGuard {
  public:
@@ -414,7 +400,7 @@ TEST(PlanConv, OneByOneForwardStagesNothing) {
   Tensor x(Shape{1, 8, 10, 10});
   rng.fill_normal(x, 0, 1);
 
-  PlanOptionsGuard guard(GemmBackend::kInt8);
+  BackendGuard guard(GemmBackend::kInt8);
   SerialGuard serial;  // everything lands on this thread's arena
   conv.forward(x, /*training=*/true);  // warm-up (plan + arena growth)
   ASSERT_TRUE(conv.last_forward_was_int8());
@@ -468,7 +454,7 @@ TEST(PlanLayers, SecondForwardPerformsZeroPlanResolutions) {
   Tensor xl(Shape{3, 36});
   rng.fill_normal(xl, 0, 1);
 
-  PlanOptionsGuard guard(GemmBackend::kInt8);
+  BackendGuard guard(GemmBackend::kInt8);
   conv.forward(xc, /*training=*/true);
   lin.forward(xl, /*training=*/true);
   ASSERT_TRUE(conv.last_forward_was_int8());

@@ -13,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "backend_guard.hpp"
 #include "base/rng.hpp"
 #include "base/thread_pool.hpp"
 #include "core/grid_representation.hpp"
@@ -26,17 +27,6 @@
 
 namespace apt::nn {
 namespace {
-
-class BackendGuard {
- public:
-  explicit BackendGuard(GemmBackend b) : prev_(gemm_backend()) {
-    set_gemm_backend(b);
-  }
-  ~BackendGuard() { set_gemm_backend(prev_); }
-
- private:
-  GemmBackend prev_;
-};
 
 void attach_weight_grid(Parameter& p, int bits) {
   core::GridOptions go;

@@ -182,6 +182,9 @@ TEST_F(ServeOverloadTest, BoundedQueueShedsWithTypedOverloaded) {
   const Status shed = server.infer(fx.in(2), out_c.data(), {});
   EXPECT_EQ(shed.code(), StatusCode::kOverloaded);
   EXPECT_EQ(out_c[0], -1.0f);
+  // The bool form is shed the same way: false, `out` untouched.
+  EXPECT_FALSE(server.infer(fx.in(2), out_c.data()));
+  EXPECT_EQ(out_c[0], -1.0f);
 
   fault::disarm_all();  // stop stalling future batches
   ta.join();
@@ -192,7 +195,7 @@ TEST_F(ServeOverloadTest, BoundedQueueShedsWithTypedOverloaded) {
   server.drain();
   const Server::Stats stats = server.stats();
   EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.shed, 1u);
+  EXPECT_EQ(stats.shed, 2u);
   EXPECT_EQ(stats.rejected, 0u);
 }
 

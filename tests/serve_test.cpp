@@ -16,8 +16,10 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "backend_guard.hpp"
 #include "base/arena.hpp"
 #include "base/rng.hpp"
 #include "base/thread_pool.hpp"
@@ -134,10 +136,11 @@ TEST(Compile, MatchesInt8EvalForward) {
   // double — in practice bit-identical (the ulp between float(y) and y
   // is absorbed by code rounding), but exact rounding ties aren't
   // guaranteed, so the assertion leaves a small margin.
-  const nn::GemmBackend prev = nn::gemm_backend();
-  nn::set_gemm_backend(nn::GemmBackend::kInt8);
-  const Tensor ref = net->forward(x, /*training=*/false);
-  nn::set_gemm_backend(prev);
+  Tensor ref;
+  {
+    nn::BackendGuard guard(nn::GemmBackend::kInt8);
+    ref = net->forward(x, /*training=*/false);
+  }
 
   InferenceContext ctx;
   std::vector<float> out(4 * kClasses);
@@ -192,9 +195,10 @@ TEST(Serialize, SaveLoadSaveIsByteStable) {
 
   const std::string p1 = temp_path("apt_serve_rt1.bin");
   const std::string p2 = temp_path("apt_serve_rt2.bin");
-  cm.save(p1);
-  const CompiledModel loaded = CompiledModel::load(p1);
-  loaded.save(p2);
+  ASSERT_TRUE(cm.try_save(p1).ok());
+  CompiledModel loaded;
+  ASSERT_TRUE(CompiledModel::try_load(p1, &loaded).ok());
+  ASSERT_TRUE(loaded.try_save(p2).ok());
   const std::string b1 = read_file(p1), b2 = read_file(p2);
   ASSERT_FALSE(b1.empty());
   EXPECT_EQ(b1, b2) << "save -> load -> save is not byte-stable";
@@ -216,7 +220,7 @@ TEST(FreezeFromCheckpoint, DeterministicArtifactAcrossFreshModels) {
   const std::vector<Tensor> calib = make_calibration(15);
   auto trained = make_calibrated_resnet(5, calib);
   const std::string ckpt = temp_path("apt_serve_ckpt.bin");
-  io::save_checkpoint(*trained, ckpt);
+  ASSERT_TRUE(io::try_save_checkpoint(*trained, ckpt).ok());
 
   // Two fresh models (different init seeds — the checkpoint overwrites
   // the weights) frozen from the same checkpoint + calibration set must
@@ -227,16 +231,44 @@ TEST(FreezeFromCheckpoint, DeterministicArtifactAcrossFreshModels) {
     auto fresh = models::make_resnet(
         {.n = 1, .base_width = 8, .num_classes = kClasses}, rng);
     attach_weight_grids(*fresh, 6);
-    const CompiledModel cm = freeze_from_checkpoint(*fresh, ckpt, calib);
+    CompiledModel cm;
+    ASSERT_TRUE(freeze_from_checkpoint(*fresh, ckpt, calib, &cm).ok());
     const std::string path =
         temp_path("apt_serve_frozen" + std::to_string(i) + ".bin");
-    cm.save(path);
+    ASSERT_TRUE(cm.try_save(path).ok());
     frozen[i] = read_file(path);
     std::filesystem::remove(path);
   }
   ASSERT_FALSE(frozen[0].empty());
   EXPECT_EQ(frozen[0], frozen[1])
       << "freeze_from_checkpoint is not deterministic";
+  std::filesystem::remove(ckpt);
+}
+
+TEST(FreezeFromCheckpoint, DamagedCheckpointReturnsTypedStatus) {
+  const std::vector<Tensor> calib = make_calibration(15);
+  auto trained = make_calibrated_resnet(5, calib);
+  const std::string ckpt = temp_path("apt_serve_ckpt_damaged.bin");
+  ASSERT_TRUE(io::try_save_checkpoint(*trained, ckpt).ok());
+  const std::string bytes = read_file(ckpt);
+  ASSERT_GT(bytes.size(), 64u);
+  std::string flipped = bytes;
+  flipped[flipped.size() / 2] ^= 0x5A;  // inside a section payload
+  const std::pair<std::string, StatusCode> damaged[] = {
+      {bytes.substr(0, bytes.size() / 2), StatusCode::kTruncated},
+      {flipped, StatusCode::kCorrupt}};
+  for (const auto& [contents, code] : damaged) {
+    std::ofstream(ckpt, std::ios::binary | std::ios::trunc) << contents;
+    Rng rng(100);
+    auto fresh = models::make_resnet(
+        {.n = 1, .base_width = 8, .num_classes = kClasses}, rng);
+    attach_weight_grids(*fresh, 6);
+    CompiledModel out;
+    const Status st = freeze_from_checkpoint(*fresh, ckpt, calib, &out);
+    EXPECT_EQ(st.code(), code) << st.to_string();
+    EXPECT_TRUE(out.ops().empty()) << "failed freeze wrote *out";
+    EXPECT_EQ(out.max_batch(), 0);
+  }
   std::filesystem::remove(ckpt);
 }
 
@@ -357,8 +389,7 @@ TEST(Sharding, EvalForwardFromShardFreeServingThreads) {
   Rng rng(91);
   rng.fill_uniform(x, -1.0f, 1.0f);
 
-  const nn::GemmBackend prev_backend = nn::gemm_backend();
-  nn::set_gemm_backend(nn::GemmBackend::kInt8);
+  nn::BackendGuard guard(nn::GemmBackend::kInt8);
   Tensor ref;
   {
     ThreadPool::InlineScope inline_scope;
@@ -379,7 +410,6 @@ TEST(Sharding, EvalForwardFromShardFreeServingThreads) {
     });
   }
   for (std::thread& t : threads) t.join();
-  nn::set_gemm_backend(prev_backend);
 
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(observed_shard_count[static_cast<size_t>(t)], 1)

@@ -37,15 +37,6 @@ time things and spawn helpers as they see fit):
           per-shard slot (`partial[c] += x`, allowed) and reduce at a
           serial point, or accumulate into a body-local first.
 
-  deprec  No calls to the deprecated GEMM entry points (gemm_s8,
-          gemm_s8_fused, gemm_s8_requant, gemm_s8_fused_conv,
-          gemm_s8_requant_conv) or backend globals (set_gemm_backend,
-          gemm_backend) in library code. New code resolves a KernelPlan
-          via plan_for(PlanKey...) and executes through gemm_ex /
-          gemm_s8_ex; configuration goes through set_plan_options. The
-          wrappers survive only for out-of-tree source compatibility, in
-          src/nn/plan.*, src/nn/gemm_kernel.*, and src/nn/gemm.*.
-
   rawio   No raw file writes (std::ofstream / std::fstream, fopen /
           freopen / fwrite) in library code outside src/io/. Direct
           writes land bytes at the final path incrementally, so a crash
@@ -81,20 +72,13 @@ import re
 import sys
 from typing import List, NamedTuple, Tuple
 
-RULES = ("thread", "rng", "engine", "clock", "accum", "deprec", "rawio",
-         "docsync")
+RULES = ("thread", "rng", "engine", "clock", "accum", "rawio", "docsync")
 
 ALLOW_RE = re.compile(r"apt-lint:\s*allow\(([a-z,\s]+)\)")
 
 # Files exempt from the `thread` rule: the one place raw primitives are
 # allowed to live.
 THREAD_EXEMPT_RE = re.compile(r"src[/\\]base[/\\]thread_pool\.(hpp|cpp)$")
-
-# Files exempt from the `deprec` rule: where the deprecated wrappers and
-# their shims are declared/defined.
-DEPREC_EXEMPT_RE = re.compile(
-    r"src[/\\]nn[/\\](plan|gemm_kernel|gemm)\.(hpp|cpp)$"
-)
 
 # Files exempt from the `engine` rule: the home of the one sanctioned
 # stateful engine (inside apt::Rng) and of the counter-based generator.
@@ -122,11 +106,6 @@ CLOCK_RE = re.compile(
     r"|\bgettimeofday\b|(?<![\w:.])clock\s*\(\s*\)"
 )
 DISPATCH_RE = re.compile(r"\b(parallel_for_chunked|parallel_for|shard_parallel)\s*\(")
-DEPREC_RE = re.compile(
-    r"(?<![\w:])(?:nn::)?"
-    r"(gemm_s8(?:_fused_conv|_requant_conv|_fused|_requant)?"
-    r"|set_gemm_backend|gemm_backend)\s*\("
-)
 RAWIO_RE = re.compile(
     r"\bstd::(ofstream|fstream)\b"
     r"|(?<![\w:])f(?:re)?open\s*\("
@@ -343,10 +322,6 @@ def check_file(path: str, display_path: str | None = None) -> List[Violation]:
     if not ENGINE_EXEMPT_RE.search(display.replace(os.sep, "/")):
         line_rules.append(
             ("engine", ENGINE_RE, "stateful <random> engine outside src/base/rng.hpp; draw from a seeded apt::Rng, or the counter-based philox_* stream on gradient paths"),
-        )
-    if not DEPREC_EXEMPT_RE.search(display.replace(os.sep, "/")):
-        line_rules.append(
-            ("deprec", DEPREC_RE, "deprecated GEMM entry point or backend global; resolve a KernelPlan (plan_for) and call gemm_ex / gemm_s8_ex, configure via set_plan_options (plan.hpp)"),
         )
     if not RAWIO_EXEMPT_RE.search(display.replace(os.sep, "/")):
         line_rules.append(

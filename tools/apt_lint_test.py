@@ -186,51 +186,6 @@ class AccumRule(unittest.TestCase):
         self.assertEqual(lint_snippet(code), [])
 
 
-class DeprecRule(unittest.TestCase):
-    def test_flags_deprecated_entry_points(self):
-        self.assertEqual(
-            rules_of(lint_snippet("gemm_s8(false, false, m, n, k, a, b, qp, c);")),
-            ["deprec"])
-        self.assertEqual(
-            rules_of(lint_snippet("gemm_s8_fused(false, false, m, n, k, a, b, qp, epi, c);")),
-            ["deprec"])
-        self.assertEqual(
-            rules_of(lint_snippet("gemm_s8_requant_conv(m, n, k, a, cb, qp, epi, c);")),
-            ["deprec"])
-        self.assertEqual(
-            rules_of(lint_snippet("nn::set_gemm_backend(GemmBackend::kInt8);")),
-            ["deprec"])
-        self.assertEqual(
-            rules_of(lint_snippet("auto b = gemm_backend();")), ["deprec"])
-
-    def test_plan_api_is_fine(self):
-        code = (
-            "const KernelPlan& plan = plan_for(PlanKey::s8(m, n, k, false, true));\n"
-            "gemm_s8_ex(plan, args);\n"
-            "gemm_ex(plan2, alpha, a, b, beta, c);\n"
-            "set_plan_options(opts);\n"
-        )
-        self.assertEqual(lint_snippet(code), [])
-
-    def test_suffixed_identifiers_do_not_trip(self):
-        # gemm_s8_exec / gemm_s8_driver are the sanctioned internals.
-        self.assertEqual(lint_snippet("gemm_s8_exec(ta, tb, m, n, k, a, b, cb, qp, epi, cf, cu);"), [])
-        self.assertEqual(lint_snippet("resolved_gemm_backend();"), [])
-
-    def test_wrapper_homes_are_exempt(self):
-        call = "gemm_s8(false, false, m, n, k, a, b, qp, c);"
-        for path in ("src/nn/plan.cpp", "src/nn/gemm_kernel.hpp", "src/nn/gemm.cpp"):
-            self.assertEqual(lint_snippet(call, path), [])
-
-    def test_mention_in_comment_is_ignored(self):
-        self.assertEqual(lint_snippet("// gemm_s8_fused(...) used to live here"), [])
-
-    def test_allow_hatch(self):
-        self.assertEqual(
-            lint_snippet("gemm_s8(f, f, m, n, k, a, b, qp, c);  // apt-lint: allow(deprec)"),
-            [])
-
-
 class RawioRule(unittest.TestCase):
     def test_flags_raw_writes(self):
         self.assertEqual(
@@ -291,7 +246,7 @@ class DocsyncRule(unittest.TestCase):
     def test_documented_flags_are_clean(self):
         readme = (
             "| key | flag |\n|---|---|\n"
-            "| `gemm256_speedup_vs_ikj` | `--min-speedup` |\n"
+            "| `gemm256_speedup_vs_scalar` | `--min-speedup` |\n"
             "| `serve_resnet8_qps_speedup_vs_serial` | `--min-serve-speedup` |\n"
         )
         self.assertEqual(self.docsync_of(self.BENCH, readme), [])
