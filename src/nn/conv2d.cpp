@@ -1,10 +1,7 @@
 #include "nn/conv2d.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <limits>
-#include <vector>
 
 #include "base/arena.hpp"
 #include "base/cpu.hpp"
@@ -145,6 +142,37 @@ GemmF32ConvB f32_operand(const Conv2dOptions& o, const Tensor& x, int64_t n,
     cb.pw = W + 2 * o.padding;
   }
   return cb;
+}
+
+// Deterministic weight-gradient accumulation shared by both conv
+// backwards. Parameter-gradient accumulation must not race AND must not
+// depend on the machine: the chunk count derives from the sample count
+// alone (parallel_for_chunked splits deterministically), fn(dw, n0, n1)
+// accumulates its sample range in order into its chunk's zeroed buffer,
+// and the buffers reduce into the grad sink in chunk order —
+// bit-identical for any pool size. Inside a shard session the shards
+// already provide the step's parallelism, so a single in-order chunk per
+// shard avoids multiplying buffers by shards * chunks. The buffers come
+// from the calling thread's scratch arena, so steady-state backwards
+// allocate nothing.
+template <typename Fn>
+void accumulate_dw(Parameter& w, int64_t N, Fn&& fn) {
+  constexpr int64_t kDwChunks = 16;
+  const int64_t chunks =
+      sharding_active() ? 1 : std::min<int64_t>(N, kDwChunks);
+  const int64_t wn = w.numel();
+  ScratchArena::Scope scope(ScratchArena::thread_local_arena());
+  float* dw_chunk = scope.alloc_floats(static_cast<size_t>(chunks * wn));
+  std::fill(dw_chunk, dw_chunk + chunks * wn, 0.0f);
+  ThreadPool::global().parallel_for_chunked(
+      0, N, chunks, [&](int64_t chunk, int64_t n0, int64_t n1) {
+        fn(dw_chunk + chunk * wn, n0, n1);
+      });
+  float* sink = grad_sink(w).data();
+  for (int64_t chunk = 0; chunk < chunks; ++chunk) {
+    const float* dw = dw_chunk + chunk * wn;
+    for (int64_t i = 0; i < wn; ++i) sink[i] += dw[i];
+  }
 }
 
 }  // namespace
@@ -349,12 +377,11 @@ void col2im(const float* cols, int64_t n, int64_t c_begin, int64_t c_count,
 }
 
 Conv2d::Conv2d(std::string name, const Conv2dOptions& opts, Rng& rng)
-    : name_(std::move(name)),
-      opts_(opts),
-      weight_(name_ + ".weight",
-              Shape{opts.out_channels, opts.in_channels / opts.groups,
-                    opts.kernel, opts.kernel}),
-      bias_(name_ + ".bias", Shape{opts.out_channels}, /*decay=*/false) {
+    : GemmLayer(std::move(name),
+                Shape{opts.out_channels, opts.in_channels / opts.groups,
+                      opts.kernel, opts.kernel},
+                opts.out_channels, opts.bias),
+      opts_(opts) {
   APT_CHECK(opts.in_channels % opts.groups == 0 &&
             opts.out_channels % opts.groups == 0)
       << name_ << ": channels not divisible by groups";
@@ -363,87 +390,66 @@ Conv2d::Conv2d(std::string name, const Conv2dOptions& opts, Rng& rng)
   he_normal(weight_.value, fan_in, rng);
 }
 
-bool Conv2d::accepts_codes() const {
-  const quant::QuantizedTensor* wq =
-      weight_.rep ? weight_.rep->quantized_view() : nullptr;
-  return gemm_int8_forward_enabled() && wq != nullptr && wq->bits() <= 8;
+ConvS8Operand::ConvS8Operand(const KernelPlan& plan, int64_t icg, int64_t h,
+                             int64_t w, int64_t kernel, int64_t stride,
+                             int64_t padding, uint8_t pad_code)
+    : icg_(icg),
+      h_(h),
+      w_(w),
+      kernel_(kernel),
+      stride_(stride),
+      padding_(padding),
+      pad_code_(pad_code),
+      direct_(plan.strategy == PlanStrategy::kS8ConvDirect),
+      staged_(!direct_ && padding > 0) {}
+
+uint8_t* ConvS8Operand::alloc_stage(ScratchArena::Scope& scope) const {
+  if (!staged_) return nullptr;
+  return static_cast<uint8_t*>(scope.alloc_bytes(static_cast<size_t>(
+      icg_ * (h_ + 2 * padding_) * (w_ + 2 * padding_))));
 }
 
-Tensor Conv2d::forward(const Tensor& x, bool training) {
-  return forward_flow(x, nullptr, training, false, nullptr);
+void ConvS8Operand::bind(const uint8_t* plane, uint8_t* stage, bool pooled,
+                         GemmS8ConvB& cb, GemmS8Args& ga) const {
+  if (direct_) {
+    // B = the [icg, H*W] code plane itself (k = icg, n = OH*OW = H*W):
+    // bit-identical to the implicit gather, zero staging.
+    ga.b = plane;
+    return;
+  }
+  cb.kernel = kernel_;
+  cb.stride = stride_;
+  cb.oh = (h_ + 2 * padding_ - kernel_) / stride_ + 1;
+  cb.ow = (w_ + 2 * padding_ - kernel_) / stride_ + 1;
+  cb.padded = plane;
+  cb.ph = h_;
+  cb.pw = w_;
+  if (staged_) {
+    stage_padded_u8(plane, icg_, h_, w_, padding_, pad_code_, stage, pooled);
+    cb.padded = stage;
+    cb.ph = h_ + 2 * padding_;
+    cb.pw = w_ + 2 * padding_;
+  }
+  ga.conv_b = &cb;
 }
 
-Tensor Conv2d::forward_flow(const Tensor& x, const QuantizedActivation* qx,
-                            bool training, bool want_codes,
-                            QuantizedActivation* qy) {
-  if (qy != nullptr) qy->reset();
-  const bool has_qx = qx != nullptr && qx->valid();
-  const Shape& in_shape = has_qx ? qx->shape : x.shape();
+void Conv2d::check_input(const Shape& in_shape) {
   APT_CHECK(in_shape.rank() == 4 && in_shape[1] == opts_.in_channels)
       << name_ << ": bad input " << in_shape.str();
-
-  Telemetry& tl = telem_.cur();
-  tl = {};
-  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
-  if (sharding_active()) shard_out_range_.cur() = {kNaN, kNaN};
-
-  if (training) {
-    // One fused sweep for the range observation (code planes dequantise
-    // just their two extreme codes).
-    const std::pair<float, float> in_range =
-        has_qx ? qx->value_range() : x.minmax();
-    input_codes_meta_.cur().n = 0;  // forward_int8 refills on quantise
-    if (has_qx) {
-      input_qa_.cur() = *qx;  // backward dequantises on demand
-      input_.cur() = Tensor();
-    } else {
-      input_.cur() = x;
-      input_qa_.cur().reset();
-    }
-    if (sharding_active()) {
-      // Raw extrema per shard; forward_flow_sharded merges them in shard
-      // order so the EMA tracker observes merged batch statistics
-      // exactly once.
-      shard_range_.cur() = in_range;
-    } else {
-      act_range_.observe(in_range.first, in_range.second);
-    }
-  }
-
-  const int64_t OH = out_size(in_shape[2]), OW = out_size(in_shape[3]);
   if (current_shard() == 0) {
     // Shape-derived profile fields are identical across shards; one shard
     // writes them so concurrent forwards never race on the stores.
+    const int64_t OH = out_size(in_shape[2]), OW = out_size(in_shape[3]);
     const int64_t krows =
         (opts_.in_channels / opts_.groups) * opts_.kernel * opts_.kernel;
     macs_per_sample_ = opts_.out_channels * OH * OW * krows;
     out_elems_ = opts_.out_channels * OH * OW;
   }
+}
 
-  const quant::QuantizedTensor* wq =
-      weight_.rep ? weight_.rep->quantized_view() : nullptr;
-  const bool int8_path = gemm_int8_forward_enabled() && wq != nullptr &&
-                         wq->bits() <= 8 &&
-                         (has_qx || act_range_.initialized());
-  tl.int8_path = int8_path;
-
-  if (int8_path) {
-    tl.consumed = has_qx;
-    const bool emit =
-        want_codes && qy != nullptr && out_range_.initialized();
-    tl.emitted = emit;
-    return forward_int8(x, has_qx ? qx : nullptr, training, emit, qy);
-  }
-
-  // fp32 reference path. A code input is materialised once (and cached
-  // for backward instead of the codes).
-  Tensor xin = has_qx ? qx->dequantize() : x;
-  if (training && has_qx) {
-    input_.cur() = xin;
-    input_qa_.cur().reset();
-  }
-
-  const int64_t N = in_shape[0];
+Tensor Conv2d::forward_fp32(const Tensor& x) {
+  const int64_t N = x.dim(0);
+  const int64_t OH = out_size(x.dim(2)), OW = out_size(x.dim(3));
   const int64_t G = opts_.groups;
   const int64_t icg = opts_.in_channels / G, ocg = opts_.out_channels / G;
   const int64_t krows = icg * opts_.kernel * opts_.kernel;
@@ -454,7 +460,7 @@ Tensor Conv2d::forward_flow(const Tensor& x, const QuantizedActivation* qx,
   // the task's arena scope.
   ThreadPool::global().parallel_for(0, N, [&](int64_t n0, int64_t n1) {
     ScratchArena::Scope scope(ScratchArena::thread_local_arena());
-    float* stage = f32_stage(scope, opts_, in_shape);
+    float* stage = f32_stage(scope, opts_, x.shape());
     for (int64_t n = n0; n < n1; ++n)
       for (int64_t g = 0; g < G; ++g) {
         // Y_g [ocg, OH*OW] = W_g [ocg, krows] * cols [krows, OH*OW]
@@ -462,7 +468,7 @@ Tensor Conv2d::forward_flow(const Tensor& x, const QuantizedActivation* qx,
             y.data() + ((n * opts_.out_channels + g * ocg) * OH * OW);
         gemm_conv(false, ocg, OH * OW, krows, 1.0f,
                   weight_.value.data() + g * ocg * krows,
-                  f32_operand(opts_, xin, n, g, stage), 0.0f, yg);
+                  f32_operand(opts_, x, n, g, stage), 0.0f, yg);
       }
   });
 
@@ -485,61 +491,32 @@ Tensor Conv2d::forward_flow(const Tensor& x, const QuantizedActivation* qx,
   return y;
 }
 
-Tensor Conv2d::forward_int8(const Tensor& x, const QuantizedActivation* qx,
-                            bool training, bool emit,
-                            QuantizedActivation* qy) {
-  const Shape& in_shape = qx != nullptr ? qx->shape : x.shape();
-  const int64_t N = in_shape[0], H = in_shape[2], W = in_shape[3];
+Tensor Conv2d::forward_int8(const uint8_t* x, const quant::QuantParams& xq,
+                            const Shape& x_shape, QuantizedActivation* qy,
+                            std::pair<float, float>* observed) {
+  const int64_t N = x_shape[0], H = x_shape[2], W = x_shape[3];
   const int64_t OH = out_size(H), OW = out_size(W);
   const int64_t G = opts_.groups;
   const int64_t icg = opts_.in_channels / G, ocg = opts_.out_channels / G;
   const int64_t krows = icg * opts_.kernel * opts_.kernel;
-  const quant::QuantizedTensor* wq = weight_.rep->quantized_view();
-
-  // Input codes: handed over directly, or the whole input quantised once
-  // onto the tracked 8-bit grid (pool-parallel, reused buffer).
-  quant::QuantParams aq;
-  const uint8_t* codes;
-  if (qx != nullptr) {
-    aq = qx->params;
-    codes = qx->codes.data();
-  } else {
-    aq = quant::choose_params(act_range_.lo(), act_range_.hi(), 8);
-    std::vector<uint8_t>& qbuf = input_codes_.cur();
-    qbuf.resize(static_cast<size_t>(x.numel()));
-    ThreadPool::global().parallel_for(
-        0, x.numel(),
-        [&](int64_t e0, int64_t e1) {
-          quant::quantize_codes_u8(x.data() + e0, e1 - e0, aq,
-                                   qbuf.data() + e0);
-        },
-        1 << 14);
-    codes = qbuf.data();
-    // Hand the grid to backward: its dW GEMM runs over a byte im2col of
-    // exactly these codes (n == 0 marks the buffer stale).
-    if (training) input_codes_meta_.cur() = {aq, N};
-  }
-  const auto pad_code = static_cast<uint8_t>(aq.zero_point);
+  const quant::QuantizedTensor* wq = int8_weights();
 
   // Operand order is weights x columns, so A carries the weight grid;
   // its code ceiling lets <= 6-bit layers take the vpmaddubsw path.
-  GemmS8Params qp{wq->params().scale, aq.scale,
+  GemmS8Params qp{wq->params().scale, xq.scale,
                   static_cast<int32_t>(wq->params().zero_point),
-                  static_cast<int32_t>(aq.zero_point)};
+                  static_cast<int32_t>(xq.zero_point)};
   qp.max_a = static_cast<int32_t>(quant::max_code(wq->bits()));
   const uint8_t* wcodes = wq->codes_u8();
 
-  // Output grid for emission: the EMA of the exact pre-requant ranges
-  // the epilogue observed on earlier forwards.
-  quant::QuantParams oq;
-  if (emit) {
-    oq = quant::choose_params(out_range_.lo(), out_range_.hi(), 8);
-    qy->codes.resize(static_cast<size_t>(N * opts_.out_channels * OH * OW));
-    qy->params = oq;
-    qy->shape = Shape{N, opts_.out_channels, OH, OW};
-  }
+  const Shape out_shape{N, opts_.out_channels, OH, OW};
   Tensor y;
-  if (!emit) y = Tensor(Shape{N, opts_.out_channels, OH, OW});
+  if (qy != nullptr) {
+    qy->codes.resize(static_cast<size_t>(out_shape.numel()));
+    qy->shape = out_shape;
+  } else {
+    y = Tensor(out_shape);
+  }
 
   // Exact per-(sample, group) output-range probes, merged after the
   // parallel section (min/max is order-independent). They live in the
@@ -557,65 +534,34 @@ Tensor Conv2d::forward_int8(const Tensor& x, const QuantizedActivation* qx,
   // One plan per (shape, geometry, ceilings, pool width) covers every
   // (sample, group) GEMM in the batch; after the first forward it is a
   // pure cache hit.
-  bool plan_hit = false;
   const KernelPlan& plan = plan_for(
       PlanKey::conv_s8(ocg, OH * OW, krows,
                        static_cast<int32_t>(opts_.kernel),
                        static_cast<int32_t>(opts_.stride),
                        static_cast<int32_t>(opts_.padding), qp.max_a,
                        /*max_b=*/255),
-      &plan_hit);
-  telem_.cur().plan_hit = plan_hit;
-  // A 1x1/stride-1/pad-0 conv IS a plain GEMM over the contiguous code
-  // plane; the planner selects the direct strategy for it, skipping the
-  // implicit-operand gather (and any staging bookkeeping) entirely.
-  const bool direct = plan.strategy == PlanStrategy::kS8ConvDirect;
-
-  // Otherwise the patch matrix is still never materialised: the GEMM's
-  // B packing gathers patches straight from the code plane (padding ==
-  // 0) or from a per-group padded staging image (~7x smaller than the
-  // im2col matrix and cache-hot for the whole GEMM).
-  const int64_t PH = H + 2 * opts_.padding, PW = W + 2 * opts_.padding;
-  const bool staged = !direct && opts_.padding > 0;
+      plan_hit());
+  const ConvS8Operand operand(plan, icg, H, W, opts_.kernel, opts_.stride,
+                              opts_.padding,
+                              static_cast<uint8_t>(xq.zero_point));
 
   auto do_one = [&](int64_t n, int64_t g, uint8_t* stage, bool pooled) {
     GemmS8ConvB cb;
-    cb.kernel = opts_.kernel;
-    cb.stride = opts_.stride;
-    cb.oh = OH;
-    cb.ow = OW;
-    const uint8_t* plane =
-        codes + (n * opts_.in_channels + g * icg) * H * W;
     GemmS8Args ga;
     ga.a = wcodes + g * ocg * krows;
     ga.params = qp;
-    if (direct) {
-      // B = the [icg, H*W] code plane itself (k = icg, n = OH*OW =
-      // H*W): bit-identical to the implicit gather, zero staging.
-      ga.b = plane;
-    } else if (!staged) {
-      cb.padded = plane;
-      cb.ph = H;
-      cb.pw = W;
-      ga.conv_b = &cb;
-    } else {
-      stage_padded_u8(plane, icg, H, W, opts_.padding, pad_code, stage,
-                      pooled);
-      cb.padded = stage;
-      cb.ph = PH;
-      cb.pw = PW;
-      ga.conv_b = &cb;
-    }
+    operand.bind(x + (n * opts_.in_channels + g * icg) * H * W, stage,
+                 pooled, cb, ga);
     GemmS8Epilogue epi;
     epi.channel_is_row = true;
     epi.bias = opts_.bias ? bias_.value.data() + g * ocg : nullptr;
     epi.observe_lo = obs_lo + n * G + g;
     epi.observe_hi = obs_hi + n * G + g;
     const int64_t out_off = (n * opts_.out_channels + g * ocg) * OH * OW;
-    if (emit) {
-      epi.out_scale = oq.scale;
-      epi.out_zero = static_cast<int32_t>(oq.zero_point);
-      epi.out_max = static_cast<int32_t>(quant::max_code(oq.bits));
+    if (qy != nullptr) {
+      epi.out_scale = qy->params.scale;
+      epi.out_zero = static_cast<int32_t>(qy->params.zero_point);
+      epi.out_max = static_cast<int32_t>(quant::max_code(qy->params.bits));
       ga.out_codes = qy->codes.data() + out_off;
     } else {
       ga.out = y.data() + out_off;
@@ -628,205 +574,66 @@ Tensor Conv2d::forward_int8(const Tensor& x, const QuantizedActivation* qx,
     // A single GEMM: parallelism comes from the pool-parallel staging
     // and the GEMM's own M partitioning instead of sample tasks.
     ScratchArena::Scope scope(ScratchArena::thread_local_arena());
-    uint8_t* stage =
-        staged ? static_cast<uint8_t*>(scope.alloc_bytes(
-                     static_cast<size_t>(icg * PH * PW)))
-               : nullptr;
-    do_one(0, 0, stage, /*pooled=*/true);
+    do_one(0, 0, operand.alloc_stage(scope), /*pooled=*/true);
   } else {
     ThreadPool::global().parallel_for(0, N, [&](int64_t n0, int64_t n1) {
       ScratchArena::Scope scope(ScratchArena::thread_local_arena());
-      uint8_t* stage =
-          staged ? static_cast<uint8_t*>(scope.alloc_bytes(
-                       static_cast<size_t>(icg * PH * PW)))
-                 : nullptr;
+      uint8_t* stage = operand.alloc_stage(scope);
       for (int64_t n = n0; n < n1; ++n)
         for (int64_t g = 0; g < G; ++g)
           do_one(n, g, stage, /*pooled=*/false);
     });
   }
 
-  if (training) {
-    float lo = obs_lo[0], hi = obs_hi[0];
-    for (int64_t i = 1; i < N * G; ++i) {
-      lo = std::min(lo, obs_lo[i]);
-      hi = std::max(hi, obs_hi[i]);
-    }
-    if (sharding_active()) {
-      shard_out_range_.cur() = {lo, hi};
-    } else {
-      out_range_.observe(lo, hi);
-    }
+  float lo = obs_lo[0], hi = obs_hi[0];
+  for (int64_t i = 1; i < N * G; ++i) {
+    lo = std::min(lo, obs_lo[i]);
+    hi = std::max(hi, obs_hi[i]);
   }
-  if (emit) return Tensor();
+  *observed = {lo, hi};
   return y;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_out) {
-  // Raw dY extrema for the gradient tracker. The EMA itself is fed at a
-  // serial point — directly below when not sharding, else merged in
-  // shard order by backward_sharded — and always AFTER the quantiser
-  // read the previous state, so the gradient grid lags one step and
-  // per-shard backwards need no mid-pass synchronisation.
-  const std::pair<float, float> gr = grad_out.minmax();
-
-  const quant::QuantizedTensor* wq =
-      weight_.rep ? weight_.rep->quantized_view() : nullptr;
-  const bool have_codes =
-      input_qa_.cur().valid() || input_codes_meta_.cur().n > 0;
-  const bool int8_bwd = gemm_int8_backward_enabled() && wq != nullptr &&
-                        wq->bits() <= 8 && grad_range_.initialized() &&
-                        have_codes;
-  telem_.cur().int8_bwd = int8_bwd;
-
-  const int64_t N = grad_out.dim(0);
-  const int64_t OH = grad_out.dim(2), OW = grad_out.dim(3);
+Tensor Conv2d::backward_fp32(const Tensor& x, const Tensor& dy) {
+  const int64_t OH = dy.dim(2), OW = dy.dim(3);
   const int64_t G = opts_.groups;
   const int64_t icg = opts_.in_channels / G, ocg = opts_.out_channels / G;
   const int64_t krows = icg * opts_.kernel * opts_.kernel;
-
-  Tensor dx;
-  if (int8_bwd) {
-    dx = backward_int8(grad_out);
-  } else {
-    Tensor xbuf;
-    const Tensor* xp = &input_.cur();
-    if (!xp->defined() || xp->numel() == 0) {
-      // Input arrived as codes: materialise the exact values the integer
-      // forward consumed.
-      const QuantizedActivation& qa = input_qa_.cur();
-      APT_CHECK(qa.valid()) << name_ << ": backward before forward";
-      xbuf = qa.dequantize();
-      xp = &xbuf;
-    }
-    const Tensor& x = *xp;
-    dx = Tensor(x.shape());
-
-    // Parameter-gradient accumulation must not race AND must not depend
-    // on the machine: the chunk count derives from the sample count
-    // alone (parallel_for_chunked splits deterministically), each chunk
-    // accumulates its sample range in order into its own buffer, and the
-    // buffers reduce in chunk order — bit-identical for any pool size.
-    // Inside a shard session the shards already provide the step's
-    // parallelism, so a single in-order chunk per shard avoids
-    // multiplying buffers by shards * chunks.
-    // The chunk buffers live in the caller's scratch scope, so
-    // steady-state backwards allocate nothing.
-    constexpr int64_t kDwChunks = 16;
-    const int64_t chunks =
-        sharding_active() ? 1 : std::min<int64_t>(N, kDwChunks);
-    const int64_t wn = weight_.numel();
-    ScratchArena::Scope outer(ScratchArena::thread_local_arena());
-    float* dw_chunk = outer.alloc_floats(static_cast<size_t>(chunks * wn));
-    std::fill(dw_chunk, dw_chunk + chunks * wn, 0.0f);
-
-    ThreadPool::global().parallel_for_chunked(
-        0, N, chunks, [&](int64_t chunk, int64_t n0, int64_t n1) {
-          float* dw = dw_chunk + chunk * wn;
-          ScratchArena::Scope scope(ScratchArena::thread_local_arena());
-          float* stage = f32_stage(scope, opts_, x.shape());
-          float* dcols =
-              scope.alloc_floats(static_cast<size_t>(krows * OH * OW));
-          for (int64_t n = n0; n < n1; ++n)
-            for (int64_t g = 0; g < G; ++g) {
-              const float* dyg =
-                  grad_out.data() +
-                  ((n * opts_.out_channels + g * ocg) * OH * OW);
-              // dW_g [ocg, krows] += dY_g [ocg, OH*OW] * cols^T, colsᵀ
-              // packed straight from the padded image like forward's B.
-              gemm_conv(true, ocg, krows, OH * OW, 1.0f, dyg,
-                        f32_operand(opts_, x, n, g, stage), 1.0f,
-                        dw + g * ocg * krows);
-              // dcols [krows, OH*OW] = W_g^T [krows, ocg] * dY_g
-              gemm(true, false, krows, OH * OW, ocg, 1.0f,
-                   weight_.value.data() + g * ocg * krows, dyg, 0.0f,
-                   dcols);
-              col2im(dcols, n, g * icg, icg, opts_.kernel, opts_.stride,
-                     opts_.padding, OH, OW, dx);
-            }
-        });
-
-    float* dw_out = grad_sink(weight_).data();
-    for (int64_t chunk = 0; chunk < chunks; ++chunk) {
-      const float* dw = dw_chunk + chunk * wn;
-      for (int64_t i = 0; i < wn; ++i) dw_out[i] += dw[i];
-    }
-  }
-
-  if (opts_.bias) {
-    // The bias gradient always reduces the raw fp32 dY. Each db[c] is
-    // owned by one task and the inner n-then-i order is fixed, keeping
-    // the reduction deterministic for any pool size; totals below the
-    // small-work floor run inline (pool dispatch costs more than the
-    // reduction itself — see the train_step benches).
-    float* db = grad_sink(bias_).data();
-    const int64_t plane = OH * OW;
-    auto reduce = [&](int64_t c0, int64_t c1) {
-      for (int64_t c = c0; c < c1; ++c) {
-        float acc = 0.0f;
-        for (int64_t n = 0; n < N; ++n) {
-          const float* g =
-              grad_out.data() + ((n * opts_.out_channels + c) * plane);
-          for (int64_t i = 0; i < plane; ++i) acc += g[i];
-        }
-        db[c] += acc;
+  Tensor dx(x.shape());
+  accumulate_dw(weight_, x.dim(0), [&](float* dw, int64_t n0, int64_t n1) {
+    ScratchArena::Scope scope(ScratchArena::thread_local_arena());
+    float* stage = f32_stage(scope, opts_, x.shape());
+    float* dcols = scope.alloc_floats(static_cast<size_t>(krows * OH * OW));
+    for (int64_t n = n0; n < n1; ++n)
+      for (int64_t g = 0; g < G; ++g) {
+        const float* dyg =
+            dy.data() + ((n * opts_.out_channels + g * ocg) * OH * OW);
+        // dW_g [ocg, krows] += dY_g [ocg, OH*OW] * cols^T, colsᵀ packed
+        // straight from the padded image like forward's B.
+        gemm_conv(true, ocg, krows, OH * OW, 1.0f, dyg,
+                  f32_operand(opts_, x, n, g, stage), 1.0f,
+                  dw + g * ocg * krows);
+        // dcols [krows, OH*OW] = W_g^T [krows, ocg] * dY_g
+        gemm(true, false, krows, OH * OW, ocg, 1.0f,
+             weight_.value.data() + g * ocg * krows, dyg, 0.0f, dcols);
+        col2im(dcols, n, g * icg, icg, opts_.kernel, opts_.stride,
+               opts_.padding, OH, OW, dx);
       }
-    };
-    if (N * plane * opts_.out_channels < (1 << 16)) {
-      reduce(0, opts_.out_channels);
-    } else {
-      ThreadPool::global().parallel_for(
-          0, opts_.out_channels, reduce,
-          std::max<int64_t>(1, (1 << 14) / (N * plane)));
-    }
-  }
-
-  if (sharding_active()) {
-    shard_grad_range_.cur() = gr;
-  } else {
-    grad_range_.observe(gr.first, gr.second);
-  }
+  });
   return dx;
 }
 
-Tensor Conv2d::backward_int8(const Tensor& grad_out) {
-  const QuantizedActivation& qa = input_qa_.cur();
-  const bool from_qa = qa.valid();
-  const quant::QuantParams xq =
-      from_qa ? qa.params : input_codes_meta_.cur().params;
-  const uint8_t* xcodes =
-      from_qa ? qa.codes.data() : input_codes_.cur().data();
-  const Shape in_shape = from_qa ? qa.shape : input_.cur().shape();
-
-  const int64_t N = in_shape[0], H = in_shape[2], W = in_shape[3];
-  const int64_t OH = grad_out.dim(2), OW = grad_out.dim(3);
+Tensor Conv2d::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
+                             const quant::QuantParams& gq,
+                             const Shape& dy_shape) {
+  const quant::QuantParams& xq = x.params;
+  const int64_t N = x.shape[0], H = x.shape[2], W = x.shape[3];
+  const int64_t OH = dy_shape[2], OW = dy_shape[3];
   const int64_t G = opts_.groups;
   const int64_t icg = opts_.in_channels / G, ocg = opts_.out_channels / G;
   const int64_t krows = icg * opts_.kernel * opts_.kernel;
-  const quant::QuantizedTensor* wq = weight_.rep->quantized_view();
+  const quant::QuantizedTensor* wq = int8_weights();
   const uint8_t* wcodes = wq->codes_u8();
-
-  // dY codes on the EMA gradient grid (kGradSrBits wide: every code
-  // stays quad-eligible, see gemm.hpp), stochastically rounded on the
-  // Philox stream keyed by (step, layer) and indexed by batch-global
-  // element — shard s's first sample sits at shard_sample_offset(), so
-  // every decomposition draws the same bit for the same element.
-  const quant::QuantParams gq =
-      quant::choose_params(grad_range_.lo(), grad_range_.hi(), kGradSrBits);
-  const uint64_t key = sr_mix_key(fnv1a64(name_), sr_step());
-  const uint64_t base =
-      static_cast<uint64_t>(shard_sample_offset()) *
-      static_cast<uint64_t>(opts_.out_channels * OH * OW);
-  std::vector<uint8_t>& dyc = grad_codes_.cur();
-  dyc.resize(static_cast<size_t>(grad_out.numel()));
-  ThreadPool::global().parallel_for(
-      0, grad_out.numel(),
-      [&](int64_t e0, int64_t e1) {
-        quant::quantize_codes_u8_sr(grad_out.data() + e0, e1 - e0, gq, key,
-                                    base + static_cast<uint64_t>(e0),
-                                    dyc.data() + e0);
-      },
-      1 << 14);
 
   // dcols [krows, OH*OW] = Wq_gᵀ [krows, ocg] · dYq_g [ocg, OH*OW]: a
   // plain code-plane GEMM (dY is contiguous), keyed with the conv
@@ -845,7 +652,7 @@ Tensor Conv2d::backward_int8(const Tensor& grad_out) {
   // the byte im2col of the cached input codes (padding = the input
   // grid's zero-point, exactly like forward). colsᵀ is never built: the
   // GEMM packs it straight from each sample's padded code image through
-  // the transposed implicit operand (GemmS8ConvB with trans_b).
+  // the transposed implicit operand (ConvS8Operand; the plan's trans_b).
   GemmS8Params pw{gq.scale, xq.scale, static_cast<int32_t>(gq.zero_point),
                   static_cast<int32_t>(xq.zero_point)};
   pw.max_a = static_cast<int32_t>(quant::max_code(kGradSrBits));
@@ -853,26 +660,19 @@ Tensor Conv2d::backward_int8(const Tensor& grad_out) {
   const KernelPlan& plan_dw = plan_for(
       PlanKey::s8_grad_dw(ocg, krows, OH * OW, /*trans_a=*/false,
                           /*trans_b=*/true, pw.max_a, pw.max_b));
-  const auto pad_code = static_cast<uint8_t>(xq.zero_point);
+  const ConvS8Operand operand(plan_dw, icg, H, W, opts_.kernel,
+                              opts_.stride, opts_.padding,
+                              static_cast<uint8_t>(xq.zero_point));
 
-  Tensor dx(in_shape);
+  Tensor dx(x.shape);
 
-  // Same deterministic chunking as the fp32 backward: sample-derived
-  // chunk count, in-order per-chunk accumulation, chunk-ordered reduce.
   // Both gradient GEMMs are exact integer products (one float scale per
   // element), so the bits are also invariant to the GEMMs' own blocking.
-  // The chunk buffers and the transposed weight codes (shared by every
-  // sample's dcols GEMM — transposing once beats a strided pack-A gather
-  // per sample) live in the caller's scratch scope, so steady-state
-  // backwards allocate nothing.
-  constexpr int64_t kDwChunks = 16;
-  const int64_t chunks =
-      sharding_active() ? 1 : std::min<int64_t>(N, kDwChunks);
+  // The transposed weight codes (shared by every sample's dcols GEMM —
+  // transposing once beats a strided pack-A gather per sample) live in
+  // the caller's scratch scope, so steady-state backwards allocate
+  // nothing.
   ScratchArena::Scope outer(ScratchArena::thread_local_arena());
-  const int64_t wn = weight_.numel();
-  float* dw_chunk =
-      outer.alloc_floats(static_cast<size_t>(chunks * wn));
-  std::memset(dw_chunk, 0, static_cast<size_t>(chunks * wn) * sizeof(float));
   uint8_t* wt = static_cast<uint8_t*>(
       outer.alloc_bytes(static_cast<size_t>(G * krows * ocg)));
   for (int64_t g = 0; g < G; ++g) {
@@ -882,103 +682,64 @@ Tensor Conv2d::backward_int8(const Tensor& grad_out) {
       for (int64_t o = 0; o < ocg; ++o) wtg[r * ocg + o] = wg[o * krows + r];
   }
 
-  const int64_t PH = H + 2 * opts_.padding, PW = W + 2 * opts_.padding;
-  GemmS8ConvB cb_proto;
-  cb_proto.kernel = opts_.kernel;
-  cb_proto.stride = opts_.stride;
-  cb_proto.oh = OH;
-  cb_proto.ow = OW;
-  cb_proto.ph = PH;
-  cb_proto.pw = PW;
-
-  ThreadPool::global().parallel_for_chunked(
-      0, N, chunks, [&](int64_t chunk, int64_t n0, int64_t n1) {
-        float* dw = dw_chunk + chunk * wn;
-        ScratchArena::Scope scope(ScratchArena::thread_local_arena());
-        uint8_t* stage =
-            opts_.padding > 0 ? static_cast<uint8_t*>(scope.alloc_bytes(
-                                    static_cast<size_t>(icg * PH * PW)))
-                              : nullptr;
-        float* dcols =
-            scope.alloc_floats(static_cast<size_t>(krows * OH * OW));
-        float* dwg = scope.alloc_floats(static_cast<size_t>(ocg * krows));
-        GemmS8ConvB cb = cb_proto;
-        for (int64_t n = n0; n < n1; ++n)
-          for (int64_t g = 0; g < G; ++g) {
-            const uint8_t* dyg =
-                dyc.data() + (n * opts_.out_channels + g * ocg) * OH * OW;
-            GemmS8Args gc;
-            gc.a = wt + g * krows * ocg;
-            gc.b = dyg;
-            gc.params = pc;
-            gc.out = dcols;
-            gemm_s8_ex(plan_dcols, gc);
-            col2im(dcols, n, g * icg, icg, opts_.kernel, opts_.stride,
-                   opts_.padding, OH, OW, dx);
-            const uint8_t* plane =
-                xcodes + (n * opts_.in_channels + g * icg) * H * W;
-            if (stage != nullptr) {
-              stage_padded_u8(plane, icg, H, W, opts_.padding, pad_code,
-                              stage, /*pooled=*/false);
-              plane = stage;
-            }
-            cb.padded = plane;
-            // gemm_s8 overwrites: stage in dwg, accumulate in order.
-            GemmS8Args gw;
-            gw.a = dyg;
-            gw.conv_b = &cb;
-            gw.params = pw;
-            gw.out = dwg;
-            gemm_s8_ex(plan_dw, gw);
-            float* acc = dw + g * ocg * krows;
-            for (int64_t i = 0; i < ocg * krows; ++i) acc[i] += dwg[i];
-          }
-      });
-
-  float* dw_out = grad_sink(weight_).data();
-  for (int64_t chunk = 0; chunk < chunks; ++chunk) {
-    const float* dw = dw_chunk + chunk * wn;
-    for (int64_t i = 0; i < wn; ++i) dw_out[i] += dw[i];
-  }
+  accumulate_dw(weight_, N, [&](float* dw, int64_t n0, int64_t n1) {
+    ScratchArena::Scope scope(ScratchArena::thread_local_arena());
+    uint8_t* stage = operand.alloc_stage(scope);
+    float* dcols = scope.alloc_floats(static_cast<size_t>(krows * OH * OW));
+    float* dwg = scope.alloc_floats(static_cast<size_t>(ocg * krows));
+    for (int64_t n = n0; n < n1; ++n)
+      for (int64_t g = 0; g < G; ++g) {
+        const uint8_t* dyg =
+            dy + (n * opts_.out_channels + g * ocg) * OH * OW;
+        GemmS8Args gc;
+        gc.a = wt + g * krows * ocg;
+        gc.b = dyg;
+        gc.params = pc;
+        gc.out = dcols;
+        gemm_s8_ex(plan_dcols, gc);
+        col2im(dcols, n, g * icg, icg, opts_.kernel, opts_.stride,
+               opts_.padding, OH, OW, dx);
+        // gemm_s8 overwrites: stage in dwg, accumulate in order.
+        GemmS8ConvB cb;
+        GemmS8Args gw;
+        gw.a = dyg;
+        gw.params = pw;
+        gw.out = dwg;
+        operand.bind(x.codes.data() + (n * opts_.in_channels + g * icg) * H * W,
+                     stage, /*pooled=*/false, cb, gw);
+        gemm_s8_ex(plan_dw, gw);
+        float* acc = dw + g * ocg * krows;
+        for (int64_t i = 0; i < ocg * krows; ++i) acc[i] += dwg[i];
+      }
+  });
   return dx;
 }
 
-std::vector<Tensor> Conv2d::forward_sharded(const std::vector<Tensor>& xs,
-                                            bool training) {
-  return forward_flow_sharded(xs, nullptr, training, false, nullptr);
-}
-
-std::vector<Tensor> Conv2d::backward_sharded(
-    const std::vector<Tensor>& grads_out) {
-  std::vector<Tensor> dxs = Layer::backward_sharded(grads_out);
-  if (sharding_active()) {
-    grad_range_.observe_merged(static_cast<int>(grads_out.size()),
-                               [&](int s) { return shard_grad_range_.at(s); });
+void Conv2d::backward_bias(const Tensor& dy) {
+  // Each db[c] is owned by one task and the inner n-then-i order is
+  // fixed, keeping the reduction deterministic for any pool size; totals
+  // below the small-work floor run inline (pool dispatch costs more than
+  // the reduction itself — see the train_step benches).
+  const int64_t N = dy.dim(0);
+  const int64_t plane = dy.dim(2) * dy.dim(3);
+  float* db = grad_sink(bias_).data();
+  auto reduce = [&](int64_t c0, int64_t c1) {
+    for (int64_t c = c0; c < c1; ++c) {
+      float acc = 0.0f;
+      for (int64_t n = 0; n < N; ++n) {
+        const float* g = dy.data() + ((n * opts_.out_channels + c) * plane);
+        for (int64_t i = 0; i < plane; ++i) acc += g[i];
+      }
+      db[c] += acc;
+    }
+  };
+  if (N * plane * opts_.out_channels < (1 << 16)) {
+    reduce(0, opts_.out_channels);
+  } else {
+    ThreadPool::global().parallel_for(
+        0, opts_.out_channels, reduce,
+        std::max<int64_t>(1, (1 << 14) / (N * plane)));
   }
-  return dxs;
-}
-
-std::vector<Tensor> Conv2d::forward_flow_sharded(
-    const std::vector<Tensor>& xs, const std::vector<QuantizedActivation>* qxs,
-    bool training, bool want_codes, std::vector<QuantizedActivation>* qys) {
-  const int shards = static_cast<int>(xs.size());
-  std::vector<Tensor> ys =
-      flow_shard_each(xs, qxs, training, want_codes, qys);
-  if (training && sharding_active()) {
-    act_range_.observe_merged(shards,
-                              [&](int s) { return shard_range_.at(s); });
-    // NaN slots (shards that did not run the epilogue) skip the whole
-    // observation — engagement is uniform across shards.
-    out_range_.observe_merged(shards,
-                              [&](int s) { return shard_out_range_.at(s); });
-  }
-  return ys;
-}
-
-std::vector<Parameter*> Conv2d::parameters() {
-  std::vector<Parameter*> ps{&weight_};
-  if (opts_.bias) ps.push_back(&bias_);
-  return ps;
 }
 
 }  // namespace apt::nn

@@ -1,8 +1,6 @@
 #include "nn/linear.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "base/arena.hpp"
 #include "base/thread_pool.hpp"
@@ -15,90 +13,24 @@ namespace apt::nn {
 
 Linear::Linear(std::string name, int64_t in_features, int64_t out_features,
                Rng& rng, bool bias)
-    : name_(std::move(name)),
+    : GemmLayer(std::move(name), Shape{out_features, in_features},
+                out_features, bias),
       in_(in_features),
-      out_(out_features),
-      has_bias_(bias),
-      weight_(name_ + ".weight", Shape{out_features, in_features}),
-      bias_(name_ + ".bias", Shape{out_features}, /*decay=*/false) {
+      out_(out_features) {
   he_normal(weight_.value, in_, rng);
 }
 
-bool Linear::accepts_codes() const {
-  const quant::QuantizedTensor* wq =
-      weight_.rep ? weight_.rep->quantized_view() : nullptr;
-  return gemm_int8_forward_enabled() && wq != nullptr && wq->bits() <= 8;
-}
-
-Tensor Linear::forward(const Tensor& x, bool training) {
-  return forward_flow(x, nullptr, training, false, nullptr);
-}
-
-Tensor Linear::forward_flow(const Tensor& x, const QuantizedActivation* qx,
-                            bool training, bool want_codes,
-                            QuantizedActivation* qy) {
-  if (qy != nullptr) qy->reset();
-  const bool has_qx = qx != nullptr && qx->valid();
-  const Shape& in_shape = has_qx ? qx->shape : x.shape();
+void Linear::check_input(const Shape& in_shape) {
   APT_CHECK(in_shape.rank() == 2 && in_shape[1] == in_)
       << name_ << ": bad input " << in_shape.str();
+}
 
-  Telemetry& tl = telem_.cur();
-  tl = {};
-  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
-  if (sharding_active()) shard_out_range_.cur() = {kNaN, kNaN};
-
-  if (training) {
-    const std::pair<float, float> in_range =
-        has_qx ? qx->value_range() : x.minmax();
-    input_codes_.cur().n = 0;  // forward_int8 refills when it quantises
-    if (has_qx) {
-      input_qa_.cur() = *qx;  // backward dequantises on demand
-      input_.cur() = Tensor();
-    } else {
-      input_.cur() = x;  // shallow share; batches are freshly allocated
-      input_qa_.cur().reset();
-    }
-    if (sharding_active()) {
-      // Record raw extrema; forward_flow_sharded merges them in shard
-      // order into act_range_ once per batch (so the EMA sees merged
-      // batch statistics, never per-shard ones, in a deterministic
-      // order).
-      shard_range_.cur() = in_range;
-    } else {
-      act_range_.observe(in_range.first, in_range.second);
-    }
-  }
-
-  // Integer path: weight codes stay packed (no dequantised multiply) and
-  // the input is quantised onto the tracked 8-bit activation grid — or
-  // arrives as codes outright. The weight's float view equals S(q - Z)
-  // exactly, so this differs from the fp32 path only by activation
-  // rounding and exact-vs-float accumulation order.
-  const quant::QuantizedTensor* wq =
-      weight_.rep ? weight_.rep->quantized_view() : nullptr;
-  const bool int8_path = gemm_int8_forward_enabled() && wq != nullptr &&
-                         wq->bits() <= 8 &&
-                         (has_qx || act_range_.initialized());
-  tl.int8_path = int8_path;
-  if (int8_path) {
-    tl.consumed = has_qx;
-    const bool emit =
-        want_codes && qy != nullptr && out_range_.initialized();
-    tl.emitted = emit;
-    return forward_int8(x, has_qx ? qx : nullptr, training, emit, qy);
-  }
-
-  Tensor xin = has_qx ? qx->dequantize() : x;
-  if (training && has_qx) {
-    input_.cur() = xin;
-    input_qa_.cur().reset();
-  }
-  const int64_t n = in_shape[0];
+Tensor Linear::forward_fp32(const Tensor& x) {
+  const int64_t n = x.dim(0);
   Tensor y(Shape{n, out_});
   // y[N,out] = x[N,in] * W^T[in,out]
-  gemm(false, true, n, out_, in_, 1.0f, xin.data(), weight_.value.data(),
-       0.0f, y.data());
+  gemm(false, true, n, out_, in_, 1.0f, x.data(), weight_.value.data(), 0.0f,
+       y.data());
 
   if (has_bias_) {
     // Rows are independent; batch them through the pool with a grain that
@@ -117,53 +49,25 @@ Tensor Linear::forward_flow(const Tensor& x, const QuantizedActivation* qx,
   return y;
 }
 
-Tensor Linear::forward_int8(const Tensor& x, const QuantizedActivation* qx,
-                            bool training, bool emit,
-                            QuantizedActivation* qy) {
-  const Shape& in_shape = qx != nullptr ? qx->shape : x.shape();
-  const int64_t n = in_shape[0];
-  const quant::QuantizedTensor* wq = weight_.rep->quantized_view();
+Tensor Linear::forward_int8(const uint8_t* x, const quant::QuantParams& xq,
+                            const Shape& x_shape, QuantizedActivation* qy,
+                            std::pair<float, float>* observed) {
+  const int64_t n = x_shape[0];
+  const quant::QuantizedTensor* wq = int8_weights();
 
-  quant::QuantParams aq;
-  const uint8_t* xcodes;
-  ScratchArena::Scope scope(ScratchArena::thread_local_arena());
-  if (qx != nullptr) {
-    aq = qx->params;
-    xcodes = qx->codes.data();
-  } else if (training) {
-    // Quantise into the persistent per-shard buffer: backward's dW GEMM
-    // consumes these exact codes (DESIGN.md §14), so they must outlive
-    // the forward's scratch scope. Steady-state: no reallocation.
-    aq = quant::choose_params(act_range_.lo(), act_range_.hi(), 8);
-    InputCodes& ic = input_codes_.cur();
-    ic.buf.resize(static_cast<size_t>(x.numel()));
-    quant::quantize_codes_u8(x.data(), x.numel(), aq, ic.buf.data());
-    ic.params = aq;
-    ic.n = n;
-    xcodes = ic.buf.data();
-  } else {
-    aq = quant::choose_params(act_range_.lo(), act_range_.hi(), 8);
-    auto* buf = static_cast<uint8_t*>(
-        scope.alloc_bytes(static_cast<size_t>(x.numel())));
-    quant::quantize_codes_u8(x.data(), x.numel(), aq, buf);
-    xcodes = buf;
-  }
-
-  GemmS8Params qp{aq.scale, wq->params().scale,
-                  static_cast<int32_t>(aq.zero_point),
+  GemmS8Params qp{xq.scale, wq->params().scale,
+                  static_cast<int32_t>(xq.zero_point),
                   static_cast<int32_t>(wq->params().zero_point)};
   // Declaring the weight grid's code ceiling lets <= 6-bit layers take
   // the saturation-free vpmaddubsw fast path.
   qp.max_b = static_cast<int32_t>(quant::max_code(wq->bits()));
 
   // One plan per (batch, layer shape, weight ceiling); a cache hit after
-  // the first forward, surfaced in telemetry for the plan tests.
-  bool plan_hit = false;
+  // the first forward.
   const KernelPlan& plan = plan_for(
       PlanKey::s8(n, out_, in_, /*trans_a=*/false, /*trans_b=*/true,
                   /*max_a=*/255, qp.max_b),
-      &plan_hit);
-  telem_.cur().plan_hit = plan_hit;
+      plan_hit());
 
   // Fused epilogue: output channels are C's columns in this layout
   // (y = Xq * Wq^T), bias folded into the final tile store, exact
@@ -171,135 +75,48 @@ Tensor Linear::forward_int8(const Tensor& x, const QuantizedActivation* qx,
   GemmS8Epilogue epi;
   epi.channel_is_row = false;
   epi.bias = has_bias_ ? bias_.value.data() : nullptr;
-  float obs_lo = 0.0f, obs_hi = 0.0f;
-  epi.observe_lo = &obs_lo;
-  epi.observe_hi = &obs_hi;
+  epi.observe_lo = &observed->first;
+  epi.observe_hi = &observed->second;
 
   GemmS8Args ga;
-  ga.a = xcodes;
+  ga.a = x;
   ga.b = wq->codes_u8();
   ga.params = qp;
   ga.epilogue = &epi;
   Tensor y;
-  if (emit) {
-    const quant::QuantParams oq =
-        quant::choose_params(out_range_.lo(), out_range_.hi(), 8);
+  if (qy != nullptr) {
     qy->codes.resize(static_cast<size_t>(n * out_));
-    qy->params = oq;
     qy->shape = Shape{n, out_};
-    epi.out_scale = oq.scale;
-    epi.out_zero = static_cast<int32_t>(oq.zero_point);
-    epi.out_max = static_cast<int32_t>(quant::max_code(oq.bits));
+    epi.out_scale = qy->params.scale;
+    epi.out_zero = static_cast<int32_t>(qy->params.zero_point);
+    epi.out_max = static_cast<int32_t>(quant::max_code(qy->params.bits));
     ga.out_codes = qy->codes.data();
   } else {
     y = Tensor(Shape{n, out_});
     ga.out = y.data();
   }
   gemm_s8_ex(plan, ga);
-
-  if (training) {
-    if (sharding_active()) {
-      shard_out_range_.cur() = {obs_lo, obs_hi};
-    } else {
-      out_range_.observe(obs_lo, obs_hi);
-    }
-  }
-  if (emit) return Tensor();
   return y;
 }
 
-Tensor Linear::backward(const Tensor& grad_out) {
-  const int64_t n = grad_out.dim(0);
-  // Raw dY extrema for the gradient tracker. The EMA itself is fed at a
-  // serial point — directly below when not sharding, else merged in
-  // shard order by backward_sharded — and always AFTER the quantiser
-  // read the previous state, so the gradient grid lags one step and
-  // per-shard backwards need no mid-pass synchronisation.
-  const std::pair<float, float> gr = grad_out.minmax();
-
-  const quant::QuantizedTensor* wq =
-      weight_.rep ? weight_.rep->quantized_view() : nullptr;
-  const bool have_codes =
-      input_qa_.cur().valid() || input_codes_.cur().n > 0;
-  const bool int8_bwd = gemm_int8_backward_enabled() && wq != nullptr &&
-                        wq->bits() <= 8 && grad_range_.initialized() &&
-                        have_codes;
-  telem_.cur().int8_bwd = int8_bwd;
-
-  Tensor dx;
-  if (int8_bwd) {
-    dx = backward_int8(grad_out);
-  } else {
-    Tensor xbuf;
-    const Tensor* xp = &input_.cur();
-    if (!xp->defined() || xp->numel() == 0) {
-      const QuantizedActivation& qa = input_qa_.cur();
-      APT_CHECK(qa.valid()) << name_ << ": backward before forward";
-      xbuf = qa.dequantize();
-      xp = &xbuf;
-    }
-    const Tensor& input = *xp;
-    // dW[out,in] += dY^T[out,N] * X[N,in]
-    gemm(true, false, out_, in_, n, 1.0f, grad_out.data(), input.data(),
-         1.0f, grad_sink(weight_).data());
-    // dX[N,in] = dY[N,out] * W[out,in]
-    dx = Tensor(Shape{n, in_});
-    gemm(false, false, n, in_, out_, 1.0f, grad_out.data(),
-         weight_.value.data(), 0.0f, dx.data());
-  }
-
-  if (has_bias_) {
-    // The bias gradient always reduces the raw fp32 dY (quantising it
-    // would add noise for no kernel win — it is O(N·out) work). Each
-    // feature j is owned by one task and accumulated in a fixed sample
-    // order, so the reduction is deterministic for any pool size.
-    float* db = grad_sink(bias_).data();
-    ThreadPool::global().parallel_for(
-        0, out_,
-        [&](int64_t j0, int64_t j1) {
-          for (int64_t j = j0; j < j1; ++j) {
-            float acc = 0.0f;
-            for (int64_t i = 0; i < n; ++i)
-              acc += grad_out.data()[i * out_ + j];
-            db[j] += acc;
-          }
-        },
-        std::max<int64_t>(1, (1 << 14) / std::max<int64_t>(1, n)));
-  }
-
-  if (sharding_active()) {
-    shard_grad_range_.cur() = gr;
-  } else {
-    grad_range_.observe(gr.first, gr.second);
-  }
+Tensor Linear::backward_fp32(const Tensor& x, const Tensor& dy) {
+  const int64_t n = dy.dim(0);
+  // dW[out,in] += dY^T[out,N] * X[N,in]
+  gemm(true, false, out_, in_, n, 1.0f, dy.data(), x.data(), 1.0f,
+       grad_sink(weight_).data());
+  // dX[N,in] = dY[N,out] * W[out,in]
+  Tensor dx(Shape{n, in_});
+  gemm(false, false, n, in_, out_, 1.0f, dy.data(), weight_.value.data(),
+       0.0f, dx.data());
   return dx;
 }
 
-Tensor Linear::backward_int8(const Tensor& grad_out) {
-  const int64_t n = grad_out.dim(0);
-  const quant::QuantizedTensor* wq = weight_.rep->quantized_view();
-
-  // dY codes on the EMA gradient grid (kGradSrBits wide: every code
-  // stays quad-eligible, see gemm.hpp), stochastically rounded on the
-  // Philox stream keyed by (step, layer) and indexed by batch-global
-  // element — shard s's first sample sits at shard_sample_offset(), so
-  // every decomposition draws the same bit for the same element.
-  const quant::QuantParams gq =
-      quant::choose_params(grad_range_.lo(), grad_range_.hi(), kGradSrBits);
-  const uint64_t key = sr_mix_key(fnv1a64(name_), sr_step());
-  const uint64_t base = static_cast<uint64_t>(shard_sample_offset()) *
-                        static_cast<uint64_t>(out_);
-  std::vector<uint8_t>& dyc = grad_codes_.cur();
-  dyc.resize(static_cast<size_t>(n * out_));
-  quant::quantize_codes_u8_sr(grad_out.data(), n * out_, gq, key, base,
-                              dyc.data());
-
-  // Input codes from the forward: either the consumed QuantizedActivation
-  // or the quantise-on-entry buffer forward_int8 filled.
-  const QuantizedActivation& qa = input_qa_.cur();
-  const InputCodes& ic = input_codes_.cur();
-  const uint8_t* xcodes = qa.valid() ? qa.codes.data() : ic.buf.data();
-  const quant::QuantParams xq = qa.valid() ? qa.params : ic.params;
+Tensor Linear::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
+                             const quant::QuantParams& gq,
+                             const Shape& dy_shape) {
+  const int64_t n = dy_shape[0];
+  const quant::QuantizedTensor* wq = int8_weights();
+  const quant::QuantParams& xq = x.params;
 
   // dW[out,in] += dYq^T[out,N] · Xq[N,in] — exact integer product of the
   // two code planes (zero-point corrections from the packing sums), one
@@ -310,16 +127,14 @@ Tensor Linear::backward_int8(const Tensor& grad_out) {
                   static_cast<int32_t>(xq.zero_point)};
   pw.max_a = static_cast<int32_t>(quant::max_code(kGradSrBits));
   pw.max_b = static_cast<int32_t>(quant::max_code(xq.bits));
-  bool hit = false;
   const KernelPlan& plan_dw = plan_for(
       PlanKey::s8_grad_dw(out_, in_, n, /*trans_a=*/true, /*trans_b=*/false,
-                          pw.max_a, pw.max_b),
-      &hit);
+                          pw.max_a, pw.max_b));
   ScratchArena::Scope scope(ScratchArena::thread_local_arena());
   float* dw = scope.alloc_floats(static_cast<size_t>(out_ * in_));
   GemmS8Args gw;
-  gw.a = dyc.data();
-  gw.b = xcodes;
+  gw.a = dy;
+  gw.b = x.codes.data();
   gw.params = pw;
   gw.out = dw;
   gemm_s8_ex(plan_dw, gw);
@@ -343,11 +158,10 @@ Tensor Linear::backward_int8(const Tensor& grad_out) {
   px.max_b = static_cast<int32_t>(quant::max_code(wq->bits()));
   const KernelPlan& plan_dx = plan_for(
       PlanKey::s8_grad_dx(n, in_, out_, /*trans_a=*/false,
-                          /*trans_b=*/false, px.max_a, px.max_b),
-      &hit);
+                          /*trans_b=*/false, px.max_a, px.max_b));
   Tensor dx(Shape{n, in_});
   GemmS8Args gx;
-  gx.a = dyc.data();
+  gx.a = dy;
   gx.b = wq->codes_u8();
   gx.params = px;
   gx.out = dx.data();
@@ -355,40 +169,21 @@ Tensor Linear::backward_int8(const Tensor& grad_out) {
   return dx;
 }
 
-std::vector<Tensor> Linear::forward_sharded(const std::vector<Tensor>& xs,
-                                            bool training) {
-  return forward_flow_sharded(xs, nullptr, training, false, nullptr);
-}
-
-std::vector<Tensor> Linear::backward_sharded(
-    const std::vector<Tensor>& grads_out) {
-  std::vector<Tensor> dxs = Layer::backward_sharded(grads_out);
-  if (sharding_active()) {
-    grad_range_.observe_merged(static_cast<int>(grads_out.size()),
-                               [&](int s) { return shard_grad_range_.at(s); });
-  }
-  return dxs;
-}
-
-std::vector<Tensor> Linear::forward_flow_sharded(
-    const std::vector<Tensor>& xs, const std::vector<QuantizedActivation>* qxs,
-    bool training, bool want_codes, std::vector<QuantizedActivation>* qys) {
-  const int shards = static_cast<int>(xs.size());
-  std::vector<Tensor> ys =
-      flow_shard_each(xs, qxs, training, want_codes, qys);
-  if (training && sharding_active()) {
-    act_range_.observe_merged(shards,
-                              [&](int s) { return shard_range_.at(s); });
-    out_range_.observe_merged(shards,
-                              [&](int s) { return shard_out_range_.at(s); });
-  }
-  return ys;
-}
-
-std::vector<Parameter*> Linear::parameters() {
-  std::vector<Parameter*> ps{&weight_};
-  if (has_bias_) ps.push_back(&bias_);
-  return ps;
+void Linear::backward_bias(const Tensor& dy) {
+  // Each feature j is owned by one task and accumulated in a fixed
+  // sample order, so the reduction is deterministic for any pool size.
+  const int64_t n = dy.dim(0);
+  float* db = grad_sink(bias_).data();
+  ThreadPool::global().parallel_for(
+      0, out_,
+      [&](int64_t j0, int64_t j1) {
+        for (int64_t j = j0; j < j1; ++j) {
+          float acc = 0.0f;
+          for (int64_t i = 0; i < n; ++i) acc += dy.data()[i * out_ + j];
+          db[j] += acc;
+        }
+      },
+      std::max<int64_t>(1, (1 << 14) / std::max<int64_t>(1, n)));
 }
 
 }  // namespace apt::nn

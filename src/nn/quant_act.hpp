@@ -16,29 +16,19 @@ namespace apt::nn {
 class QuantAct : public Layer {
  public:
   QuantAct(std::string name, int bits = 8, double range_momentum = 0.95)
-      : name_(std::move(name)), bits_(bits), tracker_(range_momentum) {}
+      : name_(std::move(name)), bits_(bits), range_(range_momentum) {}
 
   void set_bits(int bits) { bits_ = bits; }
   int bits() const { return bits_; }
-  const quant::RangeTracker& tracker() const { return tracker_; }
+  const quant::RangeTracker& tracker() const { return range_.tracker(); }
 
   Tensor forward(const Tensor& x, bool training) override {
     if (bits_ >= 32) return x;
-    if (training) {
-      if (sharding_active()) {
-        // Concurrent shard tasks must not touch the EMA tracker (a data
-        // race, and the result would depend on shard interleaving).
-        // Record raw extrema per shard; forward_sharded merges them in
-        // shard order at the layer boundary — a serial point — so every
-        // shard quantises on the same session-entry grid and results
-        // are bit-identical for any worker count.
-        shard_range_.cur() = x.minmax();
-      } else {
-        tracker_.observe(x);
-      }
-    }
-    if (!tracker_.initialized()) return x;
-    const float lo = tracker_.lo(), hi = tracker_.hi();
+    // Inside a shard session every shard quantises on the same
+    // session-entry grid; forward_sharded merges the shards' extrema.
+    if (training) range_.record(x.minmax());
+    if (!range_.initialized()) return x;
+    const float lo = range_.lo(), hi = range_.hi();
     if (training) mask_.cur() = quant::ste_mask(x, lo, hi, bits_);
     return quant::fake_quantize(x, lo, hi, bits_);
   }
@@ -48,16 +38,11 @@ class QuantAct : public Layer {
     return grad_out * mask_.cur();
   }
 
-  /// Default per-shard pass, then one merged range observation (min/max
-  /// over the shards' extrema, reduced in shard order) — the same
-  /// boundary-merge idiom Linear/Conv2d use for their trackers.
+  /// Default per-shard pass, then one merged range observation.
   std::vector<Tensor> forward_sharded(const std::vector<Tensor>& xs,
                                       bool training) override {
     std::vector<Tensor> ys = Layer::forward_sharded(xs, training);
-    if (bits_ < 32 && training && sharding_active()) {
-      tracker_.observe_merged(static_cast<int>(xs.size()),
-                              [&](int s) { return shard_range_.at(s); });
-    }
+    if (bits_ < 32 && training) range_.merge(static_cast<int>(xs.size()));
     return ys;
   }
 
@@ -95,10 +80,7 @@ class QuantAct : public Layer {
  private:
   std::string name_;
   int bits_;
-  quant::RangeTracker tracker_;
-  // Raw per-shard [min, max] of the input, merged into the tracker at
-  // the layer boundary by forward_sharded (see forward).
-  PerShard<std::pair<float, float>> shard_range_;
+  ShardedRange range_;  // EMA range of the input
   // STE saturation mask, one slot per shard: concurrent shard forwards
   // each cache their own mask for the matching backward.
   PerShard<Tensor> mask_;

@@ -19,9 +19,12 @@
 
 #include <atomic>
 #include <functional>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "base/check.hpp"
+#include "quant/fake_quant.hpp"
 
 namespace apt::nn {
 
@@ -78,7 +81,7 @@ inline int64_t shard_sample_offset() {
 /// Serving contract (DESIGN.md §15): threads running *evaluation-mode*
 /// forwards outside any ShardSession may each bind a distinct slot in
 /// [0, kMaxShards) to make a shared model's PerShard eval scratch
-/// (pool argmax, conv input codes, telemetry) race-free without touching
+/// (pool argmax, GEMM-layer telemetry) race-free without touching
 /// the session globals — ShardScope is purely thread-local and never
 /// writes g_shard_count / g_worker_cap / g_sample_grain.
 class ShardScope {
@@ -134,6 +137,8 @@ template <typename T>
 class PerShard {
  public:
   PerShard() : slots_(static_cast<size_t>(kMaxShards)) {}
+  explicit PerShard(const T& init)
+      : slots_(static_cast<size_t>(kMaxShards), init) {}
 
   /// The calling thread's slot (slot 0 outside a shard session).
   T& cur() { return slots_[static_cast<size_t>(current_shard())]; }
@@ -144,6 +149,49 @@ class PerShard {
 
  private:
   std::vector<T> slots_;
+};
+
+/// An EMA RangeTracker fed from shard-parallel code. Concurrent shard
+/// tasks must not touch the EMA (a data race, and the result would
+/// depend on shard interleaving), so inside a shard session `record`
+/// only writes the calling shard's raw [lo, hi] slot and `merge` — run
+/// at the layer boundary, a serial point — folds the slots in shard
+/// order into ONE observation. The tracker therefore sees merged batch
+/// statistics in a fixed order, bit-identical for any worker count.
+/// Outside a session `record` observes directly and `merge` is a no-op.
+class ShardedRange {
+ public:
+  explicit ShardedRange(double momentum = 0.95)
+      : tracker_(momentum), slots_(kUnset) {}
+
+  void record(std::pair<float, float> range) {
+    if (sharding_active()) {
+      slots_.cur() = range;
+    } else {
+      tracker_.observe(range.first, range.second);
+    }
+  }
+
+  /// Folds slots [0, shards) and marks them unset again. A shard that
+  /// recorded nothing this pass (NaN slot) skips the whole observation —
+  /// engagement is uniform across shards.
+  void merge(int shards) {
+    if (!sharding_active()) return;
+    tracker_.observe_merged(shards, [&](int s) { return slots_.at(s); });
+    for (int s = 0; s < shards; ++s) slots_.at(s) = kUnset;
+  }
+
+  const quant::RangeTracker& tracker() const { return tracker_; }
+  bool initialized() const { return tracker_.initialized(); }
+  float lo() const { return tracker_.lo(); }
+  float hi() const { return tracker_.hi(); }
+
+ private:
+  static constexpr std::pair<float, float> kUnset{
+      std::numeric_limits<float>::quiet_NaN(),
+      std::numeric_limits<float>::quiet_NaN()};
+  quant::RangeTracker tracker_;
+  PerShard<std::pair<float, float>> slots_;
 };
 
 /// Runs fn(s) for every shard s in [0, shards). With a worker cap of 1

@@ -210,8 +210,7 @@ int32_t lower_sequential(Builder& b, nn::Sequential& seq, int32_t in_reg) {
     nn::Layer* l = layers[i].get();
     nn::BatchNorm* bn = nullptr;
     nn::ReLU* relu = nullptr;
-    const bool fusable = dynamic_cast<nn::Conv2d*>(l) != nullptr ||
-                         dynamic_cast<nn::Linear*>(l) != nullptr;
+    const bool fusable = dynamic_cast<nn::GemmLayer*>(l) != nullptr;
     size_t next = i + 1;
     if (fusable) {
       if (next < layers.size())
@@ -384,41 +383,18 @@ void exec_conv(const CompiledOp& op, int64_t batch, InferenceContext& ctx,
   qp.max_a = op.w_max;
 
   const nn::KernelPlan& plan = op.plans.front();
-  const bool direct = plan.strategy == nn::PlanStrategy::kS8ConvDirect;
-  const int64_t PH = op.h + 2 * op.padding, PW = op.w + 2 * op.padding;
-  const bool staged = !direct && op.padding > 0;
-  uint8_t* stage =
-      staged ? static_cast<uint8_t*>(scope.alloc_bytes(
-                   static_cast<size_t>(icg * PH * PW)))
-             : nullptr;
+  const nn::ConvS8Operand operand(plan, icg, op.h, op.w, op.kernel,
+                                  op.stride, op.padding, pad_code);
+  uint8_t* stage = operand.alloc_stage(scope);
 
   for (int64_t n = 0; n < batch; ++n) {
     for (int64_t g = 0; g < G; ++g) {
       nn::GemmS8ConvB cb;
-      cb.kernel = op.kernel;
-      cb.stride = op.stride;
-      cb.oh = op.oh;
-      cb.ow = op.ow;
-      const uint8_t* plane =
-          codes + (n * op.c + g * icg) * op.h * op.w;
       nn::GemmS8Args ga;
       ga.a = op.wcodes.data() + g * ocg * krows;
       ga.params = qp;
-      if (direct) {
-        ga.b = plane;
-      } else if (!staged) {
-        cb.padded = plane;
-        cb.ph = op.h;
-        cb.pw = op.w;
-        ga.conv_b = &cb;
-      } else {
-        nn::stage_padded_u8(plane, icg, op.h, op.w, op.padding, pad_code,
-                            stage, /*pooled=*/false);
-        cb.padded = stage;
-        cb.ph = PH;
-        cb.pw = PW;
-        ga.conv_b = &cb;
-      }
+      operand.bind(codes + (n * op.c + g * icg) * op.h * op.w, stage,
+                   /*pooled=*/false, cb, ga);
       nn::GemmS8Epilogue epi;
       epi.channel_is_row = true;
       epi.scale = op.ch_scale.empty() ? nullptr

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "backend_guard.hpp"
@@ -64,30 +65,112 @@ float max_abs(const Tensor& t) {
   return m;
 }
 
-TEST(LinearInt8Bwd, EngagesFromSecondBackwardOnly) {
-  Rng rng(1);
-  Linear lin("fc", 16, 8, rng);
-  attach_weight_grid(lin.weight(), 6);
-  Tensor x = random_tensor(Shape{4, 16}, rng);
-  Tensor dy = random_tensor(Shape{4, 8}, rng);
+// The int8-gating and cache claims below hold for every GemmLayer: one
+// typed suite runs them on a Conv2d and a Linear.
+template <typename L>
+struct GemmCase;
+
+template <>
+struct GemmCase<Linear> {
+  static std::unique_ptr<Linear> make(uint64_t seed) {
+    Rng rng(seed);
+    return std::make_unique<Linear>("fc", 16, 8, rng);
+  }
+  static Shape input(int64_t n) { return Shape{n, 16}; }
+  static Shape output(int64_t n) { return Shape{n, 8}; }
+};
+
+template <>
+struct GemmCase<Conv2d> {
+  static std::unique_ptr<Conv2d> make(uint64_t seed) {
+    Conv2dOptions o;
+    o.in_channels = 3;
+    o.out_channels = 4;
+    o.kernel = 3;
+    o.padding = 1;
+    o.bias = true;
+    Rng rng(seed);
+    return std::make_unique<Conv2d>("conv", o, rng);
+  }
+  static Shape input(int64_t n) { return Shape{n, 3, 6, 6}; }
+  static Shape output(int64_t n) { return Shape{n, 4, 6, 6}; }
+};
+
+template <typename L>
+class GemmLayerInt8Bwd : public ::testing::Test {};
+using GemmLayerTypes = ::testing::Types<Conv2d, Linear>;
+TYPED_TEST_SUITE(GemmLayerInt8Bwd, GemmLayerTypes);
+
+TYPED_TEST(GemmLayerInt8Bwd, EngagesFromSecondBackwardOnly) {
+  using Case = GemmCase<TypeParam>;
+  auto layer = Case::make(1);
+  attach_weight_grid(layer->weight(), 6);
+  Rng rng(2);
+  Tensor x = random_tensor(Case::input(4), rng);
+  Tensor dy = random_tensor(Case::output(4), rng);
 
   BackendGuard guard(GemmBackend::kInt8);
-  lin.forward(x, true);
-  lin.backward(dy);
+  layer->forward(x, true);
+  layer->backward(dy);
   // First backward: the gradient tracker was uninitialised when the
   // quantiser would have read it — fp32 fallback, range observed.
-  EXPECT_FALSE(lin.last_backward_was_int8());
-  EXPECT_TRUE(lin.gradient_range().initialized());
+  EXPECT_FALSE(layer->last_backward_was_int8());
+  EXPECT_TRUE(layer->gradient_range().initialized());
 
-  lin.forward(x, true);
-  lin.backward(dy);
-  EXPECT_TRUE(lin.last_backward_was_int8());
+  layer->forward(x, true);
+  layer->backward(dy);
+  EXPECT_TRUE(layer->last_backward_was_int8());
 
   // Backward honours the backend switch even with the tracker primed.
   BackendGuard fp32(GemmBackend::kPacked);
-  lin.forward(x, true);
-  lin.backward(dy);
-  EXPECT_FALSE(lin.last_backward_was_int8());
+  layer->forward(x, true);
+  layer->backward(dy);
+  EXPECT_FALSE(layer->last_backward_was_int8());
+}
+
+// An evaluation forward between a training forward and its backward
+// (a mid-epoch accuracy probe) must not change the gradient: the int8
+// backward reads the training forward's input codes, never the eval
+// pass's. Two identical layers, one with an eval forward in between,
+// must produce bit-identical dX, dW and db.
+TYPED_TEST(GemmLayerInt8Bwd, EvalForwardBetweenForwardAndBackward) {
+  using Case = GemmCase<TypeParam>;
+  auto a = Case::make(3);
+  auto b = Case::make(3);
+  attach_weight_grid(a->weight(), 8);
+  attach_weight_grid(b->weight(), 8);
+  Rng rng(4);
+  Tensor x = random_tensor(Case::input(4), rng);
+  Tensor x_eval = random_tensor(Case::input(8), rng, 3.0f);
+  Tensor dy = random_tensor(Case::output(4), rng, 0.5f);
+
+  BackendGuard g8(GemmBackend::kInt8);
+  // Prime both: the first backward runs fp32 and observes the dY range.
+  for (auto* l : {a.get(), b.get()}) {
+    l->forward(x, true);
+    l->backward(dy);
+    zero_grads(*l);
+  }
+
+  a->forward(x, true);
+  a->forward(x_eval, false);
+  ASSERT_TRUE(a->last_forward_was_int8());
+  const Tensor dx_a = a->backward(dy);
+  b->forward(x, true);
+  const Tensor dx_b = b->backward(dy);
+  ASSERT_TRUE(a->last_backward_was_int8());
+  ASSERT_TRUE(b->last_backward_was_int8());
+
+  EXPECT_EQ(0, std::memcmp(dx_a.data(), dx_b.data(),
+                           sizeof(float) * static_cast<size_t>(dx_a.numel())));
+  const auto pa = a->parameters();
+  const auto pb = b->parameters();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (size_t i = 0; i < pa.size(); ++i)
+    EXPECT_EQ(0, std::memcmp(pa[i]->grad.data(), pb[i]->grad.data(),
+                             sizeof(float) *
+                                 static_cast<size_t>(pa[i]->numel())))
+        << pa[i]->name;
 }
 
 TEST(LinearInt8Bwd, MatchesFp32WithinQuantBound) {

@@ -244,8 +244,9 @@ TEST(ReLUCodes, CapClampsToGridFloorAndMasksLikeFp32) {
   for (int64_t i = 0; i < 256; ++i) {
     ASSERT_LE(deq_out[i], cap) << i;
     ASSERT_GE(deq_out[i], 0.0f) << i;
-    if (deq_in[i] <= cap && deq_in[i] >= 0.0f)
+    if (deq_in[i] <= cap && deq_in[i] >= 0.0f) {
       ASSERT_EQ(deq_in[i], deq_out[i]) << i;  // interior untouched
+    }
     largest = std::max(largest, deq_out[i]);
   }
   // The cap lands on the grid point at or just below it.
