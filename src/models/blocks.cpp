@@ -58,24 +58,11 @@ BasicBlock::BasicBlock(std::string name, int64_t in_ch, int64_t out_ch,
 }
 
 Tensor BasicBlock::forward(const Tensor& x, bool training) {
-  Tensor h = relu1_.forward(bn1_.forward(conv1_.forward(x, training), training),
-                            training);
-  Tensor main = bn2_.forward(conv2_.forward(h, training), training);
-  Tensor shortcut =
-      short_conv_ ? short_bn_->forward(short_conv_->forward(x, training),
-                                       training)
-                  : x;
-  return relu2_.forward(main + shortcut, training);
+  return forward_sharded({x}, training)[0];
 }
 
 Tensor BasicBlock::backward(const Tensor& grad_out) {
-  Tensor g = relu2_.backward(grad_out);  // splits into both branches
-  Tensor g_main = conv1_.backward(
-      bn1_.backward(relu1_.backward(conv2_.backward(bn2_.backward(g)))));
-  Tensor g_short = short_conv_
-                       ? short_conv_->backward(short_bn_->backward(g))
-                       : g;
-  return g_main + g_short;
+  return backward_sharded({grad_out})[0];
 }
 
 std::vector<Tensor> BasicBlock::forward_sharded(const std::vector<Tensor>& xs,
@@ -158,25 +145,11 @@ InvertedResidual::InvertedResidual(std::string name, int64_t in_ch,
 }
 
 Tensor InvertedResidual::forward(const Tensor& x, bool training) {
-  Tensor h = x;
-  if (expand_conv_) {
-    h = expand_relu_->forward(
-        expand_bn_->forward(expand_conv_->forward(h, training), training),
-        training);
-  }
-  h = dw_relu_.forward(dw_bn_.forward(dw_conv_.forward(h, training), training),
-                       training);
-  h = project_bn_.forward(project_conv_.forward(h, training), training);
-  return use_residual_ ? h + x : h;
+  return forward_sharded({x}, training)[0];
 }
 
 Tensor InvertedResidual::backward(const Tensor& grad_out) {
-  Tensor g = project_conv_.backward(project_bn_.backward(grad_out));
-  g = dw_conv_.backward(dw_bn_.backward(dw_relu_.backward(g)));
-  if (expand_conv_)
-    g = expand_conv_->backward(expand_bn_->backward(expand_relu_->backward(g)));
-  if (use_residual_) g += grad_out;
-  return g;
+  return backward_sharded({grad_out})[0];
 }
 
 std::vector<Tensor> InvertedResidual::forward_sharded(

@@ -1,8 +1,10 @@
 // Composite blocks: ResNet BasicBlock and MobileNetV2 InvertedResidual.
 //
 // Blocks are Layers that own their sub-layers and orchestrate the branch
-// topology (shortcut add) in their own forward/backward, so every backbone
-// remains a plain Sequential at the top level.
+// topology (shortcut add), so every backbone remains a plain Sequential
+// at the top level. Only the sharded passes are written out: the branch
+// topology stays on the coordinator while the sub-layers run their own
+// sharded passes, and `forward`/`backward` are the one-shard case.
 #pragma once
 
 #include <memory>
@@ -24,9 +26,6 @@ class BasicBlock : public nn::Layer {
 
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
-  /// Mirrors forward/backward with per-shard tensor vectors so the
-  /// branch topology (shortcut add) stays on the coordinator while the
-  /// sub-layers run their own sharded passes.
   std::vector<Tensor> forward_sharded(const std::vector<Tensor>& xs,
                                       bool training) override;
   std::vector<Tensor> backward_sharded(

@@ -150,18 +150,40 @@ BatchNorm::BatchNorm(std::string name, int64_t channels, double momentum,
 }
 
 Tensor BatchNorm::forward(const Tensor& x, bool training) {
-  const Dims d = dims_of(x, channels_, name_);
-  const int64_t m = d.n * d.spatial;  // elements per channel
-  APT_CHECK(!training || m > 1) << name_ << ": batch too small for BN stats";
+  return forward_sharded({x}, training)[0];
+}
 
+Tensor BatchNorm::backward(const Tensor& grad_out) {
+  return backward_sharded({grad_out})[0];
+}
+
+std::vector<Tensor> BatchNorm::forward_sharded(const std::vector<Tensor>& xs,
+                                               bool training) {
+  const int shards = static_cast<int>(xs.size());
   Tensor mean(Shape{channels_}), inv_std(Shape{channels_});
   if (training) {
-    std::vector<double>& sums = stat_sums_.cur();
-    channel_sums(x, d, &sums);
+    // Pass 1: every shard publishes its per-channel Σx / Σx² (doubles,
+    // sample order within the shard).
+    shard_parallel(shards, [&](int s) {
+      const Tensor& x = xs[static_cast<size_t>(s)];
+      const Dims d = dims_of(x, channels_, name_);
+      shard_m_.at(s) = d.n * d.spatial;
+      channel_sums(x, d, &stat_sums_.at(s));
+    });
+
+    // Serial point: reduce in shard order to whole-batch statistics; the
+    // running estimates update once, from the merged values.
+    int64_t m = 0;
+    for (int s = 0; s < shards; ++s) m += shard_m_.at(s);
+    APT_CHECK(m > 1) << name_ << ": batch too small for BN stats";
     for (int64_t c = 0; c < channels_; ++c) {
-      const double mu = sums[static_cast<size_t>(c)] / m;
-      const double var = std::max(
-          0.0, sums[static_cast<size_t>(channels_ + c)] / m - mu * mu);
+      double sum = 0.0, sq = 0.0;
+      for (int s = 0; s < shards; ++s) {
+        sum += stat_sums_.at(s)[static_cast<size_t>(c)];
+        sq += stat_sums_.at(s)[static_cast<size_t>(channels_ + c)];
+      }
+      const double mu = sum / static_cast<double>(m);
+      const double var = std::max(0.0, sq / static_cast<double>(m) - mu * mu);
       mean[c] = static_cast<float>(mu);
       inv_std[c] = static_cast<float>(1.0 / std::sqrt(var + eps_));
       running_mean_[c] = static_cast<float>(momentum_ * running_mean_[c] +
@@ -169,6 +191,8 @@ Tensor BatchNorm::forward(const Tensor& x, bool training) {
       running_var_[c] = static_cast<float>(momentum_ * running_var_[c] +
                                            (1.0 - momentum_) * var);
     }
+    batch_mean_ = mean;
+    batch_inv_std_ = inv_std;
   } else {
     for (int64_t c = 0; c < channels_; ++c) {
       mean[c] = running_mean_[c];
@@ -177,140 +201,37 @@ Tensor BatchNorm::forward(const Tensor& x, bool training) {
     }
   }
 
-  Tensor y(x.shape());
-  Tensor x_hat(x.shape());
-  for (int64_t c = 0; c < channels_; ++c) {
-    const float mu = mean[c], is = inv_std[c];
-    const float g = gamma_.value[c], b = beta_.value[c];
-    for (int64_t n = 0; n < d.n; ++n) {
-      const int64_t base = (n * channels_ + c) * d.spatial;
-      const float* px = x.data() + base;
-      float* ph = x_hat.data() + base;
-      float* py = y.data() + base;
-      for (int64_t i = 0; i < d.spatial; ++i) {
-        ph[i] = (px[i] - mu) * is;
-        py[i] = g * ph[i] + b;
-      }
-    }
-  }
-
-  if (training) {
-    input_.cur() = x;
-    batch_mean_ = mean;
-    batch_inv_std_ = inv_std;
-    x_hat_.cur() = x_hat;
-  }
-  return y;
-}
-
-std::vector<Tensor> BatchNorm::forward_sharded(const std::vector<Tensor>& xs,
-                                               bool training) {
-  if (!training || !sharding_active())
-    return Layer::forward_sharded(xs, training);
-
-  const int shards = static_cast<int>(xs.size());
-
-  // Pass 1: every shard publishes its per-channel Σx / Σx² (doubles,
-  // sample order within the shard).
-  shard_parallel(shards, [&](int s) {
-    const Tensor& x = xs[static_cast<size_t>(s)];
-    const Dims d = dims_of(x, channels_, name_);
-    shard_m_.at(s) = d.n * d.spatial;
-    channel_sums(x, d, &stat_sums_.at(s));
-  });
-
-  // Serial point: reduce in shard order to whole-batch statistics; the
-  // running estimates update once, from the merged values.
-  int64_t m = 0;
-  for (int s = 0; s < shards; ++s) m += shard_m_.at(s);
-  APT_CHECK(m > 1) << name_ << ": batch too small for BN stats";
-  Tensor mean(Shape{channels_}), inv_std(Shape{channels_});
-  for (int64_t c = 0; c < channels_; ++c) {
-    double sum = 0.0, sq = 0.0;
-    for (int s = 0; s < shards; ++s) {
-      sum += stat_sums_.at(s)[static_cast<size_t>(c)];
-      sq += stat_sums_.at(s)[static_cast<size_t>(channels_ + c)];
-    }
-    const double mu = sum / static_cast<double>(m);
-    const double var = std::max(0.0, sq / static_cast<double>(m) - mu * mu);
-    mean[c] = static_cast<float>(mu);
-    inv_std[c] = static_cast<float>(1.0 / std::sqrt(var + eps_));
-    running_mean_[c] = static_cast<float>(momentum_ * running_mean_[c] +
-                                          (1.0 - momentum_) * mu);
-    running_var_[c] = static_cast<float>(momentum_ * running_var_[c] +
-                                         (1.0 - momentum_) * var);
-  }
-  batch_mean_ = mean;
-  batch_inv_std_ = inv_std;
-
-  // Pass 2: normalise every shard against the merged statistics.
+  // Pass 2: normalise every shard against the merged (or running)
+  // statistics. Only training keeps x̂, for backward.
   std::vector<Tensor> ys(xs.size());
   shard_parallel(shards, [&](int s) {
     const Tensor& x = xs[static_cast<size_t>(s)];
     const Dims d = dims_of(x, channels_, name_);
     Tensor y(x.shape());
-    Tensor x_hat(x.shape());
+    Tensor x_hat = training ? Tensor(x.shape()) : Tensor();
     for (int64_t c = 0; c < channels_; ++c) {
       const float mu = mean[c], is = inv_std[c];
       const float g = gamma_.value[c], b = beta_.value[c];
       for (int64_t n = 0; n < d.n; ++n) {
         const int64_t base = (n * channels_ + c) * d.spatial;
         const float* px = x.data() + base;
-        float* ph = x_hat.data() + base;
+        float* ph = training ? x_hat.data() + base : nullptr;
         float* py = y.data() + base;
         for (int64_t i = 0; i < d.spatial; ++i) {
-          ph[i] = (px[i] - mu) * is;
-          py[i] = g * ph[i] + b;
+          const float h = (px[i] - mu) * is;
+          if (ph != nullptr) ph[i] = h;
+          py[i] = g * h + b;
         }
       }
     }
-    input_.at(s) = x;
-    x_hat_.at(s) = x_hat;
+    if (training) x_hat_.at(s) = std::move(x_hat);
     ys[static_cast<size_t>(s)] = std::move(y);
   });
   return ys;
 }
 
-Tensor BatchNorm::backward(const Tensor& grad_out) {
-  const Tensor& x_hat = x_hat_.cur();
-  APT_CHECK(x_hat.defined() && x_hat.numel() > 0)
-      << name_ << ": backward before forward(training=true)";
-  const Dims d = dims_of(grad_out, channels_, name_);
-  const int64_t m = d.n * d.spatial;
-
-  Tensor dx(grad_out.shape());
-  float* dgamma_out = grad_sink(gamma_).data();
-  float* dbeta_out = grad_sink(beta_).data();
-  std::vector<double>& sums = grad_sums_.cur();
-  channel_grad_sums(grad_out, x_hat, d, &sums);
-  for (int64_t c = 0; c < channels_; ++c) {
-    const double dgamma = sums[static_cast<size_t>(c)];
-    const double dbeta = sums[static_cast<size_t>(channels_ + c)];
-    dgamma_out[c] += static_cast<float>(dgamma);
-    dbeta_out[c] += static_cast<float>(dbeta);
-
-    // dx = γ·inv_std/m · (m·dY − Σ dY − x̂ · Σ(dY·x̂))
-    const float scale =
-        gamma_.value[c] * batch_inv_std_[c] / static_cast<float>(m);
-    for (int64_t n = 0; n < d.n; ++n) {
-      const int64_t base = (n * channels_ + c) * d.spatial;
-      const float* pdy = grad_out.data() + base;
-      const float* ph = x_hat.data() + base;
-      float* pdx = dx.data() + base;
-      for (int64_t i = 0; i < d.spatial; ++i) {
-        pdx[i] = scale * (static_cast<float>(m) * pdy[i] -
-                          static_cast<float>(dbeta) -
-                          ph[i] * static_cast<float>(dgamma));
-      }
-    }
-  }
-  return dx;
-}
-
 std::vector<Tensor> BatchNorm::backward_sharded(
     const std::vector<Tensor>& grads_out) {
-  if (!sharding_active()) return Layer::backward_sharded(grads_out);
-
   const int shards = static_cast<int>(grads_out.size());
 
   // Pass 1: per-shard partial Σ(dY·x̂) and Σ dY per channel. These are
@@ -320,7 +241,7 @@ std::vector<Tensor> BatchNorm::backward_sharded(
     const Dims d = dims_of(dy, channels_, name_);
     const Tensor& x_hat = x_hat_.at(s);
     APT_CHECK(x_hat.defined() && x_hat.numel() == dy.numel())
-        << name_ << ": sharded backward before forward(training=true)";
+        << name_ << ": backward before forward(training=true)";
     channel_grad_sums(dy, x_hat, d, &grad_sums_.at(s));
   });
 
@@ -342,7 +263,8 @@ std::vector<Tensor> BatchNorm::backward_sharded(
     beta_.grad[c] += static_cast<float>(dbeta_total[static_cast<size_t>(c)]);
   }
 
-  // Pass 2: dx per shard against the whole-batch terms.
+  // Pass 2: dx per shard against the whole-batch terms:
+  // dx = γ·inv_std/m · (m·dY − Σ dY − x̂ · Σ(dY·x̂)).
   std::vector<Tensor> dxs(grads_out.size());
   shard_parallel(shards, [&](int s) {
     const Tensor& dy = grads_out[static_cast<size_t>(s)];

@@ -4,14 +4,16 @@
 // evaluation. γ/β are learnable Parameters (and therefore participate in
 // APT's per-layer precision adaptation like any other learnable tensor).
 //
-// Under the data-parallel step the layer overrides the sharded entry
-// points with a two-pass reduction: every shard first publishes its
-// per-channel sum / sum-of-squares (backward: ∂γ/∂β partial sums), the
-// coordinator reduces them in shard order to the whole-batch statistics,
-// and a second parallel pass normalises (backward: forms dx) against the
-// merged values. Statistics therefore always describe the full minibatch
-// — never a shard — and the shard-ordered reduction keeps results
-// bit-identical for any worker count.
+// The layer has one implementation, the sharded one; `forward`/`backward`
+// are its one-shard case. A training forward is a two-pass reduction:
+// every shard first publishes its per-channel sum / sum-of-squares
+// (backward: ∂γ/∂β partial sums), the coordinator reduces them in shard
+// order to the whole-batch statistics, and a second parallel pass
+// normalises (backward: forms dx) against the merged values. Statistics
+// therefore always describe the full minibatch — never a shard — and the
+// shard-ordered reduction keeps results bit-identical for any worker
+// count. An evaluation forward normalises against the running estimates
+// and writes no cache.
 #pragma once
 
 #include <vector>
@@ -45,8 +47,8 @@ class BatchNorm : public Layer {
   double eps() const { return eps_; }
   /// Test hook: overwrite running statistics.
   void set_running_stats(const Tensor& mean, const Tensor& var);
-  /// Batch statistics of the last training forward (whole-batch values in
-  /// sharded mode). Exposed for the sharded-statistics tests.
+  /// Whole-batch statistics of the last training forward. Exposed for the
+  /// sharded-statistics tests.
   const Tensor& batch_mean() const { return batch_mean_; }
   const Tensor& batch_inv_std() const { return batch_inv_std_; }
 
@@ -57,10 +59,9 @@ class BatchNorm : public Layer {
   Parameter gamma_, beta_;
   Tensor running_mean_, running_var_;
 
-  // Saved by forward(training=true) for backward. Input and x̂ are cached
-  // per shard; the batch statistics are whole-batch values shared by all
-  // shards (written only at serial points).
-  PerShard<Tensor> input_;
+  // Saved by forward(training=true) for backward: x̂ per shard, and the
+  // batch statistics as whole-batch values shared by all shards (written
+  // only at serial points).
   PerShard<Tensor> x_hat_;
   Tensor batch_mean_, batch_inv_std_;
 

@@ -11,9 +11,15 @@
 // output as a `QuantizedActivation` — raw u8 codes plus the affine grid
 // they live on — straight to an int8-eligible consumer, eliminating the
 // fp32 materialise/re-quantise round-trip between quantised layers.
-// Containers drive the handoff through `forward_flow`; layers that know
-// nothing about codes inherit defaults that dequantise on demand, so
-// the dataflow is always safe to attempt.
+// Containers drive the handoff through `forward_flow_sharded`; layers
+// that know nothing about codes inherit defaults that dequantise on
+// demand, so the dataflow is always safe to attempt.
+//
+// Containers (Sequential, the residual blocks) and BatchNorm implement
+// only the sharded passes; their `forward`/`backward` are the one-shard
+// call `forward_sharded({x}, t)[0]` / `backward_sharded({g})[0]`. Leaves
+// without cross-shard state implement the per-shard `forward`/`backward`
+// and inherit sharded defaults that run them under each ShardScope.
 #pragma once
 
 #include <cstdint>
@@ -72,13 +78,15 @@ class Layer {
   virtual bool accepts_codes() const { return false; }
   virtual bool codes_transparent() const { return false; }
 
-  /// Code-flow forward. When `qx` is non-null and valid it carries the
-  /// input instead of `x` (which may then be undefined). When
-  /// `want_codes` is set AND the layer can oblige, it fills `*qy` with
-  /// its output codes and may return an undefined Tensor; otherwise it
-  /// returns the fp32 output as usual and leaves `*qy` reset. The
-  /// default dequantises a code input and delegates to `forward` —
-  /// correct for every layer, never emits.
+  /// Per-shard code-flow forward, the body code-aware leaves implement.
+  /// When `qx` is non-null and valid it carries the input instead of `x`
+  /// (which may then be undefined). When `want_codes` is set AND the
+  /// layer can oblige, it fills `*qy` with its output codes and may
+  /// return an undefined Tensor; otherwise it returns the fp32 output as
+  /// usual and leaves `*qy` reset. The default dequantises a code input
+  /// and delegates to `forward` — correct for every layer, never emits.
+  /// Containers do not override it: they chain codes only through
+  /// `forward_flow_sharded`.
   virtual Tensor forward_flow(const Tensor& x, const QuantizedActivation* qx,
                               bool training, bool want_codes,
                               QuantizedActivation* qy);
@@ -92,15 +100,17 @@ class Layer {
       const std::vector<QuantizedActivation>* qxs, bool training,
       bool want_codes, std::vector<QuantizedActivation>* qys);
 
-  /// Data-parallel step entry points: `xs[s]` holds shard s's slice of the
-  /// minibatch. The default implementations run `forward`/`backward` for
-  /// every shard under its ShardScope via shard_parallel (see
-  /// nn/shard.hpp), which is correct for any layer whose training caches
-  /// and gradient accumulation are shard-slotted. Layers that need a
-  /// cross-shard reduction mid-pass (BatchNorm's batch statistics) and
-  /// containers that chain children override these; the chaining happens
-  /// on the coordinator thread, so every layer boundary is a
-  /// synchronisation point and reductions there see all shards.
+  /// Data-parallel entry points: `xs[s]` holds shard s's slice of the
+  /// minibatch, and a one-element vector is an unsharded pass. The
+  /// default implementations run `forward`/`backward` for every shard
+  /// under its ShardScope via shard_parallel (see nn/shard.hpp), which is
+  /// correct for any layer whose training caches and gradient
+  /// accumulation are shard-slotted. Layers that need a cross-shard
+  /// reduction mid-pass (BatchNorm's batch statistics) and containers
+  /// that chain children override these as their only implementation;
+  /// the chaining happens on the coordinator thread, so every layer
+  /// boundary is a synchronisation point and reductions there see all
+  /// shards.
   virtual std::vector<Tensor> forward_sharded(const std::vector<Tensor>& xs,
                                               bool training);
   virtual std::vector<Tensor> backward_sharded(

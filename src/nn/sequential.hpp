@@ -23,15 +23,21 @@ class Sequential : public Layer {
 
   void append(LayerPtr layer) { layers_.push_back(std::move(layer)); }
 
+  // One implementation, the sharded one; the unsharded passes are its
+  // one-shard case. Children chain on the calling (coordinator) thread;
+  // each child call is a synchronisation point, which is what lets
+  // BatchNorm reduce whole-batch statistics mid-network.
   Tensor forward(const Tensor& x, bool training) override {
-    return forward_flow(x, nullptr, training, false, nullptr);
+    return forward_sharded({x}, training)[0];
   }
 
   Tensor backward(const Tensor& grad_out) override {
-    Tensor g = grad_out;
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-      g = (*it)->backward(g);
-    return g;
+    return backward_sharded({grad_out})[0];
+  }
+
+  std::vector<Tensor> forward_sharded(const std::vector<Tensor>& xs,
+                                      bool training) override {
+    return forward_flow_sharded(xs, nullptr, training, false, nullptr);
   }
 
   /// The container does the code-passing (DESIGN.md §11): each child is
@@ -39,53 +45,6 @@ class Sequential : public Layer {
   /// them, with transparent layers (ReLU) forwarding the demand. A
   /// child that cannot oblige simply returns fp32 and the chain resumes
   /// at the next opportunity — the plan is advisory, never load-bearing.
-  Tensor forward_flow(const Tensor& x, const QuantizedActivation* qx,
-                      bool training, bool want_codes,
-                      QuantizedActivation* qy) override {
-    if (qy != nullptr) qy->reset();
-    const std::vector<uint8_t> want = plan_code_flow(want_codes);
-    Tensor h = x;
-    QuantizedActivation qcur;
-    const QuantizedActivation* qin =
-        qx != nullptr && qx->valid() ? qx : nullptr;
-    for (size_t i = 0; i < layers_.size(); ++i) {
-      Layer& l = *layers_[i];
-      if (qin != nullptr && !l.accepts_codes()) {
-        h = qin->dequantize();  // safety net; the plan avoids this
-        qin = nullptr;
-      }
-      QuantizedActivation qout;
-      h = l.forward_flow(h, qin, training, want[i] != 0, &qout);
-      if (qout.valid()) {
-        qcur = std::move(qout);
-        qin = &qcur;
-      } else {
-        qin = nullptr;
-      }
-    }
-    if (qin != nullptr) {
-      if (want_codes && qy != nullptr) {
-        // qin aliases qcur unless the input passed through untouched.
-        if (qin == &qcur) {
-          *qy = std::move(qcur);
-        } else {
-          *qy = *qin;
-        }
-        return Tensor();
-      }
-      return qin->dequantize();
-    }
-    return h;
-  }
-
-  // Sharded passes chain the children on the calling (coordinator)
-  // thread; each child call is a synchronisation point, which is what
-  // lets BatchNorm reduce whole-batch statistics mid-network.
-  std::vector<Tensor> forward_sharded(const std::vector<Tensor>& xs,
-                                      bool training) override {
-    return forward_flow_sharded(xs, nullptr, training, false, nullptr);
-  }
-
   std::vector<Tensor> forward_flow_sharded(
       const std::vector<Tensor>& xs,
       const std::vector<QuantizedActivation>* qxs, bool training,

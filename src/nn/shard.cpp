@@ -11,8 +11,15 @@ void shard_parallel(int shards, const std::function<void(int)>& fn) {
   APT_CHECK(shards >= 1 && shards <= shard_count())
       << "shard_parallel over " << shards << " shards in a "
       << shard_count() << "-shard session";
+  if (shards == 1) {
+    // An unsharded pass: the calling thread keeps its own ShardScope, so
+    // a serving thread's eval-scratch slot (DESIGN.md §15) holds through
+    // every layer.
+    fn(0);
+    return;
+  }
   const int cap = shard_detail::g_worker_cap.load(std::memory_order_relaxed);
-  if (cap <= 1 || shards == 1) {
+  if (cap <= 1) {
     // Serial reference path: same shards, same order, no pool involved.
     for (int s = 0; s < shards; ++s) {
       ShardScope scope(s);

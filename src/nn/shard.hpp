@@ -12,9 +12,9 @@
 //
 // Layers learn which shard they are computing for through a thread-local
 // shard id set by `ShardScope`; per-shard training caches live in
-// `PerShard<T>` slots indexed by it. Outside a shard session everything
-// runs on slot 0, so layers used standalone (tests, evaluation, benches)
-// behave exactly as before.
+// `PerShard<T>` slots indexed by it. Outside a shard session a pass is
+// the one-shard case and runs on the calling thread's slot: 0, unless a
+// serving thread bound another with ShardScope (DESIGN.md §15).
 #pragma once
 
 #include <atomic>
@@ -194,8 +194,10 @@ class ShardedRange {
   PerShard<std::pair<float, float>> slots_;
 };
 
-/// Runs fn(s) for every shard s in [0, shards). With a worker cap of 1
-/// (or one shard) this is a plain in-order loop on the calling thread —
+/// Runs fn(s) for every shard s in [0, shards), each under its
+/// ShardScope. One shard runs fn(0) on the calling thread without
+/// rebinding its ShardScope (an unsharded pass is this case). With a
+/// worker cap of 1 it is a plain in-order loop on the calling thread —
 /// the serial reference path. Otherwise shards are split into at most
 /// `cap` contiguous chunk tasks on the global pool; each task still
 /// visits its shards in ascending order. Chunking never affects results:

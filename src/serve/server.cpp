@@ -142,15 +142,15 @@ Server::Stats Server::stats() const {
 }
 
 void Server::complete(Request* req, StatusCode code) {
-  {
-    std::lock_guard<std::mutex> lock(req->mu);
-    if (code != StatusCode::kOk)
-      req->status = {code, "request expired before a worker reached it"};
-    req->done = true;
-  }
+  std::lock_guard<std::mutex> lock(req->mu);
+  if (code != StatusCode::kOk)
+    req->status = {code, "request expired before a worker reached it"};
+  req->done = true;
+  // Notify while holding req->mu: `req` lives on the caller's stack, and
+  // the caller can only observe done (and destroy the Request, its
+  // condition variable included) once this lock is released, so the
+  // unlock is the last touch.
   req->cv.notify_one();
-  // `req` lives on the caller's stack and may be destroyed the moment
-  // done was observed — no touches past this point.
 }
 
 void Server::worker_loop(int worker) {

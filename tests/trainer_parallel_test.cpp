@@ -5,14 +5,20 @@
 
 #include <cstring>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "backend_guard.hpp"
+#include "core/grid_representation.hpp"
 #include "data/loader.hpp"
 #include "data/spiral.hpp"
 #include "models/zoo.hpp"
 #include "nn/batchnorm.hpp"
+#include "nn/gemm_layer.hpp"
 #include "nn/shard.hpp"
 #include "nn/softmax_xent.hpp"
+#include "train/sgd.hpp"
 #include "train/sharded_step.hpp"
 #include "train/trainer.hpp"
 
@@ -122,38 +128,129 @@ TEST(ShardedTrainer, OddBatchSizesBitIdentical) {
 
 // ------------------------------------------------- single-shard == legacy
 
+// One model of SingleShardMatchesPlainBackward: a factory (called twice
+// with equal seeds, so both copies start identical) and its input batch.
+struct SingleShardModel {
+  const char* name;
+  std::unique_ptr<nn::Sequential> (*make)(Rng&);
+  Shape input;
+};
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.numel())) == 0;
+}
+
+// A one-shard ShardedStep is the plain forward/backward to the bit: every
+// parameter gradient, the loss, and the eval forward of the two models
+// after each update agree, for fp32 and for 8-bit grids on the int8
+// backend (whose integer backward engages from the second step).
 TEST(ShardedStepEngine, SingleShardMatchesPlainBackward) {
-  Rng rng(3);
-  auto model = models::make_mlp(2, {16}, 3, rng);
-  Rng rng2(3);
-  auto reference = models::make_mlp(2, {16}, 3, rng2);
+  constexpr int64_t kBatch = 12;
+  constexpr int kSteps = 3;
+  const SingleShardModel cases[] = {
+      {"mlp", [](Rng& r) { return models::make_mlp(2, {16}, 3, r); },
+       Shape{kBatch, 2}},
+      {"resnet",
+       [](Rng& r) {
+         return models::make_resnet(
+             {.n = 1, .base_width = 8, .num_classes = 3}, r);
+       },
+       Shape{kBatch, 3, 8, 8}},
+      {"mobilenet_v2",
+       [](Rng& r) {
+         return models::make_mobilenet_v2(
+             {.width_mult = 0.25, .num_classes = 3, .depth_mult = 0.34}, r);
+       },
+       Shape{kBatch, 3, 8, 8}},
+  };
+  for (const SingleShardModel& c : cases) {
+    for (const bool int8 : {false, true}) {
+      SCOPED_TRACE(std::string(c.name) + (int8 ? " int8" : " fp32"));
+      nn::BackendGuard backend(int8 ? nn::GemmBackend::kInt8
+                                    : nn::GemmBackend::kPacked);
+      Rng rng(3);
+      auto model = c.make(rng);
+      Rng rng2(3);
+      auto reference = c.make(rng2);
+      if (int8) {
+        core::GridOptions go;
+        go.bits = 8;
+        core::attach_grid(*model, go);
+        core::attach_grid(*reference, go);
+      }
+      Sgd model_opt(model->parameters(), {});
+      Sgd reference_opt(reference->parameters(), {});
 
-  data::Batch batch;
-  batch.inputs = Tensor(Shape{12, 2});
-  Rng data_rng(9);
-  data_rng.fill_normal(batch.inputs, 0, 1);
-  for (int64_t i = 0; i < 12; ++i)
-    batch.labels.push_back(static_cast<int32_t>(i % 3));
+      data::Batch batch;
+      batch.inputs = Tensor(c.input);
+      Rng data_rng(9);
+      data_rng.fill_normal(batch.inputs, 0, 1);
+      for (int64_t i = 0; i < kBatch; ++i)
+        batch.labels.push_back(static_cast<int32_t>(i % 3));
 
-  // grain >= batch: one shard, which must take the legacy path exactly.
-  ShardedStep engine(*model, {.num_workers = 0, .shard_grain = 64});
-  EXPECT_EQ(1, engine.shards_for(12));
-  const ShardedStep::Result res = engine.run(batch);
+      // grain >= batch: one shard, which must take the legacy path exactly.
+      ShardedStep engine(*model, {.num_workers = 0, .shard_grain = 64});
+      ASSERT_EQ(1, engine.shards_for(kBatch));
+      for (int step = 0; step < kSteps; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        model_opt.zero_grad();
+        reference_opt.zero_grad();
+        // The engine advances the stochastic-rounding step; the plain
+        // backward right after it draws from the same stream.
+        const ShardedStep::Result res = engine.run(batch);
 
-  nn::SoftmaxCrossEntropy loss;
-  const Tensor logits = reference->forward(batch.inputs, /*training=*/true);
-  const float ref_loss = loss.forward(logits, batch.labels);
-  reference->backward(loss.backward());
+        nn::SoftmaxCrossEntropy loss;
+        const Tensor logits =
+            reference->forward(batch.inputs, /*training=*/true);
+        const float ref_loss = loss.forward(logits, batch.labels);
+        reference->backward(loss.backward());
 
-  EXPECT_EQ(static_cast<double>(ref_loss), res.mean_loss);
-  auto mp = model->parameters();
-  auto rp = reference->parameters();
-  ASSERT_EQ(mp.size(), rp.size());
-  for (size_t i = 0; i < mp.size(); ++i)
-    ASSERT_EQ(0, std::memcmp(mp[i]->grad.data(), rp[i]->grad.data(),
-                             sizeof(float) * static_cast<size_t>(
-                                 mp[i]->numel())))
-        << "gradient mismatch for " << mp[i]->name;
+        EXPECT_EQ(static_cast<double>(ref_loss), res.mean_loss);
+        auto mp = model->parameters();
+        auto rp = reference->parameters();
+        ASSERT_EQ(mp.size(), rp.size());
+        for (size_t i = 0; i < mp.size(); ++i)
+          ASSERT_TRUE(same_bits(mp[i]->grad, rp[i]->grad))
+              << "gradient mismatch for " << mp[i]->name;
+        if (int8 && step > 0) {
+          bool int8_backward = false;
+          for (nn::Layer* l : nn::leaves_of(*model))
+            if (const auto* g = dynamic_cast<const nn::GemmLayer*>(l))
+              int8_backward |= g->last_backward_was_int8();
+          EXPECT_TRUE(int8_backward) << "the int8 backward never engaged";
+        }
+
+        model_opt.step(0.05);
+        reference_opt.step(0.05);
+        ASSERT_TRUE(same_bits(model->forward(batch.inputs, false),
+                              reference->forward(batch.inputs, false)))
+            << "eval forward mismatch";
+      }
+    }
+  }
+}
+
+// Outside a session, one shard runs on the calling thread under the
+// caller's own ShardScope: a serving thread's eval-scratch slot survives
+// every unsharded layer call.
+TEST(ShardParallel, OneShardKeepsCallerScope) {
+  ASSERT_EQ(nn::shard_count(), 1);
+  nn::ShardScope scope(5);
+  int calls = 0, seen_index = -1, seen_shard = -1;
+  std::thread::id seen_thread;
+  nn::shard_parallel(1, [&](int s) {
+    ++calls;
+    seen_index = s;
+    seen_shard = nn::current_shard();
+    seen_thread = std::this_thread::get_id();
+  });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(seen_index, 0);
+  EXPECT_EQ(seen_shard, 5) << "shard_parallel rebound the caller's scope";
+  EXPECT_EQ(seen_thread, std::this_thread::get_id());
+  EXPECT_EQ(nn::current_shard(), 5);
 }
 
 TEST(ShardedStepEngine, ShardCountIsPureFunctionOfBatchAndGrain) {
