@@ -37,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/cpu.hpp"
 #include "base/rng.hpp"
 #include "base/thread_pool.hpp"
 #include "core/grid_representation.hpp"
@@ -679,6 +680,8 @@ void write_json(const Config& cfg, const std::vector<BenchResult>& results,
       << ",\n";
   out << "  \"avx2_fma\": "
       << (apt::nn::gemm_cpu_has_avx2_fma() ? "true" : "false") << ",\n";
+  out << "  \"simd\": \"" << apt::simd_level_name(apt::simd_level())
+      << "\",\n";
   out << "  \"benchmarks\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];

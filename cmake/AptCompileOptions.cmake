@@ -12,6 +12,12 @@ set(CMAKE_CXX_EXTENSIONS OFF)
 
 if(CMAKE_CXX_COMPILER_ID MATCHES "GNU|Clang")
   target_compile_options(apt_cxx_options INTERFACE -Wall -Wextra -Wpedantic)
+  # Float bits must not depend on which functions carry an FMA-capable
+  # target attribute (the AVX2 and AVX-512 micro-kernels): GCC's default
+  # -ffp-contract=fast fuses a multiply and an add into one FMA inside
+  # such a function, even when they are two separate intrinsics. Explicit
+  # FMA intrinsics are unaffected.
+  target_compile_options(apt_cxx_options INTERFACE -ffp-contract=off)
   if(APT_WERROR)
     target_compile_options(apt_cxx_options INTERFACE -Werror)
   endif()

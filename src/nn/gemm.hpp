@@ -2,8 +2,9 @@
 //
 // C[M,N] (+)= op_a(A) * op_b(B), where op transposes when the flag is set.
 // `gemm` runs the packed register-blocked backend in gemm_kernel.hpp
-// (AVX2+FMA micro-kernel when the CPU has it, portable scalar otherwise;
-// PlanOptions::backend in plan.hpp can force the scalar one). Tiny
+// (the widest micro-kernel the SIMD level of base/cpu.hpp allows: AVX-512,
+// AVX2+FMA or portable scalar; PlanOptions::backend in plan.hpp can
+// force the scalar one). Tiny
 // problems take a direct strided loop to skip packing overhead.
 #pragma once
 

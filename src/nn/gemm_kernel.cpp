@@ -88,28 +88,103 @@ __attribute__((target("avx2,fma"))) void micro_kernel_avx2(int64_t kc,
   _mm256_storeu_ps(acc + 5 * kGemmNR, c50);
   _mm256_storeu_ps(acc + 5 * kGemmNR + 8, c51);
 }
+
+// 6x32 tile over two adjacent packed B strips (pb1 = the strip after
+// pb0): 12 zmm accumulators + 2 B vectors + 1 broadcast register. Lane j
+// of every accumulator runs micro_kernel_avx2's chain for its (i, j) —
+// start at zero, one FMA per p ascending — so each 6x16 half is that
+// kernel's tile bit for bit. The halves are written as two consecutive
+// MR x NR tiles for the shared write-back; no arithmetic happens outside
+// the intrinsics, so nothing here is open to FMA contraction.
+__attribute__((target("avx512f"))) void micro_kernel_avx512(
+    int64_t kc, const float* pa, const float* pb0, const float* pb1,
+    float* acc) {
+  __m512 c00 = _mm512_setzero_ps(), c01 = _mm512_setzero_ps();
+  __m512 c10 = _mm512_setzero_ps(), c11 = _mm512_setzero_ps();
+  __m512 c20 = _mm512_setzero_ps(), c21 = _mm512_setzero_ps();
+  __m512 c30 = _mm512_setzero_ps(), c31 = _mm512_setzero_ps();
+  __m512 c40 = _mm512_setzero_ps(), c41 = _mm512_setzero_ps();
+  __m512 c50 = _mm512_setzero_ps(), c51 = _mm512_setzero_ps();
+  for (int64_t p = 0; p < kc;
+       ++p, pa += kGemmMR, pb0 += kGemmNR, pb1 += kGemmNR) {
+    const __m512 b0 = _mm512_loadu_ps(pb0);
+    const __m512 b1 = _mm512_loadu_ps(pb1);
+    __m512 a;
+    a = _mm512_set1_ps(pa[0]);
+    c00 = _mm512_fmadd_ps(a, b0, c00);
+    c01 = _mm512_fmadd_ps(a, b1, c01);
+    a = _mm512_set1_ps(pa[1]);
+    c10 = _mm512_fmadd_ps(a, b0, c10);
+    c11 = _mm512_fmadd_ps(a, b1, c11);
+    a = _mm512_set1_ps(pa[2]);
+    c20 = _mm512_fmadd_ps(a, b0, c20);
+    c21 = _mm512_fmadd_ps(a, b1, c21);
+    a = _mm512_set1_ps(pa[3]);
+    c30 = _mm512_fmadd_ps(a, b0, c30);
+    c31 = _mm512_fmadd_ps(a, b1, c31);
+    a = _mm512_set1_ps(pa[4]);
+    c40 = _mm512_fmadd_ps(a, b0, c40);
+    c41 = _mm512_fmadd_ps(a, b1, c41);
+    a = _mm512_set1_ps(pa[5]);
+    c50 = _mm512_fmadd_ps(a, b0, c50);
+    c51 = _mm512_fmadd_ps(a, b1, c51);
+  }
+  float* acc1 = acc + kGemmMR * kGemmNR;
+  _mm512_storeu_ps(acc + 0 * kGemmNR, c00);
+  _mm512_storeu_ps(acc1 + 0 * kGemmNR, c01);
+  _mm512_storeu_ps(acc + 1 * kGemmNR, c10);
+  _mm512_storeu_ps(acc1 + 1 * kGemmNR, c11);
+  _mm512_storeu_ps(acc + 2 * kGemmNR, c20);
+  _mm512_storeu_ps(acc1 + 2 * kGemmNR, c21);
+  _mm512_storeu_ps(acc + 3 * kGemmNR, c30);
+  _mm512_storeu_ps(acc1 + 3 * kGemmNR, c31);
+  _mm512_storeu_ps(acc + 4 * kGemmNR, c40);
+  _mm512_storeu_ps(acc1 + 4 * kGemmNR, c41);
+  _mm512_storeu_ps(acc + 5 * kGemmNR, c50);
+  _mm512_storeu_ps(acc1 + 5 * kGemmNR, c51);
+}
 #endif  // APT_GEMM_X86
 
-using MicroKernelFn = void (*)(int64_t, const float*, const float*, float*);
-
-MicroKernelFn resolve_kernel(GemmKernel which) {
+// The SIMD level a kernel request runs at: kAuto follows the host's
+// level (base/cpu.hpp, APT_SIMD included); a forced level must be
+// available.
+SimdLevel resolve_level(GemmKernel which) {
   switch (which) {
     case GemmKernel::kScalar:
-      return micro_kernel_scalar;
+      return SimdLevel::kScalar;
     case GemmKernel::kAvx2:
-      APT_CHECK(gemm_cpu_has_avx2_fma()) << "AVX2+FMA kernel forced on a "
-                                            "CPU without AVX2/FMA support";
-#if APT_GEMM_X86
-      return micro_kernel_avx2;
-#else
-      return micro_kernel_scalar;  // unreachable: check above fails
-#endif
+      APT_CHECK(gemm_cpu_has_avx2_fma())
+          << "AVX2 kernel forced on a CPU (or APT_SIMD cap) without AVX2+FMA";
+      return SimdLevel::kAvx2;
+    case GemmKernel::kAvx512:
+      APT_CHECK(gemm_cpu_has_avx512())
+          << "AVX-512 kernel forced on a CPU (or APT_SIMD cap) without "
+             "AVX-512 F/VL/VNNI";
+      return SimdLevel::kAvx512;
     case GemmKernel::kAuto:
     default:
+      return simd_level();
+  }
+}
+
+// The fp32 tile kernels of one level: `one` covers a single NR strip;
+// `two`, when set, covers two adjacent strips in one pass (writing two
+// MR x NR tiles) and `one` takes an odd last strip.
+struct F32Kernels {
+  void (*one)(int64_t, const float*, const float*, float*);
+  void (*two)(int64_t, const float*, const float*, const float*, float*);
+};
+
+F32Kernels resolve_kernel(GemmKernel which) {
+  switch (resolve_level(which)) {
 #if APT_GEMM_X86
-      if (gemm_cpu_has_avx2_fma()) return micro_kernel_avx2;
+    case SimdLevel::kAvx512:
+      return {micro_kernel_avx2, micro_kernel_avx512};
+    case SimdLevel::kAvx2:
+      return {micro_kernel_avx2, nullptr};
 #endif
-      return micro_kernel_scalar;
+    default:
+      return {micro_kernel_scalar, nullptr};
   }
 }
 
@@ -288,6 +363,83 @@ __attribute__((target("avx2"))) void micro_kernel_s8_quads(
   _mm256_storeu_si256(out + 10, c50);
   _mm256_storeu_si256(out + 11, c51);
 }
+
+// ------------------------------------------------- s8 VNNI tile
+//
+// The same 6x16 quad tile on AVX512-VNNI+VL: one vpdpbusd folds a whole
+// byte quad (u8 x s8, four products summed straight into the int32 lane,
+// no intermediate saturation) where the AVX2 tile needs maddubs + madd +
+// add. kBSigned means B's bytes are the signed operand — codes <=
+// kGemmS8QuadMaxCode, or full-range codes the packer recentred to
+// qb - 128 — and A is the unsigned one; otherwise A carries the small
+// codes and B the full-range unsigned ones.
+template <bool kBSigned>
+__attribute__((target("avx2,avx512f,avx512vl,avx512vnni"))) void
+micro_kernel_s8_vnni(int64_t kq_count, const uint8_t* pa, const uint8_t* pb,
+                     int32_t* acc) {
+  __m256i c00 = _mm256_setzero_si256(), c01 = _mm256_setzero_si256();
+  __m256i c10 = _mm256_setzero_si256(), c11 = _mm256_setzero_si256();
+  __m256i c20 = _mm256_setzero_si256(), c21 = _mm256_setzero_si256();
+  __m256i c30 = _mm256_setzero_si256(), c31 = _mm256_setzero_si256();
+  __m256i c40 = _mm256_setzero_si256(), c41 = _mm256_setzero_si256();
+  __m256i c50 = _mm256_setzero_si256(), c51 = _mm256_setzero_si256();
+  auto quad_at = [](const uint8_t* p) {
+    int32_t v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+  };
+  for (int64_t kq = 0; kq < kq_count;
+       ++kq, pa += 4 * kGemmMR, pb += 4 * kGemmNR) {
+    const __m256i b0 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb));
+    const __m256i b1 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + 4 * 8));
+    __m256i aq;
+    aq = _mm256_set1_epi32(quad_at(pa + 0));
+    c00 = kBSigned ? _mm256_dpbusd_epi32(c00, aq, b0)
+                   : _mm256_dpbusd_epi32(c00, b0, aq);
+    c01 = kBSigned ? _mm256_dpbusd_epi32(c01, aq, b1)
+                   : _mm256_dpbusd_epi32(c01, b1, aq);
+    aq = _mm256_set1_epi32(quad_at(pa + 4));
+    c10 = kBSigned ? _mm256_dpbusd_epi32(c10, aq, b0)
+                   : _mm256_dpbusd_epi32(c10, b0, aq);
+    c11 = kBSigned ? _mm256_dpbusd_epi32(c11, aq, b1)
+                   : _mm256_dpbusd_epi32(c11, b1, aq);
+    aq = _mm256_set1_epi32(quad_at(pa + 8));
+    c20 = kBSigned ? _mm256_dpbusd_epi32(c20, aq, b0)
+                   : _mm256_dpbusd_epi32(c20, b0, aq);
+    c21 = kBSigned ? _mm256_dpbusd_epi32(c21, aq, b1)
+                   : _mm256_dpbusd_epi32(c21, b1, aq);
+    aq = _mm256_set1_epi32(quad_at(pa + 12));
+    c30 = kBSigned ? _mm256_dpbusd_epi32(c30, aq, b0)
+                   : _mm256_dpbusd_epi32(c30, b0, aq);
+    c31 = kBSigned ? _mm256_dpbusd_epi32(c31, aq, b1)
+                   : _mm256_dpbusd_epi32(c31, b1, aq);
+    aq = _mm256_set1_epi32(quad_at(pa + 16));
+    c40 = kBSigned ? _mm256_dpbusd_epi32(c40, aq, b0)
+                   : _mm256_dpbusd_epi32(c40, b0, aq);
+    c41 = kBSigned ? _mm256_dpbusd_epi32(c41, aq, b1)
+                   : _mm256_dpbusd_epi32(c41, b1, aq);
+    aq = _mm256_set1_epi32(quad_at(pa + 20));
+    c50 = kBSigned ? _mm256_dpbusd_epi32(c50, aq, b0)
+                   : _mm256_dpbusd_epi32(c50, b0, aq);
+    c51 = kBSigned ? _mm256_dpbusd_epi32(c51, aq, b1)
+                   : _mm256_dpbusd_epi32(c51, b1, aq);
+  }
+  __m256i* out = reinterpret_cast<__m256i*>(acc);
+  _mm256_storeu_si256(out + 0, c00);
+  _mm256_storeu_si256(out + 1, c01);
+  _mm256_storeu_si256(out + 2, c10);
+  _mm256_storeu_si256(out + 3, c11);
+  _mm256_storeu_si256(out + 4, c20);
+  _mm256_storeu_si256(out + 5, c21);
+  _mm256_storeu_si256(out + 6, c30);
+  _mm256_storeu_si256(out + 7, c31);
+  _mm256_storeu_si256(out + 8, c40);
+  _mm256_storeu_si256(out + 9, c41);
+  _mm256_storeu_si256(out + 10, c50);
+  _mm256_storeu_si256(out + 11, c51);
+}
 #endif  // APT_GEMM_X86
 
 // ------------------------------------------------------------ s8 packing
@@ -305,7 +457,10 @@ __attribute__((target("avx2"))) void micro_kernel_s8_quads(
 //    implicit conv operand. k rows interleave bytewise into NR words,
 //    and madd (pairs) or widening adds (quads) sum each column.
 // The scalar loop remains for group tails, transposed A and non-x86
-// builds. Packed bytes and sums are identical on every path.
+// builds. Packed bytes and sums are identical on every path. Quad
+// packers take a `flip` byte XORed into every stored byte (the VNNI
+// tile's 0x80 recentring of full-range B, see gemm_kernel.hpp); sums are
+// always taken on the codes before the XOR. Pair packers pass 0.
 
 static_assert(kGemmMR % 2 == 0 && kGemmNR == 16,
               "SSE2 packers store 2- or 4-word line groups and 16-code rows");
@@ -313,10 +468,11 @@ static_assert(kGemmMR % 2 == 0 && kGemmNR == 16,
 // Scalar packing of groups [g_begin, ceil(kc/kGroup)) of one strip of
 // `width` lines: word (g, l) holds the codes at(i, l) for k index
 // i = g*kGroup + t, with 0 past kc and for lines l >= nlines. Adds each
-// real line's codes into sums[l] when sums is non-null.
+// real line's codes into sums[l] when sums is non-null. Stores q ^ flip.
 template <typename T, int kGroup, typename At>
 void pack_groups_scalar(At at, int64_t nlines, int64_t width, int64_t kc,
-                        int64_t g_begin, T* dst, int32_t* sums) {
+                        int64_t g_begin, T* dst, int32_t* sums,
+                        uint8_t flip) {
   const int64_t groups = (kc + kGroup - 1) / kGroup;
   for (int64_t g = g_begin; g < groups; ++g) {
     T* out = dst + g * width * kGroup;
@@ -324,7 +480,7 @@ void pack_groups_scalar(At at, int64_t nlines, int64_t width, int64_t kc,
       for (int64_t t = 0; t < kGroup; ++t) {
         const int64_t i = g * kGroup + t;
         const int32_t q = l < nlines && i < kc ? at(i, l) : 0;
-        out[l * kGroup + t] = static_cast<T>(q);
+        out[l * kGroup + t] = static_cast<T>(q ^ flip);
         if (sums != nullptr && l < nlines) sums[l] += q;
       }
   }
@@ -390,8 +546,10 @@ void with_run(int64_t run, F&& f) {
 // adds each real line's code sum into sums[l] when sums is non-null.
 template <int kGroup, typename Load>
 void pack_lines_sse2(Load load, int64_t nlines, int64_t width,
-                     int64_t blocks, std::byte* dst, int32_t* sums) {
+                     int64_t blocks, std::byte* dst, int32_t* sums,
+                     uint8_t flip) {
   const __m128i zero = _mm_setzero_si128();
+  const __m128i vflip = _mm_set1_epi8(static_cast<char>(flip));
   for (int64_t l0 = 0; l0 < width; l0 += 4) {
     __m128i sum[4] = {zero, zero, zero, zero};
     for (int64_t b = 0; b < blocks; ++b) {
@@ -408,9 +566,11 @@ void pack_lines_sse2(Load load, int64_t nlines, int64_t width,
       const __m128i c = _mm_unpackhi_epi32(x[0], x[1]);
       const __m128i e = _mm_unpacklo_epi32(x[2], x[3]);
       const __m128i f = _mm_unpackhi_epi32(x[2], x[3]);
-      const __m128i t[4] = {
+      __m128i t[4] = {
           _mm_unpacklo_epi64(a, e), _mm_unpackhi_epi64(a, e),
           _mm_unpacklo_epi64(c, f), _mm_unpackhi_epi64(c, f)};
+      if constexpr (kGroup == 4)
+        for (__m128i& v : t) v = _mm_xor_si128(v, vflip);
       std::byte* out = dst + (4 * b * width + l0) * 4;
       for (int64_t g = 0; g < 4; ++g, out += width * 4) {
         if (l0 + 4 <= width) {
@@ -432,8 +592,9 @@ void pack_lines_sse2(Load load, int64_t nlines, int64_t width,
 // adds the first `cols` column sums into sums[c] when sums is non-null.
 template <int kGroup, typename Load>
 void pack_rows_sse2(Load load, int64_t kc, int64_t cols, std::byte* dst,
-                    int32_t* sums) {
+                    int32_t* sums, uint8_t flip) {
   const __m128i zero = _mm_setzero_si128();
+  const __m128i vflip = _mm_set1_epi8(static_cast<char>(flip));
   __m128i sum[4] = {zero, zero, zero, zero};  // int32, columns 4i..4i+3
   for (int64_t p = 0; p < kc; p += kGroup, dst += 4 * kGemmNR) {
     __m128i x[kGroup];
@@ -454,10 +615,14 @@ void pack_rows_sse2(Load load, int64_t kc, int64_t cols, std::byte* dst,
     } else {
       const __m128i lo23 = _mm_unpacklo_epi8(x[2], x[3]);
       const __m128i hi23 = _mm_unpackhi_epi8(x[2], x[3]);
-      _mm_storeu_si128(out + 0, _mm_unpacklo_epi16(lo, lo23));
-      _mm_storeu_si128(out + 1, _mm_unpackhi_epi16(lo, lo23));
-      _mm_storeu_si128(out + 2, _mm_unpacklo_epi16(hi, hi23));
-      _mm_storeu_si128(out + 3, _mm_unpackhi_epi16(hi, hi23));
+      _mm_storeu_si128(out + 0,
+                       _mm_xor_si128(_mm_unpacklo_epi16(lo, lo23), vflip));
+      _mm_storeu_si128(out + 1,
+                       _mm_xor_si128(_mm_unpackhi_epi16(lo, lo23), vflip));
+      _mm_storeu_si128(out + 2,
+                       _mm_xor_si128(_mm_unpacklo_epi16(hi, hi23), vflip));
+      _mm_storeu_si128(out + 3,
+                       _mm_xor_si128(_mm_unpackhi_epi16(hi, hi23), vflip));
       // Four rows' codes per column (<= 1020, an int16 lane), then int32.
       const __m128i s_lo = _mm_add_epi16(
           _mm_add_epi16(_mm_unpacklo_epi8(x[0], zero),
@@ -496,7 +661,7 @@ constexpr int64_t kIota[kGemmNR] = {0, 1, 2,  3,  4,  5,  6,  7,
 template <typename T, int kGroup>
 void pack_explicit(const uint8_t* x, int64_t k_stride, int64_t l_stride,
                    int64_t l0, int64_t nl, int64_t width, int64_t p0,
-                   int64_t kc, T* dst, int32_t* sums) {
+                   int64_t kc, T* dst, int32_t* sums, uint8_t flip) {
   const int64_t groups = (kc + kGroup - 1) / kGroup;
   for (int64_t s = 0; s < nl; s += width, dst += width * kGroup * groups) {
     const int64_t lines = std::min(width, nl - s);
@@ -513,7 +678,7 @@ void pack_explicit(const uint8_t* x, int64_t k_stride, int64_t l_stride,
             return load_runs<kBlock>(src + l * l_stride + b * kBlock, kIota,
                                      kBlock);
           },
-          lines, width, blocks, out, ssum);
+          lines, width, blocks, out, ssum, flip);
       g_begin = 4 * blocks;
     } else if (l_stride == 1 && width == kGemmNR) {
       with_run(lines == kGemmNR ? kGemmNR : 1, [&](auto r) {
@@ -522,7 +687,7 @@ void pack_explicit(const uint8_t* x, int64_t k_stride, int64_t l_stride,
               return load_runs<decltype(r)::value>(src + i * k_stride, kIota,
                                                    lines);
             },
-            kc, lines, out, ssum);
+            kc, lines, out, ssum, flip);
       });
       g_begin = groups;
     }
@@ -531,7 +696,7 @@ void pack_explicit(const uint8_t* x, int64_t k_stride, int64_t l_stride,
         [&](int64_t i, int64_t l) {
           return src[i * k_stride + l * l_stride];
         },
-        lines, width, kc, g_begin, dst, ssum);
+        lines, width, kc, g_begin, dst, ssum, flip);
   }
 }
 
@@ -593,7 +758,8 @@ int64_t contiguous_run(const int64_t* off, int64_t n, int64_t wmax) {
 
 template <typename T, int kGroup>
 void pack_conv(const GemmS8ConvB& cb, bool trans_b, int64_t p0, int64_t kc,
-               int64_t j0, int64_t nc, T* dst, int32_t* colsum) {
+               int64_t j0, int64_t nc, T* dst, int32_t* colsum,
+               uint8_t flip) {
   const int64_t groups = (kc + kGroup - 1) / kGroup;
   const uint8_t* img = cb.padded;
   // Sized for the deepest runtime k panel either strategy plans
@@ -631,7 +797,7 @@ void pack_conv(const GemmS8ConvB& cb, bool trans_b, int64_t p0, int64_t kc,
             [&](int64_t i) {
               return load_runs<decltype(r)::value>(img + koff[i], coff, cols);
             },
-            kc, cols, out, sums);
+            kc, cols, out, sums, flip);
       });
       g_begin = groups;
     } else {
@@ -641,14 +807,14 @@ void pack_conv(const GemmS8ConvB& cb, bool trans_b, int64_t p0, int64_t kc,
               return load_runs<decltype(r)::value>(img + coff[l],
                                                    koff + b * kBlock, kBlock);
             },
-            cols, kGemmNR, blocks, out, sums);
+            cols, kGemmNR, blocks, out, sums, flip);
       });
       g_begin = 4 * blocks;
     }
 #endif
     pack_groups_scalar<T, kGroup>(
         [&](int64_t i, int64_t c) { return img[koff[i] + coff[c]]; }, cols,
-        kGemmNR, kc, g_begin, dst, sums);
+        kGemmNR, kc, g_begin, dst, sums, flip);
   }
 }
 
@@ -726,8 +892,14 @@ struct S8Path {
   void (*pack_a)(bool, const uint8_t*, int64_t, int64_t, int64_t, int64_t,
                  int64_t, int64_t, void*, int32_t*);
   void (*pack_b)(bool, const uint8_t*, int64_t, int64_t, int64_t, int64_t,
-                 int64_t, int64_t, void*, int32_t*);
+                 int64_t, int64_t, void*, int32_t*, uint8_t);
   void (*kernel)(int64_t, const void*, const void*, int32_t*);
+  /// XOR applied to B's packed quad bytes: 0x80 recentres full-range
+  /// codes to the s8 values qb - 128 for the VNNI tile, whose raw sums
+  /// then fall short of sum qa*qb by 128 * rowsum_a (see gemm_kernel.hpp).
+  uint8_t b_flip = 0;
+  /// The offset the packed B values carry: 128 when b_flip recentres.
+  int32_t b_offset() const { return b_flip != 0 ? 128 : 0; }
 };
 
 void pack_a_pairs_adapter(bool ta, const uint8_t* a, int64_t m, int64_t k,
@@ -738,7 +910,7 @@ void pack_a_pairs_adapter(bool ta, const uint8_t* a, int64_t m, int64_t k,
 }
 void pack_b_pairs_adapter(bool tb, const uint8_t* b, int64_t k, int64_t n,
                           int64_t p0, int64_t kc, int64_t j0, int64_t nc,
-                          void* dst, int32_t* colsum) {
+                          void* dst, int32_t* colsum, uint8_t /*flip*/) {
   gemm_s8_pack_b(tb, b, k, n, p0, kc, j0, nc, static_cast<int16_t*>(dst),
                  colsum);
 }
@@ -761,9 +933,9 @@ void pack_a_quads_adapter(bool ta, const uint8_t* a, int64_t m, int64_t k,
 }
 void pack_b_quads_adapter(bool tb, const uint8_t* b, int64_t k, int64_t n,
                           int64_t p0, int64_t kc, int64_t j0, int64_t nc,
-                          void* dst, int32_t* colsum) {
+                          void* dst, int32_t* colsum, uint8_t flip) {
   gemm_s8_pack_b_quads(tb, b, k, n, p0, kc, j0, nc,
-                       static_cast<uint8_t*>(dst), colsum);
+                       static_cast<uint8_t*>(dst), colsum, flip);
 }
 void kern_quads_b_small(int64_t groups, const void* pa, const void* pb,
                         int32_t* acc) {
@@ -775,35 +947,54 @@ void kern_quads_a_small(int64_t groups, const void* pa, const void* pb,
   micro_kernel_s8_quads<false>(groups, static_cast<const uint8_t*>(pa),
                                static_cast<const uint8_t*>(pb), acc);
 }
+void kern_vnni_b_signed(int64_t groups, const void* pa, const void* pb,
+                        int32_t* acc) {
+  micro_kernel_s8_vnni<true>(groups, static_cast<const uint8_t*>(pa),
+                             static_cast<const uint8_t*>(pb), acc);
+}
+void kern_vnni_a_signed(int64_t groups, const void* pa, const void* pb,
+                        int32_t* acc) {
+  micro_kernel_s8_vnni<false>(groups, static_cast<const uint8_t*>(pa),
+                              static_cast<const uint8_t*>(pb), acc);
+}
 #endif  // APT_GEMM_X86
 
 S8Path resolve_s8_path(GemmKernel which, const GemmS8Params& params,
                        GemmS8Strategy force) {
-  const S8Path pairs_scalar{2, pack_a_pairs_adapter, pack_b_pairs_adapter,
-                            kern_pairs_scalar};
-  if (which == GemmKernel::kScalar) return pairs_scalar;
-  if (which == GemmKernel::kAvx2) {
-    APT_CHECK(gemm_cpu_has_avx2_fma()) << "AVX2 s8 kernel forced on a "
-                                          "CPU without AVX2 support";
-  }
+  const SimdLevel level = resolve_level(which);
 #if APT_GEMM_X86
-  if (gemm_cpu_has_avx2_fma()) {
-    // A strategy request never overrides the saturation proof: kQuad is
-    // honoured only under the same operand-ceiling check as kAuto, and
-    // an ineligible request silently falls back to pairs (exact).
-    const bool allow_quad = force != GemmS8Strategy::kPairs;
-    if (allow_quad && params.max_b <= kGemmS8QuadMaxCode)
+  // A strategy request never overrides the saturation proof: kQuad is
+  // honoured only under the same operand-ceiling check as kAuto, and
+  // an ineligible request silently falls back to the exact full-range
+  // form (int16 pairs on AVX2, recentred quads on VNNI).
+  const bool allow_quad = force != GemmS8Strategy::kPairs;
+  const bool b_small = allow_quad && params.max_b <= kGemmS8QuadMaxCode;
+  const bool a_small = allow_quad && params.max_a <= kGemmS8QuadMaxCode;
+  if (level == SimdLevel::kAvx512) {
+    if (b_small)
+      return {4, pack_a_quads_adapter, pack_b_quads_adapter,
+              kern_vnni_b_signed};
+    if (a_small)
+      return {4, pack_a_quads_adapter, pack_b_quads_adapter,
+              kern_vnni_a_signed};
+    return {4, pack_a_quads_adapter, pack_b_quads_adapter,
+            kern_vnni_b_signed, 0x80};
+  }
+  if (level == SimdLevel::kAvx2) {
+    if (b_small)
       return {4, pack_a_quads_adapter, pack_b_quads_adapter,
               kern_quads_b_small};
-    if (allow_quad && params.max_a <= kGemmS8QuadMaxCode)
+    if (a_small)
       return {4, pack_a_quads_adapter, pack_b_quads_adapter,
               kern_quads_a_small};
     return {2, pack_a_pairs_adapter, pack_b_pairs_adapter, kern_pairs_avx2};
   }
-#endif
+#else
+  (void)level;
   (void)params;
   (void)force;
-  return pairs_scalar;
+#endif
+  return {2, pack_a_pairs_adapter, pack_b_pairs_adapter, kern_pairs_scalar};
 }
 
 // Adds one k-panel's raw-product tile into the int32 accumulator plane.
@@ -884,9 +1075,11 @@ using FinalStoreFn = void (*)(float*, int64_t, const int32_t*, int64_t,
                               int64_t, int64_t, const int32_t*,
                               const double*, const double*, double);
 
+// The AVX2 stores serve the AVX-512 level too: the tile is 16 columns
+// of doubles, which the ymm loop already covers in four steps.
 FinalStoreFn resolve_final_store(GemmKernel which) {
 #if APT_GEMM_X86
-  if (which != GemmKernel::kScalar && gemm_cpu_has_avx2_fma())
+  if (resolve_level(which) >= SimdLevel::kAvx2)
     return store_tile_s8_final_avx2;
 #else
   (void)which;
@@ -1063,7 +1256,7 @@ using EpiStoreFn = void (*)(float*, uint8_t*, int64_t, const int32_t*,
 
 EpiStoreFn resolve_epi_store(GemmKernel which) {
 #if APT_GEMM_X86
-  if (which != GemmKernel::kScalar && gemm_cpu_has_avx2_fma())
+  if (resolve_level(which) >= SimdLevel::kAvx2)
     return store_tile_s8_epi_avx2;
 #else
   (void)which;
@@ -1099,6 +1292,7 @@ int64_t eff_block(int64_t req, int64_t def, int64_t lo, int64_t hi) {
 }  // namespace
 
 bool gemm_cpu_has_avx2_fma() { return cpu_has_avx2_fma(); }
+bool gemm_cpu_has_avx512() { return cpu_has_avx512(); }
 
 bool gemm_blas_edge(int64_t m, int64_t n, int64_t k, float alpha, float beta,
                     float* c) {
@@ -1310,7 +1504,7 @@ void gemm_packed_driver(bool trans_a, int64_t m, int64_t n, int64_t k,
                         float alpha, const float* a, PackB&& pack_b,
                         float beta, float* c, const GemmOptions& opts) {
   if (gemm_blas_edge(m, n, k, alpha, beta, c)) return;
-  const MicroKernelFn kernel = resolve_kernel(opts.kernel);
+  const F32Kernels kernels = resolve_kernel(opts.kernel);
   // Runtime blocking (plan-threaded). fp32 callers must leave kc at the
   // default — a different k-panel split changes the float accumulation
   // order — so the planner only ever varies mc/nc here (see plan.hpp).
@@ -1338,20 +1532,35 @@ void gemm_packed_driver(bool trans_a, int64_t m, int64_t n, int64_t k,
         ScratchArena::Scope scope(ScratchArena::thread_local_arena());
         float* packa =
             scope.alloc_floats(static_cast<size_t>(mc_pad * kc));
-        alignas(64) float acc[kGemmMR * kGemmNR];
+        alignas(64) float acc[2 * kGemmMR * kGemmNR];
         for (int64_t mb = mb_begin; mb < mb_end; ++mb) {
           const int64_t i0 = mb * mc_blk;
           const int64_t mc = std::min(mc_blk, m - i0);
           gemm_pack_a(trans_a, a, m, k, i0, mc, p0, kc, packa);
-          for (int64_t sj = 0; sj < n_strips; ++sj) {
+          // Strips go two at a time through the wide tile when the level
+          // has one; an odd last strip (or every strip, otherwise) takes
+          // the one-strip kernel. Either way each tile is the same bits.
+          for (int64_t sj = 0; sj < n_strips;) {
+            const int64_t width =
+                kernels.two != nullptr && sj + 1 < n_strips ? 2 : 1;
             const float* pb = packb + sj * kGemmNR * kc;
-            const int64_t nr = std::min(kGemmNR, nc - sj * kGemmNR);
             for (int64_t si = 0; si * kGemmMR < mc; ++si) {
               const int64_t mr = std::min(kGemmMR, mc - si * kGemmMR);
-              kernel(kc, packa + si * kGemmMR * kc, pb, acc);
-              store_tile(c + (i0 + si * kGemmMR) * n + j0 + sj * kGemmNR, n,
-                         mr, nr, acc, alpha, beta, first_panel);
+              const float* pa = packa + si * kGemmMR * kc;
+              if (width == 2) {
+                kernels.two(kc, pa, pb, pb + kGemmNR * kc, acc);
+              } else {
+                kernels.one(kc, pa, pb, acc);
+              }
+              for (int64_t t = 0; t < width; ++t) {
+                const int64_t col = (sj + t) * kGemmNR;
+                store_tile(c + (i0 + si * kGemmMR) * n + j0 + col, n, mr,
+                           std::min(kGemmNR, nc - col),
+                           acc + t * kGemmMR * kGemmNR, alpha, beta,
+                           first_panel);
+              }
             }
+            sj += width;
           }
         }
       };
@@ -1398,7 +1607,7 @@ void gemm_s8_pack_a(bool trans_a, const uint8_t* a, int64_t m, int64_t k,
                     int16_t* dst, int32_t* rowsum) {
   // op_a(A)[i, p] = trans_a ? a[p*m + i] : a[i*k + p].
   pack_explicit<int16_t, 2>(a, trans_a ? m : 1, trans_a ? 1 : k, i0, mc,
-                            kGemmMR, p0, kc, dst, rowsum);
+                            kGemmMR, p0, kc, dst, rowsum, 0);
 }
 
 void gemm_s8_pack_b(bool trans_b, const uint8_t* b, int64_t k, int64_t n,
@@ -1406,33 +1615,35 @@ void gemm_s8_pack_b(bool trans_b, const uint8_t* b, int64_t k, int64_t n,
                     int16_t* dst, int32_t* colsum) {
   // op_b(B)[p, j] = trans_b ? b[j*k + p] : b[p*n + j].
   pack_explicit<int16_t, 2>(b, trans_b ? 1 : n, trans_b ? k : 1, j0, nc,
-                            kGemmNR, p0, kc, dst, colsum);
+                            kGemmNR, p0, kc, dst, colsum, 0);
 }
 
 void gemm_s8_pack_a_quads(bool trans_a, const uint8_t* a, int64_t m,
                           int64_t k, int64_t i0, int64_t mc, int64_t p0,
                           int64_t kc, uint8_t* dst, int32_t* rowsum) {
   pack_explicit<uint8_t, 4>(a, trans_a ? m : 1, trans_a ? 1 : k, i0, mc,
-                            kGemmMR, p0, kc, dst, rowsum);
+                            kGemmMR, p0, kc, dst, rowsum, 0);
 }
 
 void gemm_s8_pack_b_quads(bool trans_b, const uint8_t* b, int64_t k,
                           int64_t n, int64_t p0, int64_t kc, int64_t j0,
-                          int64_t nc, uint8_t* dst, int32_t* colsum) {
+                          int64_t nc, uint8_t* dst, int32_t* colsum,
+                          uint8_t flip) {
   pack_explicit<uint8_t, 4>(b, trans_b ? 1 : n, trans_b ? k : 1, j0, nc,
-                            kGemmNR, p0, kc, dst, colsum);
+                            kGemmNR, p0, kc, dst, colsum, flip);
 }
 
 void gemm_s8_pack_b_conv(const GemmS8ConvB& cb, bool trans_b, int64_t p0,
                          int64_t kc, int64_t j0, int64_t nc, int16_t* dst,
                          int32_t* colsum) {
-  pack_conv<int16_t, 2>(cb, trans_b, p0, kc, j0, nc, dst, colsum);
+  pack_conv<int16_t, 2>(cb, trans_b, p0, kc, j0, nc, dst, colsum, 0);
 }
 
 void gemm_s8_pack_b_quads_conv(const GemmS8ConvB& cb, bool trans_b,
                                int64_t p0, int64_t kc, int64_t j0,
-                               int64_t nc, uint8_t* dst, int32_t* colsum) {
-  pack_conv<uint8_t, 4>(cb, trans_b, p0, kc, j0, nc, dst, colsum);
+                               int64_t nc, uint8_t* dst, int32_t* colsum,
+                               uint8_t flip) {
+  pack_conv<uint8_t, 4>(cb, trans_b, p0, kc, j0, nc, dst, colsum, flip);
 }
 
 namespace {
@@ -1514,6 +1725,9 @@ void gemm_s8_driver(bool trans_a, bool trans_b, int64_t m, int64_t n,
       << "gemm_s8: zero-points must be 8-bit codes";
   const S8Path path = resolve_s8_path(opts.kernel, params, opts.s8);
   const int64_t za = params.zero_a, zb = params.zero_b;
+  // Row correction factor: Zb, less the offset of recentred B bytes
+  // (sum qa*qb = kernel sum + 128 * rowsum_a; gemm_kernel.hpp).
+  const double zb_row = static_cast<double>(zb - path.b_offset());
   // The byte-quad layout packs quarter-width strips, so it affords a
   // deeper k panel (one panel for a 3x3 conv over 64 channels). A plan
   // may override kc freely — integer arithmetic is exact, so the panel
@@ -1589,14 +1803,15 @@ void gemm_s8_driver(bool trans_a, bool trans_b, int64_t m, int64_t n,
         if (path.group == 4) {
           gemm_s8_pack_b_quads_conv(*convb, trans_b, p0, kc, j0, nc,
                                     reinterpret_cast<uint8_t*>(packb),
-                                    colsum + j0);
+                                    colsum + j0, path.b_flip);
         } else {
           gemm_s8_pack_b_conv(*convb, trans_b, p0, kc, j0, nc,
                               reinterpret_cast<int16_t*>(packb),
                               colsum + j0);
         }
       } else {
-        path.pack_b(trans_b, b, k, n, p0, kc, j0, nc, packb, colsum + j0);
+        path.pack_b(trans_b, b, k, n, p0, kc, j0, nc, packb, colsum + j0,
+                    path.b_flip);
       }
       if (last_panel)  // column sums for this panel are now complete
         for (int64_t j = 0; j < nc; ++j)
@@ -1652,8 +1867,7 @@ void gemm_s8_driver(bool trans_a, bool trans_b, int64_t m, int64_t n,
                       j0 == 0 ? rowsum + i0 : nullptr);
           if (last_panel)  // row sums for these rows are now complete
             for (int64_t r = 0; r < mc; ++r)
-              row_corr[r] =
-                  kzazb - static_cast<double>(zb) * rowsum[i0 + r];
+              row_corr[r] = kzazb - zb_row * rowsum[i0 + r];
           for (int64_t sj = 0; sj < n_strips; ++sj) {
             const std::byte* pb = packb + sj * kGemmNR * 4 * groups;
             const int64_t nr = std::min(kGemmNR, nc - sj * kGemmNR);
@@ -1688,7 +1902,7 @@ void gemm_s8_driver(bool trans_a, bool trans_b, int64_t m, int64_t n,
         double row_corr[kGemmMaxMC];
         if (last_panel)
           for (int64_t r = 0; r < m; ++r)
-            row_corr[r] = kzazb - static_cast<double>(zb) * rowsum[r];
+            row_corr[r] = kzazb - zb_row * rowsum[r];
         ThreadPool::global().parallel_for(
             0, n_strips,
             [&](int64_t s_begin, int64_t s_end) {

@@ -9,12 +9,17 @@
 // buffers come from the per-thread ScratchArena, so steady-state
 // training does no kernel-side allocation.
 //
-// Two micro-kernels are provided: a portable scalar one (the fixed
-// MR x NR accumulator block auto-vectorises on any target) and an
-// AVX2+FMA one selected at runtime via CPUID on x86-64. Results are
-// bit-identical for a fixed micro-kernel regardless of thread count:
-// every C element is accumulated in a fixed k-order by exactly one
-// task (parallelism only partitions whole MC row panels).
+// Three fp32 micro-kernels are provided, picked per host through the
+// one SIMD level of base/cpu.hpp (capped by APT_SIMD): a portable scalar
+// one (the fixed MR x NR accumulator block auto-vectorises on any
+// target), an AVX2+FMA 6x16 ymm tile, and on AVX-512 hosts a 6x32 zmm
+// tile that reads two adjacent NR-wide packed B strips at once. The pack
+// layout and KC are shared, and the ymm and zmm tiles run the same
+// single FMA chain per C element over ascending k, so their bits are
+// identical. Results are bit-identical for a fixed micro-kernel
+// regardless of thread count: every C element is accumulated in a fixed
+// k-order by exactly one task (parallelism only partitions whole MC row
+// panels).
 #pragma once
 
 #include <cstdint>
@@ -42,15 +47,22 @@ struct GemmConvB;
 using GemmS8ConvB = GemmConvB<uint8_t>;
 using GemmF32ConvB = GemmConvB<float>;
 
-/// Micro-kernel selection for `gemm_packed`.
+/// Micro-kernel selection for the fp32 and integer drivers. Plans never
+/// carry it: the kernel is a property of the host (and of tests forcing
+/// one), never of a problem, so every choice below yields the same bits
+/// for the same plan.
 enum class GemmKernel {
-  kAuto,    // AVX2+FMA when the CPU supports it, scalar otherwise
-  kScalar,  // force the portable kernel
-  kAvx2,    // force the AVX2+FMA kernel (caller must check support)
+  kAuto,    // the widest kernel the SIMD level allows (base/cpu.hpp)
+  kScalar,  // force the portable kernels
+  kAvx2,    // force the AVX2 kernels (caller must check support)
+  kAvx512,  // force the AVX-512 kernels: the 6x32 zmm fp32 tile and the
+            // vpdpbusd integer tile (caller must check support)
 };
 
-/// True when the running CPU supports the AVX2+FMA micro-kernel.
+/// True when the AVX2+FMA micro-kernels may run (CPU and APT_SIMD).
 bool gemm_cpu_has_avx2_fma();
+/// True when the AVX-512 F/VL/VNNI micro-kernels may run.
+bool gemm_cpu_has_avx512();
 
 /// Integer-kernel strategy request (see the strategy notes above
 /// kGemmS8MaxK). kQuad engages only when the operand ceilings prove the
@@ -179,6 +191,21 @@ void gemm_packed_conv(bool trans_b, int64_t m, int64_t n, int64_t k,
 //    the u8 x s8 pair-sum provably cannot hit vpmaddubsw's int16
 //    saturation (2 * 255 * 64 = 32640 < 32767). Weight grids at the
 //    paper's k <= 6 qualify; both strategies produce identical bits.
+//
+// On AVX512-VNNI+VL hosts one vpdpbusd tile (u8 x s8 quads straight into
+// int32, no intermediate saturation) replaces both. Quad problems keep
+// their layout and swap maddubs + madd + add for the one instruction.
+// Full-range problems are packed as quads too, with B's codes XORed with
+// 0x80 so its bytes read as the s8 values qb - 128; the kernel then sums
+// qa*(qb - 128), and since
+//
+//   sum qa*qb = sum qa*(qb - 128) + 128 * rowsum_a
+//
+// exactly, the row correction uses (Zb - 128) where it used Zb. Code sums
+// are still taken on the original codes. The int16-pair and maddubs
+// layouts, the kernel choice and the recentring are invisible to plans
+// (no PlanStrategy names them), so plans, the plan cache and compiled
+// artifacts are the same on every host.
 inline constexpr int64_t kGemmS8MaxK = INT32_MAX / (255 * 255);
 inline constexpr int32_t kGemmS8QuadMaxCode = 64;
 
@@ -329,16 +356,20 @@ void gemm_s8_pack_b(bool trans_b, const uint8_t* b, int64_t k, int64_t n,
                     int64_t p0, int64_t kc, int64_t j0, int64_t nc,
                     int16_t* dst, int32_t* colsum);
 
-/// Byte k-quad layouts of the two packers above (the vpmaddubsw
-/// strategy): dst[(kq*MR + r)*4 + t] = op_a(A)[i0+strip+r, p0+4*kq+t]
-/// and dst[(kq*NR + c)*4 + t] = op_b(B)[p0+4*kq+t, j0+strip+c], zero-
-/// padded like the pair layouts; sums as above.
+/// Byte k-quad layouts of the two packers above (the vpmaddubsw and
+/// vpdpbusd strategies): dst[(kq*MR + r)*4 + t] = op_a(A)[i0+strip+r,
+/// p0+4*kq+t] and dst[(kq*NR + c)*4 + t] = op_b(B)[p0+4*kq+t, j0+strip+c],
+/// zero-padded like the pair layouts; sums as above. The B packer XORs
+/// every stored byte with `flip` (0x80 recentres full-range codes for
+/// the VNNI tile; 0 stores them as they are) while the column sums stay
+/// those of the original codes.
 void gemm_s8_pack_a_quads(bool trans_a, const uint8_t* a, int64_t m,
                           int64_t k, int64_t i0, int64_t mc, int64_t p0,
                           int64_t kc, uint8_t* dst, int32_t* rowsum);
 void gemm_s8_pack_b_quads(bool trans_b, const uint8_t* b, int64_t k,
                           int64_t n, int64_t p0, int64_t kc, int64_t j0,
-                          int64_t nc, uint8_t* dst, int32_t* colsum);
+                          int64_t nc, uint8_t* dst, int32_t* colsum,
+                          uint8_t flip = 0);
 
 /// gemm_s8_pack_b / gemm_s8_pack_b_quads over the implicit conv operand
 /// (op_b(B) = the virtual im2col matrix, or its transpose when trans_b).
@@ -348,6 +379,7 @@ void gemm_s8_pack_b_conv(const GemmS8ConvB& cb, bool trans_b, int64_t p0,
                          int32_t* colsum);
 void gemm_s8_pack_b_quads_conv(const GemmS8ConvB& cb, bool trans_b,
                                int64_t p0, int64_t kc, int64_t j0,
-                               int64_t nc, uint8_t* dst, int32_t* colsum);
+                               int64_t nc, uint8_t* dst, int32_t* colsum,
+                               uint8_t flip = 0);
 
 }  // namespace apt::nn

@@ -567,12 +567,22 @@ bool parse_plan_json(const std::string& obj, KernelPlan* plan) {
   p.strategy = static_cast<PlanStrategy>(strategy);
   p.parallel = parallel != 0;
   p.split_n = split != 0;
-  // Invariants a (possibly stale or hand-edited) cache must not break:
-  // fp32 plans keep the default k panel (accumulation order), and
-  // blocking stays in the driver's clamp range. Strategy exactness
-  // (quad ceilings) is re-validated at execution time by
-  // resolve_s8_path, so a stale quad plan degrades to pairs, never to
-  // wrong bits.
+  // Invariants a (possibly stale or hand-edited) cache must not break.
+  // The strategy must be one the planner itself offers for the key: an
+  // fp32 strategy the kSmallWork pin excludes would change bits (direct
+  // and packed round differently), and an integer strategy meant for
+  // another op can misread its operands (kS8ConvDirect binds a k x k
+  // conv's input plane as a taps x positions matrix). fp32 plans keep
+  // the default k panel (accumulation order), and blocking stays in the
+  // driver's clamp range. Quad ceilings are re-validated at execution
+  // time by resolve_s8_path, so a stale quad plan degrades to the exact
+  // full-range form, never to wrong bits.
+  const std::vector<KernelPlan> offered = plan_candidates(p.key);
+  if (std::none_of(offered.begin(), offered.end(),
+                   [&](const KernelPlan& c) {
+                     return c.strategy == p.strategy;
+                   }))
+    return false;
   if (p.key.op == PlanOp::kGemmF32) p.kc = 0;
   p.kc = std::clamp<int64_t>(p.kc, 0, kGemmS8KCQuad);
   p.mc = std::clamp<int64_t>(p.mc, 0, kGemmMaxMC);

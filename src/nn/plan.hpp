@@ -20,8 +20,9 @@
 //    decomposition, which partition work without reordering any
 //    element's k-sum.
 //  * Deterministic selection: the cost model is a pure function of the
-//    key and the CPU feature set — no wall-clock, no sampling (the
-//    apt_lint `clock` rule applies to this file like any other).
+//    key and whether the SIMD level has AVX2 — no wall-clock, no
+//    sampling (the apt_lint `clock` rule applies to this file like any
+//    other). AVX2 and AVX-512 hosts resolve the same plans.
 //  * Exactness: the byte-quad strategy is only planned when the key's
 //    operand ceilings prove vpmaddubsw cannot saturate, mirroring the
 //    kernel-level rule.
@@ -63,12 +64,16 @@ enum class PlanOp : uint8_t {
 /// Execution strategy. Conv plans use kS8Pairs/kS8Quad with the implicit
 /// operand; kS8ConvDirect lowers a 1x1/stride-1/pad-0 conv to a plain
 /// code-plane GEMM (B = the contiguous input plane, no staging, no
-/// im2col bookkeeping).
+/// im2col bookkeeping). Strategies name what a problem allows, never an
+/// ISA: the micro-kernel behind each is the host's (gemm_kernel.hpp), so
+/// a plan means the same on every host and gives the same bits.
 enum class PlanStrategy : uint8_t {
   kF32Direct = 0,    ///< small-strided loop, no packing (tiny problems)
   kF32Packed = 1,    ///< BLIS-style packed fp32
-  kS8Pairs = 2,      ///< int16 k-pair vpmaddwd (or the scalar kernel)
-  kS8Quad = 3,       ///< byte k-quad vpmaddubsw (ceilings proven safe)
+  kS8Pairs = 2,      ///< full-range codes: int16 k-pair vpmaddwd on AVX2,
+                     ///< recentred vpdpbusd quads on VNNI, scalar else
+  kS8Quad = 3,       ///< a ceiling allows byte k-quads: vpmaddubsw on
+                     ///< AVX2, vpdpbusd on VNNI
   kS8ConvDirect = 4, ///< 1x1 conv as a plain GEMM over the code plane
 };
 

@@ -1,12 +1,15 @@
-// Unit tests for the base substrate: Shape, Tensor, Rng, ThreadPool.
+// Unit tests for the base substrate: Shape, Tensor, Rng, ThreadPool,
+// ScratchArena and the SIMD level.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 #include <random>
 #include <set>
 
 #include "base/arena.hpp"
+#include "base/cpu.hpp"
 #include "base/rng.hpp"
 #include "base/tensor.hpp"
 #include "base/thread_pool.hpp"
@@ -386,6 +389,44 @@ TEST(ScratchArena, ThreadLocalArenasAreIndependent) {
     t.join();
   }
   EXPECT_NE(main_ptr, worker_ptr);
+}
+
+// ------------------------------------------------------------ SIMD level
+
+TEST(SimdLevel, ParsesTheThreeLevelsAndNothingElse) {
+  EXPECT_EQ(parse_simd_level("scalar"), SimdLevel::kScalar);
+  EXPECT_EQ(parse_simd_level("avx2"), SimdLevel::kAvx2);
+  EXPECT_EQ(parse_simd_level("avx512"), SimdLevel::kAvx512);
+  for (const char* bad : {"", "AVX2", "avx", "avx512f", "sse2", "avx2 "})
+    EXPECT_FALSE(parse_simd_level(bad).has_value()) << '"' << bad << '"';
+  for (SimdLevel l : {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512})
+    EXPECT_EQ(parse_simd_level(simd_level_name(l)), l);
+}
+
+TEST(SimdLevel, CapNeverExceedsTheCpuAndPredicatesFollowIt) {
+  EXPECT_LE(simd_level(), cpu_simd_level());
+  EXPECT_EQ(cpu_has_avx2_fma(), simd_level() >= SimdLevel::kAvx2);
+  EXPECT_EQ(cpu_has_avx512(), simd_level() >= SimdLevel::kAvx512);
+  // NOLINTNEXTLINE(concurrency-mt-unsafe)
+  if (const char* env = std::getenv("APT_SIMD")) {
+    const SimdLevel cap = *parse_simd_level(env);
+    EXPECT_EQ(simd_level(), cap < cpu_simd_level() ? cap : cpu_simd_level());
+  } else {
+    EXPECT_EQ(simd_level(), cpu_simd_level());
+  }
+}
+
+TEST(SimdLevelDeathTest, UnknownCapAbortsNamingTheLegalValues) {
+  // The threadsafe style re-executes the binary for the death statement,
+  // so the child resolves its level afresh under the bad value.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        // NOLINTNEXTLINE(concurrency-mt-unsafe)
+        setenv("APT_SIMD", "avx3", 1);
+        (void)simd_level();
+      },
+      "APT_SIMD=\"avx3\" is not a SIMD level; use scalar, avx2 or avx512");
 }
 
 }  // namespace

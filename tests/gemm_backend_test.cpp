@@ -303,6 +303,58 @@ TEST(GemmStridedDirect, VectorLoopMatchesScalarLoopBitForBit) {
           }
 }
 
+// ------------------------------------------- AVX-512 vs AVX2 micro-kernel
+
+// The 6x32 zmm tile runs each C element's AVX2 FMA chain, so forcing
+// kAvx512 must write the kAvx2 bytes for every shape: ragged m/n/k, a
+// single strip (n = 16), odd strip counts (the last strip falls back to
+// the ymm tile), several NC panels, and k past KC (several k panels).
+TEST(GemmKernelDiff, Avx512TileMatchesAvx2BitForBit) {
+  if (!gemm_cpu_has_avx512())
+    GTEST_SKIP() << "no AVX-512 F/VL/VNNI on this CPU (or APT_SIMD caps it)";
+  struct Shape {
+    bool ta, tb;
+    int64_t m, n, k;
+    int64_t nc;  // NC override (0 = default)
+  };
+  constexpr Shape kShapes[] = {
+      {false, false, 37, 41, 29, 0},   // ragged, 3 strips
+      {true, false, 6, 16, 5, 0},      // one strip
+      {false, true, 13, 48, 300, 0},   // 3 full strips, 2 k panels
+      {true, true, 101, 80, 530, 0},   // 5 strips, 3 k panels
+      {false, false, 1, 1, 1, 0},
+      {false, false, 200, 33, 257, 0}, // k = KC + 1
+      {false, true, 7, 2100, 5, 0},    // two NC panels
+      {true, false, 29, 150, 70, 40},  // 3-strip panels, ragged last
+  };
+  Rng rng(31);
+  for (const Shape& s : kShapes)
+    for (float beta : {0.0f, 1.0f, -0.75f})
+      for (float alpha : {1.0f, -1.5f}) {
+        std::vector<float> a(static_cast<size_t>(s.m * s.k));
+        std::vector<float> b(static_cast<size_t>(s.k * s.n));
+        std::vector<float> c(static_cast<size_t>(s.m * s.n));
+        for (auto& v : a) v = rng.uniform(-1, 1);
+        for (auto& v : b) v = rng.uniform(-1, 1);
+        for (auto& v : c) v = rng.uniform(-1, 1);
+        if (beta == 0.0f) c[0] = std::numeric_limits<float>::quiet_NaN();
+        std::vector<float> avx2 = c, avx512 = c;
+        GemmOptions opts;
+        opts.nc = s.nc;
+        opts.kernel = GemmKernel::kAvx2;
+        gemm_packed(s.ta, s.tb, s.m, s.n, s.k, alpha, a.data(), b.data(),
+                    beta, avx2.data(), opts);
+        opts.kernel = GemmKernel::kAvx512;
+        gemm_packed(s.ta, s.tb, s.m, s.n, s.k, alpha, a.data(), b.data(),
+                    beta, avx512.data(), opts);
+        ASSERT_EQ(0, std::memcmp(avx2.data(), avx512.data(),
+                                 avx2.size() * sizeof(float)))
+            << "ta=" << s.ta << " tb=" << s.tb << " m=" << s.m
+            << " n=" << s.n << " k=" << s.k << " beta=" << beta
+            << " alpha=" << alpha;
+      }
+}
+
 // ---------------------------------------------- implicit conv operand
 
 // The zero-padded [c_count][H+2p][W+2p] image of channels [c_begin,

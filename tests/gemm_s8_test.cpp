@@ -1256,6 +1256,271 @@ TEST(GemmS8ConvBOperand, PairStrategyAlsoMatches) {
   for (size_t i = 0; i < want.size(); ++i) ASSERT_EQ(want[i], got[i]) << i;
 }
 
+// ------------------------------------ kernel differential (VNNI tile)
+//
+// The integer kernels are exact, so forcing kAvx512 (the vpdpbusd tile,
+// including the 0x80-recentred full-range form) must write the kScalar
+// and kAvx2 bytes for every operand form, strategy request and output
+// mode. Each run is compared against the scalar kernel's bytes.
+
+// One problem's operands and the options every kernel runs it with.
+struct S8DiffRun {
+  bool ta = false, tb = false;
+  int64_t m = 0, n = 0, k = 0;
+  const uint8_t* a = nullptr;
+  const uint8_t* b = nullptr;
+  const GemmS8ConvB* conv_b = nullptr;
+  GemmS8Params qp;
+  int64_t kc = 0;
+  bool split_n = false;
+};
+
+// The kernels under comparison on this host, scalar first.
+std::vector<GemmKernel> diff_kernels() {
+  std::vector<GemmKernel> ks = {GemmKernel::kScalar};
+  if (gemm_cpu_has_avx2_fma()) ks.push_back(GemmKernel::kAvx2);
+  if (gemm_cpu_has_avx512()) ks.push_back(GemmKernel::kAvx512);
+  return ks;
+}
+
+// Runs `r` on every kernel, both strategy requests and three output
+// modes — the raw dequantised product, the fused fp32 epilogue and the
+// requantising one, the latter two with the observe probe — and expects
+// every result to equal the scalar kernel's bytes.
+void expect_kernels_agree(const S8DiffRun& r, const std::string& what) {
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  const size_t len = static_cast<size_t>(r.m * r.n);
+  EpiRef er;
+  er.relu = true;
+  er.cap = 4.0f;
+  er.channel_is_row = !r.tb;
+  Rng rng(static_cast<uint64_t>(r.m * 131 + r.n * 7 + r.k));
+  const int64_t ch = er.channel_is_row ? r.m : r.n;
+  er.scale.resize(static_cast<size_t>(ch));
+  er.bias.resize(static_cast<size_t>(ch));
+  for (auto& s : er.scale) s = rng.uniform(0.0002, 0.004);
+  for (auto& v : er.bias) v = static_cast<float>(rng.uniform(-1, 1));
+
+  struct Out {
+    std::vector<float> raw, fused;
+    std::vector<uint8_t> codes;
+    // NaN until the probe writes them: a missed write fails the compare.
+    float lo[2] = {kNaN, kNaN}, hi[2] = {kNaN, kNaN};
+  };
+  std::vector<Out> outs;
+  for (GemmKernel kernel : diff_kernels())
+    for (GemmS8Strategy s8 : {GemmS8Strategy::kAuto, GemmS8Strategy::kPairs}) {
+      GemmOptions opts;
+      opts.kernel = kernel;
+      opts.s8 = s8;
+      opts.kc = r.kc;
+      opts.split_n = r.split_n;
+      Out o;
+      o.raw.assign(len, -1.0f);
+      o.fused.assign(len, -2.0f);
+      o.codes.assign(len, 7);
+      gemm_s8_exec(r.ta, r.tb, r.m, r.n, r.k, r.a, r.b, r.conv_b, r.qp,
+                   nullptr, o.raw.data(), nullptr, opts);
+      GemmS8Epilogue epi = to_epilogue(er, &o.lo[0], &o.hi[0]);
+      gemm_s8_exec(r.ta, r.tb, r.m, r.n, r.k, r.a, r.b, r.conv_b, r.qp, &epi,
+                   o.fused.data(), nullptr, opts);
+      epi.observe_lo = &o.lo[1];
+      epi.observe_hi = &o.hi[1];
+      gemm_s8_exec(r.ta, r.tb, r.m, r.n, r.k, r.a, r.b, r.conv_b, r.qp, &epi,
+                   nullptr, o.codes.data(), opts);
+      outs.push_back(std::move(o));
+    }
+  const Out& want = outs[0];
+  for (size_t i = 1; i < outs.size(); ++i) {
+    const Out& got = outs[i];
+    const std::string at = what + " run=" + std::to_string(i);
+    EXPECT_EQ(0, std::memcmp(want.raw.data(), got.raw.data(),
+                             len * sizeof(float)))
+        << at;
+    EXPECT_EQ(0, std::memcmp(want.fused.data(), got.fused.data(),
+                             len * sizeof(float)))
+        << at;
+    EXPECT_EQ(0, std::memcmp(want.codes.data(), got.codes.data(), len))
+        << at;
+    for (int t = 0; t < 2; ++t) {
+      EXPECT_EQ(want.lo[t], got.lo[t]) << at;
+      EXPECT_EQ(want.hi[t], got.hi[t]) << at;
+    }
+  }
+}
+
+TEST(GemmS8KernelDiff, ExplicitOperandsBitIdenticalAcrossKernels) {
+  if (!gemm_cpu_has_avx512())
+    GTEST_SKIP() << "no AVX-512 F/VL/VNNI on this CPU (or APT_SIMD caps it)";
+  struct Case {
+    bool ta, tb;
+    int64_t m, n, k;
+    int32_t za, zb, max_a, max_b;
+    int64_t kc;  // k panel override (0 = the layout's default)
+    bool split_n;
+  };
+  constexpr Case kCases[] = {
+      // Full-range codes (the recentred quads), zero points 0/128/255.
+      {false, false, 13, 37, 29, 0, 0, 255, 255, 0, false},
+      {false, true, 13, 37, 29, 128, 128, 255, 255, 0, false},
+      {true, false, 13, 37, 29, 255, 255, 255, 255, 0, false},
+      {true, true, 7, 16, 31, 0, 255, 255, 255, 0, false},     // n = 16
+      {false, false, 25, 48, 67, 255, 0, 255, 255, 0, false},  // 3 strips
+      {false, false, 1, 1, 1, 128, 255, 255, 255, 0, false},
+      // Quad ceilings on either operand, and on both.
+      {false, false, 19, 53, 45, 128, 3, 63, 255, 0, false},
+      {false, true, 19, 53, 45, 7, 128, 255, 63, 0, false},
+      {true, false, 19, 53, 45, 255, 255, 64, 64, 0, false},
+      // k beyond the quad panel, and forced shallow panels: the int32
+      // raw plane carries the earlier panels.
+      {false, false, 9, 40, 900, 128, 128, 255, 255, 0, false},
+      {true, false, 9, 40, 301, 3, 250, 255, 255, 64, false},
+      {false, true, 9, 40, 301, 3, 250, 63, 255, 36, false},
+      // Split-N: one MC panel over many column strips.
+      {false, false, 5, 300, 96, 128, 17, 255, 255, 0, true},
+      {false, true, 6, 260, 200, 0, 255, 255, 63, 0, true},
+  };
+  for (const Case& c : kCases) {
+    std::vector<uint8_t> a(static_cast<size_t>(c.m * c.k));
+    std::vector<uint8_t> b(static_cast<size_t>(c.k * c.n));
+    fill_codes(a, 91 + c.k, 0, c.max_a);
+    fill_codes(b, 92 + c.n, 0, c.max_b);
+    // Pin the extreme codes so the recentring sees 0 and 255 (or the
+    // ceiling) in both operands.
+    a[0] = 0;
+    a[a.size() - 1] = static_cast<uint8_t>(c.max_a);
+    b[0] = static_cast<uint8_t>(c.max_b);
+    b[b.size() - 1] = 0;
+    S8DiffRun r;
+    r.ta = c.ta;
+    r.tb = c.tb;
+    r.m = c.m;
+    r.n = c.n;
+    r.k = c.k;
+    r.a = a.data();
+    r.b = b.data();
+    r.qp = GemmS8Params{0.013, 0.021, c.za, c.zb, c.max_a, c.max_b};
+    r.kc = c.kc;
+    r.split_n = c.split_n;
+    expect_kernels_agree(r, "m=" + std::to_string(c.m) + " n=" +
+                                std::to_string(c.n) + " k=" +
+                                std::to_string(c.k) + " ta=" +
+                                std::to_string(c.ta) + " tb=" +
+                                std::to_string(c.tb));
+  }
+}
+
+TEST(GemmS8KernelDiff, ImplicitConvOperandBitIdenticalAcrossKernels) {
+  // The implicit conv operand in both orientations: forward (B = the
+  // virtual im2col matrix) and the weight gradient's transposed B.
+  if (!gemm_cpu_has_avx512())
+    GTEST_SKIP() << "no AVX-512 F/VL/VNNI on this CPU (or APT_SIMD caps it)";
+  struct ConvCase {
+    int64_t C, H, W, OC, kernel, stride, padding;
+    int32_t max_w;  // weight (A) code ceiling
+    int32_t za, zb;
+  };
+  constexpr ConvCase kCases[] = {
+      {8, 16, 16, 10, 3, 1, 1, 255, 128, 0},   // full range, ow = 16
+      {4, 9, 7, 6, 3, 1, 1, 63, 0, 255},       // odd ow, quad ceiling
+      {4, 8, 8, 6, 3, 2, 1, 255, 255, 128},    // strided
+      {3, 10, 10, 5, 5, 1, 2, 255, 17, 200},   // big kernel
+      {64, 8, 8, 16, 3, 1, 1, 255, 128, 128},  // k = 576 taps
+  };
+  for (const ConvCase& cc : kCases) {
+    const int64_t oh = (cc.H + 2 * cc.padding - cc.kernel) / cc.stride + 1;
+    const int64_t ow = (cc.W + 2 * cc.padding - cc.kernel) / cc.stride + 1;
+    const int64_t taps = cc.C * cc.kernel * cc.kernel, npos = oh * ow;
+    std::vector<uint8_t> codes(static_cast<size_t>(cc.C * cc.H * cc.W));
+    fill_codes(codes, 81 + cc.C);
+    GemmS8ConvB cb;
+    cb.kernel = cc.kernel;
+    cb.stride = cc.stride;
+    cb.oh = oh;
+    cb.ow = ow;
+    cb.ph = cc.H + 2 * cc.padding;
+    cb.pw = cc.W + 2 * cc.padding;
+    std::vector<uint8_t> stage(static_cast<size_t>(cc.C * cb.ph * cb.pw));
+    stage_padded_u8(codes.data(), cc.C, cc.H, cc.W, cc.padding,
+                    static_cast<uint8_t>(cc.zb), stage.data(),
+                    /*pooled=*/false);
+    cb.padded = stage.data();
+    for (bool tb : {false, true}) {
+      // Forward: W [OC x taps] x cols. Weight gradient: dY [OC x npos]
+      // x colsᵀ.
+      const int64_t k = tb ? npos : taps, n = tb ? taps : npos;
+      const int32_t max_a = tb ? 255 : cc.max_w;
+      std::vector<uint8_t> a(static_cast<size_t>(cc.OC * k));
+      fill_codes(a, 82 + k, 0, max_a);
+      for (int64_t kc : {int64_t{0}, int64_t{40}}) {
+        S8DiffRun r;
+        r.tb = tb;
+        r.m = cc.OC;
+        r.n = n;
+        r.k = k;
+        r.a = a.data();
+        r.conv_b = &cb;
+        r.qp = GemmS8Params{0.01, 0.02, cc.za, cc.zb, max_a, 255};
+        r.kc = kc;
+        expect_kernels_agree(
+            r, "C=" + std::to_string(cc.C) + " kernel=" +
+                   std::to_string(cc.kernel) + " stride=" +
+                   std::to_string(cc.stride) + " tb=" + std::to_string(tb) +
+                   " kc=" + std::to_string(kc));
+      }
+    }
+  }
+}
+
+TEST(GemmS8Packing, QuadBPackerFlipsBytesButSumsOriginalCodes) {
+  // The VNNI full-range form packs B with every byte XORed with 0x80;
+  // the column sums feeding the zero-point correction stay those of the
+  // original codes. Explicit (both orientations) and implicit operands.
+  const int64_t k = 37, n = 29;
+  std::vector<uint8_t> b(static_cast<size_t>(k * n));
+  fill_codes(b, 95);
+  for (bool tb : {false, true}) {
+    const size_t len = static_cast<size_t>((n + kGemmNR - 1) / kGemmNR *
+                                           kGemmNR * 4 * ((k + 3) / 4));
+    std::vector<uint8_t> plain(len), flipped(len);
+    std::vector<int32_t> sum_plain(static_cast<size_t>(n), 0);
+    std::vector<int32_t> sum_flipped(static_cast<size_t>(n), 0);
+    gemm_s8_pack_b_quads(tb, b.data(), k, n, 0, k, 0, n, plain.data(),
+                         sum_plain.data());
+    gemm_s8_pack_b_quads(tb, b.data(), k, n, 0, k, 0, n, flipped.data(),
+                         sum_flipped.data(), 0x80);
+    for (size_t i = 0; i < len; ++i)
+      ASSERT_EQ(plain[i] ^ 0x80, flipped[i]) << "tb=" << tb << " i=" << i;
+    EXPECT_EQ(sum_plain, sum_flipped);
+  }
+  const int64_t C = 3, H = 9, W = 7;
+  std::vector<uint8_t> img(static_cast<size_t>(C * H * W));
+  fill_codes(img, 96);
+  GemmS8ConvB cb;
+  cb.padded = img.data();
+  cb.ph = H;
+  cb.pw = W;
+  cb.kernel = 3;
+  cb.oh = H - 2;
+  cb.ow = W - 2;
+  const int64_t taps = C * 9, npos = cb.oh * cb.ow;
+  for (bool tb : {false, true}) {
+    const int64_t kk = tb ? npos : taps, nn = tb ? taps : npos;
+    const size_t len = static_cast<size_t>((nn + kGemmNR - 1) / kGemmNR *
+                                           kGemmNR * 4 * ((kk + 3) / 4));
+    std::vector<uint8_t> plain(len), flipped(len);
+    std::vector<int32_t> sum_plain(static_cast<size_t>(nn), 0);
+    std::vector<int32_t> sum_flipped(static_cast<size_t>(nn), 0);
+    gemm_s8_pack_b_quads_conv(cb, tb, 0, kk, 0, nn, plain.data(),
+                              sum_plain.data());
+    gemm_s8_pack_b_quads_conv(cb, tb, 0, kk, 0, nn, flipped.data(),
+                              sum_flipped.data(), 0x80);
+    for (size_t i = 0; i < len; ++i)
+      ASSERT_EQ(plain[i] ^ 0x80, flipped[i]) << "conv tb=" << tb << " i=" << i;
+    EXPECT_EQ(sum_plain, sum_flipped);
+  }
+}
+
 // -------------------------------------- bulk quantiser / dequantiser
 
 TEST(QuantizeCodesU8, DispatchBitIdenticalToScalar) {

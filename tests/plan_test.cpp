@@ -369,6 +369,45 @@ TEST(PlanPersistence, LoadReportsUnreadableFileAndIgnoresGarbage) {
   EXPECT_EQ(plan_cache_load(path), 0);
 }
 
+TEST(PlanPersistence, LoadRejectsStrategiesThePlannerDoesNotOffer) {
+  // Two well-formed entries whose strategy the candidate set excludes:
+  // f32-packed for a problem pinned to f32-direct (the two round
+  // differently), and s8-conv-direct for a 3x3 conv (it would bind the
+  // input plane as a taps x positions matrix and read past it).
+  const PlanKey kf = PlanKey::f32(8, 8, 8, false, false);
+  const PlanKey kc = PlanKey::conv_s8(16, 64, 144, 3, 1, 1, 255, 255);
+  plan_cache_clear();
+  const KernelPlan pf = plan_for(kf);
+  const KernelPlan pc = plan_for(kc);
+  ASSERT_EQ(pf.strategy, PlanStrategy::kF32Direct);
+  ASSERT_NE(pc.strategy, PlanStrategy::kS8ConvDirect);
+  plan_cache_clear();
+
+  const std::string threads = std::to_string(plan_threads());
+  const std::string path = ::testing::TempDir() + "apt_plan_foreign.json";
+  {
+    std::ofstream f(path);
+    f << "{\"schema\": \"apt-plan-cache/1\", \"plans\": [\n"
+      << "  {\"op\": 0, \"m\": 8, \"n\": 8, \"k\": 8, \"threads\": "
+      << threads << ", \"strategy\": 1},\n"
+      << "  {\"op\": 2, \"m\": 16, \"n\": 64, \"k\": 144, \"kernel\": 3, "
+         "\"stride\": 1, \"padding\": 1, \"threads\": "
+      << threads << ", \"strategy\": 4}\n]}\n";
+  }
+  EXPECT_EQ(plan_cache_load(path), 0);
+  EXPECT_EQ(plan_cache_stats().entries, 0u);
+
+  // The model's plans stand.
+  const KernelPlan& rf = plan_for(kf);
+  const KernelPlan& rc = plan_for(kc);
+  EXPECT_EQ(rf.strategy, pf.strategy);
+  EXPECT_EQ(rc.strategy, pc.strategy);
+  EXPECT_EQ(rc.kc, pc.kc);
+  EXPECT_FALSE(rf.autotuned);
+  EXPECT_FALSE(rc.autotuned);
+  plan_cache_clear();
+}
+
 // ------------------------------------------------------- 1x1 conv plan
 
 TEST(PlanConv, OneByOneStrideOnePadZeroSelectsDirectGemm) {
