@@ -12,13 +12,20 @@
 // gradient GEMMs run on code planes and dY is stochastically rounded.
 // Its checkpoint goes to `checkpoint-path.int8`.
 //
+// A third leg trains a small fp32 ResNet (one block per stage, width 4)
+// on 16x16 synthetic images, so the conv GEMMs — weights packed once per
+// layer call, the implicit patch operand, col2im — and BatchNorm run
+// under the same 1-vs-4-worker comparison. Its checkpoint goes to
+// `checkpoint-path.conv`.
+//
 // CI runs this binary under APT_NUM_THREADS=1/2/8 and diffs the
-// checkpoint hashes: both files must be byte-identical for every thread
+// checkpoint hashes: every file must be byte-identical for every thread
 // count, because the shard decomposition (not the worker or thread
 // count) fixes every reduction order and every rounding draw. Exit
 // status: 0 when every in-process comparison holds, 1 otherwise.
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -26,6 +33,7 @@
 #include "core/grid_representation.hpp"
 #include "data/loader.hpp"
 #include "data/spiral.hpp"
+#include "data/synth_images.hpp"
 #include "io/checkpoint.hpp"
 #include "models/zoo.hpp"
 #include "nn/plan.hpp"
@@ -35,21 +43,27 @@ using namespace apt;
 
 namespace {
 
-std::unique_ptr<nn::Sequential> train_once(const char* leg, bool int8,
-                                           int num_workers,
-                                           const data::TabularSet& trainset,
-                                           const data::TabularSet& testset) {
+// One probe leg: its data, model and schedule.
+struct Leg {
+  const char* name = "";
+  bool int8 = false;
+  Tensor train_x, test_x;
+  std::vector<int32_t> train_y, test_y;
+  std::function<std::unique_ptr<nn::Sequential>(Rng&)> make_model;
+  int64_t epochs = 0;
+};
+
+std::unique_ptr<nn::Sequential> train_once(const Leg& leg, int num_workers) {
   Rng rng(123);
-  auto model = models::make_mlp(2, {48, 48}, 3, rng);
-  data::DataLoader loader(trainset.features, trainset.labels, /*batch=*/64,
+  auto model = leg.make_model(rng);
+  data::DataLoader loader(leg.train_x, leg.train_y, /*batch=*/64,
                           /*shuffle=*/true, /*seed=*/99);
   train::TrainerConfig cfg;
-  cfg.epochs = 8;
+  cfg.epochs = leg.epochs;
   cfg.schedule = train::StepDecaySchedule(0.1, {6});
   cfg.num_workers = num_workers;
-  train::Trainer trainer(*model, loader, testset.features, testset.labels,
-                         cfg);
-  if (int8) {
+  train::Trainer trainer(*model, loader, leg.test_x, leg.test_y, cfg);
+  if (leg.int8) {
     core::GridOptions go;
     go.bits = 8;
     core::attach_grid(*model, go);
@@ -58,8 +72,8 @@ std::unique_ptr<nn::Sequential> train_once(const char* leg, bool int8,
     sr_set_step(0);
   }
   const train::History history = trainer.run();
-  std::printf("%s num_workers=%d  final loss %.6f  test acc %.4f\n", leg,
-              num_workers, history.epochs.back().train_loss,
+  std::printf("%s num_workers=%d  final loss %.6f  test acc %.4f\n",
+              leg.name, num_workers, history.epochs.back().train_loss,
               history.final_test_accuracy());
   return model;
 }
@@ -67,15 +81,13 @@ std::unique_ptr<nn::Sequential> train_once(const char* leg, bool int8,
 // Trains the leg with 1 and 4 workers, memcmps the weights and writes the
 // parallel run's checkpoint. Returns the number of diverged parameters
 // (or 1 when the checkpoint cannot be written).
-int64_t run_leg(const char* leg, bool int8, const std::string& path,
-                const data::TabularSet& trainset,
-                const data::TabularSet& testset) {
+int64_t run_leg(const Leg& leg, const std::string& path) {
   const nn::PlanOptions prev = nn::plan_options();
   nn::PlanOptions opts = prev;
-  if (int8) opts.backend = nn::GemmBackend::kInt8;
+  if (leg.int8) opts.backend = nn::GemmBackend::kInt8;
   nn::set_plan_options(opts);
-  auto serial = train_once(leg, int8, /*num_workers=*/1, trainset, testset);
-  auto parallel = train_once(leg, int8, /*num_workers=*/4, trainset, testset);
+  auto serial = train_once(leg, /*num_workers=*/1);
+  auto parallel = train_once(leg, /*num_workers=*/4);
   nn::set_plan_options(prev);
 
   const auto sp = serial->parameters();
@@ -85,8 +97,8 @@ int64_t run_leg(const char* leg, bool int8, const std::string& path,
     if (std::memcmp(sp[i]->value.data(), pp[i]->value.data(),
                     sizeof(float) * static_cast<size_t>(sp[i]->numel())) !=
         0) {
-      std::printf("MISMATCH: %s %s differs between 1 and 4 workers\n", leg,
-                  sp[i]->name.c_str());
+      std::printf("MISMATCH: %s %s differs between 1 and 4 workers\n",
+                  leg.name, sp[i]->name.c_str());
       ++mismatched;
     }
   }
@@ -109,12 +121,43 @@ int main(int argc, char** argv) {
   const data::TabularSet testset =
       data::make_spiral({.points_per_class = 64, .noise = 0.1f, .seed = 8});
 
-  const int64_t mismatched =
-      run_leg("fp32", /*int8=*/false, path, trainset, testset) +
-      run_leg("int8", /*int8=*/true, path + ".int8", trainset, testset);
+  Leg fp32;
+  fp32.name = "fp32";
+  fp32.train_x = trainset.features;
+  fp32.train_y = trainset.labels;
+  fp32.test_x = testset.features;
+  fp32.test_y = testset.labels;
+  fp32.make_model = [](Rng& rng) {
+    return models::make_mlp(2, {48, 48}, 3, rng);
+  };
+  fp32.epochs = 8;
+  Leg int8 = fp32;
+  int8.name = "int8";
+  int8.int8 = true;
+
+  data::SynthImageConfig ic;
+  ic.classes = 4;
+  ic.height = 16;
+  ic.width = 16;
+  const data::SynthImageDataset images(ic, /*n_train=*/128, /*n_test=*/64);
+  Leg conv;
+  conv.name = "conv";
+  conv.train_x = images.train().images;
+  conv.train_y = images.train().labels;
+  conv.test_x = images.test().images;
+  conv.test_y = images.test().labels;
+  conv.make_model = [](Rng& rng) {
+    return models::make_resnet({.n = 1, .base_width = 4, .num_classes = 4},
+                               rng);
+  };
+  conv.epochs = 6;
+
+  const int64_t mismatched = run_leg(fp32, path) +
+                             run_leg(int8, path + ".int8") +
+                             run_leg(conv, path + ".conv");
   if (mismatched == 0) {
     std::printf("determinism probe PASSED: 1-worker and 4-worker runs are "
-                "bit-identical (fp32 and int8)\n");
+                "bit-identical (fp32, int8 and conv)\n");
     return 0;
   }
   std::printf("determinism probe FAILED: %lld parameter(s) diverged\n",

@@ -144,6 +144,60 @@ GemmF32ConvB f32_operand(const Conv2dOptions& o, const Tensor& x, int64_t n,
   return cb;
 }
 
+// The fp32 weight operand of one layer call. Every (sample, group) GEMM
+// of the call runs `key`'s plan, resolved here once. Under a packed plan
+// each group's op_a(W_g) is also packed here once (gemm_pack_a_panels,
+// the transpose folded in) into the caller's `scope`, and every sample
+// task reads those panels instead of repacking the weight. The panels
+// are scratch for this call only, so no packed copy outlives it: an
+// optimiser step, set_bits or a refit has nothing to invalidate, and no
+// fp32 shadow of the model exists between steps. Direct plans (the 1x1
+// shortcut convs) read the raw weight.
+class F32Weight {
+ public:
+  F32Weight(const PlanKey& key, const float* w, int64_t groups,
+            ScratchArena::Scope& scope)
+      : plan_(plan_for(key)),
+        opts_(backend_gemm_options()),
+        w_(w),
+        w_stride_(key.m * key.k) {
+    if (plan_.strategy != PlanStrategy::kF32Packed) return;
+    p_stride_ = gemm_pack_a_panels_size(key.m, key.k);
+    panels_ = scope.alloc_floats(static_cast<size_t>(groups * p_stride_));
+    for (int64_t g = 0; g < groups; ++g)
+      gemm_pack_a_panels(key.trans_a, w + g * w_stride_, key.m, key.k,
+                         panels_ + g * p_stride_);
+  }
+
+  /// C = op_a(W_g) * op_b(B), B the implicit conv operand.
+  void gemm(int64_t g, const GemmF32ConvB& b, float* c) const {
+    if (panels_ != nullptr) {
+      gemm_conv_ex(plan_, 1.0f, GemmF32PackedA{panels_ + g * p_stride_}, b,
+                   0.0f, c, opts_);
+    } else {
+      gemm_conv_ex(plan_, 1.0f, w_ + g * w_stride_, b, 0.0f, c, opts_);
+    }
+  }
+
+  /// C = op_a(W_g) * B, B a row-major matrix.
+  void gemm(int64_t g, const float* b, float* c) const {
+    if (panels_ != nullptr) {
+      gemm_ex(plan_, 1.0f, GemmF32PackedA{panels_ + g * p_stride_}, b, 0.0f,
+              c, opts_);
+    } else {
+      gemm_ex(plan_, 1.0f, w_ + g * w_stride_, b, 0.0f, c, opts_);
+    }
+  }
+
+ private:
+  const KernelPlan& plan_;
+  GemmOptions opts_;
+  const float* w_;
+  int64_t w_stride_;
+  float* panels_ = nullptr;
+  int64_t p_stride_ = 0;
+};
+
 // Deterministic weight-gradient accumulation shared by both conv
 // backwards. Parameter-gradient accumulation must not race AND must not
 // depend on the machine: the chunk count derives from the sample count
@@ -454,22 +508,21 @@ Tensor Conv2d::forward_fp32(const Tensor& x) {
   const int64_t icg = opts_.in_channels / G, ocg = opts_.out_channels / G;
   const int64_t krows = icg * opts_.kernel * opts_.kernel;
   Tensor y(Shape{N, opts_.out_channels, OH, OW});
-  // One task per sample; the GEMMs inside run single-chunk (work below
-  // the pool's grain). The patch matrix is never built: each GEMM packs
-  // it straight from the sample's padded image (f32_operand), staged in
-  // the task's arena scope.
+  // Y_g [ocg, OH*OW] = W_g [ocg, krows] * cols [krows, OH*OW], W_g packed
+  // once for this call's samples. One task per sample; the GEMMs inside run
+  // single-chunk (work below the pool's grain). The patch matrix is
+  // never built: each GEMM packs it straight from the sample's padded
+  // image (f32_operand), staged in the task's arena scope.
+  ScratchArena::Scope wscope(ScratchArena::thread_local_arena());
+  const F32Weight w(PlanKey::f32(ocg, OH * OW, krows, false, false),
+                    weight_.value.data(), G, wscope);
   ThreadPool::global().parallel_for(0, N, [&](int64_t n0, int64_t n1) {
     ScratchArena::Scope scope(ScratchArena::thread_local_arena());
     float* stage = f32_stage(scope, opts_, x.shape());
     for (int64_t n = n0; n < n1; ++n)
-      for (int64_t g = 0; g < G; ++g) {
-        // Y_g [ocg, OH*OW] = W_g [ocg, krows] * cols [krows, OH*OW]
-        float* yg =
-            y.data() + ((n * opts_.out_channels + g * ocg) * OH * OW);
-        gemm_conv(false, ocg, OH * OW, krows, 1.0f,
-                  weight_.value.data() + g * ocg * krows,
-                  f32_operand(opts_, x, n, g, stage), 0.0f, yg);
-      }
+      for (int64_t g = 0; g < G; ++g)
+        w.gemm(g, f32_operand(opts_, x, n, g, stage),
+               y.data() + (n * opts_.out_channels + g * ocg) * OH * OW);
   });
 
   if (opts_.bias) {
@@ -600,6 +653,17 @@ Tensor Conv2d::backward_fp32(const Tensor& x, const Tensor& dy) {
   const int64_t icg = opts_.in_channels / G, ocg = opts_.out_channels / G;
   const int64_t krows = icg * opts_.kernel * opts_.kernel;
   Tensor dx(x.shape());
+  // dcols [krows, OH*OW] = W_g^T [krows, ocg] * dY_g, W_gᵀ packed once
+  // for this call's samples (the transpose folded into the pack).
+  ScratchArena::Scope wscope(ScratchArena::thread_local_arena());
+  const F32Weight wt(PlanKey::f32(krows, OH * OW, ocg, true, false),
+                     weight_.value.data(), G, wscope);
+  // dW_g [ocg, krows] += dY_g [ocg, OH*OW] * cols^T, colsᵀ packed
+  // straight from the padded image like forward's B. dY_g differs per
+  // sample, so only its plan is shared.
+  const KernelPlan& plan_dw =
+      plan_for(PlanKey::f32(ocg, krows, OH * OW, false, true));
+  const GemmOptions opts = backend_gemm_options();
   accumulate_dw(weight_, x.dim(0), [&](float* dw, int64_t n0, int64_t n1) {
     ScratchArena::Scope scope(ScratchArena::thread_local_arena());
     float* stage = f32_stage(scope, opts_, x.shape());
@@ -608,14 +672,9 @@ Tensor Conv2d::backward_fp32(const Tensor& x, const Tensor& dy) {
       for (int64_t g = 0; g < G; ++g) {
         const float* dyg =
             dy.data() + ((n * opts_.out_channels + g * ocg) * OH * OW);
-        // dW_g [ocg, krows] += dY_g [ocg, OH*OW] * cols^T, colsᵀ packed
-        // straight from the padded image like forward's B.
-        gemm_conv(true, ocg, krows, OH * OW, 1.0f, dyg,
-                  f32_operand(opts_, x, n, g, stage), 1.0f,
-                  dw + g * ocg * krows);
-        // dcols [krows, OH*OW] = W_g^T [krows, ocg] * dY_g
-        gemm(true, false, krows, OH * OW, ocg, 1.0f,
-             weight_.value.data() + g * ocg * krows, dyg, 0.0f, dcols);
+        gemm_conv_ex(plan_dw, 1.0f, dyg, f32_operand(opts_, x, n, g, stage),
+                     1.0f, dw + g * ocg * krows, opts);
+        wt.gemm(g, dyg, dcols);
         col2im(dcols, n, g * icg, icg, opts_.kernel, opts_.stride,
                opts_.padding, OH, OW, dx);
       }

@@ -16,26 +16,8 @@ bool gemm_int8_backward_enabled() {
 void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float alpha, const float* a, const float* b, float beta, float* c) {
   if (gemm_blas_edge(m, n, k, alpha, beta, c)) return;
-  const KernelPlan& plan = plan_for(PlanKey::f32(m, n, k, trans_a, trans_b));
-  GemmOptions opts;
-  // The forced-scalar backend stays an execution-time override: the
-  // plan is backend-independent, but fp32 bits depend on the
-  // micro-kernel, so the kernel choice rides on opts rather than the
-  // cached plan.
-  if (resolved_gemm_backend() == GemmBackend::kPackedScalar)
-    opts.kernel = GemmKernel::kScalar;
-  gemm_ex(plan, alpha, a, b, beta, c, opts);
-}
-
-void gemm_conv(bool trans_b, int64_t m, int64_t n, int64_t k, float alpha,
-               const float* a, const GemmF32ConvB& b, float beta,
-               float* c) {
-  if (gemm_blas_edge(m, n, k, alpha, beta, c)) return;
-  GemmOptions opts;
-  if (resolved_gemm_backend() == GemmBackend::kPackedScalar)
-    opts.kernel = GemmKernel::kScalar;
-  gemm_conv_ex(plan_for(PlanKey::f32(m, n, k, false, trans_b)), alpha, a, b,
-               beta, c, opts);
+  gemm_ex(plan_for(PlanKey::f32(m, n, k, trans_a, trans_b)), alpha, a, b,
+          beta, c, backend_gemm_options());
 }
 
 void gemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,

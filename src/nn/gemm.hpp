@@ -12,9 +12,6 @@
 
 namespace apt::nn {
 
-template <typename T>
-struct GemmConvB;  // implicit conv operand (gemm_kernel.hpp)
-
 /// Backend selection for `gemm`, set through PlanOptions::backend
 /// (plan.hpp).
 enum class GemmBackend {
@@ -58,16 +55,6 @@ inline constexpr int kGradSrBits = 6;
 /// B propagate normally (no element-level zero shortcuts).
 void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float alpha, const float* a, const float* b, float beta, float* c);
-
-/// `gemm` with B given implicitly as a convolution's patch matrix: C =
-/// alpha * A * op_b(B) + beta * C, where op_b(B) is the virtual im2col
-/// matrix of the padded image `b` describes (its transpose when
-/// trans_b; see GemmConvB in gemm_kernel.hpp). Same backend dispatch
-/// and plan key (PlanKey::f32) as `gemm`, and the same bits as `gemm`
-/// over the materialised matrix.
-void gemm_conv(bool trans_b, int64_t m, int64_t n, int64_t k, float alpha,
-               const float* a, const GemmConvB<float>& b, float beta,
-               float* c);
 
 /// Reference implementation (triple loop, double accumulator) for tests.
 void gemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,

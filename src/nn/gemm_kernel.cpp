@@ -145,6 +145,82 @@ __attribute__((target("avx512f"))) void micro_kernel_avx512(
 }
 #endif  // APT_GEMM_X86
 
+// ------------------------------------------------------- tile write-back
+//
+// Applies one k-panel's contribution to an mr x nr corner of C. The
+// first panel owns beta: beta == 0 overwrites without reading C (so
+// garbage, including NaN, in the output buffer cannot leak through).
+void store_tile(float* c, int64_t ldc, int64_t mr, int64_t nr,
+                const float* acc, float alpha, float beta, bool first_panel) {
+  for (int64_t i = 0; i < mr; ++i) {
+    float* ci = c + i * ldc;
+    const float* ai = acc + i * kGemmNR;
+    if (!first_panel) {
+      for (int64_t j = 0; j < nr; ++j) ci[j] += alpha * ai[j];
+    } else if (beta == 0.0f) {
+      for (int64_t j = 0; j < nr; ++j) ci[j] = alpha * ai[j];
+    } else {
+      for (int64_t j = 0; j < nr; ++j) ci[j] = beta * ci[j] + alpha * ai[j];
+    }
+  }
+}
+
+#if APT_GEMM_X86
+// How store_tile combines C with the tile: c + alpha*acc on later
+// panels, alpha*acc or beta*c + alpha*acc on the first.
+enum class TileStore { kAccumulate, kOverwrite, kScale };
+
+// Eight columns of store_tile: the scalar loop's ops on each lane, one
+// multiply and one add at a time (no FMA in this target). `mask`
+// limits the loads and stores of a ragged row to its real columns;
+// kOverwrite never loads C at all.
+template <bool kMasked>
+__attribute__((target("avx2"))) inline void store_lanes(
+    float* c, const float* acc, __m256 alpha, __m256 beta, TileStore how,
+    __m256i mask) {
+  __m256 out = _mm256_mul_ps(alpha, _mm256_loadu_ps(acc));
+  if (how != TileStore::kOverwrite) {
+    __m256 old = kMasked ? _mm256_maskload_ps(c, mask) : _mm256_loadu_ps(c);
+    if (how == TileStore::kScale) old = _mm256_mul_ps(beta, old);
+    out = _mm256_add_ps(old, out);
+  }
+  if (kMasked) {
+    _mm256_maskstore_ps(c, mask, out);
+  } else {
+    _mm256_storeu_ps(c, out);
+  }
+}
+
+// store_tile two ymm per row, bit for bit. Full-width tiles take plain
+// loads and stores; a ragged tile masks each half to its nr columns, so
+// C past them is neither read nor written.
+__attribute__((target("avx2"))) void store_tile_avx2(
+    float* c, int64_t ldc, int64_t mr, int64_t nr, const float* acc,
+    float alpha, float beta, bool first_panel) {
+  static_assert(kGemmNR == 16, "two ymm halves per tile row");
+  const __m256 va = _mm256_set1_ps(alpha), vb = _mm256_set1_ps(beta);
+  TileStore how = TileStore::kAccumulate;
+  if (first_panel)
+    how = beta == 0.0f ? TileStore::kOverwrite : TileStore::kScale;
+  if (nr == kGemmNR) {
+    const __m256i all = _mm256_set1_epi32(-1);
+    for (int64_t i = 0; i < mr; ++i, c += ldc, acc += kGemmNR) {
+      store_lanes<false>(c, acc, va, vb, how, all);
+      store_lanes<false>(c + 8, acc + 8, va, vb, how, all);
+    }
+    return;
+  }
+  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const auto cols = static_cast<int>(nr);
+  const __m256i lo = _mm256_cmpgt_epi32(_mm256_set1_epi32(cols), iota);
+  const __m256i hi = _mm256_cmpgt_epi32(_mm256_set1_epi32(cols - 8), iota);
+  for (int64_t i = 0; i < mr; ++i, c += ldc, acc += kGemmNR) {
+    store_lanes<true>(c, acc, va, vb, how, lo);
+    if (nr > 8) store_lanes<true>(c + 8, acc + 8, va, vb, how, hi);
+  }
+}
+#endif  // APT_GEMM_X86
+
 // The SIMD level a kernel request runs at: kAuto follows the host's
 // level (base/cpu.hpp, APT_SIMD included); a forced level must be
 // available.
@@ -169,22 +245,25 @@ SimdLevel resolve_level(GemmKernel which) {
 
 // The fp32 tile kernels of one level: `one` covers a single NR strip;
 // `two`, when set, covers two adjacent strips in one pass (writing two
-// MR x NR tiles) and `one` takes an odd last strip.
+// MR x NR tiles) and `one` takes an odd last strip. `store` writes a
+// tile back; both vector levels share the ymm store.
 struct F32Kernels {
   void (*one)(int64_t, const float*, const float*, float*);
   void (*two)(int64_t, const float*, const float*, const float*, float*);
+  void (*store)(float*, int64_t, int64_t, int64_t, const float*, float,
+                float, bool);
 };
 
 F32Kernels resolve_kernel(GemmKernel which) {
   switch (resolve_level(which)) {
 #if APT_GEMM_X86
     case SimdLevel::kAvx512:
-      return {micro_kernel_avx2, micro_kernel_avx512};
+      return {micro_kernel_avx2, micro_kernel_avx512, store_tile_avx2};
     case SimdLevel::kAvx2:
-      return {micro_kernel_avx2, nullptr};
+      return {micro_kernel_avx2, nullptr, store_tile_avx2};
 #endif
     default:
-      return {micro_kernel_scalar, nullptr};
+      return {micro_kernel_scalar, nullptr, store_tile};
   }
 }
 
@@ -1264,29 +1343,19 @@ EpiStoreFn resolve_epi_store(GemmKernel which) {
   return store_tile_s8_epi_scalar;
 }
 
-// Applies one k-panel's contribution to an mr x nr corner of C. The
-// first panel owns beta: beta == 0 overwrites without reading C (so
-// garbage, including NaN, in the output buffer cannot leak through).
-void store_tile(float* c, int64_t ldc, int64_t mr, int64_t nr,
-                const float* acc, float alpha, float beta, bool first_panel) {
-  for (int64_t i = 0; i < mr; ++i) {
-    float* ci = c + i * ldc;
-    const float* ai = acc + i * kGemmNR;
-    if (!first_panel) {
-      for (int64_t j = 0; j < nr; ++j) ci[j] += alpha * ai[j];
-    } else if (beta == 0.0f) {
-      for (int64_t j = 0; j < nr; ++j) ci[j] = alpha * ai[j];
-    } else {
-      for (int64_t j = 0; j < nr; ++j) ci[j] = beta * ci[j] + alpha * ai[j];
-    }
-  }
-}
-
 // Effective blocking from a plan-threaded override: 0 keeps `def`, a
 // request is clamped to [lo, hi].
 int64_t eff_block(int64_t req, int64_t def, int64_t lo, int64_t hi) {
   if (req <= 0) return def;
   return std::clamp(req, lo, hi);
+}
+
+// The MC block height: eff_block's clamp, rounded down to whole MR
+// strips. Every block then starts on a strip boundary, which is what
+// lets a GemmF32PackedA serve as the driver's per-block packs. Integer
+// bits cannot depend on it, and an fp32 mc only partitions rows.
+int64_t eff_mc(int64_t req) {
+  return eff_block(req, kGemmMC, kGemmMR, kGemmMaxMC) / kGemmMR * kGemmMR;
 }
 
 }  // namespace
@@ -1321,6 +1390,25 @@ void gemm_pack_a(bool trans_a, const float* a, int64_t m, int64_t k,
       for (int64_t r = rows; r < kGemmMR; ++r) out[r] = 0.0f;
     }
   }
+}
+
+int64_t gemm_pack_a_panels_size(int64_t m, int64_t k) {
+  return (m + kGemmMR - 1) / kGemmMR * kGemmMR * k;
+}
+
+void gemm_pack_a_panels(bool trans_a, const float* a, int64_t m, int64_t k,
+                        float* dst) {
+  const int64_t m_pad = (m + kGemmMR - 1) / kGemmMR * kGemmMR;
+  for (int64_t p0 = 0; p0 < k; p0 += kGemmKC)
+    gemm_pack_a(trans_a, a, m, k, 0, m, p0, std::min(kGemmKC, k - p0),
+                dst + m_pad * p0);
+}
+
+void gemm_store_tile(float* c, int64_t ldc, int64_t mr, int64_t nr,
+                     const float* acc, float alpha, float beta,
+                     bool first_panel, GemmKernel kernel) {
+  resolve_kernel(kernel).store(c, ldc, mr, nr, acc, alpha, beta,
+                               first_panel);
 }
 
 void gemm_pack_b(bool trans_b, const float* b, int64_t k, int64_t n,
@@ -1498,20 +1586,24 @@ void gemm_unpack_conv_b(const GemmF32ConvB& cb, bool trans_b, int64_t k,
 namespace {
 
 // The packed fp32 driver; pack_b(p0, kc, j0, nc, dst) packs one B panel
-// (explicit or implicit operand alike).
+// (explicit or implicit operand alike). A is packed per MC block from
+// `a`, or, when `a_panels` is set, read from gemm_pack_a_panels' layout.
 template <typename PackB>
 void gemm_packed_driver(bool trans_a, int64_t m, int64_t n, int64_t k,
-                        float alpha, const float* a, PackB&& pack_b,
-                        float beta, float* c, const GemmOptions& opts) {
+                        float alpha, const float* a, const float* a_panels,
+                        PackB&& pack_b, float beta, float* c,
+                        const GemmOptions& opts) {
   if (gemm_blas_edge(m, n, k, alpha, beta, c)) return;
   const F32Kernels kernels = resolve_kernel(opts.kernel);
   // Runtime blocking (plan-threaded). fp32 callers must leave kc at the
   // default — a different k-panel split changes the float accumulation
   // order — so the planner only ever varies mc/nc here (see plan.hpp).
   const int64_t kc_blk = eff_block(opts.kc, kGemmKC, 4, kGemmKC);
-  const int64_t mc_blk = eff_block(opts.mc, kGemmMC, kGemmMR, kGemmMaxMC);
+  const int64_t mc_blk = eff_mc(opts.mc);
   const int64_t nc_blk = eff_block(opts.nc, kGemmNC, kGemmNR, kGemmNC);
-  const int64_t mc_pad = (mc_blk + kGemmMR - 1) / kGemmMR * kGemmMR;
+  APT_CHECK(a_panels == nullptr || kc_blk == kGemmKC)
+      << "gemm_packed: packed A panels need the default k panel depth";
+  const int64_t m_pad = (m + kGemmMR - 1) / kGemmMR * kGemmMR;
 
   for (int64_t j0 = 0; j0 < n; j0 += nc_blk) {
     const int64_t nc = std::min(nc_blk, n - j0);
@@ -1530,13 +1622,22 @@ void gemm_packed_driver(bool trans_a, int64_t m, int64_t n, int64_t k,
       const int64_t m_blocks = (m + mc_blk - 1) / mc_blk;
       auto run_blocks = [&](int64_t mb_begin, int64_t mb_end) {
         ScratchArena::Scope scope(ScratchArena::thread_local_arena());
-        float* packa =
-            scope.alloc_floats(static_cast<size_t>(mc_pad * kc));
+        float* scratch =
+            a_panels == nullptr
+                ? scope.alloc_floats(static_cast<size_t>(mc_blk * kc))
+                : nullptr;
         alignas(64) float acc[2 * kGemmMR * kGemmNR];
         for (int64_t mb = mb_begin; mb < mb_end; ++mb) {
           const int64_t i0 = mb * mc_blk;
           const int64_t mc = std::min(mc_blk, m - i0);
-          gemm_pack_a(trans_a, a, m, k, i0, mc, p0, kc, packa);
+          // i0 is a whole number of strips (eff_mc), so the panels hold
+          // this block's strips contiguously, as the pack would write.
+          const float* packa = scratch;
+          if (a_panels != nullptr) {
+            packa = a_panels + m_pad * p0 + i0 * kc;
+          } else {
+            gemm_pack_a(trans_a, a, m, k, i0, mc, p0, kc, scratch);
+          }
           // Strips go two at a time through the wide tile when the level
           // has one; an odd last strip (or every strip, otherwise) takes
           // the one-strip kernel. Either way each tile is the same bits.
@@ -1554,10 +1655,10 @@ void gemm_packed_driver(bool trans_a, int64_t m, int64_t n, int64_t k,
               }
               for (int64_t t = 0; t < width; ++t) {
                 const int64_t col = (sj + t) * kGemmNR;
-                store_tile(c + (i0 + si * kGemmMR) * n + j0 + col, n, mr,
-                           std::min(kGemmNR, nc - col),
-                           acc + t * kGemmMR * kGemmNR, alpha, beta,
-                           first_panel);
+                kernels.store(c + (i0 + si * kGemmMR) * n + j0 + col, n, mr,
+                              std::min(kGemmNR, nc - col),
+                              acc + t * kGemmMR * kGemmNR, alpha, beta,
+                              first_panel);
               }
             }
             sj += width;
@@ -1583,7 +1684,18 @@ void gemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                  float alpha, const float* a, const float* b, float beta,
                  float* c, const GemmOptions& opts) {
   gemm_packed_driver(
-      trans_a, m, n, k, alpha, a,
+      trans_a, m, n, k, alpha, a, nullptr,
+      [&](int64_t p0, int64_t kc, int64_t j0, int64_t nc, float* dst) {
+        gemm_pack_b(trans_b, b, k, n, p0, kc, j0, nc, dst);
+      },
+      beta, c, opts);
+}
+
+void gemm_packed(bool trans_b, int64_t m, int64_t n, int64_t k, float alpha,
+                 const GemmF32PackedA& a, const float* b, float beta,
+                 float* c, const GemmOptions& opts) {
+  gemm_packed_driver(
+      false, m, n, k, alpha, nullptr, a.panels,
       [&](int64_t p0, int64_t kc, int64_t j0, int64_t nc, float* dst) {
         gemm_pack_b(trans_b, b, k, n, p0, kc, j0, nc, dst);
       },
@@ -1595,7 +1707,20 @@ void gemm_packed_conv(bool trans_b, int64_t m, int64_t n, int64_t k,
                       float beta, float* c, const GemmOptions& opts) {
   check_conv_b(b, trans_b, k, n);
   gemm_packed_driver(
-      false, m, n, k, alpha, a,
+      false, m, n, k, alpha, a, nullptr,
+      [&](int64_t p0, int64_t kc, int64_t j0, int64_t nc, float* dst) {
+        gemm_pack_b_conv(b, trans_b, p0, kc, j0, nc, dst);
+      },
+      beta, c, opts);
+}
+
+void gemm_packed_conv(bool trans_b, int64_t m, int64_t n, int64_t k,
+                      float alpha, const GemmF32PackedA& a,
+                      const GemmF32ConvB& b, float beta, float* c,
+                      const GemmOptions& opts) {
+  check_conv_b(b, trans_b, k, n);
+  gemm_packed_driver(
+      false, m, n, k, alpha, nullptr, a.panels,
       [&](int64_t p0, int64_t kc, int64_t j0, int64_t nc, float* dst) {
         gemm_pack_b_conv(b, trans_b, p0, kc, j0, nc, dst);
       },
@@ -1735,9 +1860,8 @@ void gemm_s8_driver(bool trans_a, bool trans_b, int64_t m, int64_t n,
   const int64_t kc_max =
       eff_block(opts.kc, path.group == 4 ? kGemmS8KCQuad : kGemmKC,
                 path.group, kGemmS8KCQuad);
-  const int64_t mc_blk = eff_block(opts.mc, kGemmMC, kGemmMR, kGemmMaxMC);
+  const int64_t mc_blk = eff_mc(opts.mc);
   const int64_t nc_blk = eff_block(opts.nc, kGemmNC, kGemmNR, kGemmNC);
-  const int64_t mc_pad = (mc_blk + kGemmMR - 1) / kGemmMR * kGemmMR;
 
   ScratchArena::Scope outer(ScratchArena::thread_local_arena());
   // Raw code-product plane (int32, only touched when k spans several
@@ -1857,7 +1981,7 @@ void gemm_s8_driver(bool trans_a, bool trans_b, int64_t m, int64_t n,
       auto run_blocks = [&](int64_t mb_begin, int64_t mb_end) {
         ScratchArena::Scope scope(ScratchArena::thread_local_arena());
         auto* packa = static_cast<std::byte*>(scope.alloc_bytes(
-            static_cast<size_t>(mc_pad * 4 * groups)));
+            static_cast<size_t>(mc_blk * 4 * groups)));
         alignas(64) int32_t acc[kGemmMR * kGemmNR];
         double row_corr[kGemmMaxMC];
         for (int64_t mb = mb_begin; mb < mb_end; ++mb) {
@@ -1896,7 +2020,7 @@ void gemm_s8_driver(bool trans_a, bool trans_b, int64_t m, int64_t n,
         // exactly (all integer arithmetic up to the final store).
         ScratchArena::Scope scope(ScratchArena::thread_local_arena());
         auto* packa = static_cast<std::byte*>(scope.alloc_bytes(
-            static_cast<size_t>(mc_pad * 4 * groups)));
+            static_cast<size_t>(mc_blk * 4 * groups)));
         path.pack_a(trans_a, a, m, k, 0, m, p0, kc, packa,
                     j0 == 0 ? rowsum : nullptr);
         double row_corr[kGemmMaxMC];

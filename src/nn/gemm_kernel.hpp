@@ -9,6 +9,13 @@
 // buffers come from the per-thread ScratchArena, so steady-state
 // training does no kernel-side allocation.
 //
+// An A operand that many GEMMs share — a conv layer's weight, multiplied
+// once per sample — can instead be packed whole up front
+// (gemm_pack_a_panels) and handed over as a GemmF32PackedA: every MC
+// block starts on an MR boundary, so the driver reads each block's
+// strips straight out of the panels, the same bytes its own pack would
+// have written.
+//
 // Three fp32 micro-kernels are provided, picked per host through the
 // one SIMD level of base/cpu.hpp (capped by APT_SIMD): a portable scalar
 // one (the fixed MR x NR accumulator block auto-vectorises on any
@@ -16,7 +23,10 @@
 // tile that reads two adjacent NR-wide packed B strips at once. The pack
 // layout and KC are shared, and the ymm and zmm tiles run the same
 // single FMA chain per C element over ascending k, so their bits are
-// identical. Results are bit-identical for a fixed micro-kernel
+// identical. The tile write-back (alpha, beta, and the later k panels'
+// accumulate) runs at ymm width on both vector levels and as a portable
+// loop under kScalar, with the same separate multiply and add per
+// element either way. Results are bit-identical for a fixed micro-kernel
 // regardless of thread count: every C element is accumulated in a fixed
 // k-order by exactly one task (parallelism only partitions whole MC row
 // panels).
@@ -37,7 +47,8 @@ inline constexpr int64_t kGemmKC = 256;   // k panel depth (B strip in L1)
 inline constexpr int64_t kGemmMC = 96;    // m panel height (packed A in L2)
 inline constexpr int64_t kGemmNC = 2048;  // n panel width (packed B in L3)
 /// Hard ceiling a runtime mc override is clamped to (sizes the driver's
-/// per-panel stack scratch).
+/// per-panel stack scratch). The drivers round an mc override down to a
+/// multiple of kGemmMR, so every MC block starts on a strip boundary.
 inline constexpr int64_t kGemmMaxMC = 192;
 
 /// Implicit (im2col-free) conv B operand; defined with the integer
@@ -86,7 +97,7 @@ struct GemmOptions {
   /// must keep kc = 0: a different float k-panel split changes the
   /// accumulation order (the planner pins this; see plan.hpp).
   int64_t kc = 0;
-  int64_t mc = 0;  ///< clamped to kGemmMaxMC
+  int64_t mc = 0;  ///< clamped to [kGemmMR, kGemmMaxMC], rounded down to MR
   int64_t nc = 0;
   GemmS8Strategy s8 = GemmS8Strategy::kAuto;
   /// Decompose a single-MC-panel (skinny-M) integer GEMM across column
@@ -123,6 +134,29 @@ void gemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                  float alpha, const float* a, const float* b, float beta,
                  float* c, const GemmOptions& opts = {});
 
+/// op_a(A) packed whole by gemm_pack_a_panels, as the packed drivers'
+/// A operand. The transpose is folded into the pack; the panels assume
+/// the default k panel depth (opts.kc must be 0, as for every fp32 call).
+struct GemmF32PackedA {
+  const float* panels = nullptr;
+};
+
+/// Floats gemm_pack_a_panels writes for an m x k op_a(A).
+int64_t gemm_pack_a_panels_size(int64_t m, int64_t k);
+
+/// Packs all of op_a(A) (m x k): for each kGemmKC-deep k panel p0 in
+/// ascending order, all ceil(m/MR) strips as gemm_pack_a(trans_a, a, m,
+/// k, 0, m, p0, kc, ·) lays them out. Panel p0 starts at float
+/// ceil(m/MR)*MR*p0, and the MR-aligned block at row i0 i0*kc floats
+/// into it — byte for byte what the driver's per-block pack writes.
+void gemm_pack_a_panels(bool trans_a, const float* a, int64_t m, int64_t k,
+                        float* dst);
+
+/// gemm_packed with A already packed (the transpose is in the panels).
+void gemm_packed(bool trans_b, int64_t m, int64_t n, int64_t k, float alpha,
+                 const GemmF32PackedA& a, const float* b, float beta,
+                 float* c, const GemmOptions& opts = {});
+
 // -- packing primitives, exposed for tests and micro-benches ---------------
 
 /// Packs rows [i0, i0+mc) x k-range [p0, p0+kc) of op_a(A) into MR-row
@@ -138,6 +172,15 @@ void gemm_pack_a(bool trans_a, const float* a, int64_t m, int64_t k,
 /// columns. `dst` needs ceil(nc/NR)*NR*kc floats.
 void gemm_pack_b(bool trans_b, const float* b, int64_t k, int64_t n,
                  int64_t p0, int64_t kc, int64_t j0, int64_t nc, float* dst);
+
+/// The packed drivers' tile write-back, as `kernel` resolves it: applies
+/// one k panel's MR x NR accumulator tile (`acc`, row stride kGemmNR) to
+/// the mr x nr corner of C at `c` (row stride ldc). On the first panel C
+/// becomes alpha*acc when beta == 0 (C unread) and beta*c + alpha*acc
+/// otherwise; on later panels c + alpha*acc.
+void gemm_store_tile(float* c, int64_t ldc, int64_t mr, int64_t nr,
+                     const float* acc, float alpha, float beta,
+                     bool first_panel, GemmKernel kernel = GemmKernel::kAuto);
 
 // -- implicit conv B operand, fp32 ------------------------------------------
 
@@ -159,6 +202,10 @@ void gemm_unpack_conv_b(const GemmF32ConvB& cb, bool trans_b, int64_t k,
 /// identical for the same options.
 void gemm_packed_conv(bool trans_b, int64_t m, int64_t n, int64_t k,
                       float alpha, const float* a,
+                      const GemmF32ConvB& b, float beta, float* c,
+                      const GemmOptions& opts = {});
+void gemm_packed_conv(bool trans_b, int64_t m, int64_t n, int64_t k,
+                      float alpha, const GemmF32PackedA& a,
                       const GemmF32ConvB& b, float beta, float* c,
                       const GemmOptions& opts = {});
 

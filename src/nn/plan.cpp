@@ -57,7 +57,8 @@ int64_t plan_kc(const KernelPlan& p) {
   return p.kc > 0 ? std::min<int64_t>(p.kc, kGemmS8KCQuad) : def;
 }
 int64_t plan_mc(const KernelPlan& p) {
-  return p.mc > 0 ? std::min<int64_t>(p.mc, kGemmMaxMC) : kGemmMC;
+  if (p.mc <= 0) return kGemmMC;
+  return std::clamp<int64_t>(p.mc, kGemmMR, kGemmMaxMC) / kGemmMR * kGemmMR;
 }
 int64_t plan_nc(const KernelPlan& p) {
   return p.nc > 0 ? p.nc : kGemmNC;
@@ -576,7 +577,8 @@ bool parse_plan_json(const std::string& obj, KernelPlan* plan) {
   // the default k panel (accumulation order), and blocking stays in the
   // driver's clamp range. Quad ceilings are re-validated at execution
   // time by resolve_s8_path, so a stale quad plan degrades to the exact
-  // full-range form, never to wrong bits.
+  // full-range form, never to wrong bits. mc is stored as the driver
+  // runs it, whole MR strips, so every MC block starts on a strip.
   const std::vector<KernelPlan> offered = plan_candidates(p.key);
   if (std::none_of(offered.begin(), offered.end(),
                    [&](const KernelPlan& c) {
@@ -585,7 +587,7 @@ bool parse_plan_json(const std::string& obj, KernelPlan* plan) {
     return false;
   if (p.key.op == PlanOp::kGemmF32) p.kc = 0;
   p.kc = std::clamp<int64_t>(p.kc, 0, kGemmS8KCQuad);
-  p.mc = std::clamp<int64_t>(p.mc, 0, kGemmMaxMC);
+  p.mc = p.mc > 0 ? plan_mc(p) : 0;
   p.nc = std::clamp<int64_t>(p.nc, 0, kGemmNC);
   p.autotuned = true;
   *plan = p;
@@ -678,6 +680,17 @@ GemmBackend resolved_gemm_backend() {
   return g_backend.load(std::memory_order_relaxed);
 }
 
+GemmOptions backend_gemm_options() {
+  GemmOptions opts;
+  // The forced-scalar backend stays an execution-time override: the
+  // plan is backend-independent, but fp32 bits depend on the
+  // micro-kernel, so the kernel choice rides on opts rather than the
+  // cached plan.
+  if (resolved_gemm_backend() == GemmBackend::kPackedScalar)
+    opts.kernel = GemmKernel::kScalar;
+  return opts;
+}
+
 // ----------------------------------------------------------- execution
 
 namespace {
@@ -726,6 +739,27 @@ void gemm_conv_ex(const KernelPlan& plan, float alpha, const float* a,
                         beta, c, opts.kernel);
     return;
   }
+  gemm_packed_conv(key.trans_b, key.m, key.n, key.k, alpha, a, b, beta, c,
+                   f32_options(plan, opts));
+}
+
+void gemm_ex(const KernelPlan& plan, float alpha, const GemmF32PackedA& a,
+             const float* b, float beta, float* c, const GemmOptions& opts) {
+  const PlanKey& key = plan.key;
+  APT_CHECK(key.op == PlanOp::kGemmF32 &&
+            plan.strategy == PlanStrategy::kF32Packed)
+      << "gemm_ex: packed A panels need a packed fp32 plan";
+  gemm_packed(key.trans_b, key.m, key.n, key.k, alpha, a, b, beta, c,
+              f32_options(plan, opts));
+}
+
+void gemm_conv_ex(const KernelPlan& plan, float alpha,
+                  const GemmF32PackedA& a, const GemmF32ConvB& b, float beta,
+                  float* c, const GemmOptions& opts) {
+  const PlanKey& key = plan.key;
+  APT_CHECK(key.op == PlanOp::kGemmF32 &&
+            plan.strategy == PlanStrategy::kF32Packed)
+      << "gemm_conv_ex: packed A panels need a packed fp32 plan";
   gemm_packed_conv(key.trans_b, key.m, key.n, key.k, alpha, a, b, beta, c,
                    f32_options(plan, opts));
 }

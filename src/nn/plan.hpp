@@ -194,6 +194,10 @@ PlanOptions plan_options();
 /// load (plan_options() takes a mutex), so it is cheap on every call.
 GemmBackend resolved_gemm_backend();
 
+/// The GemmOptions the resolved backend implies for an fp32 call: the
+/// portable kernel under kPackedScalar, the host's otherwise.
+GemmOptions backend_gemm_options();
+
 // -- plan-keyed execution ---------------------------------------------------
 
 /// C = alpha * op_a(A) * op_b(B) + beta * C with the plan's strategy and
@@ -212,6 +216,17 @@ void gemm_ex(const KernelPlan& plan, float alpha, const float* a,
 void gemm_conv_ex(const KernelPlan& plan, float alpha, const float* a,
                   const GemmF32ConvB& b, float beta, float* c,
                   const GemmOptions& opts = {});
+
+/// gemm_ex / gemm_conv_ex with A already packed (gemm_pack_a_panels of
+/// op_a(A), so plan.key.trans_a is in the panels): the same bits, minus
+/// the per-block A pack. The plan must be kF32Packed — a direct plan
+/// reads the raw matrix, so its callers pass that instead.
+void gemm_ex(const KernelPlan& plan, float alpha, const GemmF32PackedA& a,
+             const float* b, float beta, float* c,
+             const GemmOptions& opts = {});
+void gemm_conv_ex(const KernelPlan& plan, float alpha,
+                  const GemmF32PackedA& a, const GemmF32ConvB& b, float beta,
+                  float* c, const GemmOptions& opts = {});
 
 /// Operand bundle for the unified integer entry point. Exactly one of
 /// `out` / `out_codes` is set; `out_codes` requires an epilogue with a

@@ -355,6 +355,105 @@ TEST(GemmKernelDiff, Avx512TileMatchesAvx2BitForBit) {
       }
 }
 
+// ------------------------------------------------ A packed once, up front
+
+// gemm_pack_a_panels + the packed-A driver must write the bytes of the
+// driver packing A per MC block itself: several KC panels (k up to 600),
+// ragged strips (m = 1, 5, 37), every plan-offered mc, both transposes,
+// and beta 0 (over NaN), 1 and -0.75.
+void expect_packed_a_matches_raw(GemmKernel kernel) {
+  Rng rng(41);
+  const int64_t n = 37;
+  for (int64_t m : {1, 5, 8, 37, 200})
+    for (int64_t k : {27, 256, 288, 600}) {
+      std::vector<float> a(static_cast<size_t>(m * k));
+      std::vector<float> b(static_cast<size_t>(k * n));
+      for (auto& v : a) v = rng.uniform(-1, 1);
+      for (auto& v : b) v = rng.uniform(-1, 1);
+      std::vector<float> panels(
+          static_cast<size_t>(gemm_pack_a_panels_size(m, k)));
+      for (bool ta : {false, true}) {
+        gemm_pack_a_panels(ta, a.data(), m, k, panels.data());
+        for (int64_t mc : {48, 96, 192})
+          for (float beta : {0.0f, 1.0f, -0.75f}) {
+            std::vector<float> c(static_cast<size_t>(m * n));
+            for (auto& v : c)
+              v = beta == 0.0f ? std::numeric_limits<float>::quiet_NaN()
+                               : rng.uniform(-1, 1);
+            std::vector<float> raw = c, packed = c;
+            GemmOptions opts;
+            opts.kernel = kernel;
+            opts.mc = mc;
+            gemm_packed(ta, false, m, n, k, 0.5f, a.data(), b.data(), beta,
+                        raw.data(), opts);
+            gemm_packed(false, m, n, k, 0.5f, GemmF32PackedA{panels.data()},
+                        b.data(), beta, packed.data(), opts);
+            ASSERT_EQ(0, std::memcmp(raw.data(), packed.data(),
+                                     raw.size() * sizeof(float)))
+                << "m=" << m << " k=" << k << " ta=" << ta << " mc=" << mc
+                << " beta=" << beta;
+          }
+      }
+    }
+}
+
+TEST(GemmPackedA, ScalarKernelMatchesPerBlockPack) {
+  expect_packed_a_matches_raw(GemmKernel::kScalar);
+}
+
+TEST(GemmPackedA, Avx2KernelMatchesPerBlockPack) {
+  if (!gemm_cpu_has_avx2_fma())
+    GTEST_SKIP() << "no AVX2+FMA on this CPU (or APT_SIMD caps it)";
+  expect_packed_a_matches_raw(GemmKernel::kAvx2);
+}
+
+TEST(GemmPackedA, Avx512KernelMatchesPerBlockPack) {
+  if (!gemm_cpu_has_avx512())
+    GTEST_SKIP() << "no AVX-512 F/VL/VNNI on this CPU (or APT_SIMD caps it)";
+  expect_packed_a_matches_raw(GemmKernel::kAvx512);
+}
+
+// ------------------------------------------------------ tile write-back
+
+// The vector levels' ymm store must write the portable loop's bytes for
+// every ragged corner, on first and later panels, over C holding NaN
+// and -0.0 — and leave C past the corner alone. With beta == 0 the
+// first panel never reads C, so the NaN there cannot reach the output.
+TEST(GemmStoreTile, VectorStoreMatchesPortableBitForBit) {
+  std::vector<GemmKernel> vector_kernels;
+  if (gemm_cpu_has_avx2_fma()) vector_kernels.push_back(GemmKernel::kAvx2);
+  if (gemm_cpu_has_avx512()) vector_kernels.push_back(GemmKernel::kAvx512);
+  if (vector_kernels.empty())
+    GTEST_SKIP() << "no AVX2+FMA on this CPU (or APT_SIMD caps it)";
+  constexpr int64_t kLdc = kGemmNR + 3;
+  Rng rng(43);
+  std::vector<float> acc(static_cast<size_t>(kGemmMR * kGemmNR));
+  std::vector<float> c0(static_cast<size_t>(kGemmMR * kLdc));
+  for (auto& v : acc) v = rng.uniform(-2, 2);
+  acc[5] = -0.0f;
+  for (auto& v : c0) v = rng.uniform(-2, 2);
+  for (size_t i = 0; i < c0.size(); i += 7)
+    c0[i] = std::numeric_limits<float>::quiet_NaN();
+  for (size_t i = 3; i < c0.size(); i += 11) c0[i] = -0.0f;
+  for (GemmKernel kernel : vector_kernels)
+    for (int64_t mr = 1; mr <= kGemmMR; ++mr)
+      for (int64_t nr = 1; nr <= kGemmNR; ++nr)
+        for (bool first : {true, false})
+          for (float alpha : {1.0f, 0.5f})
+            for (float beta : {0.0f, 1.0f, -0.75f}) {
+              std::vector<float> want = c0, got = c0;
+              gemm_store_tile(want.data(), kLdc, mr, nr, acc.data(), alpha,
+                              beta, first, GemmKernel::kScalar);
+              gemm_store_tile(got.data(), kLdc, mr, nr, acc.data(), alpha,
+                              beta, first, kernel);
+              ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                       want.size() * sizeof(float)))
+                  << "kernel=" << static_cast<int>(kernel) << " mr=" << mr
+                  << " nr=" << nr << " first=" << first
+                  << " alpha=" << alpha << " beta=" << beta;
+            }
+}
+
 // ---------------------------------------------- implicit conv operand
 
 // The zero-padded [c_count][H+2p][W+2p] image of channels [c_begin,

@@ -306,7 +306,9 @@ TEST(Conv2d, BackwardBeforeForwardRejected) {
 // The fp32 Conv2d, whose GEMMs pack the patch matrix straight from the
 // padded input, against a pipeline built from the explicit im2col +
 // gemm and the reference col2im scatter: forward, dX and dW bit for bit
-// on every fp32 backend, for direct-size (1x1) and packed GEMMs.
+// on every fp32 backend, for direct-size (1x1) and packed GEMMs. The
+// last case packs each group's weight once per call over two KC panels
+// (krows = 288) at stride 2, where col2im takes the reference scatter.
 struct ConvRefCase {
   int64_t cin, cout, kernel, stride, padding, groups, h, w;
   bool bias;
@@ -316,7 +318,7 @@ constexpr ConvRefCase kConvRefCases[] = {
     {3, 8, 3, 1, 1, 1, 16, 16, false},  {8, 16, 3, 2, 1, 1, 16, 16, false},
     {8, 16, 1, 2, 0, 1, 16, 16, false}, {4, 4, 5, 1, 2, 2, 7, 9, true},
     {6, 6, 3, 1, 1, 6, 8, 8, false},    {16, 32, 3, 2, 1, 1, 8, 8, true},
-    {8, 8, 1, 1, 0, 1, 8, 8, false}};
+    {8, 8, 1, 1, 0, 1, 8, 8, false},   {64, 16, 3, 2, 1, 2, 9, 9, true}};
 
 class Conv2dVsExplicit : public ::testing::TestWithParam<ConvRefCase> {};
 

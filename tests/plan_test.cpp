@@ -408,6 +408,82 @@ TEST(PlanPersistence, LoadRejectsStrategiesThePlannerDoesNotOffer) {
   plan_cache_clear();
 }
 
+// ------------------------------------------- MC blocks on MR boundaries
+
+// y, dX and dW of one fp32 conv step (fresh gradients).
+struct ConvStep {
+  std::vector<float> y, dx, dw;
+};
+
+ConvStep run_fp32_conv_step(Conv2d& conv, const Tensor& x, const Tensor& dy) {
+  conv.weight().grad.fill(0.0f);
+  const Tensor y = conv.forward(x, /*training=*/true);
+  const Tensor dx = conv.backward(dy);
+  const Tensor& dw = conv.weight().grad;
+  return {{y.data(), y.data() + y.numel()},
+          {dx.data(), dx.data() + dx.numel()},
+          {dw.data(), dw.data() + dw.numel()}};
+}
+
+TEST(PlanMc, OffStripMcLoadsRoundedAndKeepsConvBits) {
+  // An mc of 50 would start the second MC block mid-strip, where the
+  // conv's once-per-call weight panels hold no block. The cache loader
+  // stores it as 48, and the driver rounds an adopted 50 the same way,
+  // so y, dX and dW equal the default plans' bytes either way.
+  Rng rng(61);
+  Conv2dOptions o;
+  o.in_channels = 16;
+  o.out_channels = 64;
+  o.kernel = 3;
+  o.padding = 1;
+  Conv2d conv("conv", o, rng);
+  Tensor x(Shape{2, 16, 8, 8});
+  rng.fill_uniform(x, -1.0f, 1.0f);
+  Tensor dy(Shape{2, 64, 8, 8});
+  rng.fill_uniform(dy, -1.0f, 1.0f);
+  // The layer's three GEMM keys: forward W·cols, dcols Wᵀ·dY, dW dY·colsᵀ.
+  const PlanKey keys[] = {PlanKey::f32(64, 64, 144, false, false),
+                          PlanKey::f32(144, 64, 64, true, false),
+                          PlanKey::f32(64, 144, 64, false, true)};
+
+  plan_cache_clear();
+  for (const PlanKey& key : keys)
+    ASSERT_EQ(plan_for(key).strategy, PlanStrategy::kF32Packed);
+  const ConvStep want = run_fp32_conv_step(conv, x, dy);
+
+  const std::string path = ::testing::TempDir() + "apt_plan_mc50.json";
+  {
+    std::ofstream f(path);
+    f << "{\"schema\": \"apt-plan-cache/1\", \"plans\": [\n";
+    for (size_t i = 0; i < std::size(keys); ++i)
+      f << (i ? ",\n" : "") << "  {\"op\": 0, \"m\": " << keys[i].m
+        << ", \"n\": " << keys[i].n << ", \"k\": " << keys[i].k
+        << ", \"ta\": " << keys[i].trans_a << ", \"tb\": "
+        << keys[i].trans_b << ", \"threads\": " << keys[i].threads
+        << ", \"strategy\": 1, \"mc\": 50}";
+    f << "\n]}\n";
+  }
+  plan_cache_clear();
+  ASSERT_EQ(plan_cache_load(path), 3);
+  for (const PlanKey& key : keys) EXPECT_EQ(plan_for(key).mc, 48);
+  const ConvStep loaded = run_fp32_conv_step(conv, x, dy);
+  expect_bits_equal(loaded.y, want.y, "y, loaded mc 50");
+  expect_bits_equal(loaded.dx, want.dx, "dX, loaded mc 50");
+  expect_bits_equal(loaded.dw, want.dw, "dW, loaded mc 50");
+
+  plan_cache_clear();
+  for (const PlanKey& key : keys) {
+    KernelPlan p = plan_for(key);
+    p.mc = 50;
+    plan_cache_adopt(p);
+  }
+  const ConvStep adopted = run_fp32_conv_step(conv, x, dy);
+  expect_bits_equal(adopted.y, want.y, "y, adopted mc 50");
+  expect_bits_equal(adopted.dx, want.dx, "dX, adopted mc 50");
+  expect_bits_equal(adopted.dw, want.dw, "dW, adopted mc 50");
+  plan_cache_clear();
+}
+
 // ------------------------------------------------------- 1x1 conv plan
 
 TEST(PlanConv, OneByOneStrideOnePadZeroSelectsDirectGemm) {
