@@ -72,7 +72,7 @@ struct Config {
   std::string out = "BENCH_kernels.json";
   std::string check;  // reference JSON; empty = no gate
   double tolerance = 2.0;
-  // Floor on the derived `*_speedup_*` keys (packed vs the forced-scalar
+  // Floor on the derived `*_speedup_*` keys (packed vs the scalar-capped
   // micro-kernel, int8 vs packed). Unlike the absolute ns comparison
   // this is measured on one machine against itself, so it holds on any
   // runner speed; it catches "the packed backend stopped being fast"
@@ -250,8 +250,10 @@ std::vector<Workload> build_workloads(const Config& cfg) {
   const int64_t conv_batch = cfg.quick ? 2 : 8;
   const int64_t train_batch = cfg.quick ? 8 : 32;
 
+  // fp32 gemm() on the packed backend at the SIMD level `cap` allows
+  // (kAvx512 leaves the host's level as it is).
   auto gemm_workload = [](int64_t m, int64_t n, int64_t k, bool tb,
-                          GemmBackend backend) {
+                          apt::SimdLevel cap) {
     return [=]() -> std::function<void()> {
       auto a = std::make_shared<std::vector<float>>(
           static_cast<size_t>(m * k));
@@ -263,23 +265,23 @@ std::vector<Workload> build_workloads(const Config& cfg) {
       for (auto& v : *a) v = rng.uniform(-1, 1);
       for (auto& v : *b) v = rng.uniform(-1, 1);
       return [=] {
-        BackendGuard guard(backend);
+        BackendGuard guard(GemmBackend::kPacked);
+        apt::SimdCapScope scope(cap);
         apt::nn::gemm(false, tb, m, n, k, 1.0f, a->data(), b->data(), 0.0f,
                       c->data());
       };
     };
   };
 
-  // The acceptance workload: 256^3, packed vs the forced-scalar
-  // micro-kernel (the no-SIMD baseline).
+  // The acceptance workload: 256^3, packed vs the portable micro-kernel
+  // under the scalar SIMD cap (the no-SIMD baseline).
   ws.push_back({"gemm_f32_256_packed", 2 * 256 * 256 * 256,
-                gemm_workload(256, 256, 256, false, GemmBackend::kPacked)});
-  ws.push_back(
-      {"gemm_f32_256_packed_scalar", 2 * 256 * 256 * 256,
-       gemm_workload(256, 256, 256, false, GemmBackend::kPackedScalar)});
+                gemm_workload(256, 256, 256, false, apt::SimdLevel::kAvx512)});
+  ws.push_back({"gemm_f32_256_packed_scalar", 2 * 256 * 256 * 256,
+                gemm_workload(256, 256, 256, false, apt::SimdLevel::kScalar)});
   // Linear-layer shape: y = x * W^T exercises trans_b packing.
   ws.push_back({"gemm_f32_128x512x256_nt", 2 * 128 * 512 * 256,
-                gemm_workload(128, 512, 256, true, GemmBackend::kPacked)});
+                gemm_workload(128, 512, 256, true, apt::SimdLevel::kAvx512)});
   // Integer kernel on the acceptance shape: full-range u8 activation
   // codes against a 6-bit weight plane (the paper's operating point),
   // which engages the vpmaddubsw quad strategy. Non-trivial zero-points,
@@ -300,9 +302,14 @@ std::vector<Workload> build_workloads(const Config& cfg) {
                   apt::nn::GemmS8Params qp{0.01, 0.02, 128, 31};
                   qp.max_b = 63;
                   return std::function<void()>([=] {
-                    apt::nn::gemm_s8_exec(false, false, m, n, k, a->data(),
-                                          b->data(), nullptr, qp, nullptr,
-                                          c->data(), nullptr);
+                    const apt::nn::KernelPlan& plan = apt::nn::plan_for(
+                        apt::nn::PlanKey::s8(m, n, k, false, false, 255, 63));
+                    apt::nn::GemmS8Args ga;
+                    ga.a = a->data();
+                    ga.b = b->data();
+                    ga.params = qp;
+                    ga.out = c->data();
+                    apt::nn::gemm_s8_ex(plan, ga);
                   });
                 }});
   // Skinny integer GEMM (one MC block tall): the shape whose

@@ -11,8 +11,14 @@
 // and what the CPU supports, so a run can be pinned to the AVX2 kernels
 // on an AVX-512 host (or to the portable loops anywhere). An unknown
 // value is a configuration error, reported before any kernel runs.
+//
+// SimdCapScope narrows the level further for a stretch of code (the
+// cross-level differential tests, the forced-scalar bench). It is the
+// only way to pick narrower kernels: nothing takes a kernel argument,
+// and a scope can never raise the level above the CPU or APT_SIMD.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -69,11 +75,12 @@ inline SimdLevel cpu_simd_level() {
 #endif
 }
 
-/// The level every dispatch site uses: cpu_simd_level() capped by
-/// APT_SIMD (read once). An unknown APT_SIMD value aborts with a message
-/// naming the legal values — a mistyped cap must not silently run other
-/// kernels than the ones asked for.
-inline SimdLevel simd_level() {
+namespace detail {
+
+/// cpu_simd_level() capped by APT_SIMD (read once). An unknown APT_SIMD
+/// value aborts with a message naming the legal values — a mistyped cap
+/// must not silently run other kernels than the ones asked for.
+inline SimdLevel env_simd_level() {
   static const SimdLevel level = [] {
     const SimdLevel hw = cpu_simd_level();
     // Read once, before the result is cached; getenv is mt-unsafe only
@@ -93,6 +100,44 @@ inline SimdLevel simd_level() {
   }();
   return level;
 }
+
+/// The cap of the innermost live SimdCapScope (kAvx512 when none).
+inline std::atomic<SimdLevel>& scope_simd_cap() {
+  static std::atomic<SimdLevel> cap{SimdLevel::kAvx512};
+  return cap;
+}
+
+}  // namespace detail
+
+/// The level every dispatch site uses: the lowest of the CPU's level,
+/// APT_SIMD and the innermost SimdCapScope. The GEMM drivers read it
+/// once per call and run every tile of that call on the kernels it
+/// names.
+inline SimdLevel simd_level() {
+  const SimdLevel env = detail::env_simd_level();
+  const SimdLevel scope = detail::scope_simd_cap().load();
+  return scope < env ? scope : env;
+}
+
+/// Caps simd_level() at `cap` until the scope ends, then restores the
+/// previous cap. Scopes only narrow: a nested scope asking for a wider
+/// level keeps the enclosing one's. The cap is process-wide, so pool
+/// workers running on a capped caller's behalf see it too; scopes must
+/// therefore nest (open and close them from one thread at a time, as a
+/// test body or a bench section does).
+class SimdCapScope {
+ public:
+  explicit SimdCapScope(SimdLevel cap)
+      : prev_(detail::scope_simd_cap().load()) {
+    detail::scope_simd_cap().store(cap < prev_ ? cap : prev_);
+  }
+  ~SimdCapScope() { detail::scope_simd_cap().store(prev_); }
+  SimdCapScope(const SimdCapScope&) = delete;
+  SimdCapScope& operator=(const SimdCapScope&) = delete;
+
+ private:
+  SimdLevel prev_;
+};
 
 /// True when the AVX2+FMA kernels may run (CPU support and APT_SIMD).
 inline bool cpu_has_avx2_fma() { return simd_level() >= SimdLevel::kAvx2; }

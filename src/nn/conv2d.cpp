@@ -158,7 +158,6 @@ class F32Weight {
   F32Weight(const PlanKey& key, const float* w, int64_t groups,
             ScratchArena::Scope& scope)
       : plan_(plan_for(key)),
-        opts_(backend_gemm_options()),
         w_(w),
         w_stride_(key.m * key.k) {
     if (plan_.strategy != PlanStrategy::kF32Packed) return;
@@ -173,9 +172,9 @@ class F32Weight {
   void gemm(int64_t g, const GemmF32ConvB& b, float* c) const {
     if (panels_ != nullptr) {
       gemm_conv_ex(plan_, 1.0f, GemmF32PackedA{panels_ + g * p_stride_}, b,
-                   0.0f, c, opts_);
+                   0.0f, c);
     } else {
-      gemm_conv_ex(plan_, 1.0f, w_ + g * w_stride_, b, 0.0f, c, opts_);
+      gemm_conv_ex(plan_, 1.0f, w_ + g * w_stride_, b, 0.0f, c);
     }
   }
 
@@ -183,15 +182,14 @@ class F32Weight {
   void gemm(int64_t g, const float* b, float* c) const {
     if (panels_ != nullptr) {
       gemm_ex(plan_, 1.0f, GemmF32PackedA{panels_ + g * p_stride_}, b, 0.0f,
-              c, opts_);
+              c);
     } else {
-      gemm_ex(plan_, 1.0f, w_ + g * w_stride_, b, 0.0f, c, opts_);
+      gemm_ex(plan_, 1.0f, w_ + g * w_stride_, b, 0.0f, c);
     }
   }
 
  private:
   const KernelPlan& plan_;
-  GemmOptions opts_;
   const float* w_;
   int64_t w_stride_;
   float* panels_ = nullptr;
@@ -663,7 +661,6 @@ Tensor Conv2d::backward_fp32(const Tensor& x, const Tensor& dy) {
   // sample, so only its plan is shared.
   const KernelPlan& plan_dw =
       plan_for(PlanKey::f32(ocg, krows, OH * OW, false, true));
-  const GemmOptions opts = backend_gemm_options();
   accumulate_dw(weight_, x.dim(0), [&](float* dw, int64_t n0, int64_t n1) {
     ScratchArena::Scope scope(ScratchArena::thread_local_arena());
     float* stage = f32_stage(scope, opts_, x.shape());
@@ -673,7 +670,7 @@ Tensor Conv2d::backward_fp32(const Tensor& x, const Tensor& dy) {
         const float* dyg =
             dy.data() + ((n * opts_.out_channels + g * ocg) * OH * OW);
         gemm_conv_ex(plan_dw, 1.0f, dyg, f32_operand(opts_, x, n, g, stage),
-                     1.0f, dw + g * ocg * krows, opts);
+                     1.0f, dw + g * ocg * krows);
         wt.gemm(g, dyg, dcols);
         col2im(dcols, n, g * icg, icg, opts_.kernel, opts_.stride,
                opts_.padding, OH, OW, dx);

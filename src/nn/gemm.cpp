@@ -17,7 +17,7 @@ void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float alpha, const float* a, const float* b, float beta, float* c) {
   if (gemm_blas_edge(m, n, k, alpha, beta, c)) return;
   gemm_ex(plan_for(PlanKey::f32(m, n, k, trans_a, trans_b)), alpha, a, b,
-          beta, c, backend_gemm_options());
+          beta, c);
 }
 
 void gemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,

@@ -1,10 +1,10 @@
 // Single-precision matrix multiply used by Linear and Conv2d.
 //
 // C[M,N] (+)= op_a(A) * op_b(B), where op transposes when the flag is set.
-// `gemm` runs the packed register-blocked backend in gemm_kernel.hpp
-// (the widest micro-kernel the SIMD level of base/cpu.hpp allows: AVX-512,
-// AVX2+FMA or portable scalar; PlanOptions::backend in plan.hpp can
-// force the scalar one). Tiny
+// `gemm` resolves the problem's plan (plan.hpp) and runs it on the
+// packed register-blocked backend in gemm_kernel.hpp, with the widest
+// micro-kernel the SIMD level of base/cpu.hpp allows: AVX-512, AVX2+FMA
+// or portable scalar (APT_SIMD or a SimdCapScope narrows it). Tiny
 // problems take a direct strided loop to skip packing overhead.
 #pragma once
 
@@ -15,8 +15,7 @@ namespace apt::nn {
 /// Backend selection for `gemm`, set through PlanOptions::backend
 /// (plan.hpp).
 enum class GemmBackend {
-  kPacked,        // packed backend, micro-kernel chosen via CPUID
-  kPackedScalar,  // packed backend, portable micro-kernel forced
+  kPacked,  // packed fp32 backend, micro-kernel chosen by simd_level()
   /// Packed fp32 for plain float GEMMs, PLUS: layers whose weights live
   /// in 8-bit-or-narrower QuantizedTensor codes run their forward pass
   /// through the integer gemm_s8 kernel on quantised activations, and

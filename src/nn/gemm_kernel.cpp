@@ -9,6 +9,7 @@
 #include "base/check.hpp"
 #include "base/cpu.hpp"
 #include "base/thread_pool.hpp"
+#include "nn/plan.hpp"
 
 #define APT_GEMM_X86 APT_X86
 #if APT_GEMM_X86
@@ -221,28 +222,6 @@ __attribute__((target("avx2"))) void store_tile_avx2(
 }
 #endif  // APT_GEMM_X86
 
-// The SIMD level a kernel request runs at: kAuto follows the host's
-// level (base/cpu.hpp, APT_SIMD included); a forced level must be
-// available.
-SimdLevel resolve_level(GemmKernel which) {
-  switch (which) {
-    case GemmKernel::kScalar:
-      return SimdLevel::kScalar;
-    case GemmKernel::kAvx2:
-      APT_CHECK(gemm_cpu_has_avx2_fma())
-          << "AVX2 kernel forced on a CPU (or APT_SIMD cap) without AVX2+FMA";
-      return SimdLevel::kAvx2;
-    case GemmKernel::kAvx512:
-      APT_CHECK(gemm_cpu_has_avx512())
-          << "AVX-512 kernel forced on a CPU (or APT_SIMD cap) without "
-             "AVX-512 F/VL/VNNI";
-      return SimdLevel::kAvx512;
-    case GemmKernel::kAuto:
-    default:
-      return simd_level();
-  }
-}
-
 // The fp32 tile kernels of one level: `one` covers a single NR strip;
 // `two`, when set, covers two adjacent strips in one pass (writing two
 // MR x NR tiles) and `one` takes an odd last strip. `store` writes a
@@ -254,8 +233,8 @@ struct F32Kernels {
                 float, bool);
 };
 
-F32Kernels resolve_kernel(GemmKernel which) {
-  switch (resolve_level(which)) {
+F32Kernels resolve_kernel(SimdLevel level) {
+  switch (level) {
 #if APT_GEMM_X86
     case SimdLevel::kAvx512:
       return {micro_kernel_avx2, micro_kernel_avx512, store_tile_avx2};
@@ -842,7 +821,7 @@ void pack_conv(const GemmS8ConvB& cb, bool trans_b, int64_t p0, int64_t kc,
   const int64_t groups = (kc + kGroup - 1) / kGroup;
   const uint8_t* img = cb.padded;
   // Sized for the deepest runtime k panel either strategy plans
-  // (GemmOptions::kc is clamped to kGemmS8KCQuad).
+  // (a plan's kc is clamped to kGemmS8KCQuad).
   int64_t koff[kGemmS8KCQuad];
   int64_t coff[kGemmNR];
   if (trans_b) {
@@ -1038,15 +1017,13 @@ void kern_vnni_a_signed(int64_t groups, const void* pa, const void* pb,
 }
 #endif  // APT_GEMM_X86
 
-S8Path resolve_s8_path(GemmKernel which, const GemmS8Params& params,
-                       GemmS8Strategy force) {
-  const SimdLevel level = resolve_level(which);
+// Picks the packing layout and tile for `level` and these operand
+// ceilings. `allow_quad` false (a kS8Pairs plan) forces the full-range
+// form; otherwise quads engage only when a ceiling proves they cannot
+// saturate, so no plan ever trades bits for speed.
+S8Path resolve_s8_path(SimdLevel level, const GemmS8Params& params,
+                       bool allow_quad) {
 #if APT_GEMM_X86
-  // A strategy request never overrides the saturation proof: kQuad is
-  // honoured only under the same operand-ceiling check as kAuto, and
-  // an ineligible request silently falls back to the exact full-range
-  // form (int16 pairs on AVX2, recentred quads on VNNI).
-  const bool allow_quad = force != GemmS8Strategy::kPairs;
   const bool b_small = allow_quad && params.max_b <= kGemmS8QuadMaxCode;
   const bool a_small = allow_quad && params.max_a <= kGemmS8QuadMaxCode;
   if (level == SimdLevel::kAvx512) {
@@ -1071,7 +1048,7 @@ S8Path resolve_s8_path(GemmKernel which, const GemmS8Params& params,
 #else
   (void)level;
   (void)params;
-  (void)force;
+  (void)allow_quad;
 #endif
   return {2, pack_a_pairs_adapter, pack_b_pairs_adapter, kern_pairs_scalar};
 }
@@ -1156,12 +1133,11 @@ using FinalStoreFn = void (*)(float*, int64_t, const int32_t*, int64_t,
 
 // The AVX2 stores serve the AVX-512 level too: the tile is 16 columns
 // of doubles, which the ymm loop already covers in four steps.
-FinalStoreFn resolve_final_store(GemmKernel which) {
+FinalStoreFn resolve_final_store(SimdLevel level) {
 #if APT_GEMM_X86
-  if (resolve_level(which) >= SimdLevel::kAvx2)
-    return store_tile_s8_final_avx2;
+  if (level >= SimdLevel::kAvx2) return store_tile_s8_final_avx2;
 #else
-  (void)which;
+  (void)level;
 #endif
   return store_tile_s8_final;
 }
@@ -1333,18 +1309,17 @@ using EpiStoreFn = void (*)(float*, uint8_t*, int64_t, const int32_t*,
                             const double*, const double*,
                             const EpiStoreArgs&);
 
-EpiStoreFn resolve_epi_store(GemmKernel which) {
+EpiStoreFn resolve_epi_store(SimdLevel level) {
 #if APT_GEMM_X86
-  if (resolve_level(which) >= SimdLevel::kAvx2)
-    return store_tile_s8_epi_avx2;
+  if (level >= SimdLevel::kAvx2) return store_tile_s8_epi_avx2;
 #else
-  (void)which;
+  (void)level;
 #endif
   return store_tile_s8_epi_scalar;
 }
 
-// Effective blocking from a plan-threaded override: 0 keeps `def`, a
-// request is clamped to [lo, hi].
+// Effective blocking from a plan field: 0 keeps `def`, a request is
+// clamped to [lo, hi].
 int64_t eff_block(int64_t req, int64_t def, int64_t lo, int64_t hi) {
   if (req <= 0) return def;
   return std::clamp(req, lo, hi);
@@ -1361,7 +1336,6 @@ int64_t eff_mc(int64_t req) {
 }  // namespace
 
 bool gemm_cpu_has_avx2_fma() { return cpu_has_avx2_fma(); }
-bool gemm_cpu_has_avx512() { return cpu_has_avx512(); }
 
 bool gemm_blas_edge(int64_t m, int64_t n, int64_t k, float alpha, float beta,
                     float* c) {
@@ -1406,9 +1380,9 @@ void gemm_pack_a_panels(bool trans_a, const float* a, int64_t m, int64_t k,
 
 void gemm_store_tile(float* c, int64_t ldc, int64_t mr, int64_t nr,
                      const float* acc, float alpha, float beta,
-                     bool first_panel, GemmKernel kernel) {
-  resolve_kernel(kernel).store(c, ldc, mr, nr, acc, alpha, beta,
-                               first_panel);
+                     bool first_panel) {
+  resolve_kernel(simd_level())
+      .store(c, ldc, mr, nr, acc, alpha, beta, first_panel);
 }
 
 void gemm_pack_b(bool trans_b, const float* b, int64_t k, int64_t n,
@@ -1515,14 +1489,17 @@ __attribute__((target("avx2"))) void direct_avx2(bool trans_a, int64_t m,
 }
 #endif  // APT_GEMM_X86
 
-}  // namespace
-
-void gemm_strided_direct(bool trans_a, bool trans_b, int64_t m, int64_t n,
-                         int64_t k, float alpha, const float* a,
-                         const float* b, float beta, float* c,
-                         GemmKernel kernel) {
+// The kF32Direct strategy: a single-threaded strided loop for problems
+// too small to amortise packing. Each element accumulates acc += a*b
+// for p ascending (a separate multiply and add, never an FMA), then
+// alpha*acc (+ beta*c). On AVX2 levels the loop runs 8 output columns
+// per vector, each lane with exactly that op sequence, so the bits
+// equal the portable loop's. trans_b stages op_b(B) row-major first.
+void strided_direct(SimdLevel level, bool trans_a, bool trans_b, int64_t m,
+                    int64_t n, int64_t k, float alpha, const float* a,
+                    const float* b, float beta, float* c) {
 #if APT_GEMM_X86
-  if (kernel != GemmKernel::kScalar && gemm_cpu_has_avx2_fma()) {
+  if (level >= SimdLevel::kAvx2) {
     // The vector loop reads B rows; a transposed B (at most a few
     // thousand floats on this path) is staged row-major first.
     ScratchArena::Scope scope(ScratchArena::thread_local_arena());
@@ -1537,10 +1514,12 @@ void gemm_strided_direct(bool trans_a, bool trans_b, int64_t m, int64_t n,
     return;
   }
 #else
-  (void)kernel;
+  (void)level;
 #endif
   direct_scalar(trans_a, trans_b, m, n, k, alpha, a, b, beta, c);
 }
+
+}  // namespace
 
 void gemm_pack_b_conv(const GemmF32ConvB& cb, bool trans_b, int64_t p0,
                       int64_t kc, int64_t j0, int64_t nc, float* dst) {
@@ -1564,9 +1543,13 @@ void gemm_pack_b_conv(const GemmF32ConvB& cb, bool trans_b, int64_t p0,
   }
 }
 
-void gemm_unpack_conv_b(const GemmF32ConvB& cb, bool trans_b, int64_t k,
-                        int64_t n, float* dst) {
-  check_conv_b(cb, trans_b, k, n);
+namespace {
+
+// Writes op_b(B) of the implicit conv operand row-major into `dst`
+// (k x n floats): the small materialised form the direct strategy
+// multiplies.
+void unpack_conv_b(const GemmF32ConvB& cb, bool trans_b, int64_t k,
+                   int64_t n, float* dst) {
   ScratchArena::Scope scope(ScratchArena::thread_local_arena());
   auto* koff = static_cast<int64_t*>(
       scope.alloc_bytes(static_cast<size_t>(k + n) * sizeof(int64_t)));
@@ -1583,26 +1566,26 @@ void gemm_unpack_conv_b(const GemmF32ConvB& cb, bool trans_b, int64_t k,
       dst[p * n + j] = cb.padded[koff[p] + noff[j]];
 }
 
-namespace {
-
-// The packed fp32 driver; pack_b(p0, kc, j0, nc, dst) packs one B panel
-// (explicit or implicit operand alike). A is packed per MC block from
-// `a`, or, when `a_panels` is set, read from gemm_pack_a_panels' layout.
+// The packed fp32 driver for `plan`'s shape, blocking and dispatch;
+// pack_b(p0, kc, j0, nc, dst) packs one B panel (explicit or implicit
+// operand alike). A is packed per MC block from `a`, or, when
+// `a_panels` is set, read from gemm_pack_a_panels' layout.
 template <typename PackB>
-void gemm_packed_driver(bool trans_a, int64_t m, int64_t n, int64_t k,
-                        float alpha, const float* a, const float* a_panels,
-                        PackB&& pack_b, float beta, float* c,
-                        const GemmOptions& opts) {
+void packed_driver(const KernelPlan& plan, float alpha, const float* a,
+                   const float* a_panels, PackB&& pack_b, float beta,
+                   float* c) {
+  const bool trans_a = plan.key.trans_a;
+  const int64_t m = plan.key.m, n = plan.key.n, k = plan.key.k;
   if (gemm_blas_edge(m, n, k, alpha, beta, c)) return;
-  const F32Kernels kernels = resolve_kernel(opts.kernel);
-  // Runtime blocking (plan-threaded). fp32 callers must leave kc at the
-  // default — a different k-panel split changes the float accumulation
-  // order — so the planner only ever varies mc/nc here (see plan.hpp).
-  const int64_t kc_blk = eff_block(opts.kc, kGemmKC, 4, kGemmKC);
-  const int64_t mc_blk = eff_mc(opts.mc);
-  const int64_t nc_blk = eff_block(opts.nc, kGemmNC, kGemmNR, kGemmNC);
+  const F32Kernels kernels = resolve_kernel(simd_level());
+  // fp32 plans leave kc at the default — a different k-panel split
+  // changes the float accumulation order — so the planner only ever
+  // varies mc/nc here (see plan.hpp).
+  const int64_t kc_blk = eff_block(plan.kc, kGemmKC, 4, kGemmKC);
+  const int64_t mc_blk = eff_mc(plan.mc);
+  const int64_t nc_blk = eff_block(plan.nc, kGemmNC, kGemmNR, kGemmNC);
   APT_CHECK(a_panels == nullptr || kc_blk == kGemmKC)
-      << "gemm_packed: packed A panels need the default k panel depth";
+      << "gemm_ex: packed A panels need the default k panel depth";
   const int64_t m_pad = (m + kGemmMR - 1) / kGemmMR * kGemmMR;
 
   for (int64_t j0 = 0; j0 < n; j0 += nc_blk) {
@@ -1669,7 +1652,7 @@ void gemm_packed_driver(bool trans_a, int64_t m, int64_t n, int64_t k,
       // Partitioning whole MC panels keeps every C element's k-order
       // accumulation on a single task: bit-identical for any pool size.
       const int64_t work = m * nc * kc;
-      if (opts.parallel && m_blocks > 1 && work > (1 << 16)) {
+      if (plan.parallel && m_blocks > 1 && work > (1 << 16)) {
         ThreadPool::global().parallel_for(0, m_blocks, run_blocks, 1);
       } else {
         run_blocks(0, m_blocks);
@@ -1678,53 +1661,87 @@ void gemm_packed_driver(bool trans_a, int64_t m, int64_t n, int64_t k,
   }
 }
 
+void check_f32_plan(const KernelPlan& plan, bool packed_a) {
+  APT_CHECK(plan.key.op == PlanOp::kGemmF32)
+      << "gemm_ex: plan was resolved for an integer op";
+  APT_CHECK(!packed_a || plan.strategy == PlanStrategy::kF32Packed)
+      << "gemm_ex: packed A panels need a packed fp32 plan";
+}
+
+void pack_b_explicit(const KernelPlan& plan, const float* b, int64_t p0,
+                     int64_t kc, int64_t j0, int64_t nc, float* dst) {
+  gemm_pack_b(plan.key.trans_b, b, plan.key.k, plan.key.n, p0, kc, j0, nc,
+              dst);
+}
+
 }  // namespace
 
-void gemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-                 float alpha, const float* a, const float* b, float beta,
-                 float* c, const GemmOptions& opts) {
-  gemm_packed_driver(
-      trans_a, m, n, k, alpha, a, nullptr,
+void gemm_ex(const KernelPlan& plan, float alpha, const float* a,
+             const float* b, float beta, float* c) {
+  check_f32_plan(plan, false);
+  const PlanKey& key = plan.key;
+  if (plan.strategy == PlanStrategy::kF32Direct) {
+    if (gemm_blas_edge(key.m, key.n, key.k, alpha, beta, c)) return;
+    strided_direct(simd_level(), key.trans_a, key.trans_b, key.m, key.n,
+                   key.k, alpha, a, b, beta, c);
+    return;
+  }
+  packed_driver(
+      plan, alpha, a, nullptr,
       [&](int64_t p0, int64_t kc, int64_t j0, int64_t nc, float* dst) {
-        gemm_pack_b(trans_b, b, k, n, p0, kc, j0, nc, dst);
+        pack_b_explicit(plan, b, p0, kc, j0, nc, dst);
       },
-      beta, c, opts);
+      beta, c);
 }
 
-void gemm_packed(bool trans_b, int64_t m, int64_t n, int64_t k, float alpha,
-                 const GemmF32PackedA& a, const float* b, float beta,
-                 float* c, const GemmOptions& opts) {
-  gemm_packed_driver(
-      false, m, n, k, alpha, nullptr, a.panels,
+void gemm_ex(const KernelPlan& plan, float alpha, const GemmF32PackedA& a,
+             const float* b, float beta, float* c) {
+  check_f32_plan(plan, true);
+  packed_driver(
+      plan, alpha, nullptr, a.panels,
       [&](int64_t p0, int64_t kc, int64_t j0, int64_t nc, float* dst) {
-        gemm_pack_b(trans_b, b, k, n, p0, kc, j0, nc, dst);
+        pack_b_explicit(plan, b, p0, kc, j0, nc, dst);
       },
-      beta, c, opts);
+      beta, c);
 }
 
-void gemm_packed_conv(bool trans_b, int64_t m, int64_t n, int64_t k,
-                      float alpha, const float* a, const GemmF32ConvB& b,
-                      float beta, float* c, const GemmOptions& opts) {
-  check_conv_b(b, trans_b, k, n);
-  gemm_packed_driver(
-      false, m, n, k, alpha, a, nullptr,
+void gemm_conv_ex(const KernelPlan& plan, float alpha, const float* a,
+                  const GemmF32ConvB& b, float beta, float* c) {
+  check_f32_plan(plan, false);
+  const PlanKey& key = plan.key;
+  APT_CHECK(!key.trans_a) << "gemm_conv_ex: needs A non-transposed";
+  check_conv_b(b, key.trans_b, key.k, key.n);
+  if (gemm_blas_edge(key.m, key.n, key.k, alpha, beta, c)) return;
+  if (plan.strategy == PlanStrategy::kF32Direct) {
+    // A direct-size operand is a few thousand floats at most: gather it
+    // once and run the strided loop over it (same values, same bits).
+    ScratchArena::Scope scope(ScratchArena::thread_local_arena());
+    float* bk = scope.alloc_floats(static_cast<size_t>(key.k * key.n));
+    unpack_conv_b(b, key.trans_b, key.k, key.n, bk);
+    strided_direct(simd_level(), false, false, key.m, key.n, key.k, alpha,
+                   a, bk, beta, c);
+    return;
+  }
+  packed_driver(
+      plan, alpha, a, nullptr,
       [&](int64_t p0, int64_t kc, int64_t j0, int64_t nc, float* dst) {
-        gemm_pack_b_conv(b, trans_b, p0, kc, j0, nc, dst);
+        gemm_pack_b_conv(b, key.trans_b, p0, kc, j0, nc, dst);
       },
-      beta, c, opts);
+      beta, c);
 }
 
-void gemm_packed_conv(bool trans_b, int64_t m, int64_t n, int64_t k,
-                      float alpha, const GemmF32PackedA& a,
-                      const GemmF32ConvB& b, float beta, float* c,
-                      const GemmOptions& opts) {
-  check_conv_b(b, trans_b, k, n);
-  gemm_packed_driver(
-      false, m, n, k, alpha, nullptr, a.panels,
+void gemm_conv_ex(const KernelPlan& plan, float alpha,
+                  const GemmF32PackedA& a, const GemmF32ConvB& b, float beta,
+                  float* c) {
+  check_f32_plan(plan, true);
+  const PlanKey& key = plan.key;
+  check_conv_b(b, key.trans_b, key.k, key.n);
+  packed_driver(
+      plan, alpha, nullptr, a.panels,
       [&](int64_t p0, int64_t kc, int64_t j0, int64_t nc, float* dst) {
-        gemm_pack_b_conv(b, trans_b, p0, kc, j0, nc, dst);
+        gemm_pack_b_conv(b, key.trans_b, p0, kc, j0, nc, dst);
       },
-      beta, c, opts);
+      beta, c);
 }
 
 void gemm_s8_pack_a(bool trans_a, const uint8_t* a, int64_t m, int64_t k,
@@ -1773,23 +1790,30 @@ void gemm_s8_pack_b_quads_conv(const GemmS8ConvB& cb, bool trans_b,
 
 namespace {
 
-// Shared gemm_s8 driver. With `epi == nullptr` it reproduces the plain
-// dequantising store (`cf` output) bit for bit; with an epilogue it
-// routes the final-panel tiles through the fused store, writing either
-// fp32 (`cf`) or requantised u8 codes (`cu`).
-void gemm_s8_driver(bool trans_a, bool trans_b, int64_t m, int64_t n,
-                    int64_t k, const uint8_t* a, const uint8_t* b,
-                    const GemmS8ConvB* convb, const GemmS8Params& params,
-                    const GemmS8Epilogue* epi, float* cf, uint8_t* cu,
-                    const GemmOptions& opts) {
+// The integer driver behind gemm_s8_ex, for `plan`'s shape, blocking,
+// strategy and dispatch. With no epilogue it writes the plain
+// dequantised product (`cf`); with one it routes the final-panel tiles
+// through the fused store, writing either fp32 (`cf`) or requantised u8
+// codes (`cu`).
+void s8_driver(const KernelPlan& plan, const GemmS8Args& args) {
+  const bool trans_a = plan.key.trans_a, trans_b = plan.key.trans_b;
+  const int64_t m = plan.key.m, n = plan.key.n, k = plan.key.k;
+  const uint8_t* a = args.a;
+  const uint8_t* b = args.b;
+  const GemmS8ConvB* convb = args.conv_b;
+  const GemmS8Params& params = args.params;
+  const GemmS8Epilogue* epi = args.epilogue;
+  float* cf = args.out;
+  uint8_t* cu = args.out_codes;
   if (m <= 0 || n <= 0) return;
   // B is the virtual im2col matrix [taps, positions], or its transpose.
   if (convb != nullptr) check_conv_b(*convb, trans_b, k, n);
   const double sab = params.scale_a * params.scale_b;
 
+  const SimdLevel level = simd_level();
   EpiStoreArgs ea;
-  const EpiStoreFn epi_store = resolve_epi_store(opts.kernel);
-  const FinalStoreFn final_store = resolve_final_store(opts.kernel);
+  const EpiStoreFn epi_store = resolve_epi_store(level);
+  const FinalStoreFn final_store = resolve_final_store(level);
   if (epi != nullptr) {
     APT_CHECK(epi->observe_lo == nullptr || epi->observe_hi != nullptr)
         << "gemm_s8: observe_lo and observe_hi come as a pair";
@@ -1848,7 +1872,8 @@ void gemm_s8_driver(bool trans_a, bool trans_b, int64_t m, int64_t n,
   APT_CHECK(params.zero_a >= 0 && params.zero_a <= 255 &&
             params.zero_b >= 0 && params.zero_b <= 255)
       << "gemm_s8: zero-points must be 8-bit codes";
-  const S8Path path = resolve_s8_path(opts.kernel, params, opts.s8);
+  const S8Path path = resolve_s8_path(
+      level, params, plan.strategy != PlanStrategy::kS8Pairs);
   const int64_t za = params.zero_a, zb = params.zero_b;
   // Row correction factor: Zb, less the offset of recentred B bytes
   // (sum qa*qb = kernel sum + 128 * rowsum_a; gemm_kernel.hpp).
@@ -1858,10 +1883,10 @@ void gemm_s8_driver(bool trans_a, bool trans_b, int64_t m, int64_t n,
   // may override kc freely — integer arithmetic is exact, so the panel
   // split never changes bits — up to the conv row-table bound.
   const int64_t kc_max =
-      eff_block(opts.kc, path.group == 4 ? kGemmS8KCQuad : kGemmKC,
+      eff_block(plan.kc, path.group == 4 ? kGemmS8KCQuad : kGemmKC,
                 path.group, kGemmS8KCQuad);
-  const int64_t mc_blk = eff_mc(opts.mc);
-  const int64_t nc_blk = eff_block(opts.nc, kGemmNC, kGemmNR, kGemmNC);
+  const int64_t mc_blk = eff_mc(plan.mc);
+  const int64_t nc_blk = eff_block(plan.nc, kGemmNC, kGemmNR, kGemmNC);
 
   ScratchArena::Scope outer(ScratchArena::thread_local_arena());
   // Raw code-product plane (int32, only touched when k spans several
@@ -1890,7 +1915,7 @@ void gemm_s8_driver(bool trans_a, bool trans_b, int64_t m, int64_t n,
   // observed range is identical for any pool size or decomposition.
   const int64_t m_blocks_total = (m + mc_blk - 1) / mc_blk;
   int64_t obs_slots = m_blocks_total;
-  if (opts.split_n) {
+  if (plan.split_n) {
     const int64_t max_strips =
         (std::min(n, nc_blk) + kGemmNR - 1) / kGemmNR;
     obs_slots = std::max(obs_slots, max_strips);
@@ -2007,10 +2032,10 @@ void gemm_s8_driver(bool trans_a, bool trans_b, int64_t m, int64_t n,
       };
 
       const int64_t work = m * nc * kc;
-      const bool pool_worthwhile = opts.parallel && work > (1 << 16);
+      const bool pool_worthwhile = plan.parallel && work > (1 << 16);
       if (pool_worthwhile && m_blocks > 1) {
         ThreadPool::global().parallel_for(0, m_blocks, run_blocks, 1);
-      } else if (pool_worthwhile && opts.split_n && m_blocks == 1 &&
+      } else if (pool_worthwhile && plan.split_n && m_blocks == 1 &&
                  n_strips > 1) {
         // Skinny-M decomposition: one MC panel covers all of M, so the
         // row dispatch has nothing to split. Pack A once on the calling
@@ -2065,17 +2090,18 @@ void gemm_s8_driver(bool trans_a, bool trans_b, int64_t m, int64_t n,
 
 }  // namespace
 
-void gemm_s8_exec(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-                  const uint8_t* a, const uint8_t* b,
-                  const GemmS8ConvB* conv_b, const GemmS8Params& params,
-                  const GemmS8Epilogue* epi, float* cf, uint8_t* cu,
-                  const GemmOptions& opts) {
-  APT_CHECK((cf != nullptr) != (cu != nullptr))
-      << "gemm_s8_exec: exactly one of cf/cu must be set";
-  APT_CHECK(cu == nullptr || epi != nullptr)
-      << "gemm_s8_exec: requantised output needs an epilogue grid";
-  gemm_s8_driver(trans_a, trans_b, m, n, k, a, b, conv_b, params, epi, cf,
-                 cu, opts);
+void gemm_s8_ex(const KernelPlan& plan, const GemmS8Args& args) {
+  APT_CHECK(plan.key.op != PlanOp::kGemmF32)
+      << "gemm_s8_ex: plan was resolved for an fp32 op";
+  APT_CHECK((args.out != nullptr) != (args.out_codes != nullptr))
+      << "gemm_s8_ex: exactly one of out/out_codes must be set";
+  APT_CHECK(args.out_codes == nullptr || args.epilogue != nullptr)
+      << "gemm_s8_ex: requantised output needs an epilogue grid";
+  APT_CHECK(plan.strategy != PlanStrategy::kS8ConvDirect ||
+            (args.conv_b == nullptr && args.b != nullptr))
+      << "gemm_s8_ex: kS8ConvDirect expects the contiguous code plane "
+         "as a plain B operand";
+  s8_driver(plan, args);
 }
 
 }  // namespace apt::nn

@@ -1,6 +1,15 @@
 // Packed, register-blocked SGEMM backend (BLIS-style three-level tiling).
 //
-// The driver walks C in NC-wide column panels and KC-deep k panels,
+// The drivers themselves are private to gemm_kernel.cpp: every GEMM runs
+// through the plan-keyed entry points of plan.hpp (gemm_ex,
+// gemm_conv_ex, gemm_s8_ex), so a KernelPlan is the one description of a
+// call's strategy, blocking and thread decomposition, and simd_level()
+// (base/cpu.hpp) the one selector of its micro-kernels. This header
+// holds what those entry points share with layers and tests: the
+// blocking constants, the operand descriptors, and the packing and
+// write-back primitives.
+//
+// The fp32 driver walks C in NC-wide column panels and KC-deep k panels,
 // packing the corresponding B panel once into NR-column strips; inside,
 // M is walked in MC-tall panels whose A sub-panel is packed into MR-row
 // strips, and an MR x NR micro-kernel runs over the packed operands.
@@ -16,16 +25,17 @@
 // strips straight out of the panels, the same bytes its own pack would
 // have written.
 //
-// Three fp32 micro-kernels are provided, picked per host through the
-// one SIMD level of base/cpu.hpp (capped by APT_SIMD): a portable scalar
-// one (the fixed MR x NR accumulator block auto-vectorises on any
-// target), an AVX2+FMA 6x16 ymm tile, and on AVX-512 hosts a 6x32 zmm
-// tile that reads two adjacent NR-wide packed B strips at once. The pack
+// Three fp32 micro-kernels are provided, picked per call from the one
+// SIMD level of base/cpu.hpp (capped by APT_SIMD and SimdCapScope, read
+// once at the driver's entry): a portable scalar one (the fixed MR x NR
+// accumulator block auto-vectorises on any target), an AVX2+FMA 6x16
+// ymm tile, and on AVX-512 hosts a 6x32 zmm tile that reads two
+// adjacent NR-wide packed B strips at once. The pack
 // layout and KC are shared, and the ymm and zmm tiles run the same
 // single FMA chain per C element over ascending k, so their bits are
 // identical. The tile write-back (alpha, beta, and the later k panels'
 // accumulate) runs at ymm width on both vector levels and as a portable
-// loop under kScalar, with the same separate multiply and add per
+// loop at the scalar level, with the same separate multiply and add per
 // element either way. Results are bit-identical for a fixed micro-kernel
 // regardless of thread count: every C element is accumulated in a fixed
 // k-order by exactly one task (parallelism only partitions whole MC row
@@ -38,17 +48,17 @@
 namespace apt::nn {
 
 // Default register/cache blocking constants (see DESIGN.md §8). Since
-// the planner (plan.hpp) these are per-plan parameters — GemmOptions
-// below carries kc/mc/nc overrides — and the constants are the values a
-// zero override falls back to.
+// the planner (plan.hpp) these are per-plan parameters — KernelPlan
+// carries kc/mc/nc — and the constants are the values a zero plan
+// field falls back to.
 inline constexpr int64_t kGemmMR = 6;     // rows per register tile
 inline constexpr int64_t kGemmNR = 16;    // cols per register tile (2 ymm)
 inline constexpr int64_t kGemmKC = 256;   // k panel depth (B strip in L1)
 inline constexpr int64_t kGemmMC = 96;    // m panel height (packed A in L2)
 inline constexpr int64_t kGemmNC = 2048;  // n panel width (packed B in L3)
-/// Hard ceiling a runtime mc override is clamped to (sizes the driver's
-/// per-panel stack scratch). The drivers round an mc override down to a
-/// multiple of kGemmMR, so every MC block starts on a strip boundary.
+/// Hard ceiling a plan's mc is clamped to (sizes the driver's per-panel
+/// stack scratch). The drivers round a plan's mc down to a multiple of
+/// kGemmMR, so every MC block starts on a strip boundary.
 inline constexpr int64_t kGemmMaxMC = 192;
 
 /// Implicit (im2col-free) conv B operand; defined with the integer
@@ -58,53 +68,8 @@ struct GemmConvB;
 using GemmS8ConvB = GemmConvB<uint8_t>;
 using GemmF32ConvB = GemmConvB<float>;
 
-/// Micro-kernel selection for the fp32 and integer drivers. Plans never
-/// carry it: the kernel is a property of the host (and of tests forcing
-/// one), never of a problem, so every choice below yields the same bits
-/// for the same plan.
-enum class GemmKernel {
-  kAuto,    // the widest kernel the SIMD level allows (base/cpu.hpp)
-  kScalar,  // force the portable kernels
-  kAvx2,    // force the AVX2 kernels (caller must check support)
-  kAvx512,  // force the AVX-512 kernels: the 6x32 zmm fp32 tile and the
-            // vpdpbusd integer tile (caller must check support)
-};
-
-/// True when the AVX2+FMA micro-kernels may run (CPU and APT_SIMD).
+/// True when the AVX2+FMA micro-kernels may run (cpu_has_avx2_fma()).
 bool gemm_cpu_has_avx2_fma();
-/// True when the AVX-512 F/VL/VNNI micro-kernels may run.
-bool gemm_cpu_has_avx512();
-
-/// Integer-kernel strategy request (see the strategy notes above
-/// kGemmS8MaxK). kQuad engages only when the operand ceilings prove the
-/// byte-quad pair-sum cannot saturate; otherwise the driver falls back
-/// to the always-exact pair strategy — a request never trades bits.
-enum class GemmS8Strategy : uint8_t {
-  kAuto,   // quad when a ceiling allows it, pairs otherwise
-  kPairs,  // force the int16 k-pair strategy
-  kQuad,   // prefer the byte k-quad strategy (ceiling still checked)
-};
-
-struct GemmOptions {
-  GemmKernel kernel = GemmKernel::kAuto;
-  /// Split MC row panels across the global thread pool when the problem
-  /// is large enough. Output bits do not depend on this flag.
-  bool parallel = true;
-  /// Cache-blocking overrides; 0 keeps the compile-time default
-  /// (kGemmKC/kGemmMC/kGemmNC, or kGemmS8KCQuad for the s8 quad
-  /// strategy). The integer drivers honour any kc — their arithmetic is
-  /// exact, so the k-panel split never changes bits — but fp32 callers
-  /// must keep kc = 0: a different float k-panel split changes the
-  /// accumulation order (the planner pins this; see plan.hpp).
-  int64_t kc = 0;
-  int64_t mc = 0;  ///< clamped to [kGemmMR, kGemmMaxMC], rounded down to MR
-  int64_t nc = 0;
-  GemmS8Strategy s8 = GemmS8Strategy::kAuto;
-  /// Decompose a single-MC-panel (skinny-M) integer GEMM across column
-  /// strips instead of row panels. Bits are unaffected: strips partition
-  /// outputs, never an element's k-sum.
-  bool split_n = false;
-};
 
 /// The BLAS edge cases every fp32 entry point shares: an empty C, or
 /// alpha == 0 / k <= 0, where A and B are not referenced (so NaN/Inf
@@ -114,29 +79,10 @@ struct GemmOptions {
 bool gemm_blas_edge(int64_t m, int64_t n, int64_t k, float alpha, float beta,
                     float* c);
 
-/// Direct strided fp32 loop for problems too small to amortise packing
-/// (the planner's kF32Direct strategy). Single-threaded, fixed k-order
-/// accumulation per element: acc += a*b for p ascending (a separate
-/// multiply and add, never an FMA), then alpha*acc (+ beta*c). On AVX2
-/// hosts the loop runs 8 output columns per vector, each lane with
-/// exactly that op sequence, so the bits equal the scalar loop that
-/// kScalar forces. trans_b stages op_b(B) row-major first.
-void gemm_strided_direct(bool trans_a, bool trans_b, int64_t m, int64_t n,
-                         int64_t k, float alpha, const float* a,
-                         const float* b, float beta, float* c,
-                         GemmKernel kernel = GemmKernel::kAuto);
-
-/// C = alpha * op_a(A) * op_b(B) + beta * C, all row-major.
-/// op_a(A) is m x k, op_b(B) is k x n, C is m x n. Per BLAS convention,
-/// alpha == 0 skips the product entirely (A and B are not read) and
-/// beta == 0 overwrites C without reading it.
-void gemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-                 float alpha, const float* a, const float* b, float beta,
-                 float* c, const GemmOptions& opts = {});
-
-/// op_a(A) packed whole by gemm_pack_a_panels, as the packed drivers'
-/// A operand. The transpose is folded into the pack; the panels assume
-/// the default k panel depth (opts.kc must be 0, as for every fp32 call).
+/// op_a(A) packed whole by gemm_pack_a_panels, as the A operand of
+/// gemm_ex / gemm_conv_ex under a packed plan. The transpose is folded
+/// into the pack; the panels assume the default k panel depth (a plan's
+/// kc is 0, as for every fp32 plan).
 struct GemmF32PackedA {
   const float* panels = nullptr;
 };
@@ -151,11 +97,6 @@ int64_t gemm_pack_a_panels_size(int64_t m, int64_t k);
 /// into it — byte for byte what the driver's per-block pack writes.
 void gemm_pack_a_panels(bool trans_a, const float* a, int64_t m, int64_t k,
                         float* dst);
-
-/// gemm_packed with A already packed (the transpose is in the panels).
-void gemm_packed(bool trans_b, int64_t m, int64_t n, int64_t k, float alpha,
-                 const GemmF32PackedA& a, const float* b, float beta,
-                 float* c, const GemmOptions& opts = {});
 
 // -- packing primitives, exposed for tests and micro-benches ---------------
 
@@ -173,14 +114,14 @@ void gemm_pack_a(bool trans_a, const float* a, int64_t m, int64_t k,
 void gemm_pack_b(bool trans_b, const float* b, int64_t k, int64_t n,
                  int64_t p0, int64_t kc, int64_t j0, int64_t nc, float* dst);
 
-/// The packed drivers' tile write-back, as `kernel` resolves it: applies
+/// The packed driver's tile write-back at the current simd_level(): applies
 /// one k panel's MR x NR accumulator tile (`acc`, row stride kGemmNR) to
 /// the mr x nr corner of C at `c` (row stride ldc). On the first panel C
 /// becomes alpha*acc when beta == 0 (C unread) and beta*c + alpha*acc
 /// otherwise; on later panels c + alpha*acc.
 void gemm_store_tile(float* c, int64_t ldc, int64_t mr, int64_t nr,
                      const float* acc, float alpha, float beta,
-                     bool first_panel, GemmKernel kernel = GemmKernel::kAuto);
+                     bool first_panel);
 
 // -- implicit conv B operand, fp32 ------------------------------------------
 
@@ -190,24 +131,6 @@ void gemm_store_tile(float* c, int64_t ldc, int64_t mr, int64_t nr,
 /// gemm_pack_b. Requires kc <= kGemmKC.
 void gemm_pack_b_conv(const GemmF32ConvB& cb, bool trans_b, int64_t p0,
                       int64_t kc, int64_t j0, int64_t nc, float* dst);
-
-/// Writes op_b(B) of the implicit conv operand row-major into `dst`
-/// (k x n floats): the small materialised form the direct strategy
-/// multiplies.
-void gemm_unpack_conv_b(const GemmF32ConvB& cb, bool trans_b, int64_t k,
-                        int64_t n, float* dst);
-
-/// gemm_packed with B given implicitly (A non-transposed). Packs the same
-/// panels as gemm_packed over the materialised matrix, so the bits are
-/// identical for the same options.
-void gemm_packed_conv(bool trans_b, int64_t m, int64_t n, int64_t k,
-                      float alpha, const float* a,
-                      const GemmF32ConvB& b, float beta, float* c,
-                      const GemmOptions& opts = {});
-void gemm_packed_conv(bool trans_b, int64_t m, int64_t n, int64_t k,
-                      float alpha, const GemmF32PackedA& a,
-                      const GemmF32ConvB& b, float beta, float* c,
-                      const GemmOptions& opts = {});
 
 // -- integer (quantised-code) GEMM ------------------------------------------
 //
@@ -252,7 +175,9 @@ void gemm_packed_conv(bool trans_b, int64_t m, int64_t n, int64_t k,
 // are still taken on the original codes. The int16-pair and maddubs
 // layouts, the kernel choice and the recentring are invisible to plans
 // (no PlanStrategy names them), so plans, the plan cache and compiled
-// artifacts are the same on every host.
+// artifacts are the same on every host. A kS8Pairs plan forces the
+// full-range form; every other integer strategy takes quads exactly
+// when a ceiling allows, so no plan can trade bits for speed.
 inline constexpr int64_t kGemmS8MaxK = INT32_MAX / (255 * 255);
 inline constexpr int32_t kGemmS8QuadMaxCode = 64;
 
@@ -278,19 +203,6 @@ struct GemmS8Params {
 };
 
 struct GemmS8Epilogue;
-
-/// The unified integer GEMM driver (the execution primitive behind
-/// plan.hpp's gemm_s8_ex). Exactly one of `cf` (fp32 output) / `cu`
-/// (requantised codes; requires `epi`) is non-null. `conv_b` describes B
-/// implicitly for the conv layout (its transpose when trans_b); when
-/// null, `b` is a plain code plane. `epi` null means the raw dequantised
-/// product: C (fp32, m x n row-major, overwritten) =
-/// Sa*Sb * (op_a(A)-Za)(op_b(B)-Zb). Requires k <= kGemmS8MaxK.
-void gemm_s8_exec(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-                  const uint8_t* a, const uint8_t* b,
-                  const GemmS8ConvB* conv_b, const GemmS8Params& params,
-                  const GemmS8Epilogue* epi, float* cf, uint8_t* cu,
-                  const GemmOptions& opts = {});
 
 // -- fused epilogues --------------------------------------------------------
 //
@@ -369,7 +281,7 @@ struct GemmS8Epilogue {
 // each sample's staged input codes.
 //
 // The fp32 GEMM takes the same descriptor over a float image whose pad
-// is 0.0f (GemmF32ConvB; gemm_pack_b_conv / gemm_packed_conv above).
+// is 0.0f (GemmF32ConvB; gemm_pack_b_conv above, gemm_conv_ex in plan.hpp).
 template <typename T>
 struct GemmConvB {
   const T* padded = nullptr;  ///< [channels][ph][pw], pad pre-filled

@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "base/arena.hpp"
 #include "base/check.hpp"
 #include "base/thread_pool.hpp"
 
@@ -678,122 +677,6 @@ PlanOptions plan_options() {
 
 GemmBackend resolved_gemm_backend() {
   return g_backend.load(std::memory_order_relaxed);
-}
-
-GemmOptions backend_gemm_options() {
-  GemmOptions opts;
-  // The forced-scalar backend stays an execution-time override: the
-  // plan is backend-independent, but fp32 bits depend on the
-  // micro-kernel, so the kernel choice rides on opts rather than the
-  // cached plan.
-  if (resolved_gemm_backend() == GemmBackend::kPackedScalar)
-    opts.kernel = GemmKernel::kScalar;
-  return opts;
-}
-
-// ----------------------------------------------------------- execution
-
-namespace {
-
-// A packed fp32 plan's blocking over the caller's options.
-GemmOptions f32_options(const KernelPlan& plan, const GemmOptions& opts) {
-  GemmOptions o = opts;
-  o.kc = plan.kc;  // always 0 for fp32 plans (accumulation order)
-  o.mc = plan.mc;
-  o.nc = plan.nc;
-  if (!plan.parallel) o.parallel = false;
-  return o;
-}
-
-}  // namespace
-
-void gemm_ex(const KernelPlan& plan, float alpha, const float* a,
-             const float* b, float beta, float* c, const GemmOptions& opts) {
-  const PlanKey& key = plan.key;
-  APT_CHECK(key.op == PlanOp::kGemmF32)
-      << "gemm_ex: plan was resolved for an integer op";
-  if (gemm_blas_edge(key.m, key.n, key.k, alpha, beta, c)) return;
-  if (plan.strategy == PlanStrategy::kF32Direct) {
-    gemm_strided_direct(key.trans_a, key.trans_b, key.m, key.n, key.k,
-                        alpha, a, b, beta, c, opts.kernel);
-    return;
-  }
-  gemm_packed(key.trans_a, key.trans_b, key.m, key.n, key.k, alpha, a, b,
-              beta, c, f32_options(plan, opts));
-}
-
-void gemm_conv_ex(const KernelPlan& plan, float alpha, const float* a,
-                  const GemmF32ConvB& b, float beta, float* c,
-                  const GemmOptions& opts) {
-  const PlanKey& key = plan.key;
-  APT_CHECK(key.op == PlanOp::kGemmF32 && !key.trans_a)
-      << "gemm_conv_ex: needs an fp32 plan with A non-transposed";
-  if (gemm_blas_edge(key.m, key.n, key.k, alpha, beta, c)) return;
-  if (plan.strategy == PlanStrategy::kF32Direct) {
-    // A direct-size operand is a few thousand floats at most: gather it
-    // once and run the strided loop over it (same values, same bits).
-    ScratchArena::Scope scope(ScratchArena::thread_local_arena());
-    float* bk = scope.alloc_floats(static_cast<size_t>(key.k * key.n));
-    gemm_unpack_conv_b(b, key.trans_b, key.k, key.n, bk);
-    gemm_strided_direct(false, false, key.m, key.n, key.k, alpha, a, bk,
-                        beta, c, opts.kernel);
-    return;
-  }
-  gemm_packed_conv(key.trans_b, key.m, key.n, key.k, alpha, a, b, beta, c,
-                   f32_options(plan, opts));
-}
-
-void gemm_ex(const KernelPlan& plan, float alpha, const GemmF32PackedA& a,
-             const float* b, float beta, float* c, const GemmOptions& opts) {
-  const PlanKey& key = plan.key;
-  APT_CHECK(key.op == PlanOp::kGemmF32 &&
-            plan.strategy == PlanStrategy::kF32Packed)
-      << "gemm_ex: packed A panels need a packed fp32 plan";
-  gemm_packed(key.trans_b, key.m, key.n, key.k, alpha, a, b, beta, c,
-              f32_options(plan, opts));
-}
-
-void gemm_conv_ex(const KernelPlan& plan, float alpha,
-                  const GemmF32PackedA& a, const GemmF32ConvB& b, float beta,
-                  float* c, const GemmOptions& opts) {
-  const PlanKey& key = plan.key;
-  APT_CHECK(key.op == PlanOp::kGemmF32 &&
-            plan.strategy == PlanStrategy::kF32Packed)
-      << "gemm_conv_ex: packed A panels need a packed fp32 plan";
-  gemm_packed_conv(key.trans_b, key.m, key.n, key.k, alpha, a, b, beta, c,
-                   f32_options(plan, opts));
-}
-
-void gemm_s8_ex(const KernelPlan& plan, const GemmS8Args& args,
-                const GemmOptions& opts) {
-  const PlanKey& key = plan.key;
-  APT_CHECK(key.op != PlanOp::kGemmF32)
-      << "gemm_s8_ex: plan was resolved for an fp32 op";
-  GemmOptions o = opts;
-  o.kc = plan.kc;
-  o.mc = plan.mc;
-  o.nc = plan.nc;
-  o.split_n = plan.split_n;
-  if (!plan.parallel) o.parallel = false;
-  switch (plan.strategy) {
-    case PlanStrategy::kS8Pairs:
-      o.s8 = GemmS8Strategy::kPairs;
-      break;
-    case PlanStrategy::kS8Quad:
-      o.s8 = GemmS8Strategy::kQuad;
-      break;
-    default:
-      o.s8 = GemmS8Strategy::kAuto;
-      break;
-  }
-  if (plan.strategy == PlanStrategy::kS8ConvDirect) {
-    APT_CHECK(args.conv_b == nullptr && args.b != nullptr)
-        << "gemm_s8_ex: kS8ConvDirect expects the contiguous code plane "
-           "as a plain B operand";
-  }
-  gemm_s8_exec(key.trans_a, key.trans_b, key.m, key.n, key.k, args.a,
-               args.b, args.conv_b, args.params, args.epilogue, args.out,
-               args.out_codes, o);
 }
 
 }  // namespace apt::nn

@@ -7,10 +7,17 @@
 // PlanKey {op, M/N/K or conv geometry, operand code ceilings, transpose
 // flags, thread count}. Plans are cached process-wide (resolve once per
 // shape, reuse for the life of the process) and executed through the
-// plan-keyed entry points below:
+// plan-keyed entry points below — the only way any GEMM runs:
 //
 //   const KernelPlan& plan = plan_for(PlanKey::s8(m, n, k, ...));
 //   gemm_s8_ex(plan, args);            // or gemm_ex(plan, ...) for fp32
+//
+// A plan fixes everything about a call but its micro-kernels, which the
+// entry points take from simd_level() (base/cpu.hpp) at their start: a
+// property of the host, narrowed only by APT_SIMD or a SimdCapScope. A
+// plan therefore means the same, and gives the same bits, at every level.
+// The entry points are defined beside the drivers in gemm_kernel.cpp;
+// plan.cpp only plans and caches.
 //
 // Invariants the planner preserves:
 //  * Bit-identity: every candidate plan for a key produces bit-identical
@@ -53,7 +60,7 @@ namespace apt::nn {
 /// entries, and plan-cache rows instead of aliasing a forward key with
 /// the same M/N/K (DESIGN.md §14).
 enum class PlanOp : uint8_t {
-  kGemmF32 = 0,        ///< fp32 GEMM (gemm / gemm_packed shapes)
+  kGemmF32 = 0,        ///< fp32 GEMM (gemm, gemm_ex, gemm_conv_ex)
   kGemmS8 = 1,         ///< integer code-plane GEMM (linear layout)
   kConvS8 = 2,         ///< integer conv: B is the implicit im2col operand
   kS8GradDx = 3,       ///< backward data gradient: dX = dY · W
@@ -122,11 +129,15 @@ struct PlanKey {
                                    int32_t max_b);
 };
 
-/// A resolved execution recipe. Blocking fields of 0 keep the kernel
-/// layer's compile-time default; see GemmOptions for how they thread
-/// into pack/kernel/epilogue. mr/nr record the register tile (one
-/// micro-kernel shape exists today; the field keeps plans
-/// self-describing for the JSON cache and future kernels).
+/// A resolved execution recipe: the drivers read the strategy, blocking
+/// and decomposition straight from it. Blocking fields of 0 keep the
+/// kernel layer's compile-time default (gemm_kernel.hpp); an integer kc
+/// is clamped to [group, kGemmS8KCQuad], an fp32 kc must stay 0 (float
+/// accumulation order), mc is clamped to [kGemmMR, kGemmMaxMC] and
+/// rounded down to whole MR strips, nc to [kGemmNR, kGemmNC]. mr/nr
+/// record the register tile (one micro-kernel shape exists today; the
+/// field keeps plans self-describing for the JSON cache and future
+/// kernels).
 struct KernelPlan {
   PlanKey key;
   PlanStrategy strategy = PlanStrategy::kF32Packed;
@@ -194,19 +205,14 @@ PlanOptions plan_options();
 /// load (plan_options() takes a mutex), so it is cheap on every call.
 GemmBackend resolved_gemm_backend();
 
-/// The GemmOptions the resolved backend implies for an fp32 call: the
-/// portable kernel under kPackedScalar, the host's otherwise.
-GemmOptions backend_gemm_options();
-
 // -- plan-keyed execution ---------------------------------------------------
 
-/// C = alpha * op_a(A) * op_b(B) + beta * C with the plan's strategy and
-/// blocking. `opts.kernel` / `opts.parallel` are still honoured (tests
-/// force the scalar kernel; nested contexts disable dispatch); blocking
-/// always comes from the plan.
+/// C = alpha * op_a(A) * op_b(B) + beta * C, all row-major, with the
+/// plan's strategy, blocking and decomposition (dimensions and transpose
+/// flags from plan.key). Per BLAS convention alpha == 0 skips the
+/// product (A and B are not read) and beta == 0 overwrites C unread.
 void gemm_ex(const KernelPlan& plan, float alpha, const float* a,
-             const float* b, float beta, float* c,
-             const GemmOptions& opts = {});
+             const float* b, float beta, float* c);
 
 /// gemm_ex with B given implicitly as a convolution's patch matrix
 /// (op_b(B) = the virtual im2col matrix of `b`, or its transpose when
@@ -214,19 +220,17 @@ void gemm_ex(const KernelPlan& plan, float alpha, const float* a,
 /// gemm_ex would pack from the materialised matrix and the direct
 /// strategy gathers op_b(B) once, so the bits equal gemm_ex over im2col.
 void gemm_conv_ex(const KernelPlan& plan, float alpha, const float* a,
-                  const GemmF32ConvB& b, float beta, float* c,
-                  const GemmOptions& opts = {});
+                  const GemmF32ConvB& b, float beta, float* c);
 
 /// gemm_ex / gemm_conv_ex with A already packed (gemm_pack_a_panels of
 /// op_a(A), so plan.key.trans_a is in the panels): the same bits, minus
 /// the per-block A pack. The plan must be kF32Packed — a direct plan
 /// reads the raw matrix, so its callers pass that instead.
 void gemm_ex(const KernelPlan& plan, float alpha, const GemmF32PackedA& a,
-             const float* b, float beta, float* c,
-             const GemmOptions& opts = {});
+             const float* b, float beta, float* c);
 void gemm_conv_ex(const KernelPlan& plan, float alpha,
                   const GemmF32PackedA& a, const GemmF32ConvB& b, float beta,
-                  float* c, const GemmOptions& opts = {});
+                  float* c);
 
 /// Operand bundle for the unified integer entry point. Exactly one of
 /// `out` / `out_codes` is set; `out_codes` requires an epilogue with a
@@ -246,8 +250,9 @@ struct GemmS8Args {
 /// Unified integer GEMM: the raw dequantised product, the fused fp32
 /// epilogue and the requantising epilogue, over a plain or implicit conv
 /// B operand, behind one plan-keyed signature. Dimensions and transpose
-/// flags come from plan.key.
-void gemm_s8_ex(const KernelPlan& plan, const GemmS8Args& args,
-                const GemmOptions& opts = {});
+/// flags come from plan.key. With no epilogue, `out` (m x n, row-major,
+/// overwritten) = Sa*Sb * (op_a(A)-Za)(op_b(B)-Zb). Requires
+/// k <= kGemmS8MaxK.
+void gemm_s8_ex(const KernelPlan& plan, const GemmS8Args& args);
 
 }  // namespace apt::nn

@@ -768,6 +768,12 @@ Status validate_program(const std::string& path, const CompiledModel& cm,
       return bad("register sizes disagree with geometry");
     if (op.wcodes.size() != static_cast<size_t>(weights))
       return bad("weight codes do not match geometry");
+    // The kernels pick byte quads (and VNNI's operand reading) from the
+    // declared ceiling alone: one code above it could saturate a quad
+    // pair-sum and make the served bits depend on the host's SIMD level.
+    if (std::any_of(op.wcodes.begin(), op.wcodes.end(),
+                    [&](uint8_t q) { return q > op.w_max; }))
+      return bad("weight code above the ceiling");
   }
   return Status::Ok();
 }

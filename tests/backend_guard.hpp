@@ -1,7 +1,11 @@
-// Scoped GEMM backend override for tests: sets PlanOptions::backend and
-// restores the previous planner options when the scope ends.
+// Dispatch knobs for tests: a scoped GEMM backend override that sets
+// PlanOptions::backend and restores the previous planner options when
+// the scope ends, and the SIMD levels a SimdCapScope can pick here.
 #pragma once
 
+#include <vector>
+
+#include "base/cpu.hpp"
 #include "nn/plan.hpp"
 
 namespace apt::nn {
@@ -20,5 +24,15 @@ class BackendGuard {
  private:
   PlanOptions prev_;
 };
+
+/// Every SIMD level this process can run, narrowest first: the levels a
+/// cross-level differential test runs under SimdCapScope.
+inline std::vector<SimdLevel> host_simd_levels() {
+  std::vector<SimdLevel> levels;
+  for (SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512})
+    if (level <= simd_level()) levels.push_back(level);
+  return levels;
+}
 
 }  // namespace apt::nn

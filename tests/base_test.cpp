@@ -2,6 +2,7 @@
 // ScratchArena and the SIMD level.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
@@ -414,6 +415,56 @@ TEST(SimdLevel, CapNeverExceedsTheCpuAndPredicatesFollowIt) {
   } else {
     EXPECT_EQ(simd_level(), cpu_simd_level());
   }
+}
+
+TEST(SimdLevel, ScopeNarrowsThePredicates) {
+  const SimdLevel outside = simd_level();
+  {
+    SimdCapScope scalar(SimdLevel::kScalar);
+    EXPECT_EQ(simd_level(), SimdLevel::kScalar);
+    EXPECT_FALSE(cpu_has_avx2_fma());
+    EXPECT_FALSE(cpu_has_avx512());
+  }
+  {
+    SimdCapScope avx2(SimdLevel::kAvx2);
+    EXPECT_EQ(simd_level(), std::min(outside, SimdLevel::kAvx2));
+    EXPECT_EQ(cpu_has_avx2_fma(), outside >= SimdLevel::kAvx2);
+    EXPECT_FALSE(cpu_has_avx512());
+  }
+  EXPECT_EQ(simd_level(), outside);
+}
+
+TEST(SimdLevel, NestedScopesNarrowFurtherAndRestoreOnExit) {
+  const SimdLevel outside = simd_level();
+  {
+    SimdCapScope avx2(SimdLevel::kAvx2);
+    const SimdLevel mid = simd_level();
+    EXPECT_EQ(mid, std::min(outside, SimdLevel::kAvx2));
+    {
+      SimdCapScope scalar(SimdLevel::kScalar);
+      EXPECT_EQ(simd_level(), SimdLevel::kScalar);
+    }
+    EXPECT_EQ(simd_level(), mid);
+  }
+  EXPECT_EQ(simd_level(), outside);
+}
+
+TEST(SimdLevel, ScopeNeverRisesAboveTheCpuOrTheEnvCap) {
+  // The level outside any scope is min(CPU, APT_SIMD); a scope asking
+  // for more keeps it, and a scope inside a narrower one keeps that.
+  const SimdLevel outside = simd_level();
+  {
+    SimdCapScope wide(SimdLevel::kAvx512);
+    EXPECT_EQ(simd_level(), outside);
+    EXPECT_LE(simd_level(), cpu_simd_level());
+  }
+  {
+    SimdCapScope scalar(SimdLevel::kScalar);
+    SimdCapScope wide(SimdLevel::kAvx512);
+    EXPECT_EQ(simd_level(), SimdLevel::kScalar);
+    EXPECT_FALSE(cpu_has_avx2_fma());
+  }
+  EXPECT_EQ(simd_level(), outside);
 }
 
 TEST(SimdLevelDeathTest, UnknownCapAbortsNamingTheLegalValues) {

@@ -41,6 +41,20 @@ void fill_operands(const BackendCase& c, std::vector<float>& a,
   for (size_t i = 0; i < out.size(); ++i) out[i] = ref[i] = rng.uniform(-1, 1);
 }
 
+// A packed fp32 plan for the shape whatever its size (plan_for pins
+// problems of <= 16k MACs to the direct loop), with the given MC/NC
+// blocking and pool dispatch.
+KernelPlan packed_plan(bool ta, bool tb, int64_t m, int64_t n, int64_t k,
+                       int64_t mc = 0, int64_t nc = 0, bool parallel = true) {
+  KernelPlan plan;
+  plan.key = PlanKey::f32(m, n, k, ta, tb);
+  plan.strategy = PlanStrategy::kF32Packed;
+  plan.mc = mc;
+  plan.nc = nc;
+  plan.parallel = parallel;
+  return plan;
+}
+
 // Relative-ish tolerance: the packed kernel accumulates in float (the
 // reference in double), so error grows with k.
 float tol_for(const BackendCase& c) {
@@ -53,8 +67,8 @@ TEST_P(PackedVsNaive, AutoKernelMatches) {
   const BackendCase c = GetParam();
   std::vector<float> a, b, out, ref;
   fill_operands(c, a, b, out, ref);
-  gemm_packed(c.ta, c.tb, c.m, c.n, c.k, c.alpha, a.data(), b.data(), c.beta,
-              out.data());
+  gemm_ex(packed_plan(c.ta, c.tb, c.m, c.n, c.k), c.alpha, a.data(), b.data(),
+          c.beta, out.data());
   gemm_naive(c.ta, c.tb, c.m, c.n, c.k, c.alpha, a.data(), b.data(), c.beta,
              ref.data());
   for (size_t i = 0; i < out.size(); ++i)
@@ -65,10 +79,11 @@ TEST_P(PackedVsNaive, ScalarKernelMatches) {
   const BackendCase c = GetParam();
   std::vector<float> a, b, out, ref;
   fill_operands(c, a, b, out, ref);
-  GemmOptions opts;
-  opts.kernel = GemmKernel::kScalar;
-  gemm_packed(c.ta, c.tb, c.m, c.n, c.k, c.alpha, a.data(), b.data(), c.beta,
-              out.data(), opts);
+  {
+    SimdCapScope scalar(SimdLevel::kScalar);
+    gemm_ex(packed_plan(c.ta, c.tb, c.m, c.n, c.k), c.alpha, a.data(),
+            b.data(), c.beta, out.data());
+  }
   gemm_naive(c.ta, c.tb, c.m, c.n, c.k, c.alpha, a.data(), b.data(), c.beta,
              ref.data());
   for (size_t i = 0; i < out.size(); ++i)
@@ -156,7 +171,8 @@ TEST(PackedGemm, BetaZeroOverwritesNanGarbage) {
   const int64_t m = 24, n = 33, k = 40;
   std::vector<float> a(m * k, 0.25f), b(k * n, 0.5f);
   std::vector<float> c(m * n, std::numeric_limits<float>::quiet_NaN());
-  gemm_packed(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, c.data());
+  gemm_ex(packed_plan(false, false, m, n, k), 1.0f, a.data(), b.data(), 0.0f,
+          c.data());
   for (float v : c) ASSERT_FLOAT_EQ(v, 0.25f * 0.5f * k);
 }
 
@@ -167,24 +183,27 @@ TEST(PackedGemm, AlphaZeroSkipsProductPerBlas) {
   std::vector<float> a(m * k, std::numeric_limits<float>::quiet_NaN());
   std::vector<float> b(k * n, std::numeric_limits<float>::quiet_NaN());
   std::vector<float> c(m * n, 2.0f);
-  gemm_packed(false, false, m, n, k, 0.0f, a.data(), b.data(), 0.5f, c.data());
+  gemm_ex(packed_plan(false, false, m, n, k), 0.0f, a.data(), b.data(), 0.5f,
+          c.data());
   for (float v : c) ASSERT_FLOAT_EQ(v, 1.0f);
 }
 
 TEST(PackedGemm, AlphaZeroHonouredOnEveryBackend) {
   // gemm() enforces the alpha == 0 contract before backend dispatch, so
-  // no backend may read the NaN operands.
+  // no backend at any SIMD level may read the NaN operands.
   const int64_t m = 5, n = 6, k = 4;
   std::vector<float> a(m * k, std::numeric_limits<float>::quiet_NaN());
   std::vector<float> b(k * n, std::numeric_limits<float>::quiet_NaN());
-  for (GemmBackend backend :
-       {GemmBackend::kPacked, GemmBackend::kPackedScalar}) {
-    BackendGuard guard(backend);
-    std::vector<float> c(m * n, 2.0f);
-    gemm(false, false, m, n, k, 0.0f, a.data(), b.data(), 0.5f, c.data());
-    for (float v : c)
-      ASSERT_FLOAT_EQ(v, 1.0f) << "backend=" << static_cast<int>(backend);
-  }
+  for (GemmBackend backend : {GemmBackend::kPacked, GemmBackend::kInt8})
+    for (SimdLevel level : host_simd_levels()) {
+      BackendGuard guard(backend);
+      SimdCapScope cap(level);
+      std::vector<float> c(m * n, 2.0f);
+      gemm(false, false, m, n, k, 0.0f, a.data(), b.data(), 0.5f, c.data());
+      for (float v : c)
+        ASSERT_FLOAT_EQ(v, 1.0f) << "backend=" << static_cast<int>(backend)
+                                 << " simd=" << simd_level_name(level);
+    }
 }
 
 // --------------------------------------------------------- determinism
@@ -202,14 +221,10 @@ TEST(PackedGemm, BitIdenticalAcrossThreadCounts) {
   std::vector<float> serial(static_cast<size_t>(m * n), 0.0f),
       parallel(static_cast<size_t>(m * n), 0.0f);
 
-  GemmOptions opt_serial;
-  opt_serial.parallel = false;
-  gemm_packed(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f,
-              serial.data(), opt_serial);
-  GemmOptions opt_parallel;
-  opt_parallel.parallel = true;
-  gemm_packed(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f,
-              parallel.data(), opt_parallel);
+  gemm_ex(packed_plan(false, false, m, n, k, 0, 0, /*parallel=*/false), 1.0f,
+          a.data(), b.data(), 0.0f, serial.data());
+  gemm_ex(packed_plan(false, false, m, n, k), 1.0f, a.data(), b.data(), 0.0f,
+          parallel.data());
 
   EXPECT_EQ(0, std::memcmp(serial.data(), parallel.data(),
                            serial.size() * sizeof(float)));
@@ -277,6 +292,8 @@ TEST(GemmStridedDirect, VectorLoopMatchesScalarLoopBitForBit) {
   // must keep every element's scalar op sequence (multiply, then add, p
   // ascending; then alpha, beta), so the bits equal the scalar loop for
   // every transpose, beta and ragged column count.
+  if (!cpu_has_avx2_fma())
+    GTEST_SKIP() << "no AVX2+FMA on this CPU (or APT_SIMD caps it)";
   Rng rng(17);
   const int64_t m = 5;
   for (bool ta : {false, true})
@@ -292,10 +309,14 @@ TEST(GemmStridedDirect, VectorLoopMatchesScalarLoopBitForBit) {
             for (auto& v : c) v = rng.uniform(-1, 1);
             if (beta == 0.0f) c[0] = std::numeric_limits<float>::quiet_NaN();
             std::vector<float> vec = c, scalar = c;
-            gemm_strided_direct(ta, tb, m, n, k, 0.75f, a.data(), b.data(),
-                                beta, vec.data());
-            gemm_strided_direct(ta, tb, m, n, k, 0.75f, a.data(), b.data(),
-                                beta, scalar.data(), GemmKernel::kScalar);
+            KernelPlan plan;
+            plan.key = PlanKey::f32(m, n, k, ta, tb);
+            plan.strategy = PlanStrategy::kF32Direct;
+            gemm_ex(plan, 0.75f, a.data(), b.data(), beta, vec.data());
+            {
+              SimdCapScope scalar_cap(SimdLevel::kScalar);
+              gemm_ex(plan, 0.75f, a.data(), b.data(), beta, scalar.data());
+            }
             ASSERT_EQ(0, std::memcmp(vec.data(), scalar.data(),
                                      vec.size() * sizeof(float)))
                 << "ta=" << ta << " tb=" << tb << " beta=" << beta
@@ -305,12 +326,13 @@ TEST(GemmStridedDirect, VectorLoopMatchesScalarLoopBitForBit) {
 
 // ------------------------------------------- AVX-512 vs AVX2 micro-kernel
 
-// The 6x32 zmm tile runs each C element's AVX2 FMA chain, so forcing
-// kAvx512 must write the kAvx2 bytes for every shape: ragged m/n/k, a
-// single strip (n = 16), odd strip counts (the last strip falls back to
-// the ymm tile), several NC panels, and k past KC (several k panels).
+// The 6x32 zmm tile runs each C element's AVX2 FMA chain, so the
+// AVX-512 level must write the bytes of the AVX2 level (a SimdCapScope)
+// for every shape: ragged m/n/k, a single strip (n = 16), odd strip
+// counts (the last strip falls back to the ymm tile), several NC
+// panels, and k past KC (several k panels).
 TEST(GemmKernelDiff, Avx512TileMatchesAvx2BitForBit) {
-  if (!gemm_cpu_has_avx512())
+  if (!cpu_has_avx512())
     GTEST_SKIP() << "no AVX-512 F/VL/VNNI on this CPU (or APT_SIMD caps it)";
   struct Shape {
     bool ta, tb;
@@ -339,14 +361,12 @@ TEST(GemmKernelDiff, Avx512TileMatchesAvx2BitForBit) {
         for (auto& v : c) v = rng.uniform(-1, 1);
         if (beta == 0.0f) c[0] = std::numeric_limits<float>::quiet_NaN();
         std::vector<float> avx2 = c, avx512 = c;
-        GemmOptions opts;
-        opts.nc = s.nc;
-        opts.kernel = GemmKernel::kAvx2;
-        gemm_packed(s.ta, s.tb, s.m, s.n, s.k, alpha, a.data(), b.data(),
-                    beta, avx2.data(), opts);
-        opts.kernel = GemmKernel::kAvx512;
-        gemm_packed(s.ta, s.tb, s.m, s.n, s.k, alpha, a.data(), b.data(),
-                    beta, avx512.data(), opts);
+        const KernelPlan plan = packed_plan(s.ta, s.tb, s.m, s.n, s.k, 0, s.nc);
+        {
+          SimdCapScope cap(SimdLevel::kAvx2);
+          gemm_ex(plan, alpha, a.data(), b.data(), beta, avx2.data());
+        }
+        gemm_ex(plan, alpha, a.data(), b.data(), beta, avx512.data());
         ASSERT_EQ(0, std::memcmp(avx2.data(), avx512.data(),
                                  avx2.size() * sizeof(float)))
             << "ta=" << s.ta << " tb=" << s.tb << " m=" << s.m
@@ -361,7 +381,8 @@ TEST(GemmKernelDiff, Avx512TileMatchesAvx2BitForBit) {
 // driver packing A per MC block itself: several KC panels (k up to 600),
 // ragged strips (m = 1, 5, 37), every plan-offered mc, both transposes,
 // and beta 0 (over NaN), 1 and -0.75.
-void expect_packed_a_matches_raw(GemmKernel kernel) {
+void expect_packed_a_matches_raw(SimdLevel level) {
+  SimdCapScope cap(level);
   Rng rng(41);
   const int64_t n = 37;
   for (int64_t m : {1, 5, 8, 37, 200})
@@ -381,13 +402,10 @@ void expect_packed_a_matches_raw(GemmKernel kernel) {
               v = beta == 0.0f ? std::numeric_limits<float>::quiet_NaN()
                                : rng.uniform(-1, 1);
             std::vector<float> raw = c, packed = c;
-            GemmOptions opts;
-            opts.kernel = kernel;
-            opts.mc = mc;
-            gemm_packed(ta, false, m, n, k, 0.5f, a.data(), b.data(), beta,
-                        raw.data(), opts);
-            gemm_packed(false, m, n, k, 0.5f, GemmF32PackedA{panels.data()},
-                        b.data(), beta, packed.data(), opts);
+            const KernelPlan plan = packed_plan(ta, false, m, n, k, mc);
+            gemm_ex(plan, 0.5f, a.data(), b.data(), beta, raw.data());
+            gemm_ex(plan, 0.5f, GemmF32PackedA{panels.data()}, b.data(), beta,
+                    packed.data());
             ASSERT_EQ(0, std::memcmp(raw.data(), packed.data(),
                                      raw.size() * sizeof(float)))
                 << "m=" << m << " k=" << k << " ta=" << ta << " mc=" << mc
@@ -398,19 +416,19 @@ void expect_packed_a_matches_raw(GemmKernel kernel) {
 }
 
 TEST(GemmPackedA, ScalarKernelMatchesPerBlockPack) {
-  expect_packed_a_matches_raw(GemmKernel::kScalar);
+  expect_packed_a_matches_raw(SimdLevel::kScalar);
 }
 
 TEST(GemmPackedA, Avx2KernelMatchesPerBlockPack) {
-  if (!gemm_cpu_has_avx2_fma())
+  if (!cpu_has_avx2_fma())
     GTEST_SKIP() << "no AVX2+FMA on this CPU (or APT_SIMD caps it)";
-  expect_packed_a_matches_raw(GemmKernel::kAvx2);
+  expect_packed_a_matches_raw(SimdLevel::kAvx2);
 }
 
 TEST(GemmPackedA, Avx512KernelMatchesPerBlockPack) {
-  if (!gemm_cpu_has_avx512())
+  if (!cpu_has_avx512())
     GTEST_SKIP() << "no AVX-512 F/VL/VNNI on this CPU (or APT_SIMD caps it)";
-  expect_packed_a_matches_raw(GemmKernel::kAvx512);
+  expect_packed_a_matches_raw(SimdLevel::kAvx512);
 }
 
 // ------------------------------------------------------ tile write-back
@@ -420,10 +438,7 @@ TEST(GemmPackedA, Avx512KernelMatchesPerBlockPack) {
 // and -0.0 — and leave C past the corner alone. With beta == 0 the
 // first panel never reads C, so the NaN there cannot reach the output.
 TEST(GemmStoreTile, VectorStoreMatchesPortableBitForBit) {
-  std::vector<GemmKernel> vector_kernels;
-  if (gemm_cpu_has_avx2_fma()) vector_kernels.push_back(GemmKernel::kAvx2);
-  if (gemm_cpu_has_avx512()) vector_kernels.push_back(GemmKernel::kAvx512);
-  if (vector_kernels.empty())
+  if (!cpu_has_avx2_fma())
     GTEST_SKIP() << "no AVX2+FMA on this CPU (or APT_SIMD caps it)";
   constexpr int64_t kLdc = kGemmNR + 3;
   Rng rng(43);
@@ -435,20 +450,27 @@ TEST(GemmStoreTile, VectorStoreMatchesPortableBitForBit) {
   for (size_t i = 0; i < c0.size(); i += 7)
     c0[i] = std::numeric_limits<float>::quiet_NaN();
   for (size_t i = 3; i < c0.size(); i += 11) c0[i] = -0.0f;
-  for (GemmKernel kernel : vector_kernels)
+  for (SimdLevel level : host_simd_levels())
     for (int64_t mr = 1; mr <= kGemmMR; ++mr)
       for (int64_t nr = 1; nr <= kGemmNR; ++nr)
         for (bool first : {true, false})
           for (float alpha : {1.0f, 0.5f})
             for (float beta : {0.0f, 1.0f, -0.75f}) {
+              if (level == SimdLevel::kScalar) continue;
               std::vector<float> want = c0, got = c0;
-              gemm_store_tile(want.data(), kLdc, mr, nr, acc.data(), alpha,
-                              beta, first, GemmKernel::kScalar);
-              gemm_store_tile(got.data(), kLdc, mr, nr, acc.data(), alpha,
-                              beta, first, kernel);
+              {
+                SimdCapScope scalar(SimdLevel::kScalar);
+                gemm_store_tile(want.data(), kLdc, mr, nr, acc.data(), alpha,
+                                beta, first);
+              }
+              {
+                SimdCapScope cap(level);
+                gemm_store_tile(got.data(), kLdc, mr, nr, acc.data(), alpha,
+                                beta, first);
+              }
               ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
                                        want.size() * sizeof(float)))
-                  << "kernel=" << static_cast<int>(kernel) << " mr=" << mr
+                  << "simd=" << simd_level_name(level) << " mr=" << mr
                   << " nr=" << nr << " first=" << first
                   << " alpha=" << alpha << " beta=" << beta;
             }
@@ -529,30 +551,29 @@ TEST(GemmConvOperand, PackMatchesIm2colThenPackBBitForBit) {
 // ----------------------------------------------------- backend selector
 
 TEST(GemmBackendSelector, RoundTripsAndDispatches) {
-  // Large enough for the packed strategy, so each backend's bits are its
-  // micro-kernel's: gemm() must match gemm_packed with that kernel.
+  // Large enough for the packed strategy: a plain float gemm() runs the
+  // packed fp32 plan under every backend, at every SIMD level.
   const int64_t m = 31, n = 37, k = 23;
   Rng rng(5);
   std::vector<float> a(static_cast<size_t>(m * k)),
       b(static_cast<size_t>(k * n));
   for (auto& v : a) v = rng.uniform(-1, 1);
   for (auto& v : b) v = rng.uniform(-1, 1);
-  for (GemmBackend backend :
-       {GemmBackend::kPackedScalar, GemmBackend::kPacked}) {
-    BackendGuard guard(backend);
-    EXPECT_EQ(plan_options().backend, backend);
-    EXPECT_EQ(resolved_gemm_backend(), backend);
-    std::vector<float> got(static_cast<size_t>(m * n)), want(got.size());
-    gemm(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, got.data());
-    GemmOptions opts;
-    if (backend == GemmBackend::kPackedScalar)
-      opts.kernel = GemmKernel::kScalar;
-    gemm_packed(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f,
-                want.data(), opts);
-    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
-                             got.size() * sizeof(float)))
-        << "backend=" << static_cast<int>(backend);
-  }
+  for (GemmBackend backend : {GemmBackend::kInt8, GemmBackend::kPacked})
+    for (SimdLevel level : host_simd_levels()) {
+      BackendGuard guard(backend);
+      SimdCapScope cap(level);
+      EXPECT_EQ(plan_options().backend, backend);
+      EXPECT_EQ(resolved_gemm_backend(), backend);
+      std::vector<float> got(static_cast<size_t>(m * n)), want(got.size());
+      gemm(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, got.data());
+      gemm_ex(packed_plan(false, false, m, n, k), 1.0f, a.data(), b.data(),
+              0.0f, want.data());
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                               got.size() * sizeof(float)))
+          << "backend=" << static_cast<int>(backend)
+          << " simd=" << simd_level_name(level);
+    }
   EXPECT_EQ(resolved_gemm_backend(), GemmBackend::kPacked);
 }
 

@@ -63,6 +63,33 @@ void fill_codes(std::vector<uint8_t>& v, uint64_t seed, int lo = 0,
   for (auto& q : v) q = static_cast<uint8_t>(rng.randint(lo, hi));
 }
 
+// A default-blocked integer plan for the shape: kc/mc/nc at the kernel
+// defaults, pool dispatch on, no split-N, and a strategy that takes
+// byte quads exactly when an operand ceiling allows (every integer
+// strategy but kS8Pairs does).
+KernelPlan s8_plan(bool ta, bool tb, int64_t m, int64_t n, int64_t k,
+                   PlanStrategy strategy = PlanStrategy::kS8Quad) {
+  KernelPlan plan;
+  plan.key = PlanKey::s8(m, n, k, ta, tb, 255, 255);
+  plan.strategy = strategy;
+  return plan;
+}
+
+// gemm_s8_ex over `plan` with its operands spelled out.
+void run_s8(const KernelPlan& plan, const uint8_t* a, const uint8_t* b,
+            const GemmS8ConvB* conv_b, const GemmS8Params& qp,
+            const GemmS8Epilogue* epi, float* out, uint8_t* out_codes) {
+  GemmS8Args args;
+  args.a = a;
+  args.b = b;
+  args.conv_b = conv_b;
+  args.params = qp;
+  args.epilogue = epi;
+  args.out = out;
+  args.out_codes = out_codes;
+  gemm_s8_ex(plan, args);
+}
+
 class S8VsReference : public ::testing::TestWithParam<S8Case> {};
 
 TEST_P(S8VsReference, AutoKernelExact) {
@@ -74,8 +101,8 @@ TEST_P(S8VsReference, AutoKernelExact) {
   const GemmS8Params qp{0.02, 0.005, c.za, c.zb, c.max_a, c.max_b};
   std::vector<float> out(static_cast<size_t>(c.m * c.n), -1.0f),
       ref(static_cast<size_t>(c.m * c.n), -2.0f);
-  gemm_s8_exec(c.ta, c.tb, c.m, c.n, c.k, a.data(), b.data(), nullptr, qp,
-               nullptr, out.data(), nullptr);
+  run_s8(s8_plan(c.ta, c.tb, c.m, c.n, c.k), a.data(), b.data(), nullptr, qp,
+         nullptr, out.data(), nullptr);
   gemm_s8_reference(c.ta, c.tb, c.m, c.n, c.k, a.data(), b.data(), qp,
                     ref.data());
   // Integer accumulation: not merely close — identical bits.
@@ -90,12 +117,11 @@ TEST_P(S8VsReference, ScalarKernelExact) {
   fill_codes(a, 17, 0, c.max_a);
   fill_codes(b, 19, 0, c.max_b);
   const GemmS8Params qp{0.5, 0.25, c.za, c.zb, c.max_a, c.max_b};
-  GemmOptions opts;
-  opts.kernel = GemmKernel::kScalar;
+  SimdCapScope scalar(SimdLevel::kScalar);
   std::vector<float> out(static_cast<size_t>(c.m * c.n)),
       ref(static_cast<size_t>(c.m * c.n));
-  gemm_s8_exec(c.ta, c.tb, c.m, c.n, c.k, a.data(), b.data(), nullptr, qp,
-               nullptr, out.data(), nullptr, opts);
+  run_s8(s8_plan(c.ta, c.tb, c.m, c.n, c.k), a.data(), b.data(), nullptr, qp,
+         nullptr, out.data(), nullptr);
   gemm_s8_reference(c.ta, c.tb, c.m, c.n, c.k, a.data(), b.data(), qp,
                     ref.data());
   ASSERT_EQ(0,
@@ -161,8 +187,8 @@ TEST(GemmS8, WorstCaseCodesDoNotSaturate) {
       b(static_cast<size_t>(k * n), 255);
   const GemmS8Params qp{1.0, 1.0, 0, 0};
   std::vector<float> out(static_cast<size_t>(m * n));
-  gemm_s8_exec(false, false, m, n, k, a.data(), b.data(), nullptr, qp, nullptr,
-               out.data(), nullptr);
+  run_s8(s8_plan(false, false, m, n, k), a.data(), b.data(), nullptr, qp,
+         nullptr, out.data(), nullptr);
   const float expect =
       static_cast<float>(static_cast<double>(k) * 255.0 * 255.0);
   for (float v : out) ASSERT_EQ(v, expect);
@@ -176,8 +202,8 @@ TEST(GemmS8, WorstCaseNegativeSumsDoNotSaturate) {
       b(static_cast<size_t>(k * n), 255);
   const GemmS8Params qp{1.0, 1.0, 255, 0};
   std::vector<float> out(static_cast<size_t>(m * n));
-  gemm_s8_exec(false, false, m, n, k, a.data(), b.data(), nullptr, qp, nullptr,
-               out.data(), nullptr);
+  run_s8(s8_plan(false, false, m, n, k), a.data(), b.data(), nullptr, qp,
+         nullptr, out.data(), nullptr);
   const float expect =
       static_cast<float>(-static_cast<double>(k) * 255.0 * 255.0);
   for (float v : out) ASSERT_EQ(v, expect);
@@ -193,8 +219,8 @@ TEST(GemmS8, QuadPathWorstCasePairProductsStayExact) {
   GemmS8Params qp{1.0, 1.0, 0, 0};
   qp.max_b = 64;
   std::vector<float> out(static_cast<size_t>(m * n));
-  gemm_s8_exec(false, false, m, n, k, a.data(), b.data(), nullptr, qp, nullptr,
-               out.data(), nullptr);
+  run_s8(s8_plan(false, false, m, n, k), a.data(), b.data(), nullptr, qp,
+         nullptr, out.data(), nullptr);
   const float expect =
       static_cast<float>(static_cast<double>(k) * 255.0 * 64.0);
   for (float v : out) ASSERT_EQ(v, expect);
@@ -214,10 +240,10 @@ TEST(GemmS8, QuadAndPairStrategiesBitIdentical) {
   const GemmS8Params pair{0.04, 0.3, 200, 17};  // max_b left at 255
   std::vector<float> via_quad(static_cast<size_t>(m * n)),
       via_pair(static_cast<size_t>(m * n));
-  gemm_s8_exec(false, false, m, n, k, a.data(), b.data(), nullptr, quad,
-               nullptr, via_quad.data(), nullptr);
-  gemm_s8_exec(false, false, m, n, k, a.data(), b.data(), nullptr, pair,
-               nullptr, via_pair.data(), nullptr);
+  run_s8(s8_plan(false, false, m, n, k), a.data(), b.data(), nullptr, quad,
+         nullptr, via_quad.data(), nullptr);
+  run_s8(s8_plan(false, false, m, n, k), a.data(), b.data(), nullptr, pair,
+         nullptr, via_pair.data(), nullptr);
   EXPECT_EQ(0, std::memcmp(via_quad.data(), via_pair.data(),
                            via_quad.size() * sizeof(float)));
 }
@@ -225,16 +251,16 @@ TEST(GemmS8, QuadAndPairStrategiesBitIdentical) {
 TEST(GemmS8, KBeyondExactBoundRejected) {
   std::vector<uint8_t> a(4), b(4);
   std::vector<float> c(1);
-  EXPECT_THROW(gemm_s8_exec(false, false, 1, 1, kGemmS8MaxK + 1, a.data(),
-                            b.data(), nullptr, GemmS8Params{}, nullptr,
-                            c.data(), nullptr),
+  EXPECT_THROW(run_s8(s8_plan(false, false, 1, 1, kGemmS8MaxK + 1), a.data(),
+                      b.data(), nullptr, GemmS8Params{}, nullptr, c.data(),
+                      nullptr),
                CheckError);
 }
 
 TEST(GemmS8, EmptyReductionYieldsZero) {
   std::vector<float> c(6, 42.0f);
-  gemm_s8_exec(false, false, 2, 3, 0, nullptr, nullptr, nullptr, GemmS8Params{},
-               nullptr, c.data(), nullptr);
+  run_s8(s8_plan(false, false, 2, 3, 0), nullptr, nullptr, nullptr,
+         GemmS8Params{}, nullptr, c.data(), nullptr);
   for (float v : c) EXPECT_EQ(v, 0.0f);
 }
 
@@ -256,8 +282,8 @@ TEST(GemmS8, MatchesFakeQuantReferenceClosely) {
     bf[i] = static_cast<float>(qp.scale_b * (b[i] - qp.zero_b));
   std::vector<float> out(static_cast<size_t>(m * n)),
       ref(static_cast<size_t>(m * n), 0.0f);
-  gemm_s8_exec(false, false, m, n, k, a.data(), b.data(), nullptr, qp, nullptr,
-               out.data(), nullptr);
+  run_s8(s8_plan(false, false, m, n, k), a.data(), b.data(), nullptr, qp,
+         nullptr, out.data(), nullptr);
   gemm_naive(false, false, m, n, k, 1.0f, af.data(), bf.data(), 0.0f,
              ref.data());
   for (size_t i = 0; i < out.size(); ++i)
@@ -275,14 +301,13 @@ TEST(GemmS8, BitIdenticalAcrossThreadCounts) {
   const GemmS8Params qp{0.1, 0.2, 77, 33};
   std::vector<float> serial(static_cast<size_t>(m * n)),
       parallel(static_cast<size_t>(m * n));
-  GemmOptions opt_serial;
-  opt_serial.parallel = false;
-  gemm_s8_exec(false, false, m, n, k, a.data(), b.data(), nullptr, qp, nullptr,
-               serial.data(), nullptr, opt_serial);
-  GemmOptions opt_parallel;
-  opt_parallel.parallel = true;
-  gemm_s8_exec(false, false, m, n, k, a.data(), b.data(), nullptr, qp, nullptr,
-               parallel.data(), nullptr, opt_parallel);
+  KernelPlan plan = s8_plan(false, false, m, n, k);
+  plan.parallel = false;
+  run_s8(plan, a.data(), b.data(), nullptr, qp, nullptr, serial.data(),
+         nullptr);
+  plan.parallel = true;
+  run_s8(plan, a.data(), b.data(), nullptr, qp, nullptr, parallel.data(),
+         nullptr);
   EXPECT_EQ(0, std::memcmp(serial.data(), parallel.data(),
                            serial.size() * sizeof(float)));
 }
@@ -298,12 +323,11 @@ TEST(GemmS8, ScalarAndAutoKernelsBitIdentical) {
   const GemmS8Params qp{0.3, 0.7, 5, 250};
   std::vector<float> via_auto(static_cast<size_t>(m * n)),
       via_scalar(static_cast<size_t>(m * n));
-  gemm_s8_exec(false, true, m, n, k, a.data(), b.data(), nullptr, qp, nullptr,
-               via_auto.data(), nullptr);
-  GemmOptions opts;
-  opts.kernel = GemmKernel::kScalar;
-  gemm_s8_exec(false, true, m, n, k, a.data(), b.data(), nullptr, qp, nullptr,
-               via_scalar.data(), nullptr, opts);
+  run_s8(s8_plan(false, true, m, n, k), a.data(), b.data(), nullptr, qp,
+         nullptr, via_auto.data(), nullptr);
+  SimdCapScope scalar(SimdLevel::kScalar);
+  run_s8(s8_plan(false, true, m, n, k), a.data(), b.data(), nullptr, qp,
+         nullptr, via_scalar.data(), nullptr);
   EXPECT_EQ(0, std::memcmp(via_auto.data(), via_scalar.data(),
                            via_auto.size() * sizeof(float)));
 }
@@ -873,14 +897,14 @@ TEST_P(EpilogueExact, FusedAndRequantMatchReference) {
       std::vector<uint8_t> got_u(want_f.size(), 77);
       float lo = 0, hi = 0;
       GemmS8Epilogue epi = to_epilogue(er, &lo, &hi);
-      gemm_s8_exec(tc.ta, tc.tb, tc.m, tc.n, tc.k, a.data(), b.data(), nullptr,
-                   qp, &epi, got_f.data(), nullptr);
+      run_s8(s8_plan(tc.ta, tc.tb, tc.m, tc.n, tc.k), a.data(), b.data(),
+             nullptr, qp, &epi, got_f.data(), nullptr);
       for (size_t i = 0; i < want_f.size(); ++i)
         ASSERT_EQ(want_f[i], got_f[i]) << "fused i=" << i;
       EXPECT_EQ(want_lo, lo);
       EXPECT_EQ(want_hi, hi);
-      gemm_s8_exec(tc.ta, tc.tb, tc.m, tc.n, tc.k, a.data(), b.data(), nullptr,
-                   qp, &epi, nullptr, got_u.data());
+      run_s8(s8_plan(tc.ta, tc.tb, tc.m, tc.n, tc.k), a.data(), b.data(),
+             nullptr, qp, &epi, nullptr, got_u.data());
       for (size_t i = 0; i < want_u.size(); ++i)
         ASSERT_EQ(want_u[i], got_u[i]) << "requant i=" << i;
     }
@@ -922,7 +946,7 @@ TEST(EpilogueExact, ReluClampEdges) {
   EXPECT_EQ(want[2], 4.0f);  // clamped to the cap
   float got[3], lo, hi;
   GemmS8Epilogue epi = to_epilogue(er, &lo, &hi);
-  gemm_s8_exec(false, false, 3, 1, 1, a, b, nullptr, qp, &epi, got, nullptr);
+  run_s8(s8_plan(false, false, 3, 1, 1), a, b, nullptr, qp, &epi, got, nullptr);
   for (int i = 0; i < 3; ++i) EXPECT_EQ(want[i], got[i]);
   EXPECT_EQ(0.0f, lo);
   EXPECT_EQ(4.0f, hi);
@@ -946,10 +970,10 @@ TEST(EpilogueExact, PerChannelScaleExtremes) {
   std::vector<float> got(want.size());
   std::vector<uint8_t> got_u(want.size());
   GemmS8Epilogue epi = to_epilogue(er, nullptr, nullptr);
-  gemm_s8_exec(false, false, 4, 5, 16, a.data(), b.data(), nullptr, qp, &epi,
-               got.data(), nullptr);
-  gemm_s8_exec(false, false, 4, 5, 16, a.data(), b.data(), nullptr, qp, &epi,
-               nullptr, got_u.data());
+  run_s8(s8_plan(false, false, 4, 5, 16), a.data(), b.data(), nullptr, qp, &epi,
+         got.data(), nullptr);
+  run_s8(s8_plan(false, false, 4, 5, 16), a.data(), b.data(), nullptr, qp, &epi,
+         nullptr, got_u.data());
   for (size_t i = 0; i < want.size(); ++i) {
     ASSERT_EQ(want[i], got[i]) << i;
     ASSERT_EQ(want_u[i], got_u[i]) << i;
@@ -973,8 +997,8 @@ TEST(EpilogueExact, RequantSaturatesToOutputGrid) {
   epilogue_reference(false, false, 2, 3, 8, a.data(), b.data(), qp, er,
                      nullptr, want_u.data(), nullptr, nullptr);
   GemmS8Epilogue epi = to_epilogue(er, nullptr, nullptr);
-  gemm_s8_exec(false, false, 2, 3, 8, a.data(), b.data(), nullptr, qp, &epi,
-               nullptr, got_u.data());
+  run_s8(s8_plan(false, false, 2, 3, 8), a.data(), b.data(), nullptr, qp, &epi,
+         nullptr, got_u.data());
   for (size_t i = 0; i < want_u.size(); ++i) {
     ASSERT_EQ(want_u[i], got_u[i]) << i;
     ASSERT_LE(got_u[i], 63);
@@ -982,7 +1006,7 @@ TEST(EpilogueExact, RequantSaturatesToOutputGrid) {
 }
 
 TEST(EpilogueExact, Avx2AndScalarStoresBitIdentical) {
-  if (!gemm_cpu_has_avx2_fma()) GTEST_SKIP() << "no AVX2 on this machine";
+  if (!cpu_has_avx2_fma()) GTEST_SKIP() << "no AVX2 on this machine";
   std::vector<uint8_t> a(static_cast<size_t>(23 * 300));
   std::vector<uint8_t> b(static_cast<size_t>(300 * 37));
   fill_codes(a, 41);
@@ -1001,18 +1025,19 @@ TEST(EpilogueExact, Avx2AndScalarStoresBitIdentical) {
   std::vector<float> f_scalar(23 * 37), f_avx(23 * 37);
   float lo_s, hi_s, lo_v, hi_v;
   GemmS8Epilogue epi = to_epilogue(er, &lo_s, &hi_s);
-  GemmOptions scalar_opts;
-  scalar_opts.kernel = GemmKernel::kScalar;
-  gemm_s8_exec(false, false, 23, 37, 300, a.data(), b.data(), nullptr, qp, &epi,
-               nullptr, u_scalar.data(), scalar_opts);
-  gemm_s8_exec(false, false, 23, 37, 300, a.data(), b.data(), nullptr, qp, &epi,
-               f_scalar.data(), nullptr, scalar_opts);
+  {
+    SimdCapScope scalar(SimdLevel::kScalar);
+    run_s8(s8_plan(false, false, 23, 37, 300), a.data(), b.data(), nullptr,
+           qp, &epi, nullptr, u_scalar.data());
+    run_s8(s8_plan(false, false, 23, 37, 300), a.data(), b.data(), nullptr,
+           qp, &epi, f_scalar.data(), nullptr);
+  }
   epi.observe_lo = &lo_v;
   epi.observe_hi = &hi_v;
-  gemm_s8_exec(false, false, 23, 37, 300, a.data(), b.data(), nullptr, qp, &epi,
-               nullptr, u_avx.data());
-  gemm_s8_exec(false, false, 23, 37, 300, a.data(), b.data(), nullptr, qp, &epi,
-               f_avx.data(), nullptr);
+  run_s8(s8_plan(false, false, 23, 37, 300), a.data(), b.data(), nullptr, qp,
+         &epi, nullptr, u_avx.data());
+  run_s8(s8_plan(false, false, 23, 37, 300), a.data(), b.data(), nullptr, qp,
+         &epi, f_avx.data(), nullptr);
   EXPECT_EQ(0, std::memcmp(u_scalar.data(), u_avx.data(), u_scalar.size()));
   EXPECT_EQ(0, std::memcmp(f_scalar.data(), f_avx.data(),
                            f_scalar.size() * sizeof(float)));
@@ -1023,8 +1048,8 @@ TEST(EpilogueExact, Avx2AndScalarStoresBitIdentical) {
 TEST(GemmS8FinalStore, Avx2MatchesScalarOnGradientGemmShapes) {
   // The plain dequantising store behind the int8 dcols and dW GEMMs: the
   // AVX2 twin must write the scalar store's bits, from one k panel and
-  // across several (the int32 raw-plane path). kScalar forces the scalar
-  // store (and the scalar micro-kernel, which is exact either way).
+  // across several (the int32 raw-plane path). The scalar SIMD cap forces
+  // the scalar store (and the scalar micro-kernel, exact either way).
   struct GradShape {
     bool dw;  // s8_grad_dw (B transposed) vs conv_s8_grad_cols
     int64_t m, n, k;
@@ -1055,10 +1080,11 @@ TEST(GemmS8FinalStore, Avx2MatchesScalarOnGradientGemmShapes) {
       args.params.max_b = c.max_b;
       std::vector<float> scalar(static_cast<size_t>(c.m * c.n));
       std::vector<float> simd(scalar.size());
-      GemmOptions scalar_opts;
-      scalar_opts.kernel = GemmKernel::kScalar;
       args.out = scalar.data();
-      gemm_s8_ex(plan, args, scalar_opts);
+      {
+        SimdCapScope scalar_cap(SimdLevel::kScalar);
+        gemm_s8_ex(plan, args);
+      }
       args.out = simd.data();
       gemm_s8_ex(plan, args);
       ASSERT_EQ(0, std::memcmp(scalar.data(), simd.data(),
@@ -1087,18 +1113,19 @@ TEST(EpilogueExact, NanBiasFlowsIdenticallyThroughBothStores) {
   std::vector<uint8_t> u_scalar(3 * 37), u_auto(3 * 37);
   float lo_s, hi_s, lo_a, hi_a;
   GemmS8Epilogue epi = to_epilogue(er, &lo_s, &hi_s);
-  GemmOptions scalar_opts;
-  scalar_opts.kernel = GemmKernel::kScalar;
-  gemm_s8_exec(false, false, 3, 37, 20, a.data(), b.data(), nullptr, qp, &epi,
-               f_scalar.data(), nullptr, scalar_opts);
-  gemm_s8_exec(false, false, 3, 37, 20, a.data(), b.data(), nullptr, qp, &epi,
-               nullptr, u_scalar.data(), scalar_opts);
+  {
+    SimdCapScope scalar(SimdLevel::kScalar);
+    run_s8(s8_plan(false, false, 3, 37, 20), a.data(), b.data(), nullptr, qp,
+           &epi, f_scalar.data(), nullptr);
+    run_s8(s8_plan(false, false, 3, 37, 20), a.data(), b.data(), nullptr, qp,
+           &epi, nullptr, u_scalar.data());
+  }
   epi.observe_lo = &lo_a;
   epi.observe_hi = &hi_a;
-  gemm_s8_exec(false, false, 3, 37, 20, a.data(), b.data(), nullptr, qp, &epi,
-               f_auto.data(), nullptr);
-  gemm_s8_exec(false, false, 3, 37, 20, a.data(), b.data(), nullptr, qp, &epi,
-               nullptr, u_auto.data());
+  run_s8(s8_plan(false, false, 3, 37, 20), a.data(), b.data(), nullptr, qp,
+         &epi, f_auto.data(), nullptr);
+  run_s8(s8_plan(false, false, 3, 37, 20), a.data(), b.data(), nullptr, qp,
+         &epi, nullptr, u_auto.data());
   EXPECT_EQ(0, std::memcmp(f_scalar.data(), f_auto.data(),
                            f_scalar.size() * sizeof(float)));
   EXPECT_EQ(0, std::memcmp(u_scalar.data(), u_auto.data(), u_scalar.size()));
@@ -1125,14 +1152,14 @@ TEST(EpilogueExact, ParallelAndSerialBitIdentical) {
   std::vector<uint8_t> u_par(300 * 48), u_ser(300 * 48);
   float lo_p, hi_p, lo_s, hi_s;
   GemmS8Epilogue epi = to_epilogue(er, &lo_p, &hi_p);
-  gemm_s8_exec(false, false, 300, 48, 64, a.data(), b.data(), nullptr, qp, &epi,
-               nullptr, u_par.data());
-  GemmOptions serial;
+  run_s8(s8_plan(false, false, 300, 48, 64), a.data(), b.data(), nullptr, qp,
+         &epi, nullptr, u_par.data());
+  KernelPlan serial = s8_plan(false, false, 300, 48, 64);
   serial.parallel = false;
   epi.observe_lo = &lo_s;
   epi.observe_hi = &hi_s;
-  gemm_s8_exec(false, false, 300, 48, 64, a.data(), b.data(), nullptr, qp, &epi,
-               nullptr, u_ser.data(), serial);
+  run_s8(serial, a.data(), b.data(), nullptr, qp, &epi, nullptr,
+         u_ser.data());
   EXPECT_EQ(0, std::memcmp(u_par.data(), u_ser.data(), u_par.size()));
   EXPECT_EQ(lo_p, lo_s);
   EXPECT_EQ(hi_p, hi_s);
@@ -1177,8 +1204,8 @@ TEST(GemmS8ConvBOperand, MatchesExplicitIm2colBitForBit) {
     std::vector<float> want(static_cast<size_t>(cc.OC * oh * ow));
     float want_lo, want_hi;
     GemmS8Epilogue epi = to_epilogue(er, &want_lo, &want_hi);
-    gemm_s8_exec(false, false, cc.OC, oh * ow, krows, w.data(), cols.data(),
-                 nullptr, qp, &epi, want.data(), nullptr);
+    run_s8(s8_plan(false, false, cc.OC, oh * ow, krows), w.data(), cols.data(),
+           nullptr, qp, &epi, want.data(), nullptr);
 
     // Implicit operand from the staged image.
     GemmS8ConvB cb;
@@ -1203,8 +1230,8 @@ TEST(GemmS8ConvBOperand, MatchesExplicitIm2colBitForBit) {
     float lo, hi;
     epi.observe_lo = &lo;
     epi.observe_hi = &hi;
-    gemm_s8_exec(false, false, cc.OC, oh * ow, krows, w.data(), nullptr, &cb,
-                 qp, &epi, got.data(), nullptr);
+    run_s8(s8_plan(false, false, cc.OC, oh * ow, krows), w.data(), nullptr, &cb,
+           qp, &epi, got.data(), nullptr);
     for (size_t i = 0; i < want.size(); ++i)
       ASSERT_EQ(want[i], got[i])
           << "k=" << cc.kernel << " s=" << cc.stride << " p=" << cc.padding
@@ -1214,10 +1241,10 @@ TEST(GemmS8ConvBOperand, MatchesExplicitIm2colBitForBit) {
 
     // Requant flavour on the fast-path shape too.
     std::vector<uint8_t> want_u(want.size()), got_u(want.size());
-    gemm_s8_exec(false, false, cc.OC, oh * ow, krows, w.data(), cols.data(),
-                 nullptr, qp, &epi, nullptr, want_u.data());
-    gemm_s8_exec(false, false, cc.OC, oh * ow, krows, w.data(), nullptr, &cb,
-                 qp, &epi, nullptr, got_u.data());
+    run_s8(s8_plan(false, false, cc.OC, oh * ow, krows), w.data(), cols.data(),
+           nullptr, qp, &epi, nullptr, want_u.data());
+    run_s8(s8_plan(false, false, cc.OC, oh * ow, krows), w.data(), nullptr, &cb,
+           qp, &epi, nullptr, got_u.data());
     EXPECT_EQ(0, std::memcmp(want_u.data(), got_u.data(), want_u.size()));
   }
 }
@@ -1237,8 +1264,8 @@ TEST(GemmS8ConvBOperand, PairStrategyAlsoMatches) {
   im2col_u8(codes.data(), C, H, W, 0, 0, C, kernel, 1, 1, oh, ow, pad_code,
             cols.data());
   std::vector<float> want(static_cast<size_t>(OC * oh * ow));
-  gemm_s8_exec(false, false, OC, oh * ow, krows, w.data(), cols.data(), nullptr,
-               qp, nullptr, want.data(), nullptr);
+  run_s8(s8_plan(false, false, OC, oh * ow, krows), w.data(), cols.data(),
+         nullptr, qp, nullptr, want.data(), nullptr);
   GemmS8ConvB cb;
   cb.kernel = kernel;
   cb.stride = 1;
@@ -1251,19 +1278,20 @@ TEST(GemmS8ConvBOperand, PairStrategyAlsoMatches) {
   cb.padded = stage.data();
   std::vector<float> got(want.size());
   GemmS8Epilogue epi;  // plain dequantising epilogue (no bias/relu)
-  gemm_s8_exec(false, false, OC, oh * ow, krows, w.data(), nullptr, &cb, qp,
-               &epi, got.data(), nullptr);
+  run_s8(s8_plan(false, false, OC, oh * ow, krows), w.data(), nullptr, &cb, qp,
+         &epi, got.data(), nullptr);
   for (size_t i = 0; i < want.size(); ++i) ASSERT_EQ(want[i], got[i]) << i;
 }
 
 // ------------------------------------ kernel differential (VNNI tile)
 //
-// The integer kernels are exact, so forcing kAvx512 (the vpdpbusd tile,
-// including the 0x80-recentred full-range form) must write the kScalar
-// and kAvx2 bytes for every operand form, strategy request and output
-// mode. Each run is compared against the scalar kernel's bytes.
+// The integer kernels are exact, so the AVX-512 level (the vpdpbusd
+// tile, including the 0x80-recentred full-range form) must write the
+// bytes of the scalar and AVX2 levels (SimdCapScope) for every operand
+// form, strategy and output mode. Each run is compared against the
+// scalar level's bytes.
 
-// One problem's operands and the options every kernel runs it with.
+// One problem's operands and the plan fields every level runs it with.
 struct S8DiffRun {
   bool ta = false, tb = false;
   int64_t m = 0, n = 0, k = 0;
@@ -1275,15 +1303,7 @@ struct S8DiffRun {
   bool split_n = false;
 };
 
-// The kernels under comparison on this host, scalar first.
-std::vector<GemmKernel> diff_kernels() {
-  std::vector<GemmKernel> ks = {GemmKernel::kScalar};
-  if (gemm_cpu_has_avx2_fma()) ks.push_back(GemmKernel::kAvx2);
-  if (gemm_cpu_has_avx512()) ks.push_back(GemmKernel::kAvx512);
-  return ks;
-}
-
-// Runs `r` on every kernel, both strategy requests and three output
+// Runs `r` at every SIMD level, both strategy families and three output
 // modes — the raw dequantised product, the fused fp32 epilogue and the
 // requantising one, the latter two with the observe probe — and expects
 // every result to equal the scalar kernel's bytes.
@@ -1308,26 +1328,23 @@ void expect_kernels_agree(const S8DiffRun& r, const std::string& what) {
     float lo[2] = {kNaN, kNaN}, hi[2] = {kNaN, kNaN};
   };
   std::vector<Out> outs;
-  for (GemmKernel kernel : diff_kernels())
-    for (GemmS8Strategy s8 : {GemmS8Strategy::kAuto, GemmS8Strategy::kPairs}) {
-      GemmOptions opts;
-      opts.kernel = kernel;
-      opts.s8 = s8;
-      opts.kc = r.kc;
-      opts.split_n = r.split_n;
+  for (SimdLevel level : host_simd_levels())
+    for (PlanStrategy strategy :
+         {PlanStrategy::kS8Quad, PlanStrategy::kS8Pairs}) {
+      SimdCapScope cap(level);
+      KernelPlan plan = s8_plan(r.ta, r.tb, r.m, r.n, r.k, strategy);
+      plan.kc = r.kc;
+      plan.split_n = r.split_n;
       Out o;
       o.raw.assign(len, -1.0f);
       o.fused.assign(len, -2.0f);
       o.codes.assign(len, 7);
-      gemm_s8_exec(r.ta, r.tb, r.m, r.n, r.k, r.a, r.b, r.conv_b, r.qp,
-                   nullptr, o.raw.data(), nullptr, opts);
+      run_s8(plan, r.a, r.b, r.conv_b, r.qp, nullptr, o.raw.data(), nullptr);
       GemmS8Epilogue epi = to_epilogue(er, &o.lo[0], &o.hi[0]);
-      gemm_s8_exec(r.ta, r.tb, r.m, r.n, r.k, r.a, r.b, r.conv_b, r.qp, &epi,
-                   o.fused.data(), nullptr, opts);
+      run_s8(plan, r.a, r.b, r.conv_b, r.qp, &epi, o.fused.data(), nullptr);
       epi.observe_lo = &o.lo[1];
       epi.observe_hi = &o.hi[1];
-      gemm_s8_exec(r.ta, r.tb, r.m, r.n, r.k, r.a, r.b, r.conv_b, r.qp, &epi,
-                   nullptr, o.codes.data(), opts);
+      run_s8(plan, r.a, r.b, r.conv_b, r.qp, &epi, nullptr, o.codes.data());
       outs.push_back(std::move(o));
     }
   const Out& want = outs[0];
@@ -1350,7 +1367,7 @@ void expect_kernels_agree(const S8DiffRun& r, const std::string& what) {
 }
 
 TEST(GemmS8KernelDiff, ExplicitOperandsBitIdenticalAcrossKernels) {
-  if (!gemm_cpu_has_avx512())
+  if (!cpu_has_avx512())
     GTEST_SKIP() << "no AVX-512 F/VL/VNNI on this CPU (or APT_SIMD caps it)";
   struct Case {
     bool ta, tb;
@@ -1413,7 +1430,7 @@ TEST(GemmS8KernelDiff, ExplicitOperandsBitIdenticalAcrossKernels) {
 TEST(GemmS8KernelDiff, ImplicitConvOperandBitIdenticalAcrossKernels) {
   // The implicit conv operand in both orientations: forward (B = the
   // virtual im2col matrix) and the weight gradient's transposed B.
-  if (!gemm_cpu_has_avx512())
+  if (!cpu_has_avx512())
     GTEST_SKIP() << "no AVX-512 F/VL/VNNI on this CPU (or APT_SIMD caps it)";
   struct ConvCase {
     int64_t C, H, W, OC, kernel, stride, padding;

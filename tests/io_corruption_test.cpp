@@ -6,7 +6,9 @@
 // failed load must leave the target model untouched.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -15,6 +17,7 @@
 
 #include "base/rng.hpp"
 #include "core/grid_representation.hpp"
+#include "io/artifact.hpp"
 #include "io/atomic_file.hpp"
 #include "io/checkpoint.hpp"
 #include "models/zoo.hpp"
@@ -201,6 +204,82 @@ TEST(CompiledModelCorruption, SpecificHeaderFieldsGetSpecificCodes) {
   EXPECT_EQ(code_after(16, 0x01), StatusCode::kCorrupt);  // schema bytes
   EXPECT_EQ(io::read_file("/nonexistent/apt.aptm", &reference).code(),
             StatusCode::kIoError);
+  std::filesystem::remove(path);
+}
+
+// Rewrites the compiled-model artifact at `path` section by section
+// through the artifact container, so every CRC stays valid, after
+// `edit` has had the chance to change section `target`'s payload.
+template <typename EditFn>
+void rewrite_artifact(const std::string& path, size_t target, EditFn edit) {
+  constexpr uint32_t kModelMagic = 0x4150544D;  // "APTM"
+  io::ArtifactReader reader;
+  ASSERT_TRUE(reader.open(path, kModelMagic, "apt-compiled-model/2").ok());
+  io::ArtifactWriter writer(kModelMagic, "apt-compiled-model/2");
+  for (size_t i = 0; i < reader.sections(); ++i) {
+    io::BufReader r = reader.section(i);
+    std::vector<uint8_t> payload(r.remaining());
+    for (uint8_t& b : payload) b = r.pod<uint8_t>();
+    if (i == target) edit(payload);
+    writer.section().bytes(payload.data(), payload.size());
+  }
+  ASSERT_TRUE(writer.write(path).ok());
+}
+
+TEST(CompiledModelCorruption, WeightCodeAboveCeilingIsCorrupt) {
+  // The integer kernels choose byte quads (and read VNNI operands) from
+  // an op's declared weight ceiling alone, so one code above it can
+  // saturate the quad pair-sum and make the served bits depend on the
+  // host's SIMD level. A CRC-valid artifact carrying such a code must be
+  // refused at load time.
+  Rng rng(3);
+  auto net = models::make_mlp(4, {6}, 3, rng);
+  for (nn::Layer* leaf : nn::leaves_of(*net)) {
+    if (auto* l = dynamic_cast<nn::Linear*>(leaf)) {
+      core::GridOptions go;
+      go.bits = 6;
+      l->weight().rep =
+          std::make_shared<core::GridRepresentation>(l->weight(), go);
+    }
+  }
+  Tensor calib(Shape{8, 4});
+  rng.fill_normal(calib, 0, 1);
+  net->forward(calib, /*training=*/true);
+  const serve::CompiledModel cm =
+      serve::CompiledModel::compile(*net, Shape{4});
+  const auto op_it = std::find_if(
+      cm.ops().begin(), cm.ops().end(),
+      [](const serve::CompiledOp& op) { return !op.wcodes.empty(); });
+  ASSERT_NE(op_it, cm.ops().end());
+  const serve::CompiledOp& op = *op_it;
+  ASSERT_EQ(op.w_max, 63);
+  // Section 0 is the header; op i is section i + 1.
+  const size_t section = static_cast<size_t>(op_it - cm.ops().begin()) + 1;
+  // The op's codes sit in its section as a u64 count and the bytes.
+  std::vector<uint8_t> serialised(sizeof(uint64_t));
+  const uint64_t count = op.wcodes.size();
+  std::memcpy(serialised.data(), &count, sizeof(count));
+  serialised.insert(serialised.end(), op.wcodes.begin(), op.wcodes.end());
+
+  const std::string path = temp_path("apt_corrupt_model_ceiling.aptm");
+  for (uint8_t code : {uint8_t{63}, uint8_t{64}, uint8_t{255}}) {
+    ASSERT_TRUE(cm.try_save(path).ok());
+    rewrite_artifact(path, section, [&](std::vector<uint8_t>& payload) {
+      const auto at = std::search(payload.begin(), payload.end(),
+                                  serialised.begin(), serialised.end());
+      ASSERT_NE(at, payload.end());
+      at[sizeof(uint64_t)] = code;  // the op's first weight code
+    });
+    serve::CompiledModel loaded;
+    const Status st = serve::CompiledModel::try_load(path, &loaded);
+    if (code <= op.w_max) {
+      EXPECT_TRUE(st.ok()) << st.to_string();
+    } else {
+      EXPECT_EQ(st.code(), StatusCode::kCorrupt) << "code " << int{code};
+      EXPECT_NE(st.to_string().find("above the ceiling"), std::string::npos)
+          << st.to_string();
+    }
+  }
   std::filesystem::remove(path);
 }
 

@@ -306,9 +306,10 @@ TEST(Conv2d, BackwardBeforeForwardRejected) {
 // The fp32 Conv2d, whose GEMMs pack the patch matrix straight from the
 // padded input, against a pipeline built from the explicit im2col +
 // gemm and the reference col2im scatter: forward, dX and dW bit for bit
-// on every fp32 backend, for direct-size (1x1) and packed GEMMs. The
-// last case packs each group's weight once per call over two KC panels
-// (krows = 288) at stride 2, where col2im takes the reference scatter.
+// at every SIMD level (SimdCapScope), for direct-size (1x1) and packed
+// GEMMs. The last case packs each group's weight once per call over two
+// KC panels (krows = 288) at stride 2, where col2im takes the reference
+// scatter.
 struct ConvRefCase {
   int64_t cin, cout, kernel, stride, padding, groups, h, w;
   bool bias;
@@ -324,9 +325,8 @@ class Conv2dVsExplicit : public ::testing::TestWithParam<ConvRefCase> {};
 
 TEST_P(Conv2dVsExplicit, ForwardAndGradientsBitForBit) {
   const ConvRefCase c = GetParam();
-  for (GemmBackend backend :
-       {GemmBackend::kPacked, GemmBackend::kPackedScalar}) {
-    BackendGuard guard(backend);
+  for (SimdLevel level : host_simd_levels()) {
+    SimdCapScope cap(level);
     Rng rng(31);
     Conv2dOptions o;
     o.in_channels = c.cin;
@@ -383,12 +383,11 @@ TEST_P(Conv2dVsExplicit, ForwardAndGradientsBitForBit) {
       return std::memcmp(a, b, static_cast<size_t>(count) * sizeof(float)) ==
              0;
     };
-    const int which = static_cast<int>(backend);
-    EXPECT_TRUE(same(y.data(), y_ref.data(), y.numel())) << "backend " << which;
-    EXPECT_TRUE(same(dx.data(), dx_ref.data(), dx.numel()))
-        << "backend " << which;
+    const char* which = simd_level_name(level);
+    EXPECT_TRUE(same(y.data(), y_ref.data(), y.numel())) << "simd " << which;
+    EXPECT_TRUE(same(dx.data(), dx_ref.data(), dx.numel())) << "simd " << which;
     EXPECT_TRUE(same(conv.weight().grad.data(), dw_ref.data(), wn))
-        << "backend " << which;
+        << "simd " << which;
   }
 }
 
