@@ -686,7 +686,7 @@ void write_json(const Config& cfg, const std::vector<BenchResult>& results,
   out << "  \"pool_threads\": " << apt::ThreadPool::global().size() + 1
       << ",\n";
   out << "  \"avx2_fma\": "
-      << (apt::nn::gemm_cpu_has_avx2_fma() ? "true" : "false") << ",\n";
+      << (apt::cpu_has_avx2_fma() ? "true" : "false") << ",\n";
   out << "  \"simd\": \"" << apt::simd_level_name(apt::simd_level())
       << "\",\n";
   out << "  \"benchmarks\": [\n";
@@ -849,7 +849,7 @@ int run_gate(const Config& cfg, const std::vector<BenchResult>& results,
     // Without AVX2+FMA both sides run the scalar micro-kernel: record
     // only.
     if (key == "gemm256_speedup_vs_scalar" &&
-        !apt::nn::gemm_cpu_has_avx2_fma())
+        !apt::cpu_has_avx2_fma())
       continue;
     // Int8-vs-packed conv ratios carry their own floors (they are
     // thinner than the pure-GEMM speedups: quantise/gather overhead).

@@ -10,7 +10,8 @@
 // A second leg repeats this on the integer path: the same MLP on fixed
 // 8-bit weight grids under GemmBackend::kInt8, so the forward and both
 // gradient GEMMs run on code planes and dY is stochastically rounded.
-// Its checkpoint goes to `checkpoint-path.int8`.
+// Its checkpoint goes to `checkpoint-path.int8`, and the trained model,
+// frozen for serving (serve::CompiledModel), to `checkpoint-path.aptm`.
 //
 // A third leg trains a small fp32 ResNet (one block per stage, width 4)
 // on 16x16 synthetic images, so the conv GEMMs — weights packed once per
@@ -18,10 +19,12 @@
 // under the same 1-vs-4-worker comparison. Its checkpoint goes to
 // `checkpoint-path.conv`.
 //
-// CI runs this binary under APT_NUM_THREADS=1/2/8 and diffs the
-// checkpoint hashes: every file must be byte-identical for every thread
-// count, because the shard decomposition (not the worker or thread
-// count) fixes every reduction order and every rounding draw. Exit
+// CI runs this binary under APT_NUM_THREADS=1/2/8 and APT_SIMD=avx2 and
+// scalar, and diffs the checkpoint and artifact hashes: every file must
+// be byte-identical for every thread count, because the shard
+// decomposition (not the worker or thread count) fixes every reduction
+// order and every rounding draw, and for every SIMD level, because the
+// kernels agree bit for bit and the artifact stores no kernel plan. Exit
 // status: 0 when every in-process comparison holds, 1 otherwise.
 #include <cstdio>
 #include <cstring>
@@ -37,6 +40,7 @@
 #include "io/checkpoint.hpp"
 #include "models/zoo.hpp"
 #include "nn/plan.hpp"
+#include "serve/compiled_model.hpp"
 #include "train/trainer.hpp"
 
 using namespace apt;
@@ -79,9 +83,11 @@ std::unique_ptr<nn::Sequential> train_once(const Leg& leg, int num_workers) {
 }
 
 // Trains the leg with 1 and 4 workers, memcmps the weights and writes the
-// parallel run's checkpoint. Returns the number of diverged parameters
-// (or 1 when the checkpoint cannot be written).
-int64_t run_leg(const Leg& leg, const std::string& path) {
+// parallel run's checkpoint, and its frozen serving artifact to
+// `artifact` when that is not empty. Returns the number of diverged
+// parameters (plus 1 when a file cannot be written).
+int64_t run_leg(const Leg& leg, const std::string& path,
+                const std::string& artifact = "") {
   const nn::PlanOptions prev = nn::plan_options();
   nn::PlanOptions opts = prev;
   if (leg.int8) opts.backend = nn::GemmBackend::kInt8;
@@ -109,6 +115,17 @@ int64_t run_leg(const Leg& leg, const std::string& path) {
     return mismatched + 1;
   }
   std::printf("wrote %s\n", path.c_str());
+
+  if (!artifact.empty()) {
+    const serve::CompiledModel frozen = serve::CompiledModel::compile(
+        *parallel, Shape{leg.train_x.dim(1)});
+    if (const Status st = frozen.try_save(artifact); !st.ok()) {
+      std::fprintf(stderr, "artifact save failed: %s\n",
+                   st.to_string().c_str());
+      return mismatched + 1;
+    }
+    std::printf("wrote %s\n", artifact.c_str());
+  }
   return mismatched;
 }
 
@@ -153,7 +170,7 @@ int main(int argc, char** argv) {
   conv.epochs = 6;
 
   const int64_t mismatched = run_leg(fp32, path) +
-                             run_leg(int8, path + ".int8") +
+                             run_leg(int8, path + ".int8", path + ".aptm") +
                              run_leg(conv, path + ".conv");
   if (mismatched == 0) {
     std::printf("determinism probe PASSED: 1-worker and 4-worker runs are "

@@ -3,8 +3,9 @@
 // A small ResNet is calibrated with quantised weights, checkpointed by
 // the training side, then frozen into a CompiledModel artifact —
 // weights packed in GEMM code layout, BatchNorm/ReLU folded into the
-// integer-GEMM epilogue, kernel plans baked in. The artifact round-
-// trips through save/load and is served by the dynamic-batching Server:
+// integer-GEMM epilogue, kernel plans bound in memory (at compile and
+// again at load; the artifact stores none). The artifact round-trips
+// through save/load and is served by the dynamic-batching Server:
 // concurrent clients fire single-sample requests, workers coalesce
 // them, and every response is bit-identical to a solo run of the same
 // sample (checked below).

@@ -55,7 +55,13 @@ Status ArtifactReader::open(const std::string& path, uint32_t magic,
   }
   if (got_schema != schema) {
     bytes_.clear();
-    return {StatusCode::kCorrupt,
+    // The same family at another revision ("apt-compiled-model/2" for
+    // "/3") is a file from an incompatible release, not a damaged one.
+    auto family = [](const std::string& v) {
+      return v.substr(0, v.find('/'));
+    };
+    return {family(got_schema) == family(schema) ? StatusCode::kVersionMismatch
+                                                 : StatusCode::kCorrupt,
             path + ": schema \"" + got_schema + "\", expected \"" + schema +
                 "\""};
   }

@@ -57,7 +57,8 @@ class ArtifactReader {
   /// Reads and fully validates `path`: magic, version, schema, exact
   /// total size, and every section CRC. On failure the reader is left
   /// empty and the Status says which guarantee broke (kIoError /
-  /// kTruncated / kCorrupt / kVersionMismatch).
+  /// kTruncated / kCorrupt / kVersionMismatch — the last also when the
+  /// schema names the same family, before its '/', at another revision).
   Status open(const std::string& path, uint32_t magic,
               const std::string& schema);
 

@@ -291,23 +291,6 @@ void stage_padded_u8(const uint8_t* planes, int64_t c_count, int64_t H,
   }
 }
 
-void im2col_u8_pooled(const uint8_t* x, int64_t C, int64_t H, int64_t W,
-                      int64_t n, int64_t c_begin, int64_t c_count,
-                      int64_t kernel, int64_t stride, int64_t padding,
-                      int64_t oh, int64_t ow, uint8_t pad_code,
-                      uint8_t* cols) {
-  const int64_t rows_per_c = kernel * kernel;
-  const int64_t plane = oh * ow;
-  ThreadPool::global().parallel_for(
-      0, c_count,
-      [&](int64_t c0, int64_t c1) {
-        im2col_u8(x, C, H, W, n, c_begin + c0, c1 - c0, kernel, stride,
-                  padding, oh, ow, pad_code,
-                  cols + c0 * rows_per_c * plane);
-      },
-      /*grain=*/4);
-}
-
 void col2im_reference(const float* cols, int64_t n, int64_t c_begin,
                       int64_t c_count, int64_t kernel, int64_t stride,
                       int64_t padding, int64_t oh, int64_t ow, Tensor& dx) {
@@ -485,6 +468,60 @@ void ConvS8Operand::bind(const uint8_t* plane, uint8_t* stage, bool pooled,
   ga.conv_b = &cb;
 }
 
+PlanKey ConvS8Forward::plan_key(const Conv2dOptions& o, int64_t h,
+                                int64_t w, int32_t w_max) {
+  const int64_t oh = (h + 2 * o.padding - o.kernel) / o.stride + 1;
+  const int64_t ow = (w + 2 * o.padding - o.kernel) / o.stride + 1;
+  return PlanKey::conv_s8(
+      o.out_channels / o.groups, oh * ow,
+      o.in_channels / o.groups * o.kernel * o.kernel,
+      static_cast<int32_t>(o.kernel), static_cast<int32_t>(o.stride),
+      static_cast<int32_t>(o.padding), w_max, /*max_b=*/255);
+}
+
+ConvS8Forward::ConvS8Forward(const KernelPlan& plan, const Conv2dOptions& o,
+                             int64_t h, int64_t w, const S8ForwardArgs& args)
+    : plan_(plan),
+      operand_(plan, o.in_channels / o.groups, h, w, o.kernel, o.stride,
+               o.padding, static_cast<uint8_t>(args.x_grid.zero_point)),
+      args_(args),
+      // Weights are A here, so A carries the weight grid and ceiling.
+      params_(s8_params(args.w_grid, args.x_grid)),
+      c_(o.in_channels),
+      icg_(o.in_channels / o.groups),
+      oc_(o.out_channels),
+      // The group GEMM is ocg x (oh*ow) x krows.
+      ocg_(plan.key.m),
+      krows_(plan.key.k),
+      in_plane_(h * w),
+      out_plane_(plan.key.n) {
+  params_.max_a = args.w_max;
+}
+
+void ConvS8Forward::run(int64_t n, int64_t g, uint8_t* stage, bool pooled,
+                        float* lo, float* hi) const {
+  GemmS8ConvB cb;
+  GemmS8Args ga;
+  ga.a = args_.w + g * ocg_ * krows_;
+  ga.params = params_;
+  operand_.bind(args_.x + (n * c_ + g * icg_) * in_plane_, stage, pooled, cb,
+                ga);
+  GemmS8Epilogue epi = args_.epi;
+  epi.channel_is_row = true;
+  if (epi.scale != nullptr) epi.scale += g * ocg_;
+  if (epi.bias != nullptr) epi.bias += g * ocg_;
+  epi.observe_lo = lo;
+  epi.observe_hi = hi;
+  ga.epilogue = &epi;
+  const int64_t out_off = (n * oc_ + g * ocg_) * out_plane_;
+  if (args_.y_codes != nullptr) {
+    ga.out_codes = args_.y_codes + out_off;
+  } else {
+    ga.out = args_.y + out_off;
+  }
+  gemm_s8_ex(plan_, ga);
+}
+
 void Conv2d::check_input(const Shape& in_shape) {
   APT_CHECK(in_shape.rank() == 4 && in_shape[1] == opts_.in_channels)
       << name_ << ": bad input " << in_shape.str();
@@ -546,28 +583,10 @@ Tensor Conv2d::forward_int8(const uint8_t* x, const quant::QuantParams& xq,
                             const Shape& x_shape, QuantizedActivation* qy,
                             std::pair<float, float>* observed) {
   const int64_t N = x_shape[0], H = x_shape[2], W = x_shape[3];
-  const int64_t OH = out_size(H), OW = out_size(W);
   const int64_t G = opts_.groups;
-  const int64_t icg = opts_.in_channels / G, ocg = opts_.out_channels / G;
-  const int64_t krows = icg * opts_.kernel * opts_.kernel;
-  const quant::QuantizedTensor* wq = int8_weights();
-
-  // Operand order is weights x columns, so A carries the weight grid;
-  // its code ceiling lets <= 6-bit layers take the vpmaddubsw path.
-  GemmS8Params qp{wq->params().scale, xq.scale,
-                  static_cast<int32_t>(wq->params().zero_point),
-                  static_cast<int32_t>(xq.zero_point)};
-  qp.max_a = static_cast<int32_t>(quant::max_code(wq->bits()));
-  const uint8_t* wcodes = wq->codes_u8();
-
-  const Shape out_shape{N, opts_.out_channels, OH, OW};
   Tensor y;
-  if (qy != nullptr) {
-    qy->codes.resize(static_cast<size_t>(out_shape.numel()));
-    qy->shape = out_shape;
-  } else {
-    y = Tensor(out_shape);
-  }
+  const S8ForwardArgs args = int8_forward_args(
+      x, xq, Shape{N, opts_.out_channels, out_size(H), out_size(W)}, qy, &y);
 
   // Exact per-(sample, group) output-range probes, merged after the
   // parallel section (min/max is order-independent). They live in the
@@ -585,54 +604,23 @@ Tensor Conv2d::forward_int8(const uint8_t* x, const quant::QuantParams& xq,
   // One plan per (shape, geometry, ceilings, pool width) covers every
   // (sample, group) GEMM in the batch; after the first forward it is a
   // pure cache hit.
-  const KernelPlan& plan = plan_for(
-      PlanKey::conv_s8(ocg, OH * OW, krows,
-                       static_cast<int32_t>(opts_.kernel),
-                       static_cast<int32_t>(opts_.stride),
-                       static_cast<int32_t>(opts_.padding), qp.max_a,
-                       /*max_b=*/255),
-      plan_hit());
-  const ConvS8Operand operand(plan, icg, H, W, opts_.kernel, opts_.stride,
-                              opts_.padding,
-                              static_cast<uint8_t>(xq.zero_point));
-
-  auto do_one = [&](int64_t n, int64_t g, uint8_t* stage, bool pooled) {
-    GemmS8ConvB cb;
-    GemmS8Args ga;
-    ga.a = wcodes + g * ocg * krows;
-    ga.params = qp;
-    operand.bind(x + (n * opts_.in_channels + g * icg) * H * W, stage,
-                 pooled, cb, ga);
-    GemmS8Epilogue epi;
-    epi.channel_is_row = true;
-    epi.bias = opts_.bias ? bias_.value.data() + g * ocg : nullptr;
-    epi.observe_lo = obs_lo + n * G + g;
-    epi.observe_hi = obs_hi + n * G + g;
-    const int64_t out_off = (n * opts_.out_channels + g * ocg) * OH * OW;
-    if (qy != nullptr) {
-      epi.out_scale = qy->params.scale;
-      epi.out_zero = static_cast<int32_t>(qy->params.zero_point);
-      epi.out_max = static_cast<int32_t>(quant::max_code(qy->params.bits));
-      ga.out_codes = qy->codes.data() + out_off;
-    } else {
-      ga.out = y.data() + out_off;
-    }
-    ga.epilogue = &epi;
-    gemm_s8_ex(plan, ga);
-  };
+  const ConvS8Forward fwd(
+      plan_for(ConvS8Forward::plan_key(opts_, H, W, args.w_max), plan_hit()),
+      opts_, H, W, args);
 
   if (N * G == 1) {
     // A single GEMM: parallelism comes from the pool-parallel staging
     // and the GEMM's own M partitioning instead of sample tasks.
     ScratchArena::Scope scope(ScratchArena::thread_local_arena());
-    do_one(0, 0, operand.alloc_stage(scope), /*pooled=*/true);
+    fwd.run(0, 0, fwd.alloc_stage(scope), /*pooled=*/true, obs_lo, obs_hi);
   } else {
     ThreadPool::global().parallel_for(0, N, [&](int64_t n0, int64_t n1) {
       ScratchArena::Scope scope(ScratchArena::thread_local_arena());
-      uint8_t* stage = operand.alloc_stage(scope);
+      uint8_t* stage = fwd.alloc_stage(scope);
       for (int64_t n = n0; n < n1; ++n)
         for (int64_t g = 0; g < G; ++g)
-          do_one(n, g, stage, /*pooled=*/false);
+          fwd.run(n, g, stage, /*pooled=*/false, obs_lo + n * G + g,
+                  obs_hi + n * G + g);
     });
   }
 
@@ -694,9 +682,7 @@ Tensor Conv2d::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
   // dcols [krows, OH*OW] = Wq_gᵀ [krows, ocg] · dYq_g [ocg, OH*OW]: a
   // plain code-plane GEMM (dY is contiguous), keyed with the conv
   // geometry; weight AND gradient ceilings are quad-eligible.
-  GemmS8Params pc{wq->params().scale, gq.scale,
-                  static_cast<int32_t>(wq->params().zero_point),
-                  static_cast<int32_t>(gq.zero_point)};
+  GemmS8Params pc = s8_params(wq->params(), gq);
   pc.max_a = static_cast<int32_t>(quant::max_code(wq->bits()));
   pc.max_b = static_cast<int32_t>(quant::max_code(kGradSrBits));
   const KernelPlan& plan_dcols = plan_for(PlanKey::conv_s8_grad_cols(
@@ -709,8 +695,7 @@ Tensor Conv2d::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
   // grid's zero-point, exactly like forward). colsᵀ is never built: the
   // GEMM packs it straight from each sample's padded code image through
   // the transposed implicit operand (ConvS8Operand; the plan's trans_b).
-  GemmS8Params pw{gq.scale, xq.scale, static_cast<int32_t>(gq.zero_point),
-                  static_cast<int32_t>(xq.zero_point)};
+  GemmS8Params pw = s8_params(gq, xq);
   pw.max_a = static_cast<int32_t>(quant::max_code(kGradSrBits));
   pw.max_b = static_cast<int32_t>(quant::max_code(xq.bits));
   const KernelPlan& plan_dw = plan_for(

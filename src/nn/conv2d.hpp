@@ -14,7 +14,8 @@
 // GemmLayer (gemm_layer.hpp); this file supplies the convolution GEMMs.
 // The int8 forward runs one fused-epilogue GEMM per (sample, group) with
 // weights as A and the patch matrix as an implicit B operand
-// (ConvS8Operand); the int8 backward runs, per (sample, group),
+// (ConvS8Forward, which CompiledModel's serving conv runs too); the int8
+// backward runs, per (sample, group),
 //
 //   dcols = Wqᵀ · dYq   (kConvS8GradCols plan), then fp32 col2im
 //   dW_g  = dYq · colsᵀ (kS8GradDw plan, colsᵀ read implicitly from the
@@ -72,8 +73,8 @@ class Conv2d : public GemmLayer {
 };
 
 /// The B operand of one int8 conv GEMM — one sample's [icg][h][w] code
-/// plane of one group — shared by Conv2d's int8 forward and dW GEMMs
-/// and CompiledModel's serving conv. Under the planner's direct strategy
+/// plane of one group — shared by the int8 forward (ConvS8Forward) and
+/// Conv2d's dW GEMMs. Under the planner's direct strategy
 /// (1x1, stride 1, no padding) B is the contiguous plane itself;
 /// otherwise the patch matrix is never materialised: the GEMM's B
 /// packing gathers patches (GemmS8ConvB) straight from the plane
@@ -100,6 +101,42 @@ class ConvS8Operand {
   bool direct_, staged_;
 };
 
+/// The int8 forward of one conv layer call over h x w inputs: per
+/// (sample, group), one fused-epilogue GEMM C_g = Wq_g · patches(x[n], g)
+/// with the weights as A and the patch matrix as the implicit B operand.
+/// Conv2d runs the (sample, group) bodies from pool tasks, CompiledModel
+/// serially per request; both get the same bits.
+class ConvS8Forward {
+ public:
+  /// The plan key every (sample, group) GEMM of such a call runs
+  /// (stamped with the current pool width).
+  static PlanKey plan_key(const Conv2dOptions& o, int64_t h, int64_t w,
+                          int32_t w_max);
+
+  /// `plan` is plan_for(plan_key(o, h, w, args.w_max)) or a copy of it;
+  /// `args` covers the whole batch ([N, C, h, w] input codes,
+  /// [N, OC, oh, ow] output) and all OC channels.
+  ConvS8Forward(const KernelPlan& plan, const Conv2dOptions& o, int64_t h,
+                int64_t w, const S8ForwardArgs& args);
+
+  /// Staging space for one run() in `scope` (null when none is needed).
+  uint8_t* alloc_stage(ScratchArena::Scope& scope) const {
+    return operand_.alloc_stage(scope);
+  }
+  /// Sample n, group g, staged in `stage` (`pooled` splits the staging
+  /// across the global pool). The exact output range of the group's
+  /// GEMM goes to *lo / *hi when they are non-null.
+  void run(int64_t n, int64_t g, uint8_t* stage, bool pooled,
+           float* lo = nullptr, float* hi = nullptr) const;
+
+ private:
+  const KernelPlan& plan_;
+  ConvS8Operand operand_;
+  S8ForwardArgs args_;
+  GemmS8Params params_;
+  int64_t c_, icg_, oc_, ocg_, krows_, in_plane_, out_plane_;
+};
+
 /// Extracts convolution patches of `x[n]` (group `g`) into `cols`, a
 /// row-major [icg*k*k, oh*ow] matrix: the explicit form of the implicit
 /// operand the fp32 GEMMs pack from. Exposed for tests (the reference
@@ -117,15 +154,6 @@ void im2col_u8(const uint8_t* x, int64_t C, int64_t H, int64_t W, int64_t n,
                int64_t c_begin, int64_t c_count, int64_t kernel,
                int64_t stride, int64_t padding, int64_t oh, int64_t ow,
                uint8_t pad_code, uint8_t* cols);
-
-/// Pool-parallel im2col_u8: channels split across the global thread pool
-/// (each channel's kernel*kernel rows are written by exactly one task,
-/// so the output is bit-identical to the serial call for any pool size).
-void im2col_u8_pooled(const uint8_t* x, int64_t C, int64_t H, int64_t W,
-                      int64_t n, int64_t c_begin, int64_t c_count,
-                      int64_t kernel, int64_t stride, int64_t padding,
-                      int64_t oh, int64_t ow, uint8_t pad_code,
-                      uint8_t* cols);
 
 /// Stages `c_count` contiguous channel planes into a
 /// [c_count][(H+2p)][(W+2p)] image whose pad border is `pad_code` — the

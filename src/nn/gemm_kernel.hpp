@@ -68,7 +68,9 @@ struct GemmConvB;
 using GemmS8ConvB = GemmConvB<uint8_t>;
 using GemmF32ConvB = GemmConvB<float>;
 
-/// True when the AVX2+FMA micro-kernels may run (cpu_has_avx2_fma()).
+/// True when the AVX2+FMA micro-kernels may run: an alias of
+/// cpu_has_avx2_fma() (base/cpu.hpp), which library code calls directly,
+/// kept for the end-to-end benchmark harness (benchmark/src/main.cpp).
 bool gemm_cpu_has_avx2_fma();
 
 /// The BLAS edge cases every fp32 entry point shares: an empty C, or

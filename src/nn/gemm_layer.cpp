@@ -37,6 +37,12 @@ void quantize_sr_pooled(const Tensor& x, const quant::QuantParams& q,
 
 }  // namespace
 
+GemmS8Params s8_params(const quant::QuantParams& a,
+                       const quant::QuantParams& b) {
+  return {a.scale, b.scale, static_cast<int32_t>(a.zero_point),
+          static_cast<int32_t>(b.zero_point)};
+}
+
 GemmLayer::GemmLayer(std::string name, Shape weight_shape,
                      int64_t out_channels, bool has_bias)
     : name_(std::move(name)),
@@ -48,6 +54,35 @@ const quant::QuantizedTensor* GemmLayer::int8_weights() const {
   const quant::QuantizedTensor* wq =
       weight_.rep ? weight_.rep->quantized_view() : nullptr;
   return wq != nullptr && wq->bits() <= 8 ? wq : nullptr;
+}
+
+S8ForwardArgs GemmLayer::int8_forward_args(const uint8_t* x,
+                                           const quant::QuantParams& xq,
+                                           const Shape& out_shape,
+                                           QuantizedActivation* qy,
+                                           Tensor* y) const {
+  const quant::QuantizedTensor* wq = int8_weights();
+  S8ForwardArgs args;
+  args.x = x;
+  args.x_grid = xq;
+  args.w = wq->codes_u8();
+  args.w_grid = wq->params();
+  // The weight grid's code ceiling lets <= 6-bit layers take the byte-
+  // quad kernels.
+  args.w_max = static_cast<int32_t>(quant::max_code(wq->bits()));
+  args.epi.bias = has_bias_ ? bias_.value.data() : nullptr;
+  if (qy != nullptr) {
+    qy->codes.resize(static_cast<size_t>(out_shape.numel()));
+    qy->shape = out_shape;
+    args.y_codes = qy->codes.data();
+    args.epi.out_scale = qy->params.scale;
+    args.epi.out_zero = static_cast<int32_t>(qy->params.zero_point);
+    args.epi.out_max = static_cast<int32_t>(quant::max_code(qy->params.bits));
+  } else {
+    *y = Tensor(out_shape);
+    args.y = y->data();
+  }
+  return args;
 }
 
 bool GemmLayer::accepts_codes() const {

@@ -44,11 +44,37 @@
 #include <vector>
 
 #include "nn/layer.hpp"
+#include "nn/plan.hpp"
 #include "nn/shard.hpp"
 #include "quant/fake_quant.hpp"
 #include "quant/qtensor.hpp"
 
 namespace apt::nn {
+
+/// The operands of one quantised layer's fused integer forward. The
+/// training layers (forward_int8) and CompiledModel's serving ops both
+/// bind one and run it through ConvS8Forward (conv2d.hpp) or
+/// linear_s8_forward (linear.hpp), so the integer inference is written
+/// once.
+struct S8ForwardArgs {
+  const uint8_t* x = nullptr;  ///< input codes on x_grid
+  quant::QuantParams x_grid;
+  const uint8_t* w = nullptr;  ///< weight codes on w_grid, none above w_max
+  quant::QuantParams w_grid;
+  int32_t w_max = 255;
+  /// The layer's epilogue (scale, bias, ReLU, requant grid): per-channel
+  /// vectors span all output channels. The forward sets the channel
+  /// axis, the per-group offsets and the range probe.
+  GemmS8Epilogue epi;
+  /// Output: fp32 `y`, or codes on epi's requant grid (exactly one).
+  float* y = nullptr;
+  uint8_t* y_codes = nullptr;
+};
+
+/// Integer GEMM parameters for operand A on grid `a` and B on grid `b`
+/// (full-range code ceilings).
+GemmS8Params s8_params(const quant::QuantParams& a,
+                       const quant::QuantParams& b);
 
 class GemmLayer : public Layer {
  public:
@@ -124,6 +150,14 @@ class GemmLayer : public Layer {
   /// The calling shard's plan-cache telemetry slot: int8 forwards pass
   /// it to plan_for.
   bool* plan_hit() { return &telem_.cur().plan_hit; }
+  /// The integer forward's operands over input codes `x` on `xq`:
+  /// int8_weights(), the bias, and the output — qy's codes on qy->params
+  /// (sized to `out_shape`) when `qy` is non-null, else `*y`, set to a
+  /// fresh fp32 tensor of `out_shape`.
+  S8ForwardArgs int8_forward_args(const uint8_t* x,
+                                  const quant::QuantParams& xq,
+                                  const Shape& out_shape,
+                                  QuantizedActivation* qy, Tensor* y) const;
 
   // -- subclass hooks -------------------------------------------------
   /// Rejects an input shape the layer cannot take.

@@ -53,49 +53,14 @@ Tensor Linear::forward_int8(const uint8_t* x, const quant::QuantParams& xq,
                             const Shape& x_shape, QuantizedActivation* qy,
                             std::pair<float, float>* observed) {
   const int64_t n = x_shape[0];
-  const quant::QuantizedTensor* wq = int8_weights();
-
-  GemmS8Params qp{xq.scale, wq->params().scale,
-                  static_cast<int32_t>(xq.zero_point),
-                  static_cast<int32_t>(wq->params().zero_point)};
-  // Declaring the weight grid's code ceiling lets <= 6-bit layers take
-  // the saturation-free vpmaddubsw fast path.
-  qp.max_b = static_cast<int32_t>(quant::max_code(wq->bits()));
-
+  Tensor y;
+  const S8ForwardArgs args =
+      int8_forward_args(x, xq, Shape{n, out_}, qy, &y);
   // One plan per (batch, layer shape, weight ceiling); a cache hit after
   // the first forward.
-  const KernelPlan& plan = plan_for(
-      PlanKey::s8(n, out_, in_, /*trans_a=*/false, /*trans_b=*/true,
-                  /*max_a=*/255, qp.max_b),
-      plan_hit());
-
-  // Fused epilogue: output channels are C's columns in this layout
-  // (y = Xq * Wq^T), bias folded into the final tile store, exact
-  // output-range probe feeding the emission tracker.
-  GemmS8Epilogue epi;
-  epi.channel_is_row = false;
-  epi.bias = has_bias_ ? bias_.value.data() : nullptr;
-  epi.observe_lo = &observed->first;
-  epi.observe_hi = &observed->second;
-
-  GemmS8Args ga;
-  ga.a = x;
-  ga.b = wq->codes_u8();
-  ga.params = qp;
-  ga.epilogue = &epi;
-  Tensor y;
-  if (qy != nullptr) {
-    qy->codes.resize(static_cast<size_t>(n * out_));
-    qy->shape = Shape{n, out_};
-    epi.out_scale = qy->params.scale;
-    epi.out_zero = static_cast<int32_t>(qy->params.zero_point);
-    epi.out_max = static_cast<int32_t>(quant::max_code(qy->params.bits));
-    ga.out_codes = qy->codes.data();
-  } else {
-    y = Tensor(Shape{n, out_});
-    ga.out = y.data();
-  }
-  gemm_s8_ex(plan, ga);
+  linear_s8_forward(
+      plan_for(linear_s8_plan_key(n, in_, out_, args.w_max), plan_hit()),
+      args, &observed->first, &observed->second);
   return y;
 }
 
@@ -123,8 +88,7 @@ Tensor Linear::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
   // float scale per element; gemm_s8 overwrites, so stage in scratch and
   // accumulate into the sink (element-wise: deterministic for any
   // chunking).
-  GemmS8Params pw{gq.scale, xq.scale, static_cast<int32_t>(gq.zero_point),
-                  static_cast<int32_t>(xq.zero_point)};
+  GemmS8Params pw = s8_params(gq, xq);
   pw.max_a = static_cast<int32_t>(quant::max_code(kGradSrBits));
   pw.max_b = static_cast<int32_t>(quant::max_code(xq.bits));
   const KernelPlan& plan_dw = plan_for(
@@ -151,9 +115,7 @@ Tensor Linear::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
 
   // dX[N,in] = dYq[N,out] · Wq[out,in]; a <= 6-bit weight ceiling lets
   // the planner pick the byte-quad strategy here, exactly like forward.
-  GemmS8Params px{gq.scale, wq->params().scale,
-                  static_cast<int32_t>(gq.zero_point),
-                  static_cast<int32_t>(wq->params().zero_point)};
+  GemmS8Params px = s8_params(gq, wq->params());
   px.max_a = static_cast<int32_t>(quant::max_code(kGradSrBits));
   px.max_b = static_cast<int32_t>(quant::max_code(wq->bits()));
   const KernelPlan& plan_dx = plan_for(
@@ -167,6 +129,31 @@ Tensor Linear::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
   gx.out = dx.data();
   gemm_s8_ex(plan_dx, gx);
   return dx;
+}
+
+PlanKey linear_s8_plan_key(int64_t m, int64_t in_features,
+                           int64_t out_features, int32_t w_max) {
+  return PlanKey::s8(m, out_features, in_features, /*trans_a=*/false,
+                     /*trans_b=*/true, /*max_a=*/255, w_max);
+}
+
+void linear_s8_forward(const KernelPlan& plan, const S8ForwardArgs& args,
+                       float* lo, float* hi) {
+  // Activations are A here, so B carries the weight grid and ceiling.
+  GemmS8Params qp = s8_params(args.x_grid, args.w_grid);
+  qp.max_b = args.w_max;
+  GemmS8Epilogue epi = args.epi;
+  epi.channel_is_row = false;
+  epi.observe_lo = lo;
+  epi.observe_hi = hi;
+  GemmS8Args ga;
+  ga.a = args.x;
+  ga.b = args.w;
+  ga.params = qp;
+  ga.epilogue = &epi;
+  ga.out = args.y;
+  ga.out_codes = args.y_codes;
+  gemm_s8_ex(plan, ga);
 }
 
 void Linear::backward_bias(const Tensor& dy) {

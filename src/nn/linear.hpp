@@ -5,7 +5,9 @@
 // GemmLayer (gemm_layer.hpp); this file supplies the GEMMs:
 //
 //   forward:  y  = Xq · Wqᵀ      (kS8 plan, fused bias epilogue; output
-//                                 channels are C's columns)
+//                                 channels are C's columns; written once
+//                                 in linear_s8_forward, which
+//                                 CompiledModel's serving linear runs too)
 //   backward: dX = dYq · Wq      (kS8GradDx plan)
 //             dW = dYqᵀ · Xq     (kS8GradDw plan, accumulated into the
 //                                 sink)
@@ -44,5 +46,18 @@ class Linear : public GemmLayer {
 
   int64_t in_, out_;
 };
+
+/// The plan key of a linear layer's int8 forward over a batch of `m`
+/// (stamped with the current pool width).
+PlanKey linear_s8_plan_key(int64_t m, int64_t in_features,
+                           int64_t out_features, int32_t w_max);
+
+/// The int8 forward of one linear layer call: y = Xq · Wqᵀ as one
+/// fused-epilogue GEMM (activations as A, weights as B, output channels
+/// along C's columns) under `plan`, plan_for(linear_s8_plan_key(...)) or
+/// a copy of it. The exact output range goes to *lo / *hi when they are
+/// non-null.
+void linear_s8_forward(const KernelPlan& plan, const S8ForwardArgs& args,
+                       float* lo = nullptr, float* hi = nullptr);
 
 }  // namespace apt::nn

@@ -30,10 +30,12 @@ std::string g_cache_file;  // guarded by g_options_mu
 
 // ---------------------------------------------------------- cost model
 //
-// A pure function of the candidate and the CPU feature set: approximate
-// "cost units" = MAC count divided by the strategy's relative MAC
-// density and the effective task width, plus a weighted packing /
-// raw-plane traffic term. The absolute scale is meaningless; only the
+// A pure function of the candidate — not of the host or its SIMD level,
+// so a key resolves to one plan wherever and whenever it is first asked
+// for (the cache key carries no level). Approximate "cost units" = MAC
+// count divided by the strategy's relative MAC density and the
+// effective task width, plus a weighted packing / raw-plane traffic
+// term. The absolute scale is meaningless; only the
 // deterministic ordering of candidates matters. No measurement happens
 // here — the autotuner (bench_runner --autotune) is where candidates
 // meet a clock.
@@ -42,9 +44,10 @@ int64_t ceil_div(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
 bool is_s8_op(PlanOp op) { return op != PlanOp::kGemmF32; }
 
+// The scalar kernels run a quad plan as pairs (resolve_s8_path), with
+// the same bits, so eligibility reads only the ceilings.
 bool quad_eligible(const PlanKey& key) {
-  return gemm_cpu_has_avx2_fma() && (key.max_a <= kGemmS8QuadMaxCode ||
-                                     key.max_b <= kGemmS8QuadMaxCode);
+  return key.max_a <= kGemmS8QuadMaxCode || key.max_b <= kGemmS8QuadMaxCode;
 }
 
 // Effective blocking the kernel layer would use for this candidate.
@@ -65,7 +68,6 @@ int64_t plan_nc(const KernelPlan& p) {
 
 double model_cost(const KernelPlan& p) {
   const PlanKey& key = p.key;
-  const bool avx2 = gemm_cpu_has_avx2_fma();
   const double macs = static_cast<double>(key.m) *
                       static_cast<double>(key.n) *
                       static_cast<double>(key.k);
@@ -75,20 +77,20 @@ double model_cost(const KernelPlan& p) {
   bool pairs_bytes = false;  // packed element width: int16 pairs vs bytes
   switch (p.strategy) {
     case PlanStrategy::kF32Direct:
-      density = avx2 ? 0.25 : 0.5;  // unpacked strided loads, no tile
+      density = 0.25;  // unpacked strided loads, no tile
       break;
     case PlanStrategy::kF32Packed:
       density = 1.0;
       break;
     case PlanStrategy::kS8Pairs:
-      density = avx2 ? 1.0 : 0.25;
+      density = 1.0;
       pairs_bytes = true;
       break;
     case PlanStrategy::kS8Quad:
       density = 4.0 / 3.0;
       break;
     case PlanStrategy::kS8ConvDirect:
-      density = quad_eligible(key) ? 4.0 / 3.0 : (avx2 ? 1.0 : 0.25);
+      density = quad_eligible(key) ? 4.0 / 3.0 : 1.0;
       pairs_bytes = !quad_eligible(key);
       break;
   }

@@ -27,9 +27,11 @@
 //    decomposition, which partition work without reordering any
 //    element's k-sum.
 //  * Deterministic selection: the cost model is a pure function of the
-//    key and whether the SIMD level has AVX2 — no wall-clock, no
-//    sampling (the apt_lint `clock` rule applies to this file like any
-//    other). AVX2 and AVX-512 hosts resolve the same plans.
+//    key — no SIMD level, no wall-clock, no sampling (the apt_lint
+//    `clock` rule applies to this file like any other). Every host, at
+//    every APT_SIMD level or SimdCapScope, resolves a key to the same
+//    plan, so the cache (keyed without a level) never hands one level
+//    another level's choice.
 //  * Exactness: the byte-quad strategy is only planned when the key's
 //    operand ceilings prove vpmaddubsw cannot saturate, mirroring the
 //    kernel-level rule.

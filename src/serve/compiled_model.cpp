@@ -21,12 +21,11 @@ namespace apt::serve {
 namespace {
 
 constexpr uint32_t kMagic = 0x4150544D;  // "APTM"
-constexpr const char* kSchema = "apt-compiled-model/2";
+constexpr const char* kSchema = "apt-compiled-model/3";
 
 // -- lowering ---------------------------------------------------------------
 
 struct Builder {
-  const CompileOptions& opts;
   std::vector<CompiledOp> ops;
   /// Per-register per-sample dims (registers are flat buffers; dims
   /// only drive geometry derivation during lowering).
@@ -106,9 +105,6 @@ int32_t emit_conv(Builder& b, nn::Conv2d& conv, nn::BatchNorm* bn,
   const int64_t H = dims[1], W = dims[2];
   const int64_t OH = (H + 2 * o.padding - o.kernel) / o.stride + 1;
   const int64_t OW = (W + 2 * o.padding - o.kernel) / o.stride + 1;
-  const int64_t icg = o.in_channels / o.groups;
-  const int64_t ocg = o.out_channels / o.groups;
-  const int64_t krows = icg * o.kernel * o.kernel;
   const quant::QuantizedTensor* wq = frozen_weights(conv.weight(), conv.name());
 
   CompiledOp op;
@@ -135,12 +131,6 @@ int32_t emit_conv(Builder& b, nn::Conv2d& conv, nn::BatchNorm* bn,
     op.relu = true;
     op.relu_cap = relu->cap();
   }
-  nn::PlanKey key = nn::PlanKey::conv_s8(
-      ocg, OH * OW, krows, static_cast<int32_t>(o.kernel),
-      static_cast<int32_t>(o.stride), static_cast<int32_t>(o.padding),
-      op.w_max, /*max_b=*/255);
-  key.threads = 1;  // per-request execution is serial (InlineScope)
-  op.plans.push_back(nn::plan_for(key));
   op.out = b.new_reg({o.out_channels, OH, OW});
   b.ops.push_back(std::move(op));
   return b.ops.back().out;
@@ -168,14 +158,6 @@ int32_t emit_linear(Builder& b, nn::Linear& lin, nn::BatchNorm* bn,
   if (relu != nullptr) {
     op.relu = true;
     op.relu_cap = relu->cap();
-  }
-  for (int64_t m = 1; m <= b.opts.max_batch; ++m) {
-    nn::PlanKey key = nn::PlanKey::s8(m, lin.out_features(),
-                                      lin.in_features(), /*trans_a=*/false,
-                                      /*trans_b=*/true, /*max_a=*/255,
-                                      op.w_max);
-    key.threads = 1;
-    op.plans.push_back(nn::plan_for(key));
   }
   op.out = b.new_reg({lin.out_features()});
   b.ops.push_back(std::move(op));
@@ -356,105 +338,85 @@ void resolve_code_handoffs(std::vector<CompiledOp>& ops,
   }
 }
 
+nn::Conv2dOptions conv_options(const CompiledOp& op) {
+  return {op.c, op.oc, op.kernel, op.stride, op.padding, op.groups};
+}
+
+/// Binds every fused op's plans (threads = 1: a request runs serially):
+/// one per conv, plans[b-1] for a batch-b linear. compile() and
+/// try_load() both call it, so plans never enter the artifact and a
+/// request never touches the plan cache.
+void bind_plans(std::vector<CompiledOp>& ops, int64_t max_batch) {
+  auto serial = [](nn::PlanKey key) {
+    key.threads = 1;
+    return nn::plan_for(key);
+  };
+  for (CompiledOp& op : ops) {
+    op.plans.clear();
+    if (op.kind == OpKind::kConvS8) {
+      op.plans.push_back(serial(nn::ConvS8Forward::plan_key(
+          conv_options(op), op.h, op.w, op.w_max)));
+    } else if (op.kind == OpKind::kLinearS8) {
+      for (int64_t m = 1; m <= max_batch; ++m)
+        op.plans.push_back(
+            serial(nn::linear_s8_plan_key(m, op.c, op.oc, op.w_max)));
+    }
+  }
+}
+
 // -- execution --------------------------------------------------------------
 
-void exec_conv(const CompiledOp& op, int64_t batch, InferenceContext& ctx,
-               ScratchArena::Scope& scope) {
-  const int64_t G = op.groups;
-  const int64_t icg = op.c / G, ocg = op.oc / G;
-  const int64_t krows = icg * op.kernel * op.kernel;
-  const int64_t in_elems = op.c * op.h * op.w;
-
-  const uint8_t* codes;
+/// A fused op's integer-forward operands over `batch` samples of
+/// `in_elems`: the input codes (quantised on entry onto in_grid unless
+/// the producer handed codes over), the frozen weights, the folded
+/// BN/bias/ReLU epilogue and the output register.
+nn::S8ForwardArgs s8_args(const CompiledOp& op, int64_t batch,
+                          int64_t in_elems, InferenceContext& ctx,
+                          ScratchArena::Scope& scope) {
+  nn::S8ForwardArgs a;
   if (op.in_codes) {
-    codes = ctx.u8(op.in0);
+    a.x = ctx.u8(op.in0);
   } else {
     auto* q = static_cast<uint8_t*>(
         scope.alloc_bytes(static_cast<size_t>(batch * in_elems)));
     quant::quantize_codes_u8(ctx.f32(op.in0), batch * in_elems, op.in_grid,
                              q);
-    codes = q;
+    a.x = q;
   }
-  const auto pad_code = static_cast<uint8_t>(op.in_grid.zero_point);
-
-  nn::GemmS8Params qp{op.w_grid.scale, op.in_grid.scale,
-                      static_cast<int32_t>(op.w_grid.zero_point),
-                      static_cast<int32_t>(op.in_grid.zero_point)};
-  qp.max_a = op.w_max;
-
-  const nn::KernelPlan& plan = op.plans.front();
-  const nn::ConvS8Operand operand(plan, icg, op.h, op.w, op.kernel,
-                                  op.stride, op.padding, pad_code);
-  uint8_t* stage = operand.alloc_stage(scope);
-
-  for (int64_t n = 0; n < batch; ++n) {
-    for (int64_t g = 0; g < G; ++g) {
-      nn::GemmS8ConvB cb;
-      nn::GemmS8Args ga;
-      ga.a = op.wcodes.data() + g * ocg * krows;
-      ga.params = qp;
-      operand.bind(codes + (n * op.c + g * icg) * op.h * op.w, stage,
-                   /*pooled=*/false, cb, ga);
-      nn::GemmS8Epilogue epi;
-      epi.channel_is_row = true;
-      epi.scale = op.ch_scale.empty() ? nullptr
-                                      : op.ch_scale.data() + g * ocg;
-      epi.bias = op.ch_bias.empty() ? nullptr : op.ch_bias.data() + g * ocg;
-      epi.relu = op.relu;
-      epi.relu_cap = op.relu_cap;
-      const int64_t out_off = (n * op.oc + g * ocg) * op.oh * op.ow;
-      if (op.emit_codes) {
-        epi.out_scale = op.out_grid.scale;
-        epi.out_zero = static_cast<int32_t>(op.out_grid.zero_point);
-        epi.out_max = static_cast<int32_t>(quant::max_code(op.out_grid.bits));
-        ga.out_codes = ctx.u8(op.out) + out_off;
-      } else {
-        ga.out = ctx.f32(op.out) + out_off;
-      }
-      ga.epilogue = &epi;
-      nn::gemm_s8_ex(plan, ga);
-    }
+  a.x_grid = op.in_grid;
+  a.w = op.wcodes.data();
+  a.w_grid = op.w_grid;
+  a.w_max = op.w_max;
+  a.epi.scale = op.ch_scale.empty() ? nullptr : op.ch_scale.data();
+  a.epi.bias = op.ch_bias.empty() ? nullptr : op.ch_bias.data();
+  a.epi.relu = op.relu;
+  a.epi.relu_cap = op.relu_cap;
+  if (op.emit_codes) {
+    a.y_codes = ctx.u8(op.out);
+    a.epi.out_scale = op.out_grid.scale;
+    a.epi.out_zero = static_cast<int32_t>(op.out_grid.zero_point);
+    a.epi.out_max = static_cast<int32_t>(quant::max_code(op.out_grid.bits));
+  } else {
+    a.y = ctx.f32(op.out);
   }
+  return a;
+}
+
+void exec_conv(const CompiledOp& op, int64_t batch, InferenceContext& ctx,
+               ScratchArena::Scope& scope) {
+  const nn::ConvS8Forward conv(
+      op.plans.front(), conv_options(op), op.h, op.w,
+      s8_args(op, batch, op.c * op.h * op.w, ctx, scope));
+  uint8_t* stage = conv.alloc_stage(scope);
+  for (int64_t n = 0; n < batch; ++n)
+    for (int64_t g = 0; g < op.groups; ++g)
+      conv.run(n, g, stage, /*pooled=*/false);
 }
 
 void exec_linear(const CompiledOp& op, int64_t batch, InferenceContext& ctx,
                  ScratchArena::Scope& scope) {
-  const uint8_t* codes;
-  if (op.in_codes) {
-    codes = ctx.u8(op.in0);
-  } else {
-    auto* q = static_cast<uint8_t*>(
-        scope.alloc_bytes(static_cast<size_t>(batch * op.c)));
-    quant::quantize_codes_u8(ctx.f32(op.in0), batch * op.c, op.in_grid, q);
-    codes = q;
-  }
-
-  nn::GemmS8Params qp{op.in_grid.scale, op.w_grid.scale,
-                      static_cast<int32_t>(op.in_grid.zero_point),
-                      static_cast<int32_t>(op.w_grid.zero_point)};
-  qp.max_b = op.w_max;
-
-  nn::GemmS8Epilogue epi;
-  epi.channel_is_row = false;
-  epi.scale = op.ch_scale.empty() ? nullptr : op.ch_scale.data();
-  epi.bias = op.ch_bias.empty() ? nullptr : op.ch_bias.data();
-  epi.relu = op.relu;
-  epi.relu_cap = op.relu_cap;
-
-  nn::GemmS8Args ga;
-  ga.a = codes;
-  ga.b = op.wcodes.data();
-  ga.params = qp;
-  ga.epilogue = &epi;
-  if (op.emit_codes) {
-    epi.out_scale = op.out_grid.scale;
-    epi.out_zero = static_cast<int32_t>(op.out_grid.zero_point);
-    epi.out_max = static_cast<int32_t>(quant::max_code(op.out_grid.bits));
-    ga.out_codes = ctx.u8(op.out);
-  } else {
-    ga.out = ctx.f32(op.out);
-  }
-  nn::gemm_s8_ex(op.plans[static_cast<size_t>(batch - 1)], ga);
+  nn::linear_s8_forward(op.plans[static_cast<size_t>(batch - 1)],
+                        s8_args(op, batch, op.c, ctx, scope));
 }
 
 void exec_relu(const CompiledOp& op, int64_t total, InferenceContext& ctx) {
@@ -530,56 +492,6 @@ quant::QuantParams read_grid(io::BufReader& r) {
   return p;
 }
 
-void write_plan(io::BufWriter& w, const nn::KernelPlan& p) {
-  w.pod<uint8_t>(static_cast<uint8_t>(p.key.op));
-  w.pod<int64_t>(p.key.m);
-  w.pod<int64_t>(p.key.n);
-  w.pod<int64_t>(p.key.k);
-  w.pod<uint8_t>(p.key.trans_a ? 1 : 0);
-  w.pod<uint8_t>(p.key.trans_b ? 1 : 0);
-  w.pod<int32_t>(p.key.max_a);
-  w.pod<int32_t>(p.key.max_b);
-  w.pod<int32_t>(p.key.kernel);
-  w.pod<int32_t>(p.key.stride);
-  w.pod<int32_t>(p.key.padding);
-  w.pod<int32_t>(p.key.threads);
-  w.pod<uint8_t>(static_cast<uint8_t>(p.strategy));
-  w.pod<int64_t>(p.mr);
-  w.pod<int64_t>(p.nr);
-  w.pod<int64_t>(p.kc);
-  w.pod<int64_t>(p.mc);
-  w.pod<int64_t>(p.nc);
-  w.pod<uint8_t>(p.parallel ? 1 : 0);
-  w.pod<uint8_t>(p.split_n ? 1 : 0);
-  w.pod<uint8_t>(p.autotuned ? 1 : 0);
-}
-
-nn::KernelPlan read_plan(io::BufReader& r) {
-  nn::KernelPlan p;
-  p.key.op = static_cast<nn::PlanOp>(r.pod<uint8_t>());
-  p.key.m = r.pod<int64_t>();
-  p.key.n = r.pod<int64_t>();
-  p.key.k = r.pod<int64_t>();
-  p.key.trans_a = r.pod<uint8_t>() != 0;
-  p.key.trans_b = r.pod<uint8_t>() != 0;
-  p.key.max_a = r.pod<int32_t>();
-  p.key.max_b = r.pod<int32_t>();
-  p.key.kernel = r.pod<int32_t>();
-  p.key.stride = r.pod<int32_t>();
-  p.key.padding = r.pod<int32_t>();
-  p.key.threads = r.pod<int32_t>();
-  p.strategy = static_cast<nn::PlanStrategy>(r.pod<uint8_t>());
-  p.mr = r.pod<int64_t>();
-  p.nr = r.pod<int64_t>();
-  p.kc = r.pod<int64_t>();
-  p.mc = r.pod<int64_t>();
-  p.nc = r.pod<int64_t>();
-  p.parallel = r.pod<uint8_t>() != 0;
-  p.split_n = r.pod<uint8_t>() != 0;
-  p.autotuned = r.pod<uint8_t>() != 0;
-  return p;
-}
-
 // -- load-time semantic validation ------------------------------------------
 //
 // The container checksums guarantee the bytes are the bytes that were
@@ -592,19 +504,6 @@ nn::KernelPlan read_plan(io::BufReader& r) {
 /// far beyond any real model, small enough that bind() cannot be driven
 /// into pathological allocations.
 constexpr int64_t kMaxElemsPerReg = int64_t{1} << 28;
-
-bool valid_plan(const nn::KernelPlan& p, nn::PlanOp op, int64_t m, int64_t n,
-                int64_t k) {
-  if (p.key.op != op || p.key.m != m || p.key.n != n || p.key.k != k)
-    return false;
-  if (p.strategy != nn::PlanStrategy::kS8Pairs &&
-      p.strategy != nn::PlanStrategy::kS8Quad &&
-      p.strategy != nn::PlanStrategy::kS8ConvDirect)
-    return false;
-  for (int64_t block : {p.mr, p.nr, p.kc, p.mc, p.nc})
-    if (block < 0 || block > (int64_t{1} << 24)) return false;
-  return true;
-}
 
 bool valid_grid(const quant::QuantParams& g) {
   return g.bits >= 1 && g.bits <= 8 && g.zero_point >= 0 &&
@@ -697,20 +596,13 @@ Status validate_program(const std::string& path, const CompiledModel& cm,
             op.ow != (pw - op.kernel) / op.stride + 1)
           return bad("output geometry inconsistent");
         const int64_t icg = op.c / op.groups;
-        int64_t krows = 0, hw = 0;
+        int64_t krows = 0;
         if (!mul_ok(op.c, op.h, &in_span) || !mul_ok(in_span, op.w, &in_span) ||
             !mul_ok(op.oc, op.oh, &out_span) ||
             !mul_ok(out_span, op.ow, &out_span) ||
             !mul_ok(icg, op.kernel * op.kernel, &krows) ||
-            !mul_ok(op.oc, krows, &weights) || !mul_ok(op.oh, op.ow, &hw))
+            !mul_ok(op.oc, krows, &weights))
           return bad("conv geometry overflow");
-        if (op.plans.size() != 1 ||
-            !valid_plan(op.plans[0], nn::PlanOp::kConvS8, op.oc / op.groups,
-                        hw, krows))
-          return bad("conv plan inconsistent");
-        if (op.plans[0].strategy == nn::PlanStrategy::kS8ConvDirect &&
-            (op.kernel != 1 || op.stride != 1 || op.padding != 0))
-          return bad("direct plan on a non-1x1 conv");
         break;
       }
       case OpKind::kLinearS8: {
@@ -718,14 +610,6 @@ Status validate_program(const std::string& path, const CompiledModel& cm,
         in_span = op.c;
         out_span = op.oc;
         if (!mul_ok(op.oc, op.c, &weights)) return bad("linear overflow");
-        if (op.plans.size() != static_cast<size_t>(cm.max_batch()))
-          return bad("linear plan count");
-        for (int64_t m = 1; m <= cm.max_batch(); ++m) {
-          const nn::KernelPlan& p = op.plans[static_cast<size_t>(m - 1)];
-          if (!valid_plan(p, nn::PlanOp::kGemmS8, m, op.oc, op.c) ||
-              p.strategy == nn::PlanStrategy::kS8ConvDirect || !p.key.trans_b)
-            return bad("linear plan inconsistent");
-        }
         break;
       }
       case OpKind::kReluF32:
@@ -804,7 +688,7 @@ CompiledModel CompiledModel::compile(nn::Layer& model,
                                      const Shape& sample_shape,
                                      const CompileOptions& opts) {
   APT_CHECK(opts.max_batch >= 1) << "max_batch must be >= 1";
-  Builder b{opts, {}, {}, {}};
+  Builder b;
   b.new_reg(sample_shape.dims());
   const int32_t out_reg = lower(b, model, 0);
   resolve_code_handoffs(b.ops, b.reg_codes);
@@ -821,6 +705,7 @@ CompiledModel CompiledModel::compile(nn::Layer& model,
   for (size_t r = 0; r < b.reg_dims.size(); ++r)
     cm.regs_[r] = {dims_numel(b.reg_dims[r]), static_cast<bool>(b.reg_codes[r])};
   cm.ops_ = std::move(b.ops);
+  bind_plans(cm.ops_, cm.max_batch_);
   return cm;
 }
 
@@ -898,8 +783,6 @@ Status CompiledModel::try_save(const std::string& path) const {
     w.vec<double>(op.ch_scale);
     w.vec<float>(op.ch_bias);
     w.vec<uint8_t>(op.wcodes);
-    w.pod<uint64_t>(op.plans.size());
-    for (const nn::KernelPlan& p : op.plans) write_plan(w, p);
   }
   return artifact.write(path);
 }
@@ -969,18 +852,12 @@ Status CompiledModel::try_load(const std::string& path, CompiledModel* out) {
     op.ch_scale = r.vec<double>();
     op.ch_bias = r.vec<float>();
     op.wcodes = r.vec<uint8_t>();
-    const auto plan_count = r.pod<uint64_t>();
-    // 95 bytes per serialised plan: reject impossible counts before the
-    // resize so an adversarial count cannot drive an allocation.
-    if (!r.ok() || plan_count > r.remaining() / 95)
-      return bad("truncated section");
-    op.plans.resize(static_cast<size_t>(plan_count));
-    for (nn::KernelPlan& p : op.plans) p = read_plan(r);
     if (!r.exhausted()) return bad("section size mismatch");
   }
 
   st = validate_program(path, cm, cm.out_reg_);
   if (!st.ok()) return st;
+  bind_plans(cm.ops_, cm.max_batch_);
   *out = std::move(cm);
   return Status::Ok();
 }

@@ -4,7 +4,9 @@
 // Training layers carry machinery a serving path must not pay for —
 // EMA range trackers, per-shard caches, backward buffers, per-forward
 // plan lookups. `CompiledModel::compile` walks a trained model once and
-// bakes everything a forward needs into a static instruction list:
+// freezes everything a forward needs into a static instruction list,
+// whose quantised ops run the training layers' own integer forward
+// (nn::ConvS8Forward, nn::linear_s8_forward) on frozen operands:
 //
 //  * weights stay packed as the u8 code planes the integer GEMM
 //    consumes (no dequantised copy exists in the artifact),
@@ -19,8 +21,9 @@
 //    code-passing dataflow of §11, resolved statically),
 //  * every `KernelPlan` is resolved once (threads = 1: execution is
 //    serial-per-request; concurrency comes from serving workers) and
-//    stored by value in the op — a served request never touches the
-//    process-wide plan cache.
+//    held by value in the op — a served request never touches the
+//    process-wide plan cache. Plans are derived state: compile and load
+//    bind them in memory, and the artifact stores none.
 //
 // Execution (`run`) is strictly serial per call under a ThreadPool
 // InlineScope, writes only into the caller's `InferenceContext`
@@ -31,7 +34,7 @@
 // elementwise/per-sample loop (DESIGN.md §15 gives the argument).
 //
 // The artifact serialises with `try_save`/`try_load` (schema
-// apt-compiled-model/2: the checksummed io/artifact.hpp container,
+// apt-compiled-model/3: the checksummed io/artifact.hpp container,
 // little-endian, byte-stable round trip, crash-safe atomic save). Loads
 // validate the container, every section checksum, and the program's
 // semantic invariants (register indices, geometry, operand sizes)
@@ -54,7 +57,7 @@
 namespace apt::serve {
 
 struct CompileOptions {
-  /// Largest batch a single `run` may carry; linear ops bake one plan
+  /// Largest batch a single `run` may carry; linear ops bind one plan
   /// per batch size in [1, max_batch].
   int64_t max_batch = 8;
 };
@@ -71,7 +74,7 @@ enum class OpKind : uint8_t {
   kAddF32 = 5,
 };
 
-/// One baked instruction. Register ids index CompiledModel's register
+/// One frozen instruction. Register ids index CompiledModel's register
 /// table; `in1` is only used by kAddF32.
 struct CompiledOp {
   OpKind kind = OpKind::kReluF32;
@@ -98,8 +101,9 @@ struct CompiledOp {
   /// Packed weight codes, GEMM operand layout ([oc, c/groups*kernel^2]
   /// for conv, [oc, c] for linear).
   std::vector<uint8_t> wcodes;
-  /// Baked plans: one for conv (batch-independent per-(sample, group)
-  /// GEMMs); plans[b-1] for a batch-b linear GEMM.
+  /// Plans bound by compile and load (never serialised): one for conv
+  /// (batch-independent per-(sample, group) GEMMs); plans[b-1] for a
+  /// batch-b linear GEMM.
   std::vector<nn::KernelPlan> plans;
 };
 
@@ -158,7 +162,7 @@ class CompiledModel {
   const std::vector<CompiledOp>& ops() const { return ops_; }
   const std::vector<RegInfo>& regs() const { return regs_; }
 
-  /// Serialises as apt-compiled-model/2 via an atomic, checksummed
+  /// Serialises as apt-compiled-model/3 via an atomic, checksummed
   /// write (the final path never holds a torn artifact). A save → load
   /// → save round trip is byte-identical (asserted by
   /// tests/serve_test.cpp).

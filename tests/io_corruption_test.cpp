@@ -209,13 +209,15 @@ TEST(CompiledModelCorruption, SpecificHeaderFieldsGetSpecificCodes) {
 
 // Rewrites the compiled-model artifact at `path` section by section
 // through the artifact container, so every CRC stays valid, after
-// `edit` has had the chance to change section `target`'s payload.
+// `edit` has had the chance to change section `target`'s payload. The
+// rewritten file is labelled `schema`.
 template <typename EditFn>
-void rewrite_artifact(const std::string& path, size_t target, EditFn edit) {
+void rewrite_artifact(const std::string& path, size_t target, EditFn edit,
+                      const std::string& schema = "apt-compiled-model/3") {
   constexpr uint32_t kModelMagic = 0x4150544D;  // "APTM"
   io::ArtifactReader reader;
-  ASSERT_TRUE(reader.open(path, kModelMagic, "apt-compiled-model/2").ok());
-  io::ArtifactWriter writer(kModelMagic, "apt-compiled-model/2");
+  ASSERT_TRUE(reader.open(path, kModelMagic, "apt-compiled-model/3").ok());
+  io::ArtifactWriter writer(kModelMagic, schema);
   for (size_t i = 0; i < reader.sections(); ++i) {
     io::BufReader r = reader.section(i);
     std::vector<uint8_t> payload(r.remaining());
@@ -280,6 +282,41 @@ TEST(CompiledModelCorruption, WeightCodeAboveCeilingIsCorrupt) {
           << st.to_string();
     }
   }
+  std::filesystem::remove(path);
+}
+
+TEST(CompiledModelCorruption, OtherSchemaRevisionIsVersionMismatch) {
+  // A CRC-valid artifact of another apt-compiled-model revision is a file
+  // from an incompatible release, not a damaged one.
+  Rng rng(3);
+  auto net = models::make_mlp(4, {6}, 3, rng);
+  for (nn::Layer* leaf : nn::leaves_of(*net)) {
+    if (auto* l = dynamic_cast<nn::Linear*>(leaf)) {
+      core::GridOptions go;
+      go.bits = 6;
+      l->weight().rep =
+          std::make_shared<core::GridRepresentation>(l->weight(), go);
+    }
+  }
+  Tensor calib(Shape{8, 4});
+  rng.fill_normal(calib, 0, 1);
+  net->forward(calib, /*training=*/true);
+  const serve::CompiledModel cm =
+      serve::CompiledModel::compile(*net, Shape{4});
+  const std::string path = temp_path("apt_corrupt_model_schema.aptm");
+  ASSERT_TRUE(cm.try_save(path).ok());
+  rewrite_artifact(
+      path, 0, [](std::vector<uint8_t>&) {}, "apt-compiled-model/2");
+
+  serve::CompiledModel loaded = cm;
+  const Status st = serve::CompiledModel::try_load(path, &loaded);
+  EXPECT_EQ(st.code(), StatusCode::kVersionMismatch) << st.to_string();
+  EXPECT_NE(st.to_string().find("apt-compiled-model/2"), std::string::npos)
+      << st.to_string();
+  // *out is untouched: still the model it held before.
+  ASSERT_EQ(loaded.ops().size(), cm.ops().size());
+  for (size_t i = 0; i < cm.ops().size(); ++i)
+    EXPECT_EQ(loaded.ops()[i].wcodes, cm.ops()[i].wcodes);
   std::filesystem::remove(path);
 }
 

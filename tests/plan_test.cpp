@@ -19,6 +19,7 @@
 
 #include "backend_guard.hpp"
 #include "base/arena.hpp"
+#include "base/cpu.hpp"
 #include "base/rng.hpp"
 #include "base/thread_pool.hpp"
 #include "core/grid_representation.hpp"
@@ -497,6 +498,21 @@ TEST(PlanConv, OneByOneStrideOnePadZeroSelectsDirectGemm) {
   EXPECT_NE(p1.strategy, PlanStrategy::kS8ConvDirect);
   const KernelPlan s2 = plan_for(PlanKey::conv_s8(16, 25, 16, 1, 2, 0, 255, 255));
   EXPECT_NE(s2.strategy, PlanStrategy::kS8ConvDirect);
+}
+
+TEST(PlanConv, QuadPlanDoesNotDependOnTheSimdLevel) {
+  // The cache key carries no SIMD level, so the plan a key resolves to
+  // must not either: first resolved under a scalar cap, a quad-eligible
+  // key keeps its quad plan after the cap lifts (the scalar kernels run
+  // it as pairs, with the same bits).
+  plan_cache_clear();
+  const PlanKey key = PlanKey::conv_s8(16, 256, 144, 3, 1, 1, 63, 255);
+  {
+    SimdCapScope scalar(SimdLevel::kScalar);
+    EXPECT_EQ(plan_for(key).strategy, PlanStrategy::kS8Quad);
+  }
+  EXPECT_EQ(plan_for(key).strategy, PlanStrategy::kS8Quad);
+  plan_cache_clear();
 }
 
 TEST(PlanConv, OneByOneForwardStagesNothing) {

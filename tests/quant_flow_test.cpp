@@ -378,22 +378,6 @@ TEST(CodeFlowSharded, WorkerCountNeverChangesBits) {
 
 // ------------------------------------------------- gather helpers
 
-TEST(Im2colU8Pooled, BitIdenticalToSerial) {
-  Rng rng(23);
-  const int64_t C = 16, H = 9, W = 11, kernel = 3, stride = 1, padding = 1;
-  const int64_t oh = H, ow = W;
-  std::vector<uint8_t> codes(static_cast<size_t>(C * H * W));
-  for (auto& q : codes) q = static_cast<uint8_t>(rng.randint(0, 255));
-  std::vector<uint8_t> serial(
-      static_cast<size_t>(C * kernel * kernel * oh * ow));
-  std::vector<uint8_t> pooled(serial.size());
-  im2col_u8(codes.data(), C, H, W, 0, 0, C, kernel, stride, padding, oh, ow,
-            7, serial.data());
-  im2col_u8_pooled(codes.data(), C, H, W, 0, 0, C, kernel, stride, padding,
-                   oh, ow, 7, pooled.data());
-  EXPECT_EQ(0, std::memcmp(serial.data(), pooled.data(), serial.size()));
-}
-
 TEST(StagePaddedU8, PooledMatchesSerialAndLayout) {
   Rng rng(29);
   const int64_t C = 5, H = 4, W = 6, padding = 2;

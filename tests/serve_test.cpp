@@ -1,5 +1,6 @@
 // Tests for the frozen serving runtime (DESIGN.md §15): CompiledModel
-// lowering (BN/ReLU folding, static code handoffs, baked plans),
+// lowering (BN/ReLU folding, static code handoffs, plans bound at
+// compile and at load),
 // closeness to the training-time fp32 forward, bit-identity of responses
 // across batch composition / coalescing / worker counts, byte-stable
 // serialization (save -> load -> save), the freeze-from-checkpoint
@@ -21,6 +22,7 @@
 
 #include "backend_guard.hpp"
 #include "base/arena.hpp"
+#include "base/cpu.hpp"
 #include "base/rng.hpp"
 #include "base/thread_pool.hpp"
 #include "core/grid_representation.hpp"
@@ -29,6 +31,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/gemm.hpp"
 #include "nn/linear.hpp"
+#include "nn/plan.hpp"
 #include "nn/shard.hpp"
 #include "serve/compiled_model.hpp"
 #include "serve/server.hpp"
@@ -103,9 +106,6 @@ TEST(Compile, ProgramShapeAndStaticCodeHandoffs) {
     handoffs += op.emit_codes;
     if (op.kind == OpKind::kConvS8 || op.kind == OpKind::kLinearS8) {
       EXPECT_FALSE(op.wcodes.empty());
-      EXPECT_FALSE(op.plans.empty());
-      for (const nn::KernelPlan& plan : op.plans)
-        EXPECT_EQ(plan.key.threads, 1);
     }
     if (op.kind == OpKind::kConvS8) {
       // Every conv in this net is followed by BatchNorm: the fold must
@@ -119,6 +119,27 @@ TEST(Compile, ProgramShapeAndStaticCodeHandoffs) {
   // conv1 -> conv2 inside each basic block is a single-reader edge, so
   // at least those hand codes across statically.
   EXPECT_GE(handoffs, 3);
+
+  // Plans are bound in memory by compile and again by load (the
+  // artifact stores none): one serial plan per conv, one per batch size
+  // per linear.
+  const std::string path = temp_path("apt_serve_plans.aptm");
+  ASSERT_TRUE(cm.try_save(path).ok());
+  CompiledModel loaded;
+  ASSERT_TRUE(CompiledModel::try_load(path, &loaded).ok());
+  std::filesystem::remove(path);
+  const CompiledModel* const models[] = {&cm, &loaded};
+  for (const CompiledModel* m : models) {
+    for (const CompiledOp& op : m->ops()) {
+      size_t want = 0;
+      if (op.kind == OpKind::kConvS8) want = 1;
+      if (op.kind == OpKind::kLinearS8)
+        want = static_cast<size_t>(m->max_batch());
+      ASSERT_EQ(op.plans.size(), want);
+      for (const nn::KernelPlan& plan : op.plans)
+        EXPECT_EQ(plan.key.threads, 1);
+    }
+  }
 }
 
 TEST(Compile, MatchesInt8EvalForward) {
@@ -214,6 +235,30 @@ TEST(Serialize, SaveLoadSaveIsByteStable) {
   EXPECT_EQ(std::memcmp(o1.data(), o2.data(), o1.size() * sizeof(float)), 0);
   std::filesystem::remove(p1);
   std::filesystem::remove(p2);
+}
+
+TEST(Serialize, ArtifactBytesIndependentOfSimdLevel) {
+  // Plans are derived state, bound at load: the artifact must not record
+  // the SIMD level of the process that compiled it. Each compile starts
+  // from an empty plan cache, so it resolves its plans at its own level.
+  const std::vector<Tensor> calib = make_calibration(16);
+  auto net = make_calibrated_resnet(6, calib);
+  const std::string path = temp_path("apt_serve_simd.aptm");
+  auto frozen_bytes = [&] {
+    nn::plan_cache_clear();
+    const CompiledModel cm = CompiledModel::compile(*net, Shape{kC, kH, kW});
+    EXPECT_TRUE(cm.try_save(path).ok());
+    return read_file(path);
+  };
+  std::string scalar;
+  {
+    SimdCapScope cap(SimdLevel::kScalar);
+    scalar = frozen_bytes();
+  }
+  const std::string host = frozen_bytes();
+  std::filesystem::remove(path);
+  ASSERT_FALSE(host.empty());
+  EXPECT_EQ(scalar, host) << "artifact bytes depend on the SIMD level";
 }
 
 TEST(FreezeFromCheckpoint, DeterministicArtifactAcrossFreshModels) {
