@@ -43,7 +43,7 @@ std::unique_ptr<nn::Sequential> make_resnet(const ResNetConfig& cfg, Rng& rng) {
       const int64_t stride = (stage > 0 && b == 0) ? 2 : 1;
       const std::string nm =
           "stage" + std::to_string(stage) + ".block" + std::to_string(b);
-      net->emplace<BasicBlock>(nm, in_ch, widths[stage], stride, rng);
+      net->append(make_basic_block(nm, in_ch, widths[stage], stride, rng));
       in_ch = widths[stage];
     }
   }
@@ -87,8 +87,8 @@ std::unique_ptr<nn::Sequential> make_mobilenet_v2(const MobileNetV2Config& cfg,
     const int64_t reps = scale_n(st.n);
     for (int64_t i = 0; i < reps; ++i) {
       const int64_t stride = (i == 0) ? st.s : 1;
-      net->emplace<InvertedResidual>("ir" + std::to_string(block_id++), in_ch,
-                                     out_ch, stride, st.t, rng);
+      net->append(make_inverted_residual("ir" + std::to_string(block_id++),
+                                         in_ch, out_ch, stride, st.t, rng));
       in_ch = out_ch;
     }
   }

@@ -1,11 +1,15 @@
-// Sequential container. Composite blocks (residual, inverted-residual)
-// are themselves Layers, so every paper backbone is a Sequential of blocks.
+// The two containers every paper backbone is built from: Sequential
+// chains children, Residual joins a main and a shortcut Sequential with
+// an add. A ResNet basic block is Sequential{Residual, ReLU}; a
+// MobileNetV2 inverted residual is a Residual (or a plain Sequential
+// when its shape changes).
 #pragma once
 
 #include <memory>
 #include <utility>
 
 #include "nn/layer.hpp"
+#include "nn/shard.hpp"
 
 namespace apt::nn {
 
@@ -149,6 +153,75 @@ class Sequential : public Layer {
 
   std::string name_;
   std::vector<LayerPtr> layers_;
+};
+
+/// y = main(x) + shortcut(x); an empty shortcut is the identity. The
+/// join is a fp32 add per shard, so Residual never takes part in code
+/// flow: each branch starts from fp32 and returns fp32. Backward runs
+/// the main branch, then the shortcut, and adds the shortcut's input
+/// gradient into the main branch's.
+class Residual : public Layer {
+ public:
+  explicit Residual(std::string name)
+      : name_(std::move(name)),
+        main_(name_ + ".main"),
+        shortcut_(name_ + ".shortcut") {}
+
+  Sequential& main() { return main_; }
+  Sequential& shortcut() { return shortcut_; }
+
+  Tensor forward(const Tensor& x, bool training) override {
+    return forward_sharded({x}, training)[0];
+  }
+
+  Tensor backward(const Tensor& grad_out) override {
+    return backward_sharded({grad_out})[0];
+  }
+
+  std::vector<Tensor> forward_sharded(const std::vector<Tensor>& xs,
+                                      bool training) override {
+    const std::vector<Tensor> a = main_.forward_sharded(xs, training);
+    const std::vector<Tensor> b = shortcut_.forward_sharded(xs, training);
+    std::vector<Tensor> ys(xs.size());
+    shard_parallel(static_cast<int>(xs.size()), [&](int s) {
+      const auto su = static_cast<size_t>(s);
+      ys[su] = a[su] + b[su];
+    });
+    return ys;
+  }
+
+  std::vector<Tensor> backward_sharded(
+      const std::vector<Tensor>& grads_out) override {
+    std::vector<Tensor> gs = main_.backward_sharded(grads_out);
+    const std::vector<Tensor> g_short = shortcut_.backward_sharded(grads_out);
+    shard_parallel(static_cast<int>(gs.size()), [&](int s) {
+      const auto su = static_cast<size_t>(s);
+      gs[su] += g_short[su];
+    });
+    return gs;
+  }
+
+  std::vector<Parameter*> parameters() override {
+    std::vector<Parameter*> ps = main_.parameters();
+    for (auto* p : shortcut_.parameters()) ps.push_back(p);
+    return ps;
+  }
+
+  std::string name() const override { return name_; }
+
+  /// An empty Sequential has no children and would count as a leaf.
+  std::vector<Layer*> children() override {
+    if (shortcut_.size() == 0) return {&main_};
+    return {&main_, &shortcut_};
+  }
+
+  int64_t macs_per_sample() const override {
+    return main_.macs_per_sample() + shortcut_.macs_per_sample();
+  }
+
+ private:
+  std::string name_;
+  Sequential main_, shortcut_;
 };
 
 }  // namespace apt::nn

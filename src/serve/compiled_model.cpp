@@ -9,7 +9,6 @@
 #include "io/artifact.hpp"
 #include "io/binary_io.hpp"
 #include "io/checkpoint.hpp"
-#include "models/blocks.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
@@ -97,7 +96,7 @@ void fold_bn(nn::BatchNorm* bn, const float* layer_bias, int64_t oc,
 }
 
 int32_t emit_conv(Builder& b, nn::Conv2d& conv, nn::BatchNorm* bn,
-                  const nn::ReLU* relu, int32_t in_reg) {
+                  int32_t in_reg) {
   const auto& dims = b.reg_dims[static_cast<size_t>(in_reg)];
   APT_CHECK(dims.size() == 3 && dims[0] == conv.options().in_channels)
       << conv.name() << ": unexpected input dims";
@@ -127,17 +126,13 @@ int32_t emit_conv(Builder& b, nn::Conv2d& conv, nn::BatchNorm* bn,
   // Conv layout: A carries the weights, so Sa is the weight scale.
   fold_bn(bn, o.bias ? conv.bias().value.data() : nullptr, o.out_channels,
           op.w_grid.scale * op.in_grid.scale, op);
-  if (relu != nullptr) {
-    op.relu = true;
-    op.relu_cap = relu->cap();
-  }
   op.out = b.new_reg({o.out_channels, OH, OW});
   b.ops.push_back(std::move(op));
   return b.ops.back().out;
 }
 
 int32_t emit_linear(Builder& b, nn::Linear& lin, nn::BatchNorm* bn,
-                    const nn::ReLU* relu, int32_t in_reg) {
+                    int32_t in_reg) {
   const auto& dims = b.reg_dims[static_cast<size_t>(in_reg)];
   APT_CHECK(dims_numel(dims) == lin.in_features())
       << lin.name() << ": unexpected input dims";
@@ -155,17 +150,12 @@ int32_t emit_linear(Builder& b, nn::Linear& lin, nn::BatchNorm* bn,
   // Linear layout: A carries the activations, so Sa is the input scale.
   fold_bn(bn, lin.has_bias() ? lin.bias().value.data() : nullptr,
           lin.out_features(), op.in_grid.scale * op.w_grid.scale, op);
-  if (relu != nullptr) {
-    op.relu = true;
-    op.relu_cap = relu->cap();
-  }
   op.out = b.new_reg({lin.out_features()});
   b.ops.push_back(std::move(op));
   return b.ops.back().out;
 }
 
-int32_t emit_add(Builder& b, int32_t a_reg, int32_t b_reg,
-                 const nn::ReLU* relu) {
+int32_t emit_add(Builder& b, int32_t a_reg, int32_t b_reg) {
   const auto dims = b.reg_dims[static_cast<size_t>(a_reg)];
   APT_CHECK(dims_numel(dims) ==
             dims_numel(b.reg_dims[static_cast<size_t>(b_reg)]))
@@ -174,10 +164,6 @@ int32_t emit_add(Builder& b, int32_t a_reg, int32_t b_reg,
   op.kind = OpKind::kAddF32;
   op.in0 = a_reg;
   op.in1 = b_reg;
-  if (relu != nullptr) {
-    op.relu = true;
-    op.relu_cap = relu->cap();
-  }
   op.out = b.new_reg(dims);
   b.ops.push_back(std::move(op));
   return b.ops.back().out;
@@ -185,73 +171,68 @@ int32_t emit_add(Builder& b, int32_t a_reg, int32_t b_reg,
 
 int32_t lower(Builder& b, nn::Layer& layer, int32_t in_reg);
 
+/// The op a ReLU reading `reg` folds into: the conv/linear/add that
+/// wrote `reg`, when it has no ReLU of its own and was emitted at or
+/// after `first_op`, i.e. inside the Sequential being lowered, so no
+/// other op has read `reg` yet. Null when the ReLU must run as its own
+/// kReluF32 op.
+CompiledOp* relu_fold_target(Builder& b, size_t first_op, int32_t reg) {
+  if (b.ops.size() <= first_op) return nullptr;
+  CompiledOp& op = b.ops.back();
+  const bool has_epilogue = op.kind == OpKind::kConvS8 ||
+                            op.kind == OpKind::kLinearS8 ||
+                            op.kind == OpKind::kAddF32;
+  return has_epilogue && op.out == reg && !op.relu ? &op : nullptr;
+}
+
+/// Conv/linear absorb a directly following BatchNorm; a ReLU folds as
+/// relu_fold_target says.
 int32_t lower_sequential(Builder& b, nn::Sequential& seq, int32_t in_reg) {
+  const size_t first_op = b.ops.size();
   const auto& layers = seq.layers();
   int32_t reg = in_reg;
-  for (size_t i = 0; i < layers.size();) {
+  for (size_t i = 0; i < layers.size(); ++i) {
     nn::Layer* l = layers[i].get();
-    nn::BatchNorm* bn = nullptr;
-    nn::ReLU* relu = nullptr;
-    const bool fusable = dynamic_cast<nn::GemmLayer*>(l) != nullptr;
-    size_t next = i + 1;
-    if (fusable) {
-      if (next < layers.size())
-        bn = dynamic_cast<nn::BatchNorm*>(layers[next].get());
-      if (bn != nullptr) ++next;
-      if (next < layers.size())
-        relu = dynamic_cast<nn::ReLU*>(layers[next].get());
-      if (relu != nullptr) ++next;
-    }
-    if (auto* conv = dynamic_cast<nn::Conv2d*>(l)) {
-      reg = emit_conv(b, *conv, bn, relu, reg);
-      i = next;
+    nn::BatchNorm* bn =
+        i + 1 < layers.size()
+            ? dynamic_cast<nn::BatchNorm*>(layers[i + 1].get())
+            : nullptr;
+    auto* relu = dynamic_cast<nn::ReLU*>(l);
+    CompiledOp* fold =
+        relu != nullptr ? relu_fold_target(b, first_op, reg) : nullptr;
+    if (fold != nullptr) {
+      fold->relu = true;
+      fold->relu_cap = relu->cap();
+    } else if (auto* conv = dynamic_cast<nn::Conv2d*>(l)) {
+      reg = emit_conv(b, *conv, bn, reg);
+      i += bn != nullptr;
     } else if (auto* lin = dynamic_cast<nn::Linear*>(l)) {
-      reg = emit_linear(b, *lin, bn, relu, reg);
-      i = next;
+      reg = emit_linear(b, *lin, bn, reg);
+      i += bn != nullptr;
     } else {
       reg = lower(b, *l, reg);
-      ++i;
     }
   }
   return reg;
 }
 
-int32_t lower_basic_block(Builder& b, models::BasicBlock& block,
-                          int32_t in_reg) {
-  // children() order is part of BasicBlock's interface: conv1, bn1,
-  // relu1, conv2, bn2, relu2 [, short_conv, short_bn].
-  const std::vector<nn::Layer*> kids = block.children();
-  APT_CHECK(kids.size() == 6 || kids.size() == 8)
-      << block.name() << ": unexpected child count " << kids.size();
-  auto* conv1 = dynamic_cast<nn::Conv2d*>(kids[0]);
-  auto* bn1 = dynamic_cast<nn::BatchNorm*>(kids[1]);
-  auto* relu1 = dynamic_cast<nn::ReLU*>(kids[2]);
-  auto* conv2 = dynamic_cast<nn::Conv2d*>(kids[3]);
-  auto* bn2 = dynamic_cast<nn::BatchNorm*>(kids[4]);
-  auto* relu2 = dynamic_cast<nn::ReLU*>(kids[5]);
-  APT_CHECK(conv1 && bn1 && relu1 && conv2 && bn2 && relu2)
-      << block.name() << ": unexpected child topology";
-  const int32_t r1 = emit_conv(b, *conv1, bn1, relu1, in_reg);
-  const int32_t r2 = emit_conv(b, *conv2, bn2, nullptr, r1);
-  int32_t shortcut = in_reg;
-  if (kids.size() == 8) {
-    auto* sc = dynamic_cast<nn::Conv2d*>(kids[6]);
-    auto* sbn = dynamic_cast<nn::BatchNorm*>(kids[7]);
-    APT_CHECK(sc && sbn) << block.name() << ": unexpected shortcut";
-    shortcut = emit_conv(b, *sc, sbn, nullptr, in_reg);
-  }
-  return emit_add(b, r2, shortcut, relu2);
+/// main, then the shortcut (an empty one returns the input register),
+/// then the join.
+int32_t lower_residual(Builder& b, nn::Residual& res, int32_t in_reg) {
+  const int32_t main = lower_sequential(b, res.main(), in_reg);
+  const int32_t shortcut = lower_sequential(b, res.shortcut(), in_reg);
+  return emit_add(b, main, shortcut);
 }
 
 int32_t lower(Builder& b, nn::Layer& layer, int32_t in_reg) {
   if (auto* seq = dynamic_cast<nn::Sequential*>(&layer))
     return lower_sequential(b, *seq, in_reg);
-  if (auto* block = dynamic_cast<models::BasicBlock*>(&layer))
-    return lower_basic_block(b, *block, in_reg);
+  if (auto* res = dynamic_cast<nn::Residual*>(&layer))
+    return lower_residual(b, *res, in_reg);
   if (auto* conv = dynamic_cast<nn::Conv2d*>(&layer))
-    return emit_conv(b, *conv, nullptr, nullptr, in_reg);
+    return emit_conv(b, *conv, nullptr, in_reg);
   if (auto* lin = dynamic_cast<nn::Linear*>(&layer))
-    return emit_linear(b, *lin, nullptr, nullptr, in_reg);
+    return emit_linear(b, *lin, nullptr, in_reg);
   if (auto* relu = dynamic_cast<nn::ReLU*>(&layer)) {
     CompiledOp op;
     op.kind = OpKind::kReluF32;
@@ -667,18 +648,14 @@ Status validate_program(const std::string& path, const CompiledModel& cm,
 // -- InferenceContext -------------------------------------------------------
 
 void InferenceContext::bind(const CompiledModel& model) {
-  if (model_ == &model) return;
-  model_ = &model;
   const auto& regs = model.regs();
-  f32_.assign(regs.size(), {});
-  u8_.assign(regs.size(), {});
+  f32_.resize(regs.size());
+  u8_.resize(regs.size());
   for (size_t r = 0; r < regs.size(); ++r) {
     const size_t total =
         static_cast<size_t>(regs[r].elems * model.max_batch());
-    if (regs[r].codes)
-      u8_[r].resize(total);
-    else
-      f32_[r].resize(total);
+    f32_[r].resize(regs[r].codes ? 0 : total);
+    u8_[r].resize(regs[r].codes ? total : 0);
   }
 }
 

@@ -116,23 +116,22 @@ struct RegInfo {
 
 class CompiledModel;
 
-/// Per-worker execution state: preallocated register buffers sized for
-/// the model's max_batch. Binding once and reusing across requests is
-/// what makes steady-state serving allocation-free (the arena reaches
-/// its high-water capacity on the first request and is only re-scoped
-/// afterwards).
+/// Per-worker execution state: register buffers sized for the model's
+/// max_batch. `run` binds on every call, sizing each buffer from the
+/// model's current program, so a context stays valid when the model it
+/// served is reassigned in place (a recompile or a `try_load` into the
+/// same object). A bind to the sizes already held neither allocates nor
+/// frees, which is what makes steady-state serving allocation-free
+/// (the arena reaches its high-water capacity on the first request and
+/// is only re-scoped afterwards).
 class InferenceContext {
  public:
   void bind(const CompiledModel& model);
-  bool bound_to(const CompiledModel& model) const {
-    return model_ == &model;
-  }
 
   float* f32(int32_t reg) { return f32_[static_cast<size_t>(reg)].data(); }
   uint8_t* u8(int32_t reg) { return u8_[static_cast<size_t>(reg)].data(); }
 
  private:
-  const CompiledModel* model_ = nullptr;
   std::vector<std::vector<float>> f32_;
   std::vector<std::vector<uint8_t>> u8_;
 };
@@ -144,8 +143,9 @@ class CompiledModel {
   /// <= 8-bit quantised weight representation and an initialised
   /// activation range (run calibration forwards first — or use
   /// freeze_from_checkpoint, which does). Supported layers: Sequential,
-  /// BasicBlock, Conv2d, Linear, BatchNorm directly after conv/linear,
-  /// ReLU, MaxPool2d, GlobalAvgPool, Flatten, Dropout (identity).
+  /// Residual, Conv2d, Linear, BatchNorm directly after conv/linear,
+  /// ReLU, MaxPool2d, GlobalAvgPool, Flatten, Dropout (identity) — so
+  /// every zoo backbone (MLP, CifarNet, ResNet, MobileNetV2) compiles.
   static CompiledModel compile(nn::Layer& model, const Shape& sample_shape,
                                const CompileOptions& opts = {});
 
@@ -174,8 +174,6 @@ class CompiledModel {
   static Status try_load(const std::string& path, CompiledModel* out);
 
  private:
-  friend class InferenceContext;
-
   Shape sample_shape_{0};
   int64_t max_batch_ = 0;
   int64_t in_elems_ = 0;

@@ -4,6 +4,7 @@
 
 #include "models/blocks.hpp"
 #include "models/zoo.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/softmax_xent.hpp"
 
 namespace apt::models {
@@ -40,9 +41,12 @@ TEST(ResNet, ForwardShape) {
 TEST(ResNet, Resnet110Constructs) {
   Rng rng(1);
   auto net = make_resnet110(100, rng, /*width=*/4);
+  // Each basic block is Sequential{Residual, ReLU}.
   int64_t blocks = 0;
-  for (const auto& l : net->layers())
-    if (dynamic_cast<BasicBlock*>(l.get())) ++blocks;
+  for (const auto& l : net->layers()) {
+    const std::vector<nn::Layer*> kids = l->children();
+    if (!kids.empty() && dynamic_cast<nn::Residual*>(kids.front())) ++blocks;
+  }
   EXPECT_EQ(blocks, 54);  // 3 stages x 18
 }
 
@@ -116,32 +120,35 @@ TEST(Mlp, ForwardShapeAndBackward) {
 
 TEST(Blocks, BasicBlockIdentityShortcutSharesGradient) {
   Rng rng(1);
-  BasicBlock block("b", 4, 4, 1, rng);
-  EXPECT_EQ(block.children().size(), 6u);  // no downsample layers
-  BasicBlock down("d", 4, 8, 2, rng);
-  EXPECT_EQ(down.children().size(), 8u);  // + shortcut conv/bn
+  auto block = make_basic_block("b", 4, 4, 1, rng);
+  EXPECT_EQ(nn::leaves_of(*block).size(), 6u);  // no downsample layers
+  auto down = make_basic_block("d", 4, 8, 2, rng);
+  EXPECT_EQ(nn::leaves_of(*down).size(), 8u);  // + shortcut conv/bn
 }
 
 TEST(Blocks, MacsAccounting) {
   Rng rng(1);
-  BasicBlock block("b", 4, 4, 1, rng);
+  auto block = make_basic_block("b", 4, 4, 1, rng);
   Tensor x(Shape{1, 4, 8, 8});
-  block.forward(x, false);
+  block->forward(x, false);
   // conv1: 4*8*8*4*9, conv2 same.
-  EXPECT_EQ(block.macs_per_sample(), 2 * 4 * 8 * 8 * 4 * 9);
+  EXPECT_EQ(block->macs_per_sample(), 2 * 4 * 8 * 8 * 4 * 9);
 }
 
 TEST(Blocks, InvertedResidualResidualCondition) {
   Rng rng(1);
   // stride 1 and in == out -> residual applies; output differs from the
   // pure branch output by exactly x.
-  InvertedResidual ir("ir", 4, 4, 1, 2, rng);
+  auto ir = make_inverted_residual("ir", 4, 4, 1, 2, rng);
+  EXPECT_NE(dynamic_cast<nn::Residual*>(ir.get()), nullptr);
   Tensor x(Shape{2, 4, 6, 6});
   rng.fill_normal(x, 0, 1);
-  const Tensor with = ir.forward(x, false);
+  const Tensor with = ir->forward(x, false);
 
-  InvertedResidual ir2("ir2", 4, 6, 1, 2, rng);  // in != out: no residual
-  const Tensor without = ir2.forward(x, false);
+  // in != out: no residual
+  auto ir2 = make_inverted_residual("ir2", 4, 6, 1, 2, rng);
+  EXPECT_EQ(dynamic_cast<nn::Residual*>(ir2.get()), nullptr);
+  const Tensor without = ir2->forward(x, false);
   EXPECT_EQ(without.shape(), Shape({2, 6, 6, 6}));
   EXPECT_EQ(with.shape(), x.shape());
 }

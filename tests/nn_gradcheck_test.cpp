@@ -180,29 +180,31 @@ TEST(GradCheck, Flatten) {
 
 TEST(GradCheck, ResNetBasicBlockIdentity) {
   Rng rng(16);
-  models::BasicBlock block("b", 4, 4, /*stride=*/1, rng);
-  const auto r = check(block, random_tensor(Shape{3, 4, 5, 5}, rng), rng);
+  auto block = models::make_basic_block("b", 4, 4, /*stride=*/1, rng);
+  const auto r = check(*block, random_tensor(Shape{3, 4, 5, 5}, rng), rng);
   EXPECT_LT(r.max_rel_err, 2 * kTol) << "worst: " << r.worst;
 }
 
 TEST(GradCheck, ResNetBasicBlockDownsample) {
   Rng rng(17);
-  models::BasicBlock block("b", 4, 8, /*stride=*/2, rng);
-  const auto r = check(block, random_tensor(Shape{3, 4, 6, 6}, rng), rng);
+  auto block = models::make_basic_block("b", 4, 8, /*stride=*/2, rng);
+  const auto r = check(*block, random_tensor(Shape{3, 4, 6, 6}, rng), rng);
   EXPECT_LT(r.max_rel_err, 2 * kTol) << "worst: " << r.worst;
 }
 
 TEST(GradCheck, InvertedResidualWithExpansion) {
   Rng rng(18);
-  models::InvertedResidual block("ir", 4, 4, /*stride=*/1, /*expand=*/2, rng);
-  const auto r = check(block, random_tensor(Shape{3, 4, 5, 5}, rng), rng);
+  auto block = models::make_inverted_residual("ir", 4, 4, /*stride=*/1,
+                                              /*expand=*/2, rng);
+  const auto r = check(*block, random_tensor(Shape{3, 4, 5, 5}, rng), rng);
   EXPECT_LT(r.max_rel_err, 2 * kTol) << "worst: " << r.worst;
 }
 
 TEST(GradCheck, InvertedResidualNoExpansionStride2) {
   Rng rng(19);
-  models::InvertedResidual block("ir", 4, 6, /*stride=*/2, /*expand=*/1, rng);
-  const auto r = check(block, random_tensor(Shape{2, 4, 6, 6}, rng), rng);
+  auto block = models::make_inverted_residual("ir", 4, 6, /*stride=*/2,
+                                              /*expand=*/1, rng);
+  const auto r = check(*block, random_tensor(Shape{2, 4, 6, 6}, rng), rng);
   EXPECT_LT(r.max_rel_err, 2 * kTol) << "worst: " << r.worst;
 }
 

@@ -80,10 +80,10 @@ std::vector<Tensor> make_calibration(uint64_t seed, int batches = 2,
 // trackers (and BatchNorm running stats) have been warmed by
 // training-mode calibration forwards — the state `compile` freezes.
 std::unique_ptr<nn::Sequential> make_calibrated_resnet(
-    uint64_t seed, const std::vector<Tensor>& calib) {
+    uint64_t seed, const std::vector<Tensor>& calib, int64_t width = 8) {
   Rng rng(seed);
   auto net = models::make_resnet(
-      {.n = 1, .base_width = 8, .num_classes = kClasses}, rng);
+      {.n = 1, .base_width = width, .num_classes = kClasses}, rng);
   attach_weight_grids(*net, 6);
   for (const Tensor& x : calib) net->forward(x, /*training=*/true);
   return net;
@@ -99,11 +99,18 @@ TEST(Compile, ProgramShapeAndStaticCodeHandoffs) {
   ASSERT_FALSE(cm.ops().empty());
   // ResNet-8: stem + 3 blocks x 2 convs + 2 shortcut projections = 9
   // convs, plus the classifier linear.
-  int convs = 0, linears = 0, handoffs = 0;
+  int convs = 0, linears = 0, handoffs = 0, adds = 0;
   for (const CompiledOp& op : cm.ops()) {
     convs += op.kind == OpKind::kConvS8;
     linears += op.kind == OpKind::kLinearS8;
     handoffs += op.emit_codes;
+    adds += op.kind == OpKind::kAddF32;
+    // Each block's final ReLU folds into its residual add, so no ReLU
+    // runs as an op of its own.
+    EXPECT_NE(op.kind, OpKind::kReluF32);
+    if (op.kind == OpKind::kAddF32) {
+      EXPECT_TRUE(op.relu);
+    }
     if (op.kind == OpKind::kConvS8 || op.kind == OpKind::kLinearS8) {
       EXPECT_FALSE(op.wcodes.empty());
     }
@@ -116,6 +123,7 @@ TEST(Compile, ProgramShapeAndStaticCodeHandoffs) {
   }
   EXPECT_EQ(convs, 9);
   EXPECT_EQ(linears, 1);
+  EXPECT_EQ(adds, 3);
   // conv1 -> conv2 inside each basic block is a single-reader edge, so
   // at least those hand codes across statically.
   EXPECT_GE(handoffs, 3);
@@ -174,6 +182,59 @@ TEST(Compile, MatchesInt8EvalForward) {
                                             ref[i]));
   EXPECT_LT(max_diff, 0.02f * spread)
       << "max diff " << max_diff << " spread " << spread;
+}
+
+TEST(Compile, MobileNetV2MatchesInt8EvalForward) {
+  // A reduced MobileNetV2 whose stack still holds plain inverted
+  // residuals (shape changes) and one with an identity shortcut, and
+  // depthwise convs throughout: compile lowers it through the same
+  // Sequential/Residual rules as ResNet.
+  const std::vector<Tensor> calib = make_calibration(22);
+  Rng init(3);
+  auto net = models::make_mobilenet_v2(
+      {.width_mult = 0.25, .num_classes = kClasses, .depth_mult = 0.5},
+      init);
+  attach_weight_grids(*net, 6);
+  for (const Tensor& x : calib) net->forward(x, /*training=*/true);
+  const CompiledModel cm = CompiledModel::compile(*net, Shape{kC, kH, kW});
+  int adds = 0, depthwise = 0;
+  for (const CompiledOp& op : cm.ops()) {
+    adds += op.kind == OpKind::kAddF32;
+    depthwise += op.kind == OpKind::kConvS8 && op.groups > 1;
+  }
+  EXPECT_GE(adds, 1);
+  EXPECT_GE(depthwise, 1);
+
+  Tensor x(Shape{4, kC, kH, kW});
+  Rng rng(23);
+  rng.fill_uniform(x, -1.0f, 1.0f);
+  Tensor ref;
+  {
+    nn::BackendGuard guard(nn::GemmBackend::kInt8);
+    ref = net->forward(x, /*training=*/false);
+  }
+  InferenceContext ctx;
+  std::vector<float> out(4 * kClasses);
+  cm.run(x.data(), 4, out.data(), ctx);
+  const float spread = ref.max() - ref.min();
+  float max_diff = 0.0f;
+  for (int64_t i = 0; i < ref.numel(); ++i)
+    max_diff = std::max(max_diff, std::fabs(out[static_cast<size_t>(i)] -
+                                            ref[i]));
+  EXPECT_LT(max_diff, 0.02f * spread)
+      << "max diff " << max_diff << " spread " << spread;
+
+  const std::string p1 = temp_path("apt_serve_mbv2_rt1.aptm");
+  const std::string p2 = temp_path("apt_serve_mbv2_rt2.aptm");
+  ASSERT_TRUE(cm.try_save(p1).ok());
+  CompiledModel loaded;
+  ASSERT_TRUE(CompiledModel::try_load(p1, &loaded).ok());
+  ASSERT_TRUE(loaded.try_save(p2).ok());
+  const std::string b1 = read_file(p1), b2 = read_file(p2);
+  ASSERT_FALSE(b1.empty());
+  EXPECT_EQ(b1, b2) << "save -> load -> save is not byte-stable";
+  std::filesystem::remove(p1);
+  std::filesystem::remove(p2);
 }
 
 TEST(Compile, ResponsesBitIdenticalAcrossBatchComposition) {
@@ -400,6 +461,43 @@ TEST(Serve, ZeroSteadyStateAllocationWatermark) {
   EXPECT_EQ(after.arena_capacity, warm.arena_capacity)
       << "steady-state serving allocated arena memory";
   EXPECT_EQ(after.requests, warm.requests + 80);
+}
+
+TEST(Serve, ContextFollowsModelReassignedInPlace) {
+  // One context serves a CompiledModel that is recompiled and then
+  // reloaded in place, each time with larger registers than it was
+  // bound for; it must answer with the bits a fresh context gives.
+  const std::vector<Tensor> calib = make_calibration(24);
+  auto net = make_calibrated_resnet(10, calib);
+  auto wide = make_calibrated_resnet(11, calib, /*width=*/16);
+  Tensor x(Shape{8, kC, kH, kW});
+  Rng rng(91);
+  rng.fill_uniform(x, -1.0f, 1.0f);
+  std::vector<float> got(8 * kClasses), want(8 * kClasses);
+
+  CompiledModel cm =
+      CompiledModel::compile(*net, Shape{kC, kH, kW}, {.max_batch = 1});
+  InferenceContext reused;
+  cm.run(x.data(), 1, got.data(), reused);
+  auto expect_fresh_bits = [&](const char* what) {
+    InferenceContext fresh;
+    cm.run(x.data(), 8, want.data(), fresh);
+    cm.run(x.data(), 8, got.data(), reused);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          got.size() * sizeof(float)),
+              0)
+        << what;
+  };
+
+  cm = CompiledModel::compile(*net, Shape{kC, kH, kW}, {.max_batch = 8});
+  expect_fresh_bits("after a recompile into the same object");
+
+  const std::string path = temp_path("apt_serve_reassign.aptm");
+  ASSERT_TRUE(
+      CompiledModel::compile(*wide, Shape{kC, kH, kW}).try_save(path).ok());
+  ASSERT_TRUE(CompiledModel::try_load(path, &cm).ok());
+  std::filesystem::remove(path);
+  expect_fresh_bits("after a try_load into the same object");
 }
 
 TEST(Serve, ShutdownDrainsThenRejects) {
