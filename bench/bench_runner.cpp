@@ -886,7 +886,6 @@ int run_gate(const Config& cfg, const std::vector<BenchResult>& results,
 // contract, so adopting any of them only changes speed.
 int run_autotune(const std::string& path, bool quick) {
   using apt::nn::GemmS8Args;
-  using apt::nn::GemmS8ConvB;
   using apt::nn::GemmS8Params;
   using apt::nn::KernelPlan;
   using apt::nn::PlanKey;
@@ -945,37 +944,36 @@ int run_autotune(const std::string& path, bool quick) {
                         }});
   }
 
-  // Conv keys: the 3x3 implicit-operand shape (staged padded plane) and
-  // the 1x1 shape whose candidate set includes the direct strategy.
+  // Conv keys: the 3x3 shape (the channel-quad image the forward reads)
+  // and the 1x1 shape whose candidate set includes the direct strategy.
   {
     const int64_t C = 64, H = 16, W = 16, OC = 64;
     const int64_t krows3 = C * 3 * 3;
+    // C is a multiple of 4, so the image k order's rows are krows3 long.
     auto w3 = std::make_shared<std::vector<uint8_t>>(
         static_cast<size_t>(OC * krows3));
-    auto stage = std::make_shared<std::vector<uint8_t>>(
-        static_cast<size_t>(C * (H + 2) * (W + 2)));
+    auto plane3 = std::make_shared<std::vector<uint8_t>>(
+        static_cast<size_t>(C * H * W));
+    auto space = std::make_shared<std::vector<uint8_t>>(static_cast<size_t>(
+        apt::nn::conv_image_bytes(C, H, W, 3, 1, 1)));
     auto c3 = std::make_shared<std::vector<float>>(
         static_cast<size_t>(OC * H * W));
     Rng rng(1);
     for (auto& v : *w3) v = static_cast<uint8_t>(rng.randint(0, 63));
-    for (auto& v : *stage) v = static_cast<uint8_t>(rng.randint(0, 255));
+    for (auto& v : *plane3) v = static_cast<uint8_t>(rng.randint(0, 255));
     GemmS8Params qp{0.01, 0.02, 31, 128};
     qp.max_a = 63;
     tunables.push_back(
         {"conv3x3_c64_s8", PlanKey::conv_s8(OC, H * W, krows3, 3, 1, 1,
                                             /*max_a=*/63, 255),
          [=](const KernelPlan& plan) {
-           GemmS8ConvB cb;
-           cb.kernel = 3;
-           cb.stride = 1;
-           cb.oh = H;
-           cb.ow = W;
-           cb.padded = stage->data();
-           cb.ph = H + 2;
-           cb.pw = W + 2;
+           const apt::nn::GemmS8ConvImage ci = apt::nn::stage_conv_image_u8(
+               plane3->data(), C, H, W, 3, 1, 1, 128,
+               apt::nn::gemm_s8_conv_image_flip(plan, qp), space->data(),
+               /*pooled=*/false);
            GemmS8Args ga;
            ga.a = w3->data();
-           ga.conv_b = &cb;
+           ga.conv_image = &ci;
            ga.params = qp;
            ga.out = c3->data();
            apt::nn::gemm_s8_ex(plan, ga);
@@ -987,6 +985,8 @@ int run_autotune(const std::string& path, bool quick) {
         static_cast<size_t>(C * H * W));
     auto c1 = std::make_shared<std::vector<float>>(
         static_cast<size_t>(OC * H * W));
+    auto space1 = std::make_shared<std::vector<uint8_t>>(static_cast<size_t>(
+        apt::nn::conv_image_bytes(C, H, W, 1, 1, 0)));
     for (auto& v : *w1) v = static_cast<uint8_t>(rng.randint(0, 63));
     for (auto& v : *plane) v = static_cast<uint8_t>(rng.randint(0, 255));
     tunables.push_back(
@@ -997,18 +997,15 @@ int run_autotune(const std::string& path, bool quick) {
            ga.a = w1->data();
            ga.params = qp;
            ga.out = c1->data();
-           GemmS8ConvB cb;
+           apt::nn::GemmS8ConvImage ci;
            if (plan.strategy == PlanStrategy::kS8ConvDirect) {
              ga.b = plane->data();
            } else {
-             cb.kernel = 1;
-             cb.stride = 1;
-             cb.oh = H;
-             cb.ow = W;
-             cb.padded = plane->data();
-             cb.ph = H;
-             cb.pw = W;
-             ga.conv_b = &cb;
+             ci = apt::nn::stage_conv_image_u8(
+                 plane->data(), C, H, W, 1, 1, 0, 128,
+                 apt::nn::gemm_s8_conv_image_flip(plan, qp), space1->data(),
+                 /*pooled=*/false);
+             ga.conv_image = &ci;
            }
            apt::nn::gemm_s8_ex(plan, ga);
          }});

@@ -19,18 +19,32 @@
 // under the same 1-vs-4-worker comparison. Its checkpoint goes to
 // `checkpoint-path.conv`.
 //
+// A fourth leg trains that ResNet again on fixed 8-bit grids under
+// GemmBackend::kInt8, so the integer conv forward (the channel-quad
+// image, read in place by the quad tiles or packed from it, with 8-bit
+// weights taking the recentred VNNI route) and both integer conv
+// gradients run. Its checkpoint goes to `checkpoint-path.conv8`; the
+// model, set to 6-bit grids and frozen for serving, writes its outputs
+// for the first 8 test images to `checkpoint-path.conv8.out` (raw
+// little-endian floats).
+//
 // CI runs this binary under APT_NUM_THREADS=1/2/8 and APT_SIMD=avx2 and
 // scalar, and diffs the checkpoint and artifact hashes: every file must
 // be byte-identical for every thread count, because the shard
 // decomposition (not the worker or thread count) fixes every reduction
 // order and every rounding draw, and for every SIMD level, because the
-// kernels agree bit for bit and the artifact stores no kernel plan. Exit
-// status: 0 when every in-process comparison holds, 1 otherwise.
+// kernels agree bit for bit and the artifact stores no kernel plan.
+// Files that fp32 GEMMs shape are the exception at the scalar level:
+// the fp32 and conv checkpoints, and the conv8 files, whose first steps
+// run fp32 conv GEMMs until the activation and gradient ranges are live
+// (the portable fp32 tile does not fuse multiply-add). Exit status: 0
+// when every in-process comparison holds, 1 otherwise.
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "base/rng.hpp"
 #include "core/grid_representation.hpp"
@@ -82,12 +96,35 @@ std::unique_ptr<nn::Sequential> train_once(const Leg& leg, int num_workers) {
   return model;
 }
 
+// Sets every grid to 6 bits, freezes the model for serving and writes
+// its outputs for the first 8 test images of `leg` to `path`. Returns
+// false when the file cannot be written.
+bool write_frozen_outputs(nn::Sequential& model, const Leg& leg,
+                          const std::string& path) {
+  for (nn::Parameter* p : model.parameters())
+    if (p->rep != nullptr) p->rep->set_bits(*p, 6);
+  const Shape sample{leg.test_x.dim(1), leg.test_x.dim(2), leg.test_x.dim(3)};
+  const serve::CompiledModel frozen =
+      serve::CompiledModel::compile(model, sample);
+  const int64_t batch = 8;
+  std::vector<float> out(static_cast<size_t>(batch * frozen.out_elems()));
+  serve::InferenceContext ctx;
+  frozen.run(leg.test_x.data(), batch, out.data(), ctx);
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  const bool ok = std::fwrite(out.data(), sizeof(float), out.size(), f) ==
+                  out.size();
+  return std::fclose(f) == 0 && ok;
+}
+
 // Trains the leg with 1 and 4 workers, memcmps the weights and writes the
 // parallel run's checkpoint, and its frozen serving artifact to
-// `artifact` when that is not empty. Returns the number of diverged
+// `artifact` when that is not empty, or the frozen 6-bit model's outputs
+// to `outputs` when that is not empty. Returns the number of diverged
 // parameters (plus 1 when a file cannot be written).
 int64_t run_leg(const Leg& leg, const std::string& path,
-                const std::string& artifact = "") {
+                const std::string& artifact = "",
+                const std::string& outputs = "") {
   const nn::PlanOptions prev = nn::plan_options();
   nn::PlanOptions opts = prev;
   if (leg.int8) opts.backend = nn::GemmBackend::kInt8;
@@ -125,6 +162,13 @@ int64_t run_leg(const Leg& leg, const std::string& path,
       return mismatched + 1;
     }
     std::printf("wrote %s\n", artifact.c_str());
+  }
+  if (!outputs.empty()) {
+    if (!write_frozen_outputs(*parallel, leg, outputs)) {
+      std::fprintf(stderr, "writing %s failed\n", outputs.c_str());
+      return mismatched + 1;
+    }
+    std::printf("wrote %s\n", outputs.c_str());
   }
   return mismatched;
 }
@@ -168,13 +212,17 @@ int main(int argc, char** argv) {
                                rng);
   };
   conv.epochs = 6;
+  Leg conv8 = conv;
+  conv8.name = "conv8";
+  conv8.int8 = true;
 
-  const int64_t mismatched = run_leg(fp32, path) +
-                             run_leg(int8, path + ".int8", path + ".aptm") +
-                             run_leg(conv, path + ".conv");
+  const int64_t mismatched =
+      run_leg(fp32, path) + run_leg(int8, path + ".int8", path + ".aptm") +
+      run_leg(conv, path + ".conv") +
+      run_leg(conv8, path + ".conv8", "", path + ".conv8.out");
   if (mismatched == 0) {
     std::printf("determinism probe PASSED: 1-worker and 4-worker runs are "
-                "bit-identical (fp32, int8 and conv)\n");
+                "bit-identical (fp32, int8, conv and conv8)\n");
     return 0;
   }
   std::printf("determinism probe FAILED: %lld parameter(s) diverged\n",

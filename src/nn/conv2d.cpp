@@ -110,24 +110,25 @@ void stage_padded(const T* planes, int64_t c_count, int64_t H, int64_t W,
   }
 }
 
-// The fp32 path's implicit conv operand. f32_stage reserves one group's
-// zero-padded float image in `scope` (null when padding == 0);
-// f32_operand stages sample n's group g of x there and describes it (the
-// input plane itself when padding == 0).
-float* f32_stage(ScratchArena::Scope& scope, const Conv2dOptions& o,
-                 const Shape& in_shape) {
+// The implicit conv operand over a zero-padded NCHW image: the fp32
+// GEMMs' B, and the integer weight gradient's. padded_stage reserves one
+// group's padded image in `scope` (null when padding == 0);
+// padded_operand stages one group's `plane` there, padded with `pad`,
+// and describes it (the plane itself when padding == 0).
+template <typename T>
+T* padded_stage(ScratchArena::Scope& scope, const Conv2dOptions& o,
+                int64_t H, int64_t W) {
   if (o.padding == 0) return nullptr;
-  return scope.alloc_floats(static_cast<size_t>(
-      o.in_channels / o.groups * (in_shape[2] + 2 * o.padding) *
-      (in_shape[3] + 2 * o.padding)));
+  return static_cast<T*>(scope.alloc_bytes(
+      sizeof(T) * static_cast<size_t>(o.in_channels / o.groups *
+                                      (H + 2 * o.padding) *
+                                      (W + 2 * o.padding))));
 }
 
-GemmF32ConvB f32_operand(const Conv2dOptions& o, const Tensor& x, int64_t n,
-                         int64_t g, float* stage) {
-  const int64_t H = x.dim(2), W = x.dim(3);
-  const int64_t icg = o.in_channels / o.groups;
-  const float* plane = x.data() + (n * o.in_channels + g * icg) * H * W;
-  GemmF32ConvB cb;
+template <typename T>
+GemmConvB<T> padded_operand(const Conv2dOptions& o, const T* plane,
+                            int64_t H, int64_t W, T pad, T* stage) {
+  GemmConvB<T> cb;
   cb.kernel = o.kernel;
   cb.stride = o.stride;
   cb.oh = (H + 2 * o.padding - o.kernel) / o.stride + 1;
@@ -136,12 +137,22 @@ GemmF32ConvB f32_operand(const Conv2dOptions& o, const Tensor& x, int64_t n,
   cb.ph = H;
   cb.pw = W;
   if (o.padding > 0) {
-    stage_padded(plane, icg, H, W, o.padding, 0.0f, stage);
+    stage_padded(plane, o.in_channels / o.groups, H, W, o.padding, pad,
+                 stage);
     cb.padded = stage;
     cb.ph = H + 2 * o.padding;
     cb.pw = W + 2 * o.padding;
   }
   return cb;
+}
+
+// The fp32 operand of sample n's group g of x.
+GemmF32ConvB f32_operand(const Conv2dOptions& o, const Tensor& x, int64_t n,
+                         int64_t g, float* stage) {
+  const int64_t H = x.dim(2), W = x.dim(3);
+  const int64_t icg = o.in_channels / o.groups;
+  return padded_operand(o, x.data() + (n * o.in_channels + g * icg) * H * W,
+                        H, W, 0.0f, stage);
 }
 
 // The fp32 weight operand of one layer call. Every (sample, group) GEMM
@@ -291,6 +302,310 @@ void stage_padded_u8(const uint8_t* planes, int64_t c_count, int64_t H,
   }
 }
 
+namespace {
+
+// The regions of stage_conv_image_u8's scratch space, in order: column
+// sums [oh*ow], pixel channel sums over the window the taps read
+// [he][we], their horizontal window sums [he][ow] (all int32), a row of
+// pad codes [W] rounded up to whole words, then the image itself.
+struct ImageSpace {
+  int64_t oh, ow, he, we, php, pwp, phases, quads;
+  int64_t colsum, pix, rows, pad_row, img, total;  // byte offsets; size
+
+  ImageSpace(int64_t c_count, int64_t H, int64_t W, int64_t kernel,
+             int64_t stride, int64_t padding) {
+    oh = (H + 2 * padding - kernel) / stride + 1;
+    ow = (W + 2 * padding - kernel) / stride + 1;
+    he = (oh - 1) * stride + kernel;
+    we = (ow - 1) * stride + kernel;
+    php = oh + (kernel - 1) / stride;
+    pwp = ow + (kernel - 1) / stride;
+    phases = conv_image_phases(kernel, stride);
+    quads = (c_count + 3) / 4;
+    colsum = 0;
+    pix = colsum + 4 * oh * ow;
+    rows = pix + 4 * he * we;
+    pad_row = rows + 4 * he * ow;
+    img = pad_row + (W + 3) / 4 * 4;  // words stay 4-byte aligned
+    total = img + 4 * quads * phases * phases * php * pwp;
+  }
+};
+
+#if APT_X86
+// The kN (16 or 8) codes row[x], row[x + stride], ... as the low kN
+// bytes of a vector, for stride 1 or 2 in a row of `width` codes that
+// holds them all. Stride 2 loads 2*kN codes from x or x - 1, whichever
+// keeps the load inside the row (width >= 2*kN), and keeps the even or
+// odd bytes.
+inline __m128i load16(const uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+inline __m128i load8(const uint8_t* p) {
+  return _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
+}
+
+template <int kN>
+inline __m128i load_strided(const uint8_t* row, int64_t x, int64_t stride,
+                            int64_t width) {
+  if (stride == 1) return kN == 16 ? load16(row + x) : load8(row + x);
+  const int64_t base = std::min(x, width - 2 * kN);
+  const __m128i lo = load16(row + base);
+  const __m128i hi = kN == 16 ? load16(row + base + 16) : _mm_setzero_si128();
+  if (x == base) {
+    const __m128i even = _mm_set1_epi16(0x00ff);
+    return _mm_packus_epi16(_mm_and_si128(lo, even), _mm_and_si128(hi, even));
+  }
+  return _mm_packus_epi16(_mm_srli_epi16(lo, 8), _mm_srli_epi16(hi, 8));
+}
+
+// kN output pixels of channel quad rows ch[0..3] from source column x as
+// kN interleaved words at dst, XORed with vflip.
+template <int kN>
+inline void interleave_words(const uint8_t* const* ch, int64_t x,
+                             int64_t stride, int64_t width, __m128i vflip,
+                             uint32_t* dst) {
+  __m128i v[4];
+  for (int t = 0; t < 4; ++t) v[t] = load_strided<kN>(ch[t], x, stride, width);
+  auto* out = reinterpret_cast<__m128i*>(dst);
+  for (int h = 0; h < kN / 8; ++h) {
+    const __m128i c01 = h == 0 ? _mm_unpacklo_epi8(v[0], v[1])
+                               : _mm_unpackhi_epi8(v[0], v[1]);
+    const __m128i c23 = h == 0 ? _mm_unpacklo_epi8(v[2], v[3])
+                               : _mm_unpackhi_epi8(v[2], v[3]);
+    const __m128i w0 = _mm_unpacklo_epi16(c01, c23);
+    const __m128i w1 = _mm_unpackhi_epi16(c01, c23);
+    _mm_storeu_si128(out + 2 * h, _mm_xor_si128(w0, vflip));
+    _mm_storeu_si128(out + 2 * h + 1, _mm_xor_si128(w1, vflip));
+  }
+}
+
+// Channel sums of kN consecutive pixels from column x of source row y,
+// into out[0, kN): int16 lanes over up to 128 channels at a time (128 *
+// 255 < 2^15), widened into the int32 totals.
+template <int kN>
+inline void pixel_sums(int64_t c_count, int64_t plane, const uint8_t* row0,
+                       int64_t x, int32_t* out) {
+  const __m128i zero = _mm_setzero_si128();
+  __m128i tot[kN / 4];
+  for (__m128i& t : tot) t = zero;
+  for (int64_t c0 = 0; c0 < c_count; c0 += 128) {
+    __m128i lo = zero, hi = zero;
+    for (int64_t c = c0; c < std::min(c_count, c0 + 128); ++c) {
+      const uint8_t* p = row0 + c * plane + x;
+      if constexpr (kN == 16) {
+        const __m128i v = load16(p);
+        lo = _mm_add_epi16(lo, _mm_unpacklo_epi8(v, zero));
+        hi = _mm_add_epi16(hi, _mm_unpackhi_epi8(v, zero));
+      } else {
+        const __m128i v = load8(p);
+        lo = _mm_add_epi16(lo, _mm_unpacklo_epi8(v, zero));
+      }
+    }
+    tot[0] = _mm_add_epi32(tot[0], _mm_unpacklo_epi16(lo, zero));
+    tot[1] = _mm_add_epi32(tot[1], _mm_unpackhi_epi16(lo, zero));
+    if constexpr (kN == 16) {
+      tot[2] = _mm_add_epi32(tot[2], _mm_unpacklo_epi16(hi, zero));
+      tot[3] = _mm_add_epi32(tot[3], _mm_unpackhi_epi16(hi, zero));
+    }
+  }
+  for (int i = 0; i < kN / 4; ++i)
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 4 * i), tot[i]);
+}
+#endif
+
+// Channel quad cq of the image (every phase plane): words of channels
+// 4cq..4cq+3, a channel past c_count reading the pad row.
+void stage_quad(const uint8_t* planes, int64_t c_count, int64_t H, int64_t W,
+                int64_t stride, int64_t padding, uint8_t pad_code,
+                uint8_t flip, const ImageSpace& sp, const uint8_t* pad_row,
+                int64_t cq, uint8_t* img) {
+  const uint32_t pad_word =
+      0x01010101u * static_cast<uint8_t>(pad_code ^ flip);
+  const uint32_t flip_word = 0x01010101u * flip;
+  const int64_t plane = sp.php * sp.pwp;
+#if APT_X86
+  const __m128i vflip = _mm_set1_epi8(static_cast<char>(flip));
+  // Vector chunks read whole rows of the source: stride 1, or stride 2
+  // over rows at least twice the chunk wide.
+  const bool vec16 = stride == 1 || (stride == 2 && W >= 32);
+  const bool vec8 = stride == 1 || (stride == 2 && W >= 16);
+#endif
+  for (int64_t a = 0; a < sp.phases; ++a)
+    for (int64_t b = 0; b < sp.phases; ++b) {
+      auto* dst_plane = reinterpret_cast<uint32_t*>(img) +
+                        ((cq * sp.phases + a) * sp.phases + b) * plane;
+      // Phase columns whose pixel X = c*stride + b is an interior column.
+      const int64_t c_lo = std::min(
+          sp.pwp, std::max<int64_t>(0, (padding - b + stride - 1) / stride));
+      const int64_t c_hi = std::min(
+          sp.pwp, std::max(c_lo, (padding + W - b + stride - 1) / stride));
+      for (int64_t r = 0; r < sp.php; ++r) {
+        uint32_t* row = dst_plane + r * sp.pwp;
+        const int64_t y = r * stride + a - padding;
+        if (y < 0 || y >= H) {
+          std::fill(row, row + sp.pwp, pad_word);
+          continue;
+        }
+        const uint8_t* ch[4];
+        for (int64_t t = 0; t < 4; ++t) {
+          const int64_t c = 4 * cq + t;
+          ch[t] = c < c_count ? planes + (c * H + y) * W : pad_row;
+        }
+        std::fill(row, row + c_lo, pad_word);
+        int64_t c = c_lo;
+        const int64_t x0 = c_lo * stride + b - padding;  // source x of c_lo
+#if APT_X86
+        if (vec16)
+          for (; c + 16 <= c_hi; c += 16)
+            interleave_words<16>(ch, x0 + (c - c_lo) * stride, stride, W,
+                                 vflip, row + c);
+        if (vec8)
+          for (; c + 8 <= c_hi; c += 8)
+            interleave_words<8>(ch, x0 + (c - c_lo) * stride, stride, W,
+                                vflip, row + c);
+#endif
+        for (; c < c_hi; ++c) {
+          const int64_t x = x0 + (c - c_lo) * stride;
+          row[c] = (static_cast<uint32_t>(ch[0][x]) |
+                    static_cast<uint32_t>(ch[1][x]) << 8 |
+                    static_cast<uint32_t>(ch[2][x]) << 16 |
+                    static_cast<uint32_t>(ch[3][x]) << 24) ^
+                   flip_word;
+        }
+        std::fill(row + c_hi, row + sp.pwp, pad_word);
+      }
+    }
+}
+
+// The channel sums of pixels [x_lo, x_hi) of the window's row for
+// source row y, whose pixel x reads source column x - padding.
+void row_pixel_sums(const uint8_t* planes, int64_t c_count, int64_t H,
+                    int64_t W, int64_t y, int64_t padding, int64_t x_lo,
+                    int64_t x_hi, int32_t* p) {
+  const uint8_t* row0 = planes + y * W;
+  const int64_t plane = H * W;
+  int64_t x = x_lo;
+#if APT_X86
+  // Whole chunks, then one chunk ending at x_hi (its overlap rewrites
+  // the same sums).
+  const int64_t n = x_hi - x_lo;
+  if (n >= 16) {
+    for (; x + 16 <= x_hi; x += 16)
+      pixel_sums<16>(c_count, plane, row0, x - padding, p + x);
+    if (x < x_hi)
+      pixel_sums<16>(c_count, plane, row0, x_hi - 16 - padding,
+                     p + x_hi - 16);
+    return;
+  }
+  if (n >= 8) {
+    for (; x + 8 <= x_hi; x += 8)
+      pixel_sums<8>(c_count, plane, row0, x - padding, p + x);
+    if (x < x_hi)
+      pixel_sums<8>(c_count, plane, row0, x_hi - 8 - padding, p + x_hi - 8);
+    return;
+  }
+#endif
+  std::fill(p + x, p + x_hi, 0);
+  for (int64_t c = 0; c < c_count; ++c)
+    for (int64_t i = x; i < x_hi; ++i) p[i] += row0[c * plane + i - padding];
+}
+
+// out[i] = sum over t < kernel of in[i * stride + t * step] for i < n:
+// a row's horizontal window sums (step 1) or the vertical ones down a
+// column of rows (step = the row length, stride 1).
+void window_sums(const int32_t* in, int64_t step, int64_t stride,
+                 int64_t kernel, int64_t n, int32_t* out) {
+  int64_t i = 0;
+#if APT_X86
+  if (stride == 1) {
+    for (; i + 4 <= n; i += 4) {
+      auto at = [&](int64_t t) {
+        return _mm_loadu_si128(
+            reinterpret_cast<const __m128i*>(in + i + t * step));
+      };
+      __m128i acc = at(0);
+      for (int64_t t = 1; t < kernel; ++t) acc = _mm_add_epi32(acc, at(t));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), acc);
+    }
+  }
+#endif
+  for (; i < n; ++i) {
+    int32_t acc = 0;
+    for (int64_t t = 0; t < kernel; ++t) acc += in[i * stride + t * step];
+    out[i] = acc;
+  }
+}
+
+}  // namespace
+
+int64_t conv_image_bytes(int64_t c_count, int64_t H, int64_t W,
+                         int64_t kernel, int64_t stride, int64_t padding) {
+  return ImageSpace(c_count, H, W, kernel, stride, padding).total;
+}
+
+GemmS8ConvImage stage_conv_image_u8(const uint8_t* planes, int64_t c_count,
+                                    int64_t H, int64_t W, int64_t kernel,
+                                    int64_t stride, int64_t padding,
+                                    uint8_t pad_code, uint8_t flip,
+                                    void* space, bool pooled) {
+  const ImageSpace sp(c_count, H, W, kernel, stride, padding);
+  auto* base = static_cast<uint8_t*>(space);
+  auto* colsum = reinterpret_cast<int32_t*>(base + sp.colsum);
+  auto* pix = reinterpret_cast<int32_t*>(base + sp.pix);
+  auto* rows = reinterpret_cast<int32_t*>(base + sp.rows);
+  uint8_t* pad_row = base + sp.pad_row;
+  uint8_t* img = base + sp.img;
+  std::fill(pad_row, pad_row + W, pad_code);
+
+  auto stage_range = [&](int64_t q0, int64_t q1) {
+    for (int64_t cq = q0; cq < q1; ++cq)
+      stage_quad(planes, c_count, H, W, stride, padding, pad_code, flip, sp,
+                 pad_row, cq, img);
+  };
+  if (pooled) {
+    ThreadPool::global().parallel_for(0, sp.quads, stage_range, /*grain=*/1);
+  } else {
+    stage_range(0, sp.quads);
+  }
+
+  // Column code sums of the codes before the flip: per-pixel channel
+  // sums over the window the taps read, then K x K window sums of those
+  // (exact integers, so the summation order is free).
+  const int32_t pad_sum = static_cast<int32_t>(c_count) * pad_code;
+  const int64_t x_lo = std::min(sp.we, padding);
+  const int64_t x_hi = std::min(sp.we, padding + W);
+  for (int64_t yy = 0; yy < sp.he; ++yy) {
+    int32_t* p = pix + yy * sp.we;
+    const int64_t y = yy - padding;
+    if (y < 0 || y >= H) {
+      std::fill(p, p + sp.we, pad_sum);
+      continue;
+    }
+    std::fill(p, p + x_lo, pad_sum);
+    row_pixel_sums(planes, c_count, H, W, y, padding, x_lo, x_hi, p);
+    std::fill(p + x_hi, p + sp.we, pad_sum);
+  }
+  for (int64_t yy = 0; yy < sp.he; ++yy)
+    window_sums(pix + yy * sp.we, 1, stride, kernel, sp.ow,
+                rows + yy * sp.ow);
+  for (int64_t y = 0; y < sp.oh; ++y)
+    window_sums(rows + y * stride * sp.ow, sp.ow, 1, kernel, sp.ow,
+                colsum + y * sp.ow);
+
+  GemmS8ConvImage ci;
+  ci.img = img;
+  ci.colsum = colsum;
+  ci.channels = c_count;
+  ci.kernel = kernel;
+  ci.stride = stride;
+  ci.oh = sp.oh;
+  ci.ow = sp.ow;
+  ci.php = sp.php;
+  ci.pwp = sp.pwp;
+  ci.flip = flip;
+  return ci;
+}
+
 void col2im_reference(const float* cols, int64_t n, int64_t c_begin,
                       int64_t c_count, int64_t kernel, int64_t stride,
                       int64_t padding, int64_t oh, int64_t ow, Tensor& dx) {
@@ -425,49 +740,6 @@ Conv2d::Conv2d(std::string name, const Conv2dOptions& opts, Rng& rng)
   he_normal(weight_.value, fan_in, rng);
 }
 
-ConvS8Operand::ConvS8Operand(const KernelPlan& plan, int64_t icg, int64_t h,
-                             int64_t w, int64_t kernel, int64_t stride,
-                             int64_t padding, uint8_t pad_code)
-    : icg_(icg),
-      h_(h),
-      w_(w),
-      kernel_(kernel),
-      stride_(stride),
-      padding_(padding),
-      pad_code_(pad_code),
-      direct_(plan.strategy == PlanStrategy::kS8ConvDirect),
-      staged_(!direct_ && padding > 0) {}
-
-uint8_t* ConvS8Operand::alloc_stage(ScratchArena::Scope& scope) const {
-  if (!staged_) return nullptr;
-  return static_cast<uint8_t*>(scope.alloc_bytes(static_cast<size_t>(
-      icg_ * (h_ + 2 * padding_) * (w_ + 2 * padding_))));
-}
-
-void ConvS8Operand::bind(const uint8_t* plane, uint8_t* stage, bool pooled,
-                         GemmS8ConvB& cb, GemmS8Args& ga) const {
-  if (direct_) {
-    // B = the [icg, H*W] code plane itself (k = icg, n = OH*OW = H*W):
-    // bit-identical to the implicit gather, zero staging.
-    ga.b = plane;
-    return;
-  }
-  cb.kernel = kernel_;
-  cb.stride = stride_;
-  cb.oh = (h_ + 2 * padding_ - kernel_) / stride_ + 1;
-  cb.ow = (w_ + 2 * padding_ - kernel_) / stride_ + 1;
-  cb.padded = plane;
-  cb.ph = h_;
-  cb.pw = w_;
-  if (staged_) {
-    stage_padded_u8(plane, icg_, h_, w_, padding_, pad_code_, stage, pooled);
-    cb.padded = stage;
-    cb.ph = h_ + 2 * padding_;
-    cb.pw = w_ + 2 * padding_;
-  }
-  ga.conv_b = &cb;
-}
-
 PlanKey ConvS8Forward::plan_key(const Conv2dOptions& o, int64_t h,
                                 int64_t w, int32_t w_max) {
   const int64_t oh = (h + 2 * o.padding - o.kernel) / o.stride + 1;
@@ -479,11 +751,47 @@ PlanKey ConvS8Forward::plan_key(const Conv2dOptions& o, int64_t h,
       static_cast<int32_t>(o.padding), w_max, /*max_b=*/255);
 }
 
+namespace {
+
+// The weight row length the forward's A operand has under `plan`: the
+// code layout's icg*kernel^2, or whole channel quads in the image's k
+// order.
+int64_t forward_weight_row(const KernelPlan& plan, const Conv2dOptions& o) {
+  const int64_t icg = o.in_channels / o.groups;
+  if (plan.strategy == PlanStrategy::kS8ConvDirect) return icg;
+  return (icg + 3) / 4 * 4 * o.kernel * o.kernel;
+}
+
+}  // namespace
+
+int64_t ConvS8Forward::weight_bytes(const KernelPlan& plan,
+                                    const Conv2dOptions& o) {
+  if (plan.strategy == PlanStrategy::kS8ConvDirect) return 0;
+  return o.out_channels * forward_weight_row(plan, o);
+}
+
+void ConvS8Forward::reorder_weights(const Conv2dOptions& o,
+                                    const uint8_t* w, uint8_t* dst) {
+  const int64_t icg = o.in_channels / o.groups, kk = o.kernel * o.kernel;
+  const int64_t quads = (icg + 3) / 4;
+  for (int64_t r = 0; r < o.out_channels; ++r) {
+    const uint8_t* src = w + r * icg * kk;
+    for (int64_t cq = 0; cq < quads; ++cq)
+      for (int64_t tap = 0; tap < kk; ++tap)
+        for (int64_t t = 0; t < 4; ++t, ++dst) {
+          const int64_t c = 4 * cq + t;
+          *dst = c < icg ? src[c * kk + tap] : 0;
+        }
+  }
+}
+
 ConvS8Forward::ConvS8Forward(const KernelPlan& plan, const Conv2dOptions& o,
                              int64_t h, int64_t w, const S8ForwardArgs& args)
     : plan_(plan),
-      operand_(plan, o.in_channels / o.groups, h, w, o.kernel, o.stride,
-               o.padding, static_cast<uint8_t>(args.x_grid.zero_point)),
+      o_(o),
+      h_(h),
+      w_(w),
+      direct_(plan.strategy == PlanStrategy::kS8ConvDirect),
       args_(args),
       // Weights are A here, so A carries the weight grid and ceiling.
       params_(s8_params(args.w_grid, args.x_grid)),
@@ -492,20 +800,36 @@ ConvS8Forward::ConvS8Forward(const KernelPlan& plan, const Conv2dOptions& o,
       oc_(o.out_channels),
       // The group GEMM is ocg x (oh*ow) x krows.
       ocg_(plan.key.m),
-      krows_(plan.key.k),
+      a_row_(forward_weight_row(plan, o)),
       in_plane_(h * w),
       out_plane_(plan.key.n) {
   params_.max_a = args.w_max;
+  if (!direct_) flip_ = gemm_s8_conv_image_flip(plan, params_);
+}
+
+uint8_t* ConvS8Forward::alloc_stage(ScratchArena::Scope& scope) const {
+  if (direct_) return nullptr;
+  return static_cast<uint8_t*>(scope.alloc_bytes(static_cast<size_t>(
+      conv_image_bytes(icg_, h_, w_, o_.kernel, o_.stride, o_.padding))));
 }
 
 void ConvS8Forward::run(int64_t n, int64_t g, uint8_t* stage, bool pooled,
                         float* lo, float* hi) const {
-  GemmS8ConvB cb;
+  GemmS8ConvImage ci;
   GemmS8Args ga;
-  ga.a = args_.w + g * ocg_ * krows_;
+  ga.a = args_.w + g * ocg_ * a_row_;
   ga.params = params_;
-  operand_.bind(args_.x + (n * c_ + g * icg_) * in_plane_, stage, pooled, cb,
-                ga);
+  const uint8_t* plane = args_.x + (n * c_ + g * icg_) * in_plane_;
+  if (direct_) {
+    // B = the [icg, H*W] code plane itself (k = icg, n = OH*OW = H*W):
+    // bit-identical to the implicit gather, zero staging.
+    ga.b = plane;
+  } else {
+    ci = stage_conv_image_u8(
+        plane, icg_, h_, w_, o_.kernel, o_.stride, o_.padding,
+        static_cast<uint8_t>(args_.x_grid.zero_point), flip_, stage, pooled);
+    ga.conv_image = &ci;
+  }
   GemmS8Epilogue epi = args_.epi;
   epi.channel_is_row = true;
   if (epi.scale != nullptr) epi.scale += g * ocg_;
@@ -553,7 +877,7 @@ Tensor Conv2d::forward_fp32(const Tensor& x) {
                     weight_.value.data(), G, wscope);
   ThreadPool::global().parallel_for(0, N, [&](int64_t n0, int64_t n1) {
     ScratchArena::Scope scope(ScratchArena::thread_local_arena());
-    float* stage = f32_stage(scope, opts_, x.shape());
+    float* stage = padded_stage<float>(scope, opts_, x.dim(2), x.dim(3));
     for (int64_t n = n0; n < n1; ++n)
       for (int64_t g = 0; g < G; ++g)
         w.gemm(g, f32_operand(opts_, x, n, g, stage),
@@ -585,7 +909,7 @@ Tensor Conv2d::forward_int8(const uint8_t* x, const quant::QuantParams& xq,
   const int64_t N = x_shape[0], H = x_shape[2], W = x_shape[3];
   const int64_t G = opts_.groups;
   Tensor y;
-  const S8ForwardArgs args = int8_forward_args(
+  S8ForwardArgs args = int8_forward_args(
       x, xq, Shape{N, opts_.out_channels, out_size(H), out_size(W)}, qy, &y);
 
   // Exact per-(sample, group) output-range probes, merged after the
@@ -603,10 +927,18 @@ Tensor Conv2d::forward_int8(const uint8_t* x, const quant::QuantParams& xq,
 
   // One plan per (shape, geometry, ceilings, pool width) covers every
   // (sample, group) GEMM in the batch; after the first forward it is a
-  // pure cache hit.
-  const ConvS8Forward fwd(
-      plan_for(ConvS8Forward::plan_key(opts_, H, W, args.w_max), plan_hit()),
-      opts_, H, W, args);
+  // pure cache hit. The weight codes are reordered to the conv image's k
+  // order once per call, into the caller's scratch scope, so no
+  // reordered copy outlives the call (nothing to invalidate on a step).
+  const KernelPlan& plan =
+      plan_for(ConvS8Forward::plan_key(opts_, H, W, args.w_max), plan_hit());
+  if (const int64_t wb = ConvS8Forward::weight_bytes(plan, opts_); wb > 0) {
+    auto* wi = static_cast<uint8_t*>(
+        obs_scope.alloc_bytes(static_cast<size_t>(wb)));
+    ConvS8Forward::reorder_weights(opts_, args.w, wi);
+    args.w = wi;
+  }
+  const ConvS8Forward fwd(plan, opts_, H, W, args);
 
   if (N * G == 1) {
     // A single GEMM: parallelism comes from the pool-parallel staging
@@ -651,7 +983,7 @@ Tensor Conv2d::backward_fp32(const Tensor& x, const Tensor& dy) {
       plan_for(PlanKey::f32(ocg, krows, OH * OW, false, true));
   accumulate_dw(weight_, x.dim(0), [&](float* dw, int64_t n0, int64_t n1) {
     ScratchArena::Scope scope(ScratchArena::thread_local_arena());
-    float* stage = f32_stage(scope, opts_, x.shape());
+    float* stage = padded_stage<float>(scope, opts_, x.dim(2), x.dim(3));
     float* dcols = scope.alloc_floats(static_cast<size_t>(krows * OH * OW));
     for (int64_t n = n0; n < n1; ++n)
       for (int64_t g = 0; g < G; ++g) {
@@ -694,16 +1026,14 @@ Tensor Conv2d::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
   // the byte im2col of the cached input codes (padding = the input
   // grid's zero-point, exactly like forward). colsᵀ is never built: the
   // GEMM packs it straight from each sample's padded code image through
-  // the transposed implicit operand (ConvS8Operand; the plan's trans_b).
+  // the transposed implicit operand (padded_operand; the plan's trans_b).
   GemmS8Params pw = s8_params(gq, xq);
   pw.max_a = static_cast<int32_t>(quant::max_code(kGradSrBits));
   pw.max_b = static_cast<int32_t>(quant::max_code(xq.bits));
   const KernelPlan& plan_dw = plan_for(
       PlanKey::s8_grad_dw(ocg, krows, OH * OW, /*trans_a=*/false,
                           /*trans_b=*/true, pw.max_a, pw.max_b));
-  const ConvS8Operand operand(plan_dw, icg, H, W, opts_.kernel,
-                              opts_.stride, opts_.padding,
-                              static_cast<uint8_t>(xq.zero_point));
+  const auto pad_code = static_cast<uint8_t>(xq.zero_point);
 
   Tensor dx(x.shape);
 
@@ -725,7 +1055,7 @@ Tensor Conv2d::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
 
   accumulate_dw(weight_, N, [&](float* dw, int64_t n0, int64_t n1) {
     ScratchArena::Scope scope(ScratchArena::thread_local_arena());
-    uint8_t* stage = operand.alloc_stage(scope);
+    uint8_t* stage = padded_stage<uint8_t>(scope, opts_, H, W);
     float* dcols = scope.alloc_floats(static_cast<size_t>(krows * OH * OW));
     float* dwg = scope.alloc_floats(static_cast<size_t>(ocg * krows));
     for (int64_t n = n0; n < n1; ++n)
@@ -741,13 +1071,14 @@ Tensor Conv2d::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
         col2im(dcols, n, g * icg, icg, opts_.kernel, opts_.stride,
                opts_.padding, OH, OW, dx);
         // gemm_s8 overwrites: stage in dwg, accumulate in order.
-        GemmS8ConvB cb;
+        const GemmS8ConvB cb = padded_operand(
+            opts_, x.codes.data() + (n * opts_.in_channels + g * icg) * H * W,
+            H, W, pad_code, stage);
         GemmS8Args gw;
         gw.a = dyg;
+        gw.conv_b = &cb;
         gw.params = pw;
         gw.out = dwg;
-        operand.bind(x.codes.data() + (n * opts_.in_channels + g * icg) * H * W,
-                     stage, /*pooled=*/false, cb, gw);
         gemm_s8_ex(plan_dw, gw);
         float* acc = dw + g * ocg * krows;
         for (int64_t i = 0; i < ocg * krows; ++i) acc[i] += dwg[i];

@@ -13,13 +13,17 @@
 // code passing, input-code caching, stochastically rounded dY) lives in
 // GemmLayer (gemm_layer.hpp); this file supplies the convolution GEMMs.
 // The int8 forward runs one fused-epilogue GEMM per (sample, group) with
-// weights as A and the patch matrix as an implicit B operand
-// (ConvS8Forward, which CompiledModel's serving conv runs too); the int8
-// backward runs, per (sample, group),
+// weights as A and the patch matrix as B (ConvS8Forward, which
+// CompiledModel's serving conv runs too). B is the sample's group
+// staged once as a channel-quad code image (stage_conv_image_u8,
+// GemmS8ConvImage) that the quad tiles read in place, and the weight
+// codes are reordered once per layer call to the image's k order
+// (ConvS8Forward::reorder_weights; serving reorders them at compile and
+// load instead). The int8 backward runs, per (sample, group),
 //
 //   dcols = Wqᵀ · dYq   (kConvS8GradCols plan), then fp32 col2im
-//   dW_g  = dYq · colsᵀ (kS8GradDw plan, colsᵀ read implicitly from the
-//                        cached input codes)
+//   dW_g  = dYq · colsᵀ (kS8GradDw plan, colsᵀ packed implicitly from
+//                        the cached input codes' padded NCHW image)
 #pragma once
 
 #include <cstdint>
@@ -72,40 +76,14 @@ class Conv2d : public GemmLayer {
   int64_t out_elems_ = 0;
 };
 
-/// The B operand of one int8 conv GEMM — one sample's [icg][h][w] code
-/// plane of one group — shared by the int8 forward (ConvS8Forward) and
-/// Conv2d's dW GEMMs. Under the planner's direct strategy
-/// (1x1, stride 1, no padding) B is the contiguous plane itself;
-/// otherwise the patch matrix is never materialised: the GEMM's B
-/// packing gathers patches (GemmS8ConvB) straight from the plane
-/// (padding == 0) or from a zero-point-padded staging copy (~7x smaller
-/// than the im2col matrix and cache-hot for the whole GEMM).
-class ConvS8Operand {
- public:
-  ConvS8Operand(const KernelPlan& plan, int64_t icg, int64_t h, int64_t w,
-                int64_t kernel, int64_t stride, int64_t padding,
-                uint8_t pad_code);
-
-  /// Staging space for one bind() in `scope` (null when none is needed).
-  uint8_t* alloc_stage(ScratchArena::Scope& scope) const;
-  /// Points `ga`'s B operand at `plane`, staging it into `stage` (from
-  /// alloc_stage; `pooled` splits the copy across the global pool).
-  /// `cb` holds the implicit-operand descriptor and must outlive the
-  /// GEMM.
-  void bind(const uint8_t* plane, uint8_t* stage, bool pooled,
-            GemmS8ConvB& cb, GemmS8Args& ga) const;
-
- private:
-  int64_t icg_, h_, w_, kernel_, stride_, padding_;
-  uint8_t pad_code_;
-  bool direct_, staged_;
-};
-
 /// The int8 forward of one conv layer call over h x w inputs: per
 /// (sample, group), one fused-epilogue GEMM C_g = Wq_g · patches(x[n], g)
-/// with the weights as A and the patch matrix as the implicit B operand.
-/// Conv2d runs the (sample, group) bodies from pool tasks, CompiledModel
-/// serially per request; both get the same bits.
+/// with the weights as A. B is the sample's group plane staged as a
+/// channel-quad code image (stage_conv_image_u8, GemmS8ConvImage) that
+/// the quad tiles read in place, or, under the direct strategy (1x1,
+/// stride 1, no padding), the contiguous plane itself. Conv2d runs the
+/// (sample, group) bodies from pool tasks, CompiledModel serially per
+/// request; both get the same bits.
 class ConvS8Forward {
  public:
   /// The plan key every (sample, group) GEMM of such a call runs
@@ -113,16 +91,26 @@ class ConvS8Forward {
   static PlanKey plan_key(const Conv2dOptions& o, int64_t h, int64_t w,
                           int32_t w_max);
 
+  /// Bytes of the weight operand the forward reads under `plan`: the
+  /// [OC][IC/G][K][K] codes reordered to the image's k order
+  /// (reorder_weights), or 0 under the direct strategy, which reads the
+  /// codes as they are.
+  static int64_t weight_bytes(const KernelPlan& plan, const Conv2dOptions& o);
+  /// Writes weight_bytes() codes to `dst`: per output channel, the k
+  /// order (channel quad, kh, kw, channel % 4), code 0 in the channels
+  /// past IC/G that pad the last quad.
+  static void reorder_weights(const Conv2dOptions& o, const uint8_t* w,
+                              uint8_t* dst);
+
   /// `plan` is plan_for(plan_key(o, h, w, args.w_max)) or a copy of it;
   /// `args` covers the whole batch ([N, C, h, w] input codes,
-  /// [N, OC, oh, ow] output) and all OC channels.
+  /// [N, OC, oh, ow] output) and all OC channels, its weights reordered
+  /// by reorder_weights unless weight_bytes(plan, o) is 0.
   ConvS8Forward(const KernelPlan& plan, const Conv2dOptions& o, int64_t h,
                 int64_t w, const S8ForwardArgs& args);
 
   /// Staging space for one run() in `scope` (null when none is needed).
-  uint8_t* alloc_stage(ScratchArena::Scope& scope) const {
-    return operand_.alloc_stage(scope);
-  }
+  uint8_t* alloc_stage(ScratchArena::Scope& scope) const;
   /// Sample n, group g, staged in `stage` (`pooled` splits the staging
   /// across the global pool). The exact output range of the group's
   /// GEMM goes to *lo / *hi when they are non-null.
@@ -131,10 +119,13 @@ class ConvS8Forward {
 
  private:
   const KernelPlan& plan_;
-  ConvS8Operand operand_;
+  Conv2dOptions o_;
+  int64_t h_, w_;
+  bool direct_;
+  uint8_t flip_ = 0;  // the image flip the plan's in-place tile reads
   S8ForwardArgs args_;
   GemmS8Params params_;
-  int64_t c_, icg_, oc_, ocg_, krows_, in_plane_, out_plane_;
+  int64_t c_, icg_, oc_, ocg_, a_row_, in_plane_, out_plane_;
 };
 
 /// Extracts convolution patches of `x[n]` (group `g`) into `cols`, a
@@ -157,12 +148,29 @@ void im2col_u8(const uint8_t* x, int64_t C, int64_t H, int64_t W, int64_t n,
 
 /// Stages `c_count` contiguous channel planes into a
 /// [c_count][(H+2p)][(W+2p)] image whose pad border is `pad_code` — the
-/// form the integer GEMM's implicit conv B operand (GemmS8ConvB)
+/// form the weight gradient's transposed implicit operand (GemmS8ConvB)
 /// gathers from. `pooled` splits channels across the global pool
 /// (disjoint writes: bit-identical for any pool size).
 void stage_padded_u8(const uint8_t* planes, int64_t c_count, int64_t H,
                      int64_t W, int64_t padding, uint8_t pad_code,
                      uint8_t* out, bool pooled);
+
+/// Bytes of scratch stage_conv_image_u8 needs for this geometry.
+int64_t conv_image_bytes(int64_t c_count, int64_t H, int64_t W,
+                         int64_t kernel, int64_t stride, int64_t padding);
+
+/// Stages `c_count` contiguous [H][W] code planes, padded by `padding`
+/// with `pad_code`, as the integer conv forward's channel-quad image
+/// (GemmS8ConvImage, gemm_kernel.hpp) in `space` (conv_image_bytes of
+/// it, 4-byte aligned), every byte XORed with `flip`, and computes its
+/// column code sums there too. Returns the descriptor. `pooled` splits
+/// the channel quads across the global pool (disjoint writes:
+/// bit-identical for any pool size).
+GemmS8ConvImage stage_conv_image_u8(const uint8_t* planes, int64_t c_count,
+                                    int64_t H, int64_t W, int64_t kernel,
+                                    int64_t stride, int64_t padding,
+                                    uint8_t pad_code, uint8_t flip,
+                                    void* space, bool pooled);
 
 /// Adds a [icg*k*k, oh*ow] column matrix back into dx[n] (group channel
 /// range [c_begin, c_begin+c_count)): the adjoint of im2col. At stride 1

@@ -1,9 +1,11 @@
 #include "nn/gemm_kernel.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 
 #include "base/arena.hpp"
 #include "base/check.hpp"
@@ -348,15 +350,58 @@ __attribute__((target("avx2"))) void micro_kernel_s8_avx2(int64_t kp_count,
 // signed (small-code) one: vpmaddubsw's first argument must be the
 // unsigned full-range operand.
 
+// Where a quad tile reads k-group kq's 16 B columns (64 bytes). kRuns
+// == 0: a packed strip, 64 bytes per group. Otherwise in place from a
+// conv image (GemmS8ConvImage): the columns are kRuns contiguous runs of
+// 16 / kRuns columns, run r at pb + koff[kq] + roff[r] (bytes). Its
+// target is a subset of both tiles', so it inlines into either.
+template <int kRuns>
+struct QuadB {
+  static_assert(kRuns == 0 || kRuns == 1 || kRuns == 2 || kRuns == 4);
+  const uint8_t* pb;
+  const int64_t* koff;
+  int64_t r[4] = {};
+
+  QuadB(const uint8_t* b, const int64_t* k, const int64_t* roff)
+      : pb(b), koff(k) {
+    for (int i = 0; i < kRuns; ++i) r[i] = roff[i];
+  }
+
+  __attribute__((target("avx2"), always_inline)) void load(
+      int64_t kq, __m256i& b0, __m256i& b1) const {
+    using V = __m256i;
+    if constexpr (kRuns == 0) {
+      const uint8_t* base = pb + kq * 4 * kGemmNR;
+      b0 = _mm256_loadu_si256(reinterpret_cast<const V*>(base));
+      b1 = _mm256_loadu_si256(reinterpret_cast<const V*>(base + 32));
+    } else if constexpr (kRuns == 1) {
+      const uint8_t* base = pb + koff[kq] + r[0];
+      b0 = _mm256_loadu_si256(reinterpret_cast<const V*>(base));
+      b1 = _mm256_loadu_si256(reinterpret_cast<const V*>(base + 32));
+    } else if constexpr (kRuns == 2) {
+      const uint8_t* base = pb + koff[kq];
+      b0 = _mm256_loadu_si256(reinterpret_cast<const V*>(base + r[0]));
+      b1 = _mm256_loadu_si256(reinterpret_cast<const V*>(base + r[1]));
+    } else {
+      const uint8_t* base = pb + koff[kq];
+      b0 = _mm256_loadu2_m128i(reinterpret_cast<const __m128i*>(base + r[1]),
+                               reinterpret_cast<const __m128i*>(base + r[0]));
+      b1 = _mm256_loadu2_m128i(reinterpret_cast<const __m128i*>(base + r[3]),
+                               reinterpret_cast<const __m128i*>(base + r[2]));
+    }
+  }
+};
+
 // The 6x16 quad tile, templated over the vpmaddubsw argument order:
 // kBSmall means B carries the small (signed-safe) codes and A is the
 // unsigned full-range operand — vpmaddubsw's first argument must be the
 // unsigned one. Plain ternaries on the constexpr flag keep every
 // intrinsic lexically inside this target("avx2") function (a helper
 // lambda would not inherit the attribute and fail to inline).
-template <bool kBSmall>
+template <bool kBSmall, int kRuns>
 __attribute__((target("avx2"))) void micro_kernel_s8_quads(
-    int64_t kq_count, const uint8_t* pa, const uint8_t* pb, int32_t* acc) {
+    int64_t kq_count, const uint8_t* pa, const uint8_t* pb,
+    const int64_t* koff, const int64_t* roff, int32_t* acc) {
   __m256i c00 = _mm256_setzero_si256(), c01 = _mm256_setzero_si256();
   __m256i c10 = _mm256_setzero_si256(), c11 = _mm256_setzero_si256();
   __m256i c20 = _mm256_setzero_si256(), c21 = _mm256_setzero_si256();
@@ -369,12 +414,10 @@ __attribute__((target("avx2"))) void micro_kernel_s8_quads(
     std::memcpy(&v, p, sizeof(v));
     return v;
   };
-  for (int64_t kq = 0; kq < kq_count;
-       ++kq, pa += 4 * kGemmMR, pb += 4 * kGemmNR) {
-    const __m256i b0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb));
-    const __m256i b1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + 4 * 8));
+  const QuadB<kRuns> src(pb, koff, roff);
+  for (int64_t kq = 0; kq < kq_count; ++kq, pa += 4 * kGemmMR) {
+    __m256i b0, b1;
+    src.load(kq, b0, b1);
     __m256i aq, t;
       aq = _mm256_set1_epi32(quad_at(pa + 0));
       t = kBSmall ? _mm256_maddubs_epi16(aq, b0) : _mm256_maddubs_epi16(b0, aq);
@@ -431,10 +474,10 @@ __attribute__((target("avx2"))) void micro_kernel_s8_quads(
 // kGemmS8QuadMaxCode, or full-range codes the packer recentred to
 // qb - 128 — and A is the unsigned one; otherwise A carries the small
 // codes and B the full-range unsigned ones.
-template <bool kBSigned>
+template <bool kBSigned, int kRuns>
 __attribute__((target("avx2,avx512f,avx512vl,avx512vnni"))) void
 micro_kernel_s8_vnni(int64_t kq_count, const uint8_t* pa, const uint8_t* pb,
-                     int32_t* acc) {
+                     const int64_t* koff, const int64_t* roff, int32_t* acc) {
   __m256i c00 = _mm256_setzero_si256(), c01 = _mm256_setzero_si256();
   __m256i c10 = _mm256_setzero_si256(), c11 = _mm256_setzero_si256();
   __m256i c20 = _mm256_setzero_si256(), c21 = _mm256_setzero_si256();
@@ -446,12 +489,10 @@ micro_kernel_s8_vnni(int64_t kq_count, const uint8_t* pa, const uint8_t* pb,
     std::memcpy(&v, p, sizeof(v));
     return v;
   };
-  for (int64_t kq = 0; kq < kq_count;
-       ++kq, pa += 4 * kGemmMR, pb += 4 * kGemmNR) {
-    const __m256i b0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb));
-    const __m256i b1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + 4 * 8));
+  const QuadB<kRuns> src(pb, koff, roff);
+  for (int64_t kq = 0; kq < kq_count; ++kq, pa += 4 * kGemmMR) {
+    __m256i b0, b1;
+    src.load(kq, b0, b1);
     __m256i aq;
     aq = _mm256_set1_epi32(quad_at(pa + 0));
     c00 = kBSigned ? _mm256_dpbusd_epi32(c00, aq, b0)
@@ -504,16 +545,19 @@ micro_kernel_s8_vnni(int64_t kq_count, const uint8_t* pa, const uint8_t* pb,
 //
 // Both integer layouts store one 32-bit word per row (A) or column (B)
 // per k-group: a k-pair widened to two int16 (pairs, see gemm_kernel.hpp)
-// or a raw byte k-quad (quads). Every operand the driver packs has one
-// of two source shapes, and each shape has one SSE2 fast path (baseline
-// x86-64, so no target attribute) that also folds the code sums in:
+// or a raw byte k-quad (quads). Every operand the driver packs from codes
+// has one of two source shapes, and each shape has one SSE2 fast path
+// (baseline x86-64, so no target attribute) that also folds the code
+// sums in:
 //  * LINES, k contiguous within a row/column: non-transposed A,
 //    transposed B and the transposed implicit conv operand. Four lines'
 //    words for four consecutive groups are one 4x4 word transpose, and
 //    psadbw on the loaded bytes sums each line.
-//  * ROWS of NR contiguous codes per k: non-transposed B and the
-//    implicit conv operand. k rows interleave bytewise into NR words,
-//    and madd (pairs) or widening adds (quads) sum each column.
+//  * ROWS of NR contiguous codes per k: non-transposed B. k rows
+//    interleave bytewise into NR words, and madd (pairs) or widening
+//    adds (quads) sum each column.
+// (The conv forward's image already holds each k-group as a word; its
+// strips are read in place or copied word by word, see below.)
 // The scalar loop remains for group tails, transposed A and non-x86
 // builds. Packed bytes and sums are identical on every path. Quad
 // packers take a `flip` byte XORed into every stored byte (the VNNI
@@ -575,26 +619,6 @@ inline __m128i load_runs(const uint8_t* base, const int64_t* off, int64_t n) {
     alignas(16) uint8_t buf[16] = {};
     for (int64_t i = 0; i < n; ++i) buf[i] = base[off[i]];
     return _mm_load_si128(reinterpret_cast<const __m128i*>(buf));
-  }
-}
-
-// Calls f(std::integral_constant<int, run>{}) for a run from
-// contiguous_run, so each run width gets its own load_runs loop.
-template <typename F>
-void with_run(int64_t run, F&& f) {
-  switch (run) {
-    case 16:
-      f(std::integral_constant<int, 16>{});
-      break;
-    case 8:
-      f(std::integral_constant<int, 8>{});
-      break;
-    case 4:
-      f(std::integral_constant<int, 4>{});
-      break;
-    default:
-      f(std::integral_constant<int, 1>{});
-      break;
   }
 }
 
@@ -712,6 +736,26 @@ constexpr int64_t kIota[kGemmNR] = {0, 1, 2,  3,  4,  5,  6,  7,
                                     8, 9, 10, 11, 12, 13, 14, 15};
 #endif  // APT_GEMM_X86
 
+// Calls f(std::integral_constant<int, run>{}) for a run from
+// contiguous_run, so each run width gets its own load_runs loop.
+template <typename F>
+void with_run(int64_t run, F&& f) {
+  switch (run) {
+    case 16:
+      f(std::integral_constant<int, 16>{});
+      break;
+    case 8:
+      f(std::integral_constant<int, 8>{});
+      break;
+    case 4:
+      f(std::integral_constant<int, 4>{});
+      break;
+    default:
+      f(std::integral_constant<int, 1>{});
+      break;
+  }
+}
+
 // Explicit operand, element (k index p, line j) at
 // x[p*k_stride + j*l_stride]: packs k-range [p0, p0+kc) x lines
 // [l0, l0+nl) (rows of A, columns of B) into `width`-line strips of
@@ -763,12 +807,12 @@ void pack_explicit(const uint8_t* x, int64_t k_stride, int64_t l_stride,
 // The implicit conv operand (GemmS8ConvB in the header) is the virtual
 // im2col matrix X[t, q] = img[tap(t) + pos(q)], where tap(t) is the
 // image offset of kernel tap t = (c, kh, kw) and pos(q) that of output
-// position q = (y, xo). Forward B is X (k = taps, columns = positions);
-// the weight gradient's B is Xᵀ (k = positions, columns = taps). Either
-// way every packed element is img[koff[i] + coff[c]] for a per-k and a
-// per-column offset table, so one packer serves both. The packed bytes
-// are identical to packing the materialised matrix; only its round
-// trip through memory disappears.
+// position q = (y, xo). The integer GEMMs read it only as the weight
+// gradient's B, Xᵀ (k = positions, columns = taps): every packed element
+// is img[koff[i] + coff[c]] for a per-k and a per-column offset table.
+// The packed bytes are identical to packing the materialised matrix;
+// only its round trip through memory disappears. (The forward reads its
+// B from a channel-quad image instead; see the next section.)
 
 // Image offsets of taps [t0, t0 + count), walked incrementally (the
 // kernel size is runtime, so divisions would not strength-reduce).
@@ -814,65 +858,132 @@ int64_t contiguous_run(const int64_t* off, int64_t n, int64_t wmax) {
   return w >= 4 ? w : 1;
 }
 
+// Xᵀ: LINES, one block load covering 4 groups of k positions, as wide
+// runs as the positions allow.
 template <typename T, int kGroup>
-void pack_conv(const GemmS8ConvB& cb, bool trans_b, int64_t p0, int64_t kc,
-               int64_t j0, int64_t nc, T* dst, int32_t* colsum,
-               uint8_t flip) {
+void pack_conv(const GemmS8ConvB& cb, int64_t p0, int64_t kc, int64_t j0,
+               int64_t nc, T* dst, int32_t* colsum, uint8_t flip) {
   const int64_t groups = (kc + kGroup - 1) / kGroup;
   const uint8_t* img = cb.padded;
   // Sized for the deepest runtime k panel either strategy plans
   // (a plan's kc is clamped to kGemmS8KCQuad).
   int64_t koff[kGemmS8KCQuad];
   int64_t coff[kGemmNR];
-  if (trans_b) {
-    conv_pos_offsets(cb, p0, kc, koff);
-  } else {
-    conv_tap_offsets(cb, p0, kc, koff);
-  }
+  conv_pos_offsets(cb, p0, kc, koff);
 #if APT_GEMM_X86
-  // The transposed operand is LINES: one block load covers 4 groups of k
-  // positions, as wide runs as the positions allow.
   constexpr int64_t kBlock = 4 * kGroup;
-  const int64_t blocks = trans_b ? kc / kBlock : 0;
+  const int64_t blocks = kc / kBlock;
   const int64_t krun = contiguous_run(koff, blocks * kBlock, kBlock);
 #endif
   for (int64_t s = 0; s < nc; s += kGemmNR, dst += kGemmNR * kGroup * groups) {
     const int64_t cols = std::min(kGemmNR, nc - s);
-    if (trans_b) {
-      conv_tap_offsets(cb, j0 + s, cols, coff);
-    } else {
-      conv_pos_offsets(cb, j0 + s, cols, coff);
-    }
+    conv_tap_offsets(cb, j0 + s, cols, coff);
     int32_t* sums = colsum != nullptr ? colsum + s : nullptr;
     int64_t g_begin = 0;
 #if APT_GEMM_X86
-    auto* out = reinterpret_cast<std::byte*>(dst);
-    if (!trans_b) {
-      const int64_t run =
-          cols == kGemmNR ? contiguous_run(coff, kGemmNR, kGemmNR) : 1;
-      with_run(run, [&](auto r) {
-        pack_rows_sse2<kGroup>(
-            [&](int64_t i) {
-              return load_runs<decltype(r)::value>(img + koff[i], coff, cols);
-            },
-            kc, cols, out, sums, flip);
-      });
-      g_begin = groups;
-    } else {
-      with_run(krun, [&](auto r) {
-        pack_lines_sse2<kGroup>(
-            [&](int64_t l, int64_t b) {
-              return load_runs<decltype(r)::value>(img + coff[l],
-                                                   koff + b * kBlock, kBlock);
-            },
-            cols, kGemmNR, blocks, out, sums, flip);
-      });
-      g_begin = 4 * blocks;
-    }
+    with_run(krun, [&](auto r) {
+      pack_lines_sse2<kGroup>(
+          [&](int64_t l, int64_t b) {
+            return load_runs<decltype(r)::value>(img + coff[l],
+                                                 koff + b * kBlock, kBlock);
+          },
+          cols, kGemmNR, blocks, reinterpret_cast<std::byte*>(dst), sums,
+          flip);
+    });
+    g_begin = 4 * blocks;
 #endif
     pack_groups_scalar<T, kGroup>(
         [&](int64_t i, int64_t c) { return img[koff[i] + coff[c]]; }, cols,
         kGemmNR, kc, g_begin, dst, sums, flip);
+  }
+}
+
+// ------------------------------------------------- conv image B operand
+//
+// The integer conv forward's B (GemmS8ConvImage in the header): the 4
+// codes of k-group q = (cq, kh, kw) in column (y, xo) are one word of
+// the image, at byte img + koff(q) + 4 * coff(y, xo). Consecutive xo
+// are consecutive words, so a strip's columns are contiguous runs as
+// long as no run crosses an output row. The quad tiles read strips of
+// 1, 2 or 4 runs in place; every other strip, and every strip at the
+// levels whose tiles take int16 pairs, is packed from the image.
+
+// Byte offsets of k-groups [q0, q0 + count) from the image base.
+void image_group_offsets(const GemmS8ConvImage& ci, int64_t q0, int64_t count,
+                         int64_t* out) {
+  const int64_t k = ci.kernel, s = ci.stride;
+  const int64_t phases = conv_image_phases(k, s);
+  const int64_t plane = ci.php * ci.pwp;
+  int64_t cq = q0 / (k * k), kh = (q0 % (k * k)) / k, kw = q0 % k;
+  for (int64_t i = 0; i < count; ++i) {
+    out[i] = 4 * (((cq * phases + kh % s) * phases + kw % s) * plane +
+                  (kh / s) * ci.pwp + kw / s);
+    if (++kw == k) {
+      kw = 0;
+      if (++kh == k) {
+        kh = 0;
+        ++cq;
+      }
+    }
+  }
+}
+
+// Word offsets of output positions [q0, q0 + count) within a phase plane.
+void image_pos_offsets(const GemmS8ConvImage& ci, int64_t q0, int64_t count,
+                       int64_t* out) {
+  int64_t y = q0 / ci.ow, x = q0 % ci.ow;
+  for (int64_t i = 0; i < count; ++i) {
+    out[i] = y * ci.pwp + x;
+    if (++x == ci.ow) {
+      x = 0;
+      ++y;
+    }
+  }
+}
+
+// Packs one strip of the image operand in the layout of the tiles that
+// do not read it in place: k-groups [0, nq) at img + koff[q], columns at
+// words coff[c] for c < cols (zero words beyond), every byte XORed with
+// `x`. Quads store each word as it is; pairs widen it into k-pairs 2q
+// and 2q + 1. kRun is the strip's run width: one copy per run.
+template <int kGroup, int kRun>
+void pack_image_strip(const uint8_t* img, const int64_t* koff, int64_t nq,
+                      const int64_t* coff, int64_t cols, uint8_t x,
+                      std::byte* dst) {
+  const uint32_t xw = 0x01010101u * x;
+  for (int64_t q = 0; q < nq; ++q, dst += 4 * kGemmNR * (4 / kGroup)) {
+    alignas(16) uint32_t w[kGemmNR] = {};
+    const uint8_t* src = img + koff[q];
+    for (int64_t c = 0; c < cols; c += kRun)
+      std::memcpy(w + c, src + 4 * coff[c], 4 * kRun);
+    if (xw != 0)
+      for (uint32_t& v : w) v ^= xw;
+    if constexpr (kGroup == 4) {
+      std::memcpy(dst, w, sizeof(w));
+    } else {
+#if APT_GEMM_X86
+      // Words of 4 columns widen to two int16 quads per column; the even
+      // 32-bit lanes are the (b0, b1) pairs, the odd ones (b2, b3).
+      auto* out = reinterpret_cast<__m128*>(dst);
+      const __m128i zero = _mm_setzero_si128();
+      for (int i = 0; i < 4; ++i) {
+        const __m128i v =
+            _mm_load_si128(reinterpret_cast<const __m128i*>(w + 4 * i));
+        const __m128 lo = _mm_castsi128_ps(_mm_unpacklo_epi8(v, zero));
+        const __m128 hi = _mm_castsi128_ps(_mm_unpackhi_epi8(v, zero));
+        _mm_storeu_ps(reinterpret_cast<float*>(out + i),
+                      _mm_shuffle_ps(lo, hi, _MM_SHUFFLE(2, 0, 2, 0)));
+        _mm_storeu_ps(reinterpret_cast<float*>(out + 4 + i),
+                      _mm_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 1, 3, 1)));
+      }
+#else
+      auto* out = reinterpret_cast<int16_t*>(dst);
+      for (int64_t c = 0; c < kGemmNR; ++c)
+        for (int t = 0; t < 4; ++t)
+          out[(t / 2) * 2 * kGemmNR + 2 * c + t % 2] =
+              static_cast<int16_t>((w[c] >> (8 * t)) & 0xff);
+#endif
+    }
   }
 }
 
@@ -944,18 +1055,26 @@ void pack_f32_strip(const float* img, const int64_t* koff, int64_t kc,
 
 // Unified byte-typed plumbing so one driver loop serves both layouts.
 // Both pack 4 bytes per row/column per k-group (pairs: 2 int16 per 2 k;
-// quads: 4 bytes per 4 k), so buffer sizing is layout-independent.
+// quads: 4 bytes per 4 k), so buffer sizing is layout-independent. Every
+// tile takes the quad tiles' in-place arguments (koff, roff; see QuadB);
+// packed tiles ignore them.
+using S8Kernel = void (*)(int64_t, const void*, const void*, const int64_t*,
+                          const int64_t*, int32_t*);
+
 struct S8Path {
   int64_t group;  // k steps per packed group: 2 (pairs) or 4 (quads)
   void (*pack_a)(bool, const uint8_t*, int64_t, int64_t, int64_t, int64_t,
                  int64_t, int64_t, void*, int32_t*);
   void (*pack_b)(bool, const uint8_t*, int64_t, int64_t, int64_t, int64_t,
                  int64_t, int64_t, void*, int32_t*, uint8_t);
-  void (*kernel)(int64_t, const void*, const void*, int32_t*);
+  S8Kernel kernel;
   /// XOR applied to B's packed quad bytes: 0x80 recentres full-range
   /// codes to the s8 values qb - 128 for the VNNI tile, whose raw sums
   /// then fall short of sum qa*qb by 128 * rowsum_a (see gemm_kernel.hpp).
   uint8_t b_flip = 0;
+  /// The quad tile reading a conv image in place as 1, 2 or 4 runs
+  /// (in_place[0..2]); null at the levels that pack from the image.
+  S8Kernel in_place[3] = {};
   /// The offset the packed B values carry: 128 when b_flip recentres.
   int32_t b_offset() const { return b_flip != 0 ? 128 : 0; }
 };
@@ -973,13 +1092,13 @@ void pack_b_pairs_adapter(bool tb, const uint8_t* b, int64_t k, int64_t n,
                  colsum);
 }
 void kern_pairs_scalar(int64_t groups, const void* pa, const void* pb,
-                       int32_t* acc) {
+                       const int64_t*, const int64_t*, int32_t* acc) {
   micro_kernel_s8_scalar(groups, static_cast<const int16_t*>(pa),
                          static_cast<const int16_t*>(pb), acc);
 }
 #if APT_GEMM_X86
 void kern_pairs_avx2(int64_t groups, const void* pa, const void* pb,
-                     int32_t* acc) {
+                     const int64_t*, const int64_t*, int32_t* acc) {
   micro_kernel_s8_avx2(groups, static_cast<const int16_t*>(pa),
                        static_cast<const int16_t*>(pb), acc);
 }
@@ -995,25 +1114,34 @@ void pack_b_quads_adapter(bool tb, const uint8_t* b, int64_t k, int64_t n,
   gemm_s8_pack_b_quads(tb, b, k, n, p0, kc, j0, nc,
                        static_cast<uint8_t*>(dst), colsum, flip);
 }
-void kern_quads_b_small(int64_t groups, const void* pa, const void* pb,
-                        int32_t* acc) {
-  micro_kernel_s8_quads<true>(groups, static_cast<const uint8_t*>(pa),
-                              static_cast<const uint8_t*>(pb), acc);
+template <bool kBSmall, int kRuns>
+void kern_quads(int64_t groups, const void* pa, const void* pb,
+                const int64_t* koff, const int64_t* roff, int32_t* acc) {
+  micro_kernel_s8_quads<kBSmall, kRuns>(
+      groups, static_cast<const uint8_t*>(pa),
+      static_cast<const uint8_t*>(pb), koff, roff, acc);
 }
-void kern_quads_a_small(int64_t groups, const void* pa, const void* pb,
-                        int32_t* acc) {
-  micro_kernel_s8_quads<false>(groups, static_cast<const uint8_t*>(pa),
-                               static_cast<const uint8_t*>(pb), acc);
+template <bool kBSigned, int kRuns>
+void kern_vnni(int64_t groups, const void* pa, const void* pb,
+               const int64_t* koff, const int64_t* roff, int32_t* acc) {
+  micro_kernel_s8_vnni<kBSigned, kRuns>(
+      groups, static_cast<const uint8_t*>(pa),
+      static_cast<const uint8_t*>(pb), koff, roff, acc);
 }
-void kern_vnni_b_signed(int64_t groups, const void* pa, const void* pb,
-                        int32_t* acc) {
-  micro_kernel_s8_vnni<true>(groups, static_cast<const uint8_t*>(pa),
-                             static_cast<const uint8_t*>(pb), acc);
+
+template <bool kBSmall>
+S8Path quads_path() {
+  return {4, pack_a_quads_adapter, pack_b_quads_adapter,
+          kern_quads<kBSmall, 0>, 0,
+          {kern_quads<kBSmall, 1>, kern_quads<kBSmall, 2>,
+           kern_quads<kBSmall, 4>}};
 }
-void kern_vnni_a_signed(int64_t groups, const void* pa, const void* pb,
-                        int32_t* acc) {
-  micro_kernel_s8_vnni<false>(groups, static_cast<const uint8_t*>(pa),
-                              static_cast<const uint8_t*>(pb), acc);
+template <bool kBSigned>
+S8Path vnni_path(uint8_t b_flip) {
+  return {4, pack_a_quads_adapter, pack_b_quads_adapter,
+          kern_vnni<kBSigned, 0>, b_flip,
+          {kern_vnni<kBSigned, 1>, kern_vnni<kBSigned, 2>,
+           kern_vnni<kBSigned, 4>}};
 }
 #endif  // APT_GEMM_X86
 
@@ -1027,22 +1155,13 @@ S8Path resolve_s8_path(SimdLevel level, const GemmS8Params& params,
   const bool b_small = allow_quad && params.max_b <= kGemmS8QuadMaxCode;
   const bool a_small = allow_quad && params.max_a <= kGemmS8QuadMaxCode;
   if (level == SimdLevel::kAvx512) {
-    if (b_small)
-      return {4, pack_a_quads_adapter, pack_b_quads_adapter,
-              kern_vnni_b_signed};
-    if (a_small)
-      return {4, pack_a_quads_adapter, pack_b_quads_adapter,
-              kern_vnni_a_signed};
-    return {4, pack_a_quads_adapter, pack_b_quads_adapter,
-            kern_vnni_b_signed, 0x80};
+    if (b_small) return vnni_path<true>(0);
+    if (a_small) return vnni_path<false>(0);
+    return vnni_path<true>(0x80);
   }
   if (level == SimdLevel::kAvx2) {
-    if (b_small)
-      return {4, pack_a_quads_adapter, pack_b_quads_adapter,
-              kern_quads_b_small};
-    if (a_small)
-      return {4, pack_a_quads_adapter, pack_b_quads_adapter,
-              kern_quads_a_small};
+    if (b_small) return quads_path<true>();
+    if (a_small) return quads_path<false>();
     return {2, pack_a_pairs_adapter, pack_b_pairs_adapter, kern_pairs_avx2};
   }
 #else
@@ -1144,63 +1263,95 @@ FinalStoreFn resolve_final_store(SimdLevel level) {
 
 // ------------------------------------------------ fused epilogue stores
 //
-// Per-tile arguments of the fused final store: channel vectors already
-// sliced to the tile's rows/columns, plus the scalar knobs. The scalar
-// and AVX2 variants run the identical IEEE double op sequence per
-// element — mul, add-bias, relu clamp, (requant: mul, add, floor(q+.5)
-// behind a >= 0 mask, min) — so their outputs are bit-identical, and
-// both match an int64/double reference (t is an exact integer < 2^53).
+// The fused final store's per-call constants. The scalar and AVX2
+// variants run the identical IEEE double op sequence per element — mul,
+// add-bias, relu clamp, (requant: mul, add, floor(q+.5) behind a >= 0
+// mask, min) — so their outputs are bit-identical, and both match an
+// int64/double reference (t is an exact integer < 2^53).
 struct EpiStoreArgs {
-  const double* scale_r = nullptr;  // [mr] per-row channel scale
-  const double* scale_c = nullptr;  // [nr] per-col channel scale
-  const float* bias_r = nullptr;    // [mr]
-  const float* bias_c = nullptr;    // [nr]
-  double sab = 1.0;                 // uniform scale when no channel vector
-  bool relu = false;
+  double sab = 1.0;  // uniform scale of rows with no channel scale
   double cap = 0.0;
-  bool requant = false;  // write u8 codes instead of fp32
   double inv_out = 1.0;
   double zout = 0.0;
   double qmax = 255.0;
-  double* lo = nullptr;  // optional y-range accumulators (task slot)
-  double* hi = nullptr;
 };
 
+// The flag set a store is specialised for, fixed for a whole GEMM call:
+// kEpiRaw, earlier k panels left a raw int32 plane to add; kEpiCol, the
+// channel vectors run along the columns (the linear layout; `scale` and
+// `bias` are then never null), not the rows; kEpiRelu, clamp; kEpiObs,
+// fold y into the range probe; kEpiRequant, write u8 codes, not fp32.
+enum : int {
+  kEpiRaw = 1,
+  kEpiCol = 2,
+  kEpiRelu = 4,
+  kEpiObs = 8,
+  kEpiRequant = 16,
+  kEpiFlagSets = 32,
+};
+
+// One element's epilogue after its scale s and bias b are chosen: the
+// op sequence both stores share (the AVX2 store's scalar tail included).
+template <int kF>
+inline void epi_element(double t, double s, double b, const EpiStoreArgs& ea,
+                        double& lo, double& hi, float* cf, uint8_t* cu,
+                        int64_t at) {
+  double y = s * t;
+  y += b;
+  if constexpr ((kF & kEpiRelu) != 0) y = std::min(std::max(y, 0.0), ea.cap);
+  if constexpr ((kF & kEpiObs) != 0) {
+    lo = std::min(lo, y);
+    hi = std::max(hi, y);
+  }
+  if constexpr ((kF & kEpiRequant) == 0) {
+    cf[at] = static_cast<float>(y);
+  } else {
+    double q = y * ea.inv_out + ea.zout;
+    q = q >= 0.0 ? std::floor(q + 0.5) : 0.0;
+    if (q > ea.qmax) q = ea.qmax;
+    cu[at] = static_cast<uint8_t>(q);
+  }
+}
+
+// Stores one mr x nr tile. `scale` / `bias` are the tile's slices of the
+// channel vectors (rows, or columns under kEpiCol); a null row vector
+// means the uniform sab / no bias. `obs` is the task's {lo, hi} slot.
+using EpiStoreFn = void (*)(float*, uint8_t*, int64_t, const int32_t*,
+                            int64_t, int64_t, int64_t, const int32_t*,
+                            const double*, const double*, const double*,
+                            const float*, const EpiStoreArgs&, double*);
+
+template <int kF>
 void store_tile_s8_epi_scalar(float* cf, uint8_t* cu, int64_t ldc,
                               const int32_t* raw, int64_t ldraw, int64_t mr,
                               int64_t nr, const int32_t* acc,
                               const double* row_corr, const double* col_corr,
-                              const EpiStoreArgs& ea) {
-  double lo = ea.lo ? *ea.lo : 0.0, hi = ea.hi ? *ea.hi : 0.0;
+                              const double* scale, const float* bias,
+                              const EpiStoreArgs& ea, double* obs) {
+  constexpr bool kCol = (kF & kEpiCol) != 0;
+  double lo = 0.0, hi = 0.0;
+  if constexpr ((kF & kEpiObs) != 0) {
+    lo = obs[0];
+    hi = obs[1];
+  }
   for (int64_t i = 0; i < mr; ++i) {
-    const int32_t* ri = raw ? raw + i * ldraw : nullptr;
     const int32_t* ai = acc + i * kGemmNR;
     const double rc = row_corr[i];
-    const double sr = ea.scale_r ? ea.scale_r[i] : ea.sab;
-    const double br = ea.bias_r ? static_cast<double>(ea.bias_r[i]) : 0.0;
+    const double sr = kCol || scale == nullptr ? ea.sab : scale[i];
+    const double br =
+        kCol || bias == nullptr ? 0.0 : static_cast<double>(bias[i]);
     for (int64_t j = 0; j < nr; ++j) {
-      const double t =
-          static_cast<double>(ai[j]) + (ri ? ri[j] : 0) + rc - col_corr[j];
-      double y = (ea.scale_c ? ea.scale_c[j] : sr) * t;
-      y += ea.bias_c ? static_cast<double>(ea.bias_c[j]) : br;
-      if (ea.relu) y = std::min(std::max(y, 0.0), ea.cap);
-      if (ea.lo) {
-        lo = std::min(lo, y);
-        hi = std::max(hi, y);
-      }
-      if (!ea.requant) {
-        cf[i * ldc + j] = static_cast<float>(y);
-      } else {
-        double q = y * ea.inv_out + ea.zout;
-        q = q >= 0.0 ? std::floor(q + 0.5) : 0.0;
-        if (q > ea.qmax) q = ea.qmax;
-        cu[i * ldc + j] = static_cast<uint8_t>(q);
-      }
+      double t = static_cast<double>(ai[j]);
+      if constexpr ((kF & kEpiRaw) != 0) t += raw[i * ldraw + j];
+      t = t + rc - col_corr[j];
+      epi_element<kF>(t, kCol ? scale[j] : sr,
+                      kCol ? static_cast<double>(bias[j]) : br, ea, lo, hi,
+                      cf, cu, i * ldc + j);
     }
   }
-  if (ea.lo) {
-    *ea.lo = lo;
-    *ea.hi = hi;
+  if constexpr ((kF & kEpiObs) != 0) {
+    obs[0] = lo;
+    obs[1] = hi;
   }
 }
 
@@ -1208,14 +1359,18 @@ void store_tile_s8_epi_scalar(float* cf, uint8_t* cu, int64_t ldc,
 // Same math, 4 doubles per step. Min/max are order-independent, so the
 // lane-then-horizontal observation reduces to the same values the
 // scalar loop sees; every other op is element-independent.
+template <int kF>
 __attribute__((target("avx2"))) void store_tile_s8_epi_avx2(
     float* cf, uint8_t* cu, int64_t ldc, const int32_t* raw, int64_t ldraw,
     int64_t mr, int64_t nr, const int32_t* acc, const double* row_corr,
-    const double* col_corr, const EpiStoreArgs& ea) {
+    const double* col_corr, const double* scale, const float* bias,
+    const EpiStoreArgs& ea, double* obs) {
+  constexpr bool kCol = (kF & kEpiCol) != 0;
+  constexpr bool kObs = (kF & kEpiObs) != 0;
   const int64_t nr4 = nr & ~int64_t{3};
-  __m256d vlo = _mm256_set1_pd(ea.lo ? *ea.lo : 0.0);
-  __m256d vhi = _mm256_set1_pd(ea.hi ? *ea.hi : 0.0);
-  double lo = ea.lo ? *ea.lo : 0.0, hi = ea.hi ? *ea.hi : 0.0;
+  double lo = kObs ? obs[0] : 0.0, hi = kObs ? obs[1] : 0.0;
+  __m256d vlo = _mm256_set1_pd(lo);
+  __m256d vhi = _mm256_set1_pd(hi);
   const __m256d vzero = _mm256_setzero_pd();
   const __m256d vcap = _mm256_set1_pd(ea.cap);
   const __m256d vinv = _mm256_set1_pd(ea.inv_out);
@@ -1223,11 +1378,11 @@ __attribute__((target("avx2"))) void store_tile_s8_epi_avx2(
   const __m256d vqmax = _mm256_set1_pd(ea.qmax);
   const __m256d vhalf = _mm256_set1_pd(0.5);
   for (int64_t i = 0; i < mr; ++i) {
-    const int32_t* ri = raw ? raw + i * ldraw : nullptr;
     const int32_t* ai = acc + i * kGemmNR;
     const double rc_s = row_corr[i];
-    const double sr_s = ea.scale_r ? ea.scale_r[i] : ea.sab;
-    const double br_s = ea.bias_r ? static_cast<double>(ea.bias_r[i]) : 0.0;
+    const double sr_s = kCol || scale == nullptr ? ea.sab : scale[i];
+    const double br_s =
+        kCol || bias == nullptr ? 0.0 : static_cast<double>(bias[i]);
     const __m256d rc = _mm256_set1_pd(rc_s);
     const __m256d sr = _mm256_set1_pd(sr_s);
     const __m256d br = _mm256_set1_pd(br_s);
@@ -1235,28 +1390,27 @@ __attribute__((target("avx2"))) void store_tile_s8_epi_avx2(
     for (; j < nr4; j += 4) {
       __m256d t = _mm256_cvtepi32_pd(
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(ai + j)));
-      if (ri) {
+      if constexpr ((kF & kEpiRaw) != 0) {
         t = _mm256_add_pd(t, _mm256_cvtepi32_pd(_mm_loadu_si128(
-                                 reinterpret_cast<const __m128i*>(ri + j))));
+                                 reinterpret_cast<const __m128i*>(
+                                     raw + i * ldraw + j))));
       }
       t = _mm256_sub_pd(_mm256_add_pd(t, rc), _mm256_loadu_pd(col_corr + j));
-      const __m256d sc =
-          ea.scale_c ? _mm256_loadu_pd(ea.scale_c + j) : sr;
-      __m256d y = _mm256_mul_pd(sc, t);
-      const __m256d bc =
-          ea.bias_c ? _mm256_cvtps_pd(_mm_loadu_ps(ea.bias_c + j)) : br;
-      y = _mm256_add_pd(y, bc);
+      __m256d y = _mm256_mul_pd(kCol ? _mm256_loadu_pd(scale + j) : sr, t);
+      y = _mm256_add_pd(
+          y, kCol ? _mm256_cvtps_pd(_mm_loadu_ps(bias + j)) : br);
       // Operand order matters for NaN agreement with the scalar store:
       // min/maxpd return the SECOND operand on NaN, so max(0, y) /
       // min(cap, ·) keep a NaN y exactly like std::max(y,0)/std::min
       // do, and the observation's min(y, acc) drops it like
       // std::min(acc, y) does.
-      if (ea.relu) y = _mm256_min_pd(vcap, _mm256_max_pd(vzero, y));
-      if (ea.lo) {
+      if constexpr ((kF & kEpiRelu) != 0)
+        y = _mm256_min_pd(vcap, _mm256_max_pd(vzero, y));
+      if constexpr (kObs) {
         vlo = _mm256_min_pd(y, vlo);
         vhi = _mm256_max_pd(y, vhi);
       }
-      if (!ea.requant) {
+      if constexpr ((kF & kEpiRequant) == 0) {
         _mm_storeu_ps(cf + i * ldc + j, _mm256_cvtpd_ps(y));
       } else {
         __m256d q = _mm256_add_pd(_mm256_mul_pd(y, vinv), vzout);
@@ -1271,26 +1425,15 @@ __attribute__((target("avx2"))) void store_tile_s8_epi_avx2(
       }
     }
     for (; j < nr; ++j) {  // scalar tail: same op sequence
-      const double t =
-          static_cast<double>(ai[j]) + (ri ? ri[j] : 0) + rc_s - col_corr[j];
-      double y = (ea.scale_c ? ea.scale_c[j] : sr_s) * t;
-      y += ea.bias_c ? static_cast<double>(ea.bias_c[j]) : br_s;
-      if (ea.relu) y = std::min(std::max(y, 0.0), ea.cap);
-      if (ea.lo) {
-        lo = std::min(lo, y);
-        hi = std::max(hi, y);
-      }
-      if (!ea.requant) {
-        cf[i * ldc + j] = static_cast<float>(y);
-      } else {
-        double q = y * ea.inv_out + ea.zout;
-        q = q >= 0.0 ? std::floor(q + 0.5) : 0.0;
-        if (q > ea.qmax) q = ea.qmax;
-        cu[i * ldc + j] = static_cast<uint8_t>(q);
-      }
+      double t = static_cast<double>(ai[j]);
+      if constexpr ((kF & kEpiRaw) != 0) t += raw[i * ldraw + j];
+      t = t + rc_s - col_corr[j];
+      epi_element<kF>(t, kCol ? scale[j] : sr_s,
+                      kCol ? static_cast<double>(bias[j]) : br_s, ea, lo, hi,
+                      cf, cu, i * ldc + j);
     }
   }
-  if (ea.lo) {
+  if constexpr (kObs) {
     alignas(32) double l4[4], h4[4];
     _mm256_store_pd(l4, vlo);
     _mm256_store_pd(h4, vhi);
@@ -1298,24 +1441,38 @@ __attribute__((target("avx2"))) void store_tile_s8_epi_avx2(
       lo = std::min(lo, l4[t]);
       hi = std::max(hi, h4[t]);
     }
-    *ea.lo = lo;
-    *ea.hi = hi;
+    obs[0] = lo;
+    obs[1] = hi;
   }
 }
 #endif  // APT_GEMM_X86
 
-using EpiStoreFn = void (*)(float*, uint8_t*, int64_t, const int32_t*,
-                            int64_t, int64_t, int64_t, const int32_t*,
-                            const double*, const double*,
-                            const EpiStoreArgs&);
-
-EpiStoreFn resolve_epi_store(SimdLevel level) {
+template <int... kF>
+constexpr std::array<EpiStoreFn, kEpiFlagSets> epi_scalar_table(
+    std::integer_sequence<int, kF...>) {
+  return {store_tile_s8_epi_scalar<kF>...};
+}
 #if APT_GEMM_X86
-  if (level >= SimdLevel::kAvx2) return store_tile_s8_epi_avx2;
+template <int... kF>
+constexpr std::array<EpiStoreFn, kEpiFlagSets> epi_avx2_table(
+    std::integer_sequence<int, kF...>) {
+  return {store_tile_s8_epi_avx2<kF>...};
+}
+#endif
+
+// The store for flag set `flags` (kEpi*) at `level`: one dispatch per
+// GEMM call, so no flag is tested inside a tile.
+EpiStoreFn resolve_epi_store(SimdLevel level, int flags) {
+#if APT_GEMM_X86
+  static constexpr auto kAvx2 =
+      epi_avx2_table(std::make_integer_sequence<int, kEpiFlagSets>{});
+  if (level >= SimdLevel::kAvx2) return kAvx2[static_cast<size_t>(flags)];
 #else
   (void)level;
 #endif
-  return store_tile_s8_epi_scalar;
+  static constexpr auto kScalar =
+      epi_scalar_table(std::make_integer_sequence<int, kEpiFlagSets>{});
+  return kScalar[static_cast<size_t>(flags)];
 }
 
 // Effective blocking from a plan field: 0 keeps `def`, a request is
@@ -1775,20 +1932,99 @@ void gemm_s8_pack_b_quads(bool trans_b, const uint8_t* b, int64_t k,
                             kGemmNR, p0, kc, dst, colsum, flip);
 }
 
-void gemm_s8_pack_b_conv(const GemmS8ConvB& cb, bool trans_b, int64_t p0,
-                         int64_t kc, int64_t j0, int64_t nc, int16_t* dst,
+void gemm_s8_pack_b_conv(const GemmS8ConvB& cb, int64_t p0, int64_t kc,
+                         int64_t j0, int64_t nc, int16_t* dst,
                          int32_t* colsum) {
-  pack_conv<int16_t, 2>(cb, trans_b, p0, kc, j0, nc, dst, colsum, 0);
+  pack_conv<int16_t, 2>(cb, p0, kc, j0, nc, dst, colsum, 0);
 }
 
-void gemm_s8_pack_b_quads_conv(const GemmS8ConvB& cb, bool trans_b,
-                               int64_t p0, int64_t kc, int64_t j0,
-                               int64_t nc, uint8_t* dst, int32_t* colsum,
-                               uint8_t flip) {
-  pack_conv<uint8_t, 4>(cb, trans_b, p0, kc, j0, nc, dst, colsum, flip);
+void gemm_s8_pack_b_quads_conv(const GemmS8ConvB& cb, int64_t p0, int64_t kc,
+                               int64_t j0, int64_t nc, uint8_t* dst,
+                               int32_t* colsum, uint8_t flip) {
+  pack_conv<uint8_t, 4>(cb, p0, kc, j0, nc, dst, colsum, flip);
 }
 
 namespace {
+
+// One B strip as the tiles read it: `kernel` over `pb` (a packed strip,
+// or the conv image with the strip's run offsets `roff`).
+struct BStrip {
+  S8Kernel kernel;
+  const void* pb;
+  int64_t roff[4];
+};
+
+// The strips [j0, j0 + nc) of the conv image operand over k-groups
+// koff[0, nq): read in place where the quad tile can (a full strip of 1,
+// 2 or 4 runs, on an image staged with the tile's own flip), otherwise
+// packed, strip_bytes each, into space from `scope` (only the packed
+// strips take any). `bx` is the flip the packing layout wants (0 for
+// pairs).
+void image_strips(const GemmS8ConvImage& ci, const S8Path& path, uint8_t bx,
+                  const int64_t* koff, int64_t nq, int64_t j0, int64_t nc,
+                  int64_t strip_bytes, ScratchArena::Scope& scope,
+                  BStrip* strips) {
+  const uint8_t x = ci.flip ^ bx;
+  const bool in_place = path.in_place[0] != nullptr && x == 0;
+  const int64_t n_strips = (nc + kGemmNR - 1) / kGemmNR;
+  // A full strip splits into runs of w columns when w divides ow and the
+  // strip's first column: then no run crosses an output row.
+  auto run_of = [&](int64_t sj) {
+    const int64_t q0 = j0 + sj * kGemmNR;
+    if (nc - sj * kGemmNR < kGemmNR) return int64_t{1};
+    for (int64_t w = kGemmNR; w >= 4; w /= 2)
+      if (ci.ow % w == 0 && q0 % ci.ow % w == 0) return w;
+    return int64_t{1};
+  };
+  int64_t packed = 0;
+  for (int64_t sj = 0; sj < n_strips; ++sj) {
+    const int64_t run = run_of(sj);
+    BStrip& st = strips[sj];
+    st.kernel = nullptr;
+    if (!in_place || run < 4) {
+      ++packed;
+      continue;
+    }
+    const int64_t runs = kGemmNR / run;
+    st.kernel = path.in_place[runs == 1 ? 0 : runs == 2 ? 1 : 2];
+    st.pb = ci.img;
+    for (int64_t r = 0; r < runs; ++r) {
+      const int64_t q = j0 + sj * kGemmNR + r * run;
+      st.roff[r] = 4 * (q / ci.ow * ci.pwp + q % ci.ow);
+    }
+  }
+  if (packed == 0) return;
+  auto* dst = static_cast<std::byte*>(
+      scope.alloc_bytes(static_cast<size_t>(packed * strip_bytes)));
+  int64_t coff[kGemmNR];
+  for (int64_t sj = 0; sj < n_strips; ++sj) {
+    BStrip& st = strips[sj];
+    if (st.kernel != nullptr) continue;
+    const int64_t cols = std::min(kGemmNR, nc - sj * kGemmNR);
+    image_pos_offsets(ci, j0 + sj * kGemmNR, cols, coff);
+    with_run(run_of(sj), [&](auto r) {
+      if (path.group == 4) {
+        pack_image_strip<4, decltype(r)::value>(ci.img, koff, nq, coff, cols,
+                                                x, dst);
+      } else {
+        pack_image_strip<2, decltype(r)::value>(ci.img, koff, nq, coff, cols,
+                                                x, dst);
+      }
+    });
+    st.kernel = path.kernel;
+    st.pb = dst;
+    dst += strip_bytes;
+  }
+}
+
+// The conv image must describe the plan's lowered GEMM.
+void check_conv_image(const GemmS8ConvImage& ci, bool trans_a, bool trans_b,
+                      int64_t k, int64_t n) {
+  APT_CHECK(!trans_a && !trans_b && ci.img != nullptr &&
+            ci.colsum != nullptr && ci.kernel > 0 && ci.stride > 0 &&
+            k == ci.channels * ci.kernel * ci.kernel && n == ci.oh * ci.ow)
+      << "gemm_s8: inconsistent conv image descriptor";
+}
 
 // The integer driver behind gemm_s8_ex, for `plan`'s shape, blocking,
 // strategy and dispatch. With no epilogue it writes the plain
@@ -1801,27 +2037,43 @@ void s8_driver(const KernelPlan& plan, const GemmS8Args& args) {
   const uint8_t* a = args.a;
   const uint8_t* b = args.b;
   const GemmS8ConvB* convb = args.conv_b;
+  const GemmS8ConvImage* cimg = args.conv_image;
   const GemmS8Params& params = args.params;
   const GemmS8Epilogue* epi = args.epilogue;
   float* cf = args.out;
   uint8_t* cu = args.out_codes;
   if (m <= 0 || n <= 0) return;
-  // B is the virtual im2col matrix [taps, positions], or its transpose.
+  // B is the virtual im2col matrix [taps, positions], read from the
+  // conv image, or its transpose over a padded NCHW image.
   if (convb != nullptr) check_conv_b(*convb, trans_b, k, n);
+  if (cimg != nullptr) check_conv_image(*cimg, trans_a, trans_b, k, n);
   const double sab = params.scale_a * params.scale_b;
 
   const SimdLevel level = simd_level();
   EpiStoreArgs ea;
-  const EpiStoreFn epi_store = resolve_epi_store(level);
+  EpiStoreFn epi_store = nullptr;
   const FinalStoreFn final_store = resolve_final_store(level);
+  const bool observing = epi != nullptr && epi->observe_lo != nullptr;
+  // Column-channel fallbacks: the uniform scale and a zero bias.
+  double sab_cols[kGemmNR];
+  std::fill(sab_cols, sab_cols + kGemmNR, sab);
+  const float zero_cols[kGemmNR] = {};
+  // A tile's slices of the epilogue's channel vectors.
+  auto tile_scale = [&](int64_t i0, int64_t j0) -> const double* {
+    if (epi->channel_is_row) return epi->scale ? epi->scale + i0 : nullptr;
+    return epi->scale ? epi->scale + j0 : sab_cols;
+  };
+  auto tile_bias = [&](int64_t i0, int64_t j0) -> const float* {
+    if (epi->channel_is_row) return epi->bias ? epi->bias + i0 : nullptr;
+    return epi->bias ? epi->bias + j0 : zero_cols;
+  };
+  int epi_flags = 0;
   if (epi != nullptr) {
     APT_CHECK(epi->observe_lo == nullptr || epi->observe_hi != nullptr)
         << "gemm_s8: observe_lo and observe_hi come as a pair";
     ea.sab = sab;
-    ea.relu = epi->relu;
     ea.cap = static_cast<double>(epi->relu_cap);
-    ea.requant = cu != nullptr;
-    if (ea.requant) {
+    if (cu != nullptr) {
       APT_CHECK(epi->out_scale > 0.0 && epi->out_zero >= 0 &&
                 epi->out_max >= epi->out_zero && epi->out_max <= 255)
           << "gemm_s8: bad requant output grid";
@@ -1829,6 +2081,9 @@ void s8_driver(const KernelPlan& plan, const GemmS8Args& args) {
       ea.zout = static_cast<double>(epi->out_zero);
       ea.qmax = static_cast<double>(epi->out_max);
     }
+    epi_flags = (epi->channel_is_row ? 0 : kEpiCol) |
+                (epi->relu ? kEpiRelu : 0) | (observing ? kEpiObs : 0) |
+                (cu != nullptr ? kEpiRequant : 0);
   }
 
   if (k <= 0) {
@@ -1838,31 +2093,24 @@ void s8_driver(const KernelPlan& plan, const GemmS8Args& args) {
       std::fill(cf, cf + m * n, 0.0f);
       return;
     }
-    double lo = std::numeric_limits<double>::infinity(), hi = -lo;
+    double obs[2] = {std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()};
     alignas(64) int32_t zacc[kGemmMR * kGemmNR] = {};
     const double zero_corr[kGemmNR] = {};
     double row_zero[kGemmMR] = {};
-    ea.lo = epi->observe_lo ? &lo : nullptr;
-    ea.hi = epi->observe_lo ? &hi : nullptr;
+    epi_store = resolve_epi_store(level, epi_flags);
     for (int64_t i0 = 0; i0 < m; i0 += kGemmMR)
       for (int64_t j0 = 0; j0 < n; j0 += kGemmNR) {
         const int64_t mr = std::min(kGemmMR, m - i0);
         const int64_t nr = std::min(kGemmNR, n - j0);
-        EpiStoreArgs tile = ea;
-        if (epi->channel_is_row) {
-          tile.scale_r = epi->scale ? epi->scale + i0 : nullptr;
-          tile.bias_r = epi->bias ? epi->bias + i0 : nullptr;
-        } else {
-          tile.scale_c = epi->scale ? epi->scale + j0 : nullptr;
-          tile.bias_c = epi->bias ? epi->bias + j0 : nullptr;
-        }
         epi_store(cf ? cf + i0 * n + j0 : nullptr,
                   cu ? cu + i0 * n + j0 : nullptr, n, nullptr, 0, mr, nr,
-                  zacc, row_zero, zero_corr, tile);
+                  zacc, row_zero, zero_corr, tile_scale(i0, j0),
+                  tile_bias(i0, j0), ea, obs);
       }
-    if (epi->observe_lo) {
-      *epi->observe_lo = static_cast<float>(lo);
-      *epi->observe_hi = static_cast<float>(hi);
+    if (observing) {
+      *epi->observe_lo = static_cast<float>(obs[0]);
+      *epi->observe_hi = static_cast<float>(obs[1]);
     }
     return;
   }
@@ -1878,13 +2126,19 @@ void s8_driver(const KernelPlan& plan, const GemmS8Args& args) {
   // Row correction factor: Zb, less the offset of recentred B bytes
   // (sum qa*qb = kernel sum + 128 * rowsum_a; gemm_kernel.hpp).
   const double zb_row = static_cast<double>(zb - path.b_offset());
+  // A conv image's k runs over whole channel quads (the weights carry
+  // code 0 in the padded channels, which adds nothing to any sum); the
+  // zero-point terms below keep the real k.
+  const int64_t ka = cimg != nullptr ? conv_image_k(*cimg) : k;
   // The byte-quad layout packs quarter-width strips, so it affords a
   // deeper k panel (one panel for a 3x3 conv over 64 channels). A plan
   // may override kc freely — integer arithmetic is exact, so the panel
-  // split never changes bits — up to the conv row-table bound.
-  const int64_t kc_max =
+  // split never changes bits — up to the conv row-table bound. Image
+  // panels hold whole k-groups.
+  int64_t kc_max =
       eff_block(plan.kc, path.group == 4 ? kGemmS8KCQuad : kGemmKC,
                 path.group, kGemmS8KCQuad);
+  if (cimg != nullptr) kc_max = std::max<int64_t>(4, kc_max / 4 * 4);
   const int64_t mc_blk = eff_mc(plan.mc);
   const int64_t nc_blk = eff_block(plan.nc, kGemmNC, kGemmNR, kGemmNC);
 
@@ -1892,19 +2146,27 @@ void s8_driver(const KernelPlan& plan, const GemmS8Args& args) {
   // Raw code-product plane (int32, only touched when k spans several
   // panels), the zero-point correction sums, and the per-column
   // correction staged as doubles for the fused final store.
-  const bool multi_panel = k > kc_max;
+  const bool multi_panel = ka > kc_max;
+  if (epi != nullptr)
+    epi_store =
+        resolve_epi_store(level, epi_flags | (multi_panel ? kEpiRaw : 0));
   auto* raw =
       multi_panel ? static_cast<int32_t*>(outer.alloc_bytes(
                         static_cast<size_t>(m * n) * sizeof(int32_t)))
                   : nullptr;
   auto* rowsum = static_cast<int32_t*>(
       outer.alloc_bytes(static_cast<size_t>(m) * sizeof(int32_t)));
-  auto* colsum = static_cast<int32_t*>(
-      outer.alloc_bytes(static_cast<size_t>(n) * sizeof(int32_t)));
+  // The image carries its column sums; other operands sum while packing.
+  int32_t* colsum = nullptr;
+  if (cimg == nullptr) {
+    colsum = static_cast<int32_t*>(
+        outer.alloc_bytes(static_cast<size_t>(n) * sizeof(int32_t)));
+    std::fill(colsum, colsum + n, 0);
+  }
+  const int32_t* colsum_b = cimg != nullptr ? cimg->colsum : colsum;
   auto* col_corr = static_cast<double*>(
       outer.alloc_bytes(static_cast<size_t>(n) * sizeof(double)));
   std::fill(rowsum, rowsum + m, 0);
-  std::fill(colsum, colsum + n, 0);
   const double kzazb = static_cast<double>(k * za * zb);
 
   // Per-task observation slots for the epilogue's exact y-range probe:
@@ -1921,7 +2183,6 @@ void s8_driver(const KernelPlan& plan, const GemmS8Args& args) {
     obs_slots = std::max(obs_slots, max_strips);
   }
   double* obs = nullptr;
-  const bool observing = epi != nullptr && epi->observe_lo != nullptr;
   if (observing) {
     obs = static_cast<double*>(outer.alloc_bytes(
         static_cast<size_t>(2 * obs_slots) * sizeof(double)));
@@ -1931,40 +2192,53 @@ void s8_driver(const KernelPlan& plan, const GemmS8Args& args) {
     }
   }
 
+  // Byte offsets of the image k-groups of the current panel.
+  int64_t koff[kGemmS8KCQuad / 4];
   for (int64_t j0 = 0; j0 < n; j0 += nc_blk) {
     const int64_t nc = std::min(nc_blk, n - j0);
     const int64_t n_strips = (nc + kGemmNR - 1) / kGemmNR;
-    for (int64_t p0 = 0; p0 < k; p0 += kc_max) {
-      const int64_t kc = std::min(kc_max, k - p0);
+    for (int64_t p0 = 0; p0 < ka; p0 += kc_max) {
+      const int64_t kc = std::min(kc_max, ka - p0);
       // Both layouts pack 4 bytes per row/column per k-group.
       const int64_t groups = (kc + path.group - 1) / path.group;
+      const int64_t strip_bytes = kGemmNR * 4 * groups;
       const bool first_panel = p0 == 0;
-      const bool last_panel = p0 + kc_max >= k;
+      const bool last_panel = p0 + kc_max >= ka;
 
       ScratchArena::Scope panel_scope(ScratchArena::thread_local_arena());
-      auto* packb = static_cast<std::byte*>(panel_scope.alloc_bytes(
-          static_cast<size_t>(n_strips * kGemmNR * 4 * groups)));
+      auto* strips = static_cast<BStrip*>(panel_scope.alloc_bytes(
+          static_cast<size_t>(n_strips) * sizeof(BStrip)));
       // Column sums span all p0 panels of this j0 panel; B is packed
       // exactly once per (j0, p0), so accumulating here counts each code
       // once. Rows are packed once per (p0, MC panel) only while j0 == 0,
       // giving the same once-per-code guarantee for rowsum below.
-      if (convb != nullptr) {
-        if (path.group == 4) {
-          gemm_s8_pack_b_quads_conv(*convb, trans_b, p0, kc, j0, nc,
-                                    reinterpret_cast<uint8_t*>(packb),
-                                    colsum + j0, path.b_flip);
-        } else {
-          gemm_s8_pack_b_conv(*convb, trans_b, p0, kc, j0, nc,
-                              reinterpret_cast<int16_t*>(packb),
-                              colsum + j0);
-        }
+      if (cimg != nullptr) {
+        image_group_offsets(*cimg, p0 / 4, kc / 4, koff);
+        image_strips(*cimg, path, path.group == 4 ? path.b_flip : 0, koff,
+                     kc / 4, j0, nc, strip_bytes, panel_scope, strips);
       } else {
-        path.pack_b(trans_b, b, k, n, p0, kc, j0, nc, packb, colsum + j0,
-                    path.b_flip);
+        auto* packb = static_cast<std::byte*>(panel_scope.alloc_bytes(
+            static_cast<size_t>(n_strips * strip_bytes)));
+        if (convb != nullptr) {
+          if (path.group == 4) {
+            gemm_s8_pack_b_quads_conv(*convb, p0, kc, j0, nc,
+                                      reinterpret_cast<uint8_t*>(packb),
+                                      colsum + j0, path.b_flip);
+          } else {
+            gemm_s8_pack_b_conv(*convb, p0, kc, j0, nc,
+                                reinterpret_cast<int16_t*>(packb),
+                                colsum + j0);
+          }
+        } else {
+          path.pack_b(trans_b, b, k, n, p0, kc, j0, nc, packb, colsum + j0,
+                      path.b_flip);
+        }
+        for (int64_t sj = 0; sj < n_strips; ++sj)
+          strips[sj] = {path.kernel, packb + sj * strip_bytes, {}};
       }
       if (last_panel)  // column sums for this panel are now complete
         for (int64_t j = 0; j < nc; ++j)
-          col_corr[j0 + j] = static_cast<double>(za) * colsum[j0 + j];
+          col_corr[j0 + j] = static_cast<double>(za) * colsum_b[j0 + j];
 
       // One tile's output write, shared by both decompositions below.
       // `obs_slot` indexes the task's disjoint observation pair: the MC
@@ -1980,21 +2254,11 @@ void s8_driver(const KernelPlan& plan, const GemmS8Args& args) {
             final_store(cf + tile_i * n + tile_j, n, raw_tile, n, mr, nr,
                         acc, rc, col_corr + tile_j, sab);
           } else {
-            EpiStoreArgs tile = ea;
-            if (epi->channel_is_row) {
-              tile.scale_r = epi->scale ? epi->scale + tile_i : nullptr;
-              tile.bias_r = epi->bias ? epi->bias + tile_i : nullptr;
-            } else {
-              tile.scale_c = epi->scale ? epi->scale + tile_j : nullptr;
-              tile.bias_c = epi->bias ? epi->bias + tile_j : nullptr;
-            }
-            if (observing) {
-              tile.lo = obs + 2 * obs_slot;
-              tile.hi = obs + 2 * obs_slot + 1;
-            }
             epi_store(cf ? cf + tile_i * n + tile_j : nullptr,
                       cu ? cu + tile_i * n + tile_j : nullptr, n, raw_tile,
-                      n, mr, nr, acc, rc, col_corr + tile_j, tile);
+                      n, mr, nr, acc, rc, col_corr + tile_j,
+                      tile_scale(tile_i, tile_j), tile_bias(tile_i, tile_j),
+                      ea, observing ? obs + 2 * obs_slot : nullptr);
           }
         } else {
           store_tile_s8(raw + tile_i * n + tile_j, n, mr, nr, acc,
@@ -2012,18 +2276,18 @@ void s8_driver(const KernelPlan& plan, const GemmS8Args& args) {
         for (int64_t mb = mb_begin; mb < mb_end; ++mb) {
           const int64_t i0 = mb * mc_blk;
           const int64_t mc = std::min(mc_blk, m - i0);
-          path.pack_a(trans_a, a, m, k, i0, mc, p0, kc, packa,
+          path.pack_a(trans_a, a, m, ka, i0, mc, p0, kc, packa,
                       j0 == 0 ? rowsum + i0 : nullptr);
           if (last_panel)  // row sums for these rows are now complete
             for (int64_t r = 0; r < mc; ++r)
               row_corr[r] = kzazb - zb_row * rowsum[i0 + r];
           for (int64_t sj = 0; sj < n_strips; ++sj) {
-            const std::byte* pb = packb + sj * kGemmNR * 4 * groups;
+            const BStrip& bs = strips[sj];
             const int64_t nr = std::min(kGemmNR, nc - sj * kGemmNR);
             for (int64_t si = 0; si * kGemmMR < mc; ++si) {
               const int64_t mr = std::min(kGemmMR, mc - si * kGemmMR);
-              path.kernel(groups, packa + si * kGemmMR * 4 * groups, pb,
-                          acc);
+              bs.kernel(groups, packa + si * kGemmMR * 4 * groups, bs.pb,
+                        koff, bs.roff, acc);
               store_out(i0 + si * kGemmMR, j0 + sj * kGemmNR, mr, nr, acc,
                         row_corr + si * kGemmMR, mb);
             }
@@ -2046,7 +2310,7 @@ void s8_driver(const KernelPlan& plan, const GemmS8Args& args) {
         ScratchArena::Scope scope(ScratchArena::thread_local_arena());
         auto* packa = static_cast<std::byte*>(scope.alloc_bytes(
             static_cast<size_t>(mc_blk * 4 * groups)));
-        path.pack_a(trans_a, a, m, k, 0, m, p0, kc, packa,
+        path.pack_a(trans_a, a, m, ka, 0, m, p0, kc, packa,
                     j0 == 0 ? rowsum : nullptr);
         double row_corr[kGemmMaxMC];
         if (last_panel)
@@ -2057,12 +2321,12 @@ void s8_driver(const KernelPlan& plan, const GemmS8Args& args) {
             [&](int64_t s_begin, int64_t s_end) {
               alignas(64) int32_t acc[kGemmMR * kGemmNR];
               for (int64_t sj = s_begin; sj < s_end; ++sj) {
-                const std::byte* pb = packb + sj * kGemmNR * 4 * groups;
+                const BStrip& bs = strips[sj];
                 const int64_t nr = std::min(kGemmNR, nc - sj * kGemmNR);
                 for (int64_t si = 0; si * kGemmMR < m; ++si) {
                   const int64_t mr = std::min(kGemmMR, m - si * kGemmMR);
-                  path.kernel(groups, packa + si * kGemmMR * 4 * groups,
-                              pb, acc);
+                  bs.kernel(groups, packa + si * kGemmMR * 4 * groups, bs.pb,
+                            koff, bs.roff, acc);
                   store_out(si * kGemmMR, j0 + sj * kGemmNR, mr, nr, acc,
                             row_corr + si * kGemmMR, sj);
                 }
@@ -2090,6 +2354,13 @@ void s8_driver(const KernelPlan& plan, const GemmS8Args& args) {
 
 }  // namespace
 
+uint8_t gemm_s8_conv_image_flip(const KernelPlan& plan,
+                                const GemmS8Params& params) {
+  const S8Path path = resolve_s8_path(
+      simd_level(), params, plan.strategy != PlanStrategy::kS8Pairs);
+  return path.in_place[0] != nullptr ? path.b_flip : 0;
+}
+
 void gemm_s8_ex(const KernelPlan& plan, const GemmS8Args& args) {
   APT_CHECK(plan.key.op != PlanOp::kGemmF32)
       << "gemm_s8_ex: plan was resolved for an fp32 op";
@@ -2098,9 +2369,14 @@ void gemm_s8_ex(const KernelPlan& plan, const GemmS8Args& args) {
   APT_CHECK(args.out_codes == nullptr || args.epilogue != nullptr)
       << "gemm_s8_ex: requantised output needs an epilogue grid";
   APT_CHECK(plan.strategy != PlanStrategy::kS8ConvDirect ||
-            (args.conv_b == nullptr && args.b != nullptr))
+            (args.conv_b == nullptr && args.conv_image == nullptr &&
+             args.b != nullptr))
       << "gemm_s8_ex: kS8ConvDirect expects the contiguous code plane "
          "as a plain B operand";
+  APT_CHECK(args.conv_b == nullptr || (plan.key.trans_b && args.b == nullptr &&
+                                       args.conv_image == nullptr))
+      << "gemm_s8_ex: an implicit NCHW conv operand is read transposed "
+         "only (the weight gradient's B)";
   s8_driver(plan, args);
 }
 

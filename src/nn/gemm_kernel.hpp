@@ -167,9 +167,9 @@ void gemm_pack_b_conv(const GemmF32ConvB& cb, bool trans_b, int64_t p0,
 // On AVX512-VNNI+VL hosts one vpdpbusd tile (u8 x s8 quads straight into
 // int32, no intermediate saturation) replaces both. Quad problems keep
 // their layout and swap maddubs + madd + add for the one instruction.
-// Full-range problems are packed as quads too, with B's codes XORed with
-// 0x80 so its bytes read as the s8 values qb - 128; the kernel then sums
-// qa*(qb - 128), and since
+// Full-range problems are packed as quads too (or, for a conv image,
+// staged so), with B's codes XORed with 0x80 so its bytes read as the s8
+// values qb - 128; the kernel then sums qa*(qb - 128), and since
 //
 //   sum qa*qb = sum qa*(qb - 128) + 128 * rowsum_a
 //
@@ -257,33 +257,24 @@ struct GemmS8Epilogue {
   float* observe_hi = nullptr;
 };
 
-// -- implicit (im2col-free) conv B operand ----------------------------------
+// -- implicit (im2col-free) conv B operands ---------------------------------
 //
-// For the conv forward, the B operand is the im2col patch matrix
-// B[p, j] with p = (c, kh, kw) and j = (y, xo) — every element of which
-// is just a byte of the (padding-staged) input image. Materialising it
-// costs a k*oh*ow write plus an immediate re-read by the packing; conv
-// callers instead hand the driver this descriptor and the packing
-// gathers B's strips STRAIGHT from the staged image:
+// A conv's patch (im2col) matrix B[p, j], p = (c, kh, kw) a tap and
+// j = (y, xo) an output position, is never materialised: every element
+// is one code of the (padding-staged) input image. The GEMMs read it
+// through one of two descriptors.
+//
+// GemmConvB names it over a zero-padded NCHW image:
 //
 //   B[(c*kernel + kh)*kernel + kw, y*ow + xo]
 //     = padded[c][y*stride + kh][xo*stride + kw]
 //
-// The image (channels * ph * pw bytes, pad rows/columns pre-filled with
-// the activation zero-point code) is ~7x smaller than the column matrix
-// for a 3x3 conv and stays cache-hot across the whole GEMM. The packed
-// strips are byte-identical to packing a materialised im2col matrix, so
-// results are bit-identical to the explicit path. Stride-1 strips whose
-// ow is a multiple of 4, 8 or 16 load image runs directly; others gather
-// into a 16-byte row first.
-//
-// With trans_b set, the same descriptor names the TRANSPOSED matrix
-// (k = oh*ow positions, n = channels * kernel^2 taps): the conv weight
-// gradient dW = dY · colsᵀ reads its B operand this way, straight from
-// each sample's staged input codes.
-//
-// The fp32 GEMM takes the same descriptor over a float image whose pad
-// is 0.0f (GemmF32ConvB; gemm_pack_b_conv above, gemm_conv_ex in plan.hpp).
+// and with trans_b set, its TRANSPOSE (k = oh*ow positions, n = channels
+// * kernel^2 taps). The fp32 GEMMs take it both ways (GemmF32ConvB, pad
+// 0.0f; gemm_pack_b_conv above, gemm_conv_ex in plan.hpp); the integer
+// GEMM takes it only transposed, as the weight gradient dW = dY · colsᵀ,
+// packed straight from each sample's staged input codes. The packed
+// values are byte-identical to packing a materialised matrix.
 template <typename T>
 struct GemmConvB {
   const T* padded = nullptr;  ///< [channels][ph][pw], pad pre-filled
@@ -292,12 +283,64 @@ struct GemmConvB {
   int64_t oh = 0, ow = 0;     ///< output spatial dims (n = oh*ow)
 };
 
+// GemmS8ConvImage is the integer conv FORWARD's B: the codes of one
+// (sample, group) input staged once as a channel-quad image whose
+// layout makes every micro-kernel load of B contiguous (Dukhan's
+// indirect convolution, with the indirection folded into a tap table):
+//
+//   img[cq][a][b][Y][X][t] = padded[4*cq + t][Y*stride + a][X*stride + b]
+//
+// Channel quads outermost; then the stride x stride phase planes, of
+// which only phases < min(kernel, stride) per axis exist (no tap reads
+// another); then php x pwp pixels of 4 interleaved channel bytes. Pad
+// pixels, pixels past the padded image's edge and channels past the real
+// count hold the activation zero-point code. The GEMM's k order becomes
+// (cq, kh, kw, t), so the 4 codes of one k-group are one 4-byte word,
+// and tap (kh, kw)'s word for output (y, xo) sits in phase
+// (kh % stride, kw % stride) at pixel (y + kh / stride, xo + kw /
+// stride): consecutive xo are consecutive words, and 16 output columns
+// are one 64-byte run (ow a multiple of 16), two (ow = 8) or four
+// (ow = 4). The weights come reordered to the same k order, with code 0
+// in the padded channels, which adds nothing to any sum.
+//
+// The VNNI and AVX2 byte-quad tiles read such strips straight from the
+// image; other strips, and every strip at the levels whose tiles take
+// int16 pairs (AVX2 full-range and scalar), are packed from it. The
+// staging XORs `flip` into every byte (0x80 when the VNNI tile wants
+// recentred codes; gemm_s8_conv_image_flip in plan.hpp names the flip a
+// call's in-place tile reads) and takes the column code sums on the
+// codes before the flip, as K x K window sums of per-pixel channel sums.
+// A strip packed from an image of another flip undoes it while packing.
+// Integer sums are exact in any k order, so every route writes the bits
+// of the explicit im2col GEMM.
+struct GemmS8ConvImage {
+  const uint8_t* img = nullptr;     ///< the layout above
+  const int32_t* colsum = nullptr;  ///< [oh*ow] column code sums (unflipped)
+  int64_t channels = 0;             ///< real channels: k = channels*kernel^2
+  int64_t kernel = 0, stride = 1;
+  int64_t oh = 0, ow = 0;           ///< output spatial dims (n = oh*ow)
+  int64_t php = 0, pwp = 0;         ///< one phase plane's rows and columns
+  uint8_t flip = 0;                 ///< XOR the staging applied to each byte
+};
+
+/// Phase planes per axis of a conv image: a tap (kh, kw) reads phase
+/// (kh % stride, kw % stride), so only min(kernel, stride) exist.
+inline int64_t conv_image_phases(int64_t kernel, int64_t stride) {
+  return kernel < stride ? kernel : stride;
+}
+
+/// The k extent of the weight rows that multiply a conv image: whole
+/// channel quads times kernel^2 taps.
+inline int64_t conv_image_k(const GemmS8ConvImage& ci) {
+  return (ci.channels + 3) / 4 * 4 * ci.kernel * ci.kernel;
+}
+
 // -- s8 packing primitives, exposed for tests -------------------------------
 //
-// The integer micro-kernel consumes k-PAIRS (two k steps per iteration,
-// the shape of AVX2's vpmaddwd), so both packers widen codes to int16 and
-// interleave consecutive k values. Odd kc pads the second slot of the
-// last pair with code 0, which contributes 0 to the raw product sum.
+// The int16 pair layout (the vpmaddwd tile's, and the scalar tile's)
+// widens codes to int16 and interleaves consecutive k values. Odd kc
+// pads the second slot of the last pair with code 0, which contributes 0
+// to the raw product sum.
 
 /// Packs op_a(A) rows [i0, i0+mc) x k-range [p0, p0+kc) into MR-row strips
 /// of k-pairs: dst[(kp*MR + r)*2 + s] = op_a(A)[i0+strip+r, p0+2*kp+s].
@@ -332,15 +375,15 @@ void gemm_s8_pack_b_quads(bool trans_b, const uint8_t* b, int64_t k,
                           int64_t nc, uint8_t* dst, int32_t* colsum,
                           uint8_t flip = 0);
 
-/// gemm_s8_pack_b / gemm_s8_pack_b_quads over the implicit conv operand
-/// (op_b(B) = the virtual im2col matrix, or its transpose when trans_b).
-/// The packed bytes and sums equal packing the materialised matrix.
-void gemm_s8_pack_b_conv(const GemmS8ConvB& cb, bool trans_b, int64_t p0,
-                         int64_t kc, int64_t j0, int64_t nc, int16_t* dst,
+/// gemm_s8_pack_b / gemm_s8_pack_b_quads over the TRANSPOSED implicit
+/// conv operand (op_b(B) = the virtual im2col matrix's transpose, the
+/// weight gradient's B). The packed bytes and sums equal packing the
+/// materialised matrix.
+void gemm_s8_pack_b_conv(const GemmS8ConvB& cb, int64_t p0, int64_t kc,
+                         int64_t j0, int64_t nc, int16_t* dst,
                          int32_t* colsum);
-void gemm_s8_pack_b_quads_conv(const GemmS8ConvB& cb, bool trans_b,
-                               int64_t p0, int64_t kc, int64_t j0,
-                               int64_t nc, uint8_t* dst, int32_t* colsum,
-                               uint8_t flip = 0);
+void gemm_s8_pack_b_quads_conv(const GemmS8ConvB& cb, int64_t p0, int64_t kc,
+                               int64_t j0, int64_t nc, uint8_t* dst,
+                               int32_t* colsum, uint8_t flip = 0);
 
 }  // namespace apt::nn

@@ -236,12 +236,15 @@ void gemm_conv_ex(const KernelPlan& plan, float alpha,
 
 /// Operand bundle for the unified integer entry point. Exactly one of
 /// `out` / `out_codes` is set; `out_codes` requires an epilogue with a
-/// requant grid. `conv_b` carries the implicit conv operand for
-/// kS8Pairs/kS8Quad conv plans; kS8ConvDirect plans pass the contiguous
-/// input plane as `b` instead.
+/// requant grid. B is one of: `b`, a plain code matrix (kS8ConvDirect
+/// conv plans pass the contiguous input plane); `conv_image`, the conv
+/// forward's channel-quad image for kS8Pairs/kS8Quad conv plans (A then
+/// holds the weights in the image's k order); `conv_b`, the transposed
+/// implicit operand of a trans_b weight-gradient plan.
 struct GemmS8Args {
   const uint8_t* a = nullptr;
   const uint8_t* b = nullptr;
+  const GemmS8ConvImage* conv_image = nullptr;
   const GemmS8ConvB* conv_b = nullptr;
   GemmS8Params params;
   const GemmS8Epilogue* epilogue = nullptr;
@@ -256,5 +259,13 @@ struct GemmS8Args {
 /// overwritten) = Sa*Sb * (op_a(A)-Za)(op_b(B)-Zb). Requires
 /// k <= kGemmS8MaxK.
 void gemm_s8_ex(const KernelPlan& plan, const GemmS8Args& args);
+
+/// The flip (0 or 0x80, GemmS8ConvImage::flip) a conv image must be
+/// staged with for gemm_s8_ex under `plan` and `params` to read it in
+/// place at the current simd_level(): 0x80 where the VNNI tile takes
+/// recentred full-range codes. Any other flip gives the same bits, from
+/// strips packed out of the image instead.
+uint8_t gemm_s8_conv_image_flip(const KernelPlan& plan,
+                                const GemmS8Params& params);
 
 }  // namespace apt::nn

@@ -324,9 +324,10 @@ nn::Conv2dOptions conv_options(const CompiledOp& op) {
 }
 
 /// Binds every fused op's plans (threads = 1: a request runs serially):
-/// one per conv, plans[b-1] for a batch-b linear. compile() and
-/// try_load() both call it, so plans never enter the artifact and a
-/// request never touches the plan cache.
+/// one per conv, plans[b-1] for a batch-b linear, and each conv's
+/// weights in the image k order its plan reads. compile() and try_load()
+/// both call it, so neither enters the artifact, a request never touches
+/// the plan cache and never reorders a weight.
 void bind_plans(std::vector<CompiledOp>& ops, int64_t max_batch) {
   auto serial = [](nn::PlanKey key) {
     key.threads = 1;
@@ -334,9 +335,16 @@ void bind_plans(std::vector<CompiledOp>& ops, int64_t max_batch) {
   };
   for (CompiledOp& op : ops) {
     op.plans.clear();
+    op.wimage.clear();
     if (op.kind == OpKind::kConvS8) {
-      op.plans.push_back(serial(nn::ConvS8Forward::plan_key(
-          conv_options(op), op.h, op.w, op.w_max)));
+      const nn::Conv2dOptions o = conv_options(op);
+      op.plans.push_back(
+          serial(nn::ConvS8Forward::plan_key(o, op.h, op.w, op.w_max)));
+      op.wimage.resize(static_cast<size_t>(
+          nn::ConvS8Forward::weight_bytes(op.plans.front(), o)));
+      if (!op.wimage.empty())
+        nn::ConvS8Forward::reorder_weights(o, op.wcodes.data(),
+                                           op.wimage.data());
     } else if (op.kind == OpKind::kLinearS8) {
       for (int64_t m = 1; m <= max_batch; ++m)
         op.plans.push_back(
@@ -385,9 +393,10 @@ nn::S8ForwardArgs s8_args(const CompiledOp& op, int64_t batch,
 
 void exec_conv(const CompiledOp& op, int64_t batch, InferenceContext& ctx,
                ScratchArena::Scope& scope) {
-  const nn::ConvS8Forward conv(
-      op.plans.front(), conv_options(op), op.h, op.w,
-      s8_args(op, batch, op.c * op.h * op.w, ctx, scope));
+  nn::S8ForwardArgs args = s8_args(op, batch, op.c * op.h * op.w, ctx, scope);
+  if (!op.wimage.empty()) args.w = op.wimage.data();
+  const nn::ConvS8Forward conv(op.plans.front(), conv_options(op), op.h,
+                               op.w, args);
   uint8_t* stage = conv.alloc_stage(scope);
   for (int64_t n = 0; n < batch; ++n)
     for (int64_t g = 0; g < op.groups; ++g)

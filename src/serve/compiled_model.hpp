@@ -22,8 +22,10 @@
 //  * every `KernelPlan` is resolved once (threads = 1: execution is
 //    serial-per-request; concurrency comes from serving workers) and
 //    held by value in the op — a served request never touches the
-//    process-wide plan cache. Plans are derived state: compile and load
-//    bind them in memory, and the artifact stores none.
+//    process-wide plan cache. Conv weights are reordered once to the
+//    forward's image k order beside them. Plans and reordered weights
+//    are derived state: compile and load bind them in memory, and the
+//    artifact stores neither.
 //
 // Execution (`run`) is strictly serial per call under a ThreadPool
 // InlineScope, writes only into the caller's `InferenceContext`
@@ -105,6 +107,10 @@ struct CompiledOp {
   /// (batch-independent per-(sample, group) GEMMs); plans[b-1] for a
   /// batch-b linear GEMM.
   std::vector<nn::KernelPlan> plans;
+  /// Conv weight codes reordered to the forward's image k order
+  /// (nn::ConvS8Forward::reorder_weights), bound with the plans and never
+  /// serialised; empty when the plan reads `wcodes` as they are.
+  std::vector<uint8_t> wimage;
 };
 
 /// One activation register: per-sample element count and whether it

@@ -78,11 +78,13 @@ KernelPlan s8_plan(bool ta, bool tb, int64_t m, int64_t n, int64_t k,
 // gemm_s8_ex over `plan` with its operands spelled out.
 void run_s8(const KernelPlan& plan, const uint8_t* a, const uint8_t* b,
             const GemmS8ConvB* conv_b, const GemmS8Params& qp,
-            const GemmS8Epilogue* epi, float* out, uint8_t* out_codes) {
+            const GemmS8Epilogue* epi, float* out, uint8_t* out_codes,
+            const GemmS8ConvImage* conv_image = nullptr) {
   GemmS8Args args;
   args.a = a;
   args.b = b;
   args.conv_b = conv_b;
+  args.conv_image = conv_image;
   args.params = qp;
   args.epilogue = epi;
   args.out = out;
@@ -508,10 +510,10 @@ TEST(GemmS8Packing, ExplicitPackersMatchReference) {
 }
 
 TEST(GemmS8Packing, ConvPackersMatchReference) {
-  // The implicit operand in both orientations, against the formula over
-  // a materialised im2col: kernel 1/3, stride 1/2, padding 0/1 and
-  // ow in {4, 7, 8, 12, 16} (every run width plus the gather), with
-  // aligned and ragged panels.
+  // The transposed implicit operand (the weight gradient's B), against
+  // the formula over a materialised im2col: kernel 1/3, stride 1/2,
+  // padding 0/1 and ow in {4, 7, 8, 12, 16} (every run width plus the
+  // gather), with aligned and ragged panels.
   const int64_t C = 3;
   for (const int64_t kernel : {1, 3})
     for (const int64_t stride : {1, 2})
@@ -542,12 +544,11 @@ TEST(GemmS8Packing, ConvPackersMatchReference) {
                                   " s=" + std::to_string(stride) +
                                   " p=" + std::to_string(padding) +
                                   " ow=" + std::to_string(ow);
-          for (const bool trans : {false, true}) {
-            // op_b(B) is [taps, pos] = cols, or its transpose.
-            const int64_t k = trans ? pos : taps, n = trans ? taps : pos;
+          {
+            // op_b(B) is the transpose of [taps, pos] = cols.
+            const int64_t k = pos, n = taps;
             auto at = [&](int64_t p, int64_t j) -> int32_t {
-              return trans ? cols[static_cast<size_t>(j * pos + p)]
-                           : cols[static_cast<size_t>(p * pos + j)];
+              return cols[static_cast<size_t>(j * pos + p)];
             };
             struct Panel {
               int64_t p0, kc, j0, nc;
@@ -562,7 +563,7 @@ TEST(GemmS8Packing, ConvPackersMatchReference) {
             for (const Panel& pn : panels) {
               if (pn.kc <= 0 || pn.nc <= 0 || pn.p0 + pn.kc > k) continue;
               const std::string tag =
-                  geo + (trans ? " T" : " N") + " p0=" +
+                  geo + " p0=" +
                   std::to_string(pn.p0) + " kc=" + std::to_string(pn.kc) +
                   " j0=" + std::to_string(pn.j0) +
                   " nc=" + std::to_string(pn.nc);
@@ -570,15 +571,15 @@ TEST(GemmS8Packing, ConvPackersMatchReference) {
                   at, pn.j0, pn.nc, kGemmNR, pn.p0, pn.kc);
               expect_same_pack(
                   wp, run_pack<int16_t>(wp, [&](int16_t* d, int32_t* s) {
-                    gemm_s8_pack_b_conv(cb, trans, pn.p0, pn.kc, pn.j0, pn.nc,
-                                        d, s);
+                    gemm_s8_pack_b_conv(cb, pn.p0, pn.kc, pn.j0, pn.nc, d,
+                                        s);
                   }),
                   "pack_b_conv " + tag);
               const Packed wq = reference_pack<uint8_t, 4>(
                   at, pn.j0, pn.nc, kGemmNR, pn.p0, pn.kc);
               expect_same_pack(
                   wq, run_pack<uint8_t>(wq, [&](uint8_t* d, int32_t* s) {
-                    gemm_s8_pack_b_quads_conv(cb, trans, pn.p0, pn.kc, pn.j0,
+                    gemm_s8_pack_b_quads_conv(cb, pn.p0, pn.kc, pn.j0,
                                               pn.nc, d, s);
                   }),
                   "pack_b_quads_conv " + tag);
@@ -599,7 +600,7 @@ TEST(GemmS8Packing, ConvPackersMatchReference) {
               });
           const Packed implicit_t =
               run_pack<uint8_t>(shape, [&](uint8_t* d, int32_t* s) {
-                gemm_s8_pack_b_quads_conv(cb, true, 0, pos, 0, taps, d, s);
+                gemm_s8_pack_b_quads_conv(cb, 0, pos, 0, taps, d, s);
               });
           expect_same_pack(explicit_t, implicit_t, "dW operand " + geo);
         }
@@ -1006,43 +1007,70 @@ TEST(EpilogueExact, RequantSaturatesToOutputGrid) {
 }
 
 TEST(EpilogueExact, Avx2AndScalarStoresBitIdentical) {
+  // The fused store is specialised per flag set — raw plane (several k
+  // panels), column channel vectors (the linear layout), ReLU, range
+  // probe, requant — and, within a set, with or without channel
+  // vectors. Every variant must write the scalar store's bytes on the
+  // AVX2 store, over a ragged n (37: the last tile has 5 columns, one in
+  // the scalar tail) and channel values that include NaN and ±0.
   if (!cpu_has_avx2_fma()) GTEST_SKIP() << "no AVX2 on this machine";
-  std::vector<uint8_t> a(static_cast<size_t>(23 * 300));
-  std::vector<uint8_t> b(static_cast<size_t>(300 * 37));
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  const int64_t m = 23, n = 37, k = 300;
+  std::vector<uint8_t> a(static_cast<size_t>(m * k));
+  std::vector<uint8_t> b(static_cast<size_t>(k * n));
   fill_codes(a, 41);
   fill_codes(b, 42, 0, 63);
   GemmS8Params qp{0.02, 0.01, 100, 20};
   qp.max_b = 63;
-  EpiRef er;
-  er.relu = true;
-  er.cap = 6.0f;
-  Rng rng(43);
-  er.scale.resize(23);
-  er.bias.resize(23);
-  for (auto& s : er.scale) s = rng.uniform(0.0001, 0.01);
-  for (auto& v : er.bias) v = static_cast<float>(rng.uniform(-1, 1));
-  std::vector<uint8_t> u_scalar(23 * 37), u_avx(23 * 37);
-  std::vector<float> f_scalar(23 * 37), f_avx(23 * 37);
-  float lo_s, hi_s, lo_v, hi_v;
-  GemmS8Epilogue epi = to_epilogue(er, &lo_s, &hi_s);
-  {
-    SimdCapScope scalar(SimdLevel::kScalar);
-    run_s8(s8_plan(false, false, 23, 37, 300), a.data(), b.data(), nullptr,
-           qp, &epi, nullptr, u_scalar.data());
-    run_s8(s8_plan(false, false, 23, 37, 300), a.data(), b.data(), nullptr,
-           qp, &epi, f_scalar.data(), nullptr);
-  }
-  epi.observe_lo = &lo_v;
-  epi.observe_hi = &hi_v;
-  run_s8(s8_plan(false, false, 23, 37, 300), a.data(), b.data(), nullptr, qp,
-         &epi, nullptr, u_avx.data());
-  run_s8(s8_plan(false, false, 23, 37, 300), a.data(), b.data(), nullptr, qp,
-         &epi, f_avx.data(), nullptr);
-  EXPECT_EQ(0, std::memcmp(u_scalar.data(), u_avx.data(), u_scalar.size()));
-  EXPECT_EQ(0, std::memcmp(f_scalar.data(), f_avx.data(),
-                           f_scalar.size() * sizeof(float)));
-  EXPECT_EQ(lo_s, lo_v);
-  EXPECT_EQ(hi_s, hi_v);
+  for (int flags = 0; flags < 32; ++flags)
+    for (const bool vectors : {true, false}) {
+      const bool raw = (flags & 1) != 0, col = (flags & 2) != 0;
+      const bool relu = (flags & 4) != 0, observe = (flags & 8) != 0;
+      const bool requant = (flags & 16) != 0;
+      EpiRef er;
+      er.channel_is_row = !col;
+      er.relu = relu;
+      er.cap = 6.0f;
+      if (vectors) {
+        Rng rng(43 + static_cast<uint64_t>(flags));
+        const size_t ch = static_cast<size_t>(col ? n : m);
+        er.scale.resize(ch);
+        er.bias.resize(ch);
+        for (auto& v : er.scale) v = rng.uniform(-0.002, 0.01);
+        for (auto& v : er.bias) v = static_cast<float>(rng.uniform(-1, 1));
+        er.scale[1] = 0.0;
+        er.scale[2] = -0.0;
+        er.bias[3] = kNaN;
+        er.bias[4] = -0.0f;
+        er.bias[5] = 0.0f;
+        er.bias[ch - 1] = kNaN;  // in the last, ragged tile
+      }
+      KernelPlan plan = s8_plan(false, false, m, n, k);
+      if (raw) plan.kc = 64;
+      std::vector<float> f[2];
+      std::vector<uint8_t> u[2];
+      float lo[2] = {kNaN, kNaN}, hi[2] = {kNaN, kNaN};
+      for (int v = 0; v < 2; ++v) {
+        SimdCapScope cap(v == 0 ? SimdLevel::kScalar : SimdLevel::kAvx2);
+        GemmS8Epilogue epi = observe ? to_epilogue(er, &lo[v], &hi[v])
+                                     : to_epilogue(er, nullptr, nullptr);
+        f[v].assign(static_cast<size_t>(m * n), -1.0f);
+        u[v].assign(static_cast<size_t>(m * n), 7);
+        run_s8(plan, a.data(), b.data(), nullptr, qp, &epi,
+               requant ? nullptr : f[v].data(),
+               requant ? u[v].data() : nullptr);
+      }
+      const std::string at = "flags=" + std::to_string(flags) +
+                             " vectors=" + std::to_string(vectors);
+      EXPECT_EQ(0, std::memcmp(f[0].data(), f[1].data(),
+                               f[0].size() * sizeof(float)))
+          << at;
+      EXPECT_EQ(0, std::memcmp(u[0].data(), u[1].data(), u[0].size())) << at;
+      if (observe) {
+        EXPECT_EQ(0, std::memcmp(&lo[0], &lo[1], sizeof(float))) << at;
+        EXPECT_EQ(0, std::memcmp(&hi[0], &hi[1], sizeof(float))) << at;
+      }
+    }
 }
 
 TEST(GemmS8FinalStore, Avx2MatchesScalarOnGradientGemmShapes) {
@@ -1165,93 +1193,227 @@ TEST(EpilogueExact, ParallelAndSerialBitIdentical) {
   EXPECT_EQ(hi_p, hi_s);
 }
 
-// ------------------------------------------- implicit conv B operand
+// ------------------------------------------- conv forward image operand
+
+// One group's input planes and conv geometry: the forward's B operand
+// before staging.
+struct ConvSrc {
+  const uint8_t* planes = nullptr;  // icg contiguous [H][W] code planes
+  int64_t icg = 0, H = 0, W = 0, kernel = 3, stride = 1, padding = 1;
+  uint8_t pad_code = 0;
+  int64_t oh() const { return (H + 2 * padding - kernel) / stride + 1; }
+  int64_t ow() const { return (W + 2 * padding - kernel) / stride + 1; }
+  int64_t taps() const { return icg * kernel * kernel; }
+};
+
+// `src` staged as the channel-quad image with `flip`. `space` holds it
+// at exactly conv_image_bytes, the image last, so a tile that reads
+// past the image reads past the allocation (an ASan error).
+GemmS8ConvImage stage_image(const ConvSrc& src, uint8_t flip,
+                            std::vector<uint8_t>& space) {
+  space.assign(static_cast<size_t>(conv_image_bytes(
+                   src.icg, src.H, src.W, src.kernel, src.stride,
+                   src.padding)),
+               0xA5);
+  return stage_conv_image_u8(src.planes, src.icg, src.H, src.W, src.kernel,
+                             src.stride, src.padding, src.pad_code, flip,
+                             space.data(), /*pooled=*/false);
+}
+
+// [oc][icg*k*k] weight codes reordered to the image's k order.
+std::vector<uint8_t> image_weights(const uint8_t* w, int64_t oc, int64_t icg,
+                                   int64_t kernel) {
+  Conv2dOptions o;
+  o.in_channels = icg;
+  o.out_channels = oc;
+  o.kernel = kernel;
+  std::vector<uint8_t> out(
+      static_cast<size_t>(oc * (icg + 3) / 4 * 4 * kernel * kernel));
+  ConvS8Forward::reorder_weights(o, w, out.data());
+  return out;
+}
+
+TEST(GemmS8ConvImage, ClosedFormBorderSums) {
+  // popart's test_convolution closed form, on integer codes: every input
+  // code one above its zero-point and every weight code one above its,
+  // a 3x3 kernel with pad 1, so each output's raw sum is (valid taps) x
+  // icg — 4/6/9 x icg at corners/edges/interior for stride 1 (8/12/18
+  // at icg = 2). icg 2, 3 and 5 pad the last channel quad; ow 4, 8, 16
+  // and 32 read strips as 4, 2 and 1 runs; stride 2 reads phase planes.
+  // Scales are 1, so the fp32 output is the raw sum itself. Every host
+  // SIMD level, both ceiling routes (quad and recentred), and both image
+  // flips (read in place, or packed from an image of the other flip).
+  for (const int64_t icg : {2, 3, 5})
+    for (const int64_t ow : {4, 8, 16, 32})
+      for (const int64_t stride : {1, 2}) {
+        const int64_t hw = ow * stride, oc = 7;
+        const uint8_t za = 9, zb = 200;
+        std::vector<uint8_t> codes(static_cast<size_t>(icg * hw * hw),
+                                   static_cast<uint8_t>(zb + 1));
+        std::vector<uint8_t> w(static_cast<size_t>(oc * icg * 9),
+                               static_cast<uint8_t>(za + 1));
+        const std::vector<uint8_t> wi = image_weights(w.data(), oc, icg, 3);
+        ConvSrc src;
+        src.planes = codes.data();
+        src.icg = icg;
+        src.H = src.W = hw;
+        src.stride = stride;
+        src.pad_code = zb;
+        ASSERT_EQ(src.ow(), ow);
+        // Valid taps of output row (or column) y: input rows
+        // y*stride - 1 + kh inside [0, hw).
+        auto valid = [&](int64_t y) {
+          int64_t v = 0;
+          for (int64_t kh = 0; kh < 3; ++kh) {
+            const int64_t r = y * stride - 1 + kh;
+            v += r >= 0 && r < hw;
+          }
+          return v;
+        };
+        for (const int32_t max_a : {63, 255})
+          for (SimdLevel level : host_simd_levels()) {
+            SimdCapScope cap(level);
+            const GemmS8Params qp{1.0, 1.0, za, zb, max_a, 255};
+            const KernelPlan plan =
+                s8_plan(false, false, oc, ow * ow, src.taps());
+            const uint8_t want_flip = gemm_s8_conv_image_flip(plan, qp);
+            for (const uint8_t flip :
+                 {want_flip, static_cast<uint8_t>(want_flip ^ 0x80)}) {
+              std::vector<uint8_t> space;
+              const GemmS8ConvImage ci = stage_image(src, flip, space);
+              std::vector<float> out(static_cast<size_t>(oc * ow * ow));
+              run_s8(plan, wi.data(), nullptr, nullptr, qp, nullptr,
+                     out.data(), nullptr, &ci);
+              for (int64_t o = 0; o < oc; ++o)
+                for (int64_t y = 0; y < ow; ++y)
+                  for (int64_t x = 0; x < ow; ++x)
+                    ASSERT_EQ(out[static_cast<size_t>((o * ow + y) * ow + x)],
+                              static_cast<float>(valid(y) * valid(x) * icg))
+                        << "icg=" << icg << " ow=" << ow << " stride="
+                        << stride << " max_a=" << max_a << " level="
+                        << simd_level_name(level) << " flip=" << int{flip}
+                        << " o=" << o << " y=" << y << " x=" << x;
+            }
+          }
+      }
+}
 
 TEST(GemmS8ConvBOperand, MatchesExplicitIm2colBitForBit) {
-  // Across kernel/stride/padding shapes — including ow not a multiple
-  // of the register width (generic gather) and the staged-vs-direct
-  // padding split — the implicit operand must reproduce the explicit
-  // im2col + fused-epilogue GEMM pipeline exactly.
+  // The forward's channel-quad image operand must reproduce the explicit
+  // im2col + fused-epilogue pipeline's int64/double reference exactly:
+  // at every host SIMD level, in one k panel and several, read in place
+  // (the image flip the level's tile wants) and packed from an image of
+  // the other flip; staged serially or split across the pool. The cases
+  // cover every run width and the per-column gather (odd ow), strip
+  // tails (n % 16 != 0), stride 2 with an odd padded width, partial
+  // channel quads, a second group's planes, zero-points 0 and 255, and
+  // ceilings for each VNNI signedness (a-small, b-small, and recentred
+  // full range).
   struct ConvCase {
-    int64_t C, H, W, OC, kernel, stride, padding;
+    int64_t groups, icg, H, W, ocg, kernel, stride, padding;
+    int32_t za, zb, max_a, max_b;
   };
   const ConvCase cases[] = {
-      {8, 16, 16, 10, 3, 1, 1},   // fast path (ow = 16)
-      {4, 9, 7, 6, 3, 1, 1},      // odd ow -> generic gather
-      {4, 8, 8, 6, 3, 2, 1},      // strided
-      {3, 10, 10, 5, 5, 1, 2},    // big kernel, wide padding
-      {6, 12, 12, 8, 3, 1, 0},    // padding 0: zero staging
-      {8, 6, 6, 4, 1, 1, 0},      // 1x1 direct
+      {1, 8, 16, 16, 10, 3, 1, 1, 31, 37, 63, 255},  // ow 16, one run
+      {1, 4, 9, 7, 6, 3, 1, 1, 31, 37, 63, 255},     // odd ow: gathered
+      {1, 4, 8, 8, 6, 3, 2, 1, 31, 37, 63, 255},     // stride 2, ow 4
+      {1, 3, 10, 10, 5, 5, 1, 2, 31, 37, 63, 255},   // big kernel
+      {1, 6, 12, 12, 8, 3, 1, 0, 31, 37, 63, 255},   // padding 0
+      {1, 8, 6, 6, 4, 1, 1, 0, 31, 37, 63, 255},     // 1x1
+      {1, 8, 8, 8, 4, 1, 2, 0, 31, 37, 63, 255},     // 1x1 stride 2
+      {2, 5, 8, 8, 7, 3, 1, 1, 0, 255, 255, 255},    // groups, recentred
+      {1, 4, 7, 5, 9, 3, 1, 1, 255, 0, 255, 40},     // b-small, n = 35
+      {1, 3, 9, 9, 6, 3, 2, 1, 12, 200, 255, 255},   // pw 11, ow 5
+      {1, 2, 16, 16, 4, 3, 2, 1, 7, 9, 63, 255},     // stride 2, ow 8
+      {1, 8, 32, 32, 3, 3, 1, 1, 128, 128, 255, 255},  // ow 32
   };
   for (const auto& cc : cases) {
-    const int64_t oh = (cc.H + 2 * cc.padding - cc.kernel) / cc.stride + 1;
-    const int64_t ow = (cc.W + 2 * cc.padding - cc.kernel) / cc.stride + 1;
-    const int64_t krows = cc.C * cc.kernel * cc.kernel;
-    std::vector<uint8_t> codes(static_cast<size_t>(cc.C * cc.H * cc.W));
-    std::vector<uint8_t> w(static_cast<size_t>(cc.OC * krows));
-    fill_codes(codes, 61);
-    fill_codes(w, 62, 0, 63);
-    const uint8_t pad_code = 37;
-    GemmS8Params qp{0.01, 0.02, 31, pad_code};
-    qp.max_a = 63;
+    const int64_t C = cc.groups * cc.icg, oc = cc.groups * cc.ocg;
+    std::vector<uint8_t> codes(static_cast<size_t>(C * cc.H * cc.W));
+    fill_codes(codes, 61, 0, cc.max_b);
+    ConvSrc src;
+    src.icg = cc.icg;
+    src.H = cc.H;
+    src.W = cc.W;
+    src.kernel = cc.kernel;
+    src.stride = cc.stride;
+    src.padding = cc.padding;
+    src.pad_code = static_cast<uint8_t>(cc.zb);
+    const int64_t oh = src.oh(), ow = src.ow(), krows = src.taps();
+    std::vector<uint8_t> w(static_cast<size_t>(oc * krows));
+    fill_codes(w, 62, 0, cc.max_a);
+    const GemmS8Params qp{0.01, 0.02, cc.za, cc.zb, cc.max_a, cc.max_b};
     EpiRef er;
-    er.bias.assign(static_cast<size_t>(cc.OC), -0.125f);
-
-    // Explicit pipeline.
-    std::vector<uint8_t> cols(static_cast<size_t>(krows * oh * ow));
-    im2col_u8(codes.data(), cc.C, cc.H, cc.W, 0, 0, cc.C, cc.kernel,
-              cc.stride, cc.padding, oh, ow, pad_code, cols.data());
-    std::vector<float> want(static_cast<size_t>(cc.OC * oh * ow));
-    float want_lo, want_hi;
-    GemmS8Epilogue epi = to_epilogue(er, &want_lo, &want_hi);
-    run_s8(s8_plan(false, false, cc.OC, oh * ow, krows), w.data(), cols.data(),
-           nullptr, qp, &epi, want.data(), nullptr);
-
-    // Implicit operand from the staged image.
-    GemmS8ConvB cb;
-    cb.kernel = cc.kernel;
-    cb.stride = cc.stride;
-    cb.oh = oh;
-    cb.ow = ow;
-    std::vector<uint8_t> stage;
-    if (cc.padding > 0) {
-      cb.ph = cc.H + 2 * cc.padding;
-      cb.pw = cc.W + 2 * cc.padding;
-      stage.resize(static_cast<size_t>(cc.C * cb.ph * cb.pw));
-      stage_padded_u8(codes.data(), cc.C, cc.H, cc.W, cc.padding, pad_code,
-                      stage.data(), /*pooled=*/false);
-      cb.padded = stage.data();
-    } else {
-      cb.padded = codes.data();
-      cb.ph = cc.H;
-      cb.pw = cc.W;
+    er.bias.assign(static_cast<size_t>(cc.ocg), -0.125f);
+    er.relu = true;
+    er.cap = 3.0f;
+    for (int64_t g = 0; g < cc.groups; ++g) {
+      const std::string at =
+          "icg=" + std::to_string(cc.icg) + " H=" + std::to_string(cc.H) +
+          " W=" + std::to_string(cc.W) + " k=" + std::to_string(cc.kernel) +
+          " s=" + std::to_string(cc.stride) +
+          " p=" + std::to_string(cc.padding) + " g=" + std::to_string(g);
+      std::vector<uint8_t> cols(static_cast<size_t>(krows * oh * ow));
+      im2col_u8(codes.data(), C, cc.H, cc.W, 0, g * cc.icg, cc.icg,
+                cc.kernel, cc.stride, cc.padding, oh, ow, src.pad_code,
+                cols.data());
+      const uint8_t* wg = w.data() + g * cc.ocg * krows;
+      std::vector<float> want(static_cast<size_t>(cc.ocg * oh * ow));
+      std::vector<uint8_t> want_u(want.size());
+      float want_lo, want_hi;
+      epilogue_reference(false, false, cc.ocg, oh * ow, krows, wg,
+                         cols.data(), qp, er, want.data(), want_u.data(),
+                         &want_lo, &want_hi);
+      src.planes = codes.data() + g * cc.icg * cc.H * cc.W;
+      const std::vector<uint8_t> wi =
+          image_weights(wg, cc.ocg, cc.icg, cc.kernel);
+      for (SimdLevel level : host_simd_levels())
+        for (const int64_t kc : {int64_t{0}, int64_t{12}}) {
+          SimdCapScope cap(level);
+          KernelPlan plan = s8_plan(false, false, cc.ocg, oh * ow, krows);
+          plan.kc = kc;
+          const uint8_t want_flip = gemm_s8_conv_image_flip(plan, qp);
+          for (const uint8_t flip :
+               {want_flip, static_cast<uint8_t>(want_flip ^ 0x80)}) {
+            const std::string run = at + " level=" + simd_level_name(level) +
+                                    " kc=" + std::to_string(kc) +
+                                    " flip=" + std::to_string(flip);
+            std::vector<uint8_t> space;
+            const GemmS8ConvImage ci = stage_image(src, flip, space);
+            // The pool-split staging writes the same bytes.
+            std::vector<uint8_t> pooled(space.size(), 0xA5);
+            stage_conv_image_u8(src.planes, src.icg, src.H, src.W,
+                                src.kernel, src.stride, src.padding,
+                                src.pad_code, flip, pooled.data(),
+                                /*pooled=*/true);
+            ASSERT_EQ(0, std::memcmp(space.data(), pooled.data(),
+                                     space.size()))
+                << run;
+            std::vector<float> got(want.size(), -1e30f);
+            std::vector<uint8_t> got_u(want.size(), 7);
+            float lo, hi;
+            GemmS8Epilogue epi = to_epilogue(er, &lo, &hi);
+            run_s8(plan, wi.data(), nullptr, nullptr, qp, &epi, got.data(),
+                   nullptr, &ci);
+            ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                     want.size() * sizeof(float)))
+                << run;
+            EXPECT_EQ(want_lo, lo) << run;
+            EXPECT_EQ(want_hi, hi) << run;
+            run_s8(plan, wi.data(), nullptr, nullptr, qp, &epi, nullptr,
+                   got_u.data(), &ci);
+            EXPECT_EQ(0, std::memcmp(want_u.data(), got_u.data(),
+                                     want_u.size()))
+                << run;
+          }
+        }
     }
-    std::vector<float> got(want.size(), -1e30f);
-    float lo, hi;
-    epi.observe_lo = &lo;
-    epi.observe_hi = &hi;
-    run_s8(s8_plan(false, false, cc.OC, oh * ow, krows), w.data(), nullptr, &cb,
-           qp, &epi, got.data(), nullptr);
-    for (size_t i = 0; i < want.size(); ++i)
-      ASSERT_EQ(want[i], got[i])
-          << "k=" << cc.kernel << " s=" << cc.stride << " p=" << cc.padding
-          << " i=" << i;
-    EXPECT_EQ(want_lo, lo);
-    EXPECT_EQ(want_hi, hi);
-
-    // Requant flavour on the fast-path shape too.
-    std::vector<uint8_t> want_u(want.size()), got_u(want.size());
-    run_s8(s8_plan(false, false, cc.OC, oh * ow, krows), w.data(), cols.data(),
-           nullptr, qp, &epi, nullptr, want_u.data());
-    run_s8(s8_plan(false, false, cc.OC, oh * ow, krows), w.data(), nullptr, &cb,
-           qp, &epi, nullptr, got_u.data());
-    EXPECT_EQ(0, std::memcmp(want_u.data(), got_u.data(), want_u.size()));
   }
 }
 
 TEST(GemmS8ConvBOperand, PairStrategyAlsoMatches) {
-  // Full-range weight codes disable the quad strategy, so the pair-layout
-  // conv packer is exercised.
+  // Full-range weight codes keep the quad tiles away, so the AVX2 level
+  // packs int16 pairs from the image (and VNNI reads it recentred).
   const int64_t C = 8, H = 16, W = 16, OC = 10, kernel = 3;
   const int64_t oh = H, ow = W, krows = C * kernel * kernel;
   std::vector<uint8_t> codes(static_cast<size_t>(C * H * W));
@@ -1264,23 +1426,28 @@ TEST(GemmS8ConvBOperand, PairStrategyAlsoMatches) {
   im2col_u8(codes.data(), C, H, W, 0, 0, C, kernel, 1, 1, oh, ow, pad_code,
             cols.data());
   std::vector<float> want(static_cast<size_t>(OC * oh * ow));
-  run_s8(s8_plan(false, false, OC, oh * ow, krows), w.data(), cols.data(),
-         nullptr, qp, nullptr, want.data(), nullptr);
-  GemmS8ConvB cb;
-  cb.kernel = kernel;
-  cb.stride = 1;
-  cb.oh = oh;
-  cb.ow = ow;
-  cb.ph = H + 2;
-  cb.pw = W + 2;
-  std::vector<uint8_t> stage(static_cast<size_t>(C * cb.ph * cb.pw));
-  stage_padded_u8(codes.data(), C, H, W, 1, pad_code, stage.data(), false);
-  cb.padded = stage.data();
-  std::vector<float> got(want.size());
-  GemmS8Epilogue epi;  // plain dequantising epilogue (no bias/relu)
-  run_s8(s8_plan(false, false, OC, oh * ow, krows), w.data(), nullptr, &cb, qp,
-         &epi, got.data(), nullptr);
-  for (size_t i = 0; i < want.size(); ++i) ASSERT_EQ(want[i], got[i]) << i;
+  gemm_s8_reference(false, false, OC, oh * ow, krows, w.data(), cols.data(),
+                    qp, want.data());
+  ConvSrc src;
+  src.planes = codes.data();
+  src.icg = C;
+  src.H = H;
+  src.W = W;
+  src.pad_code = pad_code;
+  const std::vector<uint8_t> wi = image_weights(w.data(), OC, C, kernel);
+  for (SimdLevel level : host_simd_levels()) {
+    SimdCapScope cap(level);
+    const KernelPlan plan = s8_plan(false, false, OC, oh * ow, krows);
+    std::vector<uint8_t> space;
+    const GemmS8ConvImage ci =
+        stage_image(src, gemm_s8_conv_image_flip(plan, qp), space);
+    std::vector<float> got(want.size());
+    GemmS8Epilogue epi;  // plain dequantising epilogue (no bias/relu)
+    run_s8(plan, wi.data(), nullptr, nullptr, qp, &epi, got.data(), nullptr,
+           &ci);
+    for (size_t i = 0; i < want.size(); ++i)
+      ASSERT_EQ(want[i], got[i]) << simd_level_name(level) << " " << i;
+  }
 }
 
 // ------------------------------------ kernel differential (VNNI tile)
@@ -1298,6 +1465,9 @@ struct S8DiffRun {
   const uint8_t* a = nullptr;
   const uint8_t* b = nullptr;
   const GemmS8ConvB* conv_b = nullptr;
+  // The conv forward's input, staged per run as the image each level
+  // reads in place and as one of the other flip (a packed from it).
+  const ConvSrc* conv_src = nullptr;
   GemmS8Params qp;
   int64_t kc = 0;
   bool split_n = false;
@@ -1330,23 +1500,39 @@ void expect_kernels_agree(const S8DiffRun& r, const std::string& what) {
   std::vector<Out> outs;
   for (SimdLevel level : host_simd_levels())
     for (PlanStrategy strategy :
-         {PlanStrategy::kS8Quad, PlanStrategy::kS8Pairs}) {
-      SimdCapScope cap(level);
-      KernelPlan plan = s8_plan(r.ta, r.tb, r.m, r.n, r.k, strategy);
-      plan.kc = r.kc;
-      plan.split_n = r.split_n;
-      Out o;
-      o.raw.assign(len, -1.0f);
-      o.fused.assign(len, -2.0f);
-      o.codes.assign(len, 7);
-      run_s8(plan, r.a, r.b, r.conv_b, r.qp, nullptr, o.raw.data(), nullptr);
-      GemmS8Epilogue epi = to_epilogue(er, &o.lo[0], &o.hi[0]);
-      run_s8(plan, r.a, r.b, r.conv_b, r.qp, &epi, o.fused.data(), nullptr);
-      epi.observe_lo = &o.lo[1];
-      epi.observe_hi = &o.hi[1];
-      run_s8(plan, r.a, r.b, r.conv_b, r.qp, &epi, nullptr, o.codes.data());
-      outs.push_back(std::move(o));
-    }
+         {PlanStrategy::kS8Quad, PlanStrategy::kS8Pairs})
+      for (const bool other_flip : {false, true}) {
+        if (other_flip && r.conv_src == nullptr) continue;
+        SimdCapScope cap(level);
+        KernelPlan plan = s8_plan(r.ta, r.tb, r.m, r.n, r.k, strategy);
+        plan.kc = r.kc;
+        plan.split_n = r.split_n;
+        std::vector<uint8_t> space;
+        GemmS8ConvImage ci;
+        const GemmS8ConvImage* image = nullptr;
+        if (r.conv_src != nullptr) {
+          const uint8_t flip = gemm_s8_conv_image_flip(plan, r.qp);
+          ci = stage_image(*r.conv_src,
+                           other_flip ? static_cast<uint8_t>(flip ^ 0x80)
+                                      : flip,
+                           space);
+          image = &ci;
+        }
+        Out o;
+        o.raw.assign(len, -1.0f);
+        o.fused.assign(len, -2.0f);
+        o.codes.assign(len, 7);
+        run_s8(plan, r.a, r.b, r.conv_b, r.qp, nullptr, o.raw.data(), nullptr,
+               image);
+        GemmS8Epilogue epi = to_epilogue(er, &o.lo[0], &o.hi[0]);
+        run_s8(plan, r.a, r.b, r.conv_b, r.qp, &epi, o.fused.data(), nullptr,
+               image);
+        epi.observe_lo = &o.lo[1];
+        epi.observe_hi = &o.hi[1];
+        run_s8(plan, r.a, r.b, r.conv_b, r.qp, &epi, nullptr, o.codes.data(),
+               image);
+        outs.push_back(std::move(o));
+      }
   const Out& want = outs[0];
   for (size_t i = 1; i < outs.size(); ++i) {
     const Out& got = outs[i];
@@ -1428,62 +1614,87 @@ TEST(GemmS8KernelDiff, ExplicitOperandsBitIdenticalAcrossKernels) {
 }
 
 TEST(GemmS8KernelDiff, ImplicitConvOperandBitIdenticalAcrossKernels) {
-  // The implicit conv operand in both orientations: forward (B = the
-  // virtual im2col matrix) and the weight gradient's transposed B.
+  // Both conv operands: the forward's channel-quad image (each level's
+  // in-place or packing route, and the packing route from an image of
+  // the other flip) and the weight gradient's transposed B over the
+  // padded NCHW image.
   if (!cpu_has_avx512())
     GTEST_SKIP() << "no AVX-512 F/VL/VNNI on this CPU (or APT_SIMD caps it)";
   struct ConvCase {
-    int64_t C, H, W, OC, kernel, stride, padding;
+    int64_t groups, C, H, W, OC, kernel, stride, padding;
     int32_t max_w;  // weight (A) code ceiling
+    int32_t max_x;  // input (B) code ceiling
     int32_t za, zb;
   };
   constexpr ConvCase kCases[] = {
-      {8, 16, 16, 10, 3, 1, 1, 255, 128, 0},   // full range, ow = 16
-      {4, 9, 7, 6, 3, 1, 1, 63, 0, 255},       // odd ow, quad ceiling
-      {4, 8, 8, 6, 3, 2, 1, 255, 255, 128},    // strided
-      {3, 10, 10, 5, 5, 1, 2, 255, 17, 200},   // big kernel
-      {64, 8, 8, 16, 3, 1, 1, 255, 128, 128},  // k = 576 taps
+      {1, 8, 16, 16, 10, 3, 1, 1, 255, 255, 128, 0},   // full range, ow 16
+      {1, 4, 9, 7, 6, 3, 1, 1, 63, 255, 0, 255},       // odd ow, a-small
+      {1, 4, 8, 8, 6, 3, 2, 1, 255, 255, 255, 128},    // strided
+      {1, 3, 10, 10, 5, 5, 1, 2, 255, 255, 17, 200},   // big kernel
+      {1, 64, 8, 8, 16, 3, 1, 1, 255, 255, 128, 128},  // k = 576 taps
+      {2, 5, 8, 8, 6, 3, 1, 1, 63, 255, 0, 255},       // groups, icg 5
+      {1, 4, 7, 5, 9, 3, 1, 1, 255, 40, 255, 0},       // b-small, n = 35
+      {1, 3, 9, 9, 6, 3, 2, 1, 255, 255, 0, 255},      // stride 2, pw 11
   };
   for (const ConvCase& cc : kCases) {
+    const int64_t icg = cc.C / cc.groups, ocg = cc.OC / cc.groups;
     const int64_t oh = (cc.H + 2 * cc.padding - cc.kernel) / cc.stride + 1;
     const int64_t ow = (cc.W + 2 * cc.padding - cc.kernel) / cc.stride + 1;
-    const int64_t taps = cc.C * cc.kernel * cc.kernel, npos = oh * ow;
+    const int64_t taps = icg * cc.kernel * cc.kernel, npos = oh * ow;
     std::vector<uint8_t> codes(static_cast<size_t>(cc.C * cc.H * cc.W));
-    fill_codes(codes, 81 + cc.C);
-    GemmS8ConvB cb;
-    cb.kernel = cc.kernel;
-    cb.stride = cc.stride;
-    cb.oh = oh;
-    cb.ow = ow;
-    cb.ph = cc.H + 2 * cc.padding;
-    cb.pw = cc.W + 2 * cc.padding;
-    std::vector<uint8_t> stage(static_cast<size_t>(cc.C * cb.ph * cb.pw));
-    stage_padded_u8(codes.data(), cc.C, cc.H, cc.W, cc.padding,
-                    static_cast<uint8_t>(cc.zb), stage.data(),
-                    /*pooled=*/false);
-    cb.padded = stage.data();
-    for (bool tb : {false, true}) {
-      // Forward: W [OC x taps] x cols. Weight gradient: dY [OC x npos]
-      // x colsᵀ.
-      const int64_t k = tb ? npos : taps, n = tb ? taps : npos;
-      const int32_t max_a = tb ? 255 : cc.max_w;
-      std::vector<uint8_t> a(static_cast<size_t>(cc.OC * k));
-      fill_codes(a, 82 + k, 0, max_a);
-      for (int64_t kc : {int64_t{0}, int64_t{40}}) {
-        S8DiffRun r;
-        r.tb = tb;
-        r.m = cc.OC;
-        r.n = n;
-        r.k = k;
-        r.a = a.data();
-        r.conv_b = &cb;
-        r.qp = GemmS8Params{0.01, 0.02, cc.za, cc.zb, max_a, 255};
-        r.kc = kc;
-        expect_kernels_agree(
-            r, "C=" + std::to_string(cc.C) + " kernel=" +
-                   std::to_string(cc.kernel) + " stride=" +
-                   std::to_string(cc.stride) + " tb=" + std::to_string(tb) +
-                   " kc=" + std::to_string(kc));
+    fill_codes(codes, 81 + cc.C, 0, cc.max_x);
+    for (int64_t g = 0; g < cc.groups; ++g) {
+      const uint8_t* plane = codes.data() + g * icg * cc.H * cc.W;
+      const std::string geo =
+          "C=" + std::to_string(cc.C) + " kernel=" + std::to_string(cc.kernel) +
+          " stride=" + std::to_string(cc.stride) + " g=" + std::to_string(g);
+      ConvSrc src;
+      src.planes = plane;
+      src.icg = icg;
+      src.H = cc.H;
+      src.W = cc.W;
+      src.kernel = cc.kernel;
+      src.stride = cc.stride;
+      src.padding = cc.padding;
+      src.pad_code = static_cast<uint8_t>(cc.zb);
+      GemmS8ConvB cb;
+      cb.kernel = cc.kernel;
+      cb.stride = cc.stride;
+      cb.oh = oh;
+      cb.ow = ow;
+      cb.ph = cc.H + 2 * cc.padding;
+      cb.pw = cc.W + 2 * cc.padding;
+      std::vector<uint8_t> stage(static_cast<size_t>(icg * cb.ph * cb.pw));
+      stage_padded_u8(plane, icg, cc.H, cc.W, cc.padding,
+                      static_cast<uint8_t>(cc.zb), stage.data(),
+                      /*pooled=*/false);
+      cb.padded = stage.data();
+      for (bool tb : {false, true}) {
+        // Forward: W [ocg x taps] x cols, the weights in the image's k
+        // order. Weight gradient: dY [ocg x npos] x colsᵀ.
+        const int64_t k = tb ? npos : taps, n = tb ? taps : npos;
+        const int32_t max_a = tb ? 255 : cc.max_w;
+        std::vector<uint8_t> a(static_cast<size_t>(ocg * k));
+        fill_codes(a, 82 + k, 0, max_a);
+        if (!tb) a = image_weights(a.data(), ocg, icg, cc.kernel);
+        for (int64_t kc : {int64_t{0}, int64_t{40}}) {
+          S8DiffRun r;
+          r.tb = tb;
+          r.m = ocg;
+          r.n = n;
+          r.k = k;
+          r.a = a.data();
+          if (tb) {
+            r.conv_b = &cb;
+          } else {
+            r.conv_src = &src;
+          }
+          r.qp = GemmS8Params{0.01, 0.02, cc.za, cc.zb, max_a,
+                              tb ? 255 : cc.max_x};
+          r.kc = kc;
+          expect_kernels_agree(r, geo + " tb=" + std::to_string(tb) +
+                                      " kc=" + std::to_string(kc));
+        }
       }
     }
   }
@@ -1492,7 +1703,8 @@ TEST(GemmS8KernelDiff, ImplicitConvOperandBitIdenticalAcrossKernels) {
 TEST(GemmS8Packing, QuadBPackerFlipsBytesButSumsOriginalCodes) {
   // The VNNI full-range form packs B with every byte XORed with 0x80;
   // the column sums feeding the zero-point correction stay those of the
-  // original codes. Explicit (both orientations) and implicit operands.
+  // original codes. Explicit (both orientations) and the transposed
+  // implicit operand.
   const int64_t k = 37, n = 29;
   std::vector<uint8_t> b(static_cast<size_t>(k * n));
   fill_codes(b, 95);
@@ -1521,19 +1733,19 @@ TEST(GemmS8Packing, QuadBPackerFlipsBytesButSumsOriginalCodes) {
   cb.oh = H - 2;
   cb.ow = W - 2;
   const int64_t taps = C * 9, npos = cb.oh * cb.ow;
-  for (bool tb : {false, true}) {
-    const int64_t kk = tb ? npos : taps, nn = tb ? taps : npos;
+  {
+    const int64_t kk = npos, nn = taps;
     const size_t len = static_cast<size_t>((nn + kGemmNR - 1) / kGemmNR *
                                            kGemmNR * 4 * ((kk + 3) / 4));
     std::vector<uint8_t> plain(len), flipped(len);
     std::vector<int32_t> sum_plain(static_cast<size_t>(nn), 0);
     std::vector<int32_t> sum_flipped(static_cast<size_t>(nn), 0);
-    gemm_s8_pack_b_quads_conv(cb, tb, 0, kk, 0, nn, plain.data(),
+    gemm_s8_pack_b_quads_conv(cb, 0, kk, 0, nn, plain.data(),
                               sum_plain.data());
-    gemm_s8_pack_b_quads_conv(cb, tb, 0, kk, 0, nn, flipped.data(),
+    gemm_s8_pack_b_quads_conv(cb, 0, kk, 0, nn, flipped.data(),
                               sum_flipped.data(), 0x80);
     for (size_t i = 0; i < len; ++i)
-      ASSERT_EQ(plain[i] ^ 0x80, flipped[i]) << "conv tb=" << tb << " i=" << i;
+      ASSERT_EQ(plain[i] ^ 0x80, flipped[i]) << "conv i=" << i;
     EXPECT_EQ(sum_plain, sum_flipped);
   }
 }
