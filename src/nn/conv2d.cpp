@@ -358,14 +358,10 @@ inline __m128i load_strided(const uint8_t* row, int64_t x, int64_t stride,
   return _mm_packus_epi16(_mm_srli_epi16(lo, 8), _mm_srli_epi16(hi, 8));
 }
 
-// kN output pixels of channel quad rows ch[0..3] from source column x as
-// kN interleaved words at dst, XORed with vflip.
+// The low kN bytes of the four channels' vectors v[0..3] as kN
+// interleaved words at dst, XORed with vflip.
 template <int kN>
-inline void interleave_words(const uint8_t* const* ch, int64_t x,
-                             int64_t stride, int64_t width, __m128i vflip,
-                             uint32_t* dst) {
-  __m128i v[4];
-  for (int t = 0; t < 4; ++t) v[t] = load_strided<kN>(ch[t], x, stride, width);
+inline void store_words(const __m128i* v, __m128i vflip, uint32_t* dst) {
   auto* out = reinterpret_cast<__m128i*>(dst);
   for (int h = 0; h < kN / 8; ++h) {
     const __m128i c01 = h == 0 ? _mm_unpacklo_epi8(v[0], v[1])
@@ -377,6 +373,36 @@ inline void interleave_words(const uint8_t* const* ch, int64_t x,
     _mm_storeu_si128(out + 2 * h, _mm_xor_si128(w0, vflip));
     _mm_storeu_si128(out + 2 * h + 1, _mm_xor_si128(w1, vflip));
   }
+}
+
+// kN output pixels of channel quad rows ch[0..3] from source column x as
+// kN interleaved words at dst, XORed with vflip.
+template <int kN>
+inline void interleave_words(const uint8_t* const* ch, int64_t x,
+                             int64_t stride, int64_t width, __m128i vflip,
+                             uint32_t* dst) {
+  __m128i v[4];
+  for (int t = 0; t < 4; ++t) v[t] = load_strided<kN>(ch[t], x, stride, width);
+  store_words<kN>(v, vflip, dst);
+}
+
+// Both column phases of a stride-2 row at once: the 2*kN source columns
+// from x of channel quad rows ch[0..3], loaded once, the even ones as kN
+// words at dst0 and the odd ones at dst1.
+template <int kN>
+inline void interleave_word_phases(const uint8_t* const* ch, int64_t x,
+                                   __m128i vflip, uint32_t* dst0,
+                                   uint32_t* dst1) {
+  const __m128i even = _mm_set1_epi16(0x00ff);
+  __m128i ev[4], od[4];
+  for (int t = 0; t < 4; ++t) {
+    const __m128i lo = load16(ch[t] + x);
+    const __m128i hi = kN == 16 ? load16(ch[t] + x + 16) : _mm_setzero_si128();
+    ev[t] = _mm_packus_epi16(_mm_and_si128(lo, even), _mm_and_si128(hi, even));
+    od[t] = _mm_packus_epi16(_mm_srli_epi16(lo, 8), _mm_srli_epi16(hi, 8));
+  }
+  store_words<kN>(ev, vflip, dst0);
+  store_words<kN>(od, vflip, dst1);
 }
 
 // Channel sums of kN consecutive pixels from column x of source row y,
@@ -423,22 +449,41 @@ void stage_quad(const uint8_t* planes, int64_t c_count, int64_t H, int64_t W,
       0x01010101u * static_cast<uint8_t>(pad_code ^ flip);
   const uint32_t flip_word = 0x01010101u * flip;
   const int64_t plane = sp.php * sp.pwp;
+  // Phase b's columns [*lo, *hi), whose pixel X = c*stride + b reads
+  // source column c*stride + b - padding inside the row.
+  auto interior = [&](int64_t b, int64_t* lo, int64_t* hi) {
+    *lo = std::min(
+        sp.pwp, std::max<int64_t>(0, (padding - b + stride - 1) / stride));
+    *hi = std::min(sp.pwp,
+                   std::max(*lo, (padding + W - b + stride - 1) / stride));
+  };
+  // At stride 2 the b = 0 pass stages the first `joint` interior columns
+  // of both column phases from one load of the source row: source column
+  // x is padded pixel x + padding, column (x + padding) / 2 of phase
+  // (x + padding) % 2, so a load from x = 0 splits into the even bytes of
+  // one phase and the odd bytes of the other, each from its first
+  // interior column lo[b] on.
 #if APT_X86
+  int64_t joint = 0;
+  int64_t lo[2] = {0, 0};
   const __m128i vflip = _mm_set1_epi8(static_cast<char>(flip));
   // Vector chunks read whole rows of the source: stride 1, or stride 2
   // over rows at least twice the chunk wide.
   const bool vec16 = stride == 1 || (stride == 2 && W >= 32);
   const bool vec8 = stride == 1 || (stride == 2 && W >= 16);
+  if (stride == 2 && sp.phases == 2) {
+    int64_t hi0, hi1;
+    interior(0, &lo[0], &hi0);
+    interior(1, &lo[1], &hi1);
+    joint = std::min({W / 2, hi0 - lo[0], hi1 - lo[1]}) / 8 * 8;
+  }
 #endif
   for (int64_t a = 0; a < sp.phases; ++a)
     for (int64_t b = 0; b < sp.phases; ++b) {
       auto* dst_plane = reinterpret_cast<uint32_t*>(img) +
                         ((cq * sp.phases + a) * sp.phases + b) * plane;
-      // Phase columns whose pixel X = c*stride + b is an interior column.
-      const int64_t c_lo = std::min(
-          sp.pwp, std::max<int64_t>(0, (padding - b + stride - 1) / stride));
-      const int64_t c_hi = std::min(
-          sp.pwp, std::max(c_lo, (padding + W - b + stride - 1) / stride));
+      int64_t c_lo, c_hi;
+      interior(b, &c_lo, &c_hi);
       for (int64_t r = 0; r < sp.php; ++r) {
         uint32_t* row = dst_plane + r * sp.pwp;
         const int64_t y = r * stride + a - padding;
@@ -453,19 +498,30 @@ void stage_quad(const uint8_t* planes, int64_t c_count, int64_t H, int64_t W,
         }
         std::fill(row, row + c_lo, pad_word);
         int64_t c = c_lo;
-        const int64_t x0 = c_lo * stride + b - padding;  // source x of c_lo
 #if APT_X86
+        if (joint > 0 && b == 0) {
+          // Even source bytes belong to phase padding % 2.
+          const int64_t be = padding & 1;
+          uint32_t* even = row + be * plane + lo[be];
+          uint32_t* odd = row + (1 - be) * plane + lo[1 - be];
+          int64_t m = 0;
+          for (; m + 16 <= joint; m += 16)
+            interleave_word_phases<16>(ch, 2 * m, vflip, even + m, odd + m);
+          for (; m < joint; m += 8)
+            interleave_word_phases<8>(ch, 2 * m, vflip, even + m, odd + m);
+        }
+        c += joint;
         if (vec16)
           for (; c + 16 <= c_hi; c += 16)
-            interleave_words<16>(ch, x0 + (c - c_lo) * stride, stride, W,
+            interleave_words<16>(ch, c * stride + b - padding, stride, W,
                                  vflip, row + c);
         if (vec8)
           for (; c + 8 <= c_hi; c += 8)
-            interleave_words<8>(ch, x0 + (c - c_lo) * stride, stride, W,
+            interleave_words<8>(ch, c * stride + b - padding, stride, W,
                                 vflip, row + c);
 #endif
         for (; c < c_hi; ++c) {
-          const int64_t x = x0 + (c - c_lo) * stride;
+          const int64_t x = c * stride + b - padding;
           row[c] = (static_cast<uint32_t>(ch[0][x]) |
                     static_cast<uint32_t>(ch[1][x]) << 8 |
                     static_cast<uint32_t>(ch[2][x]) << 16 |
@@ -741,14 +797,14 @@ Conv2d::Conv2d(std::string name, const Conv2dOptions& opts, Rng& rng)
 }
 
 PlanKey ConvS8Forward::plan_key(const Conv2dOptions& o, int64_t h,
-                                int64_t w, int32_t w_max) {
+                                int64_t w, int32_t w_max, int32_t x_max) {
   const int64_t oh = (h + 2 * o.padding - o.kernel) / o.stride + 1;
   const int64_t ow = (w + 2 * o.padding - o.kernel) / o.stride + 1;
   return PlanKey::conv_s8(
       o.out_channels / o.groups, oh * ow,
       o.in_channels / o.groups * o.kernel * o.kernel,
       static_cast<int32_t>(o.kernel), static_cast<int32_t>(o.stride),
-      static_cast<int32_t>(o.padding), w_max, /*max_b=*/255);
+      static_cast<int32_t>(o.padding), w_max, x_max);
 }
 
 namespace {
@@ -760,6 +816,86 @@ int64_t forward_weight_row(const KernelPlan& plan, const Conv2dOptions& o) {
   const int64_t icg = o.in_channels / o.groups;
   if (plan.strategy == PlanStrategy::kS8ConvDirect) return icg;
   return (icg + 3) / 4 * 4 * o.kernel * o.kernel;
+}
+
+// An integer conv's dX is itself a stride-1 conv over dY, its
+// transposed conv:
+//
+//   dX[c][y][x] = sum over (o, kh, kw) of Wf[c][o][kh][kw] *
+//                 dY'[o][y + kh][x + kw],
+//
+// Wf the weight codes flipped in (kh, kw) with input and output channels
+// swapped (flip_weights), and dY' dY padded by k-1-p with the gradient
+// grid's zero-point. A strided conv, or one padded by a kernel or more,
+// instead reads dY zero-inserted (insert_zeros): codes at multiples of
+// the stride, the zero-point elsewhere, in a plane sized so the
+// unpadded stride-1 conv lands exactly on H x W.
+struct TransposedConv {
+  Conv2dOptions o;  // OC input channels, IC output channels, stride 1
+  int64_t h, w;     // its input plane: dY, or the zero-inserted plane
+  bool inserted;
+};
+
+TransposedConv transposed_conv(const Conv2dOptions& o, int64_t H,
+                               int64_t W) {
+  TransposedConv t;
+  t.o = o;
+  t.o.in_channels = o.out_channels;
+  t.o.out_channels = o.in_channels;
+  t.o.stride = 1;
+  t.o.bias = false;
+  t.inserted = o.stride > 1 || o.padding >= o.kernel;
+  if (t.inserted) {
+    t.o.padding = 0;
+    t.h = H + o.kernel - 1;
+    t.w = W + o.kernel - 1;
+  } else {
+    t.o.padding = o.kernel - 1 - o.padding;
+    t.h = H + 2 * o.padding - o.kernel + 1;
+    t.w = W + 2 * o.padding - o.kernel + 1;
+  }
+  return t;
+}
+
+// [OC][IC/G][K][K] weight codes as the transposed conv's
+// [IC][OC/G][K][K], each kernel reversed in (kh, kw).
+void flip_weights(const Conv2dOptions& o, const uint8_t* w, uint8_t* dst) {
+  const int64_t icg = o.in_channels / o.groups;
+  const int64_t ocg = o.out_channels / o.groups;
+  const int64_t kk = o.kernel * o.kernel;
+  for (int64_t g = 0; g < o.groups; ++g)
+    for (int64_t c = 0; c < icg; ++c)
+      for (int64_t r = 0; r < ocg; ++r) {
+        const uint8_t* src = w + ((g * ocg + r) * icg + c) * kk;
+        uint8_t* out = dst + ((g * icg + c) * ocg + r) * kk;
+        for (int64_t t = 0; t < kk; ++t) out[t] = src[kk - 1 - t];
+      }
+}
+
+// One sample's [OC][oh][ow] dY codes zero-inserted into the transposed
+// conv's [OC][ph][pw] input plane: dY[i][j] at (i*s + d, j*s + d),
+// d = k-1-p (the plane's pixel of zero-inserted position 0), every
+// other pixel `zero`. Codes that land outside the plane (padding >=
+// kernel) are cropped.
+void insert_zeros(const Conv2dOptions& o, const uint8_t* dy, int64_t oh,
+                  int64_t ow, int64_t ph, int64_t pw, uint8_t zero,
+                  uint8_t* plane) {
+  const int64_t s = o.stride, d = o.kernel - 1 - o.padding;
+  // dY index range [lo, hi) whose plane coordinate i*s + d lies in [0, n).
+  auto range = [&](int64_t count, int64_t n, int64_t* lo, int64_t* hi) {
+    *lo = d >= 0 ? 0 : (s - 1 - d) / s;
+    *hi = std::max(*lo, std::min(count, n - d > 0 ? (n - 1 - d) / s + 1 : 0));
+  };
+  int64_t i_lo, i_hi, j_lo, j_hi;
+  range(oh, ph, &i_lo, &i_hi);
+  range(ow, pw, &j_lo, &j_hi);
+  std::fill(plane, plane + o.out_channels * ph * pw, zero);
+  for (int64_t c = 0; c < o.out_channels; ++c)
+    for (int64_t i = i_lo; i < i_hi; ++i) {
+      const uint8_t* src = dy + (c * oh + i) * ow;
+      uint8_t* row = plane + (c * ph + i * s + d) * pw;
+      for (int64_t j = j_lo; j < j_hi; ++j) row[j * s + d] = src[j];
+    }
 }
 
 }  // namespace
@@ -804,6 +940,7 @@ ConvS8Forward::ConvS8Forward(const KernelPlan& plan, const Conv2dOptions& o,
       in_plane_(h * w),
       out_plane_(plan.key.n) {
   params_.max_a = args.w_max;
+  params_.max_b = static_cast<int32_t>(quant::max_code(args.x_grid.bits));
   if (!direct_) flip_ = gemm_s8_conv_image_flip(plan, params_);
 }
 
@@ -815,11 +952,22 @@ uint8_t* ConvS8Forward::alloc_stage(ScratchArena::Scope& scope) const {
 
 void ConvS8Forward::run(int64_t n, int64_t g, uint8_t* stage, bool pooled,
                         float* lo, float* hi) const {
+  run_on(args_.x + n * c_ * in_plane_, n, g, stage, pooled, lo, hi);
+}
+
+void ConvS8Forward::run(const uint8_t* x, int64_t n, int64_t g,
+                        uint8_t* stage) const {
+  run_on(x, n, g, stage, /*pooled=*/false, nullptr, nullptr);
+}
+
+void ConvS8Forward::run_on(const uint8_t* x, int64_t n, int64_t g,
+                           uint8_t* stage, bool pooled, float* lo,
+                           float* hi) const {
   GemmS8ConvImage ci;
   GemmS8Args ga;
   ga.a = args_.w + g * ocg_ * a_row_;
   ga.params = params_;
-  const uint8_t* plane = args_.x + (n * c_ + g * icg_) * in_plane_;
+  const uint8_t* plane = x + g * icg_ * in_plane_;
   if (direct_) {
     // B = the [icg, H*W] code plane itself (k = icg, n = OH*OW = H*W):
     // bit-identical to the implicit gather, zero staging.
@@ -930,8 +1078,10 @@ Tensor Conv2d::forward_int8(const uint8_t* x, const quant::QuantParams& xq,
   // pure cache hit. The weight codes are reordered to the conv image's k
   // order once per call, into the caller's scratch scope, so no
   // reordered copy outlives the call (nothing to invalidate on a step).
-  const KernelPlan& plan =
-      plan_for(ConvS8Forward::plan_key(opts_, H, W, args.w_max), plan_hit());
+  const KernelPlan& plan = plan_for(
+      ConvS8Forward::plan_key(opts_, H, W, args.w_max,
+                              static_cast<int32_t>(quant::max_code(xq.bits))),
+      plan_hit());
   if (const int64_t wb = ConvS8Forward::weight_bytes(plan, opts_); wb > 0) {
     auto* wi = static_cast<uint8_t*>(
         obs_scope.alloc_bytes(static_cast<size_t>(wb)));
@@ -1009,18 +1159,33 @@ Tensor Conv2d::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
   const int64_t icg = opts_.in_channels / G, ocg = opts_.out_channels / G;
   const int64_t krows = icg * opts_.kernel * opts_.kernel;
   const quant::QuantizedTensor* wq = int8_weights();
-  const uint8_t* wcodes = wq->codes_u8();
+  const auto g_max = static_cast<int32_t>(quant::max_code(gq.bits));
+  Tensor dx(x.shape);
 
-  // dcols [krows, OH*OW] = Wq_gᵀ [krows, ocg] · dYq_g [ocg, OH*OW]: a
-  // plain code-plane GEMM (dY is contiguous), keyed with the conv
-  // geometry; weight AND gradient ceilings are quad-eligible.
-  GemmS8Params pc = s8_params(wq->params(), gq);
-  pc.max_a = static_cast<int32_t>(quant::max_code(wq->bits()));
-  pc.max_b = static_cast<int32_t>(quant::max_code(kGradSrBits));
-  const KernelPlan& plan_dcols = plan_for(PlanKey::conv_s8_grad_cols(
-      krows, OH * OW, ocg, static_cast<int32_t>(opts_.kernel),
-      static_cast<int32_t>(opts_.stride),
-      static_cast<int32_t>(opts_.padding), pc.max_a, pc.max_b));
+  // dX = the transposed conv's forward over dY: one exact integer sum
+  // and one float(Sa*Sb*T) per element. Its weights (flipped, channels
+  // swapped, then in the image's k order) live in the caller's scratch
+  // scope, so steady-state backwards allocate nothing.
+  ScratchArena::Scope outer(ScratchArena::thread_local_arena());
+  const TransposedConv tc = transposed_conv(opts_, H, W);
+  S8ForwardArgs dargs;  // run() is handed each sample's input plane
+  dargs.x_grid = gq;
+  dargs.w_grid = wq->params();
+  dargs.w_max = static_cast<int32_t>(quant::max_code(wq->bits()));
+  dargs.y = dx.data();
+  const KernelPlan& plan_dx = plan_for(
+      ConvS8Forward::plan_key(tc.o, tc.h, tc.w, dargs.w_max, g_max));
+  auto* wf = static_cast<uint8_t*>(
+      outer.alloc_bytes(static_cast<size_t>(weight_.numel())));
+  flip_weights(opts_, wq->codes_u8(), wf);
+  dargs.w = wf;
+  if (const int64_t wb = ConvS8Forward::weight_bytes(plan_dx, tc.o); wb > 0) {
+    auto* wi = static_cast<uint8_t*>(
+        outer.alloc_bytes(static_cast<size_t>(wb)));
+    ConvS8Forward::reorder_weights(tc.o, wf, wi);
+    dargs.w = wi;
+  }
+  const ConvS8Forward dx_conv(plan_dx, tc.o, tc.h, tc.w, dargs);
 
   // dW_g [ocg, krows] = dYq_g [ocg, OH*OW] · colsᵀ [OH*OW, krows], cols
   // the byte im2col of the cached input codes (padding = the input
@@ -1028,54 +1193,39 @@ Tensor Conv2d::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
   // GEMM packs it straight from each sample's padded code image through
   // the transposed implicit operand (padded_operand; the plan's trans_b).
   GemmS8Params pw = s8_params(gq, xq);
-  pw.max_a = static_cast<int32_t>(quant::max_code(kGradSrBits));
+  pw.max_a = g_max;
   pw.max_b = static_cast<int32_t>(quant::max_code(xq.bits));
   const KernelPlan& plan_dw = plan_for(
       PlanKey::s8_grad_dw(ocg, krows, OH * OW, /*trans_a=*/false,
                           /*trans_b=*/true, pw.max_a, pw.max_b));
   const auto pad_code = static_cast<uint8_t>(xq.zero_point);
 
-  Tensor dx(x.shape);
-
-  // Both gradient GEMMs are exact integer products (one float scale per
-  // element), so the bits are also invariant to the GEMMs' own blocking.
-  // The transposed weight codes (shared by every sample's dcols GEMM —
-  // transposing once beats a strided pack-A gather per sample) live in
-  // the caller's scratch scope, so steady-state backwards allocate
-  // nothing.
-  ScratchArena::Scope outer(ScratchArena::thread_local_arena());
-  uint8_t* wt = static_cast<uint8_t*>(
-      outer.alloc_bytes(static_cast<size_t>(G * krows * ocg)));
-  for (int64_t g = 0; g < G; ++g) {
-    const uint8_t* wg = wcodes + g * ocg * krows;
-    uint8_t* wtg = wt + g * krows * ocg;
-    for (int64_t r = 0; r < krows; ++r)
-      for (int64_t o = 0; o < ocg; ++o) wtg[r * ocg + o] = wg[o * krows + r];
-  }
-
   accumulate_dw(weight_, N, [&](float* dw, int64_t n0, int64_t n1) {
     ScratchArena::Scope scope(ScratchArena::thread_local_arena());
     uint8_t* stage = padded_stage<uint8_t>(scope, opts_, H, W);
-    float* dcols = scope.alloc_floats(static_cast<size_t>(krows * OH * OW));
+    uint8_t* dx_stage = dx_conv.alloc_stage(scope);
+    uint8_t* inserted =
+        tc.inserted ? static_cast<uint8_t*>(scope.alloc_bytes(
+                          static_cast<size_t>(opts_.out_channels * tc.h *
+                                              tc.w)))
+                    : nullptr;
     float* dwg = scope.alloc_floats(static_cast<size_t>(ocg * krows));
-    for (int64_t n = n0; n < n1; ++n)
+    for (int64_t n = n0; n < n1; ++n) {
+      const uint8_t* dyn = dy + n * opts_.out_channels * OH * OW;
+      const uint8_t* dx_in = dyn;
+      if (inserted != nullptr) {
+        insert_zeros(opts_, dyn, OH, OW, tc.h, tc.w,
+                     static_cast<uint8_t>(gq.zero_point), inserted);
+        dx_in = inserted;
+      }
       for (int64_t g = 0; g < G; ++g) {
-        const uint8_t* dyg =
-            dy + (n * opts_.out_channels + g * ocg) * OH * OW;
-        GemmS8Args gc;
-        gc.a = wt + g * krows * ocg;
-        gc.b = dyg;
-        gc.params = pc;
-        gc.out = dcols;
-        gemm_s8_ex(plan_dcols, gc);
-        col2im(dcols, n, g * icg, icg, opts_.kernel, opts_.stride,
-               opts_.padding, OH, OW, dx);
+        dx_conv.run(dx_in, n, g, dx_stage);
         // gemm_s8 overwrites: stage in dwg, accumulate in order.
         const GemmS8ConvB cb = padded_operand(
             opts_, x.codes.data() + (n * opts_.in_channels + g * icg) * H * W,
             H, W, pad_code, stage);
         GemmS8Args gw;
-        gw.a = dyg;
+        gw.a = dyn + g * ocg * OH * OW;
         gw.conv_b = &cb;
         gw.params = pw;
         gw.out = dwg;
@@ -1083,6 +1233,7 @@ Tensor Conv2d::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
         float* acc = dw + g * ocg * krows;
         for (int64_t i = 0; i < ocg * krows; ++i) acc[i] += dwg[i];
       }
+    }
   });
   return dx;
 }

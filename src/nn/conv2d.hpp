@@ -21,9 +21,12 @@
 // (ConvS8Forward::reorder_weights; serving reorders them at compile and
 // load instead). The int8 backward runs, per (sample, group),
 //
-//   dcols = Wqᵀ · dYq   (kConvS8GradCols plan), then fp32 col2im
-//   dW_g  = dYq · colsᵀ (kS8GradDw plan, colsᵀ packed implicitly from
-//                        the cached input codes' padded NCHW image)
+//   dX_g = the transposed conv over dYq: ConvS8Forward with the weight
+//          codes flipped in (kh, kw) and their channels swapped, padding
+//          k-1-p (a strided conv reads dYq zero-inserted), so each dX
+//          element is one exact integer sum and one float(Sa*Sb*T)
+//   dW_g = dYq · colsᵀ (kS8GradDw plan, colsᵀ packed implicitly from
+//          the cached input codes' padded NCHW image)
 #pragma once
 
 #include <cstdint>
@@ -87,9 +90,10 @@ class Conv2d : public GemmLayer {
 class ConvS8Forward {
  public:
   /// The plan key every (sample, group) GEMM of such a call runs
-  /// (stamped with the current pool width).
+  /// (stamped with the current pool width); w_max and x_max are the
+  /// weight and input grids' largest codes.
   static PlanKey plan_key(const Conv2dOptions& o, int64_t h, int64_t w,
-                          int32_t w_max);
+                          int32_t w_max, int32_t x_max);
 
   /// Bytes of the weight operand the forward reads under `plan`: the
   /// [OC][IC/G][K][K] codes reordered to the image's k order
@@ -102,7 +106,8 @@ class ConvS8Forward {
   static void reorder_weights(const Conv2dOptions& o, const uint8_t* w,
                               uint8_t* dst);
 
-  /// `plan` is plan_for(plan_key(o, h, w, args.w_max)) or a copy of it;
+  /// `plan` is plan_for(plan_key(o, h, w, args.w_max, x_max)), x_max
+  /// the largest code of args.x_grid, or a copy of it;
   /// `args` covers the whole batch ([N, C, h, w] input codes,
   /// [N, OC, oh, ow] output) and all OC channels, its weights reordered
   /// by reorder_weights unless weight_bytes(plan, o) is 0.
@@ -116,8 +121,14 @@ class ConvS8Forward {
   /// GEMM goes to *lo / *hi when they are non-null.
   void run(int64_t n, int64_t g, uint8_t* stage, bool pooled,
            float* lo = nullptr, float* hi = nullptr) const;
+  /// run() over sample n's [C, h, w] input codes at `x` instead of in
+  /// args.x (staged serially, no range probe).
+  void run(const uint8_t* x, int64_t n, int64_t g, uint8_t* stage) const;
 
  private:
+  void run_on(const uint8_t* x, int64_t n, int64_t g, uint8_t* stage,
+              bool pooled, float* lo, float* hi) const;
+
   const KernelPlan& plan_;
   Conv2dOptions o_;
   int64_t h_, w_;

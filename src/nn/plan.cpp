@@ -241,19 +241,6 @@ PlanKey PlanKey::s8_grad_dw(int64_t m, int64_t n, int64_t k, bool trans_a,
   return key;
 }
 
-PlanKey PlanKey::conv_s8_grad_cols(int64_t m, int64_t n, int64_t k,
-                                   int32_t kernel, int32_t stride,
-                                   int32_t padding, int32_t max_a,
-                                   int32_t max_b) {
-  PlanKey key = PlanKey::conv_s8(m, n, k, kernel, stride, padding, max_a,
-                                 max_b);
-  key.op = PlanOp::kConvS8GradCols;
-  // dcols is Wᵀ · dY, but the caller materialises the transposed weight
-  // codes once per backward (they are reused for every sample), so the
-  // GEMM itself runs non-transposed on two contiguous code planes.
-  return key;
-}
-
 std::vector<KernelPlan> plan_candidates(const PlanKey& key) {
   std::vector<KernelPlan> out;
   if (key.op == PlanOp::kGemmF32) {
@@ -534,7 +521,7 @@ bool parse_plan_json(const std::string& obj, KernelPlan* plan) {
   int64_t kernel = 0, stride = 0, padding = 0, threads = 1;
   int64_t strategy = 0, parallel = 1, split = 0;
   KernelPlan p;
-  if (!json_int_field(obj, "op", &op) || op < 0 || op > 5) return false;
+  if (!json_int_field(obj, "op", &op) || op < 0 || op > 4) return false;
   if (!json_int_field(obj, "m", &p.key.m) ||
       !json_int_field(obj, "n", &p.key.n) ||
       !json_int_field(obj, "k", &p.key.k))

@@ -55,19 +55,18 @@
 
 namespace apt::nn {
 
-/// Problem family a plan is resolved for. The three gradient ops run on
-/// the same exact integer kernels as kGemmS8 (dY planes are contiguous
-/// code matrices, so no implicit operand is needed), but carry their own
-/// op tag: backward shapes get their own cost-model buckets, autotune
+/// Problem family a plan is resolved for. The two gradient ops run on
+/// the same exact integer kernels as kGemmS8, but carry their own op
+/// tag: backward shapes get their own cost-model buckets, autotune
 /// entries, and plan-cache rows instead of aliasing a forward key with
-/// the same M/N/K (DESIGN.md §14).
+/// the same M/N/K (DESIGN.md §14). A conv's dX is a forward conv over
+/// dY (its transposed conv), so it runs kConvS8 plans.
 enum class PlanOp : uint8_t {
   kGemmF32 = 0,        ///< fp32 GEMM (gemm, gemm_ex, gemm_conv_ex)
   kGemmS8 = 1,         ///< integer code-plane GEMM (linear layout)
   kConvS8 = 2,         ///< integer conv: B is the implicit im2col operand
   kS8GradDx = 3,       ///< backward data gradient: dX = dY · W
   kS8GradDw = 4,       ///< backward weight gradient: dW = dYᵀ · X
-  kConvS8GradCols = 5, ///< conv backward dcols = Wᵀ · dY (conv geometry)
 };
 
 /// Execution strategy. Conv plans use kS8Pairs/kS8Quad with the implicit
@@ -122,13 +121,6 @@ struct PlanKey {
                             bool trans_b, int32_t max_a, int32_t max_b);
   static PlanKey s8_grad_dw(int64_t m, int64_t n, int64_t k, bool trans_a,
                             bool trans_b, int32_t max_a, int32_t max_b);
-  /// Conv backward dcols = Wᵀ · dY: a plain code-plane GEMM, but keyed
-  /// with the conv geometry so every conv shape's backward gets its own
-  /// plan row (m = icg·kernel², n = oh·ow, k = ocg).
-  static PlanKey conv_s8_grad_cols(int64_t m, int64_t n, int64_t k,
-                                   int32_t kernel, int32_t stride,
-                                   int32_t padding, int32_t max_a,
-                                   int32_t max_b);
 };
 
 /// A resolved execution recipe: the drivers read the strategy, blocking

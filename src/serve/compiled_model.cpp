@@ -339,7 +339,9 @@ void bind_plans(std::vector<CompiledOp>& ops, int64_t max_batch) {
     if (op.kind == OpKind::kConvS8) {
       const nn::Conv2dOptions o = conv_options(op);
       op.plans.push_back(
-          serial(nn::ConvS8Forward::plan_key(o, op.h, op.w, op.w_max)));
+          serial(nn::ConvS8Forward::plan_key(
+              o, op.h, op.w, op.w_max,
+              static_cast<int32_t>(quant::max_code(op.in_grid.bits)))));
       op.wimage.resize(static_cast<size_t>(
           nn::ConvS8Forward::weight_bytes(op.plans.front(), o)));
       if (!op.wimage.empty())

@@ -1074,12 +1074,12 @@ TEST(EpilogueExact, Avx2AndScalarStoresBitIdentical) {
 }
 
 TEST(GemmS8FinalStore, Avx2MatchesScalarOnGradientGemmShapes) {
-  // The plain dequantising store behind the int8 dcols and dW GEMMs: the
+  // The plain dequantising store behind the int8 gradient GEMMs: the
   // AVX2 twin must write the scalar store's bits, from one k panel and
   // across several (the int32 raw-plane path). The scalar SIMD cap forces
   // the scalar store (and the scalar micro-kernel, exact either way).
   struct GradShape {
-    bool dw;  // s8_grad_dw (B transposed) vs conv_s8_grad_cols
+    bool dw;  // s8_grad_dw (B transposed) vs s8_grad_dx
     int64_t m, n, k;
     int32_t max_a, max_b;
   };
@@ -1093,8 +1093,8 @@ TEST(GemmS8FinalStore, Avx2MatchesScalarOnGradientGemmShapes) {
       KernelPlan plan = plan_for(
           c.dw ? PlanKey::s8_grad_dw(c.m, c.n, c.k, false, true, c.max_a,
                                      c.max_b)
-               : PlanKey::conv_s8_grad_cols(c.m, c.n, c.k, 3, 1, 1, c.max_a,
-                                            c.max_b));
+               : PlanKey::s8_grad_dx(c.m, c.n, c.k, false, false, c.max_a,
+                                     c.max_b));
       if (kc > 0) plan.kc = kc;  // force the multi-panel path
       std::vector<uint8_t> a(static_cast<size_t>(c.m * c.k));
       std::vector<uint8_t> b(static_cast<size_t>(c.k * c.n));
@@ -1220,6 +1220,33 @@ GemmS8ConvImage stage_image(const ConvSrc& src, uint8_t flip,
                              space.data(), /*pooled=*/false);
 }
 
+// Every byte of the staged image against the layout's definition:
+// [ceil(icg/4)][phase_y][phase_x][php][pwp][4], byte (cq, a, b, r, c, t)
+// the code of channel 4cq + t at source pixel (r*stride + a - padding,
+// c*stride + b - padding), or pad_code outside the planes, XOR flip.
+void expect_image_layout(const ConvSrc& src, const GemmS8ConvImage& ci,
+                         const std::string& at) {
+  const int64_t phases = conv_image_phases(src.kernel, src.stride);
+  const uint8_t* img = ci.img;
+  for (int64_t cq = 0; cq < (src.icg + 3) / 4; ++cq)
+    for (int64_t a = 0; a < phases; ++a)
+      for (int64_t b = 0; b < phases; ++b)
+        for (int64_t r = 0; r < ci.php; ++r)
+          for (int64_t c = 0; c < ci.pwp; ++c)
+            for (int64_t t = 0; t < 4; ++t, ++img) {
+              const int64_t ch = 4 * cq + t;
+              const int64_t y = r * src.stride + a - src.padding;
+              const int64_t x = c * src.stride + b - src.padding;
+              const bool in = ch < src.icg && y >= 0 && y < src.H && x >= 0 &&
+                              x < src.W;
+              const uint8_t want =
+                  in ? src.planes[(ch * src.H + y) * src.W + x] : src.pad_code;
+              ASSERT_EQ(static_cast<uint8_t>(want ^ ci.flip), *img)
+                  << at << " cq=" << cq << " a=" << a << " b=" << b
+                  << " r=" << r << " c=" << c << " t=" << t;
+            }
+}
+
 // [oc][icg*k*k] weight codes reordered to the image's k order.
 std::vector<uint8_t> image_weights(const uint8_t* w, int64_t oc, int64_t icg,
                                    int64_t kernel) {
@@ -1303,9 +1330,11 @@ TEST(GemmS8ConvBOperand, MatchesExplicitIm2colBitForBit) {
   // im2col + fused-epilogue pipeline's int64/double reference exactly:
   // at every host SIMD level, in one k panel and several, read in place
   // (the image flip the level's tile wants) and packed from an image of
-  // the other flip; staged serially or split across the pool. The cases
+  // the other flip; staged serially or split across the pool, every
+  // staged byte as the layout defines it. The cases
   // cover every run width and the per-column gather (odd ow), strip
-  // tails (n % 16 != 0), stride 2 with an odd padded width, partial
+  // tails (n % 16 != 0), stride 2 with an odd padded width and with
+  // source rows of 16, 32 and 33 columns, partial
   // channel quads, a second group's planes, zero-points 0 and 255, and
   // ceilings for each VNNI signedness (a-small, b-small, and recentred
   // full range).
@@ -1326,6 +1355,10 @@ TEST(GemmS8ConvBOperand, MatchesExplicitIm2colBitForBit) {
       {1, 3, 9, 9, 6, 3, 2, 1, 12, 200, 255, 255},   // pw 11, ow 5
       {1, 2, 16, 16, 4, 3, 2, 1, 7, 9, 63, 255},     // stride 2, ow 8
       {1, 8, 32, 32, 3, 3, 1, 1, 128, 128, 255, 255},  // ow 32
+      {1, 5, 16, 16, 6, 3, 2, 1, 31, 37, 63, 255},     // stride 2, W 16
+      {1, 4, 12, 32, 6, 3, 2, 1, 31, 37, 63, 255},     // stride 2, W 32
+      {1, 3, 9, 33, 6, 3, 2, 1, 31, 37, 63, 255},      // stride 2, W 33
+      {1, 4, 7, 33, 5, 3, 2, 0, 31, 37, 63, 255},      // ... padding 0
   };
   for (const auto& cc : cases) {
     const int64_t C = cc.groups * cc.icg, oc = cc.groups * cc.ocg;
@@ -1389,6 +1422,8 @@ TEST(GemmS8ConvBOperand, MatchesExplicitIm2colBitForBit) {
             ASSERT_EQ(0, std::memcmp(space.data(), pooled.data(),
                                      space.size()))
                 << run;
+            expect_image_layout(src, ci, run);
+            if (HasFatalFailure()) return;
             std::vector<float> got(want.size(), -1e30f);
             std::vector<uint8_t> got_u(want.size(), 7);
             float lo, hi;

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "backend_guard.hpp"
@@ -319,6 +320,274 @@ TEST(Conv2dInt8Bwd, MatchesFp32WithinQuantBound) {
                            b.parameters()[1]->grad.data(),
                            sizeof(float) * static_cast<size_t>(
                                o.out_channels)));
+}
+
+// -- exactness differential for the integer conv backward ---------------
+//
+// One seed is one case: a counter-keyed Philox stream (base/rng.hpp)
+// draws the geometry (groups 1, 2 or depthwise; channel counts that are
+// not multiples of 4; odd H x W; kernel 1/3/5, stride 1/2, padding
+// 0..kernel), the batch, the weight bits (4-8, so every integer route
+// runs somewhere in the forward or backward), force-serial or pooled
+// dispatch and the SIMD cap. The case runs one integer Conv2d backward
+// and checks its bits against references built here from the codes the
+// layer consumed:
+//  * dX is float(Sa*Sb*T), T the int64 sum of the transposed conv;
+//  * dW is the per-sample formulation: each (sample, group) exact sum
+//    dequantised once, summed in fp32 within each of min(N, 16) sample
+//    chunks, the chunks added in order;
+//  * db is each channel's fp32 sum of the raw dY, samples in order;
+//  * a 1x1 conv's dX also equals the dcols + col2im formulation.
+// The pool's width is fixed per process; ctest's APT_NUM_THREADS runs
+// cover the other widths.
+
+struct DiffCase {
+  uint64_t seed;
+  Conv2dOptions o;
+  int64_t n, h, w;
+  int bits;
+  bool serial;
+  SimdLevel level;
+
+  explicit DiffCase(uint64_t s) : seed(s) {
+    uint64_t counter = 0;
+    auto draw = [&](int64_t lo, int64_t hi) {
+      const uint32_t word = philox_u32(0xd1ffc0deULL ^ s, counter++);
+      return lo + static_cast<int64_t>(word % static_cast<uint32_t>(hi - lo + 1));
+    };
+    const int64_t kind = draw(0, 2);  // groups 1, 2, depthwise
+    const int64_t icg = kind == 2 ? 1 : draw(1, 9);
+    const int64_t ocg = kind == 2 ? 1 : draw(1, 9);
+    o.groups = kind == 0 ? 1 : kind == 1 ? 2 : draw(2, 6);
+    o.in_channels = icg * o.groups;
+    o.out_channels = ocg * o.groups;
+    o.kernel = 2 * draw(0, 2) + 1;
+    o.stride = draw(1, 2);
+    o.padding = draw(0, o.kernel);
+    o.bias = true;
+    const int64_t batches[] = {1, 2, 3, 5, 17};
+    n = batches[draw(0, 4)];
+    h = 2 * draw(2, 6) + 1;
+    w = 2 * draw(2, 6) + 1;
+    bits = static_cast<int>(draw(4, 8));
+    serial = draw(0, 2) == 0;  // one of "threads" 1 / 2 / 8
+    const std::vector<SimdLevel> levels = host_simd_levels();
+    level = levels[static_cast<size_t>(
+        draw(0, static_cast<int64_t>(levels.size()) - 1))];
+  }
+
+  std::string str() const {
+    return "repro: seed " + std::to_string(seed) + " (ic=" +
+           std::to_string(o.in_channels) + " oc=" +
+           std::to_string(o.out_channels) + " g=" + std::to_string(o.groups) +
+           " k=" + std::to_string(o.kernel) + " s=" +
+           std::to_string(o.stride) + " p=" + std::to_string(o.padding) +
+           " n=" + std::to_string(n) + " " + std::to_string(h) + "x" +
+           std::to_string(w) + " bits=" + std::to_string(bits) +
+           (serial ? " serial" : " pooled") + " " + simd_level_name(level) +
+           ")";
+  }
+};
+
+// Int64 reference sums over one case's codes: the conv's geometry, the
+// input codes x [N, IC, H, W] (grid xq), the weight codes w (grid wq),
+// and dY's codes dy [N, OC, OH, OW] (grid gq).
+struct ConvCodes {
+  const Conv2dOptions& o;
+  int64_t n, h, w, oh, ow;
+  const uint8_t* x;
+  const uint8_t* wc;
+  const uint8_t* dy;
+  int64_t zx, zw, zg;
+
+  int64_t icg() const { return o.in_channels / o.groups; }
+  int64_t ocg() const { return o.out_channels / o.groups; }
+  int64_t wv(int64_t oc, int64_t c, int64_t kh, int64_t kw) const {
+    return wc[((oc * icg() + c) * o.kernel + kh) * o.kernel + kw] - zw;
+  }
+  int64_t gv(int64_t s, int64_t oc, int64_t y, int64_t xo) const {
+    return dy[((s * o.out_channels + oc) * oh + y) * ow + xo] - zg;
+  }
+  // dX[s][c][y][xi]: every (oc, kh, kw) whose output position lands.
+  int64_t dx_sum(int64_t s, int64_t c, int64_t y, int64_t xi) const {
+    const int64_t g = c / icg();
+    int64_t t = 0;
+    for (int64_t r = 0; r < ocg(); ++r)
+      for (int64_t kh = 0; kh < o.kernel; ++kh)
+        for (int64_t kw = 0; kw < o.kernel; ++kw) {
+          const int64_t yy = y + o.padding - kh, xx = xi + o.padding - kw;
+          if (yy < 0 || xx < 0 || yy % o.stride != 0 || xx % o.stride != 0)
+            continue;
+          if (yy / o.stride >= oh || xx / o.stride >= ow) continue;
+          const int64_t oc = g * ocg() + r;
+          t += wv(oc, c % icg(), kh, kw) *
+               gv(s, oc, yy / o.stride, xx / o.stride);
+        }
+    return t;
+  }
+  // Sample s's dW[oc][c][kh][kw]; padding reads the zero-point (adds 0).
+  int64_t dw_sum(int64_t s, int64_t oc, int64_t c, int64_t kh,
+                 int64_t kw) const {
+    const int64_t ic = oc / ocg() * icg() + c;
+    int64_t t = 0;
+    for (int64_t y = 0; y < oh; ++y)
+      for (int64_t xo = 0; xo < ow; ++xo) {
+        const int64_t yi = y * o.stride - o.padding + kh;
+        const int64_t xi = xo * o.stride - o.padding + kw;
+        if (yi < 0 || yi >= h || xi < 0 || xi >= w) continue;
+        t += gv(s, oc, y, xo) *
+             (x[((s * o.in_channels + ic) * h + yi) * w + xi] - zx);
+      }
+    return t;
+  }
+};
+
+void run_diff_case(const DiffCase& dc) {
+  SCOPED_TRACE(dc.str());
+  const Conv2dOptions& o = dc.o;
+  Rng rng(dc.seed);
+  Conv2d conv("diff", o, rng);
+  attach_weight_grid(conv.weight(), dc.bits);
+  rng.fill_normal(conv.bias().value, 0.0f, 0.1f);
+  const int64_t oh = (dc.h + 2 * o.padding - o.kernel) / o.stride + 1;
+  const int64_t ow = (dc.w + 2 * o.padding - o.kernel) / o.stride + 1;
+  const int64_t oc_n = dc.n * o.out_channels * oh * ow;
+
+  QuantizedActivation qx;
+  qx.shape = Shape{dc.n, o.in_channels, dc.h, dc.w};
+  qx.params.scale = 0.02;
+  qx.params.zero_point = static_cast<int64_t>(rng.randint(0, 255));
+  qx.codes.resize(static_cast<size_t>(qx.shape.numel()));
+  for (uint8_t& c : qx.codes) c = static_cast<uint8_t>(rng.randint(0, 255));
+  Tensor dy1 = random_tensor(Shape{dc.n, o.out_channels, oh, ow}, rng, 0.5f);
+  Tensor dy2 = random_tensor(Shape{dc.n, o.out_channels, oh, ow}, rng, 0.5f);
+
+  BackendGuard g8(GemmBackend::kInt8);
+  SimdCapScope cap(dc.level);
+  // The first backward runs fp32 and starts the gradient range.
+  conv.forward_flow(Tensor(), &qx, true, false, nullptr);
+  conv.backward(dy1);
+  zero_grads(conv);
+
+  // The codes the integer backward will consume.
+  sr_set_step(dc.seed);
+  const quant::QuantParams gq =
+      quant::choose_params(conv.gradient_range().lo(),
+                           conv.gradient_range().hi(), kGradSrBits);
+  std::vector<uint8_t> dyc(static_cast<size_t>(oc_n));
+  quant::quantize_codes_u8_sr(dy2.data(), oc_n, gq,
+                              sr_mix_key(fnv1a64("diff"), sr_step()), 0,
+                              dyc.data());
+
+  conv.forward_flow(Tensor(), &qx, true, false, nullptr);
+  Tensor dx;
+  {
+    SerialGuard serial(dc.serial);
+    dx = conv.backward(dy2);
+  }
+  ASSERT_TRUE(conv.last_backward_was_int8());
+
+  const quant::QuantizedTensor* wq = conv.weight().rep->quantized_view();
+  const ConvCodes cc{o,
+                     dc.n,
+                     dc.h,
+                     dc.w,
+                     oh,
+                     ow,
+                     qx.codes.data(),
+                     wq->codes_u8(),
+                     dyc.data(),
+                     qx.params.zero_point,
+                     wq->params().zero_point,
+                     gq.zero_point};
+
+  // dX: one rounding per element.
+  const double sab_x = wq->params().scale * gq.scale;
+  std::vector<float> want(static_cast<size_t>(dx.numel()));
+  for (int64_t s = 0; s < dc.n; ++s)
+    for (int64_t c = 0; c < o.in_channels; ++c)
+      for (int64_t y = 0; y < dc.h; ++y)
+        for (int64_t xi = 0; xi < dc.w; ++xi)
+          want[static_cast<size_t>(((s * o.in_channels + c) * dc.h + y) *
+                                       dc.w +
+                                   xi)] = static_cast<float>(
+              sab_x * static_cast<double>(cc.dx_sum(s, c, y, xi)));
+  ASSERT_EQ(0, std::memcmp(want.data(), dx.data(),
+                           want.size() * sizeof(float)))
+      << "dX";
+
+  // A 1x1 conv's dX is also the old dcols + col2im result.
+  if (o.kernel == 1) {
+    Tensor old(dx.shape());
+    std::vector<float> dcols(static_cast<size_t>(cc.icg() * oh * ow));
+    for (int64_t s = 0; s < dc.n; ++s)
+      for (int64_t g = 0; g < o.groups; ++g) {
+        for (int64_t c = 0; c < cc.icg(); ++c)
+          for (int64_t p = 0; p < oh * ow; ++p) {
+            int64_t t = 0;
+            for (int64_t r = 0; r < cc.ocg(); ++r) {
+              const int64_t oc = g * cc.ocg() + r;
+              t += cc.wv(oc, c, 0, 0) * cc.gv(s, oc, p / ow, p % ow);
+            }
+            dcols[static_cast<size_t>(c * oh * ow + p)] =
+                static_cast<float>(sab_x * static_cast<double>(t));
+          }
+        col2im_reference(dcols.data(), s, g * cc.icg(), cc.icg(), 1,
+                         o.stride, o.padding, oh, ow, old);
+      }
+    ASSERT_EQ(0, std::memcmp(old.data(), dx.data(),
+                             want.size() * sizeof(float)))
+        << "1x1 dX vs dcols + col2im";
+  }
+
+  // dW: per (sample, group) float(Sa*Sb*T), summed per sample chunk.
+  const double sab_w = gq.scale * qx.params.scale;
+  const int64_t wn = conv.weight().numel();
+  const int64_t kk = o.kernel * o.kernel;
+  const int64_t chunks = std::min<int64_t>(dc.n, 16);
+  const int64_t step = (dc.n + chunks - 1) / chunks;
+  std::vector<float> dw_want(static_cast<size_t>(wn), 0.0f);
+  for (int64_t chunk = 0; chunk < chunks; ++chunk) {
+    std::vector<float> acc(static_cast<size_t>(wn), 0.0f);
+    for (int64_t s = chunk * step; s < std::min(dc.n, (chunk + 1) * step);
+         ++s)
+      for (int64_t oc = 0; oc < o.out_channels; ++oc)
+        for (int64_t c = 0; c < cc.icg(); ++c)
+          for (int64_t tap = 0; tap < kk; ++tap)
+            acc[static_cast<size_t>((oc * cc.icg() + c) * kk + tap)] +=
+                static_cast<float>(
+                    sab_w * static_cast<double>(cc.dw_sum(
+                                s, oc, c, tap / o.kernel, tap % o.kernel)));
+    for (int64_t i = 0; i < wn; ++i)
+      dw_want[static_cast<size_t>(i)] += acc[static_cast<size_t>(i)];
+  }
+  ASSERT_EQ(0, std::memcmp(dw_want.data(), conv.weight().grad.data(),
+                           dw_want.size() * sizeof(float)))
+      << "dW";
+
+  // db: the raw fp32 dY, per channel, samples then positions in order.
+  std::vector<float> db_want(static_cast<size_t>(o.out_channels));
+  for (int64_t oc = 0; oc < o.out_channels; ++oc) {
+    float acc = 0.0f;
+    for (int64_t s = 0; s < dc.n; ++s)
+      for (int64_t p = 0; p < oh * ow; ++p)
+        acc += dy2[((s * o.out_channels + oc) * oh * ow) + p];
+    db_want[static_cast<size_t>(oc)] = 0.0f + acc;
+  }
+  ASSERT_EQ(0, std::memcmp(db_want.data(), conv.bias().grad.data(),
+                           db_want.size() * sizeof(float)))
+      << "db";
+}
+
+TEST(Conv2dInt8Bwd, ExactDifferentialOverRandomCases) {
+  // A failure names its seed; to rerun only it, set kFirstSeed to it and
+  // kCases to 1.
+  constexpr uint64_t kFirstSeed = 1;
+  constexpr uint64_t kCases = 200;
+  for (uint64_t seed = kFirstSeed; seed < kFirstSeed + kCases; ++seed) {
+    run_diff_case(DiffCase(seed));
+    if (HasFatalFailure()) return;
+  }
 }
 
 // The integer backward's bits must not depend on how the pool splits the
