@@ -843,7 +843,6 @@ TransposedConv transposed_conv(const Conv2dOptions& o, int64_t H,
   t.o.in_channels = o.out_channels;
   t.o.out_channels = o.in_channels;
   t.o.stride = 1;
-  t.o.bias = false;
   t.inserted = o.stride > 1 || o.padding >= o.kernel;
   if (t.inserted) {
     t.o.padding = 0;
