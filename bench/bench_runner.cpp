@@ -10,19 +10,10 @@
 // Usage:
 //   bench_runner [--quick] [--out FILE] [--check REF.json]
 //                [--tolerance X] [--filter SUBSTR] [--list]
-//                [--autotune PLANS.json]
 //
 // Tolerance may also come from the PERF_GATE_TOLERANCE environment
 // variable; the flag wins. Default 2.0 — loose on purpose so shared CI
 // runners do not flake the gate.
-//
-// --autotune times every candidate KernelPlan for a representative key
-// set (timing is banned in src/ by apt_lint's `clock` rule, so the
-// planner's autotune mode lives here), adopts each winner into the
-// process-wide plan cache, and persists the result as JSON. A later run
-// of any apt binary picks the tuned plans back up via
-// PlanOptions::cache_file or APT_PLAN_CACHE. The benchmarks that follow
-// in the same run already execute with the adopted plans.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -108,7 +99,6 @@ struct Config {
   double min_serve_speedup = 1.5;
   std::string filter;
   bool list_only = false;
-  std::string autotune;  // JSON plan-cache path; empty = no autotune
 };
 
 double now_ns() {
@@ -897,199 +887,6 @@ int run_gate(const Config& cfg, const std::vector<BenchResult>& results,
   return 0;
 }
 
-// ------------------------------------------------------------- autotune
-
-// Times every candidate plan for a representative set of keys (the
-// bench workloads' own shapes), adopts each winner into the plan cache,
-// and persists the cache to `path`. Selection here is measured, not
-// modelled — but every candidate is bit-identical by the planner's
-// contract, so adopting any of them only changes speed.
-int run_autotune(const std::string& path, bool quick) {
-  using apt::nn::GemmS8Args;
-  using apt::nn::GemmS8Params;
-  using apt::nn::KernelPlan;
-  using apt::nn::PlanKey;
-  using apt::nn::PlanStrategy;
-
-  struct Tunable {
-    std::string name;
-    PlanKey key;
-    // Runner for one candidate; owns its operands via captures.
-    std::function<void(const KernelPlan&)> run;
-  };
-  std::vector<Tunable> tunables;
-
-  // fp32 acceptance shape + the linear-layer trans_b shape.
-  for (const auto& [name, m, n, k, tb] :
-       {std::tuple{"gemm_f32_256", int64_t{256}, int64_t{256}, int64_t{256},
-                   false},
-        std::tuple{"gemm_f32_128x512x256_nt", int64_t{128}, int64_t{512},
-                   int64_t{256}, true}}) {
-    auto a = std::make_shared<std::vector<float>>(static_cast<size_t>(m * k));
-    auto b = std::make_shared<std::vector<float>>(static_cast<size_t>(k * n));
-    auto c = std::make_shared<std::vector<float>>(static_cast<size_t>(m * n));
-    Rng rng(1);
-    for (auto& v : *a) v = rng.uniform(-1, 1);
-    for (auto& v : *b) v = rng.uniform(-1, 1);
-    tunables.push_back({name, PlanKey::f32(m, n, k, false, tb),
-                        [=](const KernelPlan& plan) {
-                          apt::nn::gemm_ex(plan, 1.0f, a->data(), b->data(),
-                                           0.0f, c->data());
-                        }});
-  }
-
-  // Integer shapes: the acceptance square and the skinny split-N shape.
-  for (const auto& [name, m, n, k] :
-       {std::tuple{"gemm_s8_256", int64_t{256}, int64_t{256}, int64_t{256}},
-        std::tuple{"gemm_skinny_s8", int64_t{8}, int64_t{1024},
-                   int64_t{256}}}) {
-    auto a = std::make_shared<std::vector<uint8_t>>(
-        static_cast<size_t>(m * k));
-    auto b = std::make_shared<std::vector<uint8_t>>(
-        static_cast<size_t>(k * n));
-    auto c = std::make_shared<std::vector<float>>(static_cast<size_t>(m * n));
-    Rng rng(1);
-    for (auto& v : *a) v = static_cast<uint8_t>(rng.randint(0, 255));
-    for (auto& v : *b) v = static_cast<uint8_t>(rng.randint(0, 63));
-    GemmS8Params qp{0.01, 0.02, 128, 31};
-    qp.max_b = 63;
-    tunables.push_back({name, PlanKey::s8(m, n, k, false, false, 255, 63),
-                        [=](const KernelPlan& plan) {
-                          GemmS8Args ga;
-                          ga.a = a->data();
-                          ga.b = b->data();
-                          ga.params = qp;
-                          ga.out = c->data();
-                          apt::nn::gemm_s8_ex(plan, ga);
-                        }});
-  }
-
-  // Conv keys: the 3x3 shape (the channel-quad image the forward reads)
-  // and the 1x1 shape whose candidate set includes the direct strategy.
-  {
-    const int64_t C = 64, H = 16, W = 16, OC = 64;
-    const int64_t krows3 = C * 3 * 3;
-    // C is a multiple of 4, so the image k order's rows are krows3 long.
-    auto w3 = std::make_shared<std::vector<uint8_t>>(
-        static_cast<size_t>(OC * krows3));
-    auto plane3 = std::make_shared<std::vector<uint8_t>>(
-        static_cast<size_t>(C * H * W));
-    auto space = std::make_shared<std::vector<uint8_t>>(static_cast<size_t>(
-        apt::nn::conv_image_bytes(C, H, W, 3, 1, 1)));
-    auto c3 = std::make_shared<std::vector<float>>(
-        static_cast<size_t>(OC * H * W));
-    Rng rng(1);
-    for (auto& v : *w3) v = static_cast<uint8_t>(rng.randint(0, 63));
-    for (auto& v : *plane3) v = static_cast<uint8_t>(rng.randint(0, 255));
-    GemmS8Params qp{0.01, 0.02, 31, 128};
-    qp.max_a = 63;
-    tunables.push_back(
-        {"conv3x3_c64_s8", PlanKey::conv_s8(OC, H * W, krows3, 3, 1, 1,
-                                            /*max_a=*/63, 255),
-         [=](const KernelPlan& plan) {
-           const apt::nn::GemmS8ConvImage ci = apt::nn::stage_conv_image_u8(
-               plane3->data(), C, H, W, 3, 1, 1, 128,
-               apt::nn::gemm_s8_conv_image_flip(plan, qp), space->data(),
-               /*pooled=*/false);
-           GemmS8Args ga;
-           ga.a = w3->data();
-           ga.conv_image = &ci;
-           ga.params = qp;
-           ga.out = c3->data();
-           apt::nn::gemm_s8_ex(plan, ga);
-         }});
-
-    auto w1 = std::make_shared<std::vector<uint8_t>>(
-        static_cast<size_t>(OC * C));
-    auto plane = std::make_shared<std::vector<uint8_t>>(
-        static_cast<size_t>(C * H * W));
-    auto c1 = std::make_shared<std::vector<float>>(
-        static_cast<size_t>(OC * H * W));
-    auto space1 = std::make_shared<std::vector<uint8_t>>(static_cast<size_t>(
-        apt::nn::conv_image_bytes(C, H, W, 1, 1, 0)));
-    for (auto& v : *w1) v = static_cast<uint8_t>(rng.randint(0, 63));
-    for (auto& v : *plane) v = static_cast<uint8_t>(rng.randint(0, 255));
-    tunables.push_back(
-        {"conv1x1_c64_s8", PlanKey::conv_s8(OC, H * W, C, 1, 1, 0,
-                                            /*max_a=*/63, 255),
-         [=](const KernelPlan& plan) {
-           GemmS8Args ga;
-           ga.a = w1->data();
-           ga.params = qp;
-           ga.out = c1->data();
-           apt::nn::GemmS8ConvImage ci;
-           if (plan.strategy == PlanStrategy::kS8ConvDirect) {
-             ga.b = plane->data();
-           } else {
-             ci = apt::nn::stage_conv_image_u8(
-                 plane->data(), C, H, W, 1, 1, 0, 128,
-                 apt::nn::gemm_s8_conv_image_flip(plan, qp), space1->data(),
-                 /*pooled=*/false);
-             ga.conv_image = &ci;
-           }
-           apt::nn::gemm_s8_ex(plan, ga);
-         }});
-
-    // Backward weight-gradient shape: dW = dY·colsᵀ over a byte im2col
-    // plane; dY codes ride the 6-bit stochastic-rounding grid
-    // (kGradSrBits). (dX runs the forward conv plans above.)
-    auto dyc = std::make_shared<std::vector<uint8_t>>(
-        static_cast<size_t>(OC * H * W));
-    auto cols = std::make_shared<std::vector<uint8_t>>(
-        static_cast<size_t>(krows3 * H * W));
-    auto dw = std::make_shared<std::vector<float>>(
-        static_cast<size_t>(OC * krows3));
-    for (auto& v : *dyc) v = static_cast<uint8_t>(rng.randint(0, 63));
-    for (auto& v : *cols) v = static_cast<uint8_t>(rng.randint(0, 255));
-    GemmS8Params qw{0.02, 0.01, 32, 128};
-    qw.max_a = 63;
-    tunables.push_back(
-        {"conv3x3_c64_grad_dw",
-         PlanKey::s8_grad_dw(OC, krows3, H * W, false, true, /*max_a=*/63,
-                             255),
-         [=](const KernelPlan& plan) {
-           GemmS8Args ga;
-           ga.a = dyc->data();
-           ga.b = cols->data();
-           ga.params = qw;
-           ga.out = dw->data();
-           apt::nn::gemm_s8_ex(plan, ga);
-         }});
-  }
-
-  const double min_time_s = quick ? 0.02 : 0.1;
-  std::printf("autotune (%zu keys)\n", tunables.size());
-  for (const auto& t : tunables) {
-    const std::vector<KernelPlan> cands = apt::nn::plan_candidates(t.key);
-    const KernelPlan* best = nullptr;
-    double best_ns = 1e300;
-    for (const KernelPlan& cand : cands) {
-      const double ns = time_ns_per_iter([&] { t.run(cand); }, min_time_s);
-      if (ns < best_ns) {
-        best_ns = ns;
-        best = &cand;
-      }
-    }
-    if (best == nullptr) continue;
-    apt::nn::plan_cache_adopt(*best);
-    std::printf(
-        "  %-24s -> %-14s kc=%-4lld mc=%-3lld nc=%-4lld split_n=%d "
-        "(%zu candidates, best %.0f ns)\n",
-        t.name.c_str(), apt::nn::plan_strategy_name(best->strategy),
-        static_cast<long long>(best->kc), static_cast<long long>(best->mc),
-        static_cast<long long>(best->nc), best->split_n ? 1 : 0,
-        cands.size(), best_ns);
-  }
-  if (!apt::nn::plan_cache_save(path)) {
-    std::fprintf(stderr, "bench_runner: cannot write plan cache %s\n",
-                 path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s (load at startup via APT_PLAN_CACHE)\n",
-              path.c_str());
-  return 0;
-}
-
 Config parse_args(int argc, char** argv) {
   Config cfg;
   if (const char* env = std::getenv("PERF_GATE_TOLERANCE"))
@@ -1129,16 +926,13 @@ Config parse_args(int argc, char** argv) {
       cfg.filter = next();
     } else if (arg == "--list") {
       cfg.list_only = true;
-    } else if (arg == "--autotune") {
-      cfg.autotune = next();
     } else {
       std::fprintf(stderr,
                    "usage: bench_runner [--quick] [--out FILE] [--check REF] "
                    "[--tolerance X] [--min-speedup X] [--min-train-speedup X] "
                    "[--min-train-speedup-2t X] [--min-conv-s8-ratio X] "
                    "[--min-chain-ratio X] [--min-fwdbwd-s8-ratio X] "
-                   "[--min-serve-speedup X] [--filter SUBSTR] [--list] "
-                   "[--autotune PLANS.json]\n");
+                   "[--min-serve-speedup X] [--filter SUBSTR] [--list]\n");
       std::exit(arg == "--help" ? 0 : 2);
     }
   }
@@ -1153,12 +947,6 @@ int main(int argc, char** argv) {
   if (cfg.list_only) {
     for (const auto& w : workloads) std::printf("%s\n", w.name.c_str());
     return 0;
-  }
-
-  if (!cfg.autotune.empty()) {
-    // Tune first: the workloads below then run with the adopted plans.
-    const int rc = run_autotune(cfg.autotune, cfg.quick);
-    if (rc != 0) return rc;
   }
 
   const double min_time_s = cfg.quick ? 0.05 : 0.25;

@@ -1072,15 +1072,18 @@ Tensor Conv2d::forward_int8(const uint8_t* x, const quant::QuantParams& xq,
     obs_hi = obs_lo + N * G;
   }
 
-  // One plan per (shape, geometry, ceilings, pool width) covers every
+  // One plan per (shape, geometry, ceilings, threads) covers every
   // (sample, group) GEMM in the batch; after the first forward it is a
-  // pure cache hit. The weight codes are reordered to the conv image's k
-  // order once per call, into the caller's scratch scope, so no
-  // reordered copy outlives the call (nothing to invalidate on a step).
-  const KernelPlan& plan = plan_for(
-      ConvS8Forward::plan_key(opts_, H, W, args.w_max,
-                              static_cast<int32_t>(quant::max_code(xq.bits))),
-      plan_hit());
+  // pure cache hit. Several GEMMs already run as pool tasks, one per
+  // sample, so each is planned for one thread (as serving plans its
+  // requests); a lone GEMM is planned for the whole pool. The weight
+  // codes are reordered to the conv image's k order once per call, into
+  // the caller's scratch scope, so no reordered copy outlives the call
+  // (nothing to invalidate on a step).
+  PlanKey key = ConvS8Forward::plan_key(
+      opts_, H, W, args.w_max, static_cast<int32_t>(quant::max_code(xq.bits)));
+  if (N * G > 1) key.threads = 1;
+  const KernelPlan& plan = plan_for(key, plan_hit());
   if (const int64_t wb = ConvS8Forward::weight_bytes(plan, opts_); wb > 0) {
     auto* wi = static_cast<uint8_t*>(
         obs_scope.alloc_bytes(static_cast<size_t>(wb)));
@@ -1172,8 +1175,13 @@ Tensor Conv2d::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
   dargs.w_grid = wq->params();
   dargs.w_max = static_cast<int32_t>(quant::max_code(wq->bits()));
   dargs.y = dx.data();
-  const KernelPlan& plan_dx = plan_for(
-      ConvS8Forward::plan_key(tc.o, tc.h, tc.w, dargs.w_max, g_max));
+  // Several samples run as pool tasks (accumulate_dw), so their dX conv
+  // and dW GEMM are planned for one thread, like the forward's.
+  const int32_t threads = N > 1 ? 1 : plan_threads();
+  PlanKey dx_key =
+      ConvS8Forward::plan_key(tc.o, tc.h, tc.w, dargs.w_max, g_max);
+  dx_key.threads = threads;
+  const KernelPlan& plan_dx = plan_for(dx_key);
   auto* wf = static_cast<uint8_t*>(
       outer.alloc_bytes(static_cast<size_t>(weight_.numel())));
   flip_weights(opts_, wq->codes_u8(), wf);
@@ -1194,9 +1202,10 @@ Tensor Conv2d::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
   GemmS8Params pw = s8_params(gq, xq);
   pw.max_a = g_max;
   pw.max_b = static_cast<int32_t>(quant::max_code(xq.bits));
-  const KernelPlan& plan_dw = plan_for(
-      PlanKey::s8_grad_dw(ocg, krows, OH * OW, /*trans_a=*/false,
-                          /*trans_b=*/true, pw.max_a, pw.max_b));
+  PlanKey dw_key = PlanKey::s8(ocg, krows, OH * OW, /*trans_a=*/false,
+                               /*trans_b=*/true, pw.max_a, pw.max_b);
+  dw_key.threads = threads;
+  const KernelPlan& plan_dw = plan_for(dw_key);
   const auto pad_code = static_cast<uint8_t>(xq.zero_point);
 
   accumulate_dw(weight_, N, [&](float* dw, int64_t n0, int64_t n1) {

@@ -25,7 +25,7 @@
 //          codes flipped in (kh, kw) and their channels swapped, padding
 //          k-1-p (a strided conv reads dYq zero-inserted), so each dX
 //          element is one exact integer sum and one float(Sa*Sb*T)
-//   dW_g = dYq · colsᵀ (kS8GradDw plan, colsᵀ packed implicitly from
+//   dW_g = dYq · colsᵀ (kS8 plan, colsᵀ packed implicitly from
 //          the cached input codes' padded NCHW image)
 #pragma once
 

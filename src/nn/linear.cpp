@@ -92,8 +92,8 @@ Tensor Linear::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
   pw.max_a = static_cast<int32_t>(quant::max_code(kGradSrBits));
   pw.max_b = static_cast<int32_t>(quant::max_code(xq.bits));
   const KernelPlan& plan_dw = plan_for(
-      PlanKey::s8_grad_dw(out_, in_, n, /*trans_a=*/true, /*trans_b=*/false,
-                          pw.max_a, pw.max_b));
+      PlanKey::s8(out_, in_, n, /*trans_a=*/true, /*trans_b=*/false,
+                  pw.max_a, pw.max_b));
   ScratchArena::Scope scope(ScratchArena::thread_local_arena());
   float* dw = scope.alloc_floats(static_cast<size_t>(out_ * in_));
   GemmS8Args gw;
@@ -119,8 +119,8 @@ Tensor Linear::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
   px.max_a = static_cast<int32_t>(quant::max_code(kGradSrBits));
   px.max_b = static_cast<int32_t>(quant::max_code(wq->bits()));
   const KernelPlan& plan_dx = plan_for(
-      PlanKey::s8_grad_dx(n, in_, out_, /*trans_a=*/false,
-                          /*trans_b=*/false, px.max_a, px.max_b));
+      PlanKey::s8(n, in_, out_, /*trans_a=*/false, /*trans_b=*/false,
+                  px.max_a, px.max_b));
   Tensor dx(Shape{n, in_});
   GemmS8Args gx;
   gx.a = dy;

@@ -8,9 +8,9 @@
 //                                 channels are C's columns; written once
 //                                 in linear_s8_forward, which
 //                                 CompiledModel's serving linear runs too)
-//   backward: dX = dYq · Wq      (kS8GradDx plan)
-//             dW = dYqᵀ · Xq     (kS8GradDw plan, accumulated into the
-//                                 sink)
+//   backward: dX = dYq · Wq      (kS8 plan)
+//             dW = dYqᵀ · Xq     (kS8 plan with trans_a, accumulated
+//                                 into the sink)
 //
 // and their fp32 counterparts on the dequantised weight view.
 #pragma once

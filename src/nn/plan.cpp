@@ -3,17 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <memory>
 #include <mutex>
 #include <shared_mutex>
-#include <sstream>
-#include <string>
-#include <tuple>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "base/check.hpp"
@@ -25,8 +17,6 @@ namespace {
 // ------------------------------------------------------------- options
 
 std::atomic<GemmBackend> g_backend{GemmBackend::kPacked};
-std::mutex g_options_mu;
-std::string g_cache_file;  // guarded by g_options_mu
 
 // ---------------------------------------------------------- cost model
 //
@@ -37,8 +27,7 @@ std::string g_cache_file;  // guarded by g_options_mu
 // effective task width, plus a weighted packing / raw-plane traffic
 // term. The absolute scale is meaningless; only the
 // deterministic ordering of candidates matters. No measurement happens
-// here — the autotuner (bench_runner --autotune) is where candidates
-// meet a clock.
+// here or anywhere else: the model's pick is the plan.
 
 int64_t ceil_div(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
@@ -227,20 +216,6 @@ PlanKey PlanKey::conv_s8(int64_t m, int64_t n, int64_t k, int32_t kernel,
   return key;
 }
 
-PlanKey PlanKey::s8_grad_dx(int64_t m, int64_t n, int64_t k, bool trans_a,
-                            bool trans_b, int32_t max_a, int32_t max_b) {
-  PlanKey key = PlanKey::s8(m, n, k, trans_a, trans_b, max_a, max_b);
-  key.op = PlanOp::kS8GradDx;
-  return key;
-}
-
-PlanKey PlanKey::s8_grad_dw(int64_t m, int64_t n, int64_t k, bool trans_a,
-                            bool trans_b, int32_t max_a, int32_t max_b) {
-  PlanKey key = PlanKey::s8(m, n, k, trans_a, trans_b, max_a, max_b);
-  key.op = PlanOp::kS8GradDw;
-  return key;
-}
-
 std::vector<KernelPlan> plan_candidates(const PlanKey& key) {
   std::vector<KernelPlan> out;
   if (key.op == PlanOp::kGemmF32) {
@@ -330,10 +305,10 @@ struct PlanCache {
   };
 
   std::shared_mutex mu;
-  // unique_ptr nodes so plan_for can return references that stay stable
-  // across rehashes; adoption mutates nodes in place for the same
-  // reason.
-  std::unordered_map<PlanKey, std::unique_ptr<KernelPlan>, KeyHash> map;
+  // Plans by value: an unordered_map keeps element references valid
+  // across rehashes, and an entry never changes once inserted, so
+  // plan_for's references stay stable until plan_cache_clear.
+  std::unordered_map<PlanKey, KernelPlan, KeyHash> map;
   std::atomic<uint64_t> hits{0};
   std::atomic<uint64_t> misses{0};
 };
@@ -343,40 +318,9 @@ PlanCache& plan_cache() {
   return cache;
 }
 
-std::once_flag g_startup_load_once;
-
-// Lazily loads the persisted plan cache the first time any plan is
-// resolved: PlanOptions::cache_file when set, else APT_PLAN_CACHE.
-void maybe_load_startup_cache() {
-  std::call_once(g_startup_load_once, [] {
-    std::string path;
-    {
-      std::lock_guard<std::mutex> lk(g_options_mu);
-      path = g_cache_file;
-    }
-    if (path.empty()) {
-      // NOLINTNEXTLINE(concurrency-mt-unsafe)
-      const char* env = std::getenv("APT_PLAN_CACHE");
-      if (env != nullptr) path = env;
-    }
-    if (path.empty()) return;
-    if (plan_cache_load(path) < 0)
-      std::fprintf(stderr, "apt: could not read plan cache \"%s\"\n",
-                   path.c_str());
-  });
-}
-
-uint64_t count_autotuned_locked(const PlanCache& cache) {
-  uint64_t count = 0;
-  for (const auto& [key, plan] : cache.map)
-    if (plan->autotuned) ++count;
-  return count;
-}
-
 }  // namespace
 
 const KernelPlan& plan_for(const PlanKey& key, bool* cache_hit) {
-  maybe_load_startup_cache();
   PlanCache& cache = plan_cache();
   {
     std::shared_lock<std::shared_mutex> lk(cache.mu);
@@ -384,7 +328,7 @@ const KernelPlan& plan_for(const PlanKey& key, bool* cache_hit) {
     if (it != cache.map.end()) {
       cache.hits.fetch_add(1, std::memory_order_relaxed);
       if (cache_hit != nullptr) *cache_hit = true;
-      return *it->second;
+      return it->second;
     }
   }
   std::unique_lock<std::shared_mutex> lk(cache.mu);
@@ -392,14 +336,11 @@ const KernelPlan& plan_for(const PlanKey& key, bool* cache_hit) {
   if (it != cache.map.end()) {
     cache.hits.fetch_add(1, std::memory_order_relaxed);
     if (cache_hit != nullptr) *cache_hit = true;
-    return *it->second;
+    return it->second;
   }
-  auto node = std::make_unique<KernelPlan>(resolve_plan(key));
   cache.misses.fetch_add(1, std::memory_order_relaxed);
   if (cache_hit != nullptr) *cache_hit = false;
-  const KernelPlan& ref = *node;
-  cache.map.emplace(key, std::move(node));
-  return ref;
+  return cache.map.emplace(key, resolve_plan(key)).first->second;
 }
 
 PlanCacheStats plan_cache_stats() {
@@ -409,7 +350,6 @@ PlanCacheStats plan_cache_stats() {
   stats.misses = cache.misses.load(std::memory_order_relaxed);
   std::shared_lock<std::shared_mutex> lk(cache.mu);
   stats.entries = cache.map.size();
-  stats.autotuned = count_autotuned_locked(cache);
   return stats;
 }
 
@@ -427,240 +367,15 @@ void plan_cache_clear() {
   cache.misses.store(0, std::memory_order_relaxed);
 }
 
-void plan_cache_adopt(const KernelPlan& plan) {
-  PlanCache& cache = plan_cache();
-  std::unique_lock<std::shared_mutex> lk(cache.mu);
-  auto it = cache.map.find(plan.key);
-  if (it != cache.map.end()) {
-    // Mutate in place: references handed out by plan_for stay valid.
-    *it->second = plan;
-    it->second->autotuned = true;
-    return;
-  }
-  auto node = std::make_unique<KernelPlan>(plan);
-  node->autotuned = true;
-  cache.map.emplace(plan.key, std::move(node));
-}
-
-// ------------------------------------------------------ JSON persistence
-//
-// Minimal hand-rolled format (no JSON dependency in the container):
-// a flat integer-field object per plan under a versioned schema tag.
-// The writer emits sorted, deterministic output; the reader accepts any
-// whitespace but only this shape.
-
-namespace {
-
-struct PlanFieldRef {
-  const char* name;
-  int64_t value;
-};
-
-void append_plan_json(std::string& out, const KernelPlan& p) {
-  const PlanFieldRef fields[] = {
-      {"op", static_cast<int64_t>(p.key.op)},
-      {"m", p.key.m},
-      {"n", p.key.n},
-      {"k", p.key.k},
-      {"ta", p.key.trans_a ? 1 : 0},
-      {"tb", p.key.trans_b ? 1 : 0},
-      {"max_a", p.key.max_a},
-      {"max_b", p.key.max_b},
-      {"kernel", p.key.kernel},
-      {"stride", p.key.stride},
-      {"padding", p.key.padding},
-      {"threads", p.key.threads},
-      {"strategy", static_cast<int64_t>(p.strategy)},
-      {"mr", p.mr},
-      {"nr", p.nr},
-      {"kc", p.kc},
-      {"mc", p.mc},
-      {"nc", p.nc},
-      {"parallel", p.parallel ? 1 : 0},
-      {"split_n", p.split_n ? 1 : 0},
-  };
-  out += "    {";
-  bool first = true;
-  for (const PlanFieldRef& f : fields) {
-    if (!first) out += ", ";
-    first = false;
-    out += '"';
-    out += f.name;
-    out += "\": ";
-    out += std::to_string(f.value);
-  }
-  out += '}';
-}
-
-bool json_int_field(const std::string& obj, const char* name,
-                    int64_t* value) {
-  const std::string pat = std::string{"\""} + name + "\"";
-  size_t pos = obj.find(pat);
-  if (pos == std::string::npos) return false;
-  pos = obj.find(':', pos + pat.size());
-  if (pos == std::string::npos) return false;
-  ++pos;
-  while (pos < obj.size() && (obj[pos] == ' ' || obj[pos] == '\t')) ++pos;
-  bool neg = false;
-  if (pos < obj.size() && obj[pos] == '-') {
-    neg = true;
-    ++pos;
-  }
-  if (pos >= obj.size() || obj[pos] < '0' || obj[pos] > '9') return false;
-  int64_t v = 0;
-  while (pos < obj.size() && obj[pos] >= '0' && obj[pos] <= '9') {
-    v = v * 10 + (obj[pos] - '0');
-    ++pos;
-  }
-  *value = neg ? -v : v;
-  return true;
-}
-
-bool parse_plan_json(const std::string& obj, KernelPlan* plan) {
-  int64_t op = 0, ta = 0, tb = 0, max_a = 255, max_b = 255;
-  int64_t kernel = 0, stride = 0, padding = 0, threads = 1;
-  int64_t strategy = 0, parallel = 1, split = 0;
-  KernelPlan p;
-  if (!json_int_field(obj, "op", &op) || op < 0 || op > 4) return false;
-  if (!json_int_field(obj, "m", &p.key.m) ||
-      !json_int_field(obj, "n", &p.key.n) ||
-      !json_int_field(obj, "k", &p.key.k))
-    return false;
-  if (!json_int_field(obj, "strategy", &strategy) || strategy < 0 ||
-      strategy > 4)
-    return false;
-  json_int_field(obj, "ta", &ta);
-  json_int_field(obj, "tb", &tb);
-  json_int_field(obj, "max_a", &max_a);
-  json_int_field(obj, "max_b", &max_b);
-  json_int_field(obj, "kernel", &kernel);
-  json_int_field(obj, "stride", &stride);
-  json_int_field(obj, "padding", &padding);
-  json_int_field(obj, "threads", &threads);
-  json_int_field(obj, "mr", &p.mr);
-  json_int_field(obj, "nr", &p.nr);
-  json_int_field(obj, "kc", &p.kc);
-  json_int_field(obj, "mc", &p.mc);
-  json_int_field(obj, "nc", &p.nc);
-  json_int_field(obj, "parallel", &parallel);
-  json_int_field(obj, "split_n", &split);
-  p.key.op = static_cast<PlanOp>(op);
-  p.key.trans_a = ta != 0;
-  p.key.trans_b = tb != 0;
-  p.key.max_a = static_cast<int32_t>(max_a);
-  p.key.max_b = static_cast<int32_t>(max_b);
-  p.key.kernel = static_cast<int32_t>(kernel);
-  p.key.stride = static_cast<int32_t>(stride);
-  p.key.padding = static_cast<int32_t>(padding);
-  p.key.threads = static_cast<int32_t>(threads);
-  p.strategy = static_cast<PlanStrategy>(strategy);
-  p.parallel = parallel != 0;
-  p.split_n = split != 0;
-  // Invariants a (possibly stale or hand-edited) cache must not break.
-  // The strategy must be one the planner itself offers for the key: an
-  // fp32 strategy the kSmallWork pin excludes would change bits (direct
-  // and packed round differently), and an integer strategy meant for
-  // another op can misread its operands (kS8ConvDirect binds a k x k
-  // conv's input plane as a taps x positions matrix). fp32 plans keep
-  // the default k panel (accumulation order), and blocking stays in the
-  // driver's clamp range. Quad ceilings are re-validated at execution
-  // time by resolve_s8_path, so a stale quad plan degrades to the exact
-  // full-range form, never to wrong bits. mc is stored as the driver
-  // runs it, whole MR strips, so every MC block starts on a strip.
-  const std::vector<KernelPlan> offered = plan_candidates(p.key);
-  if (std::none_of(offered.begin(), offered.end(),
-                   [&](const KernelPlan& c) {
-                     return c.strategy == p.strategy;
-                   }))
-    return false;
-  if (p.key.op == PlanOp::kGemmF32) p.kc = 0;
-  p.kc = std::clamp<int64_t>(p.kc, 0, kGemmS8KCQuad);
-  p.mc = p.mc > 0 ? plan_mc(p) : 0;
-  p.nc = std::clamp<int64_t>(p.nc, 0, kGemmNC);
-  p.autotuned = true;
-  *plan = p;
-  return true;
-}
-
-bool plan_sort_less(const KernelPlan& a, const KernelPlan& b) {
-  const PlanKey& x = a.key;
-  const PlanKey& y = b.key;
-  return std::tie(x.op, x.m, x.n, x.k, x.trans_a, x.trans_b, x.max_a,
-                  x.max_b, x.kernel, x.stride, x.padding, x.threads) <
-         std::tie(y.op, y.m, y.n, y.k, y.trans_a, y.trans_b, y.max_a,
-                  y.max_b, y.kernel, y.stride, y.padding, y.threads);
-}
-
-}  // namespace
-
-bool plan_cache_save(const std::string& path) {
-  std::vector<KernelPlan> plans;
-  {
-    PlanCache& cache = plan_cache();
-    std::shared_lock<std::shared_mutex> lk(cache.mu);
-    plans.reserve(cache.map.size());
-    for (const auto& [key, plan] : cache.map) plans.push_back(*plan);
-  }
-  std::sort(plans.begin(), plans.end(), plan_sort_less);
-  std::string out = "{\n  \"schema\": \"apt-plan-cache/1\",\n  \"plans\": [\n";
-  for (size_t i = 0; i < plans.size(); ++i) {
-    append_plan_json(out, plans[i]);
-    if (i + 1 < plans.size()) out += ',';
-    out += '\n';
-  }
-  out += "  ]\n}\n";
-  // The plan cache is a non-durable perf hint, not an artifact: nn/
-  // cannot depend on src/io/ (layering), a torn file only costs a
-  // re-autotune, and plan_cache_load parses defensively.
-  // apt-lint: allow(rawio)
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) return false;
-  f.write(out.data(), static_cast<std::streamsize>(out.size()));
-  return f.good();
-}
-
-int plan_cache_load(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return -1;
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  const std::string text = buf.str();
-  if (text.find("\"apt-plan-cache/1\"") == std::string::npos) return 0;
-  const size_t plans_at = text.find("\"plans\"");
-  if (plans_at == std::string::npos) return 0;
-  int adopted = 0;
-  size_t pos = text.find('[', plans_at);
-  if (pos == std::string::npos) return 0;
-  while (true) {
-    const size_t open = text.find('{', pos);
-    if (open == std::string::npos) break;
-    const size_t close = text.find('}', open);
-    if (close == std::string::npos) break;
-    KernelPlan plan;
-    if (parse_plan_json(text.substr(open, close - open + 1), &plan)) {
-      plan_cache_adopt(plan);
-      ++adopted;
-    }
-    pos = close + 1;
-    const size_t next = text.find_first_not_of(" \t\r\n,", pos);
-    if (next == std::string::npos || text[next] == ']') break;
-  }
-  return adopted;
-}
-
 // ------------------------------------------------------------- options
 
 void set_plan_options(const PlanOptions& opts) {
   g_backend.store(opts.backend, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lk(g_options_mu);
-  g_cache_file = opts.cache_file;
 }
 
 PlanOptions plan_options() {
   PlanOptions opts;
   opts.backend = g_backend.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lk(g_options_mu);
-  opts.cache_file = g_cache_file;
   return opts;
 }
 

@@ -5,9 +5,11 @@
 // resolved to a KernelPlan: the strategy, cache blocking, and thread
 // decomposition a small deterministic cost model picks for the problem's
 // PlanKey {op, M/N/K or conv geometry, operand code ceilings, transpose
-// flags, thread count}. Plans are cached process-wide (resolve once per
-// shape, reuse for the life of the process) and executed through the
-// plan-keyed entry points below — the only way any GEMM runs:
+// flags, thread count}. The model is the only source of plans, so a plan
+// is a pure function of its key. Plans are cached process-wide (resolve
+// once per shape, reuse for the life of the process) and executed
+// through the plan-keyed entry points below — the only way any GEMM
+// runs:
 //
 //   const KernelPlan& plan = plan_for(PlanKey::s8(m, n, k, ...));
 //   gemm_s8_ex(plan, args);            // or gemm_ex(plan, ...) for fp32
@@ -35,19 +37,9 @@
 //  * Exactness: the byte-quad strategy is only planned when the key's
 //    operand ceilings prove vpmaddubsw cannot saturate, mirroring the
 //    kernel-level rule.
-//
-// Autotuning is optional and lives OUTSIDE library code (timing is
-// banned in src/ by the `clock` lint rule): `bench_runner --autotune`
-// times `plan_candidates(key)` with the bench harness, adopts each
-// winner via `plan_cache_adopt`, and persists the result with
-// `plan_cache_save`. A persisted cache is reloaded at startup — lazily,
-// on the first `plan_for` — from PlanOptions::cache_file or the
-// APT_PLAN_CACHE environment variable, so autotuned plans survive a
-// process restart.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "nn/gemm.hpp"
@@ -55,18 +47,14 @@
 
 namespace apt::nn {
 
-/// Problem family a plan is resolved for. The two gradient ops run on
-/// the same exact integer kernels as kGemmS8, but carry their own op
-/// tag: backward shapes get their own cost-model buckets, autotune
-/// entries, and plan-cache rows instead of aliasing a forward key with
-/// the same M/N/K (DESIGN.md §14). A conv's dX is a forward conv over
-/// dY (its transposed conv), so it runs kConvS8 plans.
+/// Problem family a plan is resolved for. Backward GEMMs are plain
+/// kGemmS8 problems (the transpose flags say which operand is read
+/// transposed), and a conv's dX is a forward conv over dY (its
+/// transposed conv), so it runs kConvS8 plans (DESIGN.md §14).
 enum class PlanOp : uint8_t {
-  kGemmF32 = 0,        ///< fp32 GEMM (gemm, gemm_ex, gemm_conv_ex)
-  kGemmS8 = 1,         ///< integer code-plane GEMM (linear layout)
-  kConvS8 = 2,         ///< integer conv: B is the implicit im2col operand
-  kS8GradDx = 3,       ///< backward data gradient: dX = dY · W
-  kS8GradDw = 4,       ///< backward weight gradient: dW = dYᵀ · X
+  kGemmF32 = 0,  ///< fp32 GEMM (gemm, gemm_ex, gemm_conv_ex)
+  kGemmS8 = 1,   ///< integer code-plane GEMM (linear layout)
+  kConvS8 = 2,   ///< integer conv: B is the implicit im2col operand
 };
 
 /// Execution strategy. Conv plans use kS8Pairs/kS8Quad with the implicit
@@ -115,12 +103,6 @@ struct PlanKey {
   static PlanKey conv_s8(int64_t m, int64_t n, int64_t k, int32_t kernel,
                          int32_t stride, int32_t padding, int32_t max_a,
                          int32_t max_b);
-  /// Gradient GEMMs (op = kS8GradDx / kS8GradDw): same normalisation as
-  /// s8(), distinct op tag so backward shapes resolve independently.
-  static PlanKey s8_grad_dx(int64_t m, int64_t n, int64_t k, bool trans_a,
-                            bool trans_b, int32_t max_a, int32_t max_b);
-  static PlanKey s8_grad_dw(int64_t m, int64_t n, int64_t k, bool trans_a,
-                            bool trans_b, int32_t max_a, int32_t max_b);
 };
 
 /// A resolved execution recipe: the drivers read the strategy, blocking
@@ -128,18 +110,13 @@ struct PlanKey {
 /// kernel layer's compile-time default (gemm_kernel.hpp); an integer kc
 /// is clamped to [group, kGemmS8KCQuad], an fp32 kc must stay 0 (float
 /// accumulation order), mc is clamped to [kGemmMR, kGemmMaxMC] and
-/// rounded down to whole MR strips, nc to [kGemmNR, kGemmNC]. mr/nr
-/// record the register tile (one micro-kernel shape exists today; the
-/// field keeps plans self-describing for the JSON cache and future
-/// kernels).
+/// rounded down to whole MR strips, nc to [kGemmNR, kGemmNC].
 struct KernelPlan {
   PlanKey key;
   PlanStrategy strategy = PlanStrategy::kF32Packed;
-  int64_t mr = kGemmMR, nr = kGemmNR;
   int64_t kc = 0, mc = 0, nc = 0;
-  bool parallel = true;   ///< allow pool dispatch at all
-  bool split_n = false;   ///< decompose over column strips (skinny M)
-  bool autotuned = false; ///< came from an adopted / persisted plan
+  bool parallel = true;  ///< allow pool dispatch at all
+  bool split_n = false;  ///< decompose over column strips (skinny M)
 };
 
 /// Participating threads (pool workers + the calling thread); the value
@@ -150,53 +127,40 @@ int32_t plan_threads();
 
 struct PlanCacheStats {
   uint64_t hits = 0;
-  uint64_t misses = 0;    ///< cost-model resolutions (cold lookups)
+  uint64_t misses = 0;  ///< cost-model resolutions (cold lookups)
   uint64_t entries = 0;
-  uint64_t autotuned = 0; ///< entries adopted rather than modelled
 };
 
 /// Resolves (or returns the cached) plan for `key`. Thread-safe: readers
 /// share a shared_mutex, a miss upgrades to exclusive and resolves via
-/// the cost model exactly once. The returned reference is stable for
-/// the life of the process. `cache_hit`, when non-null, reports whether
+/// the cost model exactly once. The returned reference is stable until
+/// plan_cache_clear. `cache_hit`, when non-null, reports whether
 /// the plan came from the cache (layer telemetry).
 const KernelPlan& plan_for(const PlanKey& key, bool* cache_hit = nullptr);
 
 /// The deterministic candidate set the cost model scores for `key`,
 /// best-first is NOT implied — `plan_for` picks the min-cost entry.
-/// Exposed for the autotuner and the bit-identity tests (every candidate
-/// must produce identical bits).
+/// Exposed for the bit-identity tests (every candidate must produce
+/// identical bits).
 std::vector<KernelPlan> plan_candidates(const PlanKey& key);
 
 PlanCacheStats plan_cache_stats();
 void plan_cache_reset_stats();
-/// Drops every entry AND the stats (tests, autotune round-trips).
+/// Drops every entry AND the stats (tests, benchmark cold starts).
 void plan_cache_clear();
-/// Inserts (or overwrites) a plan for plan.key, marking it autotuned.
-void plan_cache_adopt(const KernelPlan& plan);
-/// Persists every cached plan as JSON (schema apt-plan-cache/1).
-/// Returns false on I/O failure. Entries are written in a sorted,
-/// deterministic order.
-bool plan_cache_save(const std::string& path);
-/// Loads a JSON plan cache, adopting every well-formed entry. Returns
-/// the number of plans adopted, or -1 when the file cannot be read.
-int plan_cache_load(const std::string& path);
 
 // -- options ----------------------------------------------------------------
 
 /// Process-wide planner configuration.
 struct PlanOptions {
   GemmBackend backend = GemmBackend::kPacked;
-  /// JSON plan cache loaded lazily at the first plan_for. Empty defers
-  /// to the APT_PLAN_CACHE environment variable (if set).
-  std::string cache_file;
 };
 
 void set_plan_options(const PlanOptions& opts);
 PlanOptions plan_options();
 
-/// PlanOptions::backend, the backend `gemm` dispatches on. A lock-free
-/// load (plan_options() takes a mutex), so it is cheap on every call.
+/// PlanOptions::backend, the backend `gemm` dispatches on: one relaxed
+/// atomic load, cheap on every call.
 GemmBackend resolved_gemm_backend();
 
 // -- plan-keyed execution ---------------------------------------------------

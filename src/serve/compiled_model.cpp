@@ -490,7 +490,8 @@ quant::QuantParams read_grid(io::BufReader& r) {
 // saved, but a load must also defend against a *crafted* artifact with
 // valid CRCs: every register index, geometry field, and operand size is
 // proven consistent here, so `run` (and InferenceContext::bind) cannot
-// read or write out of bounds no matter what the file said.
+// read or write out of bounds no matter what the file said, and every
+// register an op reads was written earlier in the same request.
 
 /// Ceiling on per-register / per-operand element counts (2^28 ≈ 268M):
 /// far beyond any real model, small enough that bind() cannot be driven
@@ -538,6 +539,12 @@ Status validate_program(const std::string& path, const CompiledModel& cm,
       reg(out_reg).elems != cm.out_elems())
     return corrupt("bad output register");
 
+  // Single assignment, as compile() emits it: an InferenceContext keeps
+  // register contents across requests, so a register read before any op
+  // wrote it would serve bytes left by the previous request. Register 0
+  // holds the request's input.
+  std::vector<bool> written(regs.size(), false);
+  written[0] = true;
   for (size_t i = 0; i < cm.ops().size(); ++i) {
     const CompiledOp& op = cm.ops()[i];
     auto bad = [&](const char* why) {
@@ -551,6 +558,12 @@ Status validate_program(const std::string& path, const CompiledModel& cm,
     } else if (op.in1 != -1) {
       return bad("unexpected second input");
     }
+    if (written[static_cast<size_t>(op.out)])
+      return bad("register written twice");
+    if (!written[static_cast<size_t>(op.in0)] ||
+        (op.in1 != -1 && !written[static_cast<size_t>(op.in1)]))
+      return bad("register read before any op wrote it");
+    written[static_cast<size_t>(op.out)] = true;
     const bool fused =
         op.kind == OpKind::kConvS8 || op.kind == OpKind::kLinearS8;
     if (!fused && (rin.codes || rout.codes))
@@ -651,6 +664,8 @@ Status validate_program(const std::string& path, const CompiledModel& cm,
                     [&](uint8_t q) { return q > op.w_max; }))
       return bad("weight code above the ceiling");
   }
+  if (!written[static_cast<size_t>(out_reg)])
+    return corrupt("output register never written");
   return Status::Ok();
 }
 

@@ -379,8 +379,9 @@ TEST(GemmKernelDiff, Avx512TileMatchesAvx2BitForBit) {
 
 // gemm_pack_a_panels + the packed-A driver must write the bytes of the
 // driver packing A per MC block itself: several KC panels (k up to 600),
-// ragged strips (m = 1, 5, 37), every plan-offered mc, both transposes,
-// and beta 0 (over NaN), 1 and -0.75.
+// ragged strips (m = 1, 5, 37), every plan-offered mc plus an off-strip
+// 50 (the driver rounds it down to 48, so every MC block starts on a
+// packed strip), both transposes, and beta 0 (over NaN), 1 and -0.75.
 void expect_packed_a_matches_raw(SimdLevel level) {
   SimdCapScope cap(level);
   Rng rng(41);
@@ -395,7 +396,7 @@ void expect_packed_a_matches_raw(SimdLevel level) {
           static_cast<size_t>(gemm_pack_a_panels_size(m, k)));
       for (bool ta : {false, true}) {
         gemm_pack_a_panels(ta, a.data(), m, k, panels.data());
-        for (int64_t mc : {48, 96, 192})
+        for (int64_t mc : {48, 50, 96, 192})
           for (float beta : {0.0f, 1.0f, -0.75f}) {
             std::vector<float> c(static_cast<size_t>(m * n));
             for (auto& v : c)

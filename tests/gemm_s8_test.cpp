@@ -1079,7 +1079,7 @@ TEST(GemmS8FinalStore, Avx2MatchesScalarOnGradientGemmShapes) {
   // across several (the int32 raw-plane path). The scalar SIMD cap forces
   // the scalar store (and the scalar micro-kernel, exact either way).
   struct GradShape {
-    bool dw;  // s8_grad_dw (B transposed) vs s8_grad_dx
+    bool dw;  // the dW GEMM (B transposed) vs the dX GEMM
     int64_t m, n, k;
     int32_t max_a, max_b;
   };
@@ -1090,11 +1090,9 @@ TEST(GemmS8FinalStore, Avx2MatchesScalarOnGradientGemmShapes) {
       {true, 32, 288, 1024, 63, 255}, {true, 5, 27, 300, 63, 255}};
   for (const GradShape& c : kShapes)
     for (int64_t kc : {int64_t{0}, int64_t{64}}) {
-      KernelPlan plan = plan_for(
-          c.dw ? PlanKey::s8_grad_dw(c.m, c.n, c.k, false, true, c.max_a,
-                                     c.max_b)
-               : PlanKey::s8_grad_dx(c.m, c.n, c.k, false, false, c.max_a,
-                                     c.max_b));
+      KernelPlan plan = plan_for(PlanKey::s8(c.m, c.n, c.k, false,
+                                             /*trans_b=*/c.dw, c.max_a,
+                                             c.max_b));
       if (kc > 0) plan.kc = kc;  // force the multi-panel path
       std::vector<uint8_t> a(static_cast<size_t>(c.m * c.k));
       std::vector<uint8_t> b(static_cast<size_t>(c.k * c.n));

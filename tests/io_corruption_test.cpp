@@ -3,7 +3,10 @@
 // flip and every truncation length of a checkpoint and a compiled-model
 // artifact must come back as a typed Status — never a crash, never an
 // OOM from a hostile length field, and never silent acceptance — and a
-// failed load must leave the target model untouched.
+// failed load must leave the target model untouched. Past the CRCs,
+// structure-aware mutations rewrite one field of a compiled ResNet-8
+// with every checksum kept valid, so they reach the loader's semantic
+// checks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +25,7 @@
 #include "io/atomic_file.hpp"
 #include "io/checkpoint.hpp"
 #include "models/zoo.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "serve/compiled_model.hpp"
 
@@ -282,6 +287,234 @@ TEST(CompiledModelCorruption, WeightCodeAboveCeilingIsCorrupt) {
           << st.to_string();
     }
   }
+  std::filesystem::remove(path);
+}
+
+// A compiled ResNet-8 (n = 1, width 8) on 3x16x16 samples with 6-bit
+// weight grids, its range trackers warmed by one training-mode forward.
+serve::CompiledModel compile_resnet8() {
+  Rng rng(5);
+  auto net = models::make_resnet({.n = 1, .base_width = 8, .num_classes = 10},
+                                 rng);
+  for (nn::Layer* leaf : nn::leaves_of(*net)) {
+    nn::Parameter* w = nullptr;
+    if (auto* c = dynamic_cast<nn::Conv2d*>(leaf)) w = &c->weight();
+    if (auto* l = dynamic_cast<nn::Linear*>(leaf)) w = &l->weight();
+    if (w == nullptr) continue;
+    core::GridOptions go;
+    go.bits = 6;
+    w->rep = std::make_shared<core::GridRepresentation>(*w, go);
+  }
+  Tensor calib(Shape{4, 3, 16, 16});
+  rng.fill_uniform(calib, -1.0f, 1.0f);
+  net->forward(calib, /*training=*/true);
+  return serve::CompiledModel::compile(*net, Shape{3, 16, 16},
+                                       {.max_batch = 2});
+}
+
+// Serves `in` on `ctx` and returns the response bytes.
+std::vector<float> serve_one(const serve::CompiledModel& cm,
+                             const std::vector<float>& in,
+                             serve::InferenceContext& ctx) {
+  std::vector<float> out(static_cast<size_t>(cm.out_elems()));
+  cm.run(in.data(), 1, out.data(), ctx);
+  return out;
+}
+
+TEST(CompiledModelCorruption, ReadBeforeWriteIsCorrupt) {
+  // An add that reads its own output register reads whatever the
+  // previous request left there: a CRC-valid artifact whose program
+  // reads a register before any op writes it must be refused.
+  const serve::CompiledModel cm = compile_resnet8();
+  const auto add = std::find_if(
+      cm.ops().begin(), cm.ops().end(), [](const serve::CompiledOp& op) {
+        return op.kind == serve::OpKind::kAddF32;
+      });
+  ASSERT_NE(add, cm.ops().end());
+  const size_t section = static_cast<size_t>(add - cm.ops().begin()) + 1;
+  const std::string path = temp_path("apt_corrupt_model_rbw.aptm");
+  ASSERT_TRUE(cm.try_save(path).ok());
+  rewrite_artifact(path, section, [&](std::vector<uint8_t>& payload) {
+    // Section layout: u8 kind, then i32 in0, in1, out.
+    std::memcpy(payload.data() + 5, &add->out, sizeof(int32_t));
+  });
+  serve::CompiledModel loaded;
+  const Status st = serve::CompiledModel::try_load(path, &loaded);
+  EXPECT_EQ(st.code(), StatusCode::kCorrupt) << st.to_string();
+  EXPECT_NE(st.to_string().find("read before"), std::string::npos)
+      << st.to_string();
+  std::filesystem::remove(path);
+}
+
+// One field of a compiled-model section: its byte offset and width.
+struct Field {
+  std::string name;
+  size_t offset = 0;
+  size_t width = 0;  // 1, 4 or 8 bytes; a double when `real`
+  bool real = false;
+};
+
+// The mutable fields of op section `payload` (CompiledModel::try_save's
+// layout): kind, registers, geometry, ceiling, the three grids, and the
+// ch_scale and wcodes lengths.
+std::vector<Field> op_fields(const std::vector<uint8_t>& payload) {
+  std::vector<Field> f = {{"kind", 0, 1}, {"in0", 1, 4}, {"in1", 5, 4},
+                          {"out", 9, 4}};
+  const char* geometry[] = {"c",  "h",      "w",      "oc",      "oh",
+                            "ow", "kernel", "stride", "padding", "groups"};
+  for (size_t i = 0; i < std::size(geometry); ++i)
+    f.push_back({geometry[i], 13 + 8 * i, 8});
+  f.push_back({"w_max", 100, 4});
+  const char* grids[] = {"in_grid", "w_grid", "out_grid"};
+  for (size_t g = 0; g < std::size(grids); ++g) {
+    const size_t at = 104 + 20 * g;  // f64 scale, i64 zero-point, i32 bits
+    f.push_back({std::string(grids[g]) + ".scale", at, 8, true});
+    f.push_back({std::string(grids[g]) + ".zero_point", at + 8, 8});
+    f.push_back({std::string(grids[g]) + ".bits", at + 16, 4});
+  }
+  auto count_at = [&](size_t at) {
+    uint64_t n = 0;
+    std::memcpy(&n, payload.data() + at, sizeof(n));
+    return n;
+  };
+  const size_t scale_at = 164;
+  const size_t bias_at = scale_at + 8 + 8 * count_at(scale_at);
+  const size_t codes_at = bias_at + 8 + 4 * count_at(bias_at);
+  f.push_back({"ch_scale.length", scale_at, 8});
+  f.push_back({"wcodes.length", codes_at, 8});
+  return f;
+}
+
+// One structure-aware mutation, drawn from a counter-keyed Philox seed:
+// a section (the header or one op), one of its fields, and the value
+// written there (-1, 0, the old value +-1, the register count, the op's
+// own output register, or INT32_MAX).
+struct Mutation {
+  uint64_t seed;
+  size_t section = 0;
+  Field field;
+  int64_t value = 0;
+
+  Mutation(uint64_t s, const serve::CompiledModel& cm,
+           const std::vector<std::vector<uint8_t>>& payloads)
+      : seed(s) {
+    uint64_t counter = 0;
+    auto draw = [&](int64_t lo, int64_t hi) {
+      const uint32_t word = philox_u32(0xc0de5eedULL ^ s, counter++);
+      return lo +
+             static_cast<int64_t>(word % static_cast<uint32_t>(hi - lo + 1));
+    };
+    section = static_cast<size_t>(
+        draw(0, static_cast<int64_t>(cm.ops().size())));
+    if (section == 0) {
+      // Header: i64 max_batch, the sample dims (u64 count + i64 each),
+      // i64 out_elems, i32 out_reg, u64 register count.
+      const auto rank = static_cast<size_t>(cm.sample_shape().rank());
+      const size_t regs_at = 8 + 8 + 8 * rank + 8 + 4;
+      field = {"register count", regs_at, 8};
+    } else {
+      const std::vector<Field> fields = op_fields(payloads[section]);
+      field = fields[static_cast<size_t>(
+          draw(0, static_cast<int64_t>(fields.size()) - 1))];
+    }
+    int64_t old = 0;
+    const std::vector<uint8_t>& bytes = payloads[section];
+    if (field.real) {
+      double d = 0;
+      std::memcpy(&d, bytes.data() + field.offset, sizeof(d));
+      old = static_cast<int64_t>(d);
+    } else {
+      std::memcpy(&old, bytes.data() + field.offset, field.width);
+      if (field.width == 4) old = static_cast<int32_t>(old);
+    }
+    // Besides the edge values, an op's own output register: an input
+    // rewired to it reads the register before the op writes it.
+    const int64_t nregs = static_cast<int64_t>(cm.regs().size());
+    const int64_t own_out = section == 0 ? 0 : cm.ops()[section - 1].out;
+    const int64_t values[] = {-1,      0,     old - 1, old + 1,
+                              nregs,   own_out,
+                              std::numeric_limits<int32_t>::max()};
+    value = values[draw(0, 6)];
+  }
+
+  void apply(std::vector<uint8_t>& payload) const {
+    if (field.real) {
+      const double d = static_cast<double>(value);
+      std::memcpy(payload.data() + field.offset, &d, sizeof(d));
+    } else {
+      std::memcpy(payload.data() + field.offset, &value, field.width);
+    }
+  }
+
+  std::string str() const {
+    return "repro: seed " + std::to_string(seed) + " (section " +
+           std::to_string(section) +
+           (section == 0 ? " header" : " op " + std::to_string(section - 1)) +
+           ", " + field.name + " = " + std::to_string(value) + ")";
+  }
+};
+
+TEST(CompiledModelCorruption, CrcValidFieldMutationsAreCorruptOrServeStably) {
+  // Each case rewrites one field of the compiled ResNet-8 with every CRC
+  // valid. The loader must refuse it as kCorrupt, or the program it
+  // accepts must serve a request with the same bytes on a fresh context
+  // as on a context that has just served another request. A failure
+  // names its seed; to rerun only it, set kFirstSeed to it and kCases
+  // to 1.
+  constexpr uint64_t kFirstSeed = 1;
+  constexpr uint64_t kCases = 500;
+  const serve::CompiledModel cm = compile_resnet8();
+  const std::string path = temp_path("apt_corrupt_model_fields_mut.aptm");
+  ASSERT_TRUE(cm.try_save(path).ok());
+  std::vector<uint8_t> reference;
+  ASSERT_TRUE(io::read_file(path, &reference).ok());
+  std::vector<std::vector<uint8_t>> payloads;
+  {
+    io::ArtifactReader reader;
+    ASSERT_TRUE(
+        reader.open(path, 0x4150544D, "apt-compiled-model/3").ok());
+    for (size_t i = 0; i < reader.sections(); ++i) {
+      io::BufReader r = reader.section(i);
+      std::vector<uint8_t> payload(r.remaining());
+      for (uint8_t& b : payload) b = r.pod<uint8_t>();
+      payloads.push_back(std::move(payload));
+    }
+  }
+  ASSERT_EQ(payloads.size(), cm.ops().size() + 1);
+
+  const auto in_elems = static_cast<size_t>(cm.in_elems());
+  std::vector<float> x(in_elems), other(in_elems);
+  Rng rng(9);
+  for (float& v : x) v = rng.uniform(-1, 1);
+  for (float& v : other) v = rng.uniform(-1, 1);
+
+  int corrupt = 0;
+  for (uint64_t seed = kFirstSeed; seed < kFirstSeed + kCases; ++seed) {
+    const Mutation m(seed, cm, payloads);
+    dump(path, reference);
+    rewrite_artifact(path, m.section,
+                     [&](std::vector<uint8_t>& payload) { m.apply(payload); });
+    ASSERT_FALSE(HasFatalFailure()) << m.str();
+    serve::CompiledModel loaded;
+    const Status st = serve::CompiledModel::try_load(path, &loaded);
+    if (!st.ok()) {
+      ASSERT_EQ(st.code(), StatusCode::kCorrupt)
+          << m.str() << ": " << st.to_string();
+      ++corrupt;
+      continue;
+    }
+    serve::InferenceContext fresh, used;
+    const std::vector<float> want = serve_one(loaded, x, fresh);
+    serve_one(loaded, other, used);
+    const std::vector<float> got = serve_one(loaded, x, used);
+    ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                             want.size() * sizeof(float)))
+        << m.str() << ": the response depends on the previous request";
+  }
+  // The draw reaches both outcomes: most mutations are refused, and some
+  // (a grid's scale, an unread field) still load.
+  EXPECT_GT(corrupt, 0);
+  EXPECT_LT(corrupt, static_cast<int>(kCases));
   std::filesystem::remove(path);
 }
 

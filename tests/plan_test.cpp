@@ -10,7 +10,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -119,31 +118,11 @@ TEST(PlanCache, CountsHitsMissesAndResets) {
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.hits, 2u);
   EXPECT_EQ(s.entries, 1u);
-  EXPECT_EQ(s.autotuned, 0u);
   plan_cache_reset_stats();
   s = plan_cache_stats();
   EXPECT_EQ(s.misses, 0u);
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.entries, 1u);  // entries survive a stats reset
-}
-
-TEST(PlanCache, AdoptOverwritesInPlaceKeepingReferencesStable) {
-  plan_cache_clear();
-  const PlanKey key = PlanKey::s8(8, 8, 128, false, false, 255, 255);
-  const KernelPlan& ref = plan_for(key);
-  EXPECT_FALSE(ref.autotuned);
-  KernelPlan tuned = ref;
-  tuned.mc = 48;
-  tuned.nc = 1024;
-  plan_cache_adopt(tuned);
-  // Same node, updated fields: callers holding the reference see the
-  // adopted plan without re-resolving.
-  const KernelPlan& again = plan_for(key);
-  EXPECT_EQ(&ref, &again);
-  EXPECT_TRUE(ref.autotuned);
-  EXPECT_EQ(ref.mc, 48);
-  EXPECT_EQ(ref.nc, 1024);
-  EXPECT_EQ(plan_cache_stats().autotuned, 1u);
 }
 
 // -------------------------------------------------- candidate identity
@@ -305,184 +284,6 @@ TEST(PlanDeterminism, SelectionAndBitsStableAcrossThreadCounts) {
       expect_bits_equal(got, want, serial ? "serial" : "pooled");
     }
   }
-}
-
-// ----------------------------------------------------- json round-trip
-
-TEST(PlanPersistence, SaveClearLoadRoundTripsEveryPlan) {
-  plan_cache_clear();
-  const PlanKey kf = PlanKey::f32(37, 53, 17, false, false);
-  const PlanKey ks = PlanKey::s8(5, 1027, 67, false, true, 63, 255);
-  const PlanKey kc = PlanKey::conv_s8(8, 100, 8, 1, 1, 0, 255, 255);
-  const KernelPlan pf = plan_for(kf);
-  const KernelPlan ps = plan_for(ks);
-  const KernelPlan pc = plan_for(kc);
-
-  const std::string path = ::testing::TempDir() + "apt_plan_cache.json";
-  ASSERT_TRUE(plan_cache_save(path));
-
-  plan_cache_clear();
-  EXPECT_EQ(plan_cache_stats().entries, 0u);
-  EXPECT_EQ(plan_cache_load(path), 3);
-  PlanCacheStats s = plan_cache_stats();
-  EXPECT_EQ(s.entries, 3u);
-  EXPECT_EQ(s.autotuned, 3u);  // loaded entries count as adopted
-
-  // Reloaded plans are cache hits carrying the persisted recipe.
-  plan_cache_reset_stats();
-  bool hit = false;
-  const KernelPlan& rf = plan_for(kf, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_TRUE(rf.autotuned);
-  EXPECT_EQ(rf.strategy, pf.strategy);
-  EXPECT_EQ(rf.kc, pf.kc);
-  EXPECT_EQ(rf.mc, pf.mc);
-  EXPECT_EQ(rf.nc, pf.nc);
-  const KernelPlan& rs = plan_for(ks, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(rs.strategy, ps.strategy);
-  EXPECT_EQ(rs.split_n, ps.split_n);
-  const KernelPlan& rc = plan_for(kc, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(rc.strategy, pc.strategy);
-  EXPECT_EQ(plan_cache_stats().misses, 0u);
-
-  // A second save of the reloaded cache is byte-stable (deterministic,
-  // sorted serialisation).
-  const std::string path2 = ::testing::TempDir() + "apt_plan_cache2.json";
-  ASSERT_TRUE(plan_cache_save(path2));
-  std::ifstream f1(path), f2(path2);
-  const std::string t1((std::istreambuf_iterator<char>(f1)),
-                       std::istreambuf_iterator<char>());
-  const std::string t2((std::istreambuf_iterator<char>(f2)),
-                       std::istreambuf_iterator<char>());
-  EXPECT_EQ(t1, t2);
-  plan_cache_clear();
-}
-
-TEST(PlanPersistence, LoadReportsUnreadableFileAndIgnoresGarbage) {
-  EXPECT_EQ(plan_cache_load("/nonexistent/apt_plan.json"), -1);
-  const std::string path = ::testing::TempDir() + "apt_plan_garbage.json";
-  {
-    std::ofstream f(path);
-    f << "{\"schema\": \"other/9\", \"plans\": [{\"op\": 1}]}";
-  }
-  EXPECT_EQ(plan_cache_load(path), 0);
-}
-
-TEST(PlanPersistence, LoadRejectsStrategiesThePlannerDoesNotOffer) {
-  // Two well-formed entries whose strategy the candidate set excludes:
-  // f32-packed for a problem pinned to f32-direct (the two round
-  // differently), and s8-conv-direct for a 3x3 conv (it would bind the
-  // input plane as a taps x positions matrix and read past it).
-  const PlanKey kf = PlanKey::f32(8, 8, 8, false, false);
-  const PlanKey kc = PlanKey::conv_s8(16, 64, 144, 3, 1, 1, 255, 255);
-  plan_cache_clear();
-  const KernelPlan pf = plan_for(kf);
-  const KernelPlan pc = plan_for(kc);
-  ASSERT_EQ(pf.strategy, PlanStrategy::kF32Direct);
-  ASSERT_NE(pc.strategy, PlanStrategy::kS8ConvDirect);
-  plan_cache_clear();
-
-  const std::string threads = std::to_string(plan_threads());
-  const std::string path = ::testing::TempDir() + "apt_plan_foreign.json";
-  {
-    std::ofstream f(path);
-    f << "{\"schema\": \"apt-plan-cache/1\", \"plans\": [\n"
-      << "  {\"op\": 0, \"m\": 8, \"n\": 8, \"k\": 8, \"threads\": "
-      << threads << ", \"strategy\": 1},\n"
-      << "  {\"op\": 2, \"m\": 16, \"n\": 64, \"k\": 144, \"kernel\": 3, "
-         "\"stride\": 1, \"padding\": 1, \"threads\": "
-      << threads << ", \"strategy\": 4}\n]}\n";
-  }
-  EXPECT_EQ(plan_cache_load(path), 0);
-  EXPECT_EQ(plan_cache_stats().entries, 0u);
-
-  // The model's plans stand.
-  const KernelPlan& rf = plan_for(kf);
-  const KernelPlan& rc = plan_for(kc);
-  EXPECT_EQ(rf.strategy, pf.strategy);
-  EXPECT_EQ(rc.strategy, pc.strategy);
-  EXPECT_EQ(rc.kc, pc.kc);
-  EXPECT_FALSE(rf.autotuned);
-  EXPECT_FALSE(rc.autotuned);
-  plan_cache_clear();
-}
-
-// ------------------------------------------- MC blocks on MR boundaries
-
-// y, dX and dW of one fp32 conv step (fresh gradients).
-struct ConvStep {
-  std::vector<float> y, dx, dw;
-};
-
-ConvStep run_fp32_conv_step(Conv2d& conv, const Tensor& x, const Tensor& dy) {
-  conv.weight().grad.fill(0.0f);
-  const Tensor y = conv.forward(x, /*training=*/true);
-  const Tensor dx = conv.backward(dy);
-  const Tensor& dw = conv.weight().grad;
-  return {{y.data(), y.data() + y.numel()},
-          {dx.data(), dx.data() + dx.numel()},
-          {dw.data(), dw.data() + dw.numel()}};
-}
-
-TEST(PlanMc, OffStripMcLoadsRoundedAndKeepsConvBits) {
-  // An mc of 50 would start the second MC block mid-strip, where the
-  // conv's once-per-call weight panels hold no block. The cache loader
-  // stores it as 48, and the driver rounds an adopted 50 the same way,
-  // so y, dX and dW equal the default plans' bytes either way.
-  Rng rng(61);
-  Conv2dOptions o;
-  o.in_channels = 16;
-  o.out_channels = 64;
-  o.kernel = 3;
-  o.padding = 1;
-  Conv2d conv("conv", o, rng);
-  Tensor x(Shape{2, 16, 8, 8});
-  rng.fill_uniform(x, -1.0f, 1.0f);
-  Tensor dy(Shape{2, 64, 8, 8});
-  rng.fill_uniform(dy, -1.0f, 1.0f);
-  // The layer's three GEMM keys: forward W·cols, dcols Wᵀ·dY, dW dY·colsᵀ.
-  const PlanKey keys[] = {PlanKey::f32(64, 64, 144, false, false),
-                          PlanKey::f32(144, 64, 64, true, false),
-                          PlanKey::f32(64, 144, 64, false, true)};
-
-  plan_cache_clear();
-  for (const PlanKey& key : keys)
-    ASSERT_EQ(plan_for(key).strategy, PlanStrategy::kF32Packed);
-  const ConvStep want = run_fp32_conv_step(conv, x, dy);
-
-  const std::string path = ::testing::TempDir() + "apt_plan_mc50.json";
-  {
-    std::ofstream f(path);
-    f << "{\"schema\": \"apt-plan-cache/1\", \"plans\": [\n";
-    for (size_t i = 0; i < std::size(keys); ++i)
-      f << (i ? ",\n" : "") << "  {\"op\": 0, \"m\": " << keys[i].m
-        << ", \"n\": " << keys[i].n << ", \"k\": " << keys[i].k
-        << ", \"ta\": " << keys[i].trans_a << ", \"tb\": "
-        << keys[i].trans_b << ", \"threads\": " << keys[i].threads
-        << ", \"strategy\": 1, \"mc\": 50}";
-    f << "\n]}\n";
-  }
-  plan_cache_clear();
-  ASSERT_EQ(plan_cache_load(path), 3);
-  for (const PlanKey& key : keys) EXPECT_EQ(plan_for(key).mc, 48);
-  const ConvStep loaded = run_fp32_conv_step(conv, x, dy);
-  expect_bits_equal(loaded.y, want.y, "y, loaded mc 50");
-  expect_bits_equal(loaded.dx, want.dx, "dX, loaded mc 50");
-  expect_bits_equal(loaded.dw, want.dw, "dW, loaded mc 50");
-
-  plan_cache_clear();
-  for (const PlanKey& key : keys) {
-    KernelPlan p = plan_for(key);
-    p.mc = 50;
-    plan_cache_adopt(p);
-  }
-  const ConvStep adopted = run_fp32_conv_step(conv, x, dy);
-  expect_bits_equal(adopted.y, want.y, "y, adopted mc 50");
-  expect_bits_equal(adopted.dx, want.dx, "dX, adopted mc 50");
-  expect_bits_equal(adopted.dw, want.dw, "dW, adopted mc 50");
-  plan_cache_clear();
 }
 
 // ------------------------------------------------------- 1x1 conv plan

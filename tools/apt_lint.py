@@ -51,6 +51,11 @@ time things and spawn helpers as they see fit):
           gated-bench-key table (a markdown table row). The README table
           is the operator-facing contract for the CI perf gate; a new
           floor flag that never reaches it is an undocumented gate.
+          Likewise every `getenv("NAME")` under src/, bench/ and
+          examples/ must have a row in README.md's "Environment
+          variables" table, and every backticked name in that table's
+          first column must be read by one of them: an unlisted knob is
+          undocumented, a listed one nothing reads is a dead promise.
           Runs only in --root mode (it is not a per-file C++ rule).
 
 Escape hatch: a line (or the line directly above it) containing
@@ -340,9 +345,20 @@ def check_file(path: str, display_path: str | None = None) -> List[Violation]:
 
 
 MIN_FLAG_RE = re.compile(r"--min-[a-z0-9][a-z0-9-]*")
+GETENV_RE = re.compile(r'getenv\(\s*"([A-Za-z_][A-Za-z0-9_]*)"\s*\)')
+ENV_HEADING = "## Environment variables"
+# Directories whose getenv reads the README's environment table lists.
+ENV_DIRS = ("src", "bench", "examples")
 
 
 def check_docsync(root: str) -> List[Violation]:
+    """README.md must document every --min-* gate flag of
+    bench/bench_runner.cpp and exactly the environment variables the
+    code reads."""
+    return check_gate_flags(root) + check_env_vars(root)
+
+
+def check_gate_flags(root: str) -> List[Violation]:
     """Every --min-* gate flag in bench/bench_runner.cpp must appear in a
     markdown table row of README.md (the gated-bench-key table)."""
     bench_path = os.path.join(root, "bench", "bench_runner.cpp")
@@ -381,6 +397,65 @@ def check_docsync(root: str) -> List[Violation]:
                     "appear there with its default and gated key",
                 )
             )
+    return violations
+
+
+def env_table(readme_text: str) -> List[Tuple[str, int]]:
+    """(name, line) for every backticked name in the first column of the
+    table under README.md's "Environment variables" heading."""
+    names = []
+    in_section = False
+    for idx, line in enumerate(readme_text.splitlines(), start=1):
+        if line.startswith("## "):
+            in_section = line.strip() == ENV_HEADING
+            continue
+        if in_section and line.lstrip().startswith("|"):
+            first = line.strip().strip("|").split("|")[0]
+            names.extend((n, idx) for n in re.findall(r"`([^`]+)`", first))
+    return names
+
+
+def check_env_vars(root: str) -> List[Violation]:
+    """Every getenv("NAME") literal under src/, bench/ and examples/ must
+    have a row in README.md's environment table, and every name the
+    table lists must be read by one of them."""
+    reads = {}  # name -> (path, line) of its first read
+    for top in ENV_DIRS:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            dirnames.sort()
+            for fn in sorted(filenames):
+                if not fn.endswith((".cpp", ".hpp", ".h", ".cc")):
+                    continue
+                path = os.path.join(dirpath, fn)
+                with open(path, "r", encoding="utf-8", errors="replace") as f:
+                    for idx, line in enumerate(f, start=1):
+                        for m in GETENV_RE.finditer(line):
+                            reads.setdefault(
+                                m.group(1), (os.path.relpath(path, root), idx))
+
+    readme_path = os.path.join(root, "README.md")
+    table = []
+    if os.path.isfile(readme_path):
+        with open(readme_path, "r", encoding="utf-8", errors="replace") as f:
+            table = env_table(f.read())
+    documented = {name for name, _ in table}
+
+    violations = []
+    for name in sorted(reads):
+        if name not in documented:
+            path, line = reads[name]
+            violations.append(
+                Violation(path, line, "docsync",
+                          f"environment variable '{name}' is read here but "
+                          "has no row in README.md's \"Environment "
+                          "variables\" table"))
+    for name, line in table:
+        if name not in reads:
+            violations.append(
+                Violation("README.md", line, "docsync",
+                          f"README.md's \"Environment variables\" table "
+                          f"lists '{name}', but no getenv under src/, "
+                          "bench/ or examples/ reads it"))
     return violations
 
 

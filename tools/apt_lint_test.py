@@ -283,6 +283,68 @@ class DocsyncRule(unittest.TestCase):
         self.assertEqual(apt_lint.check_docsync(root), [])
 
 
+class EnvDocsyncRule(unittest.TestCase):
+    README = (
+        "# x\n\n## Environment variables\n\n"
+        "| Variable | Read by | Effect |\n|---|---|---|\n"
+        "| `APT_SIMD` | library | caps the SIMD level |\n"
+        "| `APT_BENCH_SCALE` | benches | `quick` or `full` |\n"
+        "\n## Next section\n\n| `NOT_AN_ENV_ROW` | x |\n"
+    )
+
+    def env_of(self, files: dict, readme: str | None):
+        with tempfile.TemporaryDirectory() as tmp:
+            for rel, text in files.items():
+                path = os.path.join(tmp, rel)
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                with open(path, "w") as f:
+                    f.write(text)
+            if readme is not None:
+                with open(os.path.join(tmp, "README.md"), "w") as f:
+                    f.write(readme)
+            return apt_lint.check_env_vars(tmp)
+
+    FILES = {
+        "src/base/cpu.hpp": 'const char* e = std::getenv("APT_SIMD");\n',
+        "bench/common.hpp": 'auto s = std::getenv( "APT_BENCH_SCALE" );\n',
+    }
+
+    def test_documented_reads_are_clean(self):
+        # Backticked values in later columns and tables under other
+        # headings are not rows of the environment table.
+        self.assertEqual(self.env_of(self.FILES, self.README), [])
+
+    def test_undocumented_read_fires_at_the_read(self):
+        files = dict(self.FILES)
+        files["examples/demo.cpp"] = (
+            "int x;\nconst char* k = getenv(\"APT_NEW_KNOB\");\n")
+        violations = self.env_of(files, self.README)
+        self.assertEqual([v.rule for v in violations], ["docsync"])
+        self.assertEqual(violations[0].path, os.path.join("examples", "demo.cpp"))
+        self.assertEqual(violations[0].line, 2)
+        self.assertIn("'APT_NEW_KNOB'", violations[0].message)
+
+    def test_row_nothing_reads_fires_at_the_row(self):
+        files = {"src/base/cpu.hpp": self.FILES["src/base/cpu.hpp"]}
+        violations = self.env_of(files, self.README)
+        self.assertEqual([v.rule for v in violations], ["docsync"])
+        self.assertEqual(violations[0].path, "README.md")
+        self.assertEqual(violations[0].line, 8)
+        self.assertIn("'APT_BENCH_SCALE'", violations[0].message)
+
+    def test_reads_outside_the_listed_dirs_do_not_count(self):
+        files = dict(self.FILES)
+        files["benchmark/src/main.cpp"] = 'getenv("APT_OTHER");\n'
+        self.assertEqual(self.env_of(files, self.README), [])
+
+    def test_missing_readme_fires_for_every_read(self):
+        self.assertEqual(len(self.env_of(self.FILES, None)), 2)
+
+    def test_real_tree_is_in_sync(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        self.assertEqual(apt_lint.check_env_vars(root), [])
+
+
 class Plumbing(unittest.TestCase):
     def test_collect_sources_finds_cpp_and_hpp(self):
         with tempfile.TemporaryDirectory() as tmp:
