@@ -346,6 +346,70 @@ TEST(CompiledModelCorruption, ReadBeforeWriteIsCorrupt) {
   std::filesystem::remove(path);
 }
 
+TEST(CompiledModelCorruption, RegisterWrittenTwiceIsCorrupt) {
+  // Every op writes a fresh register. An add rewritten to accumulate in
+  // place into its first input, and an op rewritten to overwrite the
+  // request's input register, must both be refused.
+  const serve::CompiledModel cm = compile_resnet8();
+  const auto add = std::find_if(
+      cm.ops().begin(), cm.ops().end(), [](const serve::CompiledOp& op) {
+        return op.kind == serve::OpKind::kAddF32;
+      });
+  ASSERT_NE(add, cm.ops().end());
+  struct Case {
+    size_t op;
+    int32_t out;
+  };
+  const Case cases[] = {
+      {static_cast<size_t>(add - cm.ops().begin()), add->in0}, {0, 0}};
+  const std::string path = temp_path("apt_corrupt_model_twice.aptm");
+  for (const Case& c : cases) {
+    ASSERT_TRUE(cm.try_save(path).ok());
+    rewrite_artifact(path, c.op + 1, [&](std::vector<uint8_t>& payload) {
+      // Section layout: u8 kind, then i32 in0, in1, out.
+      std::memcpy(payload.data() + 9, &c.out, sizeof(int32_t));
+    });
+    serve::CompiledModel loaded;
+    const Status st = serve::CompiledModel::try_load(path, &loaded);
+    EXPECT_EQ(st.code(), StatusCode::kCorrupt)
+        << "op " << c.op << ", out " << c.out << ": " << st.to_string();
+    EXPECT_NE(st.to_string().find("written twice"), std::string::npos)
+        << st.to_string();
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(CompiledModelCorruption, UnwrittenOutputRegisterIsCorrupt) {
+  // The header gains one register of the output's size that no op
+  // writes, and names it the model's output: a response would be
+  // whatever that register last held, so the load must be refused.
+  const serve::CompiledModel cm = compile_resnet8();
+  const std::string path = temp_path("apt_corrupt_model_unwritten.aptm");
+  ASSERT_TRUE(cm.try_save(path).ok());
+  rewrite_artifact(path, 0, [&](std::vector<uint8_t>& payload) {
+    // Header: i64 max_batch, the sample dims (u64 count + i64 each),
+    // i64 out_elems, i32 out_reg, u64 register count, then per register
+    // i64 elems and u8 codes.
+    const auto rank = static_cast<size_t>(cm.sample_shape().rank());
+    const size_t out_reg_at = 8 + 8 + 8 * rank + 8;
+    const size_t regs_at = out_reg_at + 4;
+    const auto extra = static_cast<int32_t>(cm.regs().size());
+    const uint64_t count = cm.regs().size() + 1;
+    std::memcpy(payload.data() + out_reg_at, &extra, sizeof(extra));
+    std::memcpy(payload.data() + regs_at, &count, sizeof(count));
+    const int64_t elems = cm.out_elems();
+    const auto* p = reinterpret_cast<const uint8_t*>(&elems);
+    payload.insert(payload.end(), p, p + sizeof(elems));
+    payload.push_back(0);  // an fp32 register
+  });
+  serve::CompiledModel loaded;
+  const Status st = serve::CompiledModel::try_load(path, &loaded);
+  EXPECT_EQ(st.code(), StatusCode::kCorrupt) << st.to_string();
+  EXPECT_NE(st.to_string().find("never written"), std::string::npos)
+      << st.to_string();
+  std::filesystem::remove(path);
+}
+
 // One field of a compiled-model section: its byte offset and width.
 struct Field {
   std::string name;

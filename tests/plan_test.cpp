@@ -1,11 +1,11 @@
 // Tests for the kernel planner (DESIGN.md §13): plan-cache hit/miss
 // accounting, key equality across equivalent shapes, bit-identity of
 // every candidate plan against the reference on prime/degenerate
-// shapes, JSON persistence round-trips, deterministic selection and
-// bit-identical execution across thread counts, the 1x1 conv
-// direct-GEMM strategy (including its zero-staging ScratchArena
-// watermark), and the zero-resolution steady state of the layer
-// forwards.
+// shapes, deterministic selection and bit-identical execution across
+// thread counts, the 1x1 conv direct-GEMM strategy (including its
+// zero-staging ScratchArena watermark), the zero-resolution steady
+// state of the layer forwards, and the pool width a batched integer
+// conv forward plans for.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -123,6 +123,29 @@ TEST(PlanCache, CountsHitsMissesAndResets) {
   EXPECT_EQ(s.misses, 0u);
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.entries, 1u);  // entries survive a stats reset
+}
+
+TEST(PlanCache, ReferencesStayStableAcrossRehash) {
+  // Layers hold the plan reference plan_for returns; the cache stores
+  // plans by value, so growing it (and rehashing) must neither move nor
+  // change an entry.
+  plan_cache_clear();
+  const PlanKey key = PlanKey::s8(8, 8, 128, false, false, 255, 255);
+  const KernelPlan& ref = plan_for(key);
+  const KernelPlan want = ref;
+  for (int64_t m = 1; m <= 300; ++m)
+    plan_for(PlanKey::f32(m, 17, 9, false, false));
+  EXPECT_EQ(plan_cache_stats().entries, 301u);
+  bool hit = false;
+  const KernelPlan& again = plan_for(key, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(&ref, &again);
+  EXPECT_EQ(ref.strategy, want.strategy);
+  EXPECT_EQ(ref.kc, want.kc);
+  EXPECT_EQ(ref.mc, want.mc);
+  EXPECT_EQ(ref.nc, want.nc);
+  EXPECT_EQ(ref.split_n, want.split_n);
+  plan_cache_clear();
 }
 
 // -------------------------------------------------- candidate identity
@@ -400,6 +423,40 @@ TEST(PlanLayers, SecondForwardPerformsZeroPlanResolutions) {
   EXPECT_GE(s.hits, 2u);
   EXPECT_TRUE(conv.last_forward_plan_cached());
   EXPECT_TRUE(lin.last_forward_plan_cached());
+}
+
+TEST(PlanLayers, BatchedIntegerConvForwardPlansForOneThread) {
+  // Several (sample, group) GEMMs run as pool tasks, so each is planned
+  // for one thread; a lone GEMM is planned for the whole pool.
+  Rng rng(67);
+  BackendGuard guard(GemmBackend::kInt8);
+  struct Case {
+    int64_t n, groups;
+    int32_t threads;
+  };
+  for (const Case& c : {Case{2, 1, 1}, Case{1, 2, 1},
+                        Case{1, 1, plan_threads()}}) {
+    Conv2dOptions opts;
+    opts.in_channels = 4;
+    opts.out_channels = 4;
+    opts.groups = c.groups;
+    Conv2d conv("conv", opts, rng);
+    attach_weight_grid(conv.weight(), 6);
+    Tensor x(Shape{c.n, 4, 6, 6});
+    rng.fill_normal(x, 0, 1);
+    plan_cache_clear();
+    conv.forward(x, /*training=*/true);
+    ASSERT_TRUE(conv.last_forward_was_int8());
+    EXPECT_EQ(plan_cache_stats().entries, 1u);
+    PlanKey key = ConvS8Forward::plan_key(opts, 6, 6, /*w_max=*/63,
+                                          /*x_max=*/255);
+    key.threads = c.threads;
+    bool hit = false;
+    plan_for(key, &hit);
+    EXPECT_TRUE(hit) << "n " << c.n << ", groups " << c.groups
+                     << ": no plan for " << c.threads << " thread(s)";
+  }
+  plan_cache_clear();
 }
 
 }  // namespace
