@@ -3,7 +3,7 @@
 // Design notes:
 //  * Storage is always contiguous row-major; `reshape` shares storage.
 //  * Copy is shallow (shared buffer, like torch.Tensor); use `clone()` for a
-//    deep copy. Value-semantic helpers (`zeros_like`, arithmetic) allocate.
+//    deep copy. Value-semantic helpers (`zeros`, arithmetic) allocate.
 //  * float32 only — the quantised representation lives in
 //    `apt::quant::QuantizedTensor`, which dequantises into this type.
 #pragma once
@@ -44,9 +44,6 @@ class Tensor {
     Tensor t(std::move(shape));
     t.fill(value);
     return t;
-  }
-  static Tensor zeros_like(const Tensor& other) {
-    return Tensor(other.shape());
   }
 
   const Shape& shape() const { return shape_; }

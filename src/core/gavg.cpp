@@ -34,11 +34,4 @@ double unit_gavg(const train::Unit& unit) {
   return m;
 }
 
-std::vector<double> all_unit_gavg(train::Trainer& trainer) {
-  std::vector<double> out;
-  out.reserve(trainer.units().size());
-  for (const auto& u : trainer.units()) out.push_back(unit_gavg(u));
-  return out;
-}
-
 }  // namespace apt::core

@@ -29,7 +29,4 @@ double tensor_gavg(const nn::Parameter& p);
 /// orders of magnitude; see DESIGN.md §6).
 double unit_gavg(const train::Unit& unit);
 
-/// Gavg for every unit of a trainer, in unit order.
-std::vector<double> all_unit_gavg(train::Trainer& trainer);
-
 }  // namespace apt::core

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <limits>
 
-#include "base/rng.hpp"
 #include "nn/layer.hpp"
 #include "nn/shard.hpp"
 
@@ -164,57 +163,6 @@ class ReLU : public Layer {
   float cap_;
   PerShard<Tensor> input_;
   PerShard<QuantizedActivation> input_qa_;
-};
-
-/// Inverted dropout (provided for library completeness; the paper's
-/// experiments train with BN and no dropout).
-class Dropout : public Layer {
- public:
-  Dropout(std::string name, double p, Rng& rng)
-      : name_(std::move(name)), p_(p), rng_(rng.fork()) {
-    APT_CHECK(p >= 0.0 && p < 1.0) << name_ << ": bad dropout rate " << p;
-  }
-
-  Tensor forward(const Tensor& x, bool training) override {
-    if (!training || p_ == 0.0) return x;
-    Tensor mask(x.shape());
-    Tensor y(x.shape());
-    const float keep = static_cast<float>(1.0 - p_);
-    for (int64_t i = 0; i < x.numel(); ++i) {
-      mask[i] = rng_.bernoulli(1.0 - p_) ? 1.0f / keep : 0.0f;
-      y[i] = x[i] * mask[i];
-    }
-    mask_.cur() = std::move(mask);
-    return y;
-  }
-
-  Tensor backward(const Tensor& grad_out) override {
-    const Tensor& mask = mask_.cur();
-    APT_CHECK(mask.defined() && mask.numel() == grad_out.numel())
-        << name_ << ": backward before forward";
-    return grad_out * mask;
-  }
-
-  /// Shards run strictly in order on the calling thread: the layer draws
-  /// from one RNG stream, and in-order consumption keeps the stream — and
-  /// therefore the masks — independent of the worker count.
-  std::vector<Tensor> forward_sharded(const std::vector<Tensor>& xs,
-                                      bool training) override {
-    std::vector<Tensor> ys(xs.size());
-    for (size_t s = 0; s < xs.size(); ++s) {
-      ShardScope scope(static_cast<int>(s));
-      ys[s] = forward(xs[s], training);
-    }
-    return ys;
-  }
-
-  std::string name() const override { return name_; }
-
- private:
-  std::string name_;
-  double p_;
-  Rng rng_;
-  PerShard<Tensor> mask_;
 };
 
 }  // namespace apt::nn

@@ -290,16 +290,8 @@ void im2col_u8(const uint8_t* x, int64_t C, int64_t H, int64_t W, int64_t n,
 
 void stage_padded_u8(const uint8_t* planes, int64_t c_count, int64_t H,
                      int64_t W, int64_t padding, uint8_t pad_code,
-                     uint8_t* out, bool pooled) {
-  auto stage_range = [&](int64_t c0, int64_t c1) {
-    stage_padded(planes + c0 * H * W, c1 - c0, H, W, padding, pad_code,
-                 out + c0 * (H + 2 * padding) * (W + 2 * padding));
-  };
-  if (pooled) {
-    ThreadPool::global().parallel_for(0, c_count, stage_range, /*grain=*/8);
-  } else {
-    stage_range(0, c_count);
-  }
+                     uint8_t* out) {
+  stage_padded(planes, c_count, H, W, padding, pad_code, out);
 }
 
 namespace {
@@ -603,7 +595,7 @@ GemmS8ConvImage stage_conv_image_u8(const uint8_t* planes, int64_t c_count,
                                     int64_t H, int64_t W, int64_t kernel,
                                     int64_t stride, int64_t padding,
                                     uint8_t pad_code, uint8_t flip,
-                                    void* space, bool pooled) {
+                                    void* space) {
   const ImageSpace sp(c_count, H, W, kernel, stride, padding);
   auto* base = static_cast<uint8_t*>(space);
   auto* colsum = reinterpret_cast<int32_t*>(base + sp.colsum);
@@ -613,16 +605,9 @@ GemmS8ConvImage stage_conv_image_u8(const uint8_t* planes, int64_t c_count,
   uint8_t* img = base + sp.img;
   std::fill(pad_row, pad_row + W, pad_code);
 
-  auto stage_range = [&](int64_t q0, int64_t q1) {
-    for (int64_t cq = q0; cq < q1; ++cq)
-      stage_quad(planes, c_count, H, W, stride, padding, pad_code, flip, sp,
-                 pad_row, cq, img);
-  };
-  if (pooled) {
-    ThreadPool::global().parallel_for(0, sp.quads, stage_range, /*grain=*/1);
-  } else {
-    stage_range(0, sp.quads);
-  }
+  for (int64_t cq = 0; cq < sp.quads; ++cq)
+    stage_quad(planes, c_count, H, W, stride, padding, pad_code, flip, sp,
+               pad_row, cq, img);
 
   // Column code sums of the codes before the flip: per-pixel channel
   // sums over the window the taps read, then K x K window sums of those
@@ -949,19 +934,18 @@ uint8_t* ConvS8Forward::alloc_stage(ScratchArena::Scope& scope) const {
       conv_image_bytes(icg_, h_, w_, o_.kernel, o_.stride, o_.padding))));
 }
 
-void ConvS8Forward::run(int64_t n, int64_t g, uint8_t* stage, bool pooled,
-                        float* lo, float* hi) const {
-  run_on(args_.x + n * c_ * in_plane_, n, g, stage, pooled, lo, hi);
+void ConvS8Forward::run(int64_t n, int64_t g, uint8_t* stage, float* lo,
+                        float* hi) const {
+  run_on(args_.x + n * c_ * in_plane_, n, g, stage, lo, hi);
 }
 
 void ConvS8Forward::run(const uint8_t* x, int64_t n, int64_t g,
                         uint8_t* stage) const {
-  run_on(x, n, g, stage, /*pooled=*/false, nullptr, nullptr);
+  run_on(x, n, g, stage, nullptr, nullptr);
 }
 
 void ConvS8Forward::run_on(const uint8_t* x, int64_t n, int64_t g,
-                           uint8_t* stage, bool pooled, float* lo,
-                           float* hi) const {
+                           uint8_t* stage, float* lo, float* hi) const {
   GemmS8ConvImage ci;
   GemmS8Args ga;
   ga.a = args_.w + g * ocg_ * a_row_;
@@ -974,7 +958,7 @@ void ConvS8Forward::run_on(const uint8_t* x, int64_t n, int64_t g,
   } else {
     ci = stage_conv_image_u8(
         plane, icg_, h_, w_, o_.kernel, o_.stride, o_.padding,
-        static_cast<uint8_t>(args_.x_grid.zero_point), flip_, stage, pooled);
+        static_cast<uint8_t>(args_.x_grid.zero_point), flip_, stage);
     ga.conv_image = &ci;
   }
   GemmS8Epilogue epi = args_.epi;
@@ -1061,29 +1045,22 @@ Tensor Conv2d::forward_int8(const uint8_t* x, const quant::QuantParams& xq,
 
   // Exact per-(sample, group) output-range probes, merged after the
   // parallel section (min/max is order-independent). They live in the
-  // caller's scratch scope; a lone GEMM probes into locals, so a
-  // one-sample forward stages nothing beyond its GEMM.
+  // caller's scratch scope.
   ScratchArena::Scope obs_scope(ScratchArena::thread_local_arena());
-  float obs_one[2];
-  float* obs_lo = obs_one;
-  float* obs_hi = obs_one + 1;
-  if (N * G > 1) {
-    obs_lo = obs_scope.alloc_floats(static_cast<size_t>(2 * N * G));
-    obs_hi = obs_lo + N * G;
-  }
+  float* obs_lo = obs_scope.alloc_floats(static_cast<size_t>(2 * N * G));
+  float* obs_hi = obs_lo + N * G;
 
-  // One plan per (shape, geometry, ceilings, threads) covers every
-  // (sample, group) GEMM in the batch; after the first forward it is a
-  // pure cache hit. Several GEMMs already run as pool tasks, one per
-  // sample, so each is planned for one thread (as serving plans its
-  // requests); a lone GEMM is planned for the whole pool. The weight
-  // codes are reordered to the conv image's k order once per call, into
-  // the caller's scratch scope, so no reordered copy outlives the call
+  // One plan per (shape, geometry, ceilings) covers every (sample,
+  // group) GEMM in the batch; after the first forward it is a pure cache
+  // hit. The GEMMs run as pool tasks, one per sample, so each is planned
+  // for one thread (as serving plans its requests). The weight codes are
+  // reordered to the conv image's k order once per call, into the
+  // caller's scratch scope, so no reordered copy outlives the call
   // (nothing to invalidate on a step).
   PlanKey key = ConvS8Forward::plan_key(
       opts_, H, W, args.w_max, static_cast<int32_t>(quant::max_code(xq.bits)));
-  if (N * G > 1) key.threads = 1;
-  const KernelPlan& plan = plan_for(key, plan_hit());
+  key.threads = 1;
+  const KernelPlan& plan = plan_for(key);
   if (const int64_t wb = ConvS8Forward::weight_bytes(plan, opts_); wb > 0) {
     auto* wi = static_cast<uint8_t*>(
         obs_scope.alloc_bytes(static_cast<size_t>(wb)));
@@ -1092,21 +1069,13 @@ Tensor Conv2d::forward_int8(const uint8_t* x, const quant::QuantParams& xq,
   }
   const ConvS8Forward fwd(plan, opts_, H, W, args);
 
-  if (N * G == 1) {
-    // A single GEMM: parallelism comes from the pool-parallel staging
-    // and the GEMM's own M partitioning instead of sample tasks.
+  ThreadPool::global().parallel_for(0, N, [&](int64_t n0, int64_t n1) {
     ScratchArena::Scope scope(ScratchArena::thread_local_arena());
-    fwd.run(0, 0, fwd.alloc_stage(scope), /*pooled=*/true, obs_lo, obs_hi);
-  } else {
-    ThreadPool::global().parallel_for(0, N, [&](int64_t n0, int64_t n1) {
-      ScratchArena::Scope scope(ScratchArena::thread_local_arena());
-      uint8_t* stage = fwd.alloc_stage(scope);
-      for (int64_t n = n0; n < n1; ++n)
-        for (int64_t g = 0; g < G; ++g)
-          fwd.run(n, g, stage, /*pooled=*/false, obs_lo + n * G + g,
-                  obs_hi + n * G + g);
-    });
-  }
+    uint8_t* stage = fwd.alloc_stage(scope);
+    for (int64_t n = n0; n < n1; ++n)
+      for (int64_t g = 0; g < G; ++g)
+        fwd.run(n, g, stage, obs_lo + n * G + g, obs_hi + n * G + g);
+  });
 
   float lo = obs_lo[0], hi = obs_hi[0];
   for (int64_t i = 1; i < N * G; ++i) {
@@ -1175,12 +1144,11 @@ Tensor Conv2d::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
   dargs.w_grid = wq->params();
   dargs.w_max = static_cast<int32_t>(quant::max_code(wq->bits()));
   dargs.y = dx.data();
-  // Several samples run as pool tasks (accumulate_dw), so their dX conv
-  // and dW GEMM are planned for one thread, like the forward's.
-  const int32_t threads = N > 1 ? 1 : plan_threads();
+  // The samples run as pool tasks (accumulate_dw), so their dX conv and
+  // dW GEMM are planned for one thread, like the forward's.
   PlanKey dx_key =
       ConvS8Forward::plan_key(tc.o, tc.h, tc.w, dargs.w_max, g_max);
-  dx_key.threads = threads;
+  dx_key.threads = 1;
   const KernelPlan& plan_dx = plan_for(dx_key);
   auto* wf = static_cast<uint8_t*>(
       outer.alloc_bytes(static_cast<size_t>(weight_.numel())));
@@ -1204,7 +1172,7 @@ Tensor Conv2d::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
   pw.max_b = static_cast<int32_t>(quant::max_code(xq.bits));
   PlanKey dw_key = PlanKey::s8(ocg, krows, OH * OW, /*trans_a=*/false,
                                /*trans_b=*/true, pw.max_a, pw.max_b);
-  dw_key.threads = threads;
+  dw_key.threads = 1;
   const KernelPlan& plan_dw = plan_for(dw_key);
   const auto pad_code = static_cast<uint8_t>(xq.zero_point);
 

@@ -85,8 +85,9 @@ class Conv2d : public GemmLayer {
 /// channel-quad code image (stage_conv_image_u8, GemmS8ConvImage) that
 /// the quad tiles read in place, or, under the direct strategy (1x1,
 /// stride 1, no padding), the contiguous plane itself. Conv2d runs the
-/// (sample, group) bodies from pool tasks, CompiledModel serially per
-/// request; both get the same bits.
+/// (sample, group) bodies from pool tasks, one per sample, CompiledModel
+/// serially per request; either way every GEMM is planned for one
+/// thread, and both get the same bits.
 class ConvS8Forward {
  public:
   /// The plan key every (sample, group) GEMM of such a call runs
@@ -116,18 +117,17 @@ class ConvS8Forward {
 
   /// Staging space for one run() in `scope` (null when none is needed).
   uint8_t* alloc_stage(ScratchArena::Scope& scope) const;
-  /// Sample n, group g, staged in `stage` (`pooled` splits the staging
-  /// across the global pool). The exact output range of the group's
-  /// GEMM goes to *lo / *hi when they are non-null.
-  void run(int64_t n, int64_t g, uint8_t* stage, bool pooled,
-           float* lo = nullptr, float* hi = nullptr) const;
+  /// Sample n, group g, staged in `stage`. The exact output range of
+  /// the group's GEMM goes to *lo / *hi when they are non-null.
+  void run(int64_t n, int64_t g, uint8_t* stage, float* lo = nullptr,
+           float* hi = nullptr) const;
   /// run() over sample n's [C, h, w] input codes at `x` instead of in
-  /// args.x (staged serially, no range probe).
+  /// args.x (no range probe).
   void run(const uint8_t* x, int64_t n, int64_t g, uint8_t* stage) const;
 
  private:
   void run_on(const uint8_t* x, int64_t n, int64_t g, uint8_t* stage,
-              bool pooled, float* lo, float* hi) const;
+              float* lo, float* hi) const;
 
   const KernelPlan& plan_;
   Conv2dOptions o_;
@@ -160,11 +160,10 @@ void im2col_u8(const uint8_t* x, int64_t C, int64_t H, int64_t W, int64_t n,
 /// Stages `c_count` contiguous channel planes into a
 /// [c_count][(H+2p)][(W+2p)] image whose pad border is `pad_code` — the
 /// form the weight gradient's transposed implicit operand (GemmS8ConvB)
-/// gathers from. `pooled` splits channels across the global pool
-/// (disjoint writes: bit-identical for any pool size).
+/// gathers from.
 void stage_padded_u8(const uint8_t* planes, int64_t c_count, int64_t H,
                      int64_t W, int64_t padding, uint8_t pad_code,
-                     uint8_t* out, bool pooled);
+                     uint8_t* out);
 
 /// Bytes of scratch stage_conv_image_u8 needs for this geometry.
 int64_t conv_image_bytes(int64_t c_count, int64_t H, int64_t W,
@@ -174,14 +173,12 @@ int64_t conv_image_bytes(int64_t c_count, int64_t H, int64_t W,
 /// with `pad_code`, as the integer conv forward's channel-quad image
 /// (GemmS8ConvImage, gemm_kernel.hpp) in `space` (conv_image_bytes of
 /// it, 4-byte aligned), every byte XORed with `flip`, and computes its
-/// column code sums there too. Returns the descriptor. `pooled` splits
-/// the channel quads across the global pool (disjoint writes:
-/// bit-identical for any pool size).
+/// column code sums there too. Returns the descriptor.
 GemmS8ConvImage stage_conv_image_u8(const uint8_t* planes, int64_t c_count,
                                     int64_t H, int64_t W, int64_t kernel,
                                     int64_t stride, int64_t padding,
                                     uint8_t pad_code, uint8_t flip,
-                                    void* space, bool pooled);
+                                    void* space);
 
 /// Adds a [icg*k*k, oh*ow] column matrix back into dx[n] (group channel
 /// range [c_begin, c_begin+c_count)): the adjoint of im2col. At stride 1

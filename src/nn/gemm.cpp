@@ -5,14 +5,6 @@
 
 namespace apt::nn {
 
-bool gemm_int8_forward_enabled() {
-  return resolved_gemm_backend() == GemmBackend::kInt8;
-}
-
-bool gemm_int8_backward_enabled() {
-  return resolved_gemm_backend() == GemmBackend::kInt8;
-}
-
 void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float alpha, const float* a, const float* b, float beta, float* c) {
   if (gemm_blas_edge(m, n, k, alpha, beta, c)) return;

@@ -24,19 +24,6 @@ enum class GemmBackend {
   kInt8,
 };
 
-/// True when the resolved backend asks layers to attempt the integer
-/// (quantised-code) forward path. Layers still fall back to fp32 per
-/// call when their weights are not stored as <= 8-bit codes or no
-/// activation range has been observed yet.
-bool gemm_int8_forward_enabled();
-
-/// True when the resolved backend asks layers to attempt the integer
-/// gradient GEMMs (quantised dY with stochastic rounding). Currently the
-/// same backend switch as the forward path; layers still fall back to
-/// fp32 per call until their gradient tracker initialises (first
-/// backward) or when no input codes were cached by the forward.
-bool gemm_int8_backward_enabled();
-
 /// Bit-width of the stochastically-rounded upstream-gradient grid. 6
 /// bits keeps every gradient code <= kGemmS8QuadMaxCode, so BOTH
 /// gradient GEMMs (dX against 8-bit activation codes, dW against <= 8

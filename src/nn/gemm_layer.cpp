@@ -86,7 +86,8 @@ S8ForwardArgs GemmLayer::int8_forward_args(const uint8_t* x,
 }
 
 bool GemmLayer::accepts_codes() const {
-  return gemm_int8_forward_enabled() && int8_weights() != nullptr;
+  return resolved_gemm_backend() == GemmBackend::kInt8 &&
+         int8_weights() != nullptr;
 }
 
 Tensor GemmLayer::forward(const Tensor& x, bool training) {
@@ -121,7 +122,8 @@ Tensor GemmLayer::forward_flow(const Tensor& x, const QuantizedActivation* qx,
   // arrives as codes outright. The weight's float view equals S(q - Z)
   // exactly, so this differs from the fp32 path only by activation
   // rounding and exact-vs-float accumulation order.
-  tl.int8_path = gemm_int8_forward_enabled() && int8_weights() != nullptr &&
+  tl.int8_path = resolved_gemm_backend() == GemmBackend::kInt8 &&
+                 int8_weights() != nullptr &&
                  (has_qx || act_range_.initialized());
   if (!tl.int8_path) {
     if (!has_qx) return forward_fp32(x);
@@ -177,7 +179,7 @@ Tensor GemmLayer::backward(const Tensor& grad_out) {
   const std::pair<float, float> gr = grad_out.minmax();
 
   const QuantizedActivation& xc = input_codes_.cur();
-  const bool int8_bwd = gemm_int8_backward_enabled() &&
+  const bool int8_bwd = resolved_gemm_backend() == GemmBackend::kInt8 &&
                         int8_weights() != nullptr &&
                         grad_range_.initialized() && xc.valid();
   telem_.cur().int8_bwd = int8_bwd;

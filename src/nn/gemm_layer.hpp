@@ -104,11 +104,6 @@ class GemmLayer : public Layer {
   const quant::RangeTracker& activation_range() const {
     return act_range_.tracker();
   }
-  /// EMA range of the pre-requantisation output (bias folded in,
-  /// epilogue-observed); chooses the grid the layer emits codes on.
-  const quant::RangeTracker& output_range() const {
-    return out_range_.tracker();
-  }
   /// EMA range of the upstream gradient dY, feeding the stochastic-
   /// rounding gradient quantiser (uninitialised until the first
   /// backward; the int8 backward engages from the second step).
@@ -134,9 +129,6 @@ class GemmLayer : public Layer {
   bool last_forward_emitted_codes(int shard) const {
     return telem_.at(shard).emitted;
   }
-  /// True when the last int8 forward resolved its kernel plan from the
-  /// process-wide cache (i.e. performed zero cost-model evaluations).
-  bool last_forward_plan_cached() const { return telem_.cur().plan_hit; }
 
  protected:
   /// weight: `weight_shape`; bias: [out_channels], a parameter only when
@@ -147,9 +139,6 @@ class GemmLayer : public Layer {
   /// The weight's <= 8-bit code view, or null when the representation
   /// stores none (the layer then always runs fp32).
   const quant::QuantizedTensor* int8_weights() const;
-  /// The calling shard's plan-cache telemetry slot: int8 forwards pass
-  /// it to plan_for.
-  bool* plan_hit() { return &telem_.cur().plan_hit; }
   /// The integer forward's operands over input codes `x` on `xq`:
   /// int8_weights(), the bias, and the output — qy's codes on qy->params
   /// (sized to `out_shape`) when `qy` is non-null, else `*y`, set to a
@@ -195,7 +184,6 @@ class GemmLayer : public Layer {
     bool int8_path = false;
     bool consumed = false;  // input arrived as codes
     bool emitted = false;   // output left as codes
-    bool plan_hit = false;  // kernel plan came from the cache
     bool int8_bwd = false;  // backward ran the integer gradient GEMMs
   };
 

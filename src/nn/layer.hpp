@@ -135,12 +135,6 @@ class Layer {
   /// do not dominate activation movement).
   virtual int64_t out_elems_per_sample() const { return 0; }
 
-  int64_t param_count() {
-    int64_t n = 0;
-    for (auto* p : parameters()) n += p->numel();
-    return n;
-  }
-
  protected:
   /// Per-shard forward_flow dispatch with the qxs/qys slot plumbing —
   /// the body every code-flow-aware leaf shares. Callers append any

@@ -59,7 +59,7 @@ Tensor Linear::forward_int8(const uint8_t* x, const quant::QuantParams& xq,
   // One plan per (batch, layer shape, weight ceiling); a cache hit after
   // the first forward.
   linear_s8_forward(
-      plan_for(linear_s8_plan_key(n, in_, out_, args.w_max), plan_hit()),
+      plan_for(linear_s8_plan_key(n, in_, out_, args.w_max)),
       args, &observed->first, &observed->second);
   return y;
 }

@@ -320,14 +320,13 @@ PlanCache& plan_cache() {
 
 }  // namespace
 
-const KernelPlan& plan_for(const PlanKey& key, bool* cache_hit) {
+const KernelPlan& plan_for(const PlanKey& key) {
   PlanCache& cache = plan_cache();
   {
     std::shared_lock<std::shared_mutex> lk(cache.mu);
     auto it = cache.map.find(key);
     if (it != cache.map.end()) {
       cache.hits.fetch_add(1, std::memory_order_relaxed);
-      if (cache_hit != nullptr) *cache_hit = true;
       return it->second;
     }
   }
@@ -335,11 +334,9 @@ const KernelPlan& plan_for(const PlanKey& key, bool* cache_hit) {
   auto it = cache.map.find(key);
   if (it != cache.map.end()) {
     cache.hits.fetch_add(1, std::memory_order_relaxed);
-    if (cache_hit != nullptr) *cache_hit = true;
     return it->second;
   }
   cache.misses.fetch_add(1, std::memory_order_relaxed);
-  if (cache_hit != nullptr) *cache_hit = false;
   return cache.map.emplace(key, resolve_plan(key)).first->second;
 }
 

@@ -134,9 +134,8 @@ struct PlanCacheStats {
 /// Resolves (or returns the cached) plan for `key`. Thread-safe: readers
 /// share a shared_mutex, a miss upgrades to exclusive and resolves via
 /// the cost model exactly once. The returned reference is stable until
-/// plan_cache_clear. `cache_hit`, when non-null, reports whether
-/// the plan came from the cache (layer telemetry).
-const KernelPlan& plan_for(const PlanKey& key, bool* cache_hit = nullptr);
+/// plan_cache_clear.
+const KernelPlan& plan_for(const PlanKey& key);
 
 /// The deterministic candidate set the cost model scores for `key`,
 /// best-first is NOT implied — `plan_for` picks the min-cost entry.

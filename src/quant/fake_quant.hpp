@@ -1,9 +1,10 @@
-// Fake quantisation (quantise-dequantise) helpers for activations.
+// Activation and gradient range tracking.
 //
-// The paper's experiments quantise *weights* in both passes; activation
-// quantisation is an optional extension (§III-B notes Gavg also applies to
-// activation clipping points). `RangeTracker` keeps an exponential moving
-// average of observed min/max, as is standard for activation ranges.
+// The paper's experiments quantise *weights* in both passes. The integer
+// layers also quantise their inputs and upstream gradients, each onto a
+// grid chosen from a tracked range: `RangeTracker` keeps an exponential
+// moving average of observed min/max, as is standard for activation
+// ranges.
 #pragma once
 
 #include <algorithm>
@@ -11,7 +12,6 @@
 #include <utility>
 
 #include "base/tensor.hpp"
-#include "quant/affine.hpp"
 
 namespace apt::quant {
 
@@ -68,13 +68,5 @@ class RangeTracker {
   double lo_ = 0.0, hi_ = 0.0;
   bool initialized_ = false;
 };
-
-/// Quantise-dequantise every element of `t` onto a k-bit grid over
-/// [lo, hi]. Returns a new tensor; values outside the range saturate.
-Tensor fake_quantize(const Tensor& t, float lo, float hi, int bits);
-
-/// Straight-through-estimator mask: 1 where the value was inside the
-/// representable range (gradient passes), 0 where it saturated.
-Tensor ste_mask(const Tensor& t, float lo, float hi, int bits);
 
 }  // namespace apt::quant

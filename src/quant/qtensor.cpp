@@ -136,18 +136,6 @@ UpdateStats QuantizedTensor::apply_update(const Tensor& delta, RoundMode mode,
   return stats;
 }
 
-void QuantizedTensor::requantize(int new_bits, float range_lo, float range_hi,
-                                 RoundMode mode) {
-  const Tensor values = dequantize();
-  params_ = choose_params(range_lo, range_hi, new_bits);
-  encode(values, mode);
-}
-
-void QuantizedTensor::requantize(int new_bits, RoundMode mode) {
-  const Tensor values = dequantize();
-  requantize(new_bits, values.min(), values.max(), mode);
-}
-
 double QuantizedTensor::saturation_fraction() const {
   if (numel() == 0) return 0.0;
   const int64_t qmax = max_code(params_.bits);

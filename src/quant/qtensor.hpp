@@ -82,11 +82,6 @@ class QuantizedTensor {
   /// Contiguous unsigned 8-bit code plane; only valid while bits() <= 8.
   /// This is the operand format of the integer GEMM (`gemm_s8`).
   const uint8_t* codes_u8() const;
-  /// Same bytes viewed as int8 for kernels that want a signed pointer
-  /// type; the bit pattern is still the unsigned code.
-  const int8_t* codes_i8() const {
-    return reinterpret_cast<const int8_t*>(codes_u8());
-  }
   /// Contiguous 16-bit code plane; only valid while 8 < bits() <= 16.
   const uint16_t* codes_u16() const;
   /// Contiguous 32-bit code plane; only valid while bits() > 16.
@@ -105,16 +100,6 @@ class QuantizedTensor {
   /// optimiser's composed step). `rng` is only consulted for kStochastic.
   UpdateStats apply_update(const Tensor& delta, RoundMode mode,
                            Rng* rng = nullptr);
-
-  /// Re-fits (S, Z) to the current dequantised values with a new bitwidth
-  /// and re-quantises the codes (switching storage width as needed). Used
-  /// when the APT policy changes k or when the range has drifted. Keeps
-  /// values as close as the new grid allows.
-  void requantize(int new_bits, float range_lo, float range_hi,
-                  RoundMode mode = RoundMode::kNearest);
-
-  /// Convenience: requantize() to the tensor's own current value range.
-  void requantize(int new_bits, RoundMode mode = RoundMode::kNearest);
 
   /// Fraction of codes currently pinned at 0 or 2^k - 1.
   double saturation_fraction() const;

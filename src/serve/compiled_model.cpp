@@ -283,7 +283,6 @@ int32_t lower(Builder& b, nn::Layer& layer, int32_t in_reg) {
     dims = {dims_numel(dims)};
     return in_reg;
   }
-  if (dynamic_cast<nn::Dropout*>(&layer) != nullptr) return in_reg;
   APT_CHECK(false) << layer.name()
                    << ": layer kind not supported by CompiledModel::compile";
   return -1;
@@ -402,7 +401,7 @@ void exec_conv(const CompiledOp& op, int64_t batch, InferenceContext& ctx,
   uint8_t* stage = conv.alloc_stage(scope);
   for (int64_t n = 0; n < batch; ++n)
     for (int64_t g = 0; g < op.groups; ++g)
-      conv.run(n, g, stage, /*pooled=*/false);
+      conv.run(n, g, stage);
 }
 
 void exec_linear(const CompiledOp& op, int64_t batch, InferenceContext& ctx,

@@ -150,8 +150,8 @@ class CompiledModel {
   /// activation range (run calibration forwards first — or use
   /// freeze_from_checkpoint, which does). Supported layers: Sequential,
   /// Residual, Conv2d, Linear, BatchNorm directly after conv/linear,
-  /// ReLU, MaxPool2d, GlobalAvgPool, Flatten, Dropout (identity) — so
-  /// every zoo backbone (MLP, CifarNet, ResNet, MobileNetV2) compiles.
+  /// ReLU, MaxPool2d, GlobalAvgPool, Flatten — so every zoo backbone
+  /// (MLP, CifarNet, ResNet, MobileNetV2) compiles.
   static CompiledModel compile(nn::Layer& model, const Shape& sample_shape,
                                const CompileOptions& opts = {});
 

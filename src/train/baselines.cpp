@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "quant/fake_quant.hpp"
-
 namespace apt::train {
 
 MasterCopyRepresentation::MasterCopyRepresentation(nn::Parameter& p, int bits)

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "nn/parameter.hpp"
-#include "train/optimizer.hpp"
 
 namespace apt::train {
 
@@ -24,16 +23,16 @@ struct SgdConfig {
 /// update (e.g. TernGrad's ternary gradient quantisation).
 using GradTransform = std::function<void(const nn::Parameter&, Tensor& grad)>;
 
-class Sgd : public Optimizer {
+class Sgd {
  public:
   Sgd(std::vector<nn::Parameter*> params, const SgdConfig& cfg,
       GradTransform grad_transform = nullptr);
 
-  void zero_grad() override;
+  void zero_grad();
 
   /// One optimisation step at learning rate `lr`. Returns aggregate update
   /// statistics (underflow/clamp counters from quantised representations).
-  quant::UpdateStats step(double lr) override;
+  quant::UpdateStats step(double lr);
 
   const std::vector<nn::Parameter*>& params() const { return params_; }
 

@@ -40,23 +40,13 @@ Trainer::Trainer(nn::Layer& model, data::DataLoader& loader,
       loader_(loader),
       test_inputs_(std::move(test_inputs)),
       test_labels_(std::move(test_labels)),
-      cfg_(cfg) {
-  build_units();
-  std::vector<nn::Parameter*> all;
-  for (auto& u : units_)
-    for (auto* p : u.params) all.push_back(p);
-  if (cfg_.optimizer == OptimizerKind::kAdam) {
-    optimizer_ = std::make_unique<Adam>(std::move(all), cfg_.adam,
-                                        std::move(grad_transform));
-  } else {
-    optimizer_ = std::make_unique<Sgd>(std::move(all), cfg_.sgd,
-                                       std::move(grad_transform));
-  }
+      cfg_(cfg),
+      sgd_(build_units(), cfg_.sgd, std::move(grad_transform)) {
   step_ = std::make_unique<ShardedStep>(
       model_, ShardedStepConfig{cfg_.num_workers, cfg_.shard_grain});
 }
 
-void Trainer::build_units() {
+std::vector<nn::Parameter*> Trainer::build_units() {
   for (nn::Layer* leaf : nn::leaves_of(model_)) {
     auto params = leaf->parameters();
     if (params.empty()) continue;
@@ -68,6 +58,10 @@ void Trainer::build_units() {
     units_.push_back(std::move(u));
   }
   APT_CHECK(!units_.empty()) << "model has no learnable parameters";
+  std::vector<nn::Parameter*> all;
+  for (auto& u : units_)
+    for (auto* p : u.params) all.push_back(p);
+  return all;
 }
 
 void Trainer::fill_profiles() {
@@ -121,7 +115,7 @@ History Trainer::run() {
     quant::UpdateStats epoch_stats;
 
     loader_.for_each_batch([&](int64_t iter, const data::Batch& batch) {
-      optimizer_->zero_grad();
+      sgd_.zero_grad();
       // The sharded step runs forward + loss + backward and reduces the
       // per-shard gradients into Parameter::grad in shard order, so the
       // hooks below observe merged whole-batch gradients exactly once.
@@ -136,7 +130,7 @@ History Trainer::run() {
       });
 
       for (auto* h : hooks_) h->on_gradients(*this, iter);
-      epoch_stats.accumulate(optimizer_->step(lr_));
+      epoch_stats.accumulate(sgd_.step(lr_));
 
       loss_sum += res.mean_loss * static_cast<double>(batch.size());
       seen += batch.size();

@@ -10,7 +10,6 @@
 #include "data/loader.hpp"
 #include "nn/sequential.hpp"
 #include "nn/softmax_xent.hpp"
-#include "train/adam.hpp"
 #include "train/metrics.hpp"
 #include "train/schedule.hpp"
 #include "train/sgd.hpp"
@@ -44,16 +43,10 @@ class TrainHook {
   virtual void on_epoch_end(Trainer&, int epoch) { (void)epoch; }
 };
 
-/// Which update rule the Trainer instantiates (both land their steps
-/// through each parameter's Representation, so APT works with either).
-enum class OptimizerKind { kSgd, kAdam };
-
 struct TrainerConfig {
   int epochs = 200;
   StepDecaySchedule schedule{0.1, {100, 150}};
-  OptimizerKind optimizer = OptimizerKind::kSgd;  // the paper trains with SGD
-  SgdConfig sgd{};
-  AdamConfig adam{};
+  SgdConfig sgd{};  // the paper trains with SGD
   int64_t eval_batch = 256;
   bool verbose = false;
   cost::EnergyModel energy{};
@@ -95,9 +88,7 @@ class Trainer {
   // ---- accessors for hooks and cost accounting --------------------------
   std::vector<Unit>& units() { return units_; }
   nn::Layer& model() { return model_; }
-  Optimizer& optimizer() { return *optimizer_; }
   int epoch() const { return epoch_; }
-  double current_lr() const { return lr_; }
   const TrainerConfig& config() const { return cfg_; }
   /// Valid during on_epoch_end: lets hooks annotate the epoch record
   /// (the controller stores per-unit Gavg here).
@@ -112,7 +103,9 @@ class Trainer {
   double model_memory_bits() const;
 
  private:
-  void build_units();
+  /// Fills units_ and returns their parameters in unit order (sgd_'s
+  /// initialiser: units_ is declared, and so constructed, before it).
+  std::vector<nn::Parameter*> build_units();
   void fill_profiles();
   double iteration_energy_pj(int64_t batch) const;
 
@@ -122,7 +115,7 @@ class Trainer {
   std::vector<int32_t> test_labels_;
   TrainerConfig cfg_;
   std::vector<Unit> units_;
-  std::unique_ptr<Optimizer> optimizer_;
+  Sgd sgd_;
   std::unique_ptr<ShardedStep> step_;
   std::vector<TrainHook*> hooks_;
 

@@ -1,6 +1,5 @@
-// Tests for the extension features: the Adam optimiser over the
-// representation seam, the automatic T_min tuner (the paper's stated
-// future work), and History CSV export.
+// Tests for the extension features: the automatic T_min tuner (the
+// paper's stated future work) and History CSV export.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,135 +12,10 @@
 #include "data/spiral.hpp"
 #include "io/history_csv.hpp"
 #include "models/zoo.hpp"
-#include "nn/linear.hpp"
-#include "train/adam.hpp"
 #include "train/trainer.hpp"
 
 namespace apt {
 namespace {
-
-// -------------------------------------------------------------------- Adam
-
-TEST(Adam, FirstStepMovesByLr) {
-  // With bias correction, the very first Adam step is ±lr per element
-  // (m̂/√v̂ = g/|g| when moments start at zero).
-  Rng rng(1);
-  nn::Sequential net("n");
-  net.emplace<nn::Linear>("fc", 2, 1, rng, /*bias=*/false);
-  nn::Parameter* w = net.parameters().front();
-  w->value[0] = 1.0f;
-  w->value[1] = 1.0f;
-  train::Adam adam(net.parameters(), {});
-  w->grad[0] = 0.5f;
-  w->grad[1] = -2.0f;
-  adam.step(0.01);
-  EXPECT_NEAR(w->value[0], 1.0f - 0.01f, 1e-5);
-  EXPECT_NEAR(w->value[1], 1.0f + 0.01f, 1e-5);
-}
-
-TEST(Adam, AdaptsStepToGradientScale) {
-  // A persistently larger gradient should not produce a proportionally
-  // larger step (Adam normalises by √v̂) — unlike SGD.
-  Rng rng(1);
-  nn::Sequential net("n");
-  net.emplace<nn::Linear>("fc", 2, 1, rng, /*bias=*/false);
-  nn::Parameter* w = net.parameters().front();
-  w->value[0] = 0.0f;
-  w->value[1] = 0.0f;
-  train::Adam adam(net.parameters(), {});
-  for (int i = 0; i < 50; ++i) {
-    w->grad[0] = 0.01f;
-    w->grad[1] = 10.0f;
-    adam.step(0.001);
-  }
-  // Both coordinates moved by a similar amount despite 1000x gradients.
-  EXPECT_GT(std::fabs(w->value[0]), 0.3 * std::fabs(w->value[1]));
-}
-
-TEST(Adam, StepsLandOnQuantisedGrid) {
-  Rng rng(1);
-  nn::Sequential net("n");
-  net.emplace<nn::Linear>("fc", 4, 4, rng, /*bias=*/false);
-  core::GridOptions go;
-  go.bits = 5;
-  core::attach_grid(net, go);
-  train::Adam adam(net.parameters(), {});
-  nn::Parameter* w = net.parameters().front();
-  Rng grng(2);
-  for (int i = 0; i < 3; ++i) {
-    grng.fill_normal(w->grad, 0.0f, 0.1f);
-    adam.step(0.05);
-  }
-  // All values on the 5-bit grid of the representation.
-  const auto* rep = dynamic_cast<core::GridRepresentation*>(w->rep.get());
-  ASSERT_NE(rep, nullptr);
-  const auto& qp = rep->codes().params();
-  for (int64_t i = 0; i < w->numel(); ++i) {
-    const double steps =
-        w->value[i] / qp.scale + static_cast<double>(qp.zero_point);
-    EXPECT_NEAR(steps, std::round(steps), 1e-3);
-  }
-}
-
-// Three well-separated Gaussian blobs: cleanly learnable within the small
-// step budget of a unit test (tiny MLPs on the spiral need far more Adam
-// steps than a test should spend).
-data::TabularSet make_blobs(int64_t per_class, float noise, uint64_t seed) {
-  data::TabularSet set;
-  const int64_t n = 3 * per_class;
-  set.features = Tensor(Shape{n, 2});
-  set.labels.resize(static_cast<size_t>(n));
-  const float cx[3] = {0.0f, 2.0f, -2.0f};
-  const float cy[3] = {2.0f, -1.5f, -1.5f};
-  Rng rng(seed);
-  for (int64_t i = 0; i < n; ++i) {
-    const int32_t k = static_cast<int32_t>(i % 3);
-    set.features.at(i, 0) = cx[k] + rng.normal(0.0f, noise);
-    set.features.at(i, 1) = cy[k] + rng.normal(0.0f, noise);
-    set.labels[static_cast<size_t>(i)] = k;
-  }
-  return set;
-}
-
-TEST(Adam, TrainerIntegrationLearnsBlobs) {
-  Rng rng(1);
-  auto net = models::make_mlp(2, {16}, 3, rng);
-  const data::TabularSet set = make_blobs(64, 0.4f, 3);
-  data::DataLoader loader(set.features, set.labels, 32, true, 1);
-  train::TrainerConfig cfg;
-  cfg.epochs = 15;
-  cfg.optimizer = train::OptimizerKind::kAdam;
-  cfg.adam.weight_decay = 1e-4;
-  cfg.schedule = train::StepDecaySchedule(0.01, {10});
-  train::Trainer trainer(*net, loader, set.features, set.labels, cfg);
-  const train::History h = trainer.run();
-  EXPECT_GT(h.best_test_accuracy(), 0.9);
-}
-
-TEST(Adam, WorksUnderAptController) {
-  // §III-B: APT composes with sophisticated optimisers. Note the learning
-  // rate: Adam's per-coordinate steps are ≈ ±lr, so lr must clear the
-  // initial grid ε (≈ range/2^k) or *every* update underflows — Gavg
-  // deliberately excludes optimiser state (§III-B), so the user folds the
-  // optimiser's effective step scale into lr/T_min (see DESIGN.md §6).
-  Rng rng(1);
-  auto net = models::make_mlp(2, {16}, 3, rng);
-  const data::TabularSet set = make_blobs(48, 0.4f, 3);
-  data::DataLoader loader(set.features, set.labels, 32, true, 1);
-  train::TrainerConfig cfg;
-  cfg.epochs = 10;
-  cfg.optimizer = train::OptimizerKind::kAdam;
-  cfg.schedule = train::StepDecaySchedule(0.05, {});
-  train::Trainer trainer(*net, loader, set.features, set.labels, cfg);
-  core::AptConfig ac;
-  ac.eval_interval = 2;
-  ac.adjust_every_iters = 3;
-  core::AptController ctrl(trainer, ac);
-  trainer.add_hook(&ctrl);
-  const train::History h = trainer.run();
-  EXPECT_TRUE(std::isfinite(h.epochs.back().train_loss));
-  EXPECT_GT(h.best_test_accuracy(), 0.8);
-}
 
 // ------------------------------------------------------------- auto T_min
 

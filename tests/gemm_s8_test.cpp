@@ -538,7 +538,7 @@ TEST(GemmS8Packing, ConvPackersMatchReference) {
           cb.pw = W + 2 * padding;
           std::vector<uint8_t> stage(static_cast<size_t>(C * cb.ph * cb.pw));
           stage_padded_u8(codes.data(), C, H, W, padding, pad_code,
-                          stage.data(), /*pooled=*/false);
+                          stage.data());
           cb.padded = stage.data();
           const std::string geo = "k=" + std::to_string(kernel) +
                                   " s=" + std::to_string(stride) +
@@ -1215,7 +1215,7 @@ GemmS8ConvImage stage_image(const ConvSrc& src, uint8_t flip,
                0xA5);
   return stage_conv_image_u8(src.planes, src.icg, src.H, src.W, src.kernel,
                              src.stride, src.padding, src.pad_code, flip,
-                             space.data(), /*pooled=*/false);
+                             space.data());
 }
 
 // Every byte of the staged image against the layout's definition:
@@ -1328,8 +1328,7 @@ TEST(GemmS8ConvBOperand, MatchesExplicitIm2colBitForBit) {
   // im2col + fused-epilogue pipeline's int64/double reference exactly:
   // at every host SIMD level, in one k panel and several, read in place
   // (the image flip the level's tile wants) and packed from an image of
-  // the other flip; staged serially or split across the pool, every
-  // staged byte as the layout defines it. The cases
+  // the other flip, every staged byte as the layout defines it. The cases
   // cover every run width and the per-column gather (odd ow), strip
   // tails (n % 16 != 0), stride 2 with an odd padded width and with
   // source rows of 16, 32 and 33 columns, partial
@@ -1411,15 +1410,6 @@ TEST(GemmS8ConvBOperand, MatchesExplicitIm2colBitForBit) {
                                     " flip=" + std::to_string(flip);
             std::vector<uint8_t> space;
             const GemmS8ConvImage ci = stage_image(src, flip, space);
-            // The pool-split staging writes the same bytes.
-            std::vector<uint8_t> pooled(space.size(), 0xA5);
-            stage_conv_image_u8(src.planes, src.icg, src.H, src.W,
-                                src.kernel, src.stride, src.padding,
-                                src.pad_code, flip, pooled.data(),
-                                /*pooled=*/true);
-            ASSERT_EQ(0, std::memcmp(space.data(), pooled.data(),
-                                     space.size()))
-                << run;
             expect_image_layout(src, ci, run);
             if (HasFatalFailure()) return;
             std::vector<float> got(want.size(), -1e30f);
@@ -1699,8 +1689,7 @@ TEST(GemmS8KernelDiff, ImplicitConvOperandBitIdenticalAcrossKernels) {
       cb.pw = cc.W + 2 * cc.padding;
       std::vector<uint8_t> stage(static_cast<size_t>(icg * cb.ph * cb.pw));
       stage_padded_u8(plane, icg, cc.H, cc.W, cc.padding,
-                      static_cast<uint8_t>(cc.zb), stage.data(),
-                      /*pooled=*/false);
+                      static_cast<uint8_t>(cc.zb), stage.data());
       cb.padded = stage.data();
       for (bool tb : {false, true}) {
         // Forward: W [ocg x taps] x cols, the weights in the image's k

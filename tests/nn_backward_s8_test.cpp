@@ -322,16 +322,19 @@ TEST(Conv2dInt8Bwd, MatchesFp32WithinQuantBound) {
                                o.out_channels)));
 }
 
-// -- exactness differential for the integer conv backward ---------------
+// -- exactness differential for the integer conv ------------------------
 //
 // One seed is one case: a counter-keyed Philox stream (base/rng.hpp)
 // draws the geometry (groups 1, 2 or depthwise; channel counts that are
 // not multiples of 4; odd H x W; kernel 1/3/5, stride 1/2, padding
 // 0..kernel), the batch, the weight bits (4-8, so every integer route
 // runs somewhere in the forward or backward), force-serial or pooled
-// dispatch and the SIMD cap. The case runs one integer Conv2d backward
-// and checks its bits against references built here from the codes the
-// layer consumed:
+// dispatch and the SIMD cap. The case runs one integer Conv2d training
+// forward and backward and checks their bits against references built
+// here from the codes the layer consumed:
+//  * y is float(Sa*Sb*T + bias), T the int64 sum of the forward conv
+//    (the n = 1, groups = 1 cases run the lone GEMM of a one-sample
+//    batch);
 //  * dX is float(Sa*Sb*T), T the int64 sum of the transposed conv;
 //  * dW is the per-sample formulation: each (sample, group) exact sum
 //    dequantised once, summed in fp32 within each of min(N, 16) sample
@@ -408,6 +411,22 @@ struct ConvCodes {
   int64_t gv(int64_t s, int64_t oc, int64_t y, int64_t xo) const {
     return dy[((s * o.out_channels + oc) * oh + y) * ow + xo] - zg;
   }
+  // y[s][oc][yo][xo] before scale and bias; padding reads the
+  // zero-point (adds 0).
+  int64_t y_sum(int64_t s, int64_t oc, int64_t yo, int64_t xo) const {
+    const int64_t ic0 = oc / ocg() * icg();
+    int64_t t = 0;
+    for (int64_t c = 0; c < icg(); ++c)
+      for (int64_t kh = 0; kh < o.kernel; ++kh)
+        for (int64_t kw = 0; kw < o.kernel; ++kw) {
+          const int64_t yi = yo * o.stride - o.padding + kh;
+          const int64_t xi = xo * o.stride - o.padding + kw;
+          if (yi < 0 || yi >= h || xi < 0 || xi >= w) continue;
+          t += wv(oc, c, kh, kw) *
+               (x[((s * o.in_channels + ic0 + c) * h + yi) * w + xi] - zx);
+        }
+    return t;
+  }
   // dX[s][c][y][xi]: every (oc, kh, kw) whose output position lands.
   int64_t dx_sum(int64_t s, int64_t c, int64_t y, int64_t xi) const {
     const int64_t g = c / icg();
@@ -479,12 +498,13 @@ void run_diff_case(const DiffCase& dc) {
                               sr_mix_key(fnv1a64("diff"), sr_step()), 0,
                               dyc.data());
 
-  conv.forward_flow(Tensor(), &qx, true, false, nullptr);
-  Tensor dx;
+  Tensor y, dx;
   {
     SerialGuard serial(dc.serial);
+    y = conv.forward_flow(Tensor(), &qx, true, false, nullptr);
     dx = conv.backward(dy2);
   }
+  ASSERT_TRUE(conv.last_forward_was_int8());
   ASSERT_TRUE(conv.last_backward_was_int8());
 
   const quant::QuantizedTensor* wq = conv.weight().rep->quantized_view();
@@ -500,6 +520,20 @@ void run_diff_case(const DiffCase& dc) {
                      qx.params.zero_point,
                      wq->params().zero_point,
                      gq.zero_point};
+
+  // y: one rounding per element, the bias added in double.
+  const double sab_y = wq->params().scale * qx.params.scale;
+  std::vector<float> y_want(static_cast<size_t>(y.numel()));
+  for (int64_t s = 0; s < dc.n; ++s)
+    for (int64_t oc = 0; oc < o.out_channels; ++oc)
+      for (int64_t p = 0; p < oh * ow; ++p)
+        y_want[static_cast<size_t>((s * o.out_channels + oc) * oh * ow + p)] =
+            static_cast<float>(
+                sab_y * static_cast<double>(cc.y_sum(s, oc, p / ow, p % ow)) +
+                static_cast<double>(conv.bias().value[oc]));
+  ASSERT_EQ(0, std::memcmp(y_want.data(), y.data(),
+                           y_want.size() * sizeof(float)))
+      << "y";
 
   // dX: one rounding per element.
   const double sab_x = wq->params().scale * gq.scale;

@@ -19,7 +19,6 @@
 #include "nn/gemm.hpp"
 #include "nn/linear.hpp"
 #include "nn/pool.hpp"
-#include "nn/quant_act.hpp"
 #include "nn/shard.hpp"
 #include "nn/sequential.hpp"
 #include "nn/softmax_xent.hpp"
@@ -781,23 +780,6 @@ TEST(ReLU, SpecialValuesMatchReferenceFormulaBitForBit) {
   }
 }
 
-TEST(Dropout, EvalIsIdentity) {
-  Rng rng(1);
-  Dropout d("d", 0.5, rng);
-  Tensor x(Shape{8}, {1, 2, 3, 4, 5, 6, 7, 8});
-  const Tensor y = d.forward(x, false);
-  for (int64_t i = 0; i < 8; ++i) EXPECT_EQ(y[i], x[i]);
-}
-
-TEST(Dropout, TrainPreservesMeanApproximately) {
-  Rng rng(1);
-  Dropout d("d", 0.3, rng);
-  Tensor x(Shape{20000});
-  x.fill(1.0f);
-  const Tensor y = d.forward(x, true);
-  EXPECT_NEAR(y.mean(), 1.0f, 0.05f);
-}
-
 // ----------------------------------------------------------------- pools
 
 TEST(GlobalAvgPool, AveragesSpatial) {
@@ -893,27 +875,6 @@ TEST(SoftmaxXent, PredictionsAreArgmax) {
 TEST(Accuracy, CountsMatches) {
   EXPECT_DOUBLE_EQ(accuracy({1, 2, 3}, {1, 0, 3}), 2.0 / 3.0);
   EXPECT_DOUBLE_EQ(accuracy({}, {}), 0.0);
-}
-
-// -------------------------------------------------------------- QuantAct
-
-TEST(QuantAct, PassThroughAt32Bits) {
-  QuantAct qa("qa", 32);
-  Tensor x(Shape{4}, {1, 2, 3, 4});
-  const Tensor y = qa.forward(x, true);
-  for (int64_t i = 0; i < 4; ++i) EXPECT_EQ(y[i], x[i]);
-}
-
-TEST(QuantAct, QuantisesOntoGridAfterWarmup) {
-  QuantAct qa("qa", 4);
-  Rng rng(1);
-  Tensor x(Shape{64});
-  rng.fill_normal(x, 0, 1);
-  qa.forward(x, true);  // warmup observes range
-  const Tensor y = qa.forward(x, true);
-  // At 4 bits, outputs take at most 16 distinct values.
-  std::set<float> distinct(y.span().begin(), y.span().end());
-  EXPECT_LE(distinct.size(), 16u);
 }
 
 // ------------------------------------------------------------ Sequential

@@ -3,7 +3,7 @@
 // layers (Conv -> ReLU -> Conv, Linear -> ReLU -> Linear), code-domain
 // ReLU semantics, emission/consumption telemetry (per shard), closeness
 // to the fp32 reference, bit-determinism across scheduling, backward
-// through cached code inputs, and the pool-parallel byte gather helpers.
+// through cached code inputs, and the byte gather helpers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,10 +18,10 @@
 #include "base/thread_pool.hpp"
 #include "core/grid_representation.hpp"
 #include "nn/activations.hpp"
+#include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/gemm.hpp"
 #include "nn/linear.hpp"
-#include "nn/quant_act.hpp"
 #include "nn/sequential.hpp"
 #include "quant/affine.hpp"
 
@@ -160,15 +160,15 @@ TEST(CodeFlow, LinearChainPassesCodes) {
 }
 
 TEST(CodeFlow, BreaksAtNonEligibleLayer) {
-  // An enabled QuantAct between the convs cannot take codes: conv1 must
-  // not emit, and everything still works.
+  // A BatchNorm between the convs cannot take codes: conv1 must not
+  // emit, and everything still works.
   Rng rng(13);
   Conv2dOptions opts;
   opts.in_channels = 8;
   opts.out_channels = 8;
   Sequential net("mixed");
   auto* c1 = net.emplace<Conv2d>("c1", opts, rng);
-  net.emplace<QuantAct>("qa", /*bits=*/8);
+  net.emplace<BatchNorm>("bn", 8);
   auto* c2 = net.emplace<Conv2d>("c2", opts, rng);
   attach_weight_grid(c1->weight(), 6);
   attach_weight_grid(c2->weight(), 6);
@@ -179,26 +179,6 @@ TEST(CodeFlow, BreaksAtNonEligibleLayer) {
   EXPECT_FALSE(c1->last_forward_emitted_codes());
   EXPECT_FALSE(c2->last_forward_consumed_codes());
   EXPECT_TRUE(c2->last_forward_was_int8());  // still int8, via fp32 hop
-}
-
-TEST(CodeFlow, DisabledQuantActIsTransparent) {
-  Rng rng(15);
-  Conv2dOptions opts;
-  opts.in_channels = 8;
-  opts.out_channels = 8;
-  Sequential net("transparent");
-  auto* c1 = net.emplace<Conv2d>("c1", opts, rng);
-  net.emplace<QuantAct>("qa", /*bits=*/32);  // disabled: identity
-  net.emplace<ReLU>("relu");
-  auto* c2 = net.emplace<Conv2d>("c2", opts, rng);
-  attach_weight_grid(c1->weight(), 6);
-  attach_weight_grid(c2->weight(), 6);
-  const Tensor x = make_input(16);
-  BackendGuard guard(GemmBackend::kInt8);
-  net.forward(x, true);
-  net.forward(x, true);
-  EXPECT_TRUE(c1->last_forward_emitted_codes());
-  EXPECT_TRUE(c2->last_forward_consumed_codes());
 }
 
 // ------------------------------------------------- code-domain ReLU
@@ -378,17 +358,14 @@ TEST(CodeFlowSharded, WorkerCountNeverChangesBits) {
 
 // ------------------------------------------------- gather helpers
 
-TEST(StagePaddedU8, PooledMatchesSerialAndLayout) {
+TEST(StagePaddedU8, PadsEveryChannelPlane) {
   Rng rng(29);
   const int64_t C = 5, H = 4, W = 6, padding = 2;
   const int64_t ph = H + 2 * padding, pw = W + 2 * padding;
   std::vector<uint8_t> planes(static_cast<size_t>(C * H * W));
   for (auto& q : planes) q = static_cast<uint8_t>(rng.randint(1, 255));
   std::vector<uint8_t> a(static_cast<size_t>(C * ph * pw), 0xAA);
-  std::vector<uint8_t> b(a.size(), 0x55);
-  stage_padded_u8(planes.data(), C, H, W, padding, 0, a.data(), false);
-  stage_padded_u8(planes.data(), C, H, W, padding, 0, b.data(), true);
-  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size()));
+  stage_padded_u8(planes.data(), C, H, W, padding, 0, a.data());
   for (int64_t c = 0; c < C; ++c)
     for (int64_t y = 0; y < ph; ++y)
       for (int64_t xx = 0; xx < pw; ++xx) {

@@ -154,8 +154,7 @@ TEST(QuantizedTensor, AllValuesOnGrid) {
 
 TEST(QuantizedTensor, UpdateMovesByGridSteps) {
   Tensor t(Shape{1}, {0.0f});
-  QuantizedTensor q(t, 8);
-  q.requantize(8, -1.0f, 1.0f);
+  QuantizedTensor q(t, 8, -1.0f, 1.0f);
   const double eps = q.epsilon();
   Tensor delta(Shape{1}, {static_cast<float>(3.4 * eps)});
   const UpdateStats s = q.apply_update(delta, RoundMode::kTrunc);
@@ -195,38 +194,12 @@ TEST(QuantizedTensor, LowerPrecisionUnderflowsMore) {
 
 TEST(QuantizedTensor, ClampAtGridEdges) {
   Tensor t(Shape{1}, {1.0f});
-  QuantizedTensor q(t, 4);
-  q.requantize(4, 0.0f, 1.0f);
+  QuantizedTensor q(t, 4, 0.0f, 1.0f);
   Tensor big(Shape{1}, {-100.0f});  // w := w + 100 -> clamps at max code
   const UpdateStats s = q.apply_update(big, RoundMode::kTrunc);
   EXPECT_EQ(s.clamped, 1);
   EXPECT_NEAR(q.dequantize()[0], q.params().range_max(), 1e-6);
   EXPECT_NEAR(q.saturation_fraction(), 1.0, 1e-9);
-}
-
-TEST(QuantizedTensor, RequantizePreservesValues) {
-  Rng rng(2);
-  Tensor t(Shape{64});
-  rng.fill_normal(t, 0.0f, 1.0f);
-  QuantizedTensor q(t, 12);
-  const Tensor before = q.dequantize();
-  q.requantize(16);
-  const Tensor after = q.dequantize();
-  for (int64_t i = 0; i < 64; ++i)
-    EXPECT_NEAR(after[i], before[i], 3.0 * q.epsilon());
-  EXPECT_EQ(q.bits(), 16);
-}
-
-TEST(QuantizedTensor, RequantizeDownLosesAtMostNewEps) {
-  Rng rng(2);
-  Tensor t(Shape{64});
-  rng.fill_normal(t, 0.0f, 1.0f);
-  QuantizedTensor q(t, 16);
-  const Tensor before = q.dequantize();
-  q.requantize(6, before.min(), before.max());
-  const Tensor after = q.dequantize();
-  for (int64_t i = 0; i < 64; ++i)
-    EXPECT_NEAR(after[i], before[i], 0.51 * q.epsilon());
 }
 
 // ---------------------------------------------- width-adaptive storage
@@ -263,8 +236,6 @@ TEST(QuantizedTensor, CodeViewsMatchGenericAccessor) {
   QuantizedTensor q8(t, 7);
   for (int64_t i = 0; i < t.numel(); ++i)
     EXPECT_EQ(static_cast<int64_t>(q8.codes_u8()[i]), q8.code(i));
-  EXPECT_EQ(reinterpret_cast<const void*>(q8.codes_i8()),
-            reinterpret_cast<const void*>(q8.codes_u8()));
   QuantizedTensor q12(t, 12);
   for (int64_t i = 0; i < t.numel(); ++i)
     EXPECT_EQ(static_cast<int64_t>(q12.codes_u16()[i]), q12.code(i));
@@ -276,29 +247,11 @@ TEST(QuantizedTensor, CodeViewsMatchGenericAccessor) {
   EXPECT_THROW(q8.codes_u16(), CheckError);
 }
 
-TEST(QuantizedTensor, RequantizeSwitchesStorageWidth) {
-  Rng rng(2);
-  Tensor t(Shape{64});
-  rng.fill_normal(t, 0.0f, 1.0f);
-  QuantizedTensor q(t, 6);
-  EXPECT_EQ(q.storage_bits(), 8);
-  const Tensor before = q.dequantize();
-  q.requantize(12);
-  EXPECT_EQ(q.storage_bits(), 16);
-  const Tensor mid = q.dequantize();
-  for (int64_t i = 0; i < t.numel(); ++i)
-    EXPECT_NEAR(mid[i], before[i], 3.0 * q.epsilon() + 1e-6);
-  q.requantize(4);  // back down: storage shrinks with the grid
-  EXPECT_EQ(q.storage_bits(), 8);
-  EXPECT_EQ(q.bits(), 4);
-}
-
 TEST(QuantizedTensor, EightBitUpdateClampsWithinByteRange) {
   // Worst-case update arithmetic through the narrow storage: pushing far
   // past both grid edges must clamp to [0, 255], never wrap the byte.
   Tensor t(Shape{2}, {0.0f, 1.0f});
-  QuantizedTensor q(t, 8);
-  q.requantize(8, 0.0f, 1.0f);
+  QuantizedTensor q(t, 8, 0.0f, 1.0f);
   Tensor down(Shape{2});
   down.fill(1e6f);  // w -= 1e6: huge negative move in code space
   q.apply_update(down, RoundMode::kTrunc);
@@ -324,8 +277,7 @@ TEST(QuantizedTensor, StochasticUpdateEscapesUnderflow) {
   Rng rng(11);
   Tensor t(Shape{4096});
   t.fill(0.0f);
-  QuantizedTensor q(t, 8);
-  q.requantize(8, -1.0f, 1.0f);
+  QuantizedTensor q(t, 8, -1.0f, 1.0f);
   Tensor delta(Shape{4096});
   delta.fill(static_cast<float>(0.25 * q.epsilon()));
   const UpdateStats s = q.apply_update(delta, RoundMode::kStochastic, &rng);
@@ -349,8 +301,7 @@ TEST_P(GridUpdateBits, StepsTruncateOntoGrid) {
   // library property.)
   const int bits = GetParam();
   Tensor t(Shape{1}, {0.0f});
-  QuantizedTensor q(t, bits);
-  q.requantize(bits, -1.0f, 1.0f);
+  QuantizedTensor q(t, bits, -1.0f, 1.0f);
   const double eps = q.epsilon();
   const float start = q.dequantize()[0];
   Tensor delta(Shape{1}, {static_cast<float>(-2.5 * eps)});  // w += 2.5ε
@@ -360,28 +311,6 @@ TEST_P(GridUpdateBits, StepsTruncateOntoGrid) {
 
 INSTANTIATE_TEST_SUITE_P(Bitwidths, GridUpdateBits,
                          ::testing::Values(3, 4, 6, 8, 12, 16));
-
-// ------------------------------------------------------------ fake-quant
-
-TEST(FakeQuant, ValuesLandOnGrid) {
-  Rng rng(3);
-  Tensor t(Shape{64});
-  rng.fill_normal(t, 0.0f, 1.0f);
-  const Tensor fq = fake_quantize(t, -2.0f, 2.0f, 4);
-  const QuantParams p = choose_params(-2.0f, 2.0f, 4);
-  for (float v : fq.span()) {
-    const double steps = v / p.scale;
-    EXPECT_NEAR(steps, std::round(steps), 1e-4);
-  }
-}
-
-TEST(FakeQuant, SteMaskZeroOutsideRange) {
-  Tensor t(Shape{3}, {-10.0f, 0.0f, 10.0f});
-  const Tensor mask = ste_mask(t, -1.0f, 1.0f, 8);
-  EXPECT_EQ(mask[0], 0.0f);
-  EXPECT_EQ(mask[1], 1.0f);
-  EXPECT_EQ(mask[2], 0.0f);
-}
 
 TEST(RangeTracker, TracksEma) {
   RangeTracker rt(0.5);

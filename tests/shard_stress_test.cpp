@@ -1,7 +1,7 @@
 // Race-stress tier for the sharded execution paths (run under APT_TSAN).
 //
-// Hammers per-shard Telemetry publication, QuantAct/Linear RangeTracker
-// EMA observation, and full ShardedStep training steps with concurrent
+// Hammers per-shard Telemetry publication, Linear RangeTracker EMA
+// observation, and full ShardedStep training steps with concurrent
 // shard chunks on a deliberately oversubscribed pool, asserting
 // bit-identity against the serial reference (worker cap 1) every
 // iteration. Under TSan these runs must produce zero reports; in the
@@ -15,8 +15,8 @@
 
 #include "base/rng.hpp"
 #include "base/thread_pool.hpp"
+#include "nn/activations.hpp"
 #include "nn/linear.hpp"
-#include "nn/quant_act.hpp"
 #include "nn/sequential.hpp"
 #include "nn/shard.hpp"
 #include "train/sharded_step.hpp"
@@ -59,77 +59,6 @@ void expect_bitwise_equal(const std::vector<Tensor>& a,
   }
 }
 
-// ----------------------------------------------------- QuantAct EMA
-
-// Runs `iters` sharded training forwards through a QuantAct and returns
-// the tracker state + every output, all produced under `worker_cap`.
-struct QuantActRun {
-  float lo, hi;
-  std::vector<std::vector<Tensor>> outputs;
-};
-
-QuantActRun run_quant_act(int worker_cap, int iters) {
-  Rng rng(41);
-  QuantAct qa("qa", /*bits=*/6);
-  QuantActRun run{};
-  for (int it = 0; it < iters; ++it) {
-    Tensor x{Shape{24, 16}};
-    rng.fill_uniform(x, -1.5f - 0.01f * static_cast<float>(it),
-                     1.0f + 0.02f * static_cast<float>(it));
-    std::vector<Tensor> xs = split_rows(x, 4);
-    ShardSession session(static_cast<int>(xs.size()), worker_cap);
-    run.outputs.push_back(qa.forward_sharded(xs, /*training=*/true));
-  }
-  run.lo = qa.tracker().lo();
-  run.hi = qa.tracker().hi();
-  return run;
-}
-
-TEST(ShardStress, QuantActEmaBitIdenticalAcrossWorkerCounts) {
-  ASSERT_TRUE(kPoolBootstrap);
-  constexpr int kIters = 120;
-  const QuantActRun serial = run_quant_act(/*worker_cap=*/1, kIters);
-  const QuantActRun parallel = run_quant_act(/*worker_cap=*/8, kIters);
-  // The EMA is fed exactly once per batch from shard-ordered merged
-  // extrema, so the tracker must land on the same bits regardless of how
-  // many shard tasks ran concurrently.
-  EXPECT_EQ(serial.lo, parallel.lo);
-  EXPECT_EQ(serial.hi, parallel.hi);
-  for (int it = 0; it < kIters; ++it)
-    expect_bitwise_equal(serial.outputs[static_cast<size_t>(it)],
-                         parallel.outputs[static_cast<size_t>(it)],
-                         "QuantAct outputs");
-}
-
-TEST(ShardStress, QuantActBackwardUsesPerShardMasks) {
-  // Each shard's backward must see the mask its own forward cached, not
-  // another shard's: run forward+backward sharded and compare with the
-  // serial reference.
-  auto run = [&](int worker_cap) {
-    Rng rng(7);
-    QuantAct qa("qa", /*bits=*/4);
-    // Warm the tracker so forwards quantise (and cache masks).
-    Tensor warm{Shape{8, 8}};
-    rng.fill_uniform(warm, -2.0f, 2.0f);
-    qa.forward(warm, /*training=*/true);
-
-    Tensor x{Shape{32, 8}};
-    rng.fill_uniform(x, -3.0f, 3.0f);  // saturates: mask has zeros
-    Tensor g{Shape{32, 8}};
-    rng.fill_uniform(g, -1.0f, 1.0f);
-    std::vector<Tensor> xs = split_rows(x, 4);
-    std::vector<Tensor> gs = split_rows(g, 4);
-    ShardSession session(4, worker_cap);
-    qa.forward_sharded(xs, /*training=*/true);
-    return qa.backward_sharded(gs);
-  };
-  const std::vector<Tensor> serial = run(1);
-  for (int it = 0; it < 50; ++it) {
-    const std::vector<Tensor> parallel = run(8);
-    expect_bitwise_equal(serial, parallel, "QuantAct backward");
-  }
-}
-
 // -------------------------------------------------- Linear telemetry
 
 TEST(ShardStress, LinearTelemetryAndRangePublication) {
@@ -137,6 +66,7 @@ TEST(ShardStress, LinearTelemetryAndRangePublication) {
   // merge, hammered under concurrent shard chunks. Telemetry must be
   // readable per shard after the (serial-point) return, and the tracker
   // must match the serial reference bit-for-bit.
+  ASSERT_TRUE(kPoolBootstrap);
   auto run = [&](int worker_cap, int iters, std::vector<Tensor>* last_ys) {
     Rng rng(11);
     Linear lin("fc", 16, 8, rng);
@@ -170,15 +100,15 @@ TEST(ShardStress, LinearTelemetryAndRangePublication) {
 // ------------------------------------------------ full training step
 
 TEST(ShardStress, ShardedStepBitIdenticalUnderOversubscription) {
-  // End-to-end hammer: a QuantAct-bearing model stepped many times with
-  // concurrent shard chunks vs the serial reference. Weights must stay
-  // bit-identical the whole way (EMA merge + gradient reduction + mask
-  // slots all exercised together).
+  // End-to-end hammer: an MLP stepped many times with concurrent shard
+  // chunks vs the serial reference. Weights must stay bit-identical the
+  // whole way (EMA merge + gradient reduction + per-shard ReLU caches
+  // all exercised together).
   auto run = [&](int num_workers, int steps) {
     Rng rng(123);
     Sequential net("mlp");
     net.emplace<Linear>("fc1", 12, 16, rng);
-    net.emplace<QuantAct>("qa", /*bits=*/8);
+    net.emplace<ReLU>("relu");
     net.emplace<Linear>("fc2", 16, 4, rng);
 
     train::ShardedStepConfig cfg;

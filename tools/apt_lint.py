@@ -56,6 +56,11 @@ time things and spawn helpers as they see fit):
           variables" table, and every backticked name in that table's
           first column must be read by one of them: an unlisted knob is
           undocumented, a listed one nothing reads is a dead promise.
+          And every test README.md, DESIGN.md, ROADMAP.md or docs/
+          names must exist in tests/: a `Suite.Name` token (CamelCase
+          on both sides) must name a TEST / TEST_F / TEST_P (or typed
+          test), and a backticked `Suite.*` must name a suite. A doc
+          that cites a deleted test promises coverage nobody runs.
           Runs only in --root mode (it is not a per-file C++ rule).
 
 Escape hatch: a line (or the line directly above it) containing
@@ -351,11 +356,23 @@ ENV_HEADING = "## Environment variables"
 ENV_DIRS = ("src", "bench", "examples")
 
 
+# Docs whose test references must resolve: these files plus docs/**.md.
+TEST_REF_DOCS = ("README.md", "DESIGN.md", "ROADMAP.md")
+TEST_DEF_RE = re.compile(
+    r"\b(?:TYPED_)?TEST(?:_F|_P)?\s*\(\s*(\w+)\s*,\s*(\w+)\s*\)")
+# CamelCase: a capital, then at least one lowercase letter somewhere, so
+# `README.md`, `BENCH_kernels.json` and `apt::Foo.bar` never match.
+_CAMEL = r"[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*"
+TEST_REF_RE = re.compile(r"(?<![\w.:])(" + _CAMEL + r")\.(" + _CAMEL + r")\b")
+SUITE_REF_RE = re.compile(r"`(" + _CAMEL + r")\.\*`")
+
+
 def check_docsync(root: str) -> List[Violation]:
     """README.md must document every --min-* gate flag of
     bench/bench_runner.cpp and exactly the environment variables the
-    code reads."""
-    return check_gate_flags(root) + check_env_vars(root)
+    code reads, and the docs may cite only tests that exist."""
+    return (check_gate_flags(root) + check_env_vars(root) +
+            check_test_refs(root))
 
 
 def check_gate_flags(root: str) -> List[Violation]:
@@ -456,6 +473,51 @@ def check_env_vars(root: str) -> List[Violation]:
                           f"README.md's \"Environment variables\" table "
                           f"lists '{name}', but no getenv under src/, "
                           "bench/ or examples/ reads it"))
+    return violations
+
+
+def test_definitions(root: str) -> set:
+    """(suite, name) of every gtest test defined under root/tests/."""
+    defined = set()
+    for dirpath, dirnames, filenames in os.walk(os.path.join(root, "tests")):
+        dirnames.sort()
+        for fn in sorted(filenames):
+            if fn.endswith((".cpp", ".cc", ".hpp", ".h")):
+                path = os.path.join(dirpath, fn)
+                with open(path, "r", encoding="utf-8", errors="replace") as f:
+                    defined.update(TEST_DEF_RE.findall(f.read()))
+    return defined
+
+
+def check_test_refs(root: str) -> List[Violation]:
+    """Every `Suite.Name` token in the docs must name a test under
+    tests/, and every backticked `Suite.*` an existing suite."""
+    docs = [d for d in TEST_REF_DOCS if os.path.isfile(os.path.join(root, d))]
+    for dirpath, dirnames, filenames in os.walk(os.path.join(root, "docs")):
+        dirnames.sort()
+        docs.extend(os.path.relpath(os.path.join(dirpath, fn), root)
+                    for fn in sorted(filenames) if fn.endswith(".md"))
+    defined = test_definitions(root)
+    suites = {suite for suite, _ in defined}
+
+    violations = []
+    for doc in docs:
+        with open(os.path.join(root, doc), "r", encoding="utf-8",
+                  errors="replace") as f:
+            lines = f.read().splitlines()
+        for idx, line in enumerate(lines, start=1):
+            for m in TEST_REF_RE.finditer(line):
+                if (m.group(1), m.group(2)) not in defined:
+                    violations.append(Violation(
+                        doc, idx, "docsync",
+                        f"'{m.group(1)}.{m.group(2)}' names no TEST, "
+                        "TEST_F or TEST_P under tests/"))
+            for m in SUITE_REF_RE.finditer(line):
+                if m.group(1) not in suites:
+                    violations.append(Violation(
+                        doc, idx, "docsync",
+                        f"'{m.group(1)}.*' names no test suite under "
+                        "tests/"))
     return violations
 
 

@@ -345,6 +345,57 @@ class EnvDocsyncRule(unittest.TestCase):
         self.assertEqual(apt_lint.check_env_vars(root), [])
 
 
+class TestRefDocsyncRule(unittest.TestCase):
+    TESTS = (
+        "TEST(PlanKey, StampsWidth) {}\n"
+        "TEST_F(ServeFixture, RunsBatches) {}\n"
+        "TEST_P(Conv2dVsExplicit, MatchesBitForBit) {}\n"
+    )
+
+    def refs_of(self, docs: dict):
+        with tempfile.TemporaryDirectory() as tmp:
+            files = dict(docs)
+            files["tests/a_test.cpp"] = self.TESTS
+            for rel, text in files.items():
+                path = os.path.join(tmp, rel)
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                with open(path, "w") as f:
+                    f.write(text)
+            return apt_lint.check_test_refs(tmp)
+
+    def test_existing_tests_and_suites_are_clean(self):
+        readme = ("`PlanKey.StampsWidth`, ServeFixture.RunsBatches and\n"
+                  "Shapes/Conv2dVsExplicit.MatchesBitForBit/3; `PlanKey.*`.\n")
+        self.assertEqual(self.refs_of({"README.md": readme}), [])
+
+    def test_missing_test_fires_at_the_reference(self):
+        design = "# x\n\nSee `Adam.WorksUnderAptController` (gone).\n"
+        violations = self.refs_of({"DESIGN.md": design})
+        self.assertEqual([v.rule for v in violations], ["docsync"])
+        self.assertEqual((violations[0].path, violations[0].line),
+                         ("DESIGN.md", 3))
+        self.assertIn("'Adam.WorksUnderAptController'", violations[0].message)
+
+    def test_missing_suite_wildcard_fires(self):
+        violations = self.refs_of({"ROADMAP.md": "Run `Dropout.*` too.\n"})
+        self.assertEqual(len(violations), 1)
+        self.assertIn("'Dropout.*'", violations[0].message)
+
+    def test_docs_subdirectory_is_checked(self):
+        violations = self.refs_of({"docs/ops/RUN.md": "PlanKey.Gone\n"})
+        self.assertEqual([v.path for v in violations],
+                         [os.path.join("docs", "ops", "RUN.md")])
+
+    def test_bold_prose_and_file_names_do_not_fire(self):
+        roadmap = ("**Acceptance.** Bits stay. **Today.**\n"
+                   "Acceptance.* is prose; so is README.md, DESIGN.md §3,\n"
+                   "BENCH_kernels.json and apt::nn.Layer.\n")
+        self.assertEqual(self.refs_of({"ROADMAP.md": roadmap}), [])
+
+    def test_other_markdown_is_not_checked(self):
+        self.assertEqual(self.refs_of({"CHANGES.md": "Adam.Gone\n"}), [])
+
+
 class Plumbing(unittest.TestCase):
     def test_collect_sources_finds_cpp_and_hpp(self):
         with tempfile.TemporaryDirectory() as tmp:
