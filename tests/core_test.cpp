@@ -93,6 +93,68 @@ TEST(GridRepresentation, SetBitsChangesEpsilonAndKeepsValues) {
     EXPECT_NEAR(p.value[i], before[i], eps6) << "value drifted on requantise";
 }
 
+TEST(GridRepresentation, SetBitsUpKeepsValuesWithinHalfNewEps) {
+  // A refit onto a finer grid rebuilds the codes from the current
+  // values: each lands on its nearest new grid point.
+  Rng rng(2);
+  nn::Parameter p("w", Shape{64});
+  rng.fill_normal(p.value, 0.0f, 1.0f);
+  GridOptions opts;
+  opts.bits = 6;
+  GridRepresentation rep(p, opts);
+  const Tensor before = p.value.clone();
+  rep.set_bits(p, 12);
+  EXPECT_EQ(rep.bits(), 12);
+  for (int64_t i = 0; i < 64; ++i)
+    EXPECT_NEAR(p.value[i], before[i], 0.5 * rep.epsilon() + 1e-6)
+        << "i=" << i;
+}
+
+TEST(GridRepresentation, SetBitsDownLosesAtMostHalfNewEps) {
+  Rng rng(2);
+  nn::Parameter p("w", Shape{64});
+  rng.fill_normal(p.value, 0.0f, 1.0f);
+  GridOptions opts;
+  opts.bits = 16;
+  GridRepresentation rep(p, opts);
+  const Tensor before = p.value.clone();
+  rep.set_bits(p, 6);
+  EXPECT_EQ(rep.bits(), 6);
+  for (int64_t i = 0; i < 64; ++i)
+    EXPECT_NEAR(p.value[i], before[i], 0.5 * rep.epsilon() + 1e-6)
+        << "i=" << i;
+}
+
+TEST(GridRepresentation, SetBitsSwitchesStorageWidth) {
+  // Codes live in the narrowest width holding k bits, and a refit
+  // rebuilds them at the new width: memory follows the bitwidth both
+  // ways, and values stay within the coarser grid's ε.
+  Rng rng(2);
+  nn::Parameter p("w", Shape{64});
+  rng.fill_normal(p.value, 0.0f, 1.0f);
+  GridOptions opts;
+  opts.bits = 6;
+  GridRepresentation rep(p, opts);
+  EXPECT_EQ(rep.codes().storage_bits(), 8);
+  EXPECT_EQ(rep.memory_bits(p), 64 * 8 + 64);
+  const Tensor before = p.value.clone();
+  const double eps6 = rep.epsilon();
+  rep.set_bits(p, 12);
+  EXPECT_EQ(rep.codes().storage_bits(), 16);
+  EXPECT_EQ(rep.codes().code_storage_bytes(), 64 * 2);
+  EXPECT_EQ(rep.memory_bits(p), 64 * 16 + 64);
+  for (int64_t i = 0; i < 64; ++i)
+    EXPECT_NEAR(p.value[i], before[i], eps6) << "i=" << i;
+  rep.set_bits(p, 20);
+  EXPECT_EQ(rep.codes().storage_bits(), 32);
+  rep.set_bits(p, 4);  // back down: storage shrinks with the grid
+  EXPECT_EQ(rep.bits(), 4);
+  EXPECT_EQ(rep.codes().storage_bits(), 8);
+  EXPECT_EQ(rep.memory_bits(p), 64 * 8 + 64);
+  for (int64_t i = 0; i < 64; ++i)
+    EXPECT_NEAR(p.value[i], before[i], rep.epsilon()) << "i=" << i;
+}
+
 TEST(GridRepresentation, DegenerateAllZeroTensorGetsUsableGrid) {
   // A fresh all-zero bias must still be able to learn: the range floor
   // gives it a non-trivial ε rather than a ~1e-12 sliver.

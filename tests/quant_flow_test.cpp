@@ -116,6 +116,32 @@ TEST(CodeFlow, ChainForwardBitIdenticalAcrossScheduling) {
   for (int64_t i = 0; i < a.numel(); ++i) ASSERT_EQ(a[i], b[i]) << i;
 }
 
+TEST(CodeFlow, EvalForwardLeavesRangesFrozen) {
+  // Evaluation quantises on the grids training chose and never moves
+  // them: an eval forward over a wider input leaves every activation
+  // tracker bit-identical, while a training forward over it moves them.
+  Chain ch = make_conv_chain(21);
+  const Tensor x = make_input(22);
+  BackendGuard guard(GemmBackend::kInt8);
+  ch.net->forward(x, true);
+  ch.net->forward(x, true);
+  auto ranges = [&] {
+    return std::vector<float>{
+        ch.c1->activation_range().lo(), ch.c1->activation_range().hi(),
+        ch.c2->activation_range().lo(), ch.c2->activation_range().hi()};
+  };
+  const std::vector<float> trained = ranges();
+  Tensor wide = x.clone();
+  for (int64_t i = 0; i < wide.numel(); ++i) wide[i] *= 3.0f;
+  ch.net->forward(wide, false);
+  EXPECT_TRUE(ch.c2->last_forward_consumed_codes());
+  EXPECT_EQ(trained, ranges());
+  ch.net->forward(wide, true);
+  const std::vector<float> moved = ranges();
+  EXPECT_LT(moved[0], trained[0]);
+  EXPECT_GT(moved[1], trained[1]);
+}
+
 TEST(CodeFlow, BackwardRunsThroughCachedCodes) {
   Chain ch = make_conv_chain(7);
   const Tensor x = make_input(8);

@@ -3,9 +3,11 @@
 // (Eq. 3) with quantisation underflow, and range management.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "base/rng.hpp"
@@ -247,6 +249,33 @@ TEST(QuantizedTensor, CodeViewsMatchGenericAccessor) {
   EXPECT_THROW(q8.codes_u16(), CheckError);
 }
 
+TEST(QuantizedTensor, RangedConstructorSpansRequestedRange) {
+  // The explicit-range constructor (what every grid refit builds) puts
+  // the grid over [lo, hi] whatever the values span: values outside
+  // saturate to the edge codes, values inside land within ε/2, and zero
+  // stays exact.
+  Tensor t(Shape{5}, {-3.0f, -1.0f, 0.0f, 0.25f, 3.0f});
+  QuantizedTensor q(t, 8, -1.0f, 1.0f);
+  const QuantParams& p = q.params();
+  const double eps = q.epsilon();
+  EXPECT_NEAR(p.range_min(), -1.0, eps);
+  EXPECT_NEAR(p.range_max(), 1.0, eps);
+  EXPECT_EQ(q.code(0), 0);
+  EXPECT_EQ(q.code(4), max_code(8));
+  const Tensor d = q.dequantize();
+  EXPECT_NEAR(d[1], -1.0f, eps);
+  EXPECT_EQ(d[2], 0.0f);
+  EXPECT_NEAR(d[3], 0.25f, 0.5 * eps + 1e-7);
+  // The fitted constructor over the same values spans [-3, 3] instead.
+  QuantizedTensor fitted(t, 8);
+  EXPECT_GT(fitted.epsilon(), 2.5 * eps);
+}
+
+TEST(QuantizedTensor, RangedConstructorRejectsEmptyTensor) {
+  EXPECT_THROW(QuantizedTensor(Tensor(Shape{0}), 8, -1.0f, 1.0f),
+               CheckError);
+}
+
 TEST(QuantizedTensor, EightBitUpdateClampsWithinByteRange) {
   // Worst-case update arithmetic through the narrow storage: pushing far
   // past both grid edges must clamp to [0, 255], never wrap the byte.
@@ -343,6 +372,59 @@ TEST(RangeTracker, NonFiniteBatchesAreSkipped) {
   fresh.observe(good);
   EXPECT_TRUE(fresh.initialized());
   EXPECT_FLOAT_EQ(fresh.lo(), -1.0f);
+}
+
+
+TEST(RangeTracker, ObserveMergedMatchesWholeBatch) {
+  // The sharded layers feed the tracker the shard-ordered merge of
+  // per-shard extrema; over any split that must land on the same bits
+  // as observing the whole batch.
+  Rng rng(6);
+  RangeTracker whole(0.7), merged(0.7);
+  for (int it = 0; it < 20; ++it) {
+    Tensor x(Shape{30});
+    rng.fill_uniform(x, -1.0f - 0.1f * static_cast<float>(it),
+                     0.5f + 0.05f * static_cast<float>(it));
+    whole.observe(x);
+    const int64_t cuts[] = {0, 7, 8, 19, 30};  // uneven shards
+    merged.observe_merged(4, [&](int s) {
+      float lo = x[cuts[s]], hi = x[cuts[s]];
+      for (int64_t i = cuts[s]; i < cuts[s + 1]; ++i) {
+        lo = std::min(lo, x[i]);
+        hi = std::max(hi, x[i]);
+      }
+      return std::pair<float, float>{lo, hi};
+    });
+    ASSERT_EQ(whole.lo(), merged.lo()) << "batch " << it;
+    ASSERT_EQ(whole.hi(), merged.hi()) << "batch " << it;
+  }
+}
+
+TEST(RangeTracker, ObserveMergedSkipsNonFiniteShard) {
+  // One non-finite shard skips the whole batch, wherever it sits: a
+  // NaN must not be dropped by std::min/std::max ordering.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  RangeTracker rt(0.5);
+  rt.observe(-1.0f, 1.0f);
+  const std::pair<float, float> bad_shards[][3] = {
+      {{-2.0f, 2.0f}, {nan, 0.5f}, {-0.5f, 0.5f}},
+      {{-2.0f, 2.0f}, {-0.5f, 0.5f}, {-0.5f, nan}},
+      {{nan, nan}, {-2.0f, 2.0f}, {-0.5f, 0.5f}},
+      {{-2.0f, 2.0f}, {-0.5f, inf}, {-0.5f, 0.5f}},
+  };
+  for (const auto& shards : bad_shards) {
+    rt.observe_merged(3, [&](int s) { return shards[s]; });
+    EXPECT_FLOAT_EQ(rt.lo(), -1.0f);
+    EXPECT_FLOAT_EQ(rt.hi(), 1.0f);
+  }
+  RangeTracker fresh(0.5);
+  fresh.observe_merged(3, [&](int s) { return bad_shards[1][s]; });
+  EXPECT_FALSE(fresh.initialized());
+  // A clean merge still moves the EMA: lo -> 0.5*-1 + 0.5*-2.
+  rt.observe_merged(2, [&](int s) { return bad_shards[0][s == 0 ? 0 : 2]; });
+  EXPECT_FLOAT_EQ(rt.lo(), -1.5f);
+  EXPECT_FLOAT_EQ(rt.hi(), 1.5f);
 }
 
 

@@ -1,6 +1,6 @@
 // Tests for the frozen serving runtime (DESIGN.md §15): CompiledModel
 // lowering (BN/ReLU folding, static code handoffs, plans bound at
-// compile and at load),
+// compile and at load), the models it refuses to compile,
 // closeness to the training-time fp32 forward, bit-identity of responses
 // across batch composition / coalescing / worker counts, byte-stable
 // serialization (save -> load -> save), the freeze-from-checkpoint
@@ -28,6 +28,7 @@
 #include "core/grid_representation.hpp"
 #include "io/checkpoint.hpp"
 #include "models/zoo.hpp"
+#include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/gemm.hpp"
 #include "nn/linear.hpp"
@@ -148,6 +149,66 @@ TEST(Compile, ProgramShapeAndStaticCodeHandoffs) {
         EXPECT_EQ(plan.key.threads, 1);
     }
   }
+}
+
+// Runs `fn` and expects a CheckError whose message contains `needle`.
+template <typename Fn>
+void expect_check_error(Fn&& fn, const std::string& needle) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected a CheckError mentioning \"" << needle << "\"";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+// A 2-8-3 MLP with `bits`-bit weight grids (none when bits is 0),
+// calibrated by `calib_batches` training-mode forwards.
+std::unique_ptr<nn::Sequential> make_mlp_for_compile(int bits,
+                                                     int calib_batches) {
+  Rng rng(31);
+  auto net = models::make_mlp(2, {8}, 3, rng);
+  if (bits > 0) attach_weight_grids(*net, bits);
+  for (int i = 0; i < calib_batches; ++i) {
+    Tensor x(Shape{4, 2});
+    rng.fill_uniform(x, -1.0f, 1.0f);
+    net->forward(x, /*training=*/true);
+  }
+  return net;
+}
+
+TEST(Compile, RejectsUncalibratedActivationRange) {
+  auto net = make_mlp_for_compile(/*bits=*/6, /*calib_batches=*/0);
+  expect_check_error([&] { CompiledModel::compile(*net, Shape{2}); },
+                     "activation range never observed");
+  // The same model compiles once a calibration forward has run.
+  auto calibrated = make_mlp_for_compile(/*bits=*/6, /*calib_batches=*/1);
+  EXPECT_EQ(CompiledModel::compile(*calibrated, Shape{2}).out_elems(), 3);
+}
+
+TEST(Compile, RejectsWeightsWithoutEightBitGrid) {
+  for (int bits : {0, 9, 12}) {
+    auto net = make_mlp_for_compile(bits, /*calib_batches=*/2);
+    expect_check_error([&] { CompiledModel::compile(*net, Shape{2}); },
+                       "<= 8-bit quantised representation");
+  }
+}
+
+TEST(Compile, RejectsLayerKindItCannotLower) {
+  // BatchNorm folds into the conv/linear before it; one with no such
+  // producer has no op to lower to.
+  Rng rng(32);
+  nn::Sequential net("bn-first");
+  net.emplace<nn::BatchNorm>("bn", 2);
+  auto* fc = net.emplace<nn::Linear>("fc", 2, 3, rng);
+  attach_weight_grids(net, 6);
+  Tensor x(Shape{4, 2});
+  rng.fill_uniform(x, -1.0f, 1.0f);
+  net.forward(x, /*training=*/true);
+  ASSERT_TRUE(fc->activation_range().initialized());
+  expect_check_error([&] { CompiledModel::compile(net, Shape{2}); },
+                     "layer kind not supported");
 }
 
 TEST(Compile, MatchesInt8EvalForward) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "core/grid_representation.hpp"
 #include "data/loader.hpp"
@@ -175,6 +178,124 @@ TEST(Sgd, GradTransformApplied) {
   w->grad[0] = 5.0f;
   sgd.step(0.1);
   EXPECT_EQ(w->value[0], 0.0f);
+}
+
+TEST(Sgd, StepsLandOnQuantisedGrid) {
+  // Momentum and decay compose the step in float; the grid
+  // representation decides where it lands, so every value stays a grid
+  // point S(q - Z) after each step.
+  Rng rng(1);
+  nn::Sequential net("n");
+  net.emplace<nn::Linear>("fc", 4, 4, rng, /*bias=*/false);
+  core::GridOptions go;
+  go.bits = 5;
+  core::attach_grid(net, go);
+  Sgd sgd(net.parameters(), {});
+  nn::Parameter* w = single_param(net);
+  Rng grng(2);
+  for (int i = 0; i < 3; ++i) {
+    grng.fill_normal(w->grad, 0.0f, 1.0f);
+    sgd.step(0.05);
+  }
+  const auto* rep = dynamic_cast<core::GridRepresentation*>(w->rep.get());
+  ASSERT_NE(rep, nullptr);
+  const auto& qp = rep->codes().params();
+  for (int64_t i = 0; i < w->numel(); ++i) {
+    const double steps =
+        w->value[i] / qp.scale + static_cast<double>(qp.zero_point);
+    EXPECT_NEAR(steps, std::round(steps), 1e-3) << "i=" << i;
+  }
+}
+
+TEST(Sgd, WeightDecayShrinksQuantisedWeightsOnGrid) {
+  // Zero gradient, decay only: δ = lr·wd·w, truncated onto the grid
+  // toward zero. Each weight keeps its sign and ends between
+  // (1 - lr·wd)·w and w; where |δ| reaches ε it strictly shrinks.
+  Rng rng(3);
+  nn::Parameter p("w", Shape{64});
+  rng.fill_normal(p.value, 0.0f, 1.0f);
+  core::GridOptions go;
+  go.bits = 6;
+  auto rep = std::make_shared<core::GridRepresentation>(p, go);
+  p.rep = rep;
+  const Tensor before = p.value.clone();
+  Sgd sgd({&p}, {.momentum = 0.0, .weight_decay = 0.5});
+  sgd.step(1.0);
+  const double eps = rep->epsilon();
+  const auto& qp = rep->codes().params();
+  int shrunk = 0;
+  for (int64_t i = 0; i < 64; ++i) {
+    const float b = before[i], a = p.value[i];
+    EXPECT_LE(std::fabs(a), std::fabs(b)) << "i=" << i;
+    EXPECT_GE(std::fabs(a), 0.5f * std::fabs(b) - 1e-6f) << "i=" << i;
+    EXPECT_GE(a * b, 0.0f) << "sign flipped at i=" << i;
+    if (0.5 * std::fabs(b) >= eps) {
+      EXPECT_LT(std::fabs(a), std::fabs(b)) << "i=" << i;
+      ++shrunk;
+    }
+    const double steps = a / qp.scale + static_cast<double>(qp.zero_point);
+    EXPECT_NEAR(steps, std::round(steps), 1e-3) << "i=" << i;
+  }
+  EXPECT_GT(shrunk, 32);
+}
+
+TEST(Sgd, VelocityAccumulatesThroughUnderflowedSteps) {
+  // The velocity lives outside the grid: a constant gradient whose
+  // single step lr·g = 0.2ε underflows still builds velocity
+  // v_n = g(1 - 0.9^n)/0.1, and the step lr·v_n first reaches ε at n = 7.
+  nn::Parameter p("w", Shape{2});
+  p.value[0] = 0.5f;
+  p.value[1] = -0.5f;
+  core::GridOptions go;
+  go.bits = 6;
+  auto rep = std::make_shared<core::GridRepresentation>(p, go);
+  p.rep = rep;
+  const double eps = rep->epsilon();
+  const double lr = 0.1;
+  Sgd sgd({&p}, {.momentum = 0.9, .weight_decay = 0.0});
+  const Tensor start = p.value.clone();
+  for (int n = 1; n <= 6; ++n) {
+    p.grad.fill(static_cast<float>(0.2 * eps / lr));
+    const quant::UpdateStats s = sgd.step(lr);
+    EXPECT_EQ(s.underflowed, 2) << "step " << n;
+    EXPECT_EQ(s.moved, 0) << "step " << n;
+  }
+  EXPECT_EQ(p.value[0], start[0]);
+  EXPECT_EQ(p.value[1], start[1]);
+  p.grad.fill(static_cast<float>(0.2 * eps / lr));
+  const quant::UpdateStats s = sgd.step(lr);
+  EXPECT_EQ(s.moved, 2);
+  EXPECT_NEAR(p.value[0], start[0] - eps, 1e-6);
+  EXPECT_NEAR(p.value[1], start[1] - eps, 1e-6);
+}
+
+TEST(Sgd, StepLeavesGradientsIntact) {
+  // Decay and the gradient transform work on the optimiser's scratch
+  // copy: after a step, every parameter's grad holds what backward
+  // accumulated, bit for bit.
+  Rng rng(4);
+  nn::Sequential net("n");
+  net.emplace<nn::Linear>("fc", 4, 3, rng);
+  std::vector<Tensor> grads;
+  for (auto* p : net.parameters()) {
+    rng.fill_normal(p->grad, 0.0f, 1.0f);
+    grads.push_back(p->grad.clone());
+  }
+  Sgd sgd(net.parameters(), {.momentum = 0.9, .weight_decay = 0.1},
+          make_terngrad_transform(7));
+  sgd.step(0.1);
+  const auto params = net.parameters();
+  for (size_t i = 0; i < params.size(); ++i)
+    EXPECT_EQ(0, std::memcmp(params[i]->grad.data(), grads[i].data(),
+                             sizeof(float) *
+                                 static_cast<size_t>(grads[i].numel())))
+        << params[i]->name;
+}
+
+TEST(Sgd, RejectsGradShapeMismatch) {
+  nn::Parameter p("w", Shape{4});
+  p.grad = Tensor(Shape{5});
+  EXPECT_THROW(Sgd({&p}, {}), CheckError);
 }
 
 // -------------------------------------------------------------- baselines
@@ -380,6 +501,43 @@ TEST(Trainer, MasterCopyUnitsReportMaster) {
   for (const auto& u : trainer.units()) {
     EXPECT_TRUE(Trainer::unit_has_master(u));
     EXPECT_EQ(Trainer::unit_bits(u), 8);
+  }
+}
+
+TEST(Trainer, OwnedSgdStepsEveryParameterWithConfiguredRecipe) {
+  // The trainer builds its one Sgd over the parameters of its units:
+  // one epoch moves every parameter tensor, and the configured
+  // momentum/decay reach that optimiser.
+  auto train_with = [](const SgdConfig& sgd) {
+    Rng rng(1);
+    auto net = models::make_mlp(2, {8}, 3, rng);
+    std::vector<Tensor> before;
+    for (auto* p : net->parameters()) before.push_back(p->value.clone());
+    const data::TabularSet set = data::make_spiral({.points_per_class = 16});
+    data::DataLoader loader(set.features, set.labels, 16, true, 1);
+    TrainerConfig cfg;
+    cfg.epochs = 1;
+    cfg.sgd = sgd;
+    cfg.schedule = StepDecaySchedule(0.05, {});
+    Trainer trainer(*net, loader, set.features, set.labels, cfg);
+    trainer.run();
+    std::vector<Tensor> after;
+    for (auto* p : net->parameters()) after.push_back(p->value.clone());
+    return std::pair<std::vector<Tensor>, std::vector<Tensor>>{before,
+                                                               after};
+  };
+  auto same = [](const Tensor& a, const Tensor& b) {
+    return a.numel() == b.numel() &&
+           std::memcmp(a.data(), b.data(),
+                       sizeof(float) * static_cast<size_t>(a.numel())) == 0;
+  };
+  const auto plain = train_with({.momentum = 0.0, .weight_decay = 0.0});
+  const auto heavy = train_with({.momentum = 0.9, .weight_decay = 0.1});
+  ASSERT_EQ(plain.first.size(), 6u);  // fc0, bn, head: weight + bias each
+  for (size_t i = 0; i < plain.first.size(); ++i) {
+    EXPECT_FALSE(same(plain.first[i], plain.second[i])) << "param " << i;
+    EXPECT_TRUE(same(plain.first[i], heavy.first[i])) << "param " << i;
+    EXPECT_FALSE(same(plain.second[i], heavy.second[i])) << "param " << i;
   }
 }
 
