@@ -454,9 +454,11 @@ std::vector<Workload> build_workloads(const Config& cfg) {
   // regimes. Its 8-bit weight grid keeps the forward on the int16 k-pair
   // strategy, so this pair watches the packers and byte-moving loops
   // around thin GEMMs that the 64-channel benches above amortise away.
+  // The fp32 forward alone (conv3x3_c8_fwd_packed) is the M = 8 GEMM
+  // whose B the vector tiles read in place from the padded image.
   // Recorded, never gated.
   const int64_t c8_batch = 4 * conv_batch;
-  auto conv_c8_workload = [c8_batch](bool int8) {
+  auto conv_c8_workload = [c8_batch](bool int8, bool backward) {
     return [=]() -> std::function<void()> {
       Rng rng(1);
       apt::nn::Conv2dOptions opts;
@@ -488,15 +490,17 @@ std::vector<Workload> build_workloads(const Config& cfg) {
       return std::function<void()>([=] {
         BackendGuard guard(backend);
         conv->forward(*x, true);
-        conv->backward(*dy);
+        if (backward) conv->backward(*dy);
       });
     };
   };
   const int64_t conv_c8_macs = 8 * 16 * 16 * 8 * 3 * 3 * c8_batch;
+  ws.push_back({"conv3x3_c8_fwd_packed", 2 * conv_c8_macs,
+                conv_c8_workload(/*int8=*/false, /*backward=*/false)});
   ws.push_back({"conv3x3_c8_fwdbwd_packed", 6 * conv_c8_macs,
-                conv_c8_workload(/*int8=*/false)});
+                conv_c8_workload(/*int8=*/false, /*backward=*/true)});
   ws.push_back({"conv3x3_c8_fwdbwd_s8", 6 * conv_c8_macs,
-                conv_c8_workload(/*int8=*/true)});
+                conv_c8_workload(/*int8=*/true, /*backward=*/true)});
 
   // Two-conv chain (Conv -> ReLU -> Conv) in both regimes. The s8
   // variant exercises the code-passing dataflow: after two warm-up

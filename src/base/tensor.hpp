@@ -4,11 +4,21 @@
 //  * Storage is always contiguous row-major; `reshape` shares storage.
 //  * Copy is shallow (shared buffer, like torch.Tensor); use `clone()` for a
 //    deep copy. Value-semantic helpers (`zeros`, arithmetic) allocate.
+//  * `Tensor(Shape)`, `zeros` and `full` initialise every element (to 0
+//    or the value). `uninitialized(Shape)` does not: its caller must
+//    write every element before anything reads one. Release builds leave
+//    that memory as the allocator returns it, so a training step's
+//    outputs, which the next line overwrites anyway, cost no zero-fill
+//    pass. Builds without NDEBUG fill it with quiet NaN instead, so a
+//    read before the write shows up as a NaN in a bit-identity or
+//    finite-loss test rather than as a silently plausible zero.
 //  * float32 only — the quantised representation lives in
 //    `apt::quant::QuantizedTensor`, which dequantises into this type.
 #pragma once
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
 #include <utility>
@@ -28,18 +38,39 @@ class Tensor {
   /// Allocates a zero-initialised tensor of the given shape.
   explicit Tensor(Shape shape)
       : shape_(std::move(shape)),
-        data_(std::make_shared<std::vector<float>>(
-            static_cast<size_t>(shape_.numel()), 0.0f)) {}
+        data_(std::make_shared<float[]>(static_cast<size_t>(shape_.numel()))) {
+  }
 
-  Tensor(Shape shape, std::vector<float> values)
-      : shape_(std::move(shape)),
-        data_(std::make_shared<std::vector<float>>(std::move(values))) {
-    APT_CHECK(static_cast<int64_t>(data_->size()) == shape_.numel())
-        << "value count " << data_->size() << " != numel for "
+  /// Adopts `values` as the storage (no copy).
+  Tensor(Shape shape, std::vector<float> values) : shape_(std::move(shape)) {
+    APT_CHECK(static_cast<int64_t>(values.size()) == shape_.numel())
+        << "value count " << values.size() << " != numel for "
         << shape_.str();
+    if (values.empty()) {  // an empty vector's data() may be null
+      data_ = std::make_shared<float[]>(0);
+      return;
+    }
+    auto held = std::make_shared<std::vector<float>>(std::move(values));
+    data_ = std::shared_ptr<float[]>(held, held->data());
   }
 
   static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
+
+  /// A tensor whose elements the caller overwrites before any read (see
+  /// the header comment): no zero-fill in release builds, quiet NaN in
+  /// builds without NDEBUG.
+  static Tensor uninitialized(Shape shape) {
+    Tensor t;
+    t.shape_ = std::move(shape);
+    const auto n = static_cast<size_t>(t.shape_.numel());
+    t.data_ = std::make_shared_for_overwrite<float[]>(n);
+#ifndef NDEBUG
+    std::fill(t.data_.get(), t.data_.get() + n,
+              std::numeric_limits<float>::quiet_NaN());
+#endif
+    return t;
+  }
+
   static Tensor full(Shape shape, float value) {
     Tensor t(std::move(shape));
     t.fill(value);
@@ -51,42 +82,40 @@ class Tensor {
   int64_t dim(int64_t axis) const { return shape_[axis]; }
   bool defined() const { return data_ != nullptr; }
 
-  float* data() { return data_ ? data_->data() : nullptr; }
-  const float* data() const { return data_ ? data_->data() : nullptr; }
+  float* data() { return data_.get(); }
+  const float* data() const { return data_.get(); }
 
   std::span<float> span() { return {data(), static_cast<size_t>(numel())}; }
   std::span<const float> span() const {
     return {data(), static_cast<size_t>(numel())};
   }
 
-  float& operator[](int64_t i) { return (*data_)[static_cast<size_t>(i)]; }
-  float operator[](int64_t i) const { return (*data_)[static_cast<size_t>(i)]; }
+  float& operator[](int64_t i) { return data_[static_cast<size_t>(i)]; }
+  float operator[](int64_t i) const { return data_[static_cast<size_t>(i)]; }
 
   /// Element access for rank-2 [rows, cols] tensors.
   float& at(int64_t r, int64_t c) {
-    return (*data_)[static_cast<size_t>(r * shape_[1] + c)];
+    return data_[static_cast<size_t>(r * shape_[1] + c)];
   }
   float at(int64_t r, int64_t c) const {
-    return (*data_)[static_cast<size_t>(r * shape_[1] + c)];
+    return data_[static_cast<size_t>(r * shape_[1] + c)];
   }
 
   /// Element access for rank-4 [n, c, h, w] tensors (image batches).
   float& at(int64_t n, int64_t c, int64_t h, int64_t w) {
     const int64_t C = shape_[1], H = shape_[2], W = shape_[3];
-    return (*data_)[static_cast<size_t>(((n * C + c) * H + h) * W + w)];
+    return data_[static_cast<size_t>(((n * C + c) * H + h) * W + w)];
   }
   float at(int64_t n, int64_t c, int64_t h, int64_t w) const {
     const int64_t C = shape_[1], H = shape_[2], W = shape_[3];
-    return (*data_)[static_cast<size_t>(((n * C + c) * H + h) * W + w)];
+    return data_[static_cast<size_t>(((n * C + c) * H + h) * W + w)];
   }
 
-  void fill(float value) {
-    for (float& v : *data_) v = value;
-  }
+  void fill(float value) { std::fill(data(), data() + numel(), value); }
 
   /// Deep copy with its own storage.
   Tensor clone() const {
-    Tensor out(shape_);
+    Tensor out = uninitialized(shape_);
     if (data_) std::memcpy(out.data(), data(), sizeof(float) * numel());
     return out;
   }
@@ -158,7 +187,7 @@ class Tensor {
   Tensor binary(const Tensor& rhs, Op op) const {
     APT_CHECK(shape_ == rhs.shape_)
         << "shape mismatch " << shape_.str() << " vs " << rhs.shape_.str();
-    Tensor out(shape_);
+    Tensor out = uninitialized(shape_);
     const float* a = data();
     const float* b = rhs.data();
     float* o = out.data();
@@ -179,7 +208,7 @@ class Tensor {
   }
 
   Shape shape_;
-  std::shared_ptr<std::vector<float>> data_;
+  std::shared_ptr<float[]> data_;
 };
 
 }  // namespace apt

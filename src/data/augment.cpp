@@ -26,7 +26,7 @@ void augment_into(const Tensor& src, int64_t n, Tensor& dst, int64_t m,
 }
 
 Tensor augment_batch(const Tensor& batch, const AugmentConfig& cfg, Rng& rng) {
-  Tensor out(batch.shape());
+  Tensor out = Tensor::uninitialized(batch.shape());
   for (int64_t n = 0; n < batch.dim(0); ++n)
     augment_into(batch, n, out, n, cfg, rng);
   return out;

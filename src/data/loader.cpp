@@ -39,7 +39,7 @@ Batch DataLoader::gather(const std::vector<int64_t>& order, int64_t begin,
   std::vector<int64_t> dims = inputs_.shape().dims();
   dims[0] = b;
   Batch batch;
-  batch.inputs = Tensor(Shape(dims));
+  batch.inputs = Tensor::uninitialized(Shape(dims));  // every row copied
   batch.labels.resize(static_cast<size_t>(b));
   const int64_t row = inputs_.numel() / inputs_.dim(0);
 

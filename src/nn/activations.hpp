@@ -33,7 +33,7 @@ class ReLU : public Layer {
   float cap() const { return cap_; }
 
   Tensor forward(const Tensor& x, bool training) override {
-    Tensor y(x.shape());
+    Tensor y = Tensor::uninitialized(x.shape());
     clamp_f32(x.data(), x.numel(), cap_, y.data());
     if (training) {
       input_.cur() = x;
@@ -97,7 +97,7 @@ class ReLU : public Layer {
             qhi, static_cast<int64_t>(
                      std::ceil(static_cast<double>(cap_) / p.scale)) +
                      p.zero_point);
-      Tensor dx(grad_out.shape());
+      Tensor dx = Tensor::uninitialized(grad_out.shape());
       mask_u8(qa.codes.data(), grad_out.data(), grad_out.numel(),
               static_cast<int32_t>(z),
               static_cast<int32_t>(std::clamp<int64_t>(qhi, 0, 256)),
@@ -107,7 +107,7 @@ class ReLU : public Layer {
     const Tensor& input = input_.cur();
     APT_CHECK(input.defined() && input.numel() > 0)
         << name_ << ": backward before forward";
-    Tensor dx(grad_out.shape());
+    Tensor dx = Tensor::uninitialized(grad_out.shape());
     mask_f32(input.data(), grad_out.data(), grad_out.numel(), cap_,
              dx.data());
     return dx;

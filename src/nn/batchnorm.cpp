@@ -207,8 +207,8 @@ std::vector<Tensor> BatchNorm::forward_sharded(const std::vector<Tensor>& xs,
   shard_parallel(shards, [&](int s) {
     const Tensor& x = xs[static_cast<size_t>(s)];
     const Dims d = dims_of(x, channels_, name_);
-    Tensor y(x.shape());
-    Tensor x_hat = training ? Tensor(x.shape()) : Tensor();
+    Tensor y = Tensor::uninitialized(x.shape());
+    Tensor x_hat = training ? Tensor::uninitialized(x.shape()) : Tensor();
     for (int64_t c = 0; c < channels_; ++c) {
       const float mu = mean[c], is = inv_std[c];
       const float g = gamma_.value[c], b = beta_.value[c];
@@ -270,7 +270,7 @@ std::vector<Tensor> BatchNorm::backward_sharded(
     const Tensor& dy = grads_out[static_cast<size_t>(s)];
     const Dims d = dims_of(dy, channels_, name_);
     const Tensor& x_hat = x_hat_.at(s);
-    Tensor dx(dy.shape());
+    Tensor dx = Tensor::uninitialized(dy.shape());
     for (int64_t c = 0; c < channels_; ++c) {
       const float scale =
           gamma_.value[c] * batch_inv_std_[c] / static_cast<float>(m);

@@ -1,7 +1,9 @@
 #include "nn/conv2d.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
+#include <type_traits>
 
 #include "base/arena.hpp"
 #include "base/cpu.hpp"
@@ -210,26 +212,40 @@ class F32Weight {
 // Deterministic weight-gradient accumulation shared by both conv
 // backwards. Parameter-gradient accumulation must not race AND must not
 // depend on the machine: the chunk count derives from the sample count
-// alone (parallel_for_chunked splits deterministically), fn(dw, n0, n1)
+// alone (each chunk takes ceil(N / chunks) samples), fn(dw, n0, n1)
 // accumulates its sample range in order into its chunk's zeroed buffer,
 // and the buffers reduce into the grad sink in chunk order —
 // bit-identical for any pool size. Inside a shard session the shards
 // already provide the step's parallelism, so a single in-order chunk per
 // shard avoids multiplying buffers by shards * chunks. The buffers come
 // from the calling thread's scratch arena, so steady-state backwards
-// allocate nothing.
-template <typename Fn>
-void accumulate_dw(Parameter& w, int64_t N, Fn&& fn) {
+// allocate nothing. `side(n0, n1)`, when given, is per-sample work that
+// reads no dW (the integer dX); each chunk's runs as a task of its own
+// beside the chunk's dW task, so a batch smaller than the pool still
+// keeps two threads per chunk busy.
+template <typename Fn, typename Side = std::nullptr_t>
+void accumulate_dw(Parameter& w, int64_t N, Fn&& fn, Side&& side = nullptr) {
   constexpr int64_t kDwChunks = 16;
+  constexpr int64_t kTasks = std::is_null_pointer_v<Side> ? 1 : 2;
   const int64_t chunks =
       sharding_active() ? 1 : std::min<int64_t>(N, kDwChunks);
+  const int64_t step = (N + chunks - 1) / chunks;
   const int64_t wn = w.numel();
   ScratchArena::Scope scope(ScratchArena::thread_local_arena());
   float* dw_chunk = scope.alloc_floats(static_cast<size_t>(chunks * wn));
-  std::fill(dw_chunk, dw_chunk + chunks * wn, 0.0f);
   ThreadPool::global().parallel_for_chunked(
-      0, N, chunks, [&](int64_t chunk, int64_t n0, int64_t n1) {
-        fn(dw_chunk + chunk * wn, n0, n1);
+      0, kTasks * chunks, kTasks * chunks,
+      [&](int64_t task, int64_t, int64_t) {
+        const int64_t chunk = task / kTasks;
+        const int64_t n0 = std::min(N, chunk * step);
+        const int64_t n1 = std::min(N, n0 + step);
+        if (task % kTasks == 0) {
+          float* dw = dw_chunk + chunk * wn;
+          std::fill(dw, dw + wn, 0.0f);
+          if (n0 < n1) fn(dw, n0, n1);
+        } else if constexpr (kTasks == 2) {
+          if (n0 < n1) side(n0, n1);
+        }
       });
   float* sink = grad_sink(w).data();
   for (int64_t chunk = 0; chunk < chunks; ++chunk) {
@@ -815,10 +831,18 @@ int64_t forward_weight_row(const KernelPlan& plan, const Conv2dOptions& o) {
 // instead reads dY zero-inserted (insert_zeros): codes at multiples of
 // the stride, the zero-point elsewhere, in a plane sized so the
 // unpadded stride-1 conv lands exactly on H x W.
+//
+// An unpadded strided 1x1 conv skips the inserted plane (`scattered`):
+// its transposed conv is the 1x1 conv over dY's own OH x OW plane, whose
+// outputs land at the stride-s pixels of dX (scatter_strided). Every
+// other pixel of dX sees only zero-point codes, so its exact sum T is 0
+// and the inserted route writes float(Sa*Sb*0) = +0.0 there: the
+// zero-initialised dX holds the same bits.
 struct TransposedConv {
   Conv2dOptions o;  // OC input channels, IC output channels, stride 1
   int64_t h, w;     // its input plane: dY, or the zero-inserted plane
   bool inserted;
+  bool scattered;
 };
 
 TransposedConv transposed_conv(const Conv2dOptions& o, int64_t H,
@@ -828,8 +852,12 @@ TransposedConv transposed_conv(const Conv2dOptions& o, int64_t H,
   t.o.in_channels = o.out_channels;
   t.o.out_channels = o.in_channels;
   t.o.stride = 1;
-  t.inserted = o.stride > 1 || o.padding >= o.kernel;
-  if (t.inserted) {
+  t.scattered = o.kernel == 1 && o.padding == 0 && o.stride > 1;
+  t.inserted = !t.scattered && (o.stride > 1 || o.padding >= o.kernel);
+  if (t.scattered) {
+    t.h = (H - 1) / o.stride + 1;
+    t.w = (W - 1) / o.stride + 1;
+  } else if (t.inserted) {
     t.o.padding = 0;
     t.h = H + o.kernel - 1;
     t.w = W + o.kernel - 1;
@@ -879,6 +907,20 @@ void insert_zeros(const Conv2dOptions& o, const uint8_t* dy, int64_t oh,
       const uint8_t* src = dy + (c * oh + i) * ow;
       uint8_t* row = plane + (c * ph + i * s + d) * pw;
       for (int64_t j = j_lo; j < j_hi; ++j) row[j * s + d] = src[j];
+    }
+}
+
+// One sample's [IC][oh][ow] transposed-conv output placed at the
+// stride-s pixels (i*s, j*s) of its [IC][H][W] dX, whose other pixels
+// stay as they are (+0.0, see TransposedConv).
+void scatter_strided(const float* planes, int64_t channels, int64_t oh,
+                     int64_t ow, int64_t stride, int64_t H, int64_t W,
+                     float* dx) {
+  for (int64_t c = 0; c < channels; ++c)
+    for (int64_t i = 0; i < oh; ++i) {
+      const float* src = planes + (c * oh + i) * ow;
+      float* row = dx + (c * H + i * stride) * W;
+      for (int64_t j = 0; j < ow; ++j) row[j * stride] = src[j];
     }
 }
 
@@ -997,7 +1039,7 @@ Tensor Conv2d::forward_fp32(const Tensor& x) {
   const int64_t G = opts_.groups;
   const int64_t icg = opts_.in_channels / G, ocg = opts_.out_channels / G;
   const int64_t krows = icg * opts_.kernel * opts_.kernel;
-  Tensor y(Shape{N, opts_.out_channels, OH, OW});
+  Tensor y = Tensor::uninitialized(Shape{N, opts_.out_channels, OH, OW});
   // Y_g [ocg, OH*OW] = W_g [ocg, krows] * cols [krows, OH*OW], W_g packed
   // once for this call's samples. One task per sample; the GEMMs inside run
   // single-chunk (work below the pool's grain). The patch matrix is
@@ -1131,19 +1173,25 @@ Tensor Conv2d::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
   const int64_t krows = icg * opts_.kernel * opts_.kernel;
   const quant::QuantizedTensor* wq = int8_weights();
   const auto g_max = static_cast<int32_t>(quant::max_code(gq.bits));
-  Tensor dx(x.shape);
 
   // dX = the transposed conv's forward over dY: one exact integer sum
   // and one float(Sa*Sb*T) per element. Its weights (flipped, channels
   // swapped, then in the image's k order) live in the caller's scratch
-  // scope, so steady-state backwards allocate nothing.
+  // scope, so steady-state backwards allocate nothing. The transposed
+  // conv writes every element of dX, except where it is scattered: then
+  // it writes [N][IC][OH][OW] planes in that scope, and dX starts zeroed.
   ScratchArena::Scope outer(ScratchArena::thread_local_arena());
   const TransposedConv tc = transposed_conv(opts_, H, W);
+  Tensor dx = tc.scattered ? Tensor(x.shape) : Tensor::uninitialized(x.shape);
+  const int64_t sc_plane = opts_.in_channels * tc.h * tc.w;
+  float* scattered =
+      tc.scattered ? outer.alloc_floats(static_cast<size_t>(N * sc_plane))
+                   : nullptr;
   S8ForwardArgs dargs;  // run() is handed each sample's input plane
   dargs.x_grid = gq;
   dargs.w_grid = wq->params();
   dargs.w_max = static_cast<int32_t>(quant::max_code(wq->bits()));
-  dargs.y = dx.data();
+  dargs.y = tc.scattered ? scattered : dx.data();
   // The samples run as pool tasks (accumulate_dw), so their dX conv and
   // dW GEMM are planned for one thread, like the forward's.
   PlanKey dx_key =
@@ -1176,32 +1224,18 @@ Tensor Conv2d::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
   const KernelPlan& plan_dw = plan_for(dw_key);
   const auto pad_code = static_cast<uint8_t>(xq.zero_point);
 
-  accumulate_dw(weight_, N, [&](float* dw, int64_t n0, int64_t n1) {
+  auto dw_samples = [&](float* dw, int64_t n0, int64_t n1) {
     ScratchArena::Scope scope(ScratchArena::thread_local_arena());
     uint8_t* stage = padded_stage<uint8_t>(scope, opts_, H, W);
-    uint8_t* dx_stage = dx_conv.alloc_stage(scope);
-    uint8_t* inserted =
-        tc.inserted ? static_cast<uint8_t*>(scope.alloc_bytes(
-                          static_cast<size_t>(opts_.out_channels * tc.h *
-                                              tc.w)))
-                    : nullptr;
     float* dwg = scope.alloc_floats(static_cast<size_t>(ocg * krows));
     for (int64_t n = n0; n < n1; ++n) {
-      const uint8_t* dyn = dy + n * opts_.out_channels * OH * OW;
-      const uint8_t* dx_in = dyn;
-      if (inserted != nullptr) {
-        insert_zeros(opts_, dyn, OH, OW, tc.h, tc.w,
-                     static_cast<uint8_t>(gq.zero_point), inserted);
-        dx_in = inserted;
-      }
       for (int64_t g = 0; g < G; ++g) {
-        dx_conv.run(dx_in, n, g, dx_stage);
         // gemm_s8 overwrites: stage in dwg, accumulate in order.
         const GemmS8ConvB cb = padded_operand(
             opts_, x.codes.data() + (n * opts_.in_channels + g * icg) * H * W,
             H, W, pad_code, stage);
         GemmS8Args gw;
-        gw.a = dyn + g * ocg * OH * OW;
+        gw.a = dy + (n * opts_.out_channels + g * ocg) * OH * OW;
         gw.conv_b = &cb;
         gw.params = pw;
         gw.out = dwg;
@@ -1210,7 +1244,31 @@ Tensor Conv2d::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
         for (int64_t i = 0; i < ocg * krows; ++i) acc[i] += dwg[i];
       }
     }
-  });
+  };
+  auto dx_samples = [&](int64_t n0, int64_t n1) {
+    ScratchArena::Scope scope(ScratchArena::thread_local_arena());
+    uint8_t* dx_stage = dx_conv.alloc_stage(scope);
+    uint8_t* inserted =
+        tc.inserted ? static_cast<uint8_t*>(scope.alloc_bytes(
+                          static_cast<size_t>(opts_.out_channels * tc.h *
+                                              tc.w)))
+                    : nullptr;
+    for (int64_t n = n0; n < n1; ++n) {
+      const uint8_t* dyn = dy + n * opts_.out_channels * OH * OW;
+      const uint8_t* dx_in = dyn;
+      if (inserted != nullptr) {
+        insert_zeros(opts_, dyn, OH, OW, tc.h, tc.w,
+                     static_cast<uint8_t>(gq.zero_point), inserted);
+        dx_in = inserted;
+      }
+      for (int64_t g = 0; g < G; ++g) dx_conv.run(dx_in, n, g, dx_stage);
+      if (tc.scattered)
+        scatter_strided(scattered + n * sc_plane, opts_.in_channels, tc.h,
+                        tc.w, opts_.stride, H, W,
+                        dx.data() + n * opts_.in_channels * H * W);
+    }
+  };
+  accumulate_dw(weight_, N, dw_samples, dx_samples);
   return dx;
 }
 

@@ -23,18 +23,40 @@ namespace {
 
 // ---------------------------------------------------------- micro-kernels
 //
-// Both kernels compute acc[MR][NR] = sum_p pa[p*MR + i] * pb[p*NR + j]
-// over one packed A strip and one packed B strip. alpha/beta handling
+// Every kernel computes acc[MR][NR] = sum_p pa[p*MR + i] * B[p][j] over
+// one packed A strip and one or two B strips. alpha/beta handling
 // happens in the write-back so the inner loop is pure FMA.
+//
+// A B strip (F32Strip) is either packed — row p's NR floats at
+// base + p*NR — or, on the vector levels, read in place from the
+// padded image of the stride-1 implicit conv operand: row p (kernel
+// tap p) starts at base + koff[p], and the strip's 16 output positions
+// are one contiguous run of 16 floats at that row + h[0] (kRun16B), or
+// two runs of 8 at + h[0] and + h[1] (kRun8B). A 16-run also sets
+// h[1] = h[0] + 8, so the ymm tile reads both kinds alike; the zmm tile
+// reads a 16-run with one load where two 8-runs take a load and a
+// masked broadcast. The values a tile reads are the ones the pack would
+// have copied, in the same k order, so every strip kind gives the same
+// bits.
+enum F32BKind : int { kPackedB = 0, kRun16B = 1, kRun8B = 2 };
+inline constexpr int kF32BKinds = 3;
+
+struct F32Strip {
+  const float* base;
+  const int64_t* koff;  // in-place kinds only
+  int64_t h[2];         // in-place kinds only
+  int kind;
+};
 
 // One output row at a time: its NR accumulators fit the baseline
 // vector register file (4 xmm on SSE2), so the p-loop vectorises and
-// stays out of memory; B strips are L1-hot across the MR rows.
+// stays out of memory; B strips are L1-hot across the MR rows. Packed
+// strips only.
 void micro_kernel_scalar(int64_t kc, const float* __restrict pa,
-                         const float* __restrict pb, float* __restrict acc) {
+                         const F32Strip& sb, float* __restrict acc) {
   for (int64_t i = 0; i < kGemmMR; ++i) {
     float row[kGemmNR] = {};
-    const float* __restrict b = pb;
+    const float* __restrict b = sb.base;
     for (int64_t p = 0; p < kc; ++p, b += kGemmNR) {
       const float ai = pa[p * kGemmMR + i];
       for (int64_t j = 0; j < kGemmNR; ++j) row[j] += ai * b[j];
@@ -44,20 +66,71 @@ void micro_kernel_scalar(int64_t kc, const float* __restrict pa,
 }
 
 #if APT_GEMM_X86
+// Row p of a B strip of kind kKind, as two ymm halves or one zmm. Its
+// targets are subsets of the tiles', so it inlines into either.
+template <int kKind>
+struct F32B {
+  const float* base;
+  const int64_t* koff;
+  int64_t h0, h1;
+
+  explicit F32B(const F32Strip& s)
+      : base(s.base), koff(s.koff), h0(s.h[0]), h1(s.h[1]) {}
+
+  const float* row(int64_t p) const {
+    if constexpr (kKind == kPackedB) {
+      return base + p * kGemmNR;
+    } else {
+      return base + koff[p];
+    }
+  }
+
+  __attribute__((target("avx2"), always_inline)) void load(
+      int64_t p, __m256& b0, __m256& b1) const {
+    const float* r = row(p);
+    if constexpr (kKind == kPackedB) {
+      b0 = _mm256_loadu_ps(r);
+      b1 = _mm256_loadu_ps(r + 8);
+    } else {
+      b0 = _mm256_loadu_ps(r + h0);
+      b1 = _mm256_loadu_ps(r + h1);
+    }
+  }
+
+  __attribute__((target("avx512f"), always_inline)) __m512 load(
+      int64_t p) const {
+    const float* r = row(p);
+    if constexpr (kKind == kPackedB) {
+      return _mm512_loadu_ps(r);
+    } else if constexpr (kKind == kRun16B) {
+      return _mm512_loadu_ps(r + h0);
+    } else {
+      // The second run broadcast into the upper half (a masked
+      // broadcast merges without an undefined source operand).
+      const __m512d lo =
+          _mm512_castps_pd(_mm512_castps256_ps512(_mm256_loadu_ps(r + h0)));
+      return _mm512_castpd_ps(_mm512_mask_broadcast_f64x4(
+          lo, 0xF0, _mm256_castps_pd(_mm256_loadu_ps(r + h1))));
+    }
+  }
+};
+
 // 6x16 tile: 12 ymm accumulators + 2 B vectors + 1 broadcast register.
+template <int kKind>
 __attribute__((target("avx2,fma"))) void micro_kernel_avx2(int64_t kc,
                                                            const float* pa,
-                                                           const float* pb,
+                                                           const F32Strip& sb,
                                                            float* acc) {
+  const F32B<kKind> src(sb);
   __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
   __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
   __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
   __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
   __m256 c40 = _mm256_setzero_ps(), c41 = _mm256_setzero_ps();
   __m256 c50 = _mm256_setzero_ps(), c51 = _mm256_setzero_ps();
-  for (int64_t p = 0; p < kc; ++p, pa += kGemmMR, pb += kGemmNR) {
-    const __m256 b0 = _mm256_loadu_ps(pb);
-    const __m256 b1 = _mm256_loadu_ps(pb + 8);
+  for (int64_t p = 0; p < kc; ++p, pa += kGemmMR) {
+    __m256 b0, b1;
+    src.load(p, b0, b1);
     __m256 a;
     a = _mm256_broadcast_ss(pa + 0);
     c00 = _mm256_fmadd_ps(a, b0, c00);
@@ -92,26 +165,28 @@ __attribute__((target("avx2,fma"))) void micro_kernel_avx2(int64_t kc,
   _mm256_storeu_ps(acc + 5 * kGemmNR + 8, c51);
 }
 
-// 6x32 tile over two adjacent packed B strips (pb1 = the strip after
-// pb0): 12 zmm accumulators + 2 B vectors + 1 broadcast register. Lane j
-// of every accumulator runs micro_kernel_avx2's chain for its (i, j) —
+// 6x32 tile over two adjacent B strips (s1 = the strip after s0): 12
+// zmm accumulators + 2 B vectors + 1 broadcast register. Lane j of
+// every accumulator runs micro_kernel_avx2's chain for its (i, j) —
 // start at zero, one FMA per p ascending — so each 6x16 half is that
 // kernel's tile bit for bit. The halves are written as two consecutive
 // MR x NR tiles for the shared write-back; no arithmetic happens outside
 // the intrinsics, so nothing here is open to FMA contraction.
+template <int kKind0, int kKind1>
 __attribute__((target("avx512f"))) void micro_kernel_avx512(
-    int64_t kc, const float* pa, const float* pb0, const float* pb1,
+    int64_t kc, const float* pa, const F32Strip& s0, const F32Strip& s1,
     float* acc) {
+  const F32B<kKind0> src0(s0);
+  const F32B<kKind1> src1(s1);
   __m512 c00 = _mm512_setzero_ps(), c01 = _mm512_setzero_ps();
   __m512 c10 = _mm512_setzero_ps(), c11 = _mm512_setzero_ps();
   __m512 c20 = _mm512_setzero_ps(), c21 = _mm512_setzero_ps();
   __m512 c30 = _mm512_setzero_ps(), c31 = _mm512_setzero_ps();
   __m512 c40 = _mm512_setzero_ps(), c41 = _mm512_setzero_ps();
   __m512 c50 = _mm512_setzero_ps(), c51 = _mm512_setzero_ps();
-  for (int64_t p = 0; p < kc;
-       ++p, pa += kGemmMR, pb0 += kGemmNR, pb1 += kGemmNR) {
-    const __m512 b0 = _mm512_loadu_ps(pb0);
-    const __m512 b1 = _mm512_loadu_ps(pb1);
+  for (int64_t p = 0; p < kc; ++p, pa += kGemmMR) {
+    const __m512 b0 = src0.load(p);
+    const __m512 b1 = src1.load(p);
     __m512 a;
     a = _mm512_set1_ps(pa[0]);
     c00 = _mm512_fmadd_ps(a, b0, c00);
@@ -224,28 +299,50 @@ __attribute__((target("avx2"))) void store_tile_avx2(
 }
 #endif  // APT_GEMM_X86
 
-// The fp32 tile kernels of one level: `one` covers a single NR strip;
-// `two`, when set, covers two adjacent strips in one pass (writing two
-// MR x NR tiles) and `one` takes an odd last strip. `store` writes a
-// tile back; both vector levels share the ymm store.
+// The fp32 tile kernels of one level, indexed by strip kind: `one`
+// covers a single strip; `two`, when the level has it, covers two
+// adjacent strips in one pass (writing two MR x NR tiles) and `one`
+// takes an odd last strip. `in_place` says whether the tiles read
+// in-place strips at all (the scalar tile reads packed ones only).
+// `store` writes a tile back; both vector levels share the ymm store.
+using F32One = void (*)(int64_t, const float*, const F32Strip&, float*);
+using F32Two = void (*)(int64_t, const float*, const F32Strip&,
+                        const F32Strip&, float*);
 struct F32Kernels {
-  void (*one)(int64_t, const float*, const float*, float*);
-  void (*two)(int64_t, const float*, const float*, const float*, float*);
+  std::array<F32One, kF32BKinds> one{};
+  std::array<std::array<F32Two, kF32BKinds>, kF32BKinds> two{};
+  bool in_place = false;
   void (*store)(float*, int64_t, int64_t, int64_t, const float*, float,
-                float, bool);
+                float, bool) = nullptr;
 };
 
 F32Kernels resolve_kernel(SimdLevel level) {
-  switch (level) {
+  F32Kernels k;
+  k.one[kPackedB] = micro_kernel_scalar;
+  k.store = store_tile;
 #if APT_GEMM_X86
-    case SimdLevel::kAvx512:
-      return {micro_kernel_avx2, micro_kernel_avx512, store_tile_avx2};
-    case SimdLevel::kAvx2:
-      return {micro_kernel_avx2, nullptr, store_tile_avx2};
-#endif
-    default:
-      return {micro_kernel_scalar, nullptr, store_tile};
+  if (level >= SimdLevel::kAvx2) {
+    // At ymm width a 16-run is two 8-runs (h[1] = h[0] + 8): one kernel.
+    k.one = {micro_kernel_avx2<kPackedB>, micro_kernel_avx2<kRun8B>,
+             micro_kernel_avx2<kRun8B>};
+    k.in_place = true;
+    k.store = store_tile_avx2;
   }
+  if (level >= SimdLevel::kAvx512) {
+    k.two = {{{micro_kernel_avx512<kPackedB, kPackedB>,
+               micro_kernel_avx512<kPackedB, kRun16B>,
+               micro_kernel_avx512<kPackedB, kRun8B>},
+              {micro_kernel_avx512<kRun16B, kPackedB>,
+               micro_kernel_avx512<kRun16B, kRun16B>,
+               micro_kernel_avx512<kRun16B, kRun8B>},
+              {micro_kernel_avx512<kRun8B, kPackedB>,
+               micro_kernel_avx512<kRun8B, kRun16B>,
+               micro_kernel_avx512<kRun8B, kRun8B>}}};
+  }
+#else
+  (void)level;
+#endif
+  return k;
 }
 
 // ------------------------------------------------------ s8 micro-kernels
@@ -1012,8 +1109,76 @@ void pack_f32_rows(const float* img, const int64_t* koff, int64_t kc,
   }
 }
 
+// The k rows of a panel that strips without contiguous column runs
+// gather through vector transposes: [0, k8) in blocks of 8, [k8, k4) in
+// blocks of 4, each block consecutive image offsets (in the transposed
+// operand, k = output positions: stride-1 rows whose ow the block width
+// divides); rows from k4 on gather one float at a time. The k offsets
+// are the same for every strip of the panel, so this is decided once
+// per panel.
+struct KBlocks {
+  int64_t k8 = 0, k4 = 0;
+};
+
+KBlocks k_blocks(const int64_t* koff, int64_t kc, SimdLevel level) {
+  KBlocks r;
+#if APT_GEMM_X86
+  const int64_t kc8 = kc & ~int64_t{7}, kc4 = kc & ~int64_t{3};
+  if (level >= SimdLevel::kAvx2 && kc8 > 0 &&
+      contiguous_run(koff, kc8, 8) == 8)
+    r.k8 = kc8;
+  r.k4 = r.k8;
+  if (kc4 > r.k8 && contiguous_run(koff + r.k8, kc4 - r.k8, 4) == 4)
+    r.k4 = kc4;
+#else
+  (void)koff;
+  (void)kc;
+  (void)level;
+#endif
+  return r;
+}
+
+#if APT_GEMM_X86
+// Rows [0, k8) of a transposed strip: for each block of 8 positions,
+// every column's 8 floats are one load, and an 8x8 transpose per
+// 8-column half yields 8 packed rows (columns past `cols` as zeros).
+__attribute__((target("avx2"))) void pack_f32_transposed8(
+    const float* img, const int64_t* koff, int64_t k8, const int64_t* coff,
+    int64_t cols, float* dst) {
+  for (int64_t p = 0; p < k8; p += 8) {
+    for (int64_t c = 0; c < kGemmNR; c += 8) {
+      __m256 r[8];
+      for (int64_t i = 0; i < 8; ++i)
+        r[i] = c + i < cols ? _mm256_loadu_ps(img + coff[c + i] + koff[p])
+                            : _mm256_setzero_ps();
+      __m256 t[8], u[8];
+      for (int i = 0; i < 8; i += 2) {
+        t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+        t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+      }
+      for (int i = 0; i < 8; i += 4) {
+        u[i] = _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(1, 0, 1, 0));
+        u[i + 1] = _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(3, 2, 3, 2));
+        u[i + 2] =
+            _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(1, 0, 1, 0));
+        u[i + 3] =
+            _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(3, 2, 3, 2));
+      }
+      float* out = dst + p * kGemmNR + c;
+      for (int i = 0; i < 4; ++i) {
+        _mm256_storeu_ps(out + i * kGemmNR,
+                         _mm256_permute2f128_ps(u[i], u[i + 4], 0x20));
+        _mm256_storeu_ps(out + (i + 4) * kGemmNR,
+                         _mm256_permute2f128_ps(u[i], u[i + 4], 0x31));
+      }
+    }
+  }
+}
+#endif  // APT_GEMM_X86
+
 void pack_f32_strip(const float* img, const int64_t* koff, int64_t kc,
-                    const int64_t* coff, int64_t cols, float* dst) {
+                    const int64_t* coff, int64_t cols,
+                    const KBlocks& blocks, float* dst) {
   switch (cols == kGemmNR ? contiguous_run(coff, kGemmNR, kGemmNR) : 1) {
     case 16:
       return pack_f32_rows<16>(img, koff, kc, coff, dst);
@@ -1026,24 +1191,21 @@ void pack_f32_strip(const float* img, const int64_t* koff, int64_t kc,
   }
   int64_t p_begin = 0;
 #if APT_GEMM_X86
-  // The transposed operand at stride 1: every aligned 4-chunk of k is 4
-  // consecutive floats of each column, so one load per column and a 4x4
-  // transpose yield 4 packed rows.
-  const int64_t kc4 = kc & ~int64_t{3};
-  if (kc4 > 0 && contiguous_run(koff, kc4, 4) == 4) {
-    for (int64_t p = 0; p < kc4; p += 4) {
-      for (int64_t c = 0; c < kGemmNR; c += 4) {
-        __m128 r[4];
-        for (int64_t i = 0; i < 4; ++i)
-          r[i] = c + i < cols ? _mm_loadu_ps(img + coff[c + i] + koff[p])
-                              : _mm_setzero_ps();
-        _MM_TRANSPOSE4_PS(r[0], r[1], r[2], r[3]);
-        for (int64_t t = 0; t < 4; ++t)
-          _mm_storeu_ps(dst + (p + t) * kGemmNR + c, r[t]);
-      }
+  if (blocks.k8 > 0)
+    pack_f32_transposed8(img, koff, blocks.k8, coff, cols, dst);
+  // Blocks of 4: one load per column and a 4x4 transpose yield 4 rows.
+  for (int64_t p = blocks.k8; p < blocks.k4; p += 4) {
+    for (int64_t c = 0; c < kGemmNR; c += 4) {
+      __m128 r[4];
+      for (int64_t i = 0; i < 4; ++i)
+        r[i] = c + i < cols ? _mm_loadu_ps(img + coff[c + i] + koff[p])
+                            : _mm_setzero_ps();
+      _MM_TRANSPOSE4_PS(r[0], r[1], r[2], r[3]);
+      for (int64_t t = 0; t < 4; ++t)
+        _mm_storeu_ps(dst + (p + t) * kGemmNR + c, r[t]);
     }
-    p_begin = kc4;
   }
+  p_begin = blocks.k4;
 #endif
   for (int64_t p = p_begin; p < kc; ++p) {
     float* out = dst + p * kGemmNR;
@@ -1676,6 +1838,47 @@ void strided_direct(SimdLevel level, bool trans_a, bool trans_b, int64_t m,
   direct_scalar(trans_a, trans_b, m, n, k, alpha, a, b, beta, c);
 }
 
+// Image offsets of the implicit operand's k rows [p0, p0 + kc) (taps, or
+// positions when trans_b) and of its columns [j0, j0 + cols).
+void conv_k_offsets(const GemmF32ConvB& cb, bool trans_b, int64_t p0,
+                    int64_t kc, int64_t* koff) {
+  if (trans_b) {
+    conv_pos_offsets(cb, p0, kc, koff);
+  } else {
+    conv_tap_offsets(cb, p0, kc, koff);
+  }
+}
+
+void conv_col_offsets(const GemmF32ConvB& cb, bool trans_b, int64_t j0,
+                      int64_t cols, int64_t* coff) {
+  if (trans_b) {
+    conv_tap_offsets(cb, j0, cols, coff);
+  } else {
+    conv_pos_offsets(cb, j0, cols, coff);
+  }
+}
+
+// The one pack loop of the implicit conv operand's panel with k rows at
+// `koff` and columns [j0, j0 + nc): packs the strips whose kind is
+// kPackedB — every strip when `strips` is null — one after another into
+// `dst`, pointing each such strip at its copy.
+void pack_conv_strips(const GemmF32ConvB& cb, bool trans_b,
+                      const int64_t* koff, int64_t kc, int64_t j0, int64_t nc,
+                      F32Strip* strips, float* dst) {
+  const KBlocks blocks = k_blocks(koff, kc, simd_level());
+  int64_t coff[kGemmNR];
+  for (int64_t s = 0, sj = 0; s < nc; s += kGemmNR, ++sj) {
+    if (strips != nullptr) {
+      if (strips[sj].kind != kPackedB) continue;
+      strips[sj] = {dst, nullptr, {}, kPackedB};
+    }
+    const int64_t cols = std::min(kGemmNR, nc - s);
+    conv_col_offsets(cb, trans_b, j0 + s, cols, coff);
+    pack_f32_strip(cb.padded, koff, kc, coff, cols, blocks, dst);
+    dst += kGemmNR * kc;
+  }
+}
+
 }  // namespace
 
 void gemm_pack_b_conv(const GemmF32ConvB& cb, bool trans_b, int64_t p0,
@@ -1683,21 +1886,8 @@ void gemm_pack_b_conv(const GemmF32ConvB& cb, bool trans_b, int64_t p0,
   APT_CHECK(kc <= kGemmKC) << "gemm_pack_b_conv: kc " << kc
                            << " exceeds kGemmKC";
   int64_t koff[kGemmKC];
-  int64_t coff[kGemmNR];
-  if (trans_b) {
-    conv_pos_offsets(cb, p0, kc, koff);
-  } else {
-    conv_tap_offsets(cb, p0, kc, koff);
-  }
-  for (int64_t s = 0; s < nc; s += kGemmNR, dst += kGemmNR * kc) {
-    const int64_t cols = std::min(kGemmNR, nc - s);
-    if (trans_b) {
-      conv_tap_offsets(cb, j0 + s, cols, coff);
-    } else {
-      conv_pos_offsets(cb, j0 + s, cols, coff);
-    }
-    pack_f32_strip(cb.padded, koff, kc, coff, cols, dst);
-  }
+  conv_k_offsets(cb, trans_b, p0, kc, koff);
+  pack_conv_strips(cb, trans_b, koff, kc, j0, nc, nullptr, dst);
 }
 
 namespace {
@@ -1723,18 +1913,71 @@ void unpack_conv_b(const GemmF32ConvB& cb, bool trans_b, int64_t k,
       dst[p * n + j] = cb.padded[koff[p] + noff[j]];
 }
 
+// Which strip kind the forward conv operand's strip of output positions
+// [q0, q0 + 16) is read as. The vector tiles read a full stride-1 strip
+// in place when its 16 positions are one run within an output row, or
+// two runs of 8 that each stay within one; everything else is packed:
+// the transposed (dW) operand, strided convs, ragged strips, narrower
+// runs (4-wide ones took more time in place than their pack saved), and
+// every strip at the scalar level.
+int conv_strip_kind(const GemmF32ConvB& cb, bool trans_b, bool in_place,
+                    int64_t q0, int64_t cols) {
+  if (!in_place || trans_b || cb.stride != 1 || cols < kGemmNR)
+    return kPackedB;
+  const int64_t x0 = q0 % cb.ow, x8 = (q0 + 8) % cb.ow;
+  if (x0 + 16 <= cb.ow) return kRun16B;
+  if (x0 + 8 <= cb.ow && x8 + 8 <= cb.ow) return kRun8B;
+  return kPackedB;
+}
+
+// The strips [j0, j0 + nc) of the implicit conv operand over k rows
+// [p0, p0 + kc): in place where conv_strip_kind allows, otherwise packed
+// by pack_conv_strips into space from `scope` (only the packed strips
+// take any). In-place strips read the k offsets from `scope` too, so
+// they stay valid while the panel's tiles run.
+void conv_strips(const GemmF32ConvB& cb, bool trans_b, bool in_place,
+                 int64_t p0, int64_t kc, int64_t j0, int64_t nc,
+                 ScratchArena::Scope& scope, F32Strip* strips) {
+  auto* koff = static_cast<int64_t*>(
+      scope.alloc_bytes(static_cast<size_t>(kc) * sizeof(int64_t)));
+  conv_k_offsets(cb, trans_b, p0, kc, koff);
+  const int64_t n_strips = (nc + kGemmNR - 1) / kGemmNR;
+  int64_t packed = 0;
+  for (int64_t sj = 0; sj < n_strips; ++sj) {
+    const int64_t q0 = j0 + sj * kGemmNR;
+    F32Strip& st = strips[sj];
+    st.kind = conv_strip_kind(cb, trans_b, in_place, q0,
+                              std::min(kGemmNR, nc - sj * kGemmNR));
+    if (st.kind == kPackedB) {
+      ++packed;
+      continue;
+    }
+    st.base = cb.padded;
+    st.koff = koff;
+    st.h[0] = q0 / cb.ow * cb.pw + q0 % cb.ow;
+    st.h[1] = (q0 + 8) / cb.ow * cb.pw + (q0 + 8) % cb.ow;
+  }
+  if (packed == 0) return;
+  pack_conv_strips(
+      cb, trans_b, koff, kc, j0, nc, strips,
+      scope.alloc_floats(static_cast<size_t>(packed * kGemmNR * kc)));
+}
+
 // The packed fp32 driver for `plan`'s shape, blocking and dispatch;
-// pack_b(p0, kc, j0, nc, dst) packs one B panel (explicit or implicit
-// operand alike). A is packed per MC block from `a`, or, when
-// `a_panels` is set, read from gemm_pack_a_panels' layout.
-template <typename PackB>
+// b_strips(p0, kc, j0, nc, in_place, scope, strips) describes one B
+// panel's strips (F32Strip), packing what it packs into `scope` —
+// explicit or implicit operand alike; `in_place` says whether the
+// level's tiles can read strips in place. A is packed per MC block from
+// `a`, or, when `a_panels` is set, read from gemm_pack_a_panels' layout.
+template <typename StripsB>
 void packed_driver(const KernelPlan& plan, float alpha, const float* a,
-                   const float* a_panels, PackB&& pack_b, float beta,
+                   const float* a_panels, StripsB&& b_strips, float beta,
                    float* c) {
   const bool trans_a = plan.key.trans_a;
   const int64_t m = plan.key.m, n = plan.key.n, k = plan.key.k;
   if (gemm_blas_edge(m, n, k, alpha, beta, c)) return;
   const F32Kernels kernels = resolve_kernel(simd_level());
+  const bool two = kernels.two[kPackedB][kPackedB] != nullptr;
   // fp32 plans leave kc at the default — a different k-panel split
   // changes the float accumulation order — so the planner only ever
   // varies mc/nc here (see plan.hpp).
@@ -1752,12 +1995,12 @@ void packed_driver(const KernelPlan& plan, float alpha, const float* a,
       const int64_t kc = std::min(kc_blk, k - p0);
       const bool first_panel = p0 == 0;
 
-      // B panel packed once per (j0, p0) by the calling thread; the
-      // parallel M tasks below only read it.
+      // B panel described (and what it packs, packed) once per (j0, p0)
+      // by the calling thread; the parallel M tasks below only read it.
       ScratchArena::Scope panel_scope(ScratchArena::thread_local_arena());
-      float* packb = panel_scope.alloc_floats(
-          static_cast<size_t>(n_strips * kGemmNR * kc));
-      pack_b(p0, kc, j0, nc, packb);
+      auto* strips = static_cast<F32Strip*>(panel_scope.alloc_bytes(
+          static_cast<size_t>(n_strips) * sizeof(F32Strip)));
+      b_strips(p0, kc, j0, nc, kernels.in_place, panel_scope, strips);
 
       const int64_t m_blocks = (m + mc_blk - 1) / mc_blk;
       auto run_blocks = [&](int64_t mb_begin, int64_t mb_end) {
@@ -1782,16 +2025,19 @@ void packed_driver(const KernelPlan& plan, float alpha, const float* a,
           // has one; an odd last strip (or every strip, otherwise) takes
           // the one-strip kernel. Either way each tile is the same bits.
           for (int64_t sj = 0; sj < n_strips;) {
-            const int64_t width =
-                kernels.two != nullptr && sj + 1 < n_strips ? 2 : 1;
-            const float* pb = packb + sj * kGemmNR * kc;
+            const int64_t width = two && sj + 1 < n_strips ? 2 : 1;
+            const F32Strip& s0 = strips[sj];
+            const F32One one = kernels.one[s0.kind];
+            const F32Two pair =
+                width == 2 ? kernels.two[s0.kind][strips[sj + 1].kind]
+                           : nullptr;
             for (int64_t si = 0; si * kGemmMR < mc; ++si) {
               const int64_t mr = std::min(kGemmMR, mc - si * kGemmMR);
               const float* pa = packa + si * kGemmMR * kc;
               if (width == 2) {
-                kernels.two(kc, pa, pb, pb + kGemmNR * kc, acc);
+                pair(kc, pa, s0, strips[sj + 1], acc);
               } else {
-                kernels.one(kc, pa, pb, acc);
+                one(kc, pa, s0, acc);
               }
               for (int64_t t = 0; t < width; ++t) {
                 const int64_t col = (sj + t) * kGemmNR;
@@ -1825,10 +2071,16 @@ void check_f32_plan(const KernelPlan& plan, bool packed_a) {
       << "gemm_ex: packed A panels need a packed fp32 plan";
 }
 
-void pack_b_explicit(const KernelPlan& plan, const float* b, int64_t p0,
-                     int64_t kc, int64_t j0, int64_t nc, float* dst) {
+// Packs one explicit B panel whole; every strip reads its packed copy.
+void explicit_strips(const KernelPlan& plan, const float* b, int64_t p0,
+                     int64_t kc, int64_t j0, int64_t nc,
+                     ScratchArena::Scope& scope, F32Strip* strips) {
+  const int64_t n_strips = (nc + kGemmNR - 1) / kGemmNR;
+  float* dst = scope.alloc_floats(static_cast<size_t>(n_strips * kGemmNR * kc));
   gemm_pack_b(plan.key.trans_b, b, plan.key.k, plan.key.n, p0, kc, j0, nc,
               dst);
+  for (int64_t sj = 0; sj < n_strips; ++sj)
+    strips[sj] = {dst + sj * kGemmNR * kc, nullptr, {}, kPackedB};
 }
 
 }  // namespace
@@ -1845,8 +2097,9 @@ void gemm_ex(const KernelPlan& plan, float alpha, const float* a,
   }
   packed_driver(
       plan, alpha, a, nullptr,
-      [&](int64_t p0, int64_t kc, int64_t j0, int64_t nc, float* dst) {
-        pack_b_explicit(plan, b, p0, kc, j0, nc, dst);
+      [&](int64_t p0, int64_t kc, int64_t j0, int64_t nc, bool,
+          ScratchArena::Scope& scope, F32Strip* strips) {
+        explicit_strips(plan, b, p0, kc, j0, nc, scope, strips);
       },
       beta, c);
 }
@@ -1856,8 +2109,9 @@ void gemm_ex(const KernelPlan& plan, float alpha, const GemmF32PackedA& a,
   check_f32_plan(plan, true);
   packed_driver(
       plan, alpha, nullptr, a.panels,
-      [&](int64_t p0, int64_t kc, int64_t j0, int64_t nc, float* dst) {
-        pack_b_explicit(plan, b, p0, kc, j0, nc, dst);
+      [&](int64_t p0, int64_t kc, int64_t j0, int64_t nc, bool,
+          ScratchArena::Scope& scope, F32Strip* strips) {
+        explicit_strips(plan, b, p0, kc, j0, nc, scope, strips);
       },
       beta, c);
 }
@@ -1881,8 +2135,9 @@ void gemm_conv_ex(const KernelPlan& plan, float alpha, const float* a,
   }
   packed_driver(
       plan, alpha, a, nullptr,
-      [&](int64_t p0, int64_t kc, int64_t j0, int64_t nc, float* dst) {
-        gemm_pack_b_conv(b, key.trans_b, p0, kc, j0, nc, dst);
+      [&](int64_t p0, int64_t kc, int64_t j0, int64_t nc, bool in_place,
+          ScratchArena::Scope& scope, F32Strip* strips) {
+        conv_strips(b, key.trans_b, in_place, p0, kc, j0, nc, scope, strips);
       },
       beta, c);
 }
@@ -1895,8 +2150,9 @@ void gemm_conv_ex(const KernelPlan& plan, float alpha,
   check_conv_b(b, key.trans_b, key.k, key.n);
   packed_driver(
       plan, alpha, nullptr, a.panels,
-      [&](int64_t p0, int64_t kc, int64_t j0, int64_t nc, float* dst) {
-        gemm_pack_b_conv(b, key.trans_b, p0, kc, j0, nc, dst);
+      [&](int64_t p0, int64_t kc, int64_t j0, int64_t nc, bool in_place,
+          ScratchArena::Scope& scope, F32Strip* strips) {
+        conv_strips(b, key.trans_b, in_place, p0, kc, j0, nc, scope, strips);
       },
       beta, c);
 }

@@ -79,7 +79,7 @@ S8ForwardArgs GemmLayer::int8_forward_args(const uint8_t* x,
     args.epi.out_zero = static_cast<int32_t>(qy->params.zero_point);
     args.epi.out_max = static_cast<int32_t>(quant::max_code(qy->params.bits));
   } else {
-    *y = Tensor(out_shape);
+    *y = Tensor::uninitialized(out_shape);  // the GEMMs write every element
     args.y = y->data();
   }
   return args;

@@ -48,7 +48,7 @@ struct QuantizedActivation {
 
   Tensor dequantize() const {
     APT_CHECK(valid()) << "dequantize() on an empty QuantizedActivation";
-    Tensor t(shape);
+    Tensor t = Tensor::uninitialized(shape);
     quant::dequantize_codes_u8(codes.data(), t.numel(), params, t.data());
     return t;
   }

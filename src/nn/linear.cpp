@@ -27,7 +27,7 @@ void Linear::check_input(const Shape& in_shape) {
 
 Tensor Linear::forward_fp32(const Tensor& x) {
   const int64_t n = x.dim(0);
-  Tensor y(Shape{n, out_});
+  Tensor y = Tensor::uninitialized(Shape{n, out_});
   // y[N,out] = x[N,in] * W^T[in,out]
   gemm(false, true, n, out_, in_, 1.0f, x.data(), weight_.value.data(), 0.0f,
        y.data());
@@ -70,7 +70,7 @@ Tensor Linear::backward_fp32(const Tensor& x, const Tensor& dy) {
   gemm(true, false, out_, in_, n, 1.0f, dy.data(), x.data(), 1.0f,
        grad_sink(weight_).data());
   // dX[N,in] = dY[N,out] * W[out,in]
-  Tensor dx(Shape{n, in_});
+  Tensor dx = Tensor::uninitialized(Shape{n, in_});
   gemm(false, false, n, in_, out_, 1.0f, dy.data(), weight_.value.data(),
        0.0f, dx.data());
   return dx;
@@ -121,7 +121,7 @@ Tensor Linear::backward_int8(const QuantizedActivation& x, const uint8_t* dy,
   const KernelPlan& plan_dx = plan_for(
       PlanKey::s8(n, in_, out_, /*trans_a=*/false, /*trans_b=*/false,
                   px.max_a, px.max_b));
-  Tensor dx(Shape{n, in_});
+  Tensor dx = Tensor::uninitialized(Shape{n, in_});
   GemmS8Args gx;
   gx.a = dy;
   gx.b = wq->codes_u8();

@@ -17,7 +17,7 @@ class GlobalAvgPool : public Layer {
     APT_CHECK(x.shape().rank() == 4) << name_ << ": expects NCHW";
     const int64_t N = x.dim(0), C = x.dim(1), S = x.dim(2) * x.dim(3);
     if (training) in_shape_.cur() = x.shape();
-    Tensor y(Shape{N, C});
+    Tensor y = Tensor::uninitialized(Shape{N, C});
     for (int64_t n = 0; n < N; ++n)
       for (int64_t c = 0; c < C; ++c) {
         const float* p = x.data() + (n * C + c) * S;
@@ -32,7 +32,7 @@ class GlobalAvgPool : public Layer {
     const Shape& in_shape = in_shape_.cur();
     const int64_t N = in_shape[0], C = in_shape[1],
                   S = in_shape[2] * in_shape[3];
-    Tensor dx(in_shape);
+    Tensor dx = Tensor::uninitialized(in_shape);
     for (int64_t n = 0; n < N; ++n)
       for (int64_t c = 0; c < C; ++c) {
         const float g = grad_out.at(n, c) / static_cast<float>(S);
@@ -62,7 +62,7 @@ class MaxPool2d : public Layer {
     const int64_t N = x.dim(0), C = x.dim(1), H = x.dim(2), W = x.dim(3);
     const int64_t OH = H / window_, OW = W / window_;
     APT_CHECK(OH > 0 && OW > 0) << name_ << ": window larger than input";
-    Tensor y(Shape{N, C, OH, OW});
+    Tensor y = Tensor::uninitialized(Shape{N, C, OH, OW});
     std::vector<int64_t>& argmax = argmax_.cur();
     argmax.assign(static_cast<size_t>(y.numel()), 0);
     if (training) in_shape_.cur() = x.shape();

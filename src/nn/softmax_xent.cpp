@@ -15,7 +15,7 @@ float SoftmaxCrossEntropy::forward(const Tensor& logits,
   APT_CHECK(static_cast<int64_t>(labels.size()) == n)
       << "label count " << labels.size() << " != batch " << n;
 
-  probs_ = Tensor(logits.shape());
+  probs_ = Tensor::uninitialized(logits.shape());
   labels_ = labels;
   predictions_.resize(static_cast<size_t>(n));
 

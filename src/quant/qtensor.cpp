@@ -75,7 +75,7 @@ const uint32_t* QuantizedTensor::codes_u32() const {
 }
 
 Tensor QuantizedTensor::dequantize() const {
-  Tensor out(shape_);
+  Tensor out = Tensor::uninitialized(shape_);
   dequantize_into(out);
   return out;
 }

@@ -109,7 +109,7 @@ ShardedStep::Result ShardedStep::run(
       const int64_t b = s * grain;
       const int64_t e = std::min(n, b + grain);
       dims[0] = e - b;
-      Tensor x{Shape(dims)};
+      Tensor x = Tensor::uninitialized(Shape(dims));
       std::memcpy(x.data(), batch.inputs.data() + b * row,
                   sizeof(float) * static_cast<size_t>((e - b) * row));
       xs[static_cast<size_t>(s)] = std::move(x);

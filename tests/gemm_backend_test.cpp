@@ -494,6 +494,53 @@ std::vector<float> padded_image(const Tensor& x, int64_t n, int64_t c_begin,
   return img;
 }
 
+// The transposed (dW) operand's k rows are output positions, which the
+// packer moves through 8x8 transposes in blocks of 8 (ow a multiple of
+// 8), 4x4 ones in blocks of 4 and one float at a time past them: panels
+// 12 deep (one block of each on an aligned start, none of 8 on p0 = 4)
+// and 256 deep, 5 and 13 columns (a zero half, a ragged one), at every
+// level, against im2col then gemm_pack_b.
+void expect_transposed_blocks_match() {
+  Rng rng(29);
+  const int64_t icg = 2, kernel = 3, padding = 1;
+  for (int64_t ow : {8, 16, 24}) {
+    const int64_t oh = 256 / ow + 2;  // k over one whole 256-deep panel
+    Tensor x(Shape{1, icg, oh, ow});
+    rng.fill_uniform(x, -2.0f, 2.0f);
+    x[5] = -0.0f;
+    x[x.numel() - 3] = std::numeric_limits<float>::quiet_NaN();
+    const int64_t krows = icg * kernel * kernel, npos = oh * ow;
+    std::vector<float> cols(static_cast<size_t>(krows * npos));
+    im2col(x, 0, 0, icg, kernel, 1, padding, oh, ow, cols.data());
+    const std::vector<float> img = padded_image(x, 0, 0, icg, padding);
+    GemmF32ConvB cb;
+    cb.padded = img.data();
+    cb.ph = oh + 2 * padding;
+    cb.pw = ow + 2 * padding;
+    cb.kernel = kernel;
+    cb.oh = oh;
+    cb.ow = ow;
+    for (SimdLevel level : host_simd_levels()) {
+      SimdCapScope cap(level);
+      for (int64_t kc : {12, 256})
+        for (int64_t p0 : {int64_t{0}, int64_t{4}})
+          for (int64_t nc : {5, 13})
+            for (int64_t j0 : {int64_t{0}, krows - nc}) {
+              const size_t len = static_cast<size_t>(kGemmNR * kc);
+              std::vector<float> want(len, -1.0f), got(len, -2.0f);
+              gemm_pack_b(true, cols.data(), npos, krows, p0, kc, j0, nc,
+                          want.data());
+              gemm_pack_b_conv(cb, true, p0, kc, j0, nc, got.data());
+              ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                       len * sizeof(float)))
+                  << "simd=" << simd_level_name(level) << " ow=" << ow
+                  << " kc=" << kc << " p0=" << p0 << " nc=" << nc
+                  << " j0=" << j0;
+            }
+    }
+  }
+}
+
 TEST(GemmConvOperand, PackMatchesIm2colThenPackBBitForBit) {
   // Both operand orientations (forward B, and the dW GEMM's transposed
   // B), whole and ragged kc/nc panels, group 1 of 2, with -0.0 and NaN
@@ -547,6 +594,123 @@ TEST(GemmConvOperand, PackMatchesIm2colThenPackBBitForBit) {
                   }
           }
         }
+
+  expect_transposed_blocks_match();
+}
+
+// The forward GEMM over the implicit operand — whose full stride-1
+// strips the vector tiles read in place from the padded image, as one
+// run of 16 or two of 8 within output rows, and whose other strips they
+// pack — against the same plan over the explicit im2col matrix: kernel
+// 1/3/5, stride 1/2, padding 0-2, ow 4/7/8/16/24/32 (24 mixes run kinds
+// in one tile pair; oh = 3 leaves ragged last strips), M 1-13 (one
+// strip, two, a ragged MR), K in one KC panel or two (icg * k^2 > 256),
+// -0.0 and NaN in the input, the weight raw or packed whole, at every
+// level.
+TEST(GemmConvOperand, InPlaceMatchesIm2colGemmBitForBit) {
+  Rng rng(31);
+  const int64_t oh = 3;
+  for (int64_t kernel : {1, 3, 5})
+    for (int64_t icg : {int64_t{3}, 260 / (kernel * kernel) + 1})
+      for (int64_t stride : {1, 2})
+        for (int64_t padding : {0, 1, 2})
+          for (int64_t ow : {4, 7, 8, 16, 24, 32}) {
+            const int64_t W = (ow - 1) * stride + kernel - 2 * padding;
+            const int64_t H = (oh - 1) * stride + kernel - 2 * padding;
+            if (W < 1 || H < 1) continue;
+            Tensor x(Shape{1, icg, H, W});
+            rng.fill_uniform(x, -2.0f, 2.0f);
+            x[1] = -0.0f;
+            x[x.numel() / 2] = std::numeric_limits<float>::quiet_NaN();
+            const int64_t k = icg * kernel * kernel, n = oh * ow;
+            std::vector<float> cols(static_cast<size_t>(k * n));
+            im2col(x, 0, 0, icg, kernel, stride, padding, oh, ow,
+                   cols.data());
+            const std::vector<float> img = padded_image(x, 0, 0, icg, padding);
+            GemmF32ConvB cb;
+            cb.padded = img.data();
+            cb.ph = H + 2 * padding;
+            cb.pw = W + 2 * padding;
+            cb.kernel = kernel;
+            cb.stride = stride;
+            cb.oh = oh;
+            cb.ow = ow;
+            for (int64_t m = 1; m <= 13; ++m) {
+              std::vector<float> a(static_cast<size_t>(m * k));
+              for (auto& v : a) v = rng.uniform(-1, 1);
+              a[0] = -0.0f;
+              std::vector<float> panels(
+                  static_cast<size_t>(gemm_pack_a_panels_size(m, k)));
+              gemm_pack_a_panels(false, a.data(), m, k, panels.data());
+              const KernelPlan plan = packed_plan(false, false, m, n, k);
+              for (SimdLevel level : host_simd_levels()) {
+                SimdCapScope cap(level);
+                const size_t len = static_cast<size_t>(m * n);
+                std::vector<float> want(len, 7.0f), got(len, -7.0f),
+                    got_packed(len, 3.0f);
+                gemm_ex(plan, 1.0f, a.data(), cols.data(), 0.0f, want.data());
+                gemm_conv_ex(plan, 1.0f, a.data(), cb, 0.0f, got.data());
+                gemm_conv_ex(plan, 1.0f, GemmF32PackedA{panels.data()}, cb,
+                             0.0f, got_packed.data());
+                ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                         len * sizeof(float)))
+                    << "simd=" << simd_level_name(level)
+                    << " kernel=" << kernel << " icg=" << icg
+                    << " stride=" << stride << " padding=" << padding
+                    << " ow=" << ow << " m=" << m;
+                ASSERT_EQ(0, std::memcmp(want.data(), got_packed.data(),
+                                         len * sizeof(float)))
+                    << "packed A: simd=" << simd_level_name(level)
+                    << " kernel=" << kernel << " icg=" << icg
+                    << " stride=" << stride << " padding=" << padding
+                    << " ow=" << ow << " m=" << m;
+              }
+            }
+          }
+}
+
+// The fp32 twin of GemmS8ConvImage.ClosedFormBorderSums (popart's
+// test_convolution closed form): every input and weight 1, a 3x3 kernel
+// with pad 1, so each output is (valid taps) x icg, exact in fp32 —
+// 4/6/9 x icg at corners/edges/interior for stride 1. ow 4, 8, 16 and 32
+// give packed, two-run and one-run strips; stride 2 packs. Every level.
+TEST(GemmConvOperand, ClosedFormBorderSums) {
+  for (const int64_t icg : {2, 3, 5})
+    for (const int64_t ow : {4, 8, 16, 32})
+      for (const int64_t stride : {1, 2}) {
+        const int64_t hw = ow * stride, oc = 7, padding = 1;
+        Tensor x = Tensor::full(Shape{1, icg, hw, hw}, 1.0f);
+        const std::vector<float> img = padded_image(x, 0, 0, icg, padding);
+        const std::vector<float> w(static_cast<size_t>(oc * icg * 9), 1.0f);
+        GemmF32ConvB cb;
+        cb.padded = img.data();
+        cb.ph = cb.pw = hw + 2 * padding;
+        cb.kernel = 3;
+        cb.stride = stride;
+        cb.oh = cb.ow = ow;
+        auto valid = [&](int64_t y) {
+          int64_t v = 0;
+          for (int64_t kh = 0; kh < 3; ++kh) {
+            const int64_t r = y * stride - 1 + kh;
+            v += r >= 0 && r < hw;
+          }
+          return v;
+        };
+        const KernelPlan plan = packed_plan(false, false, oc, ow * ow, icg * 9);
+        for (SimdLevel level : host_simd_levels()) {
+          SimdCapScope cap(level);
+          std::vector<float> out(static_cast<size_t>(oc * ow * ow));
+          gemm_conv_ex(plan, 1.0f, w.data(), cb, 0.0f, out.data());
+          for (int64_t o = 0; o < oc; ++o)
+            for (int64_t y = 0; y < ow; ++y)
+              for (int64_t xo = 0; xo < ow; ++xo)
+                ASSERT_EQ(out[static_cast<size_t>((o * ow + y) * ow + xo)],
+                          static_cast<float>(valid(y) * valid(xo) * icg))
+                    << "icg=" << icg << " ow=" << ow << " stride=" << stride
+                    << " level=" << simd_level_name(level) << " o=" << o
+                    << " y=" << y << " x=" << xo;
+        }
+      }
 }
 
 // ----------------------------------------------------- backend selector
